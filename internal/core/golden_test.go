@@ -55,3 +55,24 @@ func TestPrimeFactorsGoldenGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestGeometryDeferredToRealize: as on X11R5, managing children into an
+// unrealized form lays nothing out; realize runs the layout once, so
+// gV reports creation or default geometry before it and the settled
+// geometry after.
+func TestGeometryDeferredToRealize(t *testing.T) {
+	w := NewTest()
+	eval(t, w, `
+		form f topLevel
+		label a f label hello
+		label b f fromVert a label world
+	`)
+	geom := func() string { return eval(t, w, "list [gV a width] [gV b y] [gV f width] [gV f height]") }
+	if got := geom(); got != "0 0 0 0" {
+		t.Errorf("before realize: a width, b y, f width, f height = %q, want the defaults \"0 0 0 0\"", got)
+	}
+	eval(t, w, "realize")
+	if got := geom(); got != "38 27 48 50" {
+		t.Errorf("after realize: a width, b y, f width, f height = %q, want \"38 27 48 50\"", got)
+	}
+}

@@ -91,6 +91,43 @@ func TestSessionIsolation(t *testing.T) {
 	}
 }
 
+// TestSessionFormAllowResize: two sessions, each on its own event loop,
+// toggle formAllowResize on their forms while relaying them out. The
+// flag is per widget, so under -race this proves Form keeps no
+// process-wide state, and each session sees only its own setting: the
+// fixed form keeps its realized width, the other grows with its child.
+func TestSessionFormAllowResize(t *testing.T) {
+	type side struct {
+		c            *client
+		done         <-chan sessionResult
+		allow, width string
+	}
+	var sides []side
+	for _, v := range []struct{ allow, width string }{{"false", "60"}, {"true", "119"}} {
+		_, c, done := startSession(t, SessionConfig{})
+		c.send("%form f topLevel")
+		c.send("%label l f label x width 50")
+		c.send("%realize")
+		sides = append(sides, side{c, done, v.allow, v.width})
+	}
+	for i := 0; i < 50; i++ {
+		for _, s := range sides {
+			s.c.send("%formAllowResize f " + s.allow)
+			s.c.send(fmt.Sprintf("%%sV l width %d", 60+i))
+		}
+	}
+	for _, s := range sides {
+		s.c.send("%echo [gV f width]")
+		if got := s.c.readLine(); got != s.width {
+			t.Errorf("session %s (allow %s): form width %q, want %q", s.c.id, s.allow, got, s.width)
+		}
+		s.c.send("%quit")
+		if r := waitSession(t, s.done); r.err != nil || r.code != 0 {
+			t.Errorf("session %s: Run = %d, %v", s.c.id, r.code, r.err)
+		}
+	}
+}
+
 // TestSessionPanicContained: a panic on one session's event loop is
 // converted into an error return instead of taking the process — a
 // sibling session keeps dispatching commands throughout.

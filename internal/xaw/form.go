@@ -32,16 +32,23 @@ var FormClass = &xt.Class{
 	Resize:        func(w *xt.Widget) { formPlace(w) },
 }
 
-// formAllowResize is the XawFormAllowResize state; Wafe exposes it as
-// the formAllowResize command.
-var formResizeDisabled = map[*xt.Widget]bool{}
+// formPrivate is a Form's instance state.
+type formPrivate struct {
+	// resizeDisabled is the XawFormAllowResize state (false allows):
+	// layout still places the children but keeps the form's size.
+	resizeDisabled bool
+}
 
-// FormAllowResize implements XawFormAllowResize.
+// FormAllowResize implements XawFormAllowResize; Wafe exposes it as the
+// formAllowResize command. The flag lives in the widget, so it is
+// private to its session and freed with it. Viewport keeps its own
+// private state and lays out without the flag.
 func FormAllowResize(w *xt.Widget, allow bool) {
-	if allow {
-		delete(formResizeDisabled, w)
-	} else {
-		formResizeDisabled[w] = true
+	switch st := w.Private.(type) {
+	case *formPrivate:
+		st.resizeDisabled = !allow
+	case nil:
+		w.Private = &formPrivate{resizeDisabled: !allow}
 	}
 }
 
@@ -96,7 +103,7 @@ func formPlace(w *xt.Widget) map[*xt.Widget][4]int {
 
 func formLayout(w *xt.Widget) {
 	placed := formPlace(w)
-	if formResizeDisabled[w] {
+	if st, ok := w.Private.(*formPrivate); ok && st.resizeDisabled {
 		return
 	}
 	// Size the form to enclose its children unless explicitly sized.

@@ -137,6 +137,8 @@ func (d *Display) DestroyWindow(id WindowID) {
 		d.grabWindow = None
 	}
 	delete(d.windows, id)
+	delete(d.drawLog, id)
+	delete(d.damage, id)
 	d.recomputePointerWindow()
 }
 

@@ -562,3 +562,45 @@ func TestTreeIntegrityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDestroyWindowFreesDrawingState: however many create/draw/damage/
+// destroy cycles run, the display list and the damage map hold entries
+// only for live windows — destroyed windows, with or without damage
+// still pending, leave nothing behind.
+func TestDestroyWindowFreesDrawingState(t *testing.T) {
+	d := NewTestDisplay()
+	gc := d.NewGC()
+	paint := func(w WindowID) {
+		d.SelectInput(w, ExposureMask)
+		d.MapWindow(w)
+		d.ClearWindow(w)
+		d.DrawString(w, gc, 1, 9, "x")
+		d.DamageRect(w, 0, 0, 5, 5)
+	}
+	live := mustWindow(t, d, d.Root, 0, 0, 50, 50, 0)
+	paint(live)
+	for i := 0; i < 200; i++ {
+		shell := mustWindow(t, d, d.Root, 0, 0, 80, 40, 0)
+		child := mustWindow(t, d, shell, 2, 2, 30, 10, 1)
+		paint(shell)
+		paint(child)
+		if i%2 == 0 {
+			drain(d) // the other half die with damage pending
+		}
+		d.DestroyWindow(shell)
+	}
+	drain(d)
+	for id := range d.drawLog {
+		if _, ok := d.windows[id]; !ok {
+			t.Errorf("drawLog keeps destroyed window %d", id)
+		}
+	}
+	for id := range d.damage {
+		if _, ok := d.windows[id]; !ok {
+			t.Errorf("damage keeps destroyed window %d", id)
+		}
+	}
+	if len(d.drawLog[live]) == 0 {
+		t.Error("live window lost its display list")
+	}
+}

@@ -28,8 +28,10 @@ func ParseGrabKind(s string) (GrabKind, error) {
 	return 0, fmt.Errorf("xt: bad grab kind %q", s)
 }
 
-// Popup realizes and maps a popup shell (XtPopup). With an exclusive
-// grab all pointer events are redirected to the shell.
+// Popup realizes and maps a popup shell (XtPopup). The first popup
+// lays the shell's subtree out and creates its windows; a realized
+// shell keeps its geometry current and is only mapped again. With an
+// exclusive grab all pointer events are redirected to the shell.
 func (w *Widget) Popup(kind GrabKind) error {
 	if !w.Class.Shell {
 		return fmt.Errorf("xt: popup on non-shell widget %q", w.Name)
@@ -37,8 +39,10 @@ func (w *Widget) Popup(kind GrabKind) error {
 	if w.poppedUp {
 		return nil
 	}
-	w.relayout()
-	w.realizeTree()
+	if !w.realized {
+		w.callChangeManaged()
+		w.realizeTree()
+	}
 	w.poppedUp = true
 	w.grabKind = kind
 	w.display.MapWindow(w.window)

@@ -95,14 +95,24 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 	if parent != nil && !parent.Class.Composite {
 		return nil, fmt.Errorf("xt: parent %q (%s) is not a composite widget", parent.Name, parent.Class.Name)
 	}
+	crs := class.AllResources()
+	crq := class.resCache().allQ
+	var ccs []Resource
+	var ccq []resourceQuarks
+	if parent != nil {
+		pc := parent.Class.resCache()
+		ccs, ccq = pc.constraints, pc.constraintsQ
+	}
+	// The maps are sized up front: every declared resource gets an
+	// entry, so growing them one insert at a time is pure overhead.
 	w := &Widget{
 		Name:      name,
 		Class:     class,
 		Parent:    parent,
 		app:       app,
-		resources: make(map[string]*any),
-		spec:      make(map[string]*Resource),
-		explicit:  make(map[string]bool),
+		resources: make(map[string]*any, len(crs)+len(ccs)),
+		spec:      make(map[string]*Resource, len(crs)+len(ccs)),
+		explicit:  make(map[string]bool, len(args)),
 	}
 	if parent != nil {
 		w.display = parent.display
@@ -128,14 +138,6 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 	type initEntry struct {
 		r *Resource
 		q resourceQuarks
-	}
-	crs := class.AllResources()
-	crq := class.resCache().allQ
-	var ccs []Resource
-	var ccq []resourceQuarks
-	if parent != nil {
-		pc := parent.Class.resCache()
-		ccs, ccq = pc.constraints, pc.constraintsQ
 	}
 	ordered := make([]initEntry, 0, len(crs)+len(ccs))
 	for i := range crs {
@@ -401,15 +403,14 @@ func (w *Widget) Explicit(name string) bool { return w.explicit[name] }
 func (w *Widget) SetResourceValue(name string, v any) { w.setResource(name, v) }
 
 // RequestResize asks the parent to give the widget a new preferred
-// size (XtMakeResizeRequest): the geometry is updated and the parent
-// relaid out.
+// size (XtMakeResizeRequest): the geometry is updated and a realized
+// parent relaid out; under an unrealized parent the request is simply
+// granted.
 func (w *Widget) RequestResize(width, height int) {
 	w.setResource("width", maxInt(width, 1))
 	w.setResource("height", maxInt(height, 1))
 	w.applyGeometry()
-	if w.Parent != nil {
-		w.Parent.relayout()
-	}
+	w.relayoutParent()
 }
 
 // IsSensitive reports whether the widget and all ancestors are
@@ -466,9 +467,7 @@ func (w *Widget) SetValues(args map[string]string) error {
 	}
 	if geomChanged {
 		w.applyGeometry()
-		if w.Parent != nil {
-			w.Parent.relayout()
-		}
+		w.relayoutParent()
 	}
 	if changed["translations"] {
 		w.updateInputMask()
@@ -605,6 +604,34 @@ func (w *Widget) relayout() {
 	}
 }
 
+// relayoutParent hands a change in w's managed set or geometry to the
+// parent's layout. As in Xt, only a realized parent that is not being
+// destroyed lays out again; an unrealized one is laid out once, at
+// realize, and a dying one not at all.
+func (w *Widget) relayoutParent() {
+	if p := w.Parent; p != nil && p.realized && !p.beingDestroyed {
+		p.relayout()
+	}
+}
+
+// callChangeManaged lays out the unrealized subtree under w bottom up,
+// once per composite with managed children, as Xt's CallChangeManaged
+// does before XtRealizeWidget creates windows: every parent sizes
+// itself from settled children. Popup shells lay out when popped up.
+func (w *Widget) callChangeManaged() {
+	managed := false
+	for _, c := range w.children {
+		if c.Class.Shell {
+			continue
+		}
+		c.callChangeManaged()
+		managed = managed || c.managed
+	}
+	if managed {
+		w.relayout()
+	}
+}
+
 // ManagedChildren returns the managed, non-shell children — the set a
 // composite lays out.
 func (w *Widget) ManagedChildren() []*Widget { return w.managedChildren() }
@@ -629,15 +656,17 @@ func (w *Widget) managedChildren() []*Widget {
 }
 
 // Manage adds the widget to its parent's managed set (XtManageChild).
-// Managing a child of an already-realized parent realizes the child
-// immediately, as Xt does.
+// Managing a child of an already-realized parent lays the parent out,
+// then lays out and realizes the child's subtree, as Xt does; under an
+// unrealized parent layout waits for realize.
 func (w *Widget) Manage() {
 	if w.managed || w.Parent == nil {
 		return
 	}
 	w.managed = true
-	w.Parent.relayout()
+	w.relayoutParent()
 	if !w.realized && w.Parent.realized && !w.Class.Shell {
+		w.callChangeManaged()
 		w.realizeTree()
 	}
 	if w.realized && w.Bool("mappedWhenManaged") {
@@ -654,19 +683,22 @@ func (w *Widget) Unmanage() {
 	if w.realized {
 		w.display.UnmapWindow(w.window)
 	}
-	if w.Parent != nil {
-		w.Parent.relayout()
-	}
+	w.relayoutParent()
 }
 
 // Realize creates windows for the widget and its descendants
-// (XtRealizeWidget). Layout runs first so windows are created with
-// final geometry.
+// (XtRealizeWidget). The subtree is laid out first, bottom up, so
+// windows are created with final geometry. A widget under an
+// unrealized parent is realized together with that parent.
 func (w *Widget) Realize() {
 	if w.realized {
 		return
 	}
-	w.relayout()
+	if p := w.Parent; p != nil && !p.realized && !w.Class.Shell {
+		p.Realize()
+		return
+	}
+	w.callChangeManaged()
 	w.realizeTree()
 	if w.Class.Shell && !w.poppedUp {
 		// Top-level shells map on realize; popup shells wait for Popup.
@@ -680,9 +712,6 @@ func (w *Widget) realizeTree() {
 	if !w.realized {
 		parentWin := w.display.Root
 		if w.Parent != nil && !w.Class.Shell {
-			if !w.Parent.realized {
-				w.Parent.realizeTree()
-			}
 			parentWin = w.Parent.window
 		}
 		win, err := w.display.CreateWindow(parentWin, w.Int("x"), w.Int("y"), w.Int("width"), w.Int("height"), w.Int("borderWidth"))
@@ -855,7 +884,7 @@ func (w *Widget) Destroy() {
 		}
 		if w.managed {
 			w.managed = false
-			w.Parent.relayout()
+			w.relayoutParent()
 		}
 	}
 	delete(w.app.widgets, w.Name)

@@ -653,3 +653,84 @@ func TestConverterErrors(t *testing.T) {
 		t.Errorf("float = %v, %v", v, err)
 	}
 }
+
+// TestChangeManagedDeferredToRealize pins Xt's geometry rules: no
+// layout under an unrealized parent, one bottom-up pass per composite
+// at realize, a relayout for a change under a realized parent, and
+// none for children of a parent that is being destroyed.
+func TestChangeManagedDeferredToRealize(t *testing.T) {
+	var order []string
+	countingBox := &Class{
+		Name:      "TCountingBox",
+		Super:     testBoxClass,
+		Composite: true,
+		ChangeManaged: func(w *Widget) {
+			order = append(order, w.Name)
+			testBoxClass.ChangeManaged(w)
+		},
+	}
+	app := NewTestApp("wafe")
+	top := newShell(t, app)
+	outer, _ := app.CreateWidget("outer", countingBox, top, nil, true)
+	inner, _ := app.CreateWidget("inner", countingBox, outer, nil, true)
+	for _, n := range []string{"a", "b", "c"} {
+		if _, err := app.CreateWidget(n, testLabelClass, inner, map[string]string{"label": n}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, _ := app.CreateWidget("l", testLabelClass, outer, nil, true)
+	if err := l.SetValues(map[string]string{"width": "90"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 0 || l.Int("y") != 0 {
+		t.Fatalf("layout ran before realize: %v, l.y = %d", order, l.Int("y"))
+	}
+	top.Realize()
+	if got := strings.Join(order, " "); got != "inner outer" {
+		t.Errorf("realize laid out %q, want each box once, inner first", got)
+	}
+	if l.Int("y") != inner.Int("height")+2*inner.Int("borderWidth") || outer.Int("width") != 90 {
+		t.Errorf("settled geometry: l.y = %d below inner %dx%d, outer width = %d, want 90",
+			l.Int("y"), inner.Int("width"), inner.Int("height"), outer.Int("width"))
+	}
+
+	order = nil
+	if _, err := app.CreateWidget("d", testLabelClass, inner, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "inner outer" {
+		t.Errorf("managing into a realized box laid out %q, want the box then its parent", got)
+	}
+
+	order = nil
+	outer.Destroy()
+	if len(order) != 0 {
+		t.Errorf("destroy relaid out %v, want no layout of dying parents", order)
+	}
+}
+
+// TestRealizeChildRealizesParent: realizing a widget whose parent has
+// no window realizes from the parent, laid out, one window per widget.
+func TestRealizeChildRealizesParent(t *testing.T) {
+	app := NewTestApp("wafe")
+	top := newShell(t, app)
+	box, _ := app.CreateWidget("box", testBoxClass, top, nil, true)
+	l1, _ := app.CreateWidget("l1", testLabelClass, box, map[string]string{"label": "one"}, true)
+	l2, _ := app.CreateWidget("l2", testLabelClass, box, map[string]string{"label": "two"}, true)
+	l2.Realize()
+	for _, w := range []*Widget{top, box, l1, l2} {
+		if !w.IsRealized() {
+			t.Errorf("%s not realized", w.Name)
+		}
+	}
+	if l2.Int("y") <= l1.Int("y") {
+		t.Errorf("box not laid out: l1.y=%d l2.y=%d", l1.Int("y"), l2.Int("y"))
+	}
+	root, _ := app.Display().Lookup(app.Display().Root)
+	topWin, _ := app.Display().Lookup(top.Window())
+	boxWin, _ := app.Display().Lookup(box.Window())
+	if len(root.Children) != 1 || len(topWin.Children) != 1 || len(boxWin.Children) != 2 {
+		t.Errorf("window tree: root %d, top %d, box %d children; want 1, 1, 2",
+			len(root.Children), len(topWin.Children), len(boxWin.Children))
+	}
+}
