@@ -548,3 +548,19 @@ func coreClassLookup(w *core.Wafe, cmd string) (*xt.Class, bool) {
 	}
 	return nil, false
 }
+
+// BenchmarkBulkRebuild times one rebuild pair of the end-to-end bulk
+// workload in process: build the 41-widget popup under bulkSetup's
+// form, pop it up, and destroy it again.
+func BenchmarkBulkRebuild(b *testing.B) {
+	w := newWafe(b)
+	mustEval(b, w, bulkSetup)
+	build := bulkShapedPopup() + "popup pop none"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustEval(b, w, build)
+		mustEval(b, w, "destroyWidget pop")
+		w.App.Pump()
+	}
+}

@@ -166,3 +166,77 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	s.Close()
 	s.Close()
 }
+
+// bulkPopupLines returns the protocol lines that build a popup the
+// shape of the end-to-end bulk workload's rebuild: a transientShell
+// holding a form of 40 label/command/toggle/asciiText children chained
+// by fromVert, plus a 500-item list, popped up.
+func bulkPopupLines() []string {
+	kinds := [...]string{"label", "command", "toggle", "asciiText"}
+	lines := []string{"%transientShell pop topLevel", "%form pf pop"}
+	for i := 0; i < 40; i++ {
+		kind := kinds[i%len(kinds)]
+		res := "label"
+		if kind == "asciiText" {
+			res = "string"
+		}
+		line := fmt.Sprintf("%%%s w%d pf %s {item %d}", kind, i, res, i)
+		if i > 0 {
+			line += fmt.Sprintf(" fromVert w%d", i-1)
+		}
+		lines = append(lines, line)
+	}
+	items := make([]string, 500)
+	for j := range items {
+		items[j] = fmt.Sprintf("row%03d", j)
+	}
+	lines = append(lines, `%list wl pf fromVert w39 list "`+strings.Join(items, `\n`)+`"`, "%popup pop none")
+	return lines
+}
+
+// TestSessionConcurrentWidgetCreation: eight sessions, each on its own
+// event loop, build and destroy the bulk-shaped popup fifty times. The
+// compiled resource layouts of the widget classes are shared by every
+// session, while default conversions and class translation tables are
+// cached per session; under -race this proves the sharing is safe and
+// each session still reads back only its own widgets.
+func TestSessionConcurrentWidgetCreation(t *testing.T) {
+	const sessions, rounds = 8, 50
+	build := bulkPopupLines()
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, c, done := startSession(t, SessionConfig{})
+			for r := 0; r < rounds; r++ {
+				for _, line := range build {
+					c.send(line)
+				}
+				c.send(fmt.Sprintf("%%sV w0 label {session %d round %d}", i, r))
+				c.send("%echo [gV w0 label]/[gV w39 string]/[llength [gV wl list]]")
+				want := fmt.Sprintf("session %d round %d/item 39/500", i, r)
+				if got := c.readLine(); got != want {
+					errs <- fmt.Errorf("session %s: got %q, want %q", s.ID, got, want)
+					return
+				}
+				c.send("%destroyWidget pop")
+				c.send("%echo [catch {gV pf width}]")
+				if got := c.readLine(); got != "1" {
+					errs <- fmt.Errorf("session %s: form still readable after destroy (%q)", s.ID, got)
+					return
+				}
+			}
+			c.send("%quit")
+			if r := waitSession(t, done); r.err != nil || r.code != 0 {
+				errs <- fmt.Errorf("session %s: Run = %d, %v", s.ID, r.code, r.err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -382,7 +382,7 @@ var ViewportClass = &xt.Class{
 	},
 	ChangeManaged: viewportLayout,
 	PreferredSize: viewportPreferredSize,
-	Resize:        func(w *xt.Widget) { viewportLayout(w) },
+	Resize:        viewportPlace,
 }
 
 // viewportPrivate holds the scroll offsets.
@@ -483,18 +483,17 @@ func ensureViewportBars(w *xt.Widget) {
 	sb.Manage()
 }
 
+// viewportLayout is Viewport's change_managed: it creates the
+// scrollbar, asks for a size fitting the child (up to 300 pixels in a
+// dimension the user did not set) and places the children.
 func viewportLayout(w *xt.Widget) {
 	ensureViewportBars(w)
 	c := viewportMainChild(w)
 	if c == nil {
 		return
 	}
-	cw, ch := c.PreferredSize()
-	st := viewportState(w)
-	// The child keeps its preferred size; the viewport clips it and
-	// offsets it by the current scroll position.
-	c.SetChildGeometry(-st.offX, -st.offY, cw, ch)
 	if !w.Explicit("width") || !w.Explicit("height") {
+		cw, ch := c.PreferredSize()
 		nw, nh := w.Int("width"), w.Int("height")
 		if !w.Explicit("width") {
 			nw = minInt(cw, 300)
@@ -504,6 +503,22 @@ func viewportLayout(w *xt.Widget) {
 		}
 		w.RequestResize(nw, nh)
 	}
+	viewportPlace(w)
+}
+
+// viewportPlace is Viewport's resize: it only places the child and the
+// scrollbar within the current size. Requesting a size here would run
+// resize again from inside the request.
+func viewportPlace(w *xt.Widget) {
+	c := viewportMainChild(w)
+	if c == nil {
+		return
+	}
+	cw, ch := c.PreferredSize()
+	st := viewportState(w)
+	// The child keeps its preferred size; the viewport clips it and
+	// offsets it by the current scroll position.
+	c.SetChildGeometry(-st.offX, -st.offY, cw, ch)
 	// Pin the scrollbar to the right edge and keep its thumb in sync.
 	if sb := w.App().WidgetByName(viewportScrollName(w)); sb != nil && sb.IsManaged() {
 		thickness := sb.Int("thickness")

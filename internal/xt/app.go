@@ -53,6 +53,16 @@ type App struct {
 	byWindow    map[windowKey]*Widget
 	liveWidgets int
 
+	// Widget-creation caches. defaults holds, per compiled layout, the
+	// converted default of each shareable slot converted so far;
+	// RegisterConverter clears it. classTT holds each class's parsed
+	// DefaultTranslations, shared by its instances; it is per app, not
+	// per class, because exec bindings cache a parsed script in the
+	// table. slotSrc is the buffer the batched Xrm lookup fills.
+	defaults map[*resourceLayout][]any
+	classTT  map[*Class]*Translations
+	slotSrc  []slotSource
+
 	posted chan func()
 	timers []*Timer
 	works  []WorkProc
@@ -170,6 +180,8 @@ func newAppOn(appName, className string, d *xproto.Display) *App {
 		actions:     make(map[string]ActionProc),
 		widgets:     make(map[string]*Widget),
 		byWindow:    make(map[windowKey]*Widget),
+		defaults:    make(map[*resourceLayout][]any),
+		classTT:     make(map[*Class]*Translations),
 		posted:      make(chan func(), 1024),
 	}
 	app.ErrorHandler = func(err error) {

@@ -46,25 +46,30 @@ func (cl CallbackList) Source() string {
 // AddCallback appends a callback to the named callback resource
 // (XtAddCallback).
 func (w *Widget) AddCallback(name string, cb Callback) error {
-	r, ok := w.spec[name]
-	if !ok || r.Type != TCallback {
+	i, ok := w.callbackSlot(name)
+	if !ok {
 		return errNoCallbackResource(w, name)
 	}
-	cur, _ := w.Get(name)
-	list, _ := cur.(CallbackList)
-	w.setResource(name, append(list, cb))
+	list, _ := w.values[i].(CallbackList)
+	w.values[i] = append(list, cb)
 	return nil
 }
 
 // RemoveAllCallbacks clears the named callback list
 // (XtRemoveAllCallbacks).
 func (w *Widget) RemoveAllCallbacks(name string) error {
-	r, ok := w.spec[name]
-	if !ok || r.Type != TCallback {
+	i, ok := w.callbackSlot(name)
+	if !ok {
 		return errNoCallbackResource(w, name)
 	}
-	w.setResource(name, CallbackList(nil))
+	w.values[i] = CallbackList(nil)
 	return nil
+}
+
+// callbackSlot returns the slot of the named Callback resource.
+func (w *Widget) callbackSlot(name string) (int, bool) {
+	i, ok := w.layout.index[name]
+	return i, ok && w.layout.slots[i].Type == TCallback
 }
 
 // CallCallbacks invokes every callback on the named list

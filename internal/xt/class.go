@@ -8,8 +8,9 @@ import "sync"
 //
 // Resource and constraint declarations must be complete before the
 // first instance of the class is created: the flattened chain, the
-// merged resource list and the interned resource quarks are memoized
-// on first use and shared by every subsequent widget creation.
+// merged resource list, the interned resource quarks and the compiled
+// layouts are memoized on first use and shared by every subsequent
+// widget creation.
 type Class struct {
 	Name  string
 	Super *Class
@@ -49,6 +50,12 @@ type Class struct {
 	// and interned quarks (built once, on first instance creation).
 	cacheOnce sync.Once
 	cache     *classCache
+
+	// layouts holds the compiled resource layout of this class under
+	// each parent class (*Class → *resourceLayout; shells created
+	// without a parent use a nil *Class key). Every App shares them,
+	// so they are published through the sync.Map and never changed.
+	layouts sync.Map
 }
 
 // resourceQuarks are the interned symbols for one resource declaration:
@@ -74,8 +81,8 @@ type classCache struct {
 	allQ []resourceQuarks
 
 	// constraints is the constraint chain flattened sub-to-super,
-	// duplicates preserved (the widget spec-merge resolves them exactly
-	// as the per-creation loop used to); constraintsQ is parallel.
+	// duplicates preserved (compileLayout resolves them); constraintsQ
+	// is parallel.
 	constraints  []Resource
 	constraintsQ []resourceQuarks
 }
@@ -109,6 +116,86 @@ func (c *Class) resCache() *classCache {
 		c.cache = cc
 	})
 	return c.cache
+}
+
+// resourceLayout is a compiled resource list (what XtInitializeWidgetClass
+// builds, plus the parent's constraints): every resource a widget of
+// one class under one parent class carries, in the order creation
+// converts them, and a name→slot index. A widget keeps its values in
+// the slots of its layout.
+type resourceLayout struct {
+	slots []layoutSlot
+	index map[string]int
+}
+
+// layoutSlot is one resolved resource declaration of a layout.
+type layoutSlot struct {
+	Resource
+	resourceQuarks
+	// shareDefault marks an immutable scalar type: the App converts
+	// the slot's default once and every later widget reuses the value.
+	shareDefault bool
+}
+
+// destroyedLayout declares nothing. Destroy switches a widget to it, so
+// late references to a destroyed widget find no resources.
+var destroyedLayout = &resourceLayout{}
+
+// layoutFor returns the compiled layout of c for a widget under parent
+// (nil for a shell without a parent), building it on first use.
+func (c *Class) layoutFor(parent *Widget) *resourceLayout {
+	var pc *Class
+	if parent != nil {
+		pc = parent.Class
+	}
+	if l, ok := c.layouts.Load(pc); ok {
+		return l.(*resourceLayout)
+	}
+	l, _ := c.layouts.LoadOrStore(pc, c.compileLayout(pc))
+	return l.(*resourceLayout)
+}
+
+// compileLayout lays out the class-chain resources, then the parent's
+// constraints (sub-most constraint class first). A duplicate name keeps
+// its first slot but resolves through the later declaration.
+func (c *Class) compileLayout(parent *Class) *resourceLayout {
+	cc := c.resCache()
+	l := &resourceLayout{index: make(map[string]int, len(cc.all))}
+	add := func(r Resource, q resourceQuarks) {
+		s := layoutSlot{Resource: r, resourceQuarks: q, shareDefault: shareableDefault(r.Type)}
+		if i, dup := l.index[r.Name]; dup {
+			l.slots[i] = s
+			return
+		}
+		l.index[r.Name] = len(l.slots)
+		l.slots = append(l.slots, s)
+	}
+	for i, r := range cc.all {
+		add(r, cc.allQ[i])
+	}
+	if parent != nil {
+		pc := parent.resCache()
+		for i, r := range pc.constraints {
+			add(r, pc.constraintsQ[i])
+		}
+	}
+	return l
+}
+
+// shareableDefault reports whether converted values of the type are
+// immutable scalars one conversion of a default can serve for every
+// widget. Callback lists, translation tables, pixmaps, widget
+// references, string lists and Motif strings and font lists are
+// converted per widget.
+func shareableDefault(typeName string) bool {
+	switch typeName {
+	case TString, TInt, TDimension, TPosition, TCardinal,
+		TBoolean, TFloat, TPixel, TFont,
+		TJustify, TOrientation, TShapeStyle,
+		TCursor, TScreen, TColormap:
+		return true
+	}
+	return false
 }
 
 func internResourceQuarks(rs []Resource) []resourceQuarks {
@@ -275,7 +362,7 @@ func init() {
 	shellInit := func(w *Widget) {
 		// Shells default to border 0 and start unmanaged (popped up or
 		// realized explicitly).
-		if !w.explicit["borderWidth"] {
+		if !w.Explicit("borderWidth") {
 			w.setResource("borderWidth", 0)
 		}
 	}

@@ -80,10 +80,8 @@ func (w *Widget) PositionShell(x, y int) error {
 	if !w.Class.Shell {
 		return fmt.Errorf("xt: position on non-shell widget %q", w.Name)
 	}
-	w.setResource("x", x)
-	w.setResource("y", y)
-	w.explicit["x"] = true
-	w.explicit["y"] = true
+	w.setExplicit("x", x)
+	w.setExplicit("y", y)
 	if w.realized {
 		w.display.ConfigureWindow(w.window, x, y, w.Int("width"), w.Int("height"))
 	}

@@ -70,9 +70,12 @@ type Formatter func(v any) string
 // reproducing XtAppAddConverter. Additional converters registered by
 // the Wafe layer (Callback, Pixmap, XmString) use this hook. The type
 // name is interned so widget creation can look converters up by quark.
+// It clears the app's cached default conversions, so the next widget
+// converts its defaults with c.
 func (app *App) RegisterConverter(typeName string, c Converter) {
 	app.converters[typeName] = c
 	app.convertersQ[StringToQuark(typeName)] = c
+	clear(app.defaults)
 }
 
 // RegisterFormatter installs the reverse (value→string) direction.
@@ -98,6 +101,50 @@ func (app *App) ConvertQ(w *Widget, typeQ Quark, typeName, value string) (any, e
 		return nil, fmt.Errorf("xt: no converter registered for type %q", typeName)
 	}
 	return c(app, w, value)
+}
+
+// convertSlot converts a slot's source string for widget creation; an
+// empty string gives the type's zero value without a conversion.
+func (app *App) convertSlot(w *Widget, s *layoutSlot, value string) (any, error) {
+	if value == "" && s.Type != TString {
+		return zeroFor(s.Type), nil
+	}
+	return app.ConvertQ(w, s.typeQ, s.Type, value)
+}
+
+// slotDefaults returns the app's converted defaults for the layout's
+// slots, nil where none is cached yet.
+func (app *App) slotDefaults(l *resourceLayout) []any {
+	d := app.defaults[l]
+	if d == nil {
+		d = make([]any, len(l.slots))
+		app.defaults[l] = d
+	}
+	return d
+}
+
+// slotSources returns the app's lookup buffer sized to n slots. It is
+// in use while a widget's resources convert, so converters must not
+// create widgets.
+func (app *App) slotSources(n int) []slotSource {
+	if cap(app.slotSrc) < n {
+		app.slotSrc = make([]slotSource, n)
+	}
+	return app.slotSrc[:n]
+}
+
+// classTranslations returns the class's DefaultTranslations, parsed once
+// per app and shared by every instance.
+func (app *App) classTranslations(c *Class) (*Translations, error) {
+	if tt := app.classTT[c]; tt != nil {
+		return tt, nil
+	}
+	tt, err := ParseTranslations(c.DefaultTranslations)
+	if err != nil {
+		return nil, err
+	}
+	app.classTT[c] = tt
+	return tt, nil
 }
 
 // Format renders a typed value as a string using the registered

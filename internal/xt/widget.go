@@ -23,21 +23,23 @@ type Widget struct {
 	realized       bool
 	beingDestroyed bool
 
-	// resources holds converted values keyed by resource name;
-	// spec maps resource name → its declaration (class chain plus
-	// parent constraints).
-	resources map[string]*any
-	spec      map[string]*Resource
-	// explicit records resources set by args or setValues (they
-	// override later Xrm merges).
-	explicit map[string]bool
+	// layout is the compiled resource list of the widget's class under
+	// its parent's class; values holds the converted value of each of
+	// its slots, and explicit marks the slots set by creation args,
+	// SetValues or PositionShell rather than defaulted. extra stores
+	// values of names the layout does not declare (SetResourceValue
+	// accepts any name).
+	layout   *resourceLayout
+	values   []any
+	explicit []bool
+	extra    []namedValue
 
 	// pathQN/pathQC are the interned name/class paths from the
 	// application down ("wafe", "form", "label1"), computed once at
 	// creation — children extend their parent's slices. slist is the
 	// cached Xrm search list for that path; it carries the database
-	// generation it was built at and SearchResource revalidates it on
-	// every use, so mergeResources invalidates it implicitly.
+	// generation it was built at and every lookup revalidates it, so
+	// mergeResources invalidates it implicitly.
 	pathQN, pathQC []Quark
 	slist          *SearchList
 
@@ -95,106 +97,83 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 	if parent != nil && !parent.Class.Composite {
 		return nil, fmt.Errorf("xt: parent %q (%s) is not a composite widget", parent.Name, parent.Class.Name)
 	}
-	crs := class.AllResources()
-	crq := class.resCache().allQ
-	var ccs []Resource
-	var ccq []resourceQuarks
-	if parent != nil {
-		pc := parent.Class.resCache()
-		ccs, ccq = pc.constraints, pc.constraintsQ
-	}
-	// The maps are sized up front: every declared resource gets an
-	// entry, so growing them one insert at a time is pure overhead.
+	lay := class.layoutFor(parent)
 	w := &Widget{
-		Name:      name,
-		Class:     class,
-		Parent:    parent,
-		app:       app,
-		resources: make(map[string]*any, len(crs)+len(ccs)),
-		spec:      make(map[string]*Resource, len(crs)+len(ccs)),
-		explicit:  make(map[string]bool, len(args)),
+		Name:     name,
+		Class:    class,
+		Parent:   parent,
+		app:      app,
+		layout:   lay,
+		values:   make([]any, len(lay.slots)),
+		explicit: make([]bool, len(lay.slots)),
 	}
 	if parent != nil {
 		w.display = parent.display
 	} else {
 		w.display = app.display
 	}
-	// The quarked naming path extends the parent's cached path; the
-	// search list for it is computed once (usually a cache hit inside
-	// the database) and then serves every resource below.
+	// The quarked naming paths extend the parent's cached paths (both
+	// in one allocation); the search list for them is computed once
+	// (usually a cache hit inside the database) and then serves every
+	// resource below.
+	var pn, pc []Quark
 	if parent != nil {
-		w.pathQN = append(parent.pathQN[:len(parent.pathQN):len(parent.pathQN)], StringToQuark(name))
-		w.pathQC = append(parent.pathQC[:len(parent.pathQC):len(parent.pathQC)], class.nameQuark())
+		pn, pc = parent.pathQN, parent.pathQC
 	} else {
-		w.pathQN = []Quark{StringToQuark(app.Name), StringToQuark(name)}
-		w.pathQC = []Quark{StringToQuark(app.ClassName), class.nameQuark()}
+		pn, pc = []Quark{StringToQuark(app.Name)}, []Quark{StringToQuark(app.ClassName)}
 	}
+	n := len(pn) + 1
+	paths := make([]Quark, 2*n)
+	copy(paths, pn)
+	paths[n-1] = StringToQuark(name)
+	copy(paths[n:], pc)
+	paths[2*n-1] = class.nameQuark()
+	w.pathQN, w.pathQC = paths[:n:n], paths[n:]
 	w.slist = app.DB.SearchListFor(w.pathQN, w.pathQC)
-	// Merge resource specs: class chain, then parent constraint
-	// resources. ordered keeps declaration order, which conversion
-	// below relies on (e.g. fontList must convert before labelString).
-	// Duplicate declarations keep the first position but resolve
-	// through the last (sub-most constraint chain) declaration.
-	type initEntry struct {
-		r *Resource
-		q resourceQuarks
+	// Every slot starts from args > Xrm database > default. The
+	// database is read for all slots under one lock; conversion runs
+	// afterwards, in slot order (fontList must convert before
+	// labelString), because converters call back into the app.
+	src := app.slotSources(len(lay.slots))
+	app.DB.searchSlots(w.slist, lay.slots, src)
+	unknown := ""
+	for aname, v := range args {
+		i, ok := lay.index[aname]
+		if !ok {
+			unknown = aname
+			continue
+		}
+		src[i] = slotSource{value: v, found: true}
+		w.explicit[i] = true
 	}
-	ordered := make([]initEntry, 0, len(crs)+len(ccs))
-	for i := range crs {
-		r := &crs[i]
-		w.spec[r.Name] = r
-		ordered = append(ordered, initEntry{r, crq[i]})
-	}
-	for i := range ccs {
-		r := &ccs[i]
-		if _, dup := w.spec[r.Name]; !dup {
-			ordered = append(ordered, initEntry{r, ccq[i]})
-		} else {
-			for j := range ordered {
-				if ordered[j].r.Name == r.Name {
-					ordered[j] = initEntry{r, ccq[i]}
-					break
-				}
+	defaults := app.slotDefaults(lay)
+	for i := range lay.slots {
+		s := &lay.slots[i]
+		if !src[i].found {
+			if v := defaults[i]; v != nil {
+				w.values[i] = v
+				continue
 			}
+			src[i].value = s.Default
 		}
-		w.spec[r.Name] = r
-	}
-	// Initialize every declared resource: args > Xrm database > default.
-	for i := range ordered {
-		r := ordered[i].r
-		src, fromArgs := args[r.Name]
-		if !fromArgs {
-			if v, ok := app.DB.SearchResource(w.slist, ordered[i].q.nameQ, ordered[i].q.classQ); ok {
-				src = v
-			} else {
-				src = r.Default
-			}
+		val, err := app.convertSlot(w, s, src[i].value)
+		if err != nil {
+			return nil, fmt.Errorf("xt: widget %q resource %q: %v", name, s.Name, err)
 		}
-		var val any
-		if src == "" && r.Type != TString {
-			val = zeroFor(r.Type)
-		} else {
-			v, err := app.ConvertQ(w, ordered[i].q.typeQ, r.Type, src)
-			if err != nil {
-				return nil, fmt.Errorf("xt: widget %q resource %q: %v", name, r.Name, err)
-			}
-			val = v
+		if !src[i].found && s.shareDefault {
+			defaults[i] = val
 		}
-		w.resources[r.Name] = &val
-		if fromArgs {
-			w.explicit[r.Name] = true
-		}
+		w.values[i] = val
 	}
 	// Unknown creation args are an error — they indicate a typo in the
 	// Wafe script.
-	for aname := range args {
-		if _, ok := w.spec[aname]; !ok {
-			return nil, fmt.Errorf("xt: widget class %s has no resource %q", class.Name, aname)
-		}
+	if unknown != "" {
+		return nil, fmt.Errorf("xt: widget class %s has no resource %q", class.Name, unknown)
 	}
-	// Default translations.
+	// Default translations: one parsed table per class and app, shared
+	// by every instance (action and accelerators install copies).
 	if tt := w.translations(); tt == nil && class.DefaultTranslations != "" {
-		parsed, err := ParseTranslations(defaultTranslationsFor(class))
+		parsed, err := app.classTranslations(class)
 		if err != nil {
 			return nil, fmt.Errorf("xt: class %s default translations: %v", class.Name, err)
 		}
@@ -215,15 +194,6 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 		w.Manage()
 	}
 	return w, nil
-}
-
-func defaultTranslationsFor(c *Class) string {
-	for k := c; k != nil; k = k.Super {
-		if k.DefaultTranslations != "" {
-			return k.DefaultTranslations
-		}
-	}
-	return ""
 }
 
 func zeroFor(typeName string) any {
@@ -306,22 +276,47 @@ func (w *Widget) pathClasses() []string {
 
 // --- typed accessors ------------------------------------------------------
 
+// namedValue is a value stored under a name the widget's layout does
+// not declare.
+type namedValue struct {
+	name string
+	v    any
+}
+
 // Get returns the raw typed value of a resource.
 func (w *Widget) Get(name string) (any, bool) {
-	p, ok := w.resources[name]
-	if !ok {
-		return nil, false
+	if i, ok := w.layout.index[name]; ok {
+		return w.values[i], true
 	}
-	return *p, true
+	for _, e := range w.extra {
+		if e.name == name {
+			return e.v, true
+		}
+	}
+	return nil, false
 }
 
 func (w *Widget) setResource(name string, v any) {
-	if p, ok := w.resources[name]; ok {
-		*p = v
+	if i, ok := w.layout.index[name]; ok {
+		w.values[i] = v
 		return
 	}
-	val := v
-	w.resources[name] = &val
+	for i := range w.extra {
+		if w.extra[i].name == name {
+			w.extra[i].v = v
+			return
+		}
+	}
+	w.extra = append(w.extra, namedValue{name, v})
+}
+
+// setExplicit stores v as an explicitly set value, one later defaults
+// do not override.
+func (w *Widget) setExplicit(name string, v any) {
+	w.setResource(name, v)
+	if i, ok := w.layout.index[name]; ok {
+		w.explicit[i] = true
+	}
 }
 
 // Int returns an integer resource (0 when absent).
@@ -395,7 +390,10 @@ func (w *Widget) translations() *Translations {
 
 // Explicit reports whether the resource was set explicitly (creation
 // args or SetValues) rather than defaulted.
-func (w *Widget) Explicit(name string) bool { return w.explicit[name] }
+func (w *Widget) Explicit(name string) bool {
+	i, ok := w.layout.index[name]
+	return ok && w.explicit[i]
+}
 
 // SetResourceValue stores a typed resource value directly, bypassing
 // conversion — for widget-class implementations updating their own
@@ -433,24 +431,25 @@ func (w *Widget) SetValues(args map[string]string) error {
 	changed := make(map[string]bool, len(args))
 	geomChanged := false
 	for name, src := range args {
-		r, ok := w.spec[name]
+		i, ok := w.layout.index[name]
 		if !ok {
 			return fmt.Errorf("xt: widget %q (class %s) has no resource %q", w.Name, w.Class.Name, name)
 		}
-		v, err := w.app.Convert(w, r.Type, src)
+		s := &w.layout.slots[i]
+		v, err := w.app.ConvertQ(w, s.typeQ, s.Type, src)
 		if err != nil {
 			return fmt.Errorf("xt: widget %q resource %q: %v", w.Name, name, err)
 		}
-		w.explicit[name] = true
+		w.explicit[i] = true
 		// As in XtSetValues, setting a resource to its current value
 		// does not count as a change: the class set_values procedures
 		// report "no redisplay needed" and the widget is left alone.
 		// Only plain comparable values can be checked; anything else
 		// (callback lists, pixmaps) conservatively counts as changed.
-		if old, ok := w.Get(name); ok && scalarResourceEqual(old, v) {
+		if scalarResourceEqual(w.values[i], v) {
 			continue
 		}
-		w.setResource(name, v)
+		w.values[i] = v
 		changed[name] = true
 		switch name {
 		case "x", "y", "width", "height", "borderWidth":
@@ -506,41 +505,30 @@ func scalarResourceEqual(a, b any) bool {
 // GetValue returns a resource value formatted as a string (the gV
 // command; Wafe supports the reverse direction even for callbacks).
 func (w *Widget) GetValue(name string) (string, error) {
-	r, ok := w.spec[name]
+	i, ok := w.layout.index[name]
 	if !ok {
 		return "", fmt.Errorf("xt: widget %q (class %s) has no resource %q", w.Name, w.Class.Name, name)
 	}
-	v, _ := w.Get(name)
+	v := w.values[i]
 	if v == nil {
 		return "", nil
 	}
-	return w.app.Format(r.Type, v), nil
+	return w.app.Format(w.layout.slots[i].Type, v), nil
 }
 
 // HasResource reports whether the widget declares the resource.
 func (w *Widget) HasResource(name string) bool {
-	_, ok := w.spec[name]
+	_, ok := w.layout.index[name]
 	return ok
 }
 
-// ResourceNames returns the declared resource names in class order.
+// ResourceNames returns the declared resource names in class order,
+// constraint resources last.
 func (w *Widget) ResourceNames() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, r := range w.Class.AllResources() {
-		out = append(out, r.Name)
-		seen[r.Name] = true
-	}
-	// Constraint resources follow, in declaration order.
-	if w.Parent != nil {
-		for k := w.Parent.Class; k != nil; k = k.Super {
-			for _, r := range k.Constraints {
-				if !seen[r.Name] {
-					out = append(out, r.Name)
-					seen[r.Name] = true
-				}
-			}
-		}
+	slots := w.Class.layoutFor(w.Parent).slots
+	out := make([]string, len(slots))
+	for i := range slots {
+		out[i] = slots[i].Name
 	}
 	return out
 }
@@ -548,16 +536,16 @@ func (w *Widget) ResourceNames() []string {
 // --- geometry ---------------------------------------------------------------
 
 func (w *Widget) preferredSize() (int, int) {
-	if w.explicit["width"] && w.explicit["height"] {
+	if w.Explicit("width") && w.Explicit("height") {
 		return maxInt(w.Int("width"), 1), maxInt(w.Int("height"), 1)
 	}
 	for k := w.Class; k != nil; k = k.Super {
 		if k.PreferredSize != nil {
 			pw, ph := k.PreferredSize(w)
-			if w.explicit["width"] {
+			if w.Explicit("width") {
 				pw = w.Int("width")
 			}
-			if w.explicit["height"] {
+			if w.Explicit("height") {
 				ph = w.Int("height")
 			}
 			return maxInt(pw, 1), maxInt(ph, 1)
@@ -646,7 +634,7 @@ func (w *Widget) SetChildGeometry(x, y, width, height int) {
 }
 
 func (w *Widget) managedChildren() []*Widget {
-	var out []*Widget
+	out := make([]*Widget, 0, len(w.children))
 	for _, c := range w.children {
 		if c.managed && !c.Class.Shell {
 			out = append(out, c)
@@ -890,8 +878,7 @@ func (w *Widget) Destroy() {
 	delete(w.app.widgets, w.Name)
 	w.app.liveWidgets--
 	// Drop resource storage so late references fail loudly.
-	w.resources = map[string]*any{}
-	w.spec = map[string]*Resource{}
+	w.layout, w.values, w.explicit, w.extra = destroyedLayout, nil, nil, nil
 }
 
 // PathString returns the dotted widget path (for diagnostics).

@@ -338,6 +338,34 @@ func (db *Xrm) SearchResource(sl *SearchList, resName, resClass Quark) (string, 
 	return value, true
 }
 
+// slotSource is where a slot's initial value comes from: the database
+// (or a creation arg) when found, the slot's default otherwise.
+type slotSource struct {
+	value string
+	found bool
+}
+
+// searchSlots is SearchResource for every slot of a layout under one
+// read lock: dst[i] receives the value the database holds for
+// slots[i], if any. dst must have len(slots) entries.
+func (db *Xrm) searchSlots(sl *SearchList, slots []layoutSlot, dst []slotSource) {
+	db.mu.RLock()
+	states := sl.states
+	if sl.gen != db.gen.Load() {
+		states = db.buildStatesLocked(sl.namesQ, sl.classesQ)
+		if m := db.obs.Load(); m != nil {
+			m.XrmSearchListMisses.Inc()
+		}
+	}
+	for i := range slots {
+		dst[i] = slotSource{}
+		if v := lookupStates(states, slots[i].nameQ, slots[i].classQ); v != nil {
+			dst[i] = slotSource{value: v.value, found: true}
+		}
+	}
+	db.mu.RUnlock()
+}
+
 // buildStatesLocked runs the search-list DFS; the caller holds db.mu
 // (read or write). States are emitted in strict precedence order: at
 // each path level tight-name beats tight-class beats tight-'?' beats

@@ -233,6 +233,49 @@ func TestResourceNamesOrder(t *testing.T) {
 	}
 }
 
+// TestConstraintDuplicates pins how a layout resolves a name declared
+// twice: by the child's class and a parent constraint, or by two
+// classes of the parent's constraint chain. The name keeps the slot of
+// its first declaration and takes the later declaration's default.
+func TestConstraintDuplicates(t *testing.T) {
+	superC := &Class{
+		Name: "TConstraint", Super: ConstraintClass, Composite: true,
+		Constraints: []Resource{
+			{Name: "label", Class: "Label", Type: TString, Default: "from-constraint"},
+			{Name: "pos", Class: "Pos", Type: TInt, Default: "1"},
+		},
+	}
+	subC := &Class{
+		Name: "TSubConstraint", Super: superC, Composite: true,
+		Constraints: []Resource{
+			{Name: "pos", Class: "Pos", Type: TInt, Default: "2"},
+			{Name: "gap", Class: "Gap", Type: TInt, Default: "3"},
+		},
+	}
+	app := NewTestApp("wafe")
+	top := newShell(t, app)
+	p, err := app.CreateWidget("p", subC, top, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		w, err := app.CreateWidget("c", testLabelClass, p, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := w.ResourceNames()
+		if got, want := strings.Join(names[len(names)-5:], " "), "label foreground font pos gap"; got != want {
+			t.Errorf("resource names end %q, want %q", got, want)
+		}
+		for res, want := range map[string]string{"label": "from-constraint", "pos": "1", "gap": "3"} {
+			if got, _ := w.GetValue(res); got != want {
+				t.Errorf("round %d: %s = %q, want %q", round, res, got, want)
+			}
+		}
+		w.Destroy()
+	}
+}
+
 func TestTranslationParsing(t *testing.T) {
 	tt, err := ParseTranslations(`<EnterWindow>: PopupMenu()
 <Key>Return: exec(echo [gV input string])

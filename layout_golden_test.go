@@ -24,7 +24,10 @@ import (
 // One line changed on purpose: Paned makes its grips in its first
 // layout, now at realize after every pane, so in paned_grips step 4
 // p1Grip stacks above p3 rather than under it (Xaw's Paned raises its
-// grips above the panes too).
+// grips above the panes too). viewport_unsized is newer than the rest:
+// a Viewport without an explicit width and height used to recurse
+// through its own resize until the stack overflowed, so its file was
+// captured once that was fixed.
 //
 // A missing golden file is written from the current tree and the test
 // fails, so regenerating one is a deliberate delete-run-review cycle.
@@ -204,6 +207,12 @@ pi}`,
 		"realize",
 		"sV v height 120",
 		"sV l list {one\ntwo\nthree}",
+	}},
+	{"viewport_unsized", []string{
+		`viewport vp topLevel allowVert true
+label l vp label hello height 600`,
+		"realize",
+		"sV vp width 80",
 	}},
 	{"box", []string{
 		`box b topLevel

@@ -31,8 +31,10 @@ go run ./cmd/wafevet ./internal/... ./cmd/...
 echo "== wafecheck demos/ examples/"
 go run ./cmd/wafecheck demos/ examples/
 
-echo "== go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/frontend/... ./internal/obs/"
-go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/frontend/... ./internal/obs/
+# The widget sets (xaw, xm, plotter) keep per-widget state that every
+# session's event loop touches, so they run under -race too.
+echo "== go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./internal/xm/ ./internal/plotter/ ./internal/frontend/... ./internal/obs/"
+go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./internal/xm/ ./internal/plotter/ ./internal/frontend/... ./internal/obs/
 
 # The fault-injection suite drives the supervisor and the pipe loop
 # through crash, hang, overlong-line and broken-pipe scenarios;
