@@ -271,9 +271,8 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 		if len(words) == 2 {
 			if src, ok := wordLiteral(words[1]); ok {
 				// expr {literal}: compile the expression once. A
-				// source the expression compiler rejects keeps the
-				// classic path, which interleaves substitution side
-				// effects and errors in the original order.
+				// source with a syntax error keeps generic dispatch,
+				// which raises the error when the command runs.
 				node, err := compileExprAST(src)
 				if err != nil {
 					return false
@@ -291,9 +290,8 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 	case "while":
 		// while {cond} {body} — both literal words (the normal braced
 		// spelling). The condition must compile as a typed expression;
-		// sources the expression compiler rejects keep the generic path
-		// so cmdWhile's classic per-iteration fallback (and its error
-		// surface) runs instead.
+		// a condition with a syntax error keeps the generic path, so
+		// cmdWhile raises the error when it tests the condition.
 		if len(words) != 3 {
 			return false
 		}

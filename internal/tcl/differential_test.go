@@ -42,8 +42,8 @@ var differentialCorpus = []string{
 	"proc p {} {puts inproc; return done}; p",
 	// if/elseif/else chains.
 	"set v 2; if {$v == 1} {set r one} elseif {$v == 2} {set r two} else {set r other}; set r",
-	// Scripts exercising the expr fallback (non-compilable expressions
-	// that still evaluate classically).
+	// An expression with a syntax error after a valid prefix: its
+	// partial tree raises the error.
 	"catch {expr {2 + bogusword}} msg; set msg",
 }
 

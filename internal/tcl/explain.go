@@ -151,7 +151,7 @@ func explainGeneric(cmd *parsedCommand) (generic bool, reason string) {
 		if len(words) == 2 {
 			if src, ok := wordLiteral(words[1]); ok {
 				if _, err := compileExprAST(src); err != nil {
-					return true, "expression does not compile statically (" + err.Error() + "); the classic path interleaves substitution and errors in source order"
+					return true, "expression does not compile statically (" + err.Error() + "); generic dispatch raises it when the command runs"
 				}
 				return false, ""
 			}

@@ -12,58 +12,33 @@ import (
 // the interpreter, which is what makes braced expr arguments work:
 // expr {$i < 10}.
 //
-// Expressions compile once to an AST cached per source string; sources
-// the compiler rejects evaluate through the classic interleaved
-// parser, which reproduces the original error messages and the order
-// in which substitution side effects surface.
+// Expressions compile once to an AST cached per source string. A
+// source with a syntax error compiles to a tree that ends in an error
+// leaf, so its substitution side effects, and any runtime error met
+// before the syntax error, surface in source order.
 func (in *Interp) ExprEval(s string) (string, error) {
-	if n := in.compileExprCached(s); n != nil {
-		ev := in.acquireEval()
-		v, err := n.eval(ev)
-		in.releaseEval(ev)
-		if err != nil {
-			return "", err
-		}
-		return v.String(), nil
-	}
-	return in.exprEvalClassic(s)
-}
-
-// exprEvalClassic is the original Tcl-6-style evaluator that parses
-// and evaluates in one pass.
-func (in *Interp) exprEvalClassic(s string) (string, error) {
-	e := &exprParser{in: in, src: s}
-	v, err := e.parseTernary()
+	n := in.compileExprCached(s)
+	ev := in.acquireEval()
+	v, err := n.eval(ev)
+	in.releaseEval(ev)
 	if err != nil {
 		return "", err
-	}
-	e.skipSpace()
-	if !e.atEnd() {
-		return "", NewError("syntax error in expression %q", s)
 	}
 	return v.String(), nil
 }
 
 // ExprBool evaluates an expression and interprets the result as a
-// boolean (used by if, while, for). Compiled expressions read the
-// truth value straight off the typed result, skipping the
-// format-to-string/ParseBool round trip of the string-only engine
-// (asBool and ParseBool agree on every value either can produce).
+// boolean (used by if, while, for), reading the truth value straight
+// off the typed result.
 func (in *Interp) ExprBool(s string) (bool, error) {
-	if n := in.compileExprCached(s); n != nil {
-		ev := in.acquireEval()
-		v, err := n.eval(ev)
-		in.releaseEval(ev)
-		if err != nil {
-			return false, err
-		}
-		return v.asBool()
-	}
-	r, err := in.exprEvalClassic(s)
+	n := in.compileExprCached(s)
+	ev := in.acquireEval()
+	v, err := n.eval(ev)
+	in.releaseEval(ev)
 	if err != nil {
 		return false, err
 	}
-	return ParseBool(r)
+	return v.asBool()
 }
 
 // ParseBool interprets a Tcl boolean string: numbers (non-zero = true)
@@ -87,82 +62,6 @@ func ParseBool(s string) (bool, error) {
 	return false, NewError("expected boolean value but got %q", s)
 }
 
-type exprParser struct {
-	in  *Interp
-	src string
-	pos int
-	// skipDepth > 0 means we are parsing an operand that will not be
-	// used (short-circuited && / || or untaken ternary branch); variable
-	// and command substitution is suppressed and operator errors ignored.
-	skipDepth int
-}
-
-func (e *exprParser) atEnd() bool { return e.pos >= len(e.src) }
-
-func (e *exprParser) skipSpace() {
-	for !e.atEnd() {
-		c := e.src[e.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			e.pos++
-			continue
-		}
-		return
-	}
-}
-
-func (e *exprParser) peekOp() string {
-	e.skipSpace()
-	return peekExprOp(e.src, e.pos)
-}
-
-func (e *exprParser) consume(op string) {
-	e.skipSpace()
-	e.pos += len(op)
-}
-
-func (e *exprParser) parseTernary() (exprVal, error) {
-	cond, err := e.parseBinary(0)
-	if err != nil {
-		return exprVal{}, err
-	}
-	if e.peekOp() == "?" {
-		e.consume("?")
-		b, err := cond.asBool()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if !b {
-			e.skipDepth++
-		}
-		thenV, err := e.parseTernary()
-		if !b {
-			e.skipDepth--
-		}
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.peekOp() != ":" {
-			return exprVal{}, NewError("missing : in ternary expression")
-		}
-		e.consume(":")
-		if b {
-			e.skipDepth++
-		}
-		elseV, err := e.parseTernary()
-		if b {
-			e.skipDepth--
-		}
-		if err != nil {
-			return exprVal{}, err
-		}
-		if b {
-			return thenV, nil
-		}
-		return elseV, nil
-	}
-	return cond, nil
-}
-
 // binary operator precedence levels, low to high.
 var precLevels = [][]string{
 	{"||"},
@@ -178,78 +77,6 @@ var precLevels = [][]string{
 	{"**"},
 }
 
-func (e *exprParser) parseBinary(level int) (exprVal, error) {
-	if level >= len(precLevels) {
-		return e.parseUnary()
-	}
-	left, err := e.parseBinary(level + 1)
-	if err != nil {
-		return exprVal{}, err
-	}
-	for {
-		op := e.peekOp()
-		found := false
-		for _, cand := range precLevels[level] {
-			if op == cand {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return left, nil
-		}
-		e.consume(op)
-		// Short-circuit for && and ||: the right operand is parsed but
-		// not evaluated when the left side already decides the result.
-		if op == "&&" || op == "||" {
-			lb, err := left.asBool()
-			if err != nil {
-				return exprVal{}, err
-			}
-			decided := (op == "&&" && !lb) || (op == "||" && lb)
-			if decided {
-				e.skipDepth++
-			}
-			right, err := e.parseBinary(level + 1)
-			if decided {
-				e.skipDepth--
-				if err != nil {
-					return exprVal{}, err
-				}
-				left = intVal(b2i(lb))
-				continue
-			}
-			if err != nil {
-				return exprVal{}, err
-			}
-			rb, err := right.asBool()
-			if err != nil {
-				return exprVal{}, err
-			}
-			var r bool
-			if op == "&&" {
-				r = lb && rb
-			} else {
-				r = lb || rb
-			}
-			left = intVal(b2i(r))
-			continue
-		}
-		right, err := e.parseBinary(level + 1)
-		if err != nil {
-			return exprVal{}, err
-		}
-		left, err = applyBinary(op, left, right)
-		if err != nil {
-			if e.skipDepth > 0 {
-				left = intVal(0)
-				continue
-			}
-			return exprVal{}, err
-		}
-	}
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -257,12 +84,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// intBinaryFast evaluates the common integer operators without
-// applyBinary's string-keyed switch and operand re-coercion. It
-// reports ok=false for everything it does not handle — the uncommon
-// operators (eq, ne, **) and every error case (divide by zero) — which
-// then takes the applyBinary path, keeping error surfaces identical.
-// The arithmetic bodies are copied from applyBinary verbatim.
+// intBinaryFast is the integer arithmetic of the binary operators.
+// applyBinary calls it when both operands are integers; the evaluator
+// and the VM call it first, skipping applyBinary's operand coercion. It
+// reports ok=false for everything it does not handle — eq, ne, ** and
+// every error case (divide by zero) — which applyBinary then handles.
 func intBinaryFast(op string, a, b int64) (exprVal, bool) {
 	if len(op) == 1 {
 		switch op[0] {
@@ -276,6 +102,7 @@ func intBinaryFast(op string, a, b int64) (exprVal, bool) {
 			if b == 0 {
 				return exprVal{}, false
 			}
+			// Tcl integer division truncates toward negative infinity.
 			q := a / b
 			if (a%b != 0) && ((a < 0) != (b < 0)) {
 				q--
@@ -358,122 +185,63 @@ func applyBinary(op string, l, r exprVal) (exprVal, error) {
 		}
 	}
 	bothInt := lc.kind == vInt && rc.kind == vInt
-	intOnly := func() error {
-		if !bothInt {
-			return NewError("can't use floating-point value as operand of %q", op)
+	if bothInt {
+		if v, ok := intBinaryFast(op, lc.i, rc.i); ok {
+			return v, nil
 		}
-		return nil
 	}
+	// Left over: a floating-point operand, an integer divide by zero,
+	// or **.
 	switch op {
 	case "+":
-		if bothInt {
-			return intVal(lc.i + rc.i), nil
-		}
 		return floatVal(lc.asFloat() + rc.asFloat()), nil
 	case "-":
-		if bothInt {
-			return intVal(lc.i - rc.i), nil
-		}
 		return floatVal(lc.asFloat() - rc.asFloat()), nil
 	case "*":
-		if bothInt {
-			return intVal(lc.i * rc.i), nil
-		}
 		return floatVal(lc.asFloat() * rc.asFloat()), nil
 	case "/":
-		if bothInt {
-			if rc.i == 0 {
-				return exprVal{}, NewError("divide by zero")
-			}
-			// Tcl integer division truncates toward negative infinity.
-			q := lc.i / rc.i
-			if (lc.i%rc.i != 0) && ((lc.i < 0) != (rc.i < 0)) {
-				q--
-			}
-			return intVal(q), nil
-		}
 		if rc.asFloat() == 0 {
 			return exprVal{}, NewError("divide by zero")
 		}
 		return floatVal(lc.asFloat() / rc.asFloat()), nil
-	case "%":
-		if err := intOnly(); err != nil {
-			return exprVal{}, err
-		}
-		if rc.i == 0 {
+	case "%", "<<", ">>", "&", "|", "^":
+		if bothInt {
+			// Of these, intBinaryFast refuses only % by zero.
 			return exprVal{}, NewError("divide by zero")
 		}
-		m := lc.i % rc.i
-		if m != 0 && ((m < 0) != (rc.i < 0)) {
-			m += rc.i
-		}
-		return intVal(m), nil
+		return exprVal{}, NewError("can't use floating-point value as operand of %q", op)
 	case "**":
 		if bothInt && rc.i >= 0 {
-			res := int64(1)
-			for k := int64(0); k < rc.i; k++ {
-				res *= lc.i
-			}
-			return intVal(res), nil
+			return intVal(intPow(lc.i, rc.i)), nil
 		}
 		return floatVal(math.Pow(lc.asFloat(), rc.asFloat())), nil
-	case "<<":
-		if err := intOnly(); err != nil {
-			return exprVal{}, err
-		}
-		return intVal(lc.i << uint(rc.i)), nil
-	case ">>":
-		if err := intOnly(); err != nil {
-			return exprVal{}, err
-		}
-		return intVal(lc.i >> uint(rc.i)), nil
-	case "&":
-		if err := intOnly(); err != nil {
-			return exprVal{}, err
-		}
-		return intVal(lc.i & rc.i), nil
-	case "|":
-		if err := intOnly(); err != nil {
-			return exprVal{}, err
-		}
-		return intVal(lc.i | rc.i), nil
-	case "^":
-		if err := intOnly(); err != nil {
-			return exprVal{}, err
-		}
-		return intVal(lc.i ^ rc.i), nil
 	case "==":
-		if bothInt {
-			return intVal(b2i(lc.i == rc.i)), nil
-		}
 		return intVal(b2i(lc.asFloat() == rc.asFloat())), nil
 	case "!=":
-		if bothInt {
-			return intVal(b2i(lc.i != rc.i)), nil
-		}
 		return intVal(b2i(lc.asFloat() != rc.asFloat())), nil
 	case "<":
-		if bothInt {
-			return intVal(b2i(lc.i < rc.i)), nil
-		}
 		return intVal(b2i(lc.asFloat() < rc.asFloat())), nil
 	case ">":
-		if bothInt {
-			return intVal(b2i(lc.i > rc.i)), nil
-		}
 		return intVal(b2i(lc.asFloat() > rc.asFloat())), nil
 	case "<=":
-		if bothInt {
-			return intVal(b2i(lc.i <= rc.i)), nil
-		}
 		return intVal(b2i(lc.asFloat() <= rc.asFloat())), nil
 	case ">=":
-		if bothInt {
-			return intVal(b2i(lc.i >= rc.i)), nil
-		}
 		return intVal(b2i(lc.asFloat() >= rc.asFloat())), nil
 	}
 	return exprVal{}, NewError("unknown operator %q", op)
+}
+
+// intPow returns base**exp modulo 2^64 by square-and-multiply, in
+// O(log exp) steps: the same product repeated multiplication wraps to.
+func intPow(base, exp int64) int64 {
+	res := int64(1)
+	for ; exp > 0; exp >>= 1 {
+		if exp&1 != 0 {
+			res *= base
+		}
+		base *= base
+	}
+	return res
 }
 
 func nonNumericOf(l, r exprVal) string {
@@ -481,159 +249,6 @@ func nonNumericOf(l, r exprVal) string {
 		return l.s
 	}
 	return r.s
-}
-
-func (e *exprParser) parseUnary() (exprVal, error) {
-	e.skipSpace()
-	if e.atEnd() {
-		return exprVal{}, NewError("premature end of expression")
-	}
-	switch op := e.src[e.pos]; op {
-	case '-', '+', '!', '~':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		return applyUnary(op, v)
-	}
-	return e.parsePrimary()
-}
-
-func (e *exprParser) parsePrimary() (exprVal, error) {
-	e.skipSpace()
-	if e.atEnd() {
-		return exprVal{}, NewError("premature end of expression")
-	}
-	c := e.src[e.pos]
-	switch {
-	case c == '(':
-		e.pos++
-		v, err := e.parseTernary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.skipSpace()
-		if e.atEnd() || e.src[e.pos] != ')' {
-			return exprVal{}, NewError("missing close parenthesis")
-		}
-		e.pos++
-		return v, nil
-	case c == '$':
-		p := &parser{src: e.src, pos: e.pos}
-		t, err := p.parseVarToken()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		if e.skipDepth > 0 {
-			return intVal(0), nil
-		}
-		s, err := e.in.substToken(t)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return coerce(strVal(s))
-	case c == '[':
-		p := &parser{src: e.src, pos: e.pos}
-		t, err := p.parseCommandToken()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		if e.skipDepth > 0 {
-			return intVal(0), nil
-		}
-		s, err := e.in.Eval(t.text)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return coerce(strVal(s))
-	case c == '"':
-		p := &parser{src: e.src, pos: e.pos}
-		w, err := p.parseQuotedWordForExpr()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		s, err := e.in.substWord(w)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return strVal(s), nil
-	case c == '{':
-		p := &parser{src: e.src, pos: e.pos}
-		w, err := p.parseBracedWordForExpr()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		return strVal(w), nil
-	case c >= '0' && c <= '9' || c == '.':
-		return e.parseNumber()
-	default:
-		// Function call or bareword boolean.
-		start := e.pos
-		for !e.atEnd() && (isVarNameChar(e.src[e.pos])) {
-			e.pos++
-		}
-		if e.pos == start {
-			return exprVal{}, NewError("syntax error in expression near %q", e.src[e.pos:])
-		}
-		name := e.src[start:e.pos]
-		e.skipSpace()
-		if !e.atEnd() && e.src[e.pos] == '(' {
-			return e.parseFuncCall(name)
-		}
-		switch strings.ToLower(name) {
-		case "true", "yes", "on":
-			return intVal(1), nil
-		case "false", "no", "off":
-			return intVal(0), nil
-		case "inf":
-			return floatVal(math.Inf(1)), nil
-		case "nan":
-			return floatVal(math.NaN()), nil
-		}
-		return exprVal{}, NewError("unknown function or bareword %q in expression", name)
-	}
-}
-
-func (e *exprParser) parseNumber() (exprVal, error) {
-	v, np, err := scanExprNumber(e.src, e.pos)
-	e.pos = np
-	return v, err
-}
-
-func (e *exprParser) parseFuncCall(name string) (exprVal, error) {
-	e.pos++ // consume (
-	var args []exprVal
-	e.skipSpace()
-	if !e.atEnd() && e.src[e.pos] == ')' {
-		e.pos++
-	} else {
-		for {
-			v, err := e.parseTernary()
-			if err != nil {
-				return exprVal{}, err
-			}
-			args = append(args, v)
-			e.skipSpace()
-			if e.atEnd() {
-				return exprVal{}, NewError("missing ) in function call")
-			}
-			if e.src[e.pos] == ',' {
-				e.pos++
-				continue
-			}
-			if e.src[e.pos] == ')' {
-				e.pos++
-				break
-			}
-			return exprVal{}, NewError("syntax error in function arguments")
-		}
-	}
-	return applyFunc(name, args)
 }
 
 func applyFunc(name string, args []exprVal) (exprVal, error) {

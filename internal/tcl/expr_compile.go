@@ -1,7 +1,6 @@
 package tcl
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -9,11 +8,13 @@ import (
 
 // This file compiles expressions to a small AST so that hot
 // expressions (loop tests, callback arithmetic) parse once. The
-// compiler is purely syntactic — it never touches the interpreter —
-// so when it fails the classic parse-as-you-evaluate path
-// (exprEvalClassic) runs instead and reproduces the original
-// behavior, including the order in which substitution side effects
-// and errors interleave with parsing.
+// compiler is purely syntactic — it never touches the interpreter. A
+// syntax error does not abandon the tree: the operand that fails to
+// parse becomes an error leaf (exprErrNode), and each enclosing node
+// keeps what was parsed before it. Every node evaluates its children
+// in source order, so the partial tree runs the substitutions, and
+// raises any runtime error, that come before the syntax error in the
+// source, then raises the syntax error.
 
 type exprNode interface {
 	eval(ev *exprEvaluator) (exprVal, error)
@@ -26,7 +27,7 @@ type exprEvaluator struct {
 	// skipDepth > 0 means the operand being evaluated will not be used
 	// (short-circuited && / || or the untaken ternary branch); variable
 	// and command substitution is suppressed and operator errors are
-	// ignored, matching the classic parser.
+	// ignored.
 	skipDepth int
 	// slots holds the pre-fetched operand values of an expr template
 	// (exprSlotNode); nil outside template evaluation.
@@ -50,11 +51,12 @@ func (n *exprVarNode) eval(ev *exprEvaluator) (exprVal, error) {
 	if ev.skipDepth > 0 {
 		return intVal(0), nil
 	}
-	if !n.tok.hasIdx {
+	if n.tok.kind == tokVar && !n.tok.hasIdx {
 		// Typed fast path: a plain scalar in the current frame hands
 		// its machine representation straight to the evaluator. Arrays
 		// and missing variables fall through to substToken, which
-		// raises the classic error messages.
+		// raises the classic error messages. A lone $ is a tokText
+		// token: a literal, never a variable.
 		if v, ok := ev.in.cachedScalar(&n.ref, n.tok.text); ok {
 			return coerce(v.val)
 		}
@@ -121,9 +123,8 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	return coerce(v)
 }
 
-// exprQuotedNode is a "..." word; like the classic parser it is
-// substituted even in skipped operands, and substitution errors
-// propagate.
+// exprQuotedNode is a "..." word; it is substituted even in skipped
+// operands, and substitution errors propagate.
 type exprQuotedNode struct{ w word }
 
 func (n *exprQuotedNode) eval(ev *exprEvaluator) (exprVal, error) {
@@ -216,9 +217,9 @@ func (n *exprAndOrNode) eval(ev *exprEvaluator) (exprVal, error) {
 	return intVal(b2i(lb || rb)), nil
 }
 
-// exprTernaryNode evaluates both branches — the untaken one in skip
-// mode — exactly as the classic parser must, since it cannot skip
-// over unparsed text.
+// exprTernaryNode evaluates both branches, the untaken one in skip
+// mode, as a parser that evaluates while it parses must: it cannot
+// skip over unparsed text.
 type exprTernaryNode struct {
 	cond, thenN, elseN exprNode
 }
@@ -275,8 +276,25 @@ func (n *exprFuncNode) eval(ev *exprEvaluator) (exprVal, error) {
 	return applyFunc(n.name, args)
 }
 
-// applyUnary applies a unary operator; shared between the classic
-// parser and the compiled evaluator so behavior cannot drift.
+// exprErrNode is the error leaf of a source with a syntax error. It
+// evaluates pre, the complete operand parsed just before the error
+// (nil if none), then raises err, in a skipped operand too.
+type exprErrNode struct {
+	pre exprNode
+	err *Error
+}
+
+func (n *exprErrNode) eval(ev *exprEvaluator) (exprVal, error) {
+	if n.pre != nil {
+		if _, err := n.pre.eval(ev); err != nil {
+			return exprVal{}, err
+		}
+	}
+	return exprVal{}, n.err
+}
+
+// applyUnary applies a unary operator; shared between the evaluator
+// and constant folding so behavior cannot drift.
 func applyUnary(op byte, v exprVal) (exprVal, error) {
 	switch op {
 	case '-':
@@ -427,16 +445,19 @@ func scanExprNumber(src string, pos int) (exprVal, int, error) {
 }
 
 // exprCompiler builds an exprNode tree from source without touching
-// the interpreter. Any parse failure simply aborts compilation; the
-// caller then evaluates via the classic parser.
+// the interpreter.
 type exprCompiler struct {
 	src string
 	pos int
+	// err is the first syntax error. Once it is set, every compile
+	// function returns at once, leaving pos at the error, and wraps
+	// what it has parsed around the partial child that ends in the
+	// error leaf.
+	err error
 	// lenient accepts unknown barewords as string literals instead of
-	// bailing to the classic parser. The evaluating path never sets it
-	// (bareword errors must interleave with substitution side effects
-	// exactly as before); CheckExpr uses it for static syntax checking,
-	// where a bareword is only a runtime concern, not a syntax error.
+	// raising an error. The evaluating path never sets it; CheckExpr
+	// uses it for static syntax checking, where a bareword is only a
+	// runtime concern, not a syntax error.
 	lenient bool
 }
 
@@ -463,57 +484,61 @@ func (c *exprCompiler) consume(op string) {
 	c.pos += len(op)
 }
 
-var errExprCompile = fmt.Errorf("expression does not compile")
+// fail records err as the syntax error and returns the leaf that
+// raises it after evaluating pre. The leaf raises a plain Tcl error
+// whatever err's type; c.err keeps the type, so that CheckExpr can
+// report a *ParseError's own offset.
+func (c *exprCompiler) fail(pre exprNode, err error) exprNode {
+	c.err = err
+	te, ok := err.(*Error)
+	if !ok {
+		te = &Error{Code: CodeError, Value: err.Error()}
+	}
+	return &exprErrNode{pre: pre, err: te}
+}
 
-// compileExprAST compiles a full expression; any syntactic oddity
-// (including trailing junk) returns an error so the classic parser
-// handles the source instead.
+// compileExprAST compiles a full expression. On a syntax error,
+// trailing junk included, it returns the error together with a partial
+// tree whose evaluation raises it.
 func compileExprAST(src string) (exprNode, error) {
 	c := &exprCompiler{src: src}
-	n, err := c.compileTernary()
-	if err != nil {
-		return nil, err
+	n := c.compileTernary()
+	if c.err == nil {
+		c.skipSpace()
+		if !c.atEnd() {
+			n = c.fail(n, NewError("syntax error in expression %q", src))
+		}
 	}
-	c.skipSpace()
-	if !c.atEnd() {
-		return nil, errExprCompile
-	}
-	return n, nil
+	return n, c.err
 }
 
-func (c *exprCompiler) compileTernary() (exprNode, error) {
-	cond, err := c.compileBinary(0)
-	if err != nil {
-		return nil, err
+func (c *exprCompiler) compileTernary() exprNode {
+	cond := c.compileBinary(0)
+	if c.err != nil || c.peekOp() != "?" {
+		return cond
 	}
-	if c.peekOp() == "?" {
-		c.consume("?")
-		thenN, err := c.compileTernary()
-		if err != nil {
-			return nil, err
-		}
-		if c.peekOp() != ":" {
-			return nil, errExprCompile
-		}
-		c.consume(":")
-		elseN, err := c.compileTernary()
-		if err != nil {
-			return nil, err
-		}
-		return &exprTernaryNode{cond: cond, thenN: thenN, elseN: elseN}, nil
+	c.consume("?")
+	// A partial then-branch always raises, so elseN stays nil only
+	// where it is never reached.
+	n := &exprTernaryNode{cond: cond, thenN: c.compileTernary()}
+	if c.err != nil {
+		return n
 	}
-	return cond, nil
+	if c.peekOp() != ":" {
+		n.elseN = c.fail(nil, NewError("missing : in ternary expression"))
+		return n
+	}
+	c.consume(":")
+	n.elseN = c.compileTernary()
+	return n
 }
 
-func (c *exprCompiler) compileBinary(level int) (exprNode, error) {
+func (c *exprCompiler) compileBinary(level int) exprNode {
 	if level >= len(precLevels) {
 		return c.compileUnary()
 	}
-	left, err := c.compileBinary(level + 1)
-	if err != nil {
-		return nil, err
-	}
-	for {
+	left := c.compileBinary(level + 1)
+	for c.err == nil {
 		op := c.peekOp()
 		found := false
 		for _, cand := range precLevels[level] {
@@ -523,113 +548,106 @@ func (c *exprCompiler) compileBinary(level int) (exprNode, error) {
 			}
 		}
 		if !found {
-			return left, nil
+			return left
 		}
 		c.consume(op)
-		right, err := c.compileBinary(level + 1)
-		if err != nil {
-			return nil, err
-		}
+		right := c.compileBinary(level + 1)
 		if op == "&&" || op == "||" {
 			left = &exprAndOrNode{isAnd: op == "&&", l: left, r: right}
 		} else {
 			left = foldBinary(op, left, right)
 		}
 	}
+	return left
 }
 
-func (c *exprCompiler) compileUnary() (exprNode, error) {
+func (c *exprCompiler) compileUnary() exprNode {
 	c.skipSpace()
 	if c.atEnd() {
-		return nil, errExprCompile
+		return c.fail(nil, NewError("premature end of expression"))
 	}
 	switch op := c.src[c.pos]; op {
 	case '-', '+', '!', '~':
 		c.pos++
-		x, err := c.compileUnary()
-		if err != nil {
-			return nil, err
-		}
-		return foldUnary(op, x), nil
+		return foldUnary(op, c.compileUnary())
 	}
 	return c.compilePrimary()
 }
 
-func (c *exprCompiler) compilePrimary() (exprNode, error) {
-	c.skipSpace()
-	if c.atEnd() {
-		return nil, errExprCompile
-	}
+// compilePrimary runs only past compileUnary's end-of-input check.
+func (c *exprCompiler) compilePrimary() exprNode {
 	ch := c.src[c.pos]
 	switch {
 	case ch == '(':
 		c.pos++
-		n, err := c.compileTernary()
-		if err != nil {
-			return nil, err
+		n := c.compileTernary()
+		if c.err != nil {
+			return n
 		}
 		c.skipSpace()
 		if c.atEnd() || c.src[c.pos] != ')' {
-			return nil, errExprCompile
+			return c.fail(n, NewError("missing close parenthesis"))
 		}
 		c.pos++
-		return n, nil
+		return n
 	case ch == '$':
 		p := &parser{src: c.src, pos: c.pos}
 		t, err := p.parseVarToken()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
 		if t.hasIdx {
 			compileWordTokens(t.index)
 		}
-		return &exprVarNode{tok: t}, nil
+		return &exprVarNode{tok: t}
 	case ch == '[':
 		p := &parser{src: c.src, pos: c.pos}
 		t, err := p.parseCommandToken()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		return &exprCmdNode{script: compileScript(t.text)}, nil
+		return &exprCmdNode{script: compileScript(t.text)}
 	case ch == '"':
 		p := &parser{src: c.src, pos: c.pos}
 		w, err := p.parseQuotedWordForExpr()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
 		compileWordTokens(w.tokens)
 		if len(w.tokens) == 0 {
-			return &exprLit{v: strVal("")}, nil
+			return &exprLit{v: strVal("")}
 		}
 		if len(w.tokens) == 1 && w.tokens[0].kind == tokText {
-			return &exprLit{v: strVal(w.tokens[0].text)}, nil
+			return &exprLit{v: strVal(w.tokens[0].text)}
 		}
-		return &exprQuotedNode{w: w}, nil
+		return &exprQuotedNode{w: w}
 	case ch == '{':
 		p := &parser{src: c.src, pos: c.pos}
 		s, err := p.parseBracedWordForExpr()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		return &exprLit{v: strVal(s)}, nil
+		return &exprLit{v: strVal(s)}
 	case ch >= '0' && ch <= '9' || ch == '.':
+		// On a bad number pos stays at its first character, where
+		// CheckExpr reports it.
 		v, np, err := scanExprNumber(c.src, c.pos)
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = np
-		return &exprLit{v: v}, nil
+		return &exprLit{v: v}
 	default:
 		start := c.pos
 		for !c.atEnd() && isVarNameChar(c.src[c.pos]) {
 			c.pos++
 		}
 		if c.pos == start {
-			return nil, errExprCompile
+			return c.fail(nil, NewError("syntax error in expression near %q", c.src[c.pos:]))
 		}
 		name := c.src[start:c.pos]
 		c.skipSpace()
@@ -638,21 +656,18 @@ func (c *exprCompiler) compilePrimary() (exprNode, error) {
 		}
 		switch strings.ToLower(name) {
 		case "true", "yes", "on":
-			return &exprLit{v: intVal(1)}, nil
+			return &exprLit{v: intVal(1)}
 		case "false", "no", "off":
-			return &exprLit{v: intVal(0)}, nil
+			return &exprLit{v: intVal(0)}
 		case "inf":
-			return &exprLit{v: floatVal(math.Inf(1))}, nil
+			return &exprLit{v: floatVal(math.Inf(1))}
 		case "nan":
-			return &exprLit{v: floatVal(math.NaN())}, nil
+			return &exprLit{v: floatVal(math.NaN())}
 		}
-		// Unknown barewords go to the classic parser, which raises the
-		// error after any preceding substitutions have run. A lenient
-		// (static-check) compile treats them as string operands.
 		if c.lenient {
-			return &exprLit{v: strVal(name)}, nil
+			return &exprLit{v: strVal(name)}
 		}
-		return nil, errExprCompile
+		return c.fail(nil, NewError("unknown function or bareword %q in expression", name))
 	}
 }
 
@@ -663,9 +678,9 @@ func (c *exprCompiler) compilePrimary() (exprNode, error) {
 // *ParseError whose offset points at the first unparsable character.
 func CheckExpr(src string) error {
 	c := &exprCompiler{src: src, lenient: true}
-	_, err := c.compileTernary()
-	if err != nil {
-		if pe, ok := err.(*ParseError); ok {
+	c.compileTernary()
+	if c.err != nil {
+		if pe, ok := c.err.(*ParseError); ok {
 			return pe
 		}
 		return &ParseError{Msg: "syntax error in expression", Off: c.pos}
@@ -677,35 +692,38 @@ func CheckExpr(src string) error {
 	return nil
 }
 
-func (c *exprCompiler) compileFunc(name string) (exprNode, error) {
+func (c *exprCompiler) compileFunc(name string) exprNode {
 	c.pos++ // consume (
 	var args []exprNode
 	c.skipSpace()
 	if !c.atEnd() && c.src[c.pos] == ')' {
 		c.pos++
-	} else {
-		for {
-			n, err := c.compileTernary()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, n)
-			c.skipSpace()
-			if c.atEnd() {
-				return nil, errExprCompile
-			}
-			if c.src[c.pos] == ',' {
-				c.pos++
-				continue
-			}
-			if c.src[c.pos] == ')' {
-				c.pos++
-				break
-			}
-			return nil, errExprCompile
-		}
+		return foldFunc(name, args)
 	}
-	return foldFunc(name, args), nil
+	for {
+		args = append(args, c.compileTernary())
+		if c.err != nil {
+			break
+		}
+		c.skipSpace()
+		if c.atEnd() {
+			args = append(args, c.fail(nil, NewError("missing ) in function call")))
+			break
+		}
+		if c.src[c.pos] == ',' {
+			c.pos++
+			continue
+		}
+		if c.src[c.pos] == ')' {
+			c.pos++
+			return foldFunc(name, args)
+		}
+		args = append(args, c.fail(nil, NewError("syntax error in function arguments")))
+		break
+	}
+	// The last argument raises the syntax error, so the function is
+	// never applied.
+	return &exprFuncNode{name: name, args: args}
 }
 
 // foldUnary, foldBinary and foldFunc fold constant subtrees at compile
@@ -747,32 +765,23 @@ func foldFunc(name string, args []exprNode) exprNode {
 	return &exprFuncNode{name: name, args: args}
 }
 
-// compiledExpr is the cache entry; a nil node marks a source that
-// does not compile, so repeated evaluations skip the compile attempt
-// and go straight to the classic parser.
-type compiledExpr struct{ node exprNode }
-
 func (in *Interp) compileExprCached(s string) exprNode {
+	// A syntax error needs no handling here: the tree raises it when
+	// evaluated.
 	if in.exprCache == nil || len(s) > maxCachedSrcLen {
-		n, err := compileExprAST(s)
-		if err != nil {
-			return nil
-		}
+		n, _ := compileExprAST(s)
 		return n
 	}
 	if v, ok := in.exprCache.get(s); ok {
 		if m := in.obs; m != nil {
 			m.ExprCacheHits.Inc()
 		}
-		return v.(*compiledExpr).node
+		return v.(exprNode)
 	}
 	if m := in.obs; m != nil {
 		m.ExprCacheMisses.Inc()
 	}
-	n, err := compileExprAST(s)
-	if err != nil {
-		n = nil
-	}
-	in.exprCache.put(s, &compiledExpr{node: n})
+	n, _ := compileExprAST(s)
+	in.exprCache.put(s, n)
 	return n
 }

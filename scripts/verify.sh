@@ -71,6 +71,13 @@ COUNT=2 BENCHTIME=0.3s scripts/bench.sh trace
 echo "== go test -race engine differential oracle"
 go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs' ./internal/tcl/
 
+# The expression fuzz smoke (FuzzExpr): arbitrary sources must not
+# panic, interpreters with and without the expression cache must agree
+# on results, errors and side effects, and a source that evaluates must
+# pass CheckExpr.
+echo "== go test -fuzz FuzzExpr (10s)"
+go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 10s ./internal/tcl/
+
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
 
