@@ -462,56 +462,6 @@ func BenchmarkTcl_Interpreter(b *testing.B) {
 	})
 }
 
-// BenchmarkTcl_EngineCompare runs identical workloads under the tree
-// walker and the bytecode engine in one process. The tclvm bench gate
-// computes the speedup from the two sub-benchmarks of a single run, so
-// machine noise cancels instead of being baked into an absolute
-// nanosecond threshold.
-func BenchmarkTcl_EngineCompare(b *testing.B) {
-	engines := []struct {
-		name   string
-		engine tcl.Engine
-	}{
-		{"tree", tcl.EngineTree},
-		{"bytecode", tcl.EngineBytecode},
-	}
-	for _, eng := range engines {
-		b.Run("prime-factors-60/"+eng.name, func(b *testing.B) {
-			in := tcl.New()
-			in.SetEngine(eng.engine)
-			_, err := in.Eval(`proc pf {n} {
-				set result {}
-				for {set d 2} {$d <= $n} {incr d} {
-					while {[expr $n % $d] == 0} {lappend result $d; set n [expr $n / $d]}
-				}
-				return $result
-			}`)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res, err := in.Eval("pf 60"); err != nil || res != "2 2 3 5" {
-					b.Fatalf("%q %v", res, err)
-				}
-			}
-		})
-		b.Run("proc-call/"+eng.name, func(b *testing.B) {
-			in := tcl.New()
-			in.SetEngine(eng.engine)
-			if _, err := in.Eval("proc f {a b} {expr {$a+$b}}"); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Eval("f 3 4"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkWidgetCreation_WafeVsDirect compares widget creation through
 // the Tcl command layer against the direct Xt API — the overhead a C
 // programmer would avoid.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wafe/internal/core"
-	"wafe/internal/tcl"
 )
 
 // TestDemoScriptsDifferential runs every demo script in-process twice —
@@ -67,63 +66,6 @@ func TestDemoScriptsDifferential(t *testing.T) {
 			// The demos are real programs: both runs must have actually
 			// produced output, otherwise the comparison proves nothing.
 			if cached.output == "" && cached.errStr == "" {
-				t.Errorf("demo produced no output and no error; differential run is vacuous")
-			}
-		})
-	}
-}
-
-// TestDemoScriptsEngineDifferential runs every demo script once under
-// the tree-walking engine and once under the bytecode VM and asserts
-// the two executions are indistinguishable: same result, same error,
-// same puts/echo output, same exit state. Together with the
-// in-package oracle suite (corpus, bug-sweep goldens, randomized
-// scripts) this is the acceptance proof that engine v2 changes
-// performance only, not semantics, on the shipped program corpus.
-func TestDemoScriptsEngineDifferential(t *testing.T) {
-	demos, err := filepath.Glob("demos/*.wafe")
-	if err != nil || len(demos) == 0 {
-		t.Fatalf("no demos found: %v", err)
-	}
-	type outcome struct {
-		result, errStr, output string
-		quit                   bool
-		exitCode               int
-	}
-	run := func(src string, engine tcl.Engine) outcome {
-		w := core.NewTest()
-		w.Interp.SetEngine(engine)
-		res, err := w.Eval(src)
-		o := outcome{
-			result:   res,
-			output:   w.Interp.Output(),
-			quit:     w.QuitRequested(),
-			exitCode: w.ExitCode(),
-		}
-		if err != nil {
-			o.errStr = err.Error()
-		}
-		return o
-	}
-	for _, demo := range demos {
-		demo := demo
-		t.Run(filepath.Base(demo), func(t *testing.T) {
-			data, err := os.ReadFile(demo)
-			if err != nil {
-				t.Fatalf("reading %s: %v", demo, err)
-			}
-			src := string(data)
-			if strings.HasPrefix(src, "#!") {
-				if nl := strings.IndexByte(src, '\n'); nl >= 0 {
-					src = src[nl+1:]
-				}
-			}
-			tree := run(src, tcl.EngineTree)
-			bytecode := run(src, tcl.EngineBytecode)
-			if tree != bytecode {
-				t.Errorf("engines disagree:\ntree:     %+v\nbytecode: %+v", tree, bytecode)
-			}
-			if tree.output == "" && tree.errStr == "" {
 				t.Errorf("demo produced no output and no error; differential run is vacuous")
 			}
 		})

@@ -29,8 +29,6 @@ type SiteReport struct {
 	Specialized bool
 	// Reason is the fallback explanation for generic sites.
 	Reason string
-	// Mismatch is the (test-gated) disagreement flag from tcl.
-	Mismatch bool
 }
 
 // Site renders the ISSUE-format site label "cmd@proc:line".
@@ -98,7 +96,7 @@ func (e *explainer) walk(s *tcl.Script, pos posFn, sub subFn, proc string, depth
 			File: e.file, Line: line, Col: col,
 			Cmd: name, Proc: proc,
 			Op: ex.Op, Specialized: ex.Specialized,
-			Reason: ex.Reason, Mismatch: ex.Mismatch,
+			Reason: ex.Reason,
 		})
 		// Command substitutions execute inline with this command.
 		for _, w := range cmd.Words {

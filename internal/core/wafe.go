@@ -45,9 +45,6 @@ type Config struct {
 	// serve-mode sessions pass their session id so colliding display
 	// names across sessions stay isolated. Overrides DisplayName.
 	DisplayNamespace string
-	// TclEngine selects the interpreter's execution engine ("bytecode"
-	// or "tree", see tcl.ParseEngine); empty keeps the default.
-	TclEngine string
 }
 
 // Wafe couples the Tcl interpreter with the Xt application context and
@@ -130,13 +127,6 @@ func New(cfg Config) (*Wafe, error) {
 		cfg:     cfg,
 		classes: make(map[string]*xt.Class),
 		timers:  make(map[string]*xt.Timer),
-	}
-	if cfg.TclEngine != "" {
-		e, err := tcl.ParseEngine(cfg.TclEngine)
-		if err != nil {
-			return nil, err
-		}
-		w.Interp.SetEngine(e)
 	}
 	w.registerConverters()
 	w.registerWidgetSet()

@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"wafe/internal/tcl"
 )
 
 // Mode is Wafe's mode of operation.
@@ -116,12 +114,6 @@ type Options struct {
 	// MaxSessions bounds concurrent serve-mode sessions
 	// (--max-sessions); 0 means DefaultMaxSessions.
 	MaxSessions int
-
-	// TclEngine selects the command-language execution engine
-	// (--tcl-engine): "bytecode" (default, the v2 register VM) or
-	// "tree" (the classic walker, kept as the differential oracle and
-	// as an escape hatch). Empty keeps the interpreter default.
-	TclEngine string
 
 	// ShowVersion prints the version banner and exits.
 	ShowVersion bool
@@ -265,15 +257,6 @@ func ParseArgs(argv0 string, args []string) (*Options, error) {
 					return nil, fmt.Errorf("wafe: bad --trace-ring %q", args[i])
 				}
 				o.TraceRing = n
-			case "--tcl-engine":
-				if i+1 >= len(args) {
-					return nil, fmt.Errorf("wafe: --tcl-engine requires an engine name (bytecode or tree)")
-				}
-				i++
-				if _, err := tcl.ParseEngine(args[i]); err != nil {
-					return nil, fmt.Errorf("wafe: %v", err)
-				}
-				o.TclEngine = args[i]
 			case "--flight-dir":
 				if i+1 >= len(args) {
 					return nil, fmt.Errorf("wafe: --flight-dir requires a directory")

@@ -202,25 +202,3 @@ func newTestWafe(t *testing.T) *core.Wafe {
 	t.Helper()
 	return core.NewTest()
 }
-
-func TestParseArgsTclEngine(t *testing.T) {
-	o, err := ParseArgs("wafe", []string{"--tcl-engine", "tree"})
-	if err != nil || o.TclEngine != "tree" {
-		t.Errorf("opts=%+v err=%v", o, err)
-	}
-	o, err = ParseArgs("wafe", []string{"--tcl-engine", "bytecode"})
-	if err != nil || o.TclEngine != "bytecode" {
-		t.Errorf("opts=%+v err=%v", o, err)
-	}
-	// Default: empty, meaning the interpreter's own default (bytecode).
-	o, err = ParseArgs("wafe", nil)
-	if err != nil || o.TclEngine != "" {
-		t.Errorf("opts=%+v err=%v", o, err)
-	}
-	if _, err := ParseArgs("wafe", []string{"--tcl-engine"}); err == nil {
-		t.Error("--tcl-engine without a name accepted")
-	}
-	if _, err := ParseArgs("wafe", []string{"--tcl-engine", "jit"}); err == nil {
-		t.Error("--tcl-engine jit accepted")
-	}
-}

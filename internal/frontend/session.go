@@ -84,17 +84,12 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.PrivateDisplay {
 		ns = cfg.ID
 	}
-	engine := ""
-	if cfg.Opts != nil {
-		engine = cfg.Opts.TclEngine
-	}
 	w, err := core.New(core.Config{
 		AppName:          appName,
 		ClassName:        cfg.ClassName,
 		DisplayName:      cfg.DisplayName,
 		Set:              cfg.Set,
 		DisplayNamespace: ns,
-		TclEngine:        engine,
 	})
 	if err != nil {
 		return nil, err

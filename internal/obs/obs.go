@@ -115,7 +115,8 @@ func (h *Histogram) Mean() int64 {
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q
 // <= 1) in nanoseconds: the upper boundary of the bucket holding the
-// q-th observation. The overflow bucket reports the observed maximum.
+// q-th observation, clamped to the observed maximum (which the
+// overflow bucket reports as is).
 func (h *Histogram) Quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -133,8 +134,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i := 0; i < histBuckets; i++ {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			if i == histBuckets-1 {
-				return h.max.Load()
+			if max := h.max.Load(); i == histBuckets-1 || bound > max {
+				return max
 			}
 			return bound
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -70,6 +72,35 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	h.Observe(-time.Second)
 	if h.Count() != 1 || h.Sum() != 0 {
 		t.Errorf("negative observation: count=%d sum=%d", h.Count(), h.Sum())
+	}
+}
+
+// TestHistogramQuantileProperty checks, over random observation sets
+// spread across many octaves, that no quantile exceeds the recorded
+// maximum and that quantiles grow with q.
+func TestHistogramQuantileProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		var h Histogram
+		for i, n := 0, 1+r.Intn(200); i < n; i++ {
+			// Log-uniform from 1ns to about 17s.
+			h.Observe(time.Duration(math.Exp(r.Float64() * 24 * math.Ln2)))
+		}
+		max := h.Max()
+		prev := int64(0)
+		for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999, 1} {
+			v := h.Quantile(q)
+			if v > max {
+				t.Fatalf("trial %d: p%g = %d exceeds max %d", trial, q*100, v, max)
+			}
+			if v < prev {
+				t.Fatalf("trial %d: p%g = %d below a lower quantile %d", trial, q*100, v, prev)
+			}
+			prev = v
+		}
+		if p50, p99 := h.Quantile(0.5), h.Quantile(0.99); p50 > p99 {
+			t.Fatalf("trial %d: p50 %d > p99 %d", trial, p50, p99)
+		}
 	}
 }
 

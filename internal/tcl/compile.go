@@ -87,13 +87,15 @@ type exprTemplate struct {
 }
 
 // progCmd is the per-source-command record: its instruction range
-// (insns[end-1] is the dispatch instruction), the original parsed
-// command (for the profiler handoff and the expr-template bail path),
-// and its index in the Script's command list so the tree walker can
-// resume mid-script.
+// (insns[end-1] is the dispatch instruction), why the compiler left
+// the command on generic dispatch (reasonNone when it specialized it;
+// read by ExplainScript), its 1-based source line (0 until a profiled
+// run first asks, see Program.line), and the original parsed command
+// (for the fallback and expr-template bail paths).
 type progCmd struct {
 	start, end int32
-	srcIdx     int
+	reason     reason
+	line       int32
 	src        *parsedCommand
 }
 
@@ -150,8 +152,8 @@ func (in *Interp) program(s *Script) *Program {
 func (in *Interp) compileProgram(s *Script) *Program {
 	p := &Program{script: s}
 	c := &progCompiler{in: in, p: p, specialize: in.specialGen == in.specialBase}
-	for i, cmd := range s.cmds {
-		c.compileCommand(i, cmd)
+	for _, cmd := range s.cmds {
+		c.compileCommand(cmd)
 	}
 	p.vrefs = make([]varRef, len(p.names))
 	return p
@@ -198,14 +200,22 @@ func (c *progCompiler) addName(n string) int32 {
 	return int32(len(c.p.names) - 1)
 }
 
-func (c *progCompiler) compileCommand(srcIdx int, cmd *parsedCommand) {
+func (c *progCompiler) compileCommand(cmd *parsedCommand) {
 	words := cmd.words
 	if len(words) == 0 {
 		return
 	}
-	pc := progCmd{start: int32(len(c.p.insns)), srcIdx: srcIdx, src: cmd}
+	pc := progCmd{start: int32(len(c.p.insns)), src: cmd}
 	name, nameLit := wordLiteral(words[0])
-	if !c.specialize || !nameLit || !c.trySpecialize(name, cmd) {
+	switch {
+	case !nameLit:
+		pc.reason = reasonDynamicName
+	case !c.specialize:
+		pc.reason = reasonRebound
+	default:
+		pc.reason = c.trySpecialize(name, cmd)
+	}
+	if pc.reason != reasonNone {
 		c.compileGeneric(words, nameLit)
 	}
 	pc.end = int32(len(c.p.insns))
@@ -213,23 +223,24 @@ func (c *progCompiler) compileCommand(srcIdx int, cmd *parsedCommand) {
 }
 
 // trySpecialize emits a dedicated instruction sequence for the hot
-// command shapes; it reports false (emitting nothing) when the shape
-// does not qualify, leaving the command to generic dispatch.
-func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
+// command shapes and returns reasonNone. When the shape does not
+// qualify it emits nothing and returns the rule that refused it,
+// leaving the command to generic dispatch.
+func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 	words := cmd.words
 	switch name {
 	case "set":
 		// set NAME value — NAME a literal plain scalar (array
 		// references keep the classic path and its error surface).
 		if len(words) != 3 {
-			return false
+			return reasonSetArity
 		}
 		vn, ok := wordLiteral(words[1])
 		if !ok {
-			return false
+			return reasonVarNotLiteral
 		}
 		if _, _, isArr := splitArrayRef(vn); isArr {
-			return false
+			return reasonSetArray
 		}
 		c.needRegs(1)
 		if !c.compileWordOp(words[2], 0) {
@@ -237,36 +248,36 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 			c.emit(insn{op: opWord, a: int32(len(c.p.words) - 1), c: 0})
 		}
 		c.emit(insn{op: opSet, a: c.addName(vn), b: 0})
-		return true
+		return reasonNone
 	case "incr":
 		// incr NAME ?literal-int? — delta parsed at compile time with
 		// the same trimmed base-0 rules cmdIncr applies at runtime; a
 		// malformed literal keeps the classic path so the error text
 		// is produced there.
 		if len(words) != 2 && len(words) != 3 {
-			return false
+			return reasonIncrArity
 		}
 		vn, ok := wordLiteral(words[1])
 		if !ok {
-			return false
+			return reasonVarNotLiteral
 		}
 		if _, _, isArr := splitArrayRef(vn); isArr {
-			return false
+			return reasonIncrArray
 		}
 		delta := int64(1)
 		if len(words) == 3 {
 			lit, ok := wordLiteral(words[2])
 			if !ok {
-				return false
+				return reasonDeltaNotLiteral
 			}
 			d, err := strconv.ParseInt(strings.TrimSpace(lit), 0, 64)
 			if err != nil || d != int64(int32(d)) {
-				return false
+				return reasonBadDelta
 			}
 			delta = d
 		}
 		c.emit(insn{op: opIncr, a: c.addName(vn), b: int32(delta)})
-		return true
+		return reasonNone
 	case "expr":
 		if len(words) == 2 {
 			if src, ok := wordLiteral(words[1]); ok {
@@ -275,53 +286,56 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 				// which raises the error when the command runs.
 				node, err := compileExprAST(src)
 				if err != nil {
-					return false
+					return reasonExprSyntax
 				}
 				c.p.exprs = append(c.p.exprs, node)
 				c.emit(insn{op: opExpr, a: int32(len(c.p.exprs) - 1)})
-				return true
+				return reasonNone
 			}
 		}
-		if idx, ok := c.buildExprTemplate(words[1:]); ok {
+		idx, r := c.buildExprTemplate(words[1:])
+		if r == reasonNone {
 			c.emit(insn{op: opExprTmpl, a: idx})
-			return true
 		}
-		return false
+		return r
 	case "while":
 		// while {cond} {body} — both literal words (the normal braced
 		// spelling). The condition must compile as a typed expression;
 		// a condition with a syntax error keeps the generic path, so
 		// cmdWhile raises the error when it tests the condition.
 		if len(words) != 3 {
-			return false
+			return reasonWhileArity
 		}
-		condSrc, ok1 := wordLiteral(words[1])
-		bodySrc, ok2 := wordLiteral(words[2])
-		if !ok1 || !ok2 {
-			return false
+		condSrc, ok := wordLiteral(words[1])
+		if !ok {
+			return reasonCondNotLiteral
+		}
+		bodySrc, ok := wordLiteral(words[2])
+		if !ok {
+			return reasonBodyNotLiteral
 		}
 		node, err := compileExprAST(condSrc)
 		if err != nil {
-			return false
+			return reasonCondSyntax
 		}
 		c.p.loops = append(c.p.loops, loopInfo{cond: node, body: c.loopScript(bodySrc)})
 		c.emit(insn{op: opWhile, a: int32(len(c.p.loops) - 1)})
-		return true
+		return reasonNone
 	case "for":
 		// for {init} {cond} {next} {body} — all four literal.
 		if len(words) != 5 {
-			return false
+			return reasonForArity
 		}
 		initSrc, ok1 := wordLiteral(words[1])
 		condSrc, ok2 := wordLiteral(words[2])
 		nextSrc, ok3 := wordLiteral(words[3])
 		bodySrc, ok4 := wordLiteral(words[4])
 		if !ok1 || !ok2 || !ok3 || !ok4 {
-			return false
+			return reasonForArgNotLiteral
 		}
 		node, err := compileExprAST(condSrc)
 		if err != nil {
-			return false
+			return reasonCondSyntax
 		}
 		c.p.loops = append(c.p.loops, loopInfo{
 			cond: node,
@@ -330,9 +344,9 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 			body: c.loopScript(bodySrc),
 		})
 		c.emit(insn{op: opFor, a: int32(len(c.p.loops) - 1)})
-		return true
+		return reasonNone
 	}
-	return false
+	return reasonNoOpcode
 }
 
 // loopScript pre-parses a loop script and resolves its Program now,
@@ -424,49 +438,19 @@ func exprSafeText(s string) bool {
 // under reconstruction (braced or quoted words, command substitution,
 // array references, escapes, a $var abutting more name characters)
 // refuse template compilation outright.
-func (c *progCompiler) buildExprTemplate(args []word) (int32, bool) {
-	var b strings.Builder
-	for wi, w := range args {
-		if w.form != 0 || w.expand || len(w.tokens) == 0 {
-			return 0, false
-		}
-		if wi > 0 {
-			b.WriteByte(' ')
-		}
-		for ti, t := range w.tokens {
-			switch t.kind {
-			case tokText:
-				if !exprSafeText(t.text) {
-					return 0, false
-				}
-				b.WriteString(t.text)
-			case tokVar:
-				if t.hasIdx {
-					return 0, false
-				}
-				if ti+1 < len(w.tokens) {
-					nt := w.tokens[ti+1]
-					if nt.kind == tokText && len(nt.text) > 0 &&
-						(isVarNameChar(nt.text[0]) || nt.text[0] == '(') {
-						// "$a" + "bc" would reconstruct as $abc.
-						return 0, false
-					}
-				}
-				b.WriteByte('$')
-				b.WriteString(t.text)
-			default:
-				return 0, false
-			}
-		}
+func (c *progCompiler) buildExprTemplate(args []word) (int32, reason) {
+	src, r, _, _ := templateSource(args)
+	if r != reasonNone {
+		return 0, r
 	}
-	node, err := compileExprAST(b.String())
+	node, err := compileExprAST(src)
 	if err != nil {
-		return 0, false
+		return 0, reasonTemplateSyntax
 	}
 	var vars []string
 	node, ok := rewriteTemplateVars(node, &vars)
 	if !ok {
-		return 0, false
+		return 0, reasonImpureNode
 	}
 	t := &exprTemplate{node: node, vars: vars, refs: make([]varRef, len(vars))}
 	if bn, ok := node.(*exprBinaryNode); ok {
@@ -477,7 +461,52 @@ func (c *progCompiler) buildExprTemplate(args []word) (int32, bool) {
 		}
 	}
 	c.p.tmpls = append(c.p.tmpls, t)
-	return int32(len(c.p.tmpls) - 1), true
+	return int32(len(c.p.tmpls) - 1), reasonNone
+}
+
+// templateSource reconstructs the expression source of a multi-word
+// expr from its argument words. When a word could change shape under
+// reconstruction it returns the rule that refused instead, with the
+// indexes of the refusing word and token (ExplainScript names them).
+func templateSource(args []word) (src string, r reason, wi, ti int) {
+	var b strings.Builder
+	for wi, w := range args {
+		switch {
+		case w.form != 0:
+			return "", reasonOperandQuoted, wi, 0
+		case len(w.tokens) == 0:
+			return "", reasonOperandEmpty, wi, 0
+		}
+		if wi > 0 {
+			b.WriteByte(' ')
+		}
+		for ti, t := range w.tokens {
+			switch t.kind {
+			case tokText:
+				if !exprSafeText(t.text) {
+					return "", reasonUnsafeLiteral, wi, ti
+				}
+				b.WriteString(t.text)
+			case tokVar:
+				if t.hasIdx {
+					return "", reasonArraySlot, wi, ti
+				}
+				if ti+1 < len(w.tokens) {
+					nt := w.tokens[ti+1]
+					if nt.kind == tokText && len(nt.text) > 0 &&
+						(isVarNameChar(nt.text[0]) || nt.text[0] == '(') {
+						// "$a" + "bc" would reconstruct as $abc.
+						return "", reasonAbutting, wi, ti
+					}
+				}
+				b.WriteByte('$')
+				b.WriteString(t.text)
+			default:
+				return "", reasonCommandOperand, wi, ti
+			}
+		}
+	}
+	return b.String(), reasonNone, 0, 0
 }
 
 // rewriteTemplateVars replaces every variable node in a compiled

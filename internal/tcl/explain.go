@@ -9,14 +9,10 @@ import (
 // for tooling (`wafecheck -why`). For every command of a script it
 // reports whether the VM compiles it to a dedicated opcode or sends it
 // through generic opInvoke dispatch, and — for generic sites — which
-// rule of trySpecialize forced the fallback.
-//
-// The specialized/generic label is read off the actually-compiled
-// Program (the same compileProgram the VM executes), so it cannot
-// drift from the engine. The textual reason comes from explainGeneric,
-// a mirror of trySpecialize's reject conditions; the Mismatch field
-// records the (never expected) case where the mirror disagrees with
-// the compiler, which the cross-check tests gate on.
+// rule of trySpecialize forced the fallback. Both come from the
+// actually-compiled Program (the same compileProgram the VM executes):
+// the label from the dispatch opcode, the reason from the code the
+// compiler stored on the command, so neither can drift from the engine.
 
 // CmdExplanation is the specialization report for one command.
 type CmdExplanation struct {
@@ -35,9 +31,126 @@ type CmdExplanation struct {
 	// Reason explains, for generic sites, which rule forced the
 	// fallback; "" for specialized sites.
 	Reason string
-	// Mismatch reports that the syntactic mirror predicted a different
-	// label than the compiler produced (a tooling bug, gated in tests).
-	Mismatch bool
+}
+
+// reason is the compiler's record of why a command stays on generic
+// dispatch (progCmd.reason); reasonNone marks a specialized command.
+type reason uint8
+
+const (
+	reasonNone reason = iota
+	reasonDynamicName
+	reasonRebound
+	reasonNoOpcode
+	reasonSetArity
+	reasonVarNotLiteral
+	reasonSetArray
+	reasonIncrArity
+	reasonIncrArray
+	reasonDeltaNotLiteral
+	reasonBadDelta
+	reasonExprSyntax
+	reasonWhileArity
+	reasonForArity
+	reasonCondNotLiteral
+	reasonBodyNotLiteral
+	reasonForArgNotLiteral
+	reasonCondSyntax
+	// The multi-word expr template rules (buildExprTemplate).
+	reasonOperandQuoted
+	reasonOperandEmpty
+	reasonUnsafeLiteral
+	reasonArraySlot
+	reasonAbutting
+	reasonCommandOperand
+	reasonTemplateSyntax
+	reasonImpureNode
+)
+
+// text renders r for the command whose words the compiler refused,
+// naming the offending word, literal or error message; "" for
+// reasonNone.
+func (r reason) text(words []word) string {
+	name, _ := wordLiteral(words[0])
+	// syntaxError is the message compileExprAST raises for word i.
+	syntaxError := func(i int) string {
+		src, _ := wordLiteral(words[i])
+		_, err := compileExprAST(src)
+		return err.Error()
+	}
+	switch r {
+	case reasonNone:
+		return ""
+	case reasonDynamicName:
+		return "command name is not a single literal word; resolved through the command table at runtime"
+	case reasonRebound:
+		return "set, incr, expr, while or for was rebound before the script compiled; every command is dispatched through the command table"
+	case reasonNoOpcode:
+		return "no specialized opcode for " + strconv.Quote(name) + "; dispatched through the (inline-cached) command table"
+	case reasonSetArity:
+		return "specialized form is `set NAME value`; other arities keep the classic path"
+	case reasonVarNotLiteral:
+		return "variable name is not a literal word"
+	case reasonSetArray:
+		return "array references keep the classic set path and its error surface"
+	case reasonIncrArity:
+		return "specialized form is `incr NAME ?delta?`"
+	case reasonIncrArray:
+		return "array references keep the classic incr path"
+	case reasonDeltaNotLiteral:
+		return "delta is not a literal word"
+	case reasonBadDelta:
+		lit, _ := wordLiteral(words[2])
+		return "delta " + strconv.Quote(lit) + " is not a literal 32-bit integer; the classic path produces the error text"
+	case reasonExprSyntax:
+		return "expression does not compile statically (" + syntaxError(1) + "); generic dispatch raises it when the command runs"
+	case reasonWhileArity:
+		return "specialized form is `while {cond} {body}`"
+	case reasonForArity:
+		return "specialized form is `for {init} {cond} {next} {body}`"
+	case reasonCondNotLiteral:
+		return "condition is not a literal word (brace it so the loop re-tests it each iteration and the VM can pre-compile it)"
+	case reasonBodyNotLiteral:
+		return "body is not a literal word"
+	case reasonForArgNotLiteral:
+		i := 1
+		for ; i < 4; i++ {
+			if _, ok := wordLiteral(words[i]); !ok {
+				break
+			}
+		}
+		return "argument " + strconv.Itoa(i) + " is not a literal word"
+	case reasonCondSyntax:
+		cond := 1
+		if name == "for" {
+			cond = 2
+		}
+		return "condition does not compile as a typed expression (" + syntaxError(cond) + ")"
+	}
+	// A multi-word expr that does not form a template: templateSource
+	// locates the refusing word and token again.
+	args := words[1:]
+	src, _, wi, ti := templateSource(args)
+	word := "operand word " + strconv.Itoa(wi+1)
+	tok := func() string { return args[wi].tokens[ti].text }
+	switch r {
+	case reasonOperandQuoted:
+		return word + " is braced or quoted; reconstruction could change the expression's shape"
+	case reasonOperandEmpty:
+		return word + " is empty"
+	case reasonUnsafeLiteral:
+		return "literal " + strconv.Quote(tok()) + " contains characters that are unsafe to splice into reconstructed expression source"
+	case reasonArraySlot:
+		return "array reference $" + tok() + "(...) cannot be a template slot"
+	case reasonAbutting:
+		return "$" + tok() + " abuts more name characters; reconstruction would read a different variable"
+	case reasonCommandOperand:
+		return "command substitution in an operand must not run twice (once per template evaluation and once on the bail path)"
+	case reasonTemplateSyntax:
+		_, err := compileExprAST(src)
+		return "reconstructed expression does not compile statically (" + err.Error() + ")"
+	}
+	return "expression contains nodes that are not pure functions of its variable slots"
 }
 
 // dispatchOpName maps a dispatch opcode to its mnemonic.
@@ -69,183 +182,22 @@ func ExplainScript(s *Script) []CmdExplanation {
 	if s == nil {
 		return nil
 	}
-	in := New()
-	p := in.compileProgram(s)
+	p := New().compileProgram(s)
 	out := make([]CmdExplanation, 0, len(p.cmds))
 	for i := range p.cmds {
 		pc := &p.cmds[i]
-		cmd := pc.src
-		if pc.end <= pc.start || len(cmd.words) == 0 {
-			continue
-		}
-		last := p.insns[pc.end-1]
-		opName := dispatchOpName(last.op)
-		name, _ := wordLiteral(cmd.words[0])
-		e := CmdExplanation{
-			Pos:         cmd.words[0].pos,
+		words := pc.src.words
+		name, _ := wordLiteral(words[0])
+		last := p.insns[pc.end-1].op
+		out = append(out, CmdExplanation{
+			Pos:         words[0].pos,
 			Name:        name,
-			Op:          opName,
-			Specialized: last.op != opInvoke,
-		}
-		predictedGeneric, reason := explainGeneric(cmd)
-		if e.Specialized {
-			e.Mismatch = predictedGeneric
-		} else {
-			e.Reason = reason
-			e.Mismatch = !predictedGeneric
-			if e.Mismatch {
-				e.Reason = "mirror predicted a specialized opcode but the compiler emitted generic dispatch"
-			}
-		}
-		out = append(out, e)
+			Op:          dispatchOpName(last),
+			Specialized: last != opInvoke,
+			Reason:      pc.reason.text(words),
+		})
 	}
 	return out
-}
-
-// explainGeneric mirrors trySpecialize: it reports whether the command
-// stays on generic dispatch and, if so, why. The conditions below must
-// reject exactly when trySpecialize rejects; the Mismatch cross-check
-// in the tests keeps the two in sync.
-func explainGeneric(cmd *parsedCommand) (generic bool, reason string) {
-	words := cmd.words
-	name, nameLit := wordLiteral(words[0])
-	if !nameLit {
-		return true, "command name is not a single literal word; resolved through the command table at runtime"
-	}
-	switch name {
-	case "set":
-		if len(words) != 3 {
-			return true, "specialized form is `set NAME value`; other arities keep the classic path"
-		}
-		vn, ok := wordLiteral(words[1])
-		if !ok {
-			return true, "variable name is not a literal word"
-		}
-		if _, _, isArr := splitArrayRef(vn); isArr {
-			return true, "array references keep the classic set path and its error surface"
-		}
-		return false, ""
-	case "incr":
-		if len(words) != 2 && len(words) != 3 {
-			return true, "specialized form is `incr NAME ?delta?`"
-		}
-		vn, ok := wordLiteral(words[1])
-		if !ok {
-			return true, "variable name is not a literal word"
-		}
-		if _, _, isArr := splitArrayRef(vn); isArr {
-			return true, "array references keep the classic incr path"
-		}
-		if len(words) == 3 {
-			lit, ok := wordLiteral(words[2])
-			if !ok {
-				return true, "delta is not a literal word"
-			}
-			d, err := strconv.ParseInt(strings.TrimSpace(lit), 0, 64)
-			if err != nil || d != int64(int32(d)) {
-				return true, "delta " + strconv.Quote(lit) + " is not a literal 32-bit integer; the classic path produces the error text"
-			}
-		}
-		return false, ""
-	case "expr":
-		if len(words) == 2 {
-			if src, ok := wordLiteral(words[1]); ok {
-				if _, err := compileExprAST(src); err != nil {
-					return true, "expression does not compile statically (" + err.Error() + "); generic dispatch raises it when the command runs"
-				}
-				return false, ""
-			}
-		}
-		if reason := explainExprTemplate(words[1:]); reason != "" {
-			return true, reason
-		}
-		return false, ""
-	case "while":
-		if len(words) != 3 {
-			return true, "specialized form is `while {cond} {body}`"
-		}
-		condSrc, ok1 := wordLiteral(words[1])
-		_, ok2 := wordLiteral(words[2])
-		if !ok1 {
-			return true, "condition is not a literal word (brace it so the loop re-tests it each iteration and the VM can pre-compile it)"
-		}
-		if !ok2 {
-			return true, "body is not a literal word"
-		}
-		if _, err := compileExprAST(condSrc); err != nil {
-			return true, "condition does not compile as a typed expression (" + err.Error() + ")"
-		}
-		return false, ""
-	case "for":
-		if len(words) != 5 {
-			return true, "specialized form is `for {init} {cond} {next} {body}`"
-		}
-		for i := 1; i < 5; i++ {
-			if _, ok := wordLiteral(words[i]); !ok {
-				return true, "argument " + strconv.Itoa(i) + " is not a literal word"
-			}
-		}
-		condSrc, _ := wordLiteral(words[2])
-		if _, err := compileExprAST(condSrc); err != nil {
-			return true, "condition does not compile as a typed expression (" + err.Error() + ")"
-		}
-		return false, ""
-	}
-	return true, "no specialized opcode for " + strconv.Quote(name) + "; dispatched through the (inline-cached) command table"
-}
-
-// explainExprTemplate mirrors buildExprTemplate's reject conditions for
-// a multi-word expr; "" means the template compiles.
-func explainExprTemplate(args []word) string {
-	var b strings.Builder
-	for wi, w := range args {
-		if w.form != 0 {
-			return "operand word " + strconv.Itoa(wi+1) + " is braced or quoted; reconstruction could change the expression's shape"
-		}
-		if w.expand {
-			return "operand word " + strconv.Itoa(wi+1) + " uses {*} expansion"
-		}
-		if len(w.tokens) == 0 {
-			return "operand word " + strconv.Itoa(wi+1) + " is empty"
-		}
-		if wi > 0 {
-			b.WriteByte(' ')
-		}
-		for ti, t := range w.tokens {
-			switch t.kind {
-			case tokText:
-				if !exprSafeText(t.text) {
-					return "literal " + strconv.Quote(t.text) + " contains characters that are unsafe to splice into reconstructed expression source"
-				}
-				b.WriteString(t.text)
-			case tokVar:
-				if t.hasIdx {
-					return "array reference $" + t.text + "(...) cannot be a template slot"
-				}
-				if ti+1 < len(w.tokens) {
-					nt := w.tokens[ti+1]
-					if nt.kind == tokText && len(nt.text) > 0 &&
-						(isVarNameChar(nt.text[0]) || nt.text[0] == '(') {
-						return "$" + t.text + " abuts more name characters; reconstruction would read a different variable"
-					}
-				}
-				b.WriteByte('$')
-				b.WriteString(t.text)
-			default:
-				return "command substitution in an operand must not run twice (once per template evaluation and once on the bail path)"
-			}
-		}
-	}
-	src := b.String()
-	node, err := compileExprAST(src)
-	if err != nil {
-		return "reconstructed expression does not compile statically (" + err.Error() + ")"
-	}
-	var vars []string
-	if _, ok := rewriteTemplateVars(node, &vars); !ok {
-		return "expression contains nodes that are not pure functions of its variable slots"
-	}
-	return ""
 }
 
 // DispatchCounts tallies VM dispatches by opcode kind. One field per

@@ -102,13 +102,14 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	}
 	// The direct path is valid only under exactly the conditions where
 	// execScript would have reached the same opExprTmpl with nothing
-	// observable in between: bytecode engine, no profiler, expr still
-	// the builtin, and an enclosing evaluation already on the stack
+	// observable in between: no oracle engine, no profiler (which
+	// records the expr site), expr still the builtin, and an enclosing
+	// evaluation already on the stack
 	// (at nesting 0 the inner script would run at level 1 and record
 	// its own errorInfo frame, which only evalScriptV reproduces).
 	// A template AST contains no command nodes, so skipping the
 	// nesting increment cannot unbound recursion.
-	if n.tmpl != nil && in.engine == EngineBytecode && in.prof == nil &&
+	if n.tmpl != nil && in.oracle == nil && in.prof == nil &&
 		in.nesting >= 1 && in.specialGen == in.specialBase {
 		v, _, err := in.execExprTmpl(n.tmpl, n.tcmd)
 		if err != nil {

@@ -183,31 +183,7 @@ func TestExprErrorGolden(t *testing.T) {
 	for _, src := range exprErrorCorpus() {
 		b.WriteString(exprErrorRecord(t, src))
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "expr_errors.golden")
-	want, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("wrote missing golden %s; review it and run again", path)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s:%d drifted\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
+	checkGolden(t, filepath.Join("testdata", "expr_errors.golden"), b.String())
 }
 
 // demoExprSources returns the braced expr, if and while conditions of

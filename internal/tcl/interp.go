@@ -179,19 +179,17 @@ type Interp struct {
 
 	// prof is the active Tcl profiler; nil outside a profiling window.
 	// The remaining fields are its activation bookkeeping: per-command
-	// and per-proc child-time accumulators, the live proc stack for
-	// folded output, and the per-Script newline index cache
-	// (profile.go).
+	// and per-proc child-time accumulators and the live proc stack for
+	// folded output (profile.go).
 	prof          *obs.Profiler
 	profCmdChild  []int64
 	profProcChild []int64
 	profProcStack []string
-	profLines     map[*Script][]int
 
-	// engine selects the execution engine: the register-bytecode VM
-	// (default) or the classic tree walker, kept as the differential
-	// oracle and the --tcl-engine=tree escape hatch.
-	engine Engine
+	// oracle, when non-nil, evaluates scripts in place of the bytecode
+	// VM. Only the engine tests set it, to the tree-walking oracle
+	// (export_test.go); production leaves it nil.
+	oracle func(*Script) (Value, error)
 
 	// cmdGen is bumped on every change to the command table; the VM's
 	// inline dispatch caches are valid only while their recorded
@@ -257,35 +255,6 @@ type varRef struct {
 	epoch   uint64
 	v       *variable
 }
-
-// Engine names a Tcl execution engine.
-type Engine int
-
-const (
-	// EngineBytecode compiles scripts to register bytecode (the v2
-	// engine, default).
-	EngineBytecode Engine = iota
-	// EngineTree is the classic tree walker, retained as the
-	// differential oracle and as an escape hatch.
-	EngineTree
-)
-
-// ParseEngine maps a --tcl-engine flag value to an Engine.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "bytecode", "vm":
-		return EngineBytecode, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return EngineBytecode, fmt.Errorf("unknown tcl engine %q (want bytecode or tree)", name)
-}
-
-// SetEngine selects the execution engine.
-func (in *Interp) SetEngine(e Engine) { in.engine = e }
-
-// CurrentEngine reports the selected execution engine.
-func (in *Interp) CurrentEngine() Engine { return in.engine }
 
 // SetObs attaches (or, with nil, detaches) the observability metrics.
 func (in *Interp) SetObs(m *obs.TclMetrics) { in.obs = m }

@@ -9,16 +9,19 @@ import (
 )
 
 // This file is the differential oracle of execution engine v2: the
-// tree walker (EngineTree) defines the semantics, and every test here
-// checks that the bytecode engine (EngineBytecode) is observationally
-// identical — results, error strings, accumulated output, errorInfo
-// tracebacks, and the final global variable state.
+// tree walker (export_test.go) defines the semantics, and every test
+// here checks that the bytecode VM is observationally identical —
+// results, error strings, accumulated output, errorInfo tracebacks,
+// and the final global variable state.
 
-// oracleRun evaluates src on a fresh interpreter with the given engine
-// and reports everything an engine difference could show up in.
-func oracleRun(e Engine, src string) (result, errstr, out, errorInfo, vars string) {
+// oracleRun evaluates src on a fresh interpreter, on the tree walker
+// when tree is set and on the VM otherwise, and reports everything an
+// engine difference could show up in.
+func oracleRun(tree bool, src string) (result, errstr, out, errorInfo, vars string) {
 	in := New()
-	in.SetEngine(e)
+	if tree {
+		in.UseTreeWalker()
+	}
 	res, err := in.Eval(src)
 	result = res
 	if err != nil {
@@ -57,8 +60,8 @@ func globalVarDump(in *Interp) string {
 // oracleCheck runs src under both engines and reports any divergence.
 func oracleCheck(t *testing.T, src string) {
 	t.Helper()
-	tr, te, tout, tinfo, tvars := oracleRun(EngineTree, src)
-	br, be, bout, binfo, bvars := oracleRun(EngineBytecode, src)
+	tr, te, tout, tinfo, tvars := oracleRun(true, src)
+	br, be, bout, binfo, bvars := oracleRun(false, src)
 	if tr != br {
 		t.Errorf("script %q: results differ\ntree:     %q\nbytecode: %q", src, tr, br)
 	}

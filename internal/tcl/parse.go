@@ -29,9 +29,6 @@ type parser struct {
 // evaluation time.
 type word struct {
 	tokens []token
-	// expand is reserved for {*} style expansion (not part of Tcl 6 but
-	// useful for internal callers); it is never produced by the parser.
-	expand bool
 	// pos is the byte offset of the word's first character in the source
 	// the parser was created with (the opening brace or quote for braced
 	// and quoted words).

@@ -10,10 +10,11 @@ import (
 
 // This file is the interpreter side of the Tcl profiler (profileOn /
 // profileOff / profileDump): activation-record bookkeeping that splits
-// every command invocation and proc call into self time (the site
+// every command dispatch and proc call into self time (the site
 // itself) and cumulative time (children included), attributed to
-// "<cmd>@<proc>:<line>" sites via the byte positions the compiled
-// Script retains, and to folded proc stacks for flamegraph output.
+// "<cmd>@<proc>:<line>" sites at the VM's dispatch instructions (lines
+// from the byte positions the compiled Script retains), and to folded
+// proc stacks for flamegraph output.
 //
 // The profiler is a measurement mode, not a hot path: with no profiler
 // attached the only cost is one pointer comparison per evaluated
@@ -28,7 +29,6 @@ func (in *Interp) SetProfiler(p *obs.Profiler) {
 		in.profCmdChild = nil
 		in.profProcChild = nil
 		in.profProcStack = nil
-		in.profLines = nil
 	}
 }
 
@@ -39,18 +39,24 @@ func (in *Interp) Profiler() *obs.Profiler { return in.prof }
 // top-level eval and proc-call sites record into.
 func (in *Interp) SetTrace(t *obs.Trace) { in.trace = t }
 
-// profInvoke is invoke wrapped in the profiler's activation record:
-// it measures the command's wall time, subtracts the time of commands
-// nested inside it (loop bodies, proc bodies, command substitutions
-// evaluated during the call) and charges the remainder as self time to
-// the command's site.
-func (in *Interp) profInvoke(s *Script, cmd *parsedCommand, argv []string) (string, error) {
+// profExecCmd runs command c inside the profiler's activation record.
+// It runs the word instructions untimed, then times the dispatch
+// instruction alone, subtracts the time of commands nested inside it
+// (loop bodies, proc bodies, command substitutions evaluated during
+// the call) and charges the remainder as self time to the command's
+// site "<cmd>@<proc>:<line>". A dispatch that fails before invoking a
+// command (a fallback path's word substitution) records no site.
+func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, string, error) {
+	last := c.end - 1
+	if _, _, err := in.execCmd(p, c, p.insns[c.start:last], regs); err != nil {
+		return Value{}, "", err
+	}
 	prof := in.prof
 	in.profCmdChild = append(in.profCmdChild, 0)
 	start := time.Now()
-	res, err := in.invoke(argv)
+	res, name, err := in.execCmd(p, c, p.insns[last:c.end], regs)
 	dur := time.Since(start)
-	// The stacks may have been cleared under us when the invoked
+	// The stacks may have been cleared under us when the dispatched
 	// command was profileOff itself (SetProfiler(nil) drops them);
 	// every pop is therefore guarded.
 	var child time.Duration
@@ -61,49 +67,33 @@ func (in *Interp) profInvoke(s *Script, cmd *parsedCommand, argv []string) (stri
 			in.profCmdChild[n-1] += int64(dur)
 		}
 	}
-	self := dur - child
-	if self < 0 {
-		self = 0
+	if name != "" && prof != nil {
+		proc := "<top>"
+		if f := in.currentFrame(); f.proc != nil {
+			proc = f.proc.Name
+		}
+		site := name + "@" + proc + ":" + strconv.Itoa(p.line(c))
+		prof.AddCommand(site, max(dur-child, 0), dur)
 	}
-	proc := "<top>"
-	if f := in.currentFrame(); f.proc != nil {
-		proc = f.proc.Name
-	}
-	if prof != nil {
-		site := argv[0] + "@" + proc + ":" + strconv.Itoa(in.profLine(s, cmd.words[0].pos))
-		prof.AddCommand(site, self, dur)
-	}
-	return res, err
+	return res, name, err
 }
 
-// profLine maps a byte offset in s.Source to its 1-based line, caching
-// a newline index per Script so hot loops do not rescan the source on
-// every iteration. Lines are relative to the evaluated script's own
-// source (a proc body counts from the body's first line).
-func (in *Interp) profLine(s *Script, off int) int {
-	if in.profLines == nil {
-		in.profLines = make(map[*Script][]int)
-	}
-	idx, ok := in.profLines[s]
-	if !ok {
-		for i := 0; i < len(s.Source); i++ {
-			if s.Source[i] == '\n' {
-				idx = append(idx, i)
-			}
-		}
-		in.profLines[s] = idx
-	}
-	// Count newlines before off: binary search the index.
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx[mid] < off {
-			lo = mid + 1
-		} else {
-			hi = mid
+// line returns the 1-based line of command c in the Program's script
+// (a proc or loop body counts from the body's first line). The first
+// call computes every command's line in one pass over the source;
+// only profiled runs ask, and the lines live and die with the Program.
+func (p *Program) line(c *progCmd) int {
+	if c.line == 0 {
+		src := p.script.Source
+		line, off := 1, 0
+		for i := range p.cmds {
+			pos := p.cmds[i].src.words[0].pos
+			line += strings.Count(src[off:pos], "\n")
+			off = pos
+			p.cmds[i].line = int32(line)
 		}
 	}
-	return lo + 1
+	return int(c.line)
 }
 
 // profEnterProc opens a proc activation record and returns the closer

@@ -1,6 +1,11 @@
 package tcl
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -105,9 +110,62 @@ func siteCum(t *testing.T, p *obs.Profiler, site string) int64 {
 	return n
 }
 
+// TestProfilerRunsOnVM: opening a profiling window does not change
+// engines. The hot loop's specialized opcodes dispatch while the
+// profiler records their sites.
+func TestProfilerRunsOnVM(t *testing.T) {
+	in := New()
+	setup, calls, _ := strings.Cut(profGoldenHotLoop, "\n\n")
+	evalOK(t, in, setup)
+	p := obs.NewProfiler()
+	p.Start()
+	in.SetProfiler(p)
+	dc := in.CountDispatch()
+	evalOK(t, in, calls)
+	p.Stop()
+	in.SetProfiler(nil)
+	// Generic: the cold and hot calls and hot's return. Specialized:
+	// cold's set, hot's `set s 0`, the for init and 40000 loop-body
+	// sets; one for; 40000 incr and expr dispatches.
+	want := DispatchCounts{Invoke: 3, Set: 40003, Incr: 40000, Expr: 40000, For: 1}
+	if *dc != want {
+		t.Errorf("dispatches in the profiling window = %+v, want %+v", *dc, want)
+	}
+}
+
+// TestProfilerOpenedMidScript: a Go command that opens the profiler
+// partway through a script, here inside a loop body, gets every later
+// command attributed: the rest of the body, the loop's next script,
+// later iterations, and the commands after the loop.
+func TestProfilerOpenedMidScript(t *testing.T) {
+	in := New()
+	p := obs.NewProfiler()
+	in.RegisterCommand("startprof", func(in *Interp, argv []string) (string, error) {
+		p.Start()
+		in.SetProfiler(p)
+		return "", nil
+	})
+	evalOK(t, in, "proc f {} {return 1}")
+	evalOK(t, in, `set a 1
+for {set i 0} {$i < 3} {incr i} {if {$i == 1} startprof; set x $i}
+f`)
+	p.Stop()
+	in.SetProfiler(nil)
+	const want = `proc f 1
+site f@<top>:3 1
+site if@<top>:1 1
+site incr@<top>:1 2
+site return@f:1 1
+site set@<top>:1 2
+`
+	if got := profileCounts(t, p); got != want {
+		t.Errorf("profile after a mid-script profileOn:\n%swant:\n%s", got, want)
+	}
+}
+
 // TestProfilerOffInsideProfiledCommand: profileOff runs as a command
 // inside a pending profiled activation (the interpreter is mid-
-// profInvoke when SetProfiler(nil) clears the stacks); the guarded
+// profExecCmd when SetProfiler(nil) clears the stacks); the guarded
 // pops must keep the interpreter alive and later evals unprofiled.
 func TestProfilerOffInsideProfiledCommand(t *testing.T) {
 	in := New()
@@ -164,4 +222,110 @@ func TestProfilerSpanOnEval(t *testing.T) {
 	if procSpan.Parent != evalSpan.ID {
 		t.Errorf("proc span parent = %d, want eval id %d", procSpan.Parent, evalSpan.ID)
 	}
+}
+
+// profGoldenHotLoop is the hot-loop script of
+// TestProfilerHotLoopAttribution: the procs are defined unprofiled,
+// then profileGoldenRun profiles the calls after the blank line.
+const profGoldenHotLoop = `proc cold {} { set a 1 }
+proc hot {} {
+	set s 0
+	for {set i 0} {$i < 40000} {incr i} {
+		set s [expr {$s + $i}]
+	}
+	return $s
+}
+
+cold
+hot`
+
+// profileCounts renders what a profile attributed, without times: one
+// "proc NAME COUNT" line per proc, then one "site SITE COUNT" line per
+// command site, each group sorted.
+func profileCounts(t *testing.T, p *obs.Profiler) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := p.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var d struct {
+		Procs    map[string]obs.ProfStat `json:"procs"`
+		Commands map[string]obs.ProfStat `json:"commands"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &d); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, group := range []struct {
+		kind string
+		m    map[string]obs.ProfStat
+	}{{"proc", d.Procs}, {"site", d.Commands}} {
+		keys := make([]string, 0, len(group.m))
+		for k := range group.m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s %s %d\n", group.kind, k, group.m[k].Count)
+		}
+	}
+	return b.String()
+}
+
+// TestProfileSitesGolden pins which commands the profiler attributes
+// and how it names them: for every script of the shared differential
+// corpus, profiled from its first command, and for the hot loop, the
+// sorted sites and procs with their call counts. Times are left out,
+// so the record is deterministic.
+func TestProfileSitesGolden(t *testing.T) {
+	var b strings.Builder
+	run := func(label, setup, src string) {
+		in := New()
+		if setup != "" {
+			evalOK(t, in, setup)
+		}
+		p := obs.NewProfiler()
+		p.Start()
+		in.SetProfiler(p)
+		_, _ = in.Eval(src)
+		p.Stop()
+		in.SetProfiler(nil)
+		fmt.Fprintf(&b, "== %s\n%s", label, profileCounts(t, p))
+	}
+	for i, src := range differentialCorpus {
+		run(fmt.Sprintf("corpus %d", i), "", src)
+	}
+	setup, calls, _ := strings.Cut(profGoldenHotLoop, "\n\n")
+	run("hot loop", setup, calls)
+	checkGolden(t, filepath.Join("testdata", "profile_sites.golden"), b.String())
+}
+
+// checkGolden compares got with the golden file at path, writing the
+// file when it is missing (the test then fails, so a fresh golden is
+// always reviewed before it is trusted).
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote missing golden %s; review it and run again", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s:%d drifted\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 }

@@ -300,11 +300,8 @@ func (in *Interp) evalScriptV(s *Script) (Value, error) {
 	return res, err
 }
 
-// evalScriptBody manages the nesting guard and routes the script to
-// the selected execution engine. The bytecode engine steps aside while
-// a profiling window is open: the tree walker carries the per-site
-// attribution bookkeeping (profInvoke), so profiled evaluation runs
-// there with identical semantics.
+// evalScriptBody manages the nesting guard and runs the script on the
+// bytecode VM (or, in the engine tests, on the oracle).
 func (in *Interp) evalScriptBody(s *Script) (Value, error) {
 	if s == nil {
 		return Value{}, nil
@@ -318,49 +315,8 @@ func (in *Interp) evalScriptBody(s *Script) (Value, error) {
 		// A fresh top-level evaluation starts a fresh traceback.
 		in.errorUnwinding = false
 	}
-	if in.engine == EngineBytecode && in.prof == nil {
-		return in.execScript(s)
+	if in.oracle != nil {
+		return in.oracle(s)
 	}
-	return in.treeExec(s, 0, Value{})
-}
-
-// treeExec is the classic tree-walking evaluator: substitute each
-// command's words, dispatch, repeat. It starts at command index ci
-// with prev as the running result so the bytecode engine can hand a
-// script off mid-way (when a command opened a profiling window).
-// Kept bug-for-bug stable: it is the differential oracle the bytecode
-// engine is checked against.
-func (in *Interp) treeExec(s *Script, ci int, prev Value) (Value, error) {
-	result := prev
-	for _, cmd := range s.cmds[ci:] {
-		argv, err := in.substWords(cmd.words)
-		if err != nil {
-			return Value{}, err
-		}
-		if len(argv) == 0 {
-			continue
-		}
-		var res string
-		if in.prof != nil {
-			res, err = in.profInvoke(s, cmd, argv)
-		} else {
-			res, err = in.invoke(argv)
-		}
-		result = strVal(res)
-		if err != nil {
-			if in.nesting == 1 {
-				// The error reached the top level: finish the
-				// traceback (or start it, for a top-level error).
-				in.recordErrorInfo(err, fmt.Sprintf("while executing %q", argv[0]))
-				in.errorUnwinding = false
-			}
-			return result, err
-		}
-	}
-	if s.parseErr != nil {
-		// The incremental evaluator runs every command preceding a
-		// malformed one before reporting the parse error; replay that.
-		return Value{}, s.parseErr
-	}
-	return result, nil
+	return in.execScript(s)
 }

@@ -10,39 +10,37 @@ import (
 // word instructions fills a register window with typed Values, then a
 // dispatch instruction invokes the command — through an inline cache
 // for literal names, or through a dedicated opcode for the specialized
-// shapes (set/incr/expr). Semantics are defined by the tree walker
-// (script.go treeExec), which is kept as the differential oracle; every
-// observable behavior here — results, error strings, errorInfo
-// tracebacks, dispatch metrics — must match it exactly.
+// shapes (set/incr/expr). Semantics are defined by the tree walker,
+// which the tests keep as the differential oracle (export_test.go);
+// every observable behavior here — results, error strings, errorInfo
+// tracebacks, dispatch metrics, profiler sites — must match it exactly.
 
 // execScript executes s under the bytecode engine. The caller
-// (evalScriptBody) has already done the nesting bookkeeping. If a
-// command opens a profiling window mid-script, the remainder is handed
-// to the tree walker, which carries the profiler's per-site
-// attribution.
+// (evalScriptBody) has already done the nesting bookkeeping.
 func (in *Interp) execScript(s *Script) (Value, error) {
-	return in.execProgram(in.program(s), s)
+	return in.execProgram(in.program(s))
 }
 
-func (in *Interp) execProgram(p *Program, s *Script) (Value, error) {
+func (in *Interp) execProgram(p *Program) (Value, error) {
 	var regs []Value
 	if p.nregs > 0 {
 		regs = in.acquireRegs(p.nregs)
 	}
-	release := func() {
-		if regs != nil {
-			in.releaseRegs(regs)
-		}
-	}
 	var result Value
 	for ci := range p.cmds {
-		if in.prof != nil {
-			release()
-			return in.treeExec(s, p.cmds[ci].srcIdx, result)
+		c := &p.cmds[ci]
+		var res Value
+		var name string
+		var err error
+		if in.prof == nil {
+			res, name, err = in.execCmd(p, c, p.insns[c.start:c.end], regs)
+		} else {
+			res, name, err = in.profExecCmd(p, c, regs)
 		}
-		res, name, err := in.execCmd(p, &p.cmds[ci], regs)
 		if err != nil {
-			release()
+			if regs != nil {
+				in.releaseRegs(regs)
+			}
 			if in.nesting == 1 && name != "" {
 				// The error reached the top level from a command
 				// invocation (not from word substitution): finish the
@@ -54,19 +52,21 @@ func (in *Interp) execProgram(p *Program, s *Script) (Value, error) {
 		}
 		result = res
 	}
-	release()
-	if s.parseErr != nil {
-		return Value{}, s.parseErr
+	if regs != nil {
+		in.releaseRegs(regs)
+	}
+	if p.script.parseErr != nil {
+		return Value{}, p.script.parseErr
 	}
 	return result, nil
 }
 
-// execCmd runs one command's instruction range. It returns the
-// command's result and, when the error came from the invocation itself
-// rather than word substitution, the command name to report in the
-// errorInfo traceback ("" suppresses the entry).
-func (in *Interp) execCmd(p *Program, c *progCmd, regs []Value) (Value, string, error) {
-	insns := p.insns[c.start:c.end]
+// execCmd runs insns, a run of command c's instructions: word
+// instructions, normally ending in the dispatch instruction. It
+// returns the command's result and, when the error came from the
+// invocation itself rather than word substitution, the command name to
+// report in the errorInfo traceback ("" suppresses the entry).
+func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (Value, string, error) {
 	for i := range insns {
 		ins := &insns[i]
 		switch ins.op {
@@ -143,7 +143,11 @@ func (in *Interp) execCmd(p *Program, c *progCmd, regs []Value) (Value, string, 
 			// must re-check that the builtin is still bound
 			// (specialGen) before running its semantics directly.
 			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
+				// The value word has already run into regs[b];
+				// substituting the source words again would run its
+				// commands twice.
+				res, err := in.invoke([]string{"set", p.names[ins.a], regs[ins.b].String()})
+				return strVal(res), "set", err
 			}
 			if m := in.obs; m != nil {
 				m.Dispatch.Inc("set")
@@ -229,21 +233,19 @@ func (in *Interp) execCmd(p *Program, c *progCmd, regs []Value) (Value, string, 
 			return Value{}, "for", in.runFor(&p.loops[ins.a])
 		}
 	}
-	// Unreachable: every non-empty command ends in a dispatch
-	// instruction.
+	// Only a run of word instructions ends here: profExecCmd runs a
+	// command's words apart from its dispatch instruction.
 	return Value{}, "", nil
 }
 
 // execGenericFallback runs a command whose specialized opcode has been
-// invalidated (set/incr/expr was rebound) through the full
-// substitute-and-dispatch path.
+// invalidated (incr/expr/while/for was rebound) through the full
+// substitute-and-dispatch path; those opcodes run no word
+// instructions, so the words are substituted here, once.
 func (in *Interp) execGenericFallback(c *progCmd) (Value, string, error) {
 	argv, err := in.substWords(c.src.words)
 	if err != nil {
 		return Value{}, "", err
-	}
-	if len(argv) == 0 {
-		return Value{}, "", nil
 	}
 	res, err := in.invoke(argv)
 	return strVal(res), argv[0], err
@@ -494,10 +496,10 @@ func (in *Interp) execLoopScript(ls *loopScript) (Value, error) {
 	if in.nesting > in.maxNesting {
 		return Value{}, NewError("too many nested calls to Eval (infinite loop?)")
 	}
-	if in.engine == EngineBytecode && in.prof == nil {
-		return in.execProgram(ls.prog, ls.script)
+	if in.oracle != nil {
+		return in.oracle(ls.script)
 	}
-	return in.treeExec(ls.script, 0, Value{})
+	return in.execProgram(ls.prog)
 }
 
 // acquireEval grabs a pooled exprEvaluator. Evaluations nest (a

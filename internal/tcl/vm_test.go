@@ -12,25 +12,15 @@ import (
 // oracle (oracle_test.go); these tests pin the cache-invalidation
 // behavior itself.
 
-func TestParseEngine(t *testing.T) {
-	if e, err := ParseEngine("bytecode"); err != nil || e != EngineBytecode {
-		t.Fatalf("ParseEngine(bytecode) = %v, %v", e, err)
-	}
-	if e, err := ParseEngine("tree"); err != nil || e != EngineTree {
-		t.Fatalf("ParseEngine(tree) = %v, %v", e, err)
-	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine(jit) accepted")
-	}
-}
-
 func TestEngineSelection(t *testing.T) {
-	for _, e := range []Engine{EngineBytecode, EngineTree} {
+	for _, tree := range []bool{false, true} {
 		in := New()
-		in.SetEngine(e)
+		if tree {
+			in.UseTreeWalker()
+		}
 		res, err := in.Eval("proc f {n} {expr {$n * 2}}; f 21")
 		if err != nil || res != "42" {
-			t.Fatalf("engine %v: %q, %v", e, res, err)
+			t.Fatalf("tree walker %v: %q, %v", tree, res, err)
 		}
 	}
 }
@@ -99,6 +89,19 @@ func TestSpecializeRebindFallback(t *testing.T) {
 				t.Errorf("%s: rebind not honored (res %q, direct %q)", name, res, res2)
 			}
 		}
+	}
+}
+
+// TestSpecializeRebindSetSubstitutesOnce: a `set` compiled to opSet
+// and run after set was rebound reaches the new binding with the value
+// its word instructions already computed, so the command substitution
+// in its value runs once, as under the tree walker.
+func TestSpecializeRebindSetSubstitutesOnce(t *testing.T) {
+	const src = "proc p {} {global c; set x [incr c]}\nset c 0\np\n" +
+		"rename set _set\nproc set {args} {uplevel 1 _set $args}\np\n_set c"
+	oracleCheck(t, src)
+	if res, _, _, _, _ := oracleRun(false, src); res != "2" {
+		t.Errorf("two calls incremented the counter to %q, want 2", res)
 	}
 }
 
@@ -213,10 +216,10 @@ func TestExprCmdFastPath(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "divide by zero") {
 		t.Fatalf("divide by zero through fast path: %v", err)
 	}
-	// The fast path is engine-gated: the tree engine gets identical
+	// The fast path is VM-only: the tree walker gets identical
 	// results through the classic route.
 	tr := New()
-	tr.SetEngine(EngineTree)
+	tr.UseTreeWalker()
 	res2, err := tr.Eval("proc pf {n} {set r {}; for {set d 2} {$d <= $n} {incr d} {while {[expr $n % $d] == 0} {lappend r $d; set n [expr $n / $d]}}; return $r}; pf 360")
 	if err != nil || res2 != "2 2 2 3 3 5" {
 		t.Fatalf("tree pf 360 = %q, %v", res2, err)

@@ -271,9 +271,11 @@ if [ "${1:-}" = "serve" ]; then
 fi
 
 # The `tclvm` mode guards the execution-engine-v2 work. It runs the
-# paired engine-comparison benchmarks (tree walker vs bytecode VM on
-# identical workloads, in one process, so machine drift cancels) plus
-# the F4/T1 end-to-end paths, and writes BENCH_tclvm.json. Gates:
+# paired engine-comparison benchmarks (the tree-walking test oracle vs
+# the bytecode VM on identical workloads, in one process, so machine
+# drift cancels; they live in ./internal/tcl/, where the oracle is
+# reachable) plus the F4/T1 end-to-end paths, and writes
+# BENCH_tclvm.json. Gates:
 # the bytecode engine must run prime-factors at least
 # TCLVM_MIN_SPEEDUP (default 2.0) times faster than the tree walker,
 # a bytecode proc call must allocate at most TCLVM_MAX_PROC_ALLOCS
@@ -287,7 +289,7 @@ if [ "${1:-}" = "tclvm" ]; then
     noise="${TCLVM_NOISE_PCT:-15}"
     status=0
     out=$(go test -bench 'BenchmarkTcl_EngineCompare|BenchmarkTcl_Interpreter|BenchmarkF4_FrontendRoundTrip$|BenchmarkT1_PredefinedCallbacks$' \
-        -benchmem -benchtime "$benchtime" -count "$count" -run '^$' .)
+        -benchmem -benchtime "$benchtime" -count "$count" -run '^$' . ./internal/tcl/)
     printf '%s\n' "$out"
     printf '%s\n' "$out" | awk -v minspeed="$minspeed" -v maxallocs="$maxallocs" -v noise="$noise" '
     FNR == NR {
