@@ -340,22 +340,37 @@ func BenchmarkC5_MassTransfer(b *testing.B) {
 }
 
 // BenchmarkC6_CodeGeneration measures the generator over the full
-// specification (the paper: 60 % of 13 000 C lines were generated).
+// specification: the command table and both reference guides (the
+// paper: 60 % of 13 000 C lines were generated). The last run's output
+// must name every spec entry's command.
 func BenchmarkC6_CodeGeneration(b *testing.B) {
 	data, err := os.ReadFile("specs/wafe.spec")
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := string(data)
+	var entries []spec.Entry
+	var code, ref string
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		entries, err := spec.Parse(src)
+		entries, err = spec.Parse(src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		code, st := spec.GenerateGo("bindings", entries)
-		if st.GeneratedLines < 100 || len(code) == 0 {
-			b.Fatal("generation failed")
+		if code, _, err = spec.GenerateGo(entries); err != nil {
+			b.Fatal(err)
+		}
+		ref = spec.GenerateReference(entries)
+		_ = spec.GenerateTeX(entries)
+	}
+	b.StopTimer()
+	for _, e := range entries {
+		out, word := ref, "  "+e.CommandName()+" "
+		if e.Kind == "function" {
+			out, word = code, fmt.Sprintf("{Name: %q,", e.CommandName())
+		}
+		if !strings.Contains(out, word) {
+			b.Fatalf("generated output lacks command %s", e.CommandName())
 		}
 	}
 }

@@ -1,13 +1,13 @@
 // Command wafegen is Wafe's code generator: it reads the high-level
-// command specification and emits Go binding source, the short
-// reference guide (text and TeX) and generation statistics — the role
-// the Perl program plays in the original system, where about 60 % of
-// the 13 000 lines of C were generated.
+// command specification and emits internal/core's command table, the
+// short reference guide (text and TeX) and generation statistics — the
+// role the Perl program plays in the original system, where about 60 %
+// of the 13 000 lines of C were generated.
 //
-// Usage:
+// Usage (internal/core's go:generate line runs the first three):
 //
-//	wafegen -spec specs/wafe.spec -go bindings.go -pkg bindings \
-//	        -ref reference.txt -tex reference.tex -stats
+//	wafegen -spec specs/wafe.spec -go internal/core/commands_gen.go \
+//	        -ref docs/reference.txt -tex docs/reference.tex -stats
 package main
 
 import (
@@ -25,8 +25,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("wafegen", flag.ContinueOnError)
 	specPath := fs.String("spec", "specs/wafe.spec", "specification file")
-	goOut := fs.String("go", "", "write generated Go bindings to this file")
-	pkg := fs.String("pkg", "bindings", "package name for generated Go code")
+	goOut := fs.String("go", "", "write internal/core's generated command table to this file")
 	refOut := fs.String("ref", "", "write the short reference guide (text) to this file")
 	texOut := fs.String("tex", "", "write the short reference guide (TeX) to this file")
 	stats := fs.Bool("stats", false, "print generation statistics")
@@ -43,21 +42,21 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "wafegen:", err)
 		return 1
 	}
-	src, st := spec.GenerateGo(*pkg, entries)
-	if *goOut != "" {
-		if err := os.WriteFile(*goOut, []byte(src), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "wafegen:", err)
-			return 1
-		}
+	src, st, err := spec.GenerateGo(entries)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wafegen:", err)
+		return 1
 	}
-	if *refOut != "" {
-		if err := os.WriteFile(*refOut, []byte(spec.GenerateReference(entries)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "wafegen:", err)
-			return 1
-		}
+	outputs := []struct{ path, text string }{
+		{*goOut, src},
+		{*refOut, spec.GenerateReference(entries)},
+		{*texOut, spec.GenerateTeX(entries)},
 	}
-	if *texOut != "" {
-		if err := os.WriteFile(*texOut, []byte(spec.GenerateTeX(entries)), 0o644); err != nil {
+	for _, out := range outputs {
+		if out.path == "" {
+			continue
+		}
+		if err := os.WriteFile(out.path, []byte(out.text), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "wafegen:", err)
 			return 1
 		}

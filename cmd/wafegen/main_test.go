@@ -9,10 +9,10 @@ import (
 
 func TestGenerateAllOutputs(t *testing.T) {
 	dir := t.TempDir()
-	goOut := filepath.Join(dir, "b.go")
+	goOut := filepath.Join(dir, "commands_gen.go")
 	refOut := filepath.Join(dir, "ref.txt")
 	texOut := filepath.Join(dir, "ref.tex")
-	code := run([]string{"-spec", "../../specs/wafe.spec", "-go", goOut, "-pkg", "bindings", "-ref", refOut, "-tex", texOut})
+	code := run([]string{"-spec", "../../specs/wafe.spec", "-go", goOut, "-ref", refOut, "-tex", texOut})
 	if code != 0 {
 		t.Fatalf("run = %d", code)
 	}
@@ -20,7 +20,7 @@ func TestGenerateAllOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(goSrc), "package bindings") {
+	if !strings.Contains(string(goSrc), "package core") {
 		t.Error("generated Go missing package clause")
 	}
 	ref, _ := os.ReadFile(refOut)

@@ -29,7 +29,16 @@ func TestArityGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Chdir(t.TempDir()) // metricsDump writes its argument as a file
+	// metricsDump writes its argument as a file; no test in this
+	// package runs in parallel, so changing directory is safe.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
 
 	probe := NewTest()
 	defer probe.Close()
@@ -55,11 +64,11 @@ func TestArityGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s: %s\n", name, formatArityMeta(meta))
 		for _, n := range arityProbeCounts(meta) {
-			recordAritySubCall(&b, []string{name}, n)
+			recordArityCall(&b, []string{name}, n)
 		}
 		for _, sub := range meta.Subcommands {
 			for n := 0; n <= 2; n++ {
-				recordAritySubCall(&b, []string{name, sub}, n)
+				recordArityCall(&b, []string{name, sub}, n)
 			}
 		}
 	}
@@ -104,9 +113,9 @@ func arityProbeCounts(m tcl.CommandMeta) []int {
 	return ns
 }
 
-// recordAritySubCall runs prefix followed by n placeholder arguments
+// recordArityCall runs prefix followed by n placeholder arguments
 // in a fresh instance and appends the outcome.
-func recordAritySubCall(b *strings.Builder, prefix []string, n int) {
+func recordArityCall(b *strings.Builder, prefix []string, n int) {
 	argv := append([]string(nil), prefix...)
 	for i := 1; i <= n; i++ {
 		argv = append(argv, fmt.Sprintf("a%d", len(prefix)-1+i))

@@ -14,104 +14,21 @@ import (
 	"wafe/internal/xt"
 )
 
-// registerCommands installs the Wafe commands that correspond to Xt,
-// Xaw and Xm functions plus the Wafe-specific ones (mergeResources,
-// callback, action, quit, snapshot).
+//go:generate go run ../../cmd/wafegen -spec ../../specs/wafe.spec -go commands_gen.go -ref ../../docs/reference.txt -tex ../../docs/reference.tex
+
+// registerCommands installs the fixed Wafe commands from commandTable,
+// which wafegen generates from specs/wafe.spec. SetCommandMeta wraps
+// each command whose row carries a usage text in the interpreter's
+// bounds check, so the methods below see only argument counts within
+// their bounds; a few check a finer shape themselves.
 func (w *Wafe) registerCommands() {
-	reg := func(name string, fn func(argv []string) (string, error)) {
-		w.Interp.RegisterCommand(name, func(_ *tcl.Interp, argv []string) (string, error) {
-			return fn(argv)
+	for _, c := range commandTable {
+		run := c.run
+		w.Interp.RegisterCommand(c.meta.Name, func(_ *tcl.Interp, argv []string) (string, error) {
+			return run(w, argv)
 		})
+		w.Interp.SetCommandMeta(c.meta)
 	}
-
-	// --- widget life cycle (Xt) ---
-	reg("realize", w.cmdRealize)
-	reg("destroyWidget", w.cmdDestroyWidget)
-	reg("manageChild", w.cmdManageChild)
-	reg("unmanageChild", w.cmdUnmanageChild)
-	reg("setSensitive", w.cmdSetSensitive)
-	reg("isRealized", w.cmdIsRealized)
-	reg("isManaged", w.cmdIsManaged)
-	reg("nameToWidget", w.cmdNameToWidget)
-	reg("translateCoords", w.cmdTranslateCoords)
-	reg("installAccelerators", w.cmdInstallAccelerators)
-	reg("widgetChildren", w.cmdWidgetChildren)
-	reg("widgetParent", w.cmdWidgetParent)
-	reg("widgetClass", w.cmdWidgetClass)
-
-	// --- resources ---
-	reg("setValues", w.cmdSetValues)
-	w.Interp.RegisterCommand("sV", func(_ *tcl.Interp, argv []string) (string, error) {
-		return w.cmdSetValues(argv)
-	})
-	w.Interp.RegisterCommand("sv", func(_ *tcl.Interp, argv []string) (string, error) {
-		return w.cmdSetValues(argv)
-	})
-	reg("getValue", w.cmdGetValue)
-	reg("getValues", w.cmdGetValues)
-	w.Interp.RegisterCommand("gV", func(_ *tcl.Interp, argv []string) (string, error) {
-		return w.cmdGetValue(argv)
-	})
-	reg("mergeResources", w.cmdMergeResources)
-	reg("getResourceList", w.cmdGetResourceList)
-
-	// --- callbacks and actions ---
-	reg("callback", w.cmdCallback)
-	reg("addCallback", w.cmdAddCallback)
-	reg("removeAllCallbacks", w.cmdRemoveAllCallbacks)
-	reg("hasCallbacks", w.cmdHasCallbacks)
-	reg("callCallbacks", w.cmdCallCallbacks)
-	reg("action", w.cmdAction)
-
-	// --- popups ---
-	reg("popup", w.cmdPopup)
-	reg("popdown", w.cmdPopdown)
-
-	// --- timeouts ---
-	reg("addTimeOut", w.cmdAddTimeOut)
-	reg("removeTimeOut", w.cmdRemoveTimeOut)
-
-	// --- selections ---
-	reg("ownSelection", w.cmdOwnSelection)
-	reg("disownSelection", w.cmdDisownSelection)
-	reg("getSelectionValue", w.cmdGetSelectionValue)
-
-	// --- Athena programmatic interface ---
-	reg("listHighlight", w.cmdListHighlight)
-	reg("listUnhighlight", w.cmdListUnhighlight)
-	reg("listChange", w.cmdListChange)
-	reg("listShowCurrent", w.cmdListShowCurrent)
-	reg("dialogGetValueString", w.cmdDialogGetValueString)
-	reg("scrollbarSetThumb", w.cmdScrollbarSetThumb)
-	reg("formAllowResize", w.cmdFormAllowResize)
-	reg("stripChartSample", w.cmdStripChartSample)
-	reg("stripChartStart", w.cmdStripChartStart)
-	reg("stripChartStop", w.cmdStripChartStop)
-	reg("viewportSetLocation", w.cmdViewportSetLocation)
-	reg("viewportSetCoordinates", w.cmdViewportSetLocation)
-
-	// --- Motif programmatic interface ---
-	reg("mCascadeButtonHighlight", w.cmdCascadeButtonHighlight)
-	reg("mCommandAppendValue", w.cmdCommandAppendValue)
-	reg("mTextInsert", w.cmdTextInsert)
-
-	// --- Wafe specifics ---
-	reg("quit", w.cmdQuit)
-	reg("sync", w.cmdSync)
-	reg("backend", w.cmdBackend)
-
-	// --- headless event synthesis (this reproduction's stand-in for a
-	// human at the display; documented in README) ---
-	reg("sendClick", w.cmdSendClick)
-	reg("sendKeys", w.cmdSendKeys)
-	reg("sendExpose", w.cmdSendExpose)
-	reg("warpPointer", w.cmdWarpPointer)
-	reg("focusWidget", w.cmdFocusWidget)
-	reg("widgetList", w.cmdWidgetList)
-	reg("widgetTree", w.cmdWidgetTree)
-	reg("snapshot", w.cmdSnapshot)
-	reg("writeImage", w.cmdWriteImage)
-	reg("displayList", w.cmdDisplayList)
 }
 
 func (w *Wafe) cmdRealize(argv []string) (string, error) {
@@ -122,8 +39,6 @@ func (w *Wafe) cmdRealize(argv []string) (string, error) {
 			return "", err
 		}
 		target = t
-	} else if len(argv) > 2 {
-		return "", tcl.NewError("wrong # args: should be \"realize ?widget?\"")
 	}
 	target.Realize()
 	w.App.Pump()
@@ -131,9 +46,6 @@ func (w *Wafe) cmdRealize(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdDestroyWidget(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"destroyWidget widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -143,9 +55,6 @@ func (w *Wafe) cmdDestroyWidget(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdManageChild(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"manageChild widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -155,9 +64,6 @@ func (w *Wafe) cmdManageChild(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdUnmanageChild(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"unmanageChild widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -167,9 +73,6 @@ func (w *Wafe) cmdUnmanageChild(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdSetSensitive(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"setSensitive widget boolean\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -178,9 +81,6 @@ func (w *Wafe) cmdSetSensitive(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdIsRealized(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"isRealized widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -192,9 +92,6 @@ func (w *Wafe) cmdIsRealized(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdIsManaged(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"isManaged widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -208,9 +105,6 @@ func (w *Wafe) cmdIsManaged(argv []string) (string, error) {
 // cmdNameToWidget resolves a slash/dot path relative to a reference
 // widget (XtNameToWidget): nameToWidget ref path.
 func (w *Wafe) cmdNameToWidget(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"nameToWidget reference path\"")
-	}
 	ref, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -239,9 +133,6 @@ func (w *Wafe) cmdNameToWidget(argv []string) (string, error) {
 // cmdTranslateCoords converts widget-relative coordinates to root
 // coordinates (XtTranslateCoords): translateCoords widget x y → "rx ry".
 func (w *Wafe) cmdTranslateCoords(argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"translateCoords widget x y\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -266,9 +157,6 @@ func (w *Wafe) cmdTranslateCoords(argv []string) (string, error) {
 // resource into the destination's translations
 // (XtInstallAccelerators): installAccelerators destination source.
 func (w *Wafe) cmdInstallAccelerators(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"installAccelerators destination source\"")
-	}
 	dst, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -295,9 +183,6 @@ func (w *Wafe) cmdInstallAccelerators(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdWidgetChildren(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"widgetChildren widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -310,9 +195,6 @@ func (w *Wafe) cmdWidgetChildren(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdWidgetParent(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"widgetParent widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -324,9 +206,6 @@ func (w *Wafe) cmdWidgetParent(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdWidgetClass(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"widgetClass widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -335,7 +214,9 @@ func (w *Wafe) cmdWidgetClass(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdSetValues(argv []string) (string, error) {
-	if len(argv) < 2 || len(argv)%2 != 0 {
+	// The bounds admit any count after the widget; the resources and
+	// values must also pair up.
+	if len(argv)%2 != 0 {
 		return "", tcl.NewError("wrong # args: should be \"setValues widget ?resource value ...?\"")
 	}
 	wid, err := w.widgetArg(argv[1])
@@ -354,9 +235,6 @@ func (w *Wafe) cmdSetValues(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdGetValue(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"getValue widget resource\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -379,9 +257,6 @@ func (w *Wafe) cmdGetValue(argv []string) (string, error) {
 // Without explicit resources every declared resource is stored. The
 // number of entries written is returned.
 func (w *Wafe) cmdGetValues(argv []string) (string, error) {
-	if len(argv) < 3 {
-		return "", tcl.NewError("wrong # args: should be \"getValues widget arrayName ?resource ...?\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -408,7 +283,8 @@ func (w *Wafe) cmdGetValues(argv []string) (string, error) {
 // cmdMergeResources extends the per-display resource database:
 // mergeResources spec value ?spec value ...?
 func (w *Wafe) cmdMergeResources(argv []string) (string, error) {
-	if len(argv) < 3 || (len(argv)-1)%2 != 0 {
+	// Beyond the bounds, specs and values must pair up.
+	if len(argv)%2 == 0 {
 		return "", tcl.NewError("wrong # args: should be \"mergeResources spec value ?spec value ...?\"")
 	}
 	for i := 1; i+1 < len(argv); i += 2 {
@@ -423,9 +299,6 @@ func (w *Wafe) cmdMergeResources(argv []string) (string, error) {
 // the element count is the return value and the list lands in a Tcl
 // variable named by the second argument.
 func (w *Wafe) cmdGetResourceList(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"getResourceList widget varName\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -444,9 +317,6 @@ func (w *Wafe) cmdGetResourceList(argv []string) (string, error) {
 // with predefined ∈ {none, exclusive, nonexclusive, popdown, position,
 // positionCursor} — the paper's Predefined Callbacks table.
 func (w *Wafe) cmdCallback(argv []string) (string, error) {
-	if len(argv) < 4 {
-		return "", tcl.NewError("wrong # args: should be \"callback widget resource predefined shell ?args?\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -540,9 +410,6 @@ func (w *Wafe) predefinedCallback(name, shellName string, extra []string) (xt.Ca
 }
 
 func (w *Wafe) cmdAddCallback(argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"addCallback widget resource script\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -554,9 +421,6 @@ func (w *Wafe) cmdAddCallback(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdRemoveAllCallbacks(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"removeAllCallbacks widget resource\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -568,9 +432,6 @@ func (w *Wafe) cmdRemoveAllCallbacks(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdHasCallbacks(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"hasCallbacks widget resource\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -582,9 +443,6 @@ func (w *Wafe) cmdHasCallbacks(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdCallCallbacks(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"callCallbacks widget resource\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -598,9 +456,6 @@ func (w *Wafe) cmdCallCallbacks(argv []string) (string, error) {
 //
 //	action widget mode translation ?translation ...?
 func (w *Wafe) cmdAction(argv []string) (string, error) {
-	if len(argv) < 4 {
-		return "", tcl.NewError("wrong # args: should be \"action widget mode translations ?translations ...?\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -623,9 +478,6 @@ func (w *Wafe) cmdAction(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdPopup(argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"popup shell ?grabKind?\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -646,9 +498,6 @@ func (w *Wafe) cmdPopup(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdPopdown(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"popdown shell\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -662,9 +511,6 @@ func (w *Wafe) cmdPopdown(argv []string) (string, error) {
 
 // cmdAddTimeOut schedules a script: addTimeOut milliseconds script → id.
 func (w *Wafe) cmdAddTimeOut(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"addTimeOut milliseconds script\"")
-	}
 	ms, err := strconv.Atoi(argv[1])
 	if err != nil || ms < 0 {
 		return "", tcl.NewError("bad interval %q", argv[1])
@@ -685,9 +531,6 @@ func (w *Wafe) cmdAddTimeOut(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdRemoveTimeOut(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"removeTimeOut id\"")
-	}
 	t, ok := w.timers[argv[1]]
 	if !ok {
 		return "", tcl.NewError("no timeout %q", argv[1])
@@ -701,9 +544,6 @@ func (w *Wafe) cmdRemoveTimeOut(argv []string) (string, error) {
 // evaluated when another client requests the value and its result is
 // the selection value: ownSelection widget selection script.
 func (w *Wafe) cmdOwnSelection(argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"ownSelection widget selection script\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -732,9 +572,6 @@ func (w *Wafe) cmdOwnSelection(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdDisownSelection(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"disownSelection widget selection\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -744,9 +581,6 @@ func (w *Wafe) cmdDisownSelection(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdGetSelectionValue(argv []string) (string, error) {
-	if len(argv) != 3 && len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"getSelectionValue widget selection ?target?\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -776,9 +610,6 @@ func (w *Wafe) xawWidgetArg(name string, class *xt.Class) (*xt.Widget, error) {
 }
 
 func (w *Wafe) cmdListHighlight(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"listHighlight widget index\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.ListClass)
 	if err != nil {
 		return "", err
@@ -792,9 +623,6 @@ func (w *Wafe) cmdListHighlight(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdListUnhighlight(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"listUnhighlight widget\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.ListClass)
 	if err != nil {
 		return "", err
@@ -804,9 +632,6 @@ func (w *Wafe) cmdListUnhighlight(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdListChange(argv []string) (string, error) {
-	if len(argv) != 3 && len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"listChange widget list ?resize?\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.ListClass)
 	if err != nil {
 		return "", err
@@ -831,9 +656,6 @@ func (w *Wafe) cmdListChange(argv []string) (string, error) {
 // cmdListShowCurrent follows the count-plus-variable convention: it
 // returns the index and stores the string in the named variable.
 func (w *Wafe) cmdListShowCurrent(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"listShowCurrent widget varName\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.ListClass)
 	if err != nil {
 		return "", err
@@ -846,9 +668,6 @@ func (w *Wafe) cmdListShowCurrent(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdDialogGetValueString(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"dialogGetValueString widget\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.DialogClass)
 	if err != nil {
 		return "", err
@@ -857,9 +676,6 @@ func (w *Wafe) cmdDialogGetValueString(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdScrollbarSetThumb(argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"scrollbarSetThumb widget top shown\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.ScrollbarClass)
 	if err != nil {
 		return "", err
@@ -874,9 +690,6 @@ func (w *Wafe) cmdScrollbarSetThumb(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdFormAllowResize(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"formAllowResize widget boolean\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.FormClass)
 	if err != nil {
 		return "", err
@@ -890,9 +703,6 @@ func (w *Wafe) cmdFormAllowResize(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdStripChartSample(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"stripChartSample widget value\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.StripChartClass)
 	if err != nil {
 		return "", err
@@ -908,9 +718,6 @@ func (w *Wafe) cmdStripChartSample(argv []string) (string, error) {
 // cmdViewportSetLocation implements XawViewportSetLocation:
 // viewportSetLocation widget xFraction yFraction.
 func (w *Wafe) cmdViewportSetLocation(argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", tcl.NewError("wrong # args: should be \"viewportSetLocation widget xFraction yFraction\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.ViewportClass)
 	if err != nil {
 		return "", err
@@ -935,9 +742,6 @@ type stripChartRun struct{ stopped bool }
 // callback script is evaluated every `update` seconds (Xaw semantics)
 // and its result becomes the next sample.
 func (w *Wafe) cmdStripChartStart(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"stripChartStart widget\"")
-	}
 	wid, err := w.xawWidgetArg(argv[1], xaw.StripChartClass)
 	if err != nil {
 		return "", err
@@ -980,9 +784,6 @@ func (w *Wafe) cmdStripChartStart(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdStripChartStop(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"stripChartStop widget\"")
-	}
 	run, ok := w.chartRuns[argv[1]]
 	if !ok {
 		return "", noStripChart
@@ -1001,10 +802,7 @@ func maxIntC(a, b int) int {
 
 // --- Motif functions ---------------------------------------------------------
 
-func (w *Wafe) cmdCascadeButtonHighlight(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"mCascadeButtonHighlight widget boolean\"")
-	}
+func (w *Wafe) cmdMCascadeButtonHighlight(argv []string) (string, error) {
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -1020,10 +818,7 @@ func (w *Wafe) cmdCascadeButtonHighlight(argv []string) (string, error) {
 	return "", nil
 }
 
-func (w *Wafe) cmdCommandAppendValue(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"mCommandAppendValue widget string\"")
-	}
+func (w *Wafe) cmdMCommandAppendValue(argv []string) (string, error) {
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -1035,10 +830,7 @@ func (w *Wafe) cmdCommandAppendValue(argv []string) (string, error) {
 	return "", nil
 }
 
-func (w *Wafe) cmdTextInsert(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"mTextInsert widget string\"")
-	}
+func (w *Wafe) cmdMTextInsert(argv []string) (string, error) {
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -1077,9 +869,6 @@ func (w *Wafe) cmdSync(argv []string) (string, error) {
 // backend is under supervision — interactive and file mode, or a
 // frontend wired without the Supervisor.
 func (w *Wafe) cmdBackend(argv []string) (string, error) {
-	if len(argv) != 1 {
-		return "", tcl.NewError("wrong # args: should be \"backend\"")
-	}
 	if w.BackendReport == nil {
 		return tcl.FormatList([]string{"state", "none"}), nil
 	}
@@ -1132,9 +921,6 @@ func (w *Wafe) cmdSnapshot(argv []string) (string, error) {
 
 // cmdWriteImage rasterizes a widget subtree to a PNG file.
 func (w *Wafe) cmdWriteImage(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"writeImage widget fileName\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -1157,9 +943,6 @@ func (w *Wafe) cmdWriteImage(argv []string) (string, error) {
 // cmdSendClick synthesizes a full button click on a widget:
 // sendClick widget ?button? ?x y?
 func (w *Wafe) cmdSendClick(argv []string) (string, error) {
-	if len(argv) < 2 || len(argv) > 5 {
-		return "", tcl.NewError("wrong # args: should be \"sendClick widget ?button? ?x y?\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -1200,9 +983,6 @@ func (w *Wafe) cmdSendClick(argv []string) (string, error) {
 // cmdSendKeys types text into a widget (focus is moved there first):
 // sendKeys widget text
 func (w *Wafe) cmdSendKeys(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"sendKeys widget text\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -1222,6 +1002,7 @@ func (w *Wafe) cmdSendKeys(argv []string) (string, error) {
 // cmdSendExpose injects an Expose for a widget, whole-window or for one
 // damage rectangle: sendExpose widget ?x y w h?
 func (w *Wafe) cmdSendExpose(argv []string) (string, error) {
+	// The bounds admit 1..5 arguments; the rectangle comes whole.
 	if len(argv) != 2 && len(argv) != 6 {
 		return "", tcl.NewError("wrong # args: should be \"sendExpose widget ?x y w h?\"")
 	}
@@ -1250,9 +1031,6 @@ func (w *Wafe) cmdSendExpose(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdWarpPointer(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"warpPointer x y\"")
-	}
 	x, err1 := strconv.Atoi(argv[1])
 	y, err2 := strconv.Atoi(argv[2])
 	if err1 != nil || err2 != nil {
@@ -1264,9 +1042,6 @@ func (w *Wafe) cmdWarpPointer(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdFocusWidget(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"focusWidget widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"wafe/internal/spec"
 	"wafe/internal/xproto"
 )
 
@@ -41,7 +42,7 @@ func TestCommandNaming(t *testing.T) {
 		"XFlush":                   "flush",
 	}
 	for in, want := range cases {
-		if got := CommandName(in); got != want {
+		if got := spec.CommandName(in); got != want {
 			t.Errorf("CommandName(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -29,27 +29,6 @@ func TestCreationCommandMeta(t *testing.T) {
 	}
 }
 
-// TestCoreMetaMirrorsRuntime spot-checks that recorded bounds agree
-// with the implementations' own arity errors.
-func TestCoreMetaMirrorsRuntime(t *testing.T) {
-	w := NewTest()
-	cases := []string{"realize a b", "sendKeys onlyWidget", "getValue w"}
-	for _, script := range cases {
-		name := strings.Fields(script)[0]
-		meta, ok := w.Interp.LookupMeta(name)
-		if !ok {
-			t.Fatalf("no metadata for %q", name)
-		}
-		nargs := len(strings.Fields(script)) - 1
-		if nargs >= meta.MinArgs && (meta.MaxArgs < 0 || nargs <= meta.MaxArgs) {
-			t.Fatalf("test case %q is within recorded bounds %d..%d", script, meta.MinArgs, meta.MaxArgs)
-		}
-		if _, err := w.Interp.Eval(script); err == nil {
-			t.Errorf("%q succeeded despite out-of-bounds argument count", script)
-		}
-	}
-}
-
 // TestCreationClassesCopy asserts the accessor returns a copy, not
 // the live table.
 func TestCreationClassesCopy(t *testing.T) {

@@ -6,56 +6,11 @@
 // on.
 package core
 
-import "strings"
-
-// knownPrefixes are stripped from C function names, longest first; the
-// paper: "the prefix Xt, Xaw or X is stripped and the first letter of
-// the remaining string is translated to lower case", while Xm functions
-// keep an "m" prefix (XmCommandAppendValue → mCommandAppendValue).
-var knownPrefixes = []string{"Xaw", "Xt", "Xm", "X"}
-
-// CommandName derives the Wafe command name from an Xt/Xaw/Xm/Xlib
-// function name:
-//
-//	XtDestroyWidget     → destroyWidget
-//	XawFormAllowResize  → formAllowResize
-//	XmCommandAppendValue → mCommandAppendValue
-func CommandName(cName string) string {
-	for _, p := range knownPrefixes {
-		if !strings.HasPrefix(cName, p) || len(cName) == len(p) {
-			continue
-		}
-		rest := cName[len(p):]
-		// The character after the prefix must be upper case, otherwise
-		// the "prefix" is part of the name itself.
-		if rest[0] < 'A' || rest[0] > 'Z' {
-			continue
-		}
-		if p == "Xm" {
-			return "m" + rest
-		}
-		return lowerFirst(rest)
-	}
-	return lowerFirst(cName)
-}
+import "wafe/internal/spec"
 
 // CreationCommandName derives the widget-creation command from a class
-// name: Toggle → toggle, AsciiText → asciiText, XmCascadeButton →
-// mCascadeButton.
+// name by the specification's naming rule: Toggle → toggle, AsciiText
+// → asciiText, XmCascadeButton → mCascadeButton.
 func CreationCommandName(className string) string {
-	if strings.HasPrefix(className, "Xm") && len(className) > 2 {
-		return "m" + className[2:]
-	}
-	return lowerFirst(className)
-}
-
-func lowerFirst(s string) string {
-	if s == "" {
-		return s
-	}
-	b := []byte(s)
-	if b[0] >= 'A' && b[0] <= 'Z' {
-		b[0] += 32
-	}
-	return string(b)
+	return spec.CreationCommandName(className)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wafe/internal/spec"
 	"wafe/internal/xproto"
 	"wafe/internal/xt"
 )
@@ -70,16 +71,20 @@ func TestCallbackPercentExpansionProperties(t *testing.T) {
 	}
 }
 
-// Property: CommandName is idempotent on its own output (stripping a
-// prefix once yields a name with no further prefix).
+// Property: the naming rule is idempotent on its own output (stripping
+// a prefix once yields a name with no further prefix), so a Wafe
+// command with no toolkit counterpart can be specified by its own name.
 func TestCommandNameIdempotentProperty(t *testing.T) {
 	inputs := []string{
 		"XtDestroyWidget", "XawListChange", "XmTextInsert", "XFlush",
 		"XtPopup", "XawFormAllowResize", "XmCommandError", "XtAddCallback",
 	}
+	for _, c := range commandTable {
+		inputs = append(inputs, c.meta.Name)
+	}
 	for _, in := range inputs {
-		once := CommandName(in)
-		twice := CommandName(once)
+		once := spec.CommandName(in)
+		twice := spec.CommandName(once)
 		if once != twice {
 			t.Errorf("CommandName not idempotent: %q → %q → %q", in, once, twice)
 		}

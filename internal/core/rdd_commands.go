@@ -9,35 +9,15 @@ import (
 	"wafe/internal/xt"
 )
 
-// registerRddCommands installs the drag-and-drop commands layered over
-// internal/rdd, following the paper's extension story (the Rdd library
-// was one of the Xt-based libraries Wafe integrated).
-//
-//	rddRegisterSource widget script   — script's result is the drag data
-//	rddRegisterTarget widget script   — script runs on drop; %w target,
-//	                                    %v data, %x %y drop position
-//	rddUnregisterSource widget
-//	rddUnregisterTarget widget
-//	rddDrag source target             — synthetic drag (headless driver)
-func (w *Wafe) registerRddCommands() {
-	reg := func(name string, fn func(argv []string) (string, error)) {
-		w.Interp.RegisterCommand(name, func(_ *tcl.Interp, argv []string) (string, error) {
-			return fn(argv)
-		})
-	}
-	reg("rddRegisterSource", w.cmdRddRegisterSource)
-	reg("rddRegisterTarget", w.cmdRddRegisterTarget)
-	reg("rddUnregisterSource", w.cmdRddUnregisterSource)
-	reg("rddUnregisterTarget", w.cmdRddUnregisterTarget)
-	reg("rddDrag", w.cmdRddDrag)
-}
+// The drag-and-drop commands layered over internal/rdd, following the
+// paper's extension story (the Rdd library was one of the Xt-based
+// libraries Wafe integrated): rddRegisterSource, rddRegisterTarget,
+// rddUnregisterSource, rddUnregisterTarget and rddDrag, a synthetic
+// drag for the headless display.
 
 func (w *Wafe) dnd() *rdd.DND { return rdd.Context(w.App) }
 
 func (w *Wafe) cmdRddRegisterSource(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"rddRegisterSource widget script\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -58,9 +38,6 @@ func (w *Wafe) cmdRddRegisterSource(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdRddRegisterTarget(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"rddRegisterTarget widget script\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -83,9 +60,6 @@ func (w *Wafe) cmdRddRegisterTarget(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdRddUnregisterSource(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"rddUnregisterSource widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -95,9 +69,6 @@ func (w *Wafe) cmdRddUnregisterSource(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdRddUnregisterTarget(argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", tcl.NewError("wrong # args: should be \"rddUnregisterTarget widget\"")
-	}
 	wid, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err
@@ -107,9 +78,6 @@ func (w *Wafe) cmdRddUnregisterTarget(argv []string) (string, error) {
 }
 
 func (w *Wafe) cmdRddDrag(argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", tcl.NewError("wrong # args: should be \"rddDrag source target\"")
-	}
 	src, err := w.widgetArg(argv[1])
 	if err != nil {
 		return "", err

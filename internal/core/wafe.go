@@ -8,6 +8,7 @@ import (
 	"wafe/internal/obs"
 	"wafe/internal/plotter"
 	"wafe/internal/rdd"
+	"wafe/internal/spec"
 	"wafe/internal/tcl"
 	"wafe/internal/xaw"
 	"wafe/internal/xm"
@@ -131,10 +132,7 @@ func New(cfg Config) (*Wafe, error) {
 	w.registerConverters()
 	w.registerWidgetSet()
 	w.registerCommands()
-	w.registerRddCommands()
-	w.registerObsCommands()
 	w.registerActions()
-	w.registerCommandMetas()
 	top, err := app.CreateWidget("topLevel", xt.ApplicationShellClass, nil, nil, false)
 	if err != nil {
 		return nil, err
@@ -280,14 +278,16 @@ func (w *Wafe) WidgetSetClasses() []*xt.Class {
 }
 
 // registerWidgetSet installs one creation command per widget class,
-// derived with the naming rule (Toggle → "toggle Name Father ...").
+// derived with the naming rule (Toggle → "toggle Name Father ..."),
+// with metadata whose usage text makes the interpreter check its
+// argument count.
 //
 // One derived name collides with a Tcl built-in: the Athena List class
 // yields "list". The command therefore dispatches on its second
 // argument — when it names an existing widget (or a display, for
 // shells) the call is a widget creation, otherwise the original Tcl
 // command runs. "list year 1994" stays a Tcl list; "list hits form"
-// creates a List widget.
+// creates a List widget. It keeps the built-in's metadata.
 func (w *Wafe) registerWidgetSet() {
 	for _, class := range w.WidgetSetClasses() {
 		cmdName := CreationCommandName(class.Name)
@@ -305,10 +305,28 @@ func (w *Wafe) registerWidgetSet() {
 		w.Interp.RegisterCommand(cmdName, func(in *tcl.Interp, argv []string) (string, error) {
 			return w.cmdCreateWidget(cls, argv)
 		})
+		w.Interp.SetCommandMeta(tcl.CommandMeta{
+			Name:    cmdName,
+			MinArgs: 2,
+			MaxArgs: -1,
+			Usage:   cmdName + " " + spec.CreationUsageArgs,
+			Options: []string{"-unmanaged", "unmanaged"},
+		})
 	}
 	if w.cfg.Set == SetMotif || w.cfg.Set == SetBoth {
 		xm.RegisterConverters(w.App)
 	}
+}
+
+// CreationClasses returns a copy of the creation-command → widget
+// class table for the configured widget set (static analysis reads
+// it to validate resource names per class).
+func (w *Wafe) CreationClasses() map[string]*xt.Class {
+	out := make(map[string]*xt.Class, len(w.classes))
+	for name, c := range w.classes {
+		out[name] = c
+	}
+	return out
 }
 
 // cmdCreateWidget implements every creation command:
@@ -318,9 +336,6 @@ func (w *Wafe) registerWidgetSet() {
 // For shells, Father may name a display instead of a widget.
 func (w *Wafe) cmdCreateWidget(class *xt.Class, argv []string) (string, error) {
 	cmd := argv[0]
-	if len(argv) < 3 {
-		return "", tcl.NewError("wrong # args: should be \"%s name father ?-unmanaged? ?resource value ...?\"", cmd)
-	}
 	name, father := argv[1], argv[2]
 	rest := argv[3:]
 	managed := true

@@ -10,7 +10,8 @@ import (
 // generator's documentation output ("In addition the code generator
 // outputs TeX source for the short reference guide"), keeping
 // "consistency in documentation and interface code" because both come
-// from the same specification.
+// from the same specification: each usage line is the text the
+// interpreter reports for a call with the wrong number of arguments.
 func GenerateReference(entries []Entry) string {
 	var b strings.Builder
 	b.WriteString("WAFE SHORT REFERENCE\n")
@@ -19,8 +20,9 @@ func GenerateReference(entries []Entry) string {
 	if len(classes) > 0 {
 		b.WriteString("Widget creation commands\n")
 		b.WriteString("------------------------\n")
+		fmt.Fprintf(&b, "Each is called as: command %s\n\n", CreationUsageArgs)
 		for _, e := range classes {
-			fmt.Fprintf(&b, "  %-26s create an instance of %s\n", e.CommandName()+" Name Father", e.ClassName)
+			fmt.Fprintf(&b, "  %-26s create an instance of %s\n", e.CommandName(), e.ClassName)
 			if e.Doc != "" {
 				fmt.Fprintf(&b, "  %-26s %s\n", "", e.Doc)
 			}
@@ -31,16 +33,11 @@ func GenerateReference(entries []Entry) string {
 		b.WriteString("Commands\n")
 		b.WriteString("--------\n")
 		for _, e := range functions {
-			var args []string
-			for _, p := range e.Params {
-				if p.Dir == "out" {
-					args = append(args, "varName")
-				} else {
-					args = append(args, strings.ToLower(p.Type))
-				}
+			fmt.Fprintf(&b, "  %s\n", e.Usage())
+			fmt.Fprintf(&b, "      %s\n", returns(&e))
+			if len(e.Aliases) > 0 {
+				fmt.Fprintf(&b, "      also called %s\n", strings.Join(e.Aliases, ", "))
 			}
-			fmt.Fprintf(&b, "  %s %s\n", e.CommandName(), strings.Join(args, " "))
-			fmt.Fprintf(&b, "      wraps %s (returns %s)\n", e.CName, e.ReturnType)
 			if e.Doc != "" {
 				fmt.Fprintf(&b, "      %s\n", e.Doc)
 			}
@@ -56,9 +53,10 @@ func GenerateTeX(entries []Entry) string {
 	b.WriteString("\\section*{Wafe Short Reference}\n")
 	classes, functions := split(entries)
 	if len(classes) > 0 {
-		b.WriteString("\\subsection*{Widget creation commands}\n\\begin{description}\n")
+		b.WriteString("\\subsection*{Widget creation commands}\n")
+		fmt.Fprintf(&b, "Each is called as \\texttt{command %s}.\n\\begin{description}\n", texEscape(CreationUsageArgs))
 		for _, e := range classes {
-			fmt.Fprintf(&b, "\\item[\\texttt{%s Name Father}] creates an instance of %s. %s\n",
+			fmt.Fprintf(&b, "\\item[\\texttt{%s}] creates an instance of %s. %s\n",
 				texEscape(e.CommandName()), texEscape(e.ClassName), texEscape(e.Doc))
 		}
 		b.WriteString("\\end{description}\n")
@@ -66,21 +64,24 @@ func GenerateTeX(entries []Entry) string {
 	if len(functions) > 0 {
 		b.WriteString("\\subsection*{Commands}\n\\begin{description}\n")
 		for _, e := range functions {
-			var args []string
-			for _, p := range e.Params {
-				if p.Dir == "out" {
-					args = append(args, "varName")
-				} else {
-					args = append(args, strings.ToLower(p.Type))
-				}
+			also := ""
+			if len(e.Aliases) > 0 {
+				also = " Also called \\texttt{" + texEscape(strings.Join(e.Aliases, ", ")) + "}."
 			}
-			fmt.Fprintf(&b, "\\item[\\texttt{%s %s}] wraps \\texttt{%s}. %s\n",
-				texEscape(e.CommandName()), texEscape(strings.Join(args, " ")),
-				texEscape(e.CName), texEscape(e.Doc))
+			fmt.Fprintf(&b, "\\item[\\texttt{%s}] %s.%s %s\n",
+				texEscape(e.Usage()), texEscape(returns(&e)), also, texEscape(e.Doc))
 		}
 		b.WriteString("\\end{description}\n")
 	}
 	return b.String()
+}
+
+// returns describes what a function entry wraps and returns.
+func returns(e *Entry) string {
+	if e.CName == e.CommandName() {
+		return "returns " + e.ReturnType
+	}
+	return fmt.Sprintf("wraps %s (returns %s)", e.CName, e.ReturnType)
 }
 
 func split(entries []Entry) (classes, functions []Entry) {
@@ -96,7 +97,6 @@ func split(entries []Entry) (classes, functions []Entry) {
 	return classes, functions
 }
 
-func texEscape(s string) string {
-	r := strings.NewReplacer("\\", "\\textbackslash{}", "_", "\\_", "%", "\\%", "&", "\\&", "#", "\\#", "$", "\\$", "{", "\\{", "}", "\\}")
-	return r.Replace(s)
-}
+var texEscaper = strings.NewReplacer("\\", "\\textbackslash{}", "_", "\\_", "%", "\\%", "&", "\\&", "#", "\\#", "$", "\\$", "{", "\\{", "}", "\\}")
+
+func texEscape(s string) string { return texEscaper.Replace(s) }

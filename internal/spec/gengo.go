@@ -2,175 +2,75 @@ package spec
 
 import (
 	"fmt"
-	"sort"
+	"go/format"
 	"strings"
 )
 
-// GenerateGo emits a Go source file with one binding function per spec
-// entry: argument-count checking, string→type conversion, the call into
-// the hand-written implementation, and command registration — the same
-// division of labour as the original Perl generator, which produced
-// "the necessary C code for conversion, argument passing, error
-// messages, storage management ... and registrations of commands".
-//
-// The generated file expects a Dispatcher providing the typed
-// implementation entry points; internal/core satisfies it.
-func GenerateGo(pkg string, entries []Entry) (string, Stats) {
+// GenerateGo emits internal/core's command table: one row per function
+// entry and alias, holding the command's tcl.CommandMeta (bounds,
+// usage text, option words, subcommands, output-variable positions)
+// and the hand-written method implementing it, named "cmd" plus the
+// command name with its first letter upper-cased. Core registers every
+// row; the interpreter then rejects a call outside a row's bounds with
+// its usage text before the method runs. This is the division of
+// labour of the original Perl generator, which produced "the necessary
+// C code for conversion, argument passing, error messages ... and
+// registrations of commands" around hand-written functions; argument
+// conversion stays in the methods here, whose messages are specific to
+// each command. The output is gofmt'd.
+func GenerateGo(entries []Entry) (string, Stats, error) {
 	var b strings.Builder
 	st := Stats{Entries: len(entries)}
-	fmt.Fprintf(&b, "// Code generated by wafegen from the Wafe specification. DO NOT EDIT.\n\n")
-	fmt.Fprintf(&b, "package %s\n\n", pkg)
-	b.WriteString(`// Dispatcher is the hand-written half of the binding: typed entry
-// points the generated conversion code calls into.
-type Dispatcher interface {
-	// CreateWidgetClass instantiates a widget of the named class.
-	CreateWidgetClass(className, name, father string, unmanaged bool, resources []string) (string, error)
-	// CallFunction invokes a toolkit function with converted arguments.
-	CallFunction(cName string, args []Arg) (string, error)
-}
+	b.WriteString(`// Code generated by wafegen from specs/wafe.spec. DO NOT EDIT.
 
-// Arg is one converted argument.
-type Arg struct {
-	Type  string
-	Value string
-	// Out marks return-parameter slots: the dispatcher fills Value
-	// with the Tcl variable name to create.
-	Out bool
-}
+package core
 
-// Binding describes one generated command.
-type Binding struct {
-	Command   string
-	CName     string
-	Kind      string // "widgetClass" or "function"
-	ArgTypes  []string
-	OutParams int
-	Doc       string
-	Run       func(d Dispatcher, argv []string) (string, error)
-}
+import "wafe/internal/tcl"
 
-// Bindings holds every generated command, keyed by command name.
-var Bindings = map[string]Binding{}
-
-func register(b Binding) { Bindings[b.Command] = b }
-
-func arityErr(cmd, usage string) error {
-	return &BindError{Msg: "wrong # args: should be \"" + cmd + " " + usage + "\""}
-}
-
-// BindError is an argument-conversion error produced by generated code.
-type BindError struct{ Msg string }
-
-func (e *BindError) Error() string { return e.Msg }
-
+// commandTable lists every fixed Wafe command with the metadata the
+// interpreter enforces and wafecheck reads, and the method that
+// implements it.
+var commandTable = [...]struct {
+	meta tcl.CommandMeta
+	run  func(*Wafe, []string) (string, error)
+}{
 `)
-	names := make([]string, 0, len(entries))
-	byName := map[string]Entry{}
 	for _, e := range entries {
-		n := e.CommandName()
-		names = append(names, n)
-		byName[n] = e
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		e := byName[n]
 		if e.Kind == "widgetClass" {
 			st.WidgetClasses++
-			genWidgetClass(&b, e)
-		} else {
-			st.Functions++
-			genFunction(&b, e)
-		}
-	}
-	out := b.String()
-	st.GeneratedLines = strings.Count(out, "\n")
-	return out, st
-}
-
-func genWidgetClass(b *strings.Builder, e Entry) {
-	cmd := e.CommandName()
-	fmt.Fprintf(b, "// %s creates an instance of the %s widget class.\n", fnName(cmd), e.ClassName)
-	if e.Doc != "" {
-		fmt.Fprintf(b, "// %s\n", e.Doc)
-	}
-	fmt.Fprintf(b, "func %s(d Dispatcher, argv []string) (string, error) {\n", fnName(cmd))
-	fmt.Fprintf(b, "\tif len(argv) < 3 {\n")
-	fmt.Fprintf(b, "\t\treturn \"\", arityErr(%q, \"name father ?-unmanaged? ?resource value ...?\")\n", cmd)
-	fmt.Fprintf(b, "\t}\n")
-	fmt.Fprintf(b, "\trest := argv[3:]\n")
-	fmt.Fprintf(b, "\tunmanaged := false\n")
-	fmt.Fprintf(b, "\tif len(rest) > 0 && (rest[0] == \"-unmanaged\" || rest[0] == \"unmanaged\") {\n")
-	fmt.Fprintf(b, "\t\tunmanaged = true\n\t\trest = rest[1:]\n\t}\n")
-	fmt.Fprintf(b, "\tif len(rest)%%2 != 0 {\n")
-	fmt.Fprintf(b, "\t\treturn \"\", &BindError{Msg: %q}\n", cmd+": resource arguments must come in attribute-value pairs")
-	fmt.Fprintf(b, "\t}\n")
-	fmt.Fprintf(b, "\treturn d.CreateWidgetClass(%q, argv[1], argv[2], unmanaged, rest)\n", e.ClassName)
-	fmt.Fprintf(b, "}\n\n")
-	fmt.Fprintf(b, "func init() {\n\tregister(Binding{Command: %q, CName: %q, Kind: \"widgetClass\", Doc: %q, Run: %s})\n}\n\n",
-		cmd, e.ClassName, e.Doc, fnName(cmd))
-}
-
-func genFunction(b *strings.Builder, e Entry) {
-	cmd := e.CommandName()
-	nIn, nOut := 0, 0
-	var usage []string
-	var argTypes []string
-	for _, p := range e.Params {
-		argTypes = append(argTypes, p.Type)
-		if p.Dir == "in" {
-			nIn++
-			usage = append(usage, strings.ToLower(p.Type))
-		} else {
-			nOut++
-			usage = append(usage, "varName")
-		}
-	}
-	fmt.Fprintf(b, "// %s wraps %s.\n", fnName(cmd), e.CName)
-	if e.Doc != "" {
-		fmt.Fprintf(b, "// %s\n", e.Doc)
-	}
-	fmt.Fprintf(b, "func %s(d Dispatcher, argv []string) (string, error) {\n", fnName(cmd))
-	fmt.Fprintf(b, "\tif len(argv) != %d {\n", 1+len(e.Params))
-	fmt.Fprintf(b, "\t\treturn \"\", arityErr(%q, %q)\n", cmd, strings.Join(usage, " "))
-	fmt.Fprintf(b, "\t}\n")
-	fmt.Fprintf(b, "\targs := []Arg{\n")
-	for i, p := range e.Params {
-		fmt.Fprintf(b, "\t\t{Type: %q, Value: argv[%d], Out: %v},\n", p.Type, i+1, p.Dir == "out")
-	}
-	fmt.Fprintf(b, "\t}\n")
-	fmt.Fprintf(b, "\treturn d.CallFunction(%q, args)\n", e.CName)
-	fmt.Fprintf(b, "}\n\n")
-	fmt.Fprintf(b, "func init() {\n\tregister(Binding{Command: %q, CName: %q, Kind: \"function\", ArgTypes: %s, OutParams: %d, Doc: %q, Run: %s})\n}\n\n",
-		cmd, e.CName, goStringSlice(argTypes), nOut, e.Doc, fnName(cmd))
-}
-
-func goStringSlice(ss []string) string {
-	if len(ss) == 0 {
-		return "nil"
-	}
-	quoted := make([]string, len(ss))
-	for i, s := range ss {
-		quoted[i] = fmt.Sprintf("%q", s)
-	}
-	return "[]string{" + strings.Join(quoted, ", ") + "}"
-}
-
-// fnName produces the generated Go function identifier for a command.
-func fnName(cmd string) string {
-	var b strings.Builder
-	b.WriteString("bind")
-	up := true
-	for _, r := range cmd {
-		if r == '-' || r == '_' {
-			up = true
 			continue
 		}
-		if up {
-			b.WriteString(strings.ToUpper(string(r)))
-			up = false
-			continue
+		st.Functions++
+		method := "(*Wafe).cmd" + strings.ToUpper(e.CommandName()[:1]) + e.CommandName()[1:]
+		for _, name := range append([]string{e.CommandName()}, e.Aliases...) {
+			fmt.Fprintf(&b, "{%s, %s},\n", goMeta(&e, name), method)
 		}
-		b.WriteRune(r)
 	}
-	return b.String()
+	b.WriteString("}\n")
+	src, err := format.Source([]byte(b.String()))
+	if err != nil {
+		return "", st, fmt.Errorf("spec: formatting generated Go: %v", err)
+	}
+	st.GeneratedLines = strings.Count(string(src), "\n")
+	return string(src), st, nil
+}
+
+// goMeta renders the tcl.CommandMeta literal for one command name of
+// an entry; an alias shares the entry's usage text.
+func goMeta(e *Entry, name string) string {
+	min, max := e.Bounds()
+	s := fmt.Sprintf("tcl.CommandMeta{Name: %q, MinArgs: %d, MaxArgs: %d", name, min, max)
+	if !e.Unchecked {
+		s += fmt.Sprintf(", Usage: %q", e.Usage())
+	}
+	if opts := e.Options(); opts != nil {
+		s += fmt.Sprintf(", Options: %#v", opts)
+	}
+	if subs := e.Subcommands(); subs != nil {
+		s += fmt.Sprintf(", Subcommands: %#v", subs)
+	}
+	if vars := e.VarArgs(); vars != nil {
+		s += fmt.Sprintf(", VarArgs: %#v", vars)
+	}
+	return s + "}"
 }

@@ -1,9 +1,10 @@
 // Package spec implements Wafe's code generator: it parses the high-
-// level specification language shown in the paper and emits (a) Go
-// binding source performing argument conversion, error messages and
-// command registration, and (b) the short reference guide (plain text
-// and TeX). In the original system this generator was a Perl program
-// producing about 60 % of Wafe's 13 000 lines of C.
+// level specification language shown in the paper and emits (a) the Go
+// table through which internal/core registers its commands, with their
+// argument bounds, usage texts, option words, subcommands and output
+// variables, and (b) the short reference guide (plain text and TeX). In
+// the original system this generator was a Perl program producing about
+// 60 % of Wafe's 13 000 lines of C.
 package spec
 
 import (
@@ -24,60 +25,171 @@ type Entry struct {
 	ReturnType string
 	CName      string
 	Params     []Param
+	// Aliases are further command names bound to the same
+	// implementation; they share its bounds and usage text.
+	Aliases []string
+	// UsageArgs, when set, replaces the argument part of the usage text
+	// rendered from Params, for shapes the parameters cannot express.
+	UsageArgs string
+	// Unchecked leaves the bounds to the implementation: they are
+	// recorded for wafecheck but the interpreter does not enforce them.
+	Unchecked bool
 
 	// Doc is an optional comment attached with leading "." lines.
 	Doc string
 }
 
-// Param is one typed parameter with a direction.
+// Param is one typed parameter.
 type Param struct {
-	Dir  string // "in" or "out"
-	Type string // Widget, Boolean, Int, String, Callback, VarName, ...
+	// Dir is "in" (required), "opt" (optional), "rest" (any number of
+	// further arguments) or "out" (the name of a variable the command
+	// writes).
+	Dir string
+	// Type is Widget, Boolean, Int, String, Script, ...; two types
+	// shape the command: Option is a literal option word, and
+	// Subcommand names the "|"-separated subcommands.
+	Type string
+	// Name is the word the usage text shows; it defaults to the
+	// lower-cased type, or "varName" for an out parameter.
+	Name string
+}
+
+func (p Param) word() string {
+	switch {
+	case p.Name != "":
+		return p.Name
+	case p.Dir == "out":
+		return "varName"
+	}
+	return strings.ToLower(p.Type)
 }
 
 // CommandName derives the Wafe command name for the entry using the
 // paper's naming rule.
 func (e *Entry) CommandName() string {
-	switch e.Kind {
-	case "widgetClass":
-		return creationName(e.ClassName)
-	case "function":
-		return commandName(e.CName)
+	if e.Kind == "widgetClass" {
+		return CreationCommandName(e.ClassName)
 	}
-	return ""
+	return CommandName(e.CName)
 }
 
-// These mirror internal/core's naming rules; duplicated here so the
-// generator stays dependency-free (it must also run standalone as
-// cmd/wafegen).
-func commandName(c string) string {
+// CommandName derives the Wafe command name from an Xt/Xaw/Xm/Xlib
+// function name. The paper: "the prefix Xt, Xaw or X is stripped and
+// the first letter of the remaining string is translated to lower
+// case", while Xm functions keep an "m" prefix:
+//
+//	XtDestroyWidget      → destroyWidget
+//	XawFormAllowResize   → formAllowResize
+//	XmCommandAppendValue → mCommandAppendValue
+//
+// A name without one of these prefixes is lower-cased the same way, so
+// a Wafe command with no toolkit counterpart is specified by its own
+// name.
+func CommandName(cName string) string {
 	for _, p := range []string{"Xaw", "Xt", "Xm", "X"} {
-		if strings.HasPrefix(c, p) && len(c) > len(p) && c[len(p)] >= 'A' && c[len(p)] <= 'Z' {
-			if p == "Xm" {
-				return "m" + c[2:]
-			}
-			return lowerFirst(c[len(p):])
+		rest, ok := strings.CutPrefix(cName, p)
+		// The character after the prefix must be upper case, otherwise
+		// the "prefix" is part of the name itself.
+		if !ok || rest == "" || rest[0] < 'A' || rest[0] > 'Z' {
+			continue
 		}
+		if p == "Xm" {
+			return "m" + rest
+		}
+		return lowerFirst(rest)
 	}
-	return lowerFirst(c)
+	return lowerFirst(cName)
 }
 
-func creationName(c string) string {
-	if strings.HasPrefix(c, "Xm") && len(c) > 2 {
-		return "m" + c[2:]
+// CreationCommandName derives the widget-creation command from a class
+// name: Toggle → toggle, AsciiText → asciiText, XmCascadeButton →
+// mCascadeButton.
+func CreationCommandName(className string) string {
+	if rest, ok := strings.CutPrefix(className, "Xm"); ok && rest != "" {
+		return "m" + rest
 	}
-	return lowerFirst(c)
+	return lowerFirst(className)
 }
+
+// CreationUsageArgs is the argument part of every creation command's
+// usage text.
+const CreationUsageArgs = "name father ?-unmanaged? ?resource value ...?"
 
 func lowerFirst(s string) string {
-	if s == "" {
+	if s == "" || s[0] < 'A' || s[0] > 'Z' {
 		return s
 	}
-	b := []byte(s)
-	if b[0] >= 'A' && b[0] <= 'Z' {
-		b[0] += 32
+	return string(s[0]+'a'-'A') + s[1:]
+}
+
+// Bounds returns the argument-count bounds of a function entry; max is
+// -1 when a rest parameter accepts any number of further arguments.
+func (e *Entry) Bounds() (min, max int) {
+	for _, p := range e.Params {
+		switch p.Dir {
+		case "in", "out":
+			min++
+			max++
+		case "opt":
+			max++
+		case "rest":
+			return min, -1
+		}
 	}
-	return string(b)
+	return min, max
+}
+
+// Usage returns a function entry's usage text: the command name and
+// its arguments.
+func (e *Entry) Usage() string {
+	args := e.UsageArgs
+	if args == "" {
+		words := make([]string, len(e.Params))
+		for i, p := range e.Params {
+			switch p.Dir {
+			case "opt":
+				words[i] = "?" + p.word() + "?"
+			case "rest":
+				words[i] = "?" + p.word() + " ...?"
+			default:
+				words[i] = p.word()
+			}
+		}
+		args = strings.Join(words, " ")
+	}
+	return strings.TrimSpace(e.CommandName() + " " + args)
+}
+
+// Options returns the literal option words (parameters of type Option).
+func (e *Entry) Options() []string {
+	var opts []string
+	for _, p := range e.Params {
+		if p.Type == "Option" {
+			opts = append(opts, p.word())
+		}
+	}
+	return opts
+}
+
+// Subcommands returns the subcommand names of an ensemble command.
+func (e *Entry) Subcommands() []string {
+	for _, p := range e.Params {
+		if p.Type == "Subcommand" {
+			return strings.Split(p.word(), "|")
+		}
+	}
+	return nil
+}
+
+// VarArgs returns the 1-based positions of the out parameters.
+func (e *Entry) VarArgs() []int {
+	var pos []int
+	for i, p := range e.Params {
+		if p.Dir == "out" {
+			pos = append(pos, i+1)
+		}
+	}
+	return pos
 }
 
 // Parse reads a specification file. Entries are separated by blank
@@ -158,7 +270,8 @@ body:
 		}
 		return e, nil
 	}
-	// Function block: return type, C name, parameter lines.
+	// Function block: return type, C name, then parameter and
+	// attribute lines.
 	e.Kind = "function"
 	e.ReturnType = strings.TrimSpace(rest[0])
 	if len(rest) < 2 {
@@ -169,22 +282,53 @@ body:
 		return nil, fmt.Errorf("spec: bad function name %q", rest[1])
 	}
 	for _, l := range rest[2:] {
-		t := strings.TrimSpace(l)
-		colon := strings.IndexByte(t, ':')
-		if colon < 0 {
-			return nil, fmt.Errorf("spec: bad parameter line %q in %s", l, e.CName)
+		if err := e.parseLine(strings.TrimSpace(l)); err != nil {
+			return nil, fmt.Errorf("spec: %v in %s", err, e.CName)
 		}
-		dir := strings.TrimSpace(t[:colon])
-		typ := strings.TrimSpace(t[colon+1:])
-		if dir != "in" && dir != "out" {
-			return nil, fmt.Errorf("spec: bad parameter direction %q in %s", dir, e.CName)
-		}
-		if typ == "" {
-			return nil, fmt.Errorf("spec: empty parameter type in %s", e.CName)
-		}
-		e.Params = append(e.Params, Param{Dir: dir, Type: typ})
 	}
 	return e, nil
+}
+
+// parseLine reads one line of a function block after the name.
+func (e *Entry) parseLine(t string) error {
+	if t == "unchecked" {
+		e.Unchecked = true
+		return nil
+	}
+	key, val, ok := strings.Cut(t, ":")
+	if !ok {
+		return fmt.Errorf("bad parameter line %q", t)
+	}
+	key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+	switch key {
+	case "alias":
+		if val == "" {
+			return fmt.Errorf("empty alias line")
+		}
+		e.Aliases = append(e.Aliases, strings.Fields(val)...)
+		return nil
+	case "usage":
+		if val == "" {
+			return fmt.Errorf("empty usage line")
+		}
+		e.UsageArgs = val
+		return nil
+	case "in", "opt", "rest", "out":
+	default:
+		return fmt.Errorf("bad parameter direction %q", key)
+	}
+	typ, name, _ := strings.Cut(val, " ")
+	if typ == "" {
+		return fmt.Errorf("empty parameter type")
+	}
+	if n := len(e.Params); n > 0 {
+		prev := e.Params[n-1].Dir
+		if prev == "rest" || (prev == "opt" && key != "opt" && key != "rest") {
+			return fmt.Errorf("%s parameter after %s parameter", key, prev)
+		}
+	}
+	e.Params = append(e.Params, Param{Dir: key, Type: typ, Name: strings.TrimSpace(name)})
+	return nil
 }
 
 // Stats summarizes generation output for the paper's "about 60 % of

@@ -1,9 +1,11 @@
 package spec
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -84,11 +86,16 @@ in: Widget
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"~widgetClass",                      // missing name
-		"void\nXtFoo(\nin: Widget",          // paren in name
-		"void\nXtFoo\nsideways: Widget",     // bad direction
-		"void\nXtFoo\nin:",                  // empty type
-		"~widgetClass\nFoo\nnot-an-include", // junk in class block
+		"~widgetClass",                         // missing name
+		"void\nXtFoo(\nin: Widget",             // paren in name
+		"void\nXtFoo\nsideways: Widget",        // bad direction
+		"void\nXtFoo\nin:",                     // empty type
+		"~widgetClass\nFoo\nnot-an-include",    // junk in class block
+		"void\nXtFoo\nopt: Int a\nin: Int b",   // required after optional
+		"void\nXtFoo\nrest: Int a\nopt: Int b", // anything after rest
+		"void\nXtFoo\nalias:",                  // empty alias line
+		"void\nXtFoo\nusage:",                  // empty usage line
+		"void\nXtFoo\nuncheckd",                // misspelt keyword
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -97,12 +104,85 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSignatureRendering covers the format extensions: parameter
+// names, opt/rest/out parameters, Option and Subcommand types, alias,
+// usage and unchecked lines.
+func TestSignatureRendering(t *testing.T) {
+	entries, err := Parse(`void
+setValues
+alias: sV sv
+in: Widget widget
+rest: String resource value
+
+Cardinal
+XtGetResourceList
+in: Widget widget
+out: StringList varName
+
+String
+profileDump
+opt: Option -folded
+opt: String fileName
+
+String
+trace
+unchecked
+in: Subcommand spans|tree|clear
+opt: String arg
+
+void
+sendClick
+usage: widget ?button? ?x y?
+in: Widget widget
+opt: Int button
+opt: Int x
+opt: Int y
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		usage    string
+		min, max int
+		opts     []string
+		subs     []string
+		vars     []int
+	}
+	wants := []want{
+		{"setValues widget ?resource value ...?", 1, -1, nil, nil, nil},
+		{"getResourceList widget varName", 2, 2, nil, nil, []int{2}},
+		{"profileDump ?-folded? ?fileName?", 0, 2, []string{"-folded"}, nil, nil},
+		{"trace spans|tree|clear ?arg?", 1, 2, nil, []string{"spans", "tree", "clear"}, nil},
+		{"sendClick widget ?button? ?x y?", 1, 4, nil, nil, nil},
+	}
+	if len(entries) != len(wants) {
+		t.Fatalf("entries = %d", len(entries))
+	}
+	for i, w := range wants {
+		e := entries[i]
+		min, max := e.Bounds()
+		got := want{e.Usage(), min, max, e.Options(), e.Subcommands(), e.VarArgs()}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: got %+v, want %+v", e.CName, got, w)
+		}
+	}
+	if !reflect.DeepEqual(entries[0].Aliases, []string{"sV", "sv"}) {
+		t.Errorf("aliases = %v", entries[0].Aliases)
+	}
+	if entries[2].Unchecked || !entries[3].Unchecked {
+		t.Error("unchecked line not recorded")
+	}
+}
+
 func TestGenerateGoCompilesSyntactically(t *testing.T) {
 	entries, err := Parse(paperClassExample + "\n" + paperFuncExample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, st := GenerateGo("bindings", entries)
+	src, st, err := GenerateGo(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.WidgetClasses != 1 || st.Functions != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -110,15 +190,11 @@ func TestGenerateGoCompilesSyntactically(t *testing.T) {
 	if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
 		t.Fatalf("generated code does not parse: %v\n%s", err, src)
 	}
-	// Generated function implements arity checking and dispatch.
-	if !strings.Contains(src, "CreateWidgetClass(\"XmCascadeButton\"") {
-		t.Error("widget dispatch missing")
-	}
-	if !strings.Contains(src, "CallFunction(\"XmCascadeButtonHighlight\"") {
-		t.Error("function dispatch missing")
-	}
-	if !strings.Contains(src, "wrong # args") {
-		t.Error("arity error messages missing")
+	// One table row: the metadata with bounds and usage text, and the
+	// method implementing the command.
+	row := `{tcl.CommandMeta{Name: "mCascadeButtonHighlight", MinArgs: 2, MaxArgs: 2, Usage: "mCascadeButtonHighlight widget boolean"}, (*Wafe).cmdMCascadeButtonHighlight},`
+	if !strings.Contains(src, row) {
+		t.Errorf("generated table lacks row %s:\n%s", row, src)
 	}
 }
 
@@ -131,16 +207,23 @@ func TestFullSpecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) < 50 {
+	if len(entries) < 100 {
 		t.Errorf("spec has only %d entries", len(entries))
 	}
-	src, st := GenerateGo("bindings", entries)
-	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
-		t.Fatalf("full generated code does not parse: %v", err)
+	src, _, err := GenerateGo(entries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.GeneratedLines < 500 {
-		t.Errorf("generated only %d lines", st.GeneratedLines)
+	// Every function and alias gets a row; widget classes get none.
+	for _, e := range entries {
+		if e.Kind != "function" {
+			continue
+		}
+		for _, name := range append([]string{e.CommandName()}, e.Aliases...) {
+			if !strings.Contains(src, fmt.Sprintf("{Name: %q,", name)) {
+				t.Errorf("generated table has no row for %s", name)
+			}
+		}
 	}
 	// Spot-check naming-rule outputs from the paper.
 	for _, want := range []string{"destroyWidget", "formAllowResize", "mCommandAppendValue", "toggle", "mCascadeButton", "asciiText"} {
@@ -160,7 +243,7 @@ func TestFullSpecFile(t *testing.T) {
 func TestGenerateReference(t *testing.T) {
 	entries, _ := Parse(paperClassExample + "\n" + paperFuncExample)
 	ref := GenerateReference(entries)
-	if !strings.Contains(ref, "mCascadeButton Name Father") {
+	if !strings.Contains(ref, "mCascadeButton             create an instance of XmCascadeButton") {
 		t.Errorf("reference missing creation command:\n%s", ref)
 	}
 	if !strings.Contains(ref, "mCascadeButtonHighlight widget boolean") {
@@ -176,15 +259,15 @@ func TestGenerateReference(t *testing.T) {
 }
 
 func TestNamingRuleAgreement(t *testing.T) {
-	// The generator's private naming copy must follow the same rule as
-	// the runtime (internal/core); checked on the documented examples.
+	// The one copy of the naming rule, which internal/core's creation
+	// commands also use, checked on the documented examples.
 	cases := map[string]string{
 		"XtDestroyWidget":      "destroyWidget",
 		"XawFormAllowResize":   "formAllowResize",
 		"XmCommandAppendValue": "mCommandAppendValue",
 	}
 	for in, want := range cases {
-		if got := commandName(in); got != want {
+		if got := CommandName(in); got != want {
 			t.Errorf("commandName(%q) = %q, want %q", in, got, want)
 		}
 	}
