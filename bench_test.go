@@ -146,6 +146,8 @@ func BenchmarkF3_XmStringConverter(b *testing.B) {
 // BenchmarkF4_FrontendRoundTrip measures one protocol round trip:
 // a %-command line from the backend through the interpreter and an
 // echo reply back onto the backend's stdin (in-process pipes; no fork).
+// It repeats one line, so it measures the script-cache-hit path; the
+// Distinct benchmarks below measure lines the interpreter sees once.
 func BenchmarkF4_FrontendRoundTrip(b *testing.B) {
 	w := core.NewTest()
 	var sink strings.Builder
@@ -160,6 +162,46 @@ func BenchmarkF4_FrontendRoundTrip(b *testing.B) {
 	}
 	if replies < b.N {
 		b.Fatalf("replies = %d", replies)
+	}
+}
+
+// BenchmarkF4_DistinctDialogue is F4 for the paper's prime-factors
+// dialogue with every line new: one op is a round trip of e2ebench's
+// dialogue shape (keystrokes echoed by a translation, then the two
+// answer lines).
+func BenchmarkF4_DistinctDialogue(b *testing.B) {
+	d := newDistinctDialogue(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 1000 {
+		b.StopTimer()
+		d.build(min(1000, b.N-i))
+		b.StartTimer()
+		for len(d.ops) > 0 {
+			d.roundTrip()
+		}
+	}
+	if d.f.EvalErrors != 0 || d.replies < b.N {
+		b.Fatalf("%d eval errors, %d replies", d.f.EvalErrors, d.replies)
+	}
+}
+
+// BenchmarkF4_DistinctStream is F4 for e2ebench's stream line mix with
+// every line new: one op is one line.
+func BenchmarkF4_DistinctStream(b *testing.B) {
+	s := newDistinctStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 1000 {
+		b.StopTimer()
+		s.build(min(1000, b.N-i))
+		b.StartTimer()
+		for len(s.lines) > 0 {
+			s.line()
+		}
+	}
+	if s.f.EvalErrors != 0 {
+		b.Fatalf("%d eval errors", s.f.EvalErrors)
 	}
 }
 

@@ -517,7 +517,7 @@ func (w *Wafe) cmdAddTimeOut(argv []string) (string, error) {
 	}
 	// Compile at registration; a malformed script still yields an
 	// evaluable prefix that replays the parse error when it fires.
-	script, _ := tcl.Compile(argv[2])
+	script, _ := w.Interp.Compile(argv[2])
 	w.nextID++
 	id := "timeout" + strconv.Itoa(w.nextID)
 	t := w.App.AddTimeout(time.Duration(ms)*time.Millisecond, func() {
@@ -553,7 +553,7 @@ func (w *Wafe) cmdOwnSelection(argv []string) (string, error) {
 	// so they compile once here.
 	var compiled *tcl.Script
 	if !strings.Contains(script, "%t") {
-		compiled, _ = tcl.Compile(script)
+		compiled, _ = w.Interp.Compile(script)
 	}
 	wid.Display().OwnSelection(sel, wid.Window(), func(target string) (string, bool) {
 		var res string
@@ -759,7 +759,7 @@ func (w *Wafe) cmdStripChartStart(argv []string) (string, error) {
 	run := &stripChartRun{}
 	w.chartRuns[wid.Name] = run
 	interval := time.Duration(maxIntC(wid.Int("update"), 1)) * time.Second
-	compiled, _ := tcl.Compile(script)
+	compiled, _ := w.Interp.Compile(script)
 	var tick func()
 	tick = func() {
 		if run.stopped || w.App.WidgetByName(wid.Name) != wid {

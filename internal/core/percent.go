@@ -195,7 +195,15 @@ type PercentScript struct {
 // NewPercentScript scans src. The segmentation follows the expansion
 // functions exactly: a '%' introduces a code only when a byte follows
 // it; a trailing lone '%' stays literal.
-func NewPercentScript(src string) *PercentScript {
+func NewPercentScript(src string) *PercentScript { return newPercentScript(src, tcl.Compile) }
+
+// percentScript is NewPercentScript for a script this session runs: a
+// static script is compiled by the session's interpreter, which owns it.
+func (w *Wafe) percentScript(src string) *PercentScript {
+	return newPercentScript(src, w.Interp.Compile)
+}
+
+func newPercentScript(src string, compile func(string) (*tcl.Script, error)) *PercentScript {
 	p := &PercentScript{Source: src}
 	static := true
 	start := 0
@@ -217,7 +225,7 @@ func NewPercentScript(src string) *PercentScript {
 	if static {
 		// A malformed script still compiles to an evaluable prefix that
 		// replays the parse error, so the compiled path is always safe.
-		p.compiled, _ = tcl.Compile(src)
+		p.compiled, _ = compile(src)
 	}
 	return p
 }

@@ -407,10 +407,10 @@ func (w *Wafe) registerConverters() {
 // scriptCallback wraps a Tcl script as an Xt callback. The script is
 // scanned for percent codes once, here; a static script is compiled
 // once too, so each invocation evaluates the cached parse directly,
-// while scripts with codes substitute per event and re-use the
-// interpreter's intern cache for the expanded text.
+// while scripts with codes substitute per event and evaluate the
+// expanded text, which the interpreter caches once it repeats.
 func (w *Wafe) scriptCallback(script string) xt.Callback {
-	ps := NewPercentScript(script)
+	ps := w.percentScript(script)
 	return xt.Callback{
 		Source:   script,
 		Compiled: ps,
@@ -456,11 +456,11 @@ func (w *Wafe) registerActions() {
 		if call := w.App.DispatchedCall(); call != nil {
 			ps, _ = call.Compiled.(*PercentScript)
 			if ps == nil {
-				ps = NewPercentScript(strings.Join(params, ","))
+				ps = w.percentScript(strings.Join(params, ","))
 				call.Compiled = ps
 			}
 		} else {
-			ps = NewPercentScript(strings.Join(params, ","))
+			ps = w.percentScript(strings.Join(params, ","))
 		}
 		var err error
 		if s := ps.Compiled(); s != nil {

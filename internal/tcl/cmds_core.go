@@ -140,7 +140,7 @@ func cmdIf(in *Interp, argv []string) (string, error) {
 			return "", err
 		}
 		if ok {
-			return in.EvalScript(in.compileCached(body))
+			return in.Eval(body)
 		}
 		if i >= len(argv) {
 			return "", nil
@@ -154,10 +154,10 @@ func cmdIf(in *Interp, argv []string) (string, error) {
 			if i >= len(argv) {
 				return "", NewError("wrong # args: no script following \"else\" argument")
 			}
-			return in.EvalScript(in.compileCached(argv[i]))
+			return in.Eval(argv[i])
 		default:
 			// Implicit else body.
-			return in.EvalScript(in.compileCached(argv[i]))
+			return in.Eval(argv[i])
 		}
 	}
 }
@@ -381,7 +381,7 @@ func cmdProc(in *Interp, argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p := &Proc{Name: name, Body: argv[3], compiled: compileScript(argv[3])}
+	p := &Proc{Name: name, Body: argv[3], compiled: in.bld.script(argv[3])}
 	for _, f := range formals {
 		parts, err := ParseList(f)
 		if err != nil {

@@ -14,9 +14,9 @@ import (
 // literal or reconstructible argument) compile to dedicated opcodes
 // that skip argv construction and the command table entirely.
 //
-// The compiler is purely syntactic and interpreter-independent, but
-// Programs are cached per interpreter (interp.progCache) because they
-// embed mutable inline dispatch caches.
+// The compiler is purely syntactic and interpreter-independent, but a
+// Program is stored with its Script for one interpreter (Script.owner)
+// because it embeds mutable inline dispatch caches.
 
 type op uint8
 
@@ -52,19 +52,12 @@ type dispatchCache struct {
 // loopInfo is the operand record of a specialized loop: the condition
 // compiled to a typed expression AST (evaluated directly each
 // iteration, skipping ExprBool's per-call source-cache lookup) and the
-// loop scripts pre-parsed (skipping the per-invocation script-cache
-// lookups the generic commands pay). init and next are nil for while.
+// loop scripts built with the Program, their own Programs included
+// (skipping the per-invocation script-cache lookups the generic
+// commands pay). init and next are nil for while.
 type loopInfo struct {
 	cond             exprNode
-	init, next, body loopScript
-}
-
-// loopScript is a loop's pre-parsed script together with its compiled
-// Program, resolved once at loop-compile time so iterations skip the
-// per-call Program cache lookup.
-type loopScript struct {
-	script *Script
-	prog   *Program
+	init, next, body *Script
 }
 
 // exprTemplate is a compiled multi-word expr: the AST of the
@@ -116,9 +109,9 @@ type Program struct {
 	// vrefs are per-site variable-pointer caches, parallel to names:
 	// the site that reads or writes names[i] validates vrefs[i] against
 	// the current frame id and the interpreter's variable epoch. A
-	// Program belongs to exactly one interpreter (progCache is
-	// per-interp), which is what makes frame ids — unique only within
-	// one interpreter — a sound cache key.
+	// Program belongs to exactly one interpreter (its Script's owner),
+	// which is what makes frame ids — unique only within one
+	// interpreter — a sound cache key.
 	vrefs []varRef
 
 	// nregs is the register window size: the maximum word count of any
@@ -126,44 +119,39 @@ type Program struct {
 	nregs int
 }
 
-// progCacheMax bounds the per-interpreter Script->Program cache; when
-// it fills (only plausible with the source intern cache disabled), the
-// whole map is dropped and rebuilt on demand.
-const progCacheMax = 1024
-
-// program returns the cached Program for s, compiling on first use.
+// program returns s's Program on this interpreter. A Script has one
+// owner: the first run of a Script from Compile, or of one that ran on
+// another interpreter, lowers it again for the interpreter running it.
 func (in *Interp) program(s *Script) *Program {
-	if p, ok := in.progCache[s]; ok {
-		return p
+	if s.owner != in || s.prog == nil {
+		s.owner, s.prog = in, in.bld.program(s)
 	}
-	if in.progCache == nil {
-		in.progCache = make(map[*Script]*Program, 64)
-	} else if len(in.progCache) >= progCacheMax {
-		in.progCache = make(map[*Script]*Program, 64)
-	}
-	p := in.compileProgram(s)
-	in.progCache[s] = p
-	return p
+	return s.prog
 }
 
-// compileProgram lowers every command of s. Specialized opcodes are
-// only emitted while set/incr/expr are known to be the builtins
-// (specialGen == specialBase); see the interp fields.
-func (in *Interp) compileProgram(s *Script) *Program {
-	p := &Program{script: s}
-	c := &progCompiler{in: in, p: p, specialize: in.specialGen == in.specialBase}
-	for _, cmd := range s.cmds {
-		c.compileCommand(cmd)
+// compileProgram lowers s into a new Program for this interpreter.
+func (in *Interp) compileProgram(s *Script) *Program { return in.bld.program(s) }
+
+// program lowers every command of s into a Program from b's storage.
+// Specialized opcodes are only emitted while set/incr/expr are known
+// to be the builtins (specialGen == specialBase); see the interp
+// fields.
+func (b *builder) program(s *Script) *Program {
+	p := b.newProgram(s)
+	c := progCompiler{b: b, p: p, specialize: b.in.specialGen == b.in.specialBase}
+	for i := range s.cmds {
+		c.compileCommand(&s.cmds[i])
 	}
-	p.vrefs = make([]varRef, len(p.names))
+	p.vrefs = append(p.vrefs, make([]varRef, len(p.names))...)
 	return p
 }
 
 type progCompiler struct {
-	// in is only used to pre-parse loop scripts through the shared
-	// script intern cache; compilation is otherwise
-	// interpreter-independent.
-	in         *Interp
+	// b builds the loop scripts of specialized loops, into the same
+	// storage as the Program; compilation is otherwise
+	// interpreter-independent. The recursion ends because a loop script
+	// is a strict substring of the command being compiled.
+	b          *builder
 	p          *Program
 	specialize bool
 }
@@ -318,7 +306,7 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 		if err != nil {
 			return reasonCondSyntax
 		}
-		c.p.loops = append(c.p.loops, loopInfo{cond: node, body: c.loopScript(bodySrc)})
+		c.p.loops = append(c.p.loops, loopInfo{cond: node, body: c.b.script(bodySrc)})
 		c.emit(insn{op: opWhile, a: int32(len(c.p.loops) - 1)})
 		return reasonNone
 	case "for":
@@ -339,23 +327,14 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 		}
 		c.p.loops = append(c.p.loops, loopInfo{
 			cond: node,
-			init: c.loopScript(initSrc),
-			next: c.loopScript(nextSrc),
-			body: c.loopScript(bodySrc),
+			init: c.b.script(initSrc),
+			next: c.b.script(nextSrc),
+			body: c.b.script(bodySrc),
 		})
 		c.emit(insn{op: opFor, a: int32(len(c.p.loops) - 1)})
 		return reasonNone
 	}
 	return reasonNoOpcode
-}
-
-// loopScript pre-parses a loop script and resolves its Program now,
-// so loop iterations pay neither cache lookup. Termination: a loop
-// script is a strict substring of the command being compiled, so the
-// recursive compile cannot revisit the script it was called for.
-func (c *progCompiler) loopScript(src string) loopScript {
-	s := c.in.compileCached(src)
-	return loopScript{script: s, prog: c.in.program(s)}
 }
 
 // compileGeneric emits one word instruction per word plus the dispatch

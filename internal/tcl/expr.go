@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -418,48 +419,19 @@ func applyFunc(name string, args []exprVal) (exprVal, error) {
 // parseQuotedWordForExpr parses a quoted word but allows arbitrary
 // following characters (expr context, not command context).
 func (p *parser) parseQuotedWordForExpr() (word, error) {
+	open := p.pos
 	p.pos++ // consume opening quote
-	var toks []token
-	var lit strings.Builder
-	flush := func() {
-		if lit.Len() > 0 {
-			toks = append(toks, token{kind: tokText, text: lit.String()})
-			lit.Reset()
-		}
+	base := len(p.b.toks)
+	err := p.gatherTokens('"')
+	if pe, ok := err.(*ParseError); ok && pe.Off == open {
+		// An unterminated operand is a syntax error of the expression,
+		// which CheckExpr places at the operand: drop the offset.
+		return word{}, errors.New(pe.Msg)
 	}
-	for !p.atEnd() {
-		c := p.peek()
-		switch c {
-		case '"':
-			p.pos++
-			flush()
-			return word{tokens: toks}, nil
-		case '\\':
-			s, err := p.parseBackslash()
-			if err != nil {
-				return word{}, err
-			}
-			lit.WriteString(s)
-		case '$':
-			flush()
-			t, err := p.parseVarToken()
-			if err != nil {
-				return word{}, err
-			}
-			toks = append(toks, t)
-		case '[':
-			flush()
-			t, err := p.parseCommandToken()
-			if err != nil {
-				return word{}, err
-			}
-			toks = append(toks, t)
-		default:
-			lit.WriteByte(c)
-			p.pos++
-		}
+	if err != nil {
+		return word{}, err
 	}
-	return word{}, fmt.Errorf("missing closing quote")
+	return word{tokens: p.b.carveTokens(base)}, nil
 }
 
 // parseBracedWordForExpr parses {literal} in expr context, returning the

@@ -111,7 +111,7 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	// nesting increment cannot unbound recursion.
 	if n.tmpl != nil && in.oracle == nil && in.prof == nil &&
 		in.nesting >= 1 && in.specialGen == in.specialBase {
-		v, _, err := in.execExprTmpl(n.tmpl, n.tcmd)
+		v, _, _, err := in.execExprTmpl(n.tmpl, n.tcmd)
 		if err != nil {
 			return exprVal{}, err
 		}
@@ -498,6 +498,14 @@ func (c *exprCompiler) fail(pre exprNode, err error) exprNode {
 	return &exprErrNode{pre: pre, err: te}
 }
 
+// parser returns a parser positioned at the compiler's offset, for the
+// operands that are Tcl words.
+func (c *exprCompiler) parser() *parser {
+	p := newParser(c.src)
+	p.pos = c.pos
+	return p
+}
+
 // compileExprAST compiles a full expression. On a syntax error,
 // trailing junk included, it returns the error together with a partial
 // tree whose evaluation raises it.
@@ -592,18 +600,16 @@ func (c *exprCompiler) compilePrimary() exprNode {
 		c.pos++
 		return n
 	case ch == '$':
-		p := &parser{src: c.src, pos: c.pos}
+		p := c.parser()
 		t, err := p.parseVarToken()
 		if err != nil {
 			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		if t.hasIdx {
-			compileWordTokens(t.index)
-		}
+		p.b.nested(t.index)
 		return &exprVarNode{tok: t}
 	case ch == '[':
-		p := &parser{src: c.src, pos: c.pos}
+		p := c.parser()
 		t, err := p.parseCommandToken()
 		if err != nil {
 			return c.fail(nil, err)
@@ -611,13 +617,13 @@ func (c *exprCompiler) compilePrimary() exprNode {
 		c.pos = p.pos
 		return &exprCmdNode{script: compileScript(t.text)}
 	case ch == '"':
-		p := &parser{src: c.src, pos: c.pos}
+		p := c.parser()
 		w, err := p.parseQuotedWordForExpr()
 		if err != nil {
 			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		compileWordTokens(w.tokens)
+		p.b.nested(w.tokens)
 		if len(w.tokens) == 0 {
 			return &exprLit{v: strVal("")}
 		}
@@ -626,7 +632,7 @@ func (c *exprCompiler) compilePrimary() exprNode {
 		}
 		return &exprQuotedNode{w: w}
 	case ch == '{':
-		p := &parser{src: c.src, pos: c.pos}
+		p := c.parser()
 		s, err := p.parseBracedWordForExpr()
 		if err != nil {
 			return c.fail(nil, err)

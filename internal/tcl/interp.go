@@ -161,10 +161,12 @@ type Interp struct {
 	// currently-propagating error.
 	errorUnwinding bool
 
-	// scriptCache interns compiled scripts by source string, so that
+	// scriptCache holds compiled scripts by source string, so that
 	// repeatedly evaluated callbacks and bodies compile once. A nil
-	// cache disables interning (SetScriptCacheSize(0)).
+	// cache disables it (SetScriptCacheSize(0)). seen is its admission
+	// table: the hashes of sources Eval has seen once (script.go).
 	scriptCache *lruCache
+	seen        [1 << seenBits]uint64
 	// exprCache interns compiled expression ASTs by source string.
 	exprCache *lruCache
 
@@ -207,10 +209,10 @@ type Interp struct {
 	specialGen  uint64
 	specialBase uint64
 
-	// progCache maps compiled Scripts to their bytecode Programs. It is
-	// per-interpreter (Programs embed interpreter-local inline caches)
-	// and is flushed wholesale when it grows past progCacheMax.
-	progCache map[*Script]*Program
+	// bld builds the Scripts this interpreter keeps; scratchPool holds
+	// the compile storage of first sightings (builder.go).
+	bld         builder
+	scratchPool []*scratch
 
 	// framePool and regPool recycle proc call frames and VM register
 	// files (arena-style: grab on entry, release on exit).
@@ -270,6 +272,7 @@ func New() *Interp {
 		scriptCache: newLRUCache(defaultScriptCacheSize),
 		exprCache:   newLRUCache(defaultExprCacheSize),
 	}
+	in.bld.in = in
 	in.Stdout = func(line string) {
 		in.output.WriteString(line)
 		in.output.WriteByte('\n')
@@ -390,41 +393,6 @@ func (in *Interp) getVarInFrame(f *frame, name string) (string, error) {
 	return v.val.String(), nil
 }
 
-// lookupScalar returns the typed value of a plain scalar variable in
-// the current frame. ok is false for missing variables and arrays —
-// callers fall back to the string path, which raises the classic
-// errors.
-func (in *Interp) lookupScalar(name string) (Value, bool) {
-	v, ok := in.currentFrame().vars[name]
-	if !ok {
-		return Value{}, false
-	}
-	v = v.resolve()
-	if v.isArray {
-		return Value{}, false
-	}
-	return v.val, true
-}
-
-// setScalarValue stores a typed value into a plain scalar variable
-// (name must not use the name(index) array form). Floats are
-// normalized on store so the typed engine matches the string engine's
-// format-and-reparse round trip.
-func (in *Interp) setScalarValue(name string, val Value) error {
-	f := in.currentFrame()
-	v, ok := f.vars[name]
-	if !ok {
-		v = &variable{}
-		f.vars[name] = v
-	}
-	v = v.resolve()
-	if v.isArray {
-		return NewError("can't set %q: variable is array", name)
-	}
-	v.val = normFloat(val)
-	return nil
-}
-
 // incrVar adds delta to an integer variable, creating it at 0 like the
 // incr command always has. The typed path avoids the parse/format
 // round trip when the variable already holds a machine integer.
@@ -500,9 +468,11 @@ func (in *Interp) cachedScalar(ref *varRef, name string) (*variable, bool) {
 	return rv, true
 }
 
-// setScalarRef is setScalarValue through a varRef cache. A hit writes
-// straight through the cached pointer; the miss path replicates
-// setScalarValue (including creation) and fills the cache.
+// setScalarRef stores a typed value into a plain scalar variable
+// through a varRef cache, creating the variable when it is missing.
+// Floats are normalized on store so the typed engine matches the
+// string engine's format-and-reparse round trip. A hit writes straight
+// through the cached pointer; a miss fills the cache.
 func (in *Interp) setScalarRef(ref *varRef, name string, val Value) error {
 	f := in.currentFrame()
 	if ref.frameID == f.id && ref.epoch == in.varEpoch {
@@ -662,13 +632,6 @@ func (in *Interp) linkVar(target *frame, name, localName string) error {
 	return nil
 }
 
-// Eval evaluates a script and returns the result of its last command.
-// The script is compiled once and interned, so evaluating the same
-// source again (callback fires, loop bodies) skips the parser.
-func (in *Interp) Eval(script string) (string, error) {
-	return in.EvalScript(in.compileCached(script))
-}
-
 // EvalWords invokes a command given pre-substituted words, bypassing the
 // parser. Used by the Wafe layer for callbacks built programmatically.
 func (in *Interp) EvalWords(argv []string) (string, error) {
@@ -756,11 +719,7 @@ func (in *Interp) Subst(s string) (string, error) {
 		c := p.peek()
 		switch c {
 		case '\\':
-			r, err := p.parseBackslash()
-			if err != nil {
-				return "", &Error{Code: CodeError, Value: err.Error()}
-			}
-			b.WriteString(r)
+			b.WriteString(p.parseBackslash())
 		case '$':
 			t, err := p.parseVarToken()
 			if err != nil {
@@ -895,7 +854,7 @@ func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 		in.releaseFrame(f)
 	}()
 	if p.compiled == nil {
-		p.compiled = compileScript(p.Body)
+		p.compiled = in.bld.script(p.Body)
 	}
 	res, err := in.EvalScript(p.compiled)
 	if err != nil {

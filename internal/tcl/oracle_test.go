@@ -14,25 +14,44 @@ import (
 // results, error strings, accumulated output, errorInfo tracebacks,
 // and the final global variable state.
 
-// oracleRun evaluates src on a fresh interpreter, on the tree walker
-// when tree is set and on the VM otherwise, and reports everything an
-// engine difference could show up in.
-func oracleRun(tree bool, src string) (result, errstr, out, errorInfo, vars string) {
+// oracleObs is everything an engine difference could show up in, for
+// one evaluation.
+type oracleObs struct {
+	result, errstr, out, errorInfo, vars string
+}
+
+// oracleRuns evaluates src three times on one fresh interpreter, on the
+// tree walker when tree is set and on the VM otherwise, and reports each
+// run. The runs take every script-cache path in turn: a first sighting
+// compiled into scratch storage, the admission on the second sighting,
+// and a cache hit.
+func oracleRuns(tree bool, src string) [3]oracleObs {
 	in := New()
 	if tree {
 		in.UseTreeWalker()
 	}
+	var obs [3]oracleObs
+	for i := range obs {
+		obs[i] = oracleEval(in, src)
+	}
+	return obs
+}
+
+// oracleEval evaluates src on in and observes the run.
+func oracleEval(in *Interp, src string) oracleObs {
 	res, err := in.Eval(src)
-	result = res
+	o := oracleObs{result: res, out: in.Output(), vars: globalVarDump(in)}
 	if err != nil {
-		errstr = err.Error()
+		o.errstr = err.Error()
 	}
-	out = in.Output()
-	if info, e := in.Eval("set errorInfo"); e == nil {
-		errorInfo = info
-	}
-	vars = globalVarDump(in)
-	return
+	o.errorInfo, _ = in.GetGlobalVar("errorInfo")
+	return o
+}
+
+// oracleRun reports the first run of oracleRuns.
+func oracleRun(tree bool, src string) (result, errstr, out, errorInfo, vars string) {
+	o := oracleRuns(tree, src)[0]
+	return o.result, o.errstr, o.out, o.errorInfo, o.vars
 }
 
 // globalVarDump renders the global frame's variables in sorted order:
@@ -57,25 +76,34 @@ func globalVarDump(in *Interp) string {
 	return strings.Join(lines, "\n")
 }
 
-// oracleCheck runs src under both engines and reports any divergence.
+// oracleCheck runs src under both engines and reports any divergence,
+// in any of the three runs.
 func oracleCheck(t *testing.T, src string) {
 	t.Helper()
-	tr, te, tout, tinfo, tvars := oracleRun(true, src)
-	br, be, bout, binfo, bvars := oracleRun(false, src)
-	if tr != br {
-		t.Errorf("script %q: results differ\ntree:     %q\nbytecode: %q", src, tr, br)
+	tree, vm := oracleRuns(true, src), oracleRuns(false, src)
+	for i := range tree {
+		oracleCompare(t, fmt.Sprintf("script %q, run %d", src, i+1), tree[i], vm[i])
 	}
-	if te != be {
-		t.Errorf("script %q: errors differ\ntree:     %q\nbytecode: %q", src, te, be)
+}
+
+// oracleCompare reports every difference between a tree-walker and a
+// VM observation.
+func oracleCompare(t *testing.T, what string, tr, br oracleObs) {
+	t.Helper()
+	if tr.result != br.result {
+		t.Errorf("%s: results differ\ntree:     %q\nbytecode: %q", what, tr.result, br.result)
 	}
-	if tout != bout {
-		t.Errorf("script %q: output differs\ntree:     %q\nbytecode: %q", src, tout, bout)
+	if tr.errstr != br.errstr {
+		t.Errorf("%s: errors differ\ntree:     %q\nbytecode: %q", what, tr.errstr, br.errstr)
 	}
-	if tinfo != binfo {
-		t.Errorf("script %q: errorInfo differs\ntree:\n%s\nbytecode:\n%s", src, tinfo, binfo)
+	if tr.out != br.out {
+		t.Errorf("%s: output differs\ntree:     %q\nbytecode: %q", what, tr.out, br.out)
 	}
-	if tvars != bvars {
-		t.Errorf("script %q: global variables differ\ntree:\n%s\nbytecode:\n%s", src, tvars, bvars)
+	if tr.errorInfo != br.errorInfo {
+		t.Errorf("%s: errorInfo differs\ntree:\n%s\nbytecode:\n%s", what, tr.errorInfo, br.errorInfo)
+	}
+	if tr.vars != br.vars {
+		t.Errorf("%s: global variables differ\ntree:\n%s\nbytecode:\n%s", what, tr.vars, br.vars)
 	}
 }
 
@@ -143,6 +171,9 @@ func TestOracleEngineSweep(t *testing.T) {
 		{"while-cond-error", "set i 0; catch {while {$i <} {incr i}} m; set m"},
 		{"for-body-error", "catch {for {set i 0} {$i < 3} {incr i} {error boom$i}} m; set m"},
 		{"while-body-error-info", "proc p {} {set i 0; while {$i < 3} {incr i; badcmd}}\ncatch p m; set m"},
+		// A command name that substitutes to the empty string is still
+		// invoked: at the top level errorInfo ends in `while executing ""`.
+		{"empty-command-name", "set e {}; $e"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { oracleCheck(t, c.src) })

@@ -9,19 +9,25 @@
 // core: RegisterCommand, Eval, SetVar/GetVar and list helpers.
 package tcl
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// A parser walks a script one command at a time. The parser's output
-// (the command/word/token lists) is wrapped by Script (script.go) so
-// that a source string compiles once and evaluates many times, in the
-// spirit of the Tcl 7→8 transition; substitution still happens at
-// evaluation time, keeping values strings throughout.
+// A parser walks a script one command at a time. Its output is
+// wrapped by Script (script.go) so that a source string compiles once
+// and evaluates many times, in the spirit of the Tcl 7→8 transition;
+// substitution still happens at evaluation time, keeping values
+// strings throughout. The parser gathers a command's words, and a
+// word's tokens, on its builder's stacks, then stores them in exactly
+// sized slices (builder.go). A literal token's text is a substring of
+// the source unless a backslash escape occurs in it.
 type parser struct {
 	src string
 	pos int
+	b   *builder
+	// lit is the source offset where the literal run being gathered
+	// starts, -1 for none; escaped reports that a backslash escape
+	// moved the run's text into b.esc.
+	lit     int
+	escaped bool
 }
 
 // word is one parsed word of a command before substitution. Words are
@@ -106,7 +112,8 @@ type parsedCommand struct {
 	words []word
 }
 
-func newParser(src string) *parser { return &parser{src: src} }
+// newParser returns a parser for src whose output is stored on the heap.
+func newParser(src string) *parser { return &parser{src: src, b: &builder{}} }
 
 func (p *parser) atEnd() bool { return p.pos >= len(p.src) }
 
@@ -161,54 +168,53 @@ func (p *parser) skipWordSeparators() (commandEnded bool) {
 	return true
 }
 
-// nextCommand parses the next command from the script. It returns nil
+// nextCommand parses the next command from the script. ok is false
 // when the script is exhausted.
-func (p *parser) nextCommand() (*parsedCommand, error) {
-	p.skipCommandSeparators()
-	if p.atEnd() {
-		return nil, nil
-	}
-	cmd := &parsedCommand{}
+func (p *parser) nextCommand() (cmd parsedCommand, ok bool, err error) {
 	for {
-		if ended := p.skipWordSeparators(); ended {
-			// Consume the terminator itself (if any).
-			if !p.atEnd() && (p.peek() == '\n' || p.peek() == ';' || p.peek() == '\r') {
-				p.pos++
+		p.skipCommandSeparators()
+		if p.atEnd() {
+			return parsedCommand{}, false, nil
+		}
+		base := len(p.b.words)
+		for {
+			if ended := p.skipWordSeparators(); ended {
+				// Consume the terminator itself (if any).
+				if !p.atEnd() && (p.peek() == '\n' || p.peek() == ';' || p.peek() == '\r') {
+					p.pos++
+				}
+				break
 			}
-			break
+			w, err := p.parseWord()
+			if err != nil {
+				return parsedCommand{}, false, err
+			}
+			p.b.words = append(p.b.words, w)
 		}
-		w, err := p.parseWord()
-		if err != nil {
-			return nil, err
+		if len(p.b.words) > base {
+			return parsedCommand{words: p.b.carveWords(base)}, true, nil
 		}
-		cmd.words = append(cmd.words, w)
 	}
-	if len(cmd.words) == 0 {
-		return p.nextCommand()
-	}
-	return cmd, nil
 }
 
 func (p *parser) parseWord() (word, error) {
-	start := p.pos
-	var w word
+	w := word{pos: p.pos}
+	base := len(p.b.toks)
 	var err error
-	var form byte
 	switch p.peek() {
 	case '{':
-		form = '{'
-		w, err = p.parseBracedWord()
+		w.form = '{'
+		err = p.parseBracedWord()
 	case '"':
-		form = '"'
-		w, err = p.parseQuotedWord()
+		w.form = '"'
+		err = p.parseQuotedWord()
 	default:
-		w, err = p.parseBareWord()
+		err = p.gatherTokens(0)
 	}
 	if err != nil {
 		return word{}, err
 	}
-	w.pos = start
-	w.form = form
+	w.tokens = p.b.carveTokens(base)
 	return w, nil
 }
 
@@ -216,7 +222,7 @@ func (p *parser) parseWord() (word, error) {
 // literal except that backslash-newline inside braces is preserved
 // verbatim per Tcl semantics (substitution happens later if the word is
 // used as a script).
-func (p *parser) parseBracedWord() (word, error) {
+func (p *parser) parseBracedWord() error {
 	open := p.pos
 	start := p.pos + 1
 	depth := 0
@@ -230,180 +236,169 @@ func (p *parser) parseBracedWord() (word, error) {
 		case '}':
 			depth--
 			if depth == 0 {
-				w := word{tokens: []token{{kind: tokText, text: p.src[start:i], pos: start}}}
+				p.b.toks = append(p.b.toks, token{kind: tokText, text: p.src[start:i], pos: start})
 				p.pos = i + 1
 				if !p.atEnd() {
 					c := p.peek()
 					if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' && !(c == '\\' && p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n') {
-						return word{}, p.errAt(p.pos, "extra characters after close-brace")
+						return p.errAt(p.pos, "extra characters after close-brace")
 					}
 				}
-				return w, nil
+				return nil
 			}
 		}
 		i++
 	}
-	return word{}, p.errAt(open, "missing close-brace")
+	return p.errAt(open, "missing close-brace")
 }
 
-func (p *parser) parseQuotedWord() (word, error) {
-	open := p.pos
+func (p *parser) parseQuotedWord() error {
 	p.pos++ // consume opening quote
-	var toks []token
-	var lit strings.Builder
-	litStart := p.pos
-	flush := func() {
-		if lit.Len() > 0 {
-			toks = append(toks, token{kind: tokText, text: lit.String(), pos: litStart})
-			lit.Reset()
+	if err := p.gatherTokens('"'); err != nil {
+		return err
+	}
+	if !p.atEnd() {
+		c := p.peek()
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' {
+			return p.errAt(p.pos, "extra characters after close-quote")
 		}
 	}
+	return nil
+}
+
+// gatherTokens pushes the tokens of one word onto the token stack, up
+// to the end its form sets: a word separator or command end for a bare
+// word (0), the closing quote of a quoted word ('"', whose opening
+// quote the caller consumed), or the ')' balancing the '(' of an array
+// index (')', likewise). The caller carves the tokens out.
+func (p *parser) gatherTokens(form byte) error {
+	open := p.pos - 1
+	p.lit, p.escaped = -1, false
+	depth := 1
 	for !p.atEnd() {
-		c := p.peek()
+		c := p.src[p.pos]
 		switch c {
+		case ' ', '\t', '\n', '\r', ';':
+			if form == 0 {
+				p.flushLit()
+				return nil
+			}
+			p.litByte()
+		case '\\':
+			if form == 0 && p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n' {
+				p.flushLit()
+				return nil
+			}
+			if p.lit < 0 {
+				p.lit = p.pos
+			}
+			if !p.escaped {
+				p.b.esc = append(p.b.esc[:0], p.src[p.lit:p.pos]...)
+				p.escaped = true
+			}
+			p.b.esc = append(p.b.esc, p.parseBackslash()...)
+		case '$', '[':
+			p.flushLit()
+			var t token
+			var err error
+			if c == '$' {
+				t, err = p.parseVarToken()
+			} else {
+				t, err = p.parseCommandToken()
+			}
+			if err != nil {
+				return err
+			}
+			p.b.toks = append(p.b.toks, t)
 		case '"':
-			p.pos++
-			flush()
-			if !p.atEnd() {
-				c := p.peek()
-				if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' {
-					return word{}, p.errAt(p.pos, "extra characters after close-quote")
+			if form == '"' {
+				p.flushLit()
+				p.pos++
+				return nil
+			}
+			p.litByte()
+		case '(', ')':
+			if form == ')' {
+				if c == '(' {
+					depth++
+				} else if depth--; depth == 0 {
+					p.flushLit()
+					p.pos++
+					return nil
 				}
 			}
-			return word{tokens: toks}, nil
-		case '\\':
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			s, err := p.parseBackslash()
-			if err != nil {
-				return word{}, err
-			}
-			lit.WriteString(s)
-		case '$':
-			flush()
-			t, err := p.parseVarToken()
-			if err != nil {
-				return word{}, err
-			}
-			toks = append(toks, t)
-			litStart = p.pos
-		case '[':
-			flush()
-			t, err := p.parseCommandToken()
-			if err != nil {
-				return word{}, err
-			}
-			toks = append(toks, t)
-			litStart = p.pos
+			p.litByte()
 		default:
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			lit.WriteByte(c)
-			p.pos++
+			p.litByte()
 		}
 	}
-	return word{}, p.errAt(open, "missing closing quote")
+	switch form {
+	case '"':
+		return p.errAt(open, "missing closing quote")
+	case ')':
+		return p.errAt(open, "missing )")
+	}
+	p.flushLit()
+	return nil
 }
 
-func (p *parser) parseBareWord() (word, error) {
-	var toks []token
-	var lit strings.Builder
-	litStart := p.pos
-	flush := func() {
-		if lit.Len() > 0 {
-			toks = append(toks, token{kind: tokText, text: lit.String(), pos: litStart})
-			lit.Reset()
-		}
+// litByte adds the source byte at p.pos to the literal run.
+func (p *parser) litByte() {
+	if p.lit < 0 {
+		p.lit = p.pos
+	} else if p.escaped {
+		p.b.esc = append(p.b.esc, p.src[p.pos])
 	}
-	for !p.atEnd() {
-		c := p.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';':
-			flush()
-			return word{tokens: toks}, nil
-		case c == '\\':
-			if p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n' {
-				flush()
-				return word{tokens: toks}, nil
-			}
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			s, err := p.parseBackslash()
-			if err != nil {
-				return word{}, err
-			}
-			lit.WriteString(s)
-		case c == '$':
-			flush()
-			t, err := p.parseVarToken()
-			if err != nil {
-				return word{}, err
-			}
-			toks = append(toks, t)
-			litStart = p.pos
-		case c == '[':
-			flush()
-			t, err := p.parseCommandToken()
-			if err != nil {
-				return word{}, err
-			}
-			toks = append(toks, t)
-			litStart = p.pos
-		case c == '{':
-			// An open brace inside a bare word is literal in Tcl.
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			lit.WriteByte(c)
-			p.pos++
-		default:
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			lit.WriteByte(c)
-			p.pos++
-		}
+	p.pos++
+}
+
+// flushLit ends the literal run, if any, pushing it as a text token.
+func (p *parser) flushLit() {
+	if p.lit < 0 {
+		return
 	}
-	flush()
-	return word{tokens: toks}, nil
+	text := p.src[p.lit:p.pos]
+	if p.escaped {
+		text = string(p.b.esc)
+		p.escaped = false
+	}
+	p.b.toks = append(p.b.toks, token{kind: tokText, text: text, pos: p.lit})
+	p.lit = -1
 }
 
 // parseBackslash interprets a backslash escape starting at p.pos
 // (pointing at the backslash) and returns the replacement text.
-func (p *parser) parseBackslash() (string, error) {
+func (p *parser) parseBackslash() string {
 	p.pos++ // consume backslash
 	if p.atEnd() {
-		return "\\", nil
+		return "\\"
 	}
 	c := p.peek()
 	p.pos++
 	switch c {
 	case 'a':
-		return "\a", nil
+		return "\a"
 	case 'b':
-		return "\b", nil
+		return "\b"
 	case 'f':
-		return "\f", nil
+		return "\f"
 	case 'n':
-		return "\n", nil
+		return "\n"
 	case 'r':
-		return "\r", nil
+		return "\r"
 	case 't':
-		return "\t", nil
+		return "\t"
 	case 'v':
-		return "\v", nil
+		return "\v"
 	case '\n':
 		// Backslash-newline plus following whitespace collapses to one space.
 		for !p.atEnd() && (p.peek() == ' ' || p.peek() == '\t') {
 			p.pos++
 		}
-		return " ", nil
-	case 'x':
+		return " "
+	case 'x', 'u':
 		var n, digits int
-		for !p.atEnd() && digits < 2 {
+		for !p.atEnd() && (digits < 2 || c == 'u' && digits < 4) {
 			d := hexVal(p.peek())
 			if d < 0 {
 				break
@@ -413,24 +408,9 @@ func (p *parser) parseBackslash() (string, error) {
 			p.pos++
 		}
 		if digits == 0 {
-			return "x", nil
+			return string(c)
 		}
-		return string(rune(n)), nil
-	case 'u':
-		var n, digits int
-		for !p.atEnd() && digits < 4 {
-			d := hexVal(p.peek())
-			if d < 0 {
-				break
-			}
-			n = n*16 + d
-			digits++
-			p.pos++
-		}
-		if digits == 0 {
-			return "u", nil
-		}
-		return string(rune(n)), nil
+		return string(rune(n))
 	case '0', '1', '2', '3', '4', '5', '6', '7':
 		n := int(c - '0')
 		digits := 1
@@ -439,9 +419,9 @@ func (p *parser) parseBackslash() (string, error) {
 			digits++
 			p.pos++
 		}
-		return string(rune(n)), nil
+		return string(rune(n))
 	default:
-		return string(c), nil
+		return string(c)
 	}
 }
 
@@ -489,73 +469,15 @@ func (p *parser) parseVarToken() (token, error) {
 		// A lone dollar sign is literal.
 		return token{kind: tokText, text: "$", pos: dollar}, nil
 	}
-	name := p.src[start:p.pos]
-	t := token{kind: tokVar, text: name, pos: dollar}
+	t := token{kind: tokVar, text: p.src[start:p.pos], pos: dollar}
 	if !p.atEnd() && p.peek() == '(' {
 		p.pos++
-		idxStart := p.pos
-		depth := 1
-		var idx []token
-		var lit strings.Builder
-		litStart := p.pos
-		flush := func() {
-			if lit.Len() > 0 {
-				idx = append(idx, token{kind: tokText, text: lit.String(), pos: litStart})
-				lit.Reset()
-			}
+		base := len(p.b.toks)
+		if err := p.gatherTokens(')'); err != nil {
+			return token{}, err
 		}
-		for !p.atEnd() {
-			c := p.peek()
-			switch c {
-			case '(':
-				depth++
-				lit.WriteByte(c)
-				p.pos++
-			case ')':
-				depth--
-				if depth == 0 {
-					p.pos++
-					flush()
-					t.index = idx
-					t.hasIdx = true
-					return t, nil
-				}
-				lit.WriteByte(c)
-				p.pos++
-			case '$':
-				flush()
-				sub, err := p.parseVarToken()
-				if err != nil {
-					return token{}, err
-				}
-				idx = append(idx, sub)
-				litStart = p.pos
-			case '[':
-				flush()
-				sub, err := p.parseCommandToken()
-				if err != nil {
-					return token{}, err
-				}
-				idx = append(idx, sub)
-				litStart = p.pos
-			case '\\':
-				if lit.Len() == 0 {
-					litStart = p.pos
-				}
-				s, err := p.parseBackslash()
-				if err != nil {
-					return token{}, err
-				}
-				lit.WriteString(s)
-			default:
-				if lit.Len() == 0 {
-					litStart = p.pos
-				}
-				lit.WriteByte(c)
-				p.pos++
-			}
-		}
-		return token{}, p.errAt(idxStart-1, "missing )")
+		t.index = p.b.carveTokens(base)
+		t.hasIdx = true
 	}
 	return t, nil
 }

@@ -46,15 +46,15 @@ func (in *Interp) SetTrace(t *obs.Trace) { in.trace = t }
 // the call) and charges the remainder as self time to the command's
 // site "<cmd>@<proc>:<line>". A dispatch that fails before invoking a
 // command (a fallback path's word substitution) records no site.
-func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, string, error) {
+func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, string, bool, error) {
 	last := c.end - 1
-	if _, _, err := in.execCmd(p, c, p.insns[c.start:last], regs); err != nil {
-		return Value{}, "", err
+	if _, _, _, err := in.execCmd(p, c, p.insns[c.start:last], regs); err != nil {
+		return Value{}, "", false, err
 	}
 	prof := in.prof
 	in.profCmdChild = append(in.profCmdChild, 0)
 	start := time.Now()
-	res, name, err := in.execCmd(p, c, p.insns[last:c.end], regs)
+	res, name, invoked, err := in.execCmd(p, c, p.insns[last:c.end], regs)
 	dur := time.Since(start)
 	// The stacks may have been cleared under us when the dispatched
 	// command was profileOff itself (SetProfiler(nil) drops them);
@@ -67,7 +67,7 @@ func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, stri
 			in.profCmdChild[n-1] += int64(dur)
 		}
 	}
-	if name != "" && prof != nil {
+	if invoked && prof != nil {
 		proc := "<top>"
 		if f := in.currentFrame(); f.proc != nil {
 			proc = f.proc.Name
@@ -75,7 +75,7 @@ func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, stri
 		site := name + "@" + proc + ":" + strconv.Itoa(p.line(c))
 		prof.AddCommand(site, max(dur-child, 0), dur)
 	}
-	return res, name, err
+	return res, name, invoked, err
 }
 
 // line returns the 1-based line of command c in the Program's script

@@ -1,7 +1,6 @@
 package tcl
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -9,23 +8,24 @@ import (
 )
 
 // This file adds the Tcl 7→8 style "compile once, evaluate many"
-// pipeline. A Script is the parser's command/word/token list, produced
-// once and reusable across evaluations; Eval becomes compile+eval with
-// an LRU intern cache keyed by the source string. Values remain
+// pipeline. A Script is the parser's command/word/token list, and it
+// carries the Program it was lowered into (compile.go). Eval runs a
+// source it has seen before from an LRU cache keyed by the source
+// string; see Interp.Eval for which sources enter it. Values remain
 // strings throughout — compilation only amortizes tokenization, it
 // never introduces a second value representation, so the string-only
 // semantics Wafe relies on are untouched.
 
-// Script is an immutable compiled script: the sequence of parsed
-// commands produced by the parser. A Script may be evaluated any
-// number of times, on any interpreter; command names are resolved at
+// Script is a compiled script: the sequence of parsed commands produced
+// by the parser, and the Program they were lowered into. A Script may
+// be evaluated any number of times; command names are resolved at
 // invocation time, so redefining or renaming a proc between
 // evaluations behaves exactly as it would with re-parsed source.
 type Script struct {
 	// Source is the script text the Script was compiled from.
 	Source string
 
-	cmds []*parsedCommand
+	cmds []parsedCommand
 
 	// parseErr records the parse error that terminated compilation, if
 	// any. The commands preceding the error are kept so that evaluation
@@ -35,6 +35,12 @@ type Script struct {
 	// parseErrOff is the byte offset of the parse error in Source
 	// (valid only when parseErr != nil).
 	parseErrOff int
+
+	// prog is the Program the Script was lowered into for owner, the
+	// one interpreter that runs it: Programs hold that interpreter's
+	// inline caches (see Interp.program).
+	owner *Interp
+	prog  *Program
 }
 
 // ParseErrorInfo reports the parse error recorded on the script, if
@@ -52,51 +58,8 @@ func (s *Script) ParseErrorInfo() (msg string, line, col int, ok bool) {
 	return msg, line, col, true
 }
 
-// compileScript parses src into a Script. It never fails: a parse
-// error is recorded on the Script and replayed at evaluation time,
-// after the commands that precede it have run (matching the
-// incremental evaluator, which only discovers a parse error once
-// evaluation reaches the malformed command).
-func compileScript(src string) *Script {
-	s := &Script{Source: src}
-	p := newParser(src)
-	for {
-		cmd, err := p.nextCommand()
-		if err != nil {
-			msg := err.Error()
-			if pe, ok := err.(*ParseError); ok {
-				s.parseErrOff = pe.Off
-				line, col := LineCol(src, pe.Off)
-				msg = fmt.Sprintf("%s (line %d, column %d)", msg, line, col)
-			}
-			s.parseErr = &Error{Code: CodeError, Value: msg}
-			return s
-		}
-		if cmd == nil {
-			return s
-		}
-		for i := range cmd.words {
-			compileWordTokens(cmd.words[i].tokens)
-		}
-		s.cmds = append(s.cmds, cmd)
-	}
-}
-
-// compileWordTokens eagerly compiles the nested [script] substitutions
-// of a word so that evaluation never re-parses them.
-func compileWordTokens(toks []token) {
-	for i := range toks {
-		t := &toks[i]
-		switch t.kind {
-		case tokCommand:
-			t.script = compileScript(t.text)
-		case tokVar:
-			if t.hasIdx {
-				compileWordTokens(t.index)
-			}
-		}
-	}
-}
+// compileScript parses src into a Script on the heap, with no owner.
+func compileScript(src string) *Script { return (&builder{}).script(src) }
 
 // Compile parses src into a reusable Script. When src is malformed the
 // returned Script is still evaluable — it runs the well-formed prefix
@@ -104,7 +67,18 @@ func compileWordTokens(toks []token) {
 // would — and the error is also returned for callers that want to
 // reject bad scripts up front.
 func Compile(src string) (*Script, error) {
-	s := compileScript(src)
+	return scriptErr(compileScript(src))
+}
+
+// Compile is the package Compile for a Script that this interpreter
+// owns: it is lowered into its Program now, so a callback or timeout
+// compiled when it is registered pays neither step when it fires. The
+// Script is not cached.
+func (in *Interp) Compile(src string) (*Script, error) {
+	return scriptErr(in.bld.script(src))
+}
+
+func scriptErr(s *Script) (*Script, error) {
 	if s.parseErr != nil {
 		return s, s.parseErr
 	}
@@ -114,9 +88,10 @@ func Compile(src string) (*Script, error) {
 // IsComplete reports whether the script parsed without error.
 func (s *Script) IsComplete() bool { return s.parseErr == nil }
 
-// maxCachedSrcLen bounds the size of sources kept in the intern cache;
-// larger scripts (generated programs, file contents) compile fresh so
-// a single entry cannot dominate the cache's memory.
+// maxCachedSrcLen bounds the size of sources kept in the script cache
+// or compiled into a scratch; larger scripts (generated programs, file
+// contents) compile onto the heap and are dropped after the run, so a
+// single source cannot dominate the cache's or a scratch's memory.
 const maxCachedSrcLen = 64 * 1024
 
 const (
@@ -233,24 +208,89 @@ func (in *Interp) ScriptCacheLen() int {
 	return in.scriptCache.len()
 }
 
-// compileCached returns the interned Script for src, compiling it on a
-// cache miss.
+// compileCached returns the cached Script for src, compiling and
+// caching it on a miss. The builtins that run a body many times within
+// one call (foreach, time, the generic while and for) cache it on first
+// use; everything else goes through Eval's admission.
 func (in *Interp) compileCached(src string) *Script {
 	if in.scriptCache == nil || len(src) > maxCachedSrcLen {
-		return compileScript(src)
+		return in.bld.script(src)
 	}
-	if v, ok := in.scriptCache.get(src); ok {
-		if m := in.obs; m != nil {
-			m.ScriptCacheHits.Inc()
-		}
-		return v.(*Script)
+	if s, ok := in.lookup(src); ok {
+		return s
 	}
-	if m := in.obs; m != nil {
-		m.ScriptCacheMisses.Inc()
-	}
-	s := compileScript(src)
+	s := in.bld.script(src)
 	in.scriptCache.put(src, s)
 	return s
+}
+
+// lookup returns the cached Script for src and counts the hit or miss.
+func (in *Interp) lookup(src string) (*Script, bool) {
+	v, ok := in.scriptCache.get(src)
+	if m := in.obs; m != nil {
+		if ok {
+			m.ScriptCacheHits.Inc()
+		} else {
+			m.ScriptCacheMisses.Inc()
+		}
+	}
+	s, _ := v.(*Script)
+	return s, ok
+}
+
+// seenBits sizes the admission table (Interp.seen): 1<<seenBits
+// source hashes.
+const seenBits = 10
+
+// Eval evaluates a script and returns the result of its last command.
+// A source in the script cache runs from it. Any other source is
+// compiled; it enters the cache only on its second sighting, which the
+// admission table records by source hash. A first sighting is compiled
+// into a scratch from the interpreter's pool, run, and forgotten. A
+// hash collision only admits a source early.
+func (in *Interp) Eval(src string) (string, error) {
+	if len(src) > maxCachedSrcLen {
+		return in.EvalScript(in.bld.script(src))
+	}
+	if in.scriptCache == nil {
+		return in.evalFirst(src)
+	}
+	if s, ok := in.lookup(src); ok {
+		return in.EvalScript(s)
+	}
+	h := sourceHash(src)
+	if slot := &in.seen[h>>(64-seenBits)]; *slot != h {
+		*slot = h
+		return in.evalFirst(src)
+	}
+	s := in.bld.script(src)
+	in.scriptCache.put(src, s)
+	return in.EvalScript(s)
+}
+
+// evalFirst compiles src into a scratch, runs it and releases the
+// scratch. The result is a Value copied out of the run, so nothing
+// refers into the scratch once it is reused.
+func (in *Interp) evalFirst(src string) (string, error) {
+	sc := in.takeScratch()
+	v, err := in.evalScriptV(sc.b.script(src))
+	in.releaseScratch(sc)
+	return v.String(), err
+}
+
+// sourceHash is 64-bit FNV-1a over the source's 8-byte words; its top
+// seenBits bits pick the admission slot. It is fixed, so which sources
+// share a slot does not vary between runs.
+func sourceHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for ; len(s) >= 8; s = s[8:] {
+		h = (h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)) * 1099511628211
+	}
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // EvalScript evaluates a compiled script and returns the result of its

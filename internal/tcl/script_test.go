@@ -118,12 +118,17 @@ func TestScriptCacheInterning(t *testing.T) {
 	in := New()
 	in.SetScriptCacheSize(4)
 	evalOK(t, in, "set x 1")
-	if in.ScriptCacheLen() == 0 {
-		t.Fatal("expected the evaluated script to be interned")
+	if n := in.ScriptCacheLen(); n != 0 {
+		t.Fatalf("a source evaluated once was interned (%d entries)", n)
+	}
+	evalOK(t, in, "set x 1")
+	if in.ScriptCacheLen() != 1 {
+		t.Fatal("expected the script evaluated twice to be interned")
 	}
 	// The cache is LRU-bounded: distinct sources beyond the capacity
 	// evict, they do not grow the cache.
 	for _, src := range []string{"set a 1", "set b 2", "set c 3", "set d 4", "set e 5", "set f 6"} {
+		evalOK(t, in, src)
 		evalOK(t, in, src)
 	}
 	if n := in.ScriptCacheLen(); n > 4 {

@@ -31,17 +31,18 @@ func (in *Interp) execProgram(p *Program) (Value, error) {
 		c := &p.cmds[ci]
 		var res Value
 		var name string
+		var invoked bool
 		var err error
 		if in.prof == nil {
-			res, name, err = in.execCmd(p, c, p.insns[c.start:c.end], regs)
+			res, name, invoked, err = in.execCmd(p, c, p.insns[c.start:c.end], regs)
 		} else {
-			res, name, err = in.profExecCmd(p, c, regs)
+			res, name, invoked, err = in.profExecCmd(p, c, regs)
 		}
 		if err != nil {
 			if regs != nil {
 				in.releaseRegs(regs)
 			}
-			if in.nesting == 1 && name != "" {
+			if in.nesting == 1 && invoked {
 				// The error reached the top level from a command
 				// invocation (not from word substitution): finish the
 				// traceback, exactly as the tree walker does.
@@ -63,10 +64,10 @@ func (in *Interp) execProgram(p *Program) (Value, error) {
 
 // execCmd runs insns, a run of command c's instructions: word
 // instructions, normally ending in the dispatch instruction. It
-// returns the command's result and, when the error came from the
-// invocation itself rather than word substitution, the command name to
-// report in the errorInfo traceback ("" suppresses the entry).
-func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (Value, string, error) {
+// returns the command's result, the command name, and whether the
+// command was invoked: an error from word substitution reports false,
+// and gets no errorInfo traceback entry or profile site.
+func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (Value, string, bool, error) {
 	for i := range insns {
 		ins := &insns[i]
 		switch ins.op {
@@ -83,21 +84,21 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			// error message.
 			s, err := in.GetVar(name)
 			if err != nil {
-				return Value{}, "", err
+				return Value{}, "", false, err
 			}
 			regs[ins.c] = strVal(s)
 
 		case opWord:
 			s, err := in.substWord(p.words[ins.a])
 			if err != nil {
-				return Value{}, "", err
+				return Value{}, "", false, err
 			}
 			regs[ins.c] = strVal(s)
 
 		case opScript:
 			v, err := in.evalScriptV(p.subs[ins.a])
 			if err != nil {
-				return Value{}, "", err
+				return Value{}, "", false, err
 			}
 			regs[ins.c] = v
 
@@ -129,14 +130,14 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 				if in.Unknown != nil {
 					res, err := in.Unknown(in, argv)
 					in.releaseArgv(argv)
-					return strVal(res), name, err
+					return strVal(res), name, true, err
 				}
 				in.releaseArgv(argv)
-				return Value{}, name, NewError("invalid command name %q", name)
+				return Value{}, name, true, NewError("invalid command name %q", name)
 			}
 			res, err := fn(in, argv)
 			in.releaseArgv(argv)
-			return strVal(res), name, err
+			return strVal(res), name, true, err
 
 		case opSet:
 			// The specialized shapes bypass the command table, so they
@@ -147,7 +148,7 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 				// substituting the source words again would run its
 				// commands twice.
 				res, err := in.invoke([]string{"set", p.names[ins.a], regs[ins.b].String()})
-				return strVal(res), "set", err
+				return strVal(res), "set", true, err
 			}
 			if m := in.obs; m != nil {
 				m.Dispatch.Inc("set")
@@ -157,9 +158,9 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			}
 			nv := normFloat(regs[ins.b])
 			if err := in.setScalarRef(&p.vrefs[ins.a], p.names[ins.a], nv); err != nil {
-				return Value{}, "set", err
+				return Value{}, "set", true, err
 			}
-			return nv, "set", nil
+			return nv, "set", true, nil
 
 		case opIncr:
 			if in.specialGen != in.specialBase {
@@ -173,9 +174,9 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			}
 			v, err := in.incrRef(&p.vrefs[ins.a], p.names[ins.a], int64(ins.b))
 			if err != nil {
-				return Value{}, "incr", err
+				return Value{}, "incr", true, err
 			}
-			return v, "incr", nil
+			return v, "incr", true, nil
 
 		case opExpr:
 			if in.specialGen != in.specialBase {
@@ -191,9 +192,9 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			v, err := p.exprs[ins.a].eval(ev)
 			in.releaseEval(ev)
 			if err != nil {
-				return Value{}, "expr", err
+				return Value{}, "expr", true, err
 			}
-			return normFloat(v), "expr", nil
+			return normFloat(v), "expr", true, nil
 
 		case opExprTmpl:
 			if in.specialGen != in.specialBase {
@@ -216,7 +217,7 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			if dc := in.opCounts; dc != nil {
 				dc.While++
 			}
-			return Value{}, "while", in.runWhile(&p.loops[ins.a])
+			return Value{}, "while", true, in.runWhile(&p.loops[ins.a])
 
 		case opFor:
 			// Mirrors cmdFor, including Tcl_ForObjCmd's rule that a
@@ -230,25 +231,25 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			if dc := in.opCounts; dc != nil {
 				dc.For++
 			}
-			return Value{}, "for", in.runFor(&p.loops[ins.a])
+			return Value{}, "for", true, in.runFor(&p.loops[ins.a])
 		}
 	}
 	// Only a run of word instructions ends here: profExecCmd runs a
 	// command's words apart from its dispatch instruction.
-	return Value{}, "", nil
+	return Value{}, "", false, nil
 }
 
 // execGenericFallback runs a command whose specialized opcode has been
 // invalidated (incr/expr/while/for was rebound) through the full
 // substitute-and-dispatch path; those opcodes run no word
 // instructions, so the words are substituted here, once.
-func (in *Interp) execGenericFallback(c *progCmd) (Value, string, error) {
+func (in *Interp) execGenericFallback(c *progCmd) (Value, string, bool, error) {
 	argv, err := in.substWords(c.src.words)
 	if err != nil {
-		return Value{}, "", err
+		return Value{}, "", false, err
 	}
 	res, err := in.invoke(argv)
-	return strVal(res), argv[0], err
+	return strVal(res), argv[0], true, err
 }
 
 // execExprTmpl evaluates a compiled expr template: fetch every slot
@@ -256,7 +257,7 @@ func (in *Interp) execGenericFallback(c *progCmd) (Value, string, error) {
 // typed AST. Any impurity — a missing variable, an array, a value the
 // expression lexer would not scan as exactly one number — bails to the
 // classic join-and-parse path, which is the defining semantics.
-func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, error) {
+func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, bool, error) {
 	slots := in.tmplSlots[:0]
 	for si, name := range t.vars {
 		rv, ok := in.cachedScalar(&t.refs[si], name)
@@ -285,7 +286,7 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, erro
 				if m := in.obs; m != nil {
 					m.Dispatch.Inc("expr")
 				}
-				return r, "expr", nil
+				return r, "expr", true, nil
 			}
 		}
 	}
@@ -297,28 +298,28 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, erro
 	v, err := t.node.eval(ev)
 	in.releaseEval(ev)
 	if err != nil {
-		return Value{}, "expr", err
+		return Value{}, "expr", true, err
 	}
-	return normFloat(v), "expr", nil
+	return normFloat(v), "expr", true, nil
 }
 
 // execExprTmplBail is the template's escape hatch: substitute the
 // original words and evaluate like cmdExpr. A substitution failure is
 // reported as such (no traceback entry), matching the tree walker's
 // ordering where substitution precedes dispatch.
-func (in *Interp) execExprTmplBail(c *progCmd) (Value, string, error) {
+func (in *Interp) execExprTmplBail(c *progCmd) (Value, string, bool, error) {
 	argv, err := in.substWords(c.src.words)
 	if err != nil {
-		return Value{}, "", err
+		return Value{}, "", false, err
 	}
 	if m := in.obs; m != nil {
 		m.Dispatch.Inc("expr")
 	}
 	res, err := in.ExprEval(strings.Join(argv[1:], " "))
 	if err != nil {
-		return Value{}, "expr", err
+		return Value{}, "expr", true, err
 	}
-	return strVal(res), "expr", nil
+	return strVal(res), "expr", true, nil
 }
 
 // pureOperandValue prepares a variable's value for use as a template
@@ -426,7 +427,7 @@ func (in *Interp) runWhile(li *loopInfo) error {
 		if !ok {
 			return nil
 		}
-		if _, err := in.execLoopScript(&li.body); err != nil {
+		if _, err := in.execLoopScript(li.body); err != nil {
 			var te *Error
 			if asTclError(err, &te) {
 				if te.Code == CodeBreak {
@@ -445,7 +446,7 @@ func (in *Interp) runWhile(li *loopInfo) error {
 // Tcl_ForObjCmd's rule that a break raised by the next script
 // terminates the loop.
 func (in *Interp) runFor(li *loopInfo) error {
-	if _, err := in.execLoopScript(&li.init); err != nil {
+	if _, err := in.execLoopScript(li.init); err != nil {
 		return err
 	}
 	ev := in.acquireEval()
@@ -462,7 +463,7 @@ func (in *Interp) runFor(li *loopInfo) error {
 		if !ok {
 			return nil
 		}
-		if _, err := in.execLoopScript(&li.body); err != nil {
+		if _, err := in.execLoopScript(li.body); err != nil {
 			var te *Error
 			if asTclError(err, &te) {
 				if te.Code == CodeBreak {
@@ -475,7 +476,7 @@ func (in *Interp) runFor(li *loopInfo) error {
 				return err
 			}
 		}
-		if _, err := in.execLoopScript(&li.next); err != nil {
+		if _, err := in.execLoopScript(li.next); err != nil {
 			var te *Error
 			if asTclError(err, &te) && te.Code == CodeBreak {
 				return nil
@@ -485,21 +486,21 @@ func (in *Interp) runFor(li *loopInfo) error {
 	}
 }
 
-// execLoopScript is evalScriptV for a loop's pre-compiled script: the
-// same nesting bookkeeping, minus the Program cache lookup (the loop
-// compiler resolved it once). Loops only run at nesting >= 1, so the
-// top-level instrumentation branch of evalScriptV cannot apply, and
-// the nesting==1 traceback reset in evalScriptBody cannot fire.
-func (in *Interp) execLoopScript(ls *loopScript) (Value, error) {
+// execLoopScript is evalScriptV for a loop's script, which was built
+// with the loop's Program: the same nesting bookkeeping, minus the
+// owner check. Loops only run at nesting >= 1, so the top-level
+// instrumentation branch of evalScriptV cannot apply, and the
+// nesting==1 traceback reset in evalScriptBody cannot fire.
+func (in *Interp) execLoopScript(s *Script) (Value, error) {
 	in.nesting++
 	defer func() { in.nesting-- }()
 	if in.nesting > in.maxNesting {
 		return Value{}, NewError("too many nested calls to Eval (infinite loop?)")
 	}
 	if in.oracle != nil {
-		return in.oracle(ls.script)
+		return in.oracle(s)
 	}
-	return in.execProgram(ls.prog)
+	return in.execProgram(s.prog)
 }
 
 // acquireEval grabs a pooled exprEvaluator. Evaluations nest (a

@@ -65,11 +65,12 @@ COUNT=2 BENCHTIME=0.3s scripts/bench.sh trace
 
 # The execution-engine-v2 gate: the oracle suite (tree walker vs
 # bytecode VM over the corpus, the bug-sweep goldens and the
-# randomized scripts) under the race detector, then the paired
-# same-run perf comparison (bytecode speedup, proc-call allocs,
-# F4/T1 no-regression).
+# randomized scripts, each run as a first sighting, an admission and a
+# cache hit; back-to-back first sightings that reuse scratch storage)
+# under the race detector, then the paired same-run perf comparison
+# (bytecode speedup, proc-call allocs, F4/T1 no-regression).
 echo "== go test -race engine differential oracle"
-go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs' ./internal/tcl/
+go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs|TestScratchReuse|TestFirstSightingsNotCached' ./internal/tcl/
 
 # The expression fuzz smoke (FuzzExpr): arbitrary sources must not
 # panic, interpreters with and without the expression cache must agree
@@ -77,6 +78,12 @@ go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpeciali
 # pass CheckExpr.
 echo "== go test -fuzz FuzzExpr (10s)"
 go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 10s ./internal/tcl/
+
+# The parser fuzz smoke (FuzzParse): a source parsed into reused
+# scratch storage must give the same commands, tokens, nested scripts
+# and parse error as Compile; seeds in testdata/fuzz/FuzzParse.
+echo "== go test -fuzz FuzzParse (10s)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tcl/
 
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
