@@ -147,7 +147,7 @@ func BenchmarkAblation_LineLength(b *testing.B) {
 }
 
 // BenchmarkAblation_PumpIdle: cost of an idle event-loop pump (the
-// per-command overhead Wafe adds after every evaluation).
+// overhead the event loop pays once per turn to settle the screen).
 func BenchmarkAblation_PumpIdle(b *testing.B) {
 	w := core.NewTest()
 	w.Interp.Stdout = func(string) {}

@@ -119,6 +119,7 @@ label info%d top%d fromVert result%d fromHoriz quit%d label {} borderWidth 0 wid
 	for i := 0; i < b.N; i++ {
 		s := strings.ReplaceAll(script, "%d", fmt.Sprint(i))
 		mustEval(b, w, s)
+		w.App.Pump()
 		// Destroy to keep the tree bounded.
 		mustEval(b, w, fmt.Sprintf("destroyWidget top%d", i))
 	}
@@ -140,6 +141,7 @@ func BenchmarkF3_XmStringConverter(b *testing.B) {
 		if _, err := w.Eval(`sV l labelString {I'm\bft bold\ft and\rl strange}`); err != nil {
 			b.Fatal(err)
 		}
+		w.App.Pump()
 	}
 }
 
@@ -159,6 +161,7 @@ func BenchmarkF4_FrontendRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.HandleAppLine("%echo [gV l label]")
+		w.App.Pump()
 	}
 	if replies < b.N {
 		b.Fatalf("replies = %d", replies)
@@ -228,6 +231,7 @@ func BenchmarkF4_FrontendRoundTripTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.HandleAppLine("%echo [gV l label]")
+		w.App.Pump()
 	}
 	if replies < b.N {
 		b.Fatalf("replies = %d", replies)
@@ -258,6 +262,7 @@ func BenchmarkF4_FrontendRoundTripSupervised(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.HandleAppLine("%echo [gV l label]")
+		w.App.Pump()
 	}
 	if replies < b.N {
 		b.Fatalf("replies = %d", replies)
@@ -373,6 +378,7 @@ func BenchmarkC5_MassTransfer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.FeedMass(payload)
+				w.App.Pump()
 				if len(wid.Str("string")) != size {
 					b.Fatalf("transfer incomplete: %d", len(wid.Str("string")))
 				}
@@ -558,7 +564,7 @@ func coreClassLookup(w *core.Wafe, cmd string) (*xt.Class, bool) {
 
 // BenchmarkBulkRebuild times one rebuild pair of the end-to-end bulk
 // workload in process: build the 41-widget popup under bulkSetup's
-// form, pop it up, and destroy it again.
+// form, pop it up, settle so it paints, and destroy it again.
 func BenchmarkBulkRebuild(b *testing.B) {
 	w := newWafe(b)
 	mustEval(b, w, bulkSetup)
@@ -567,6 +573,7 @@ func BenchmarkBulkRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustEval(b, w, build)
+		w.App.Pump()
 		mustEval(b, w, "destroyWidget pop")
 		w.App.Pump()
 	}

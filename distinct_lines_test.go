@@ -68,12 +68,14 @@ func (d *distinctDialogue) build(k int) {
 	}
 }
 
-// roundTrip runs the next pre-built round trip.
+// roundTrip runs the next pre-built round trip, settling the screen
+// after each line.
 func (d *distinctDialogue) roundTrip() {
 	op := &d.ops[0]
 	d.ops = d.ops[1:]
 	for _, line := range op {
 		d.f.HandleAppLine(line)
+		d.f.W.App.Pump()
 	}
 }
 
@@ -185,9 +187,10 @@ func (s *distinctStream) build(k int) {
 	}
 }
 
-// line runs the next pre-built line.
+// line runs the next pre-built line and settles the screen.
 func (s *distinctStream) line() {
 	s.f.HandleAppLine(s.lines[0])
+	s.f.W.App.Pump()
 	s.lines = s.lines[1:]
 }
 

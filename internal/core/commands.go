@@ -41,7 +41,6 @@ func (w *Wafe) cmdRealize(argv []string) (string, error) {
 		target = t
 	}
 	target.Realize()
-	w.App.Pump()
 	return "", nil
 }
 
@@ -230,7 +229,6 @@ func (w *Wafe) cmdSetValues(argv []string) (string, error) {
 	if err := wid.SetValues(args); err != nil {
 		return "", tcl.NewError("%s", err.Error())
 	}
-	w.App.Pump()
 	return "", nil
 }
 
@@ -363,7 +361,6 @@ func (w *Wafe) predefinedCallback(name, shellName string, extra []string) (xt.Ca
 				if err := s.Popup(kind); err != nil {
 					w.reportScriptError("popup", s, err)
 				}
-				w.App.Pump()
 			}
 		}}, nil
 	case "popdown":
@@ -375,7 +372,6 @@ func (w *Wafe) predefinedCallback(name, shellName string, extra []string) (xt.Ca
 				if err := s.Popdown(); err != nil {
 					w.reportScriptError("popdown", s, err)
 				}
-				w.App.Pump()
 			}
 		}}, nil
 	case "position":
@@ -448,7 +444,6 @@ func (w *Wafe) cmdCallCallbacks(argv []string) (string, error) {
 		return "", err
 	}
 	wid.CallCallbacks(argv[2], nil)
-	w.App.Pump()
 	return "", nil
 }
 
@@ -493,7 +488,6 @@ func (w *Wafe) cmdPopup(argv []string) (string, error) {
 	if err := wid.Popup(kind); err != nil {
 		return "", tcl.NewError("%s", err.Error())
 	}
-	w.App.Pump()
 	return "", nil
 }
 
@@ -505,7 +499,6 @@ func (w *Wafe) cmdPopdown(argv []string) (string, error) {
 	if err := wid.Popdown(); err != nil {
 		return "", tcl.NewError("%s", err.Error())
 	}
-	w.App.Pump()
 	return "", nil
 }
 
@@ -649,7 +642,6 @@ func (w *Wafe) cmdListChange(argv []string) (string, error) {
 		resize = b
 	}
 	xaw.ListChange(wid, items, resize)
-	w.App.Pump()
 	return "", nil
 }
 
@@ -728,7 +720,6 @@ func (w *Wafe) cmdViewportSetLocation(argv []string) (string, error) {
 		return "", tcl.NewError("bad fractions %q %q", argv[2], argv[3])
 	}
 	xaw.ViewportSetLocation(wid, xf, yf)
-	w.App.Pump()
 	return "", nil
 }
 
@@ -916,6 +907,7 @@ func (w *Wafe) cmdSnapshot(argv []string) (string, error) {
 	if !target.IsRealized() {
 		return "", tcl.NewError("widget %q is not realized", target.Name)
 	}
+	w.App.Pump()
 	return target.Display().Snapshot(target.Window()), nil
 }
 
@@ -928,6 +920,7 @@ func (w *Wafe) cmdWriteImage(argv []string) (string, error) {
 	if !wid.IsRealized() {
 		return "", tcl.NewError("widget %q is not realized", wid.Name)
 	}
+	w.App.Pump()
 	img := wid.Display().RenderImage(wid.Window())
 	f, err := os.Create(argv[2])
 	if err != nil {
@@ -1025,7 +1018,6 @@ func (w *Wafe) cmdSendExpose(argv []string) (string, error) {
 	}
 	if wid.IsRealized() {
 		wid.Display().InjectExposeRect(wid.Window(), x, y, ew, eh)
-		w.App.Pump()
 	}
 	return "", nil
 }

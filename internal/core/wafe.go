@@ -212,8 +212,9 @@ func (w *Wafe) QuitRequested() bool { return w.quitRequested }
 // ExitCode returns the requested exit status.
 func (w *Wafe) ExitCode() int { return w.exitCode }
 
-// Eval evaluates a Wafe/Tcl command string and pumps the display queues
-// afterwards so side effects (exposures from realize, etc.) settle.
+// Eval evaluates a Wafe/Tcl command string. It does not settle the
+// screen: the widgets a script updates repaint when the event loop
+// next pumps, or when a command that reads the screen runs.
 func (w *Wafe) Eval(script string) (string, error) {
 	res, err := w.Interp.Eval(script)
 	if code, isExit := tcl.IsExit(err); isExit {
@@ -222,7 +223,6 @@ func (w *Wafe) Eval(script string) (string, error) {
 		w.App.Quit(code)
 		return res, nil
 	}
-	w.App.Pump()
 	return res, err
 }
 
@@ -237,7 +237,6 @@ func (w *Wafe) EvalScript(s *tcl.Script) (string, error) {
 		w.App.Quit(code)
 		return res, nil
 	}
-	w.App.Pump()
 	return res, err
 }
 

@@ -421,6 +421,9 @@ func (f *Frontend) RunInteractive(r io.Reader, prompt func()) error {
 			continue
 		}
 		res, err := f.W.Eval(script)
+		// Interactive mode runs without the event loop, so it settles
+		// the screen after each command itself.
+		f.W.App.Pump()
 		switch {
 		case err != nil:
 			fmt.Fprintf(f.Terminal, "error: %v\n", err)

@@ -525,3 +525,45 @@ func TestSendInitCom(t *testing.T) {
 		t.Errorf("InitCom = %q, %v", line, err)
 	}
 }
+
+// TestSetValuesBurstRepaintsOnce: a burst of updates to one widget
+// damages its window each time, and settling the screen afterwards
+// repaints it once, as Xt's expose compression does.
+func TestSetValuesBurstRepaintsOnce(t *testing.T) {
+	w := core.NewTest()
+	f := New(w, nil, &syncBuffer{})
+	m := w.EnableObservability()
+	f.HandleAppLine("%label status topLevel label {idle} width 200")
+	f.HandleAppLine("%realize")
+	w.App.Pump()
+	repaints := func() int64 { return m.Xt.RedrawFull.Load() + m.Xt.RedrawClipped.Load() }
+	before := repaints()
+	for i := 0; i < 64; i++ {
+		f.HandleAppLine(fmt.Sprintf("%%sV status label {load %d}", i))
+	}
+	w.App.Pump()
+	if f.EvalErrors != 0 {
+		t.Fatalf("%d eval errors", f.EvalErrors)
+	}
+	if got := repaints() - before; got != 1 {
+		t.Errorf("64 updates then one settle repainted the label %d times, want 1", got)
+	}
+	l := w.App.WidgetByName("status")
+	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "load 63" {
+		t.Errorf("label shows %q, want [load 63]", drawn)
+	}
+}
+
+// TestInteractiveModeSettles: interactive mode runs without the event
+// loop, so it settles the screen after every command itself.
+func TestInteractiveModeSettles(t *testing.T) {
+	w := core.NewTest()
+	f := New(w, nil, &syncBuffer{})
+	if err := f.RunInteractive(strings.NewReader("label l topLevel label {shown}\nrealize\nsV l label {updated}\n"), nil); err != nil {
+		t.Fatal(err)
+	}
+	l := w.App.WidgetByName("l")
+	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "updated" {
+		t.Errorf("label shows %q, want [updated]", drawn)
+	}
+}

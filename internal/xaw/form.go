@@ -3,6 +3,7 @@ package xaw
 import (
 	"fmt"
 
+	"wafe/internal/xproto"
 	"wafe/internal/xt"
 )
 
@@ -298,7 +299,7 @@ func ensurePanedGrip(w, pane *xt.Widget) *xt.Widget {
 				newSize = clampInt(newSize, maxInt(lo, 1), hi)
 				thisPane.SetResourceValue("preferredPaneSize", newSize)
 				panedPlace(paned)
-				paned.Redraw()
+				paned.Damage(xproto.Rect{})
 			}
 		},
 	})
@@ -417,7 +418,7 @@ func ViewportSetLocation(w *xt.Widget, xFrac, yFrac float64) {
 		st.offY = 0
 	}
 	c.SetChildGeometry(-st.offX, -st.offY, cw, ch)
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // ViewportLocation returns the current scroll offsets in pixels.

@@ -159,24 +159,24 @@ func cmdState(w *xt.Widget) *commandState {
 
 func actionSet(w *xt.Widget, _ *xproto.Event, _ []string) {
 	cmdState(w).set = true
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func actionUnset(w *xt.Widget, _ *xproto.Event, _ []string) {
 	cmdState(w).set = false
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func actionReset(w *xt.Widget, _ *xproto.Event, _ []string) {
 	st := cmdState(w)
 	st.set = false
 	st.highlighted = false
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func actionHighlight(w *xt.Widget, _ *xproto.Event, _ []string) {
 	cmdState(w).highlighted = true
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func actionNotify(w *xt.Widget, _ *xproto.Event, _ []string) {
@@ -247,14 +247,14 @@ func actionToggle(w *xt.Widget, _ *xproto.Event, _ []string) {
 					if g, ok := other.Get("radioGroup"); ok {
 						if gw, ok := g.(*xt.Widget); ok && gw == leader && other.Bool("state") {
 							other.SetResourceValue("state", false)
-							other.Redraw()
+							other.Damage(xproto.Rect{})
 						}
 					}
 				}
 			}
 		}
 	}
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func toggleRedisplay(w *xt.Widget) {

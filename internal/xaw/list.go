@@ -141,7 +141,7 @@ func listCellRect(w *xt.Widget, i int) xproto.Rect {
 	return xproto.Rect{X: x - 1, Y: y, W: cw + 2, H: ch}
 }
 
-// listSetHighlight moves the highlight and repaints only the two cells
+// listSetHighlight moves the highlight and damages only the two cells
 // that changed instead of the whole list.
 func listSetHighlight(w *xt.Widget, idx int) {
 	st := listState(w)
@@ -152,10 +152,10 @@ func listSetHighlight(w *xt.Widget, idx int) {
 	st.highlight = idx
 	n := len(listItems(w))
 	if old >= 0 && old < n {
-		w.RedrawRect(listCellRect(w, old))
+		w.Damage(listCellRect(w, old))
 	}
 	if idx >= 0 && idx < n {
-		w.RedrawRect(listCellRect(w, idx))
+		w.Damage(listCellRect(w, idx))
 	}
 }
 
@@ -207,7 +207,7 @@ func ListChange(w *xt.Widget, items []string, resize bool) {
 		pw, ph := listPreferredSize(w)
 		w.RequestResize(pw, ph)
 	}
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func listRedisplay(w *xt.Widget) {

@@ -106,13 +106,13 @@ func menuEntryAt(w *xt.Widget, y int) int {
 	return idx
 }
 
-// menuRepaintRow repaints one entry row of the menu (no-op for -1).
+// menuRepaintRow damages one entry row of the menu (no-op for -1).
 func menuRepaintRow(w *xt.Widget, idx int) {
 	entries := menuEntries(w)
 	if idx < 0 || idx >= len(entries) {
 		return
 	}
-	w.RedrawRect(xproto.Rect{X: 0, Y: entries[idx].Int("y"), W: w.Int("width"), H: menuRowHeight(w)})
+	w.Damage(xproto.Rect{X: 0, Y: entries[idx].Int("y"), W: w.Int("width"), H: menuRowHeight(w)})
 }
 
 func menuHighlight(w *xt.Widget, ev *xproto.Event, _ []string) {

@@ -97,7 +97,7 @@ func scrollbarMoveThumb(w *xt.Widget, ev *xproto.Event, _ []string) {
 	}
 	old := sbThumbRect(w)
 	w.SetResourceValue("topOfThumb", frac)
-	w.RedrawRect(old.Union(sbThumbRect(w)))
+	w.Damage(old.Union(sbThumbRect(w)))
 }
 
 func scrollbarNotifyThumb(w *xt.Widget, _ *xproto.Event, _ []string) {
@@ -115,12 +115,12 @@ func scrollbarNotifyScroll(w *xt.Widget, ev *xproto.Event, _ []string) {
 }
 
 // ScrollbarSetThumb implements XawScrollbarSetThumb. Only the union of
-// the old and new thumb rectangles is repainted.
+// the old and new thumb rectangles is damaged.
 func ScrollbarSetThumb(w *xt.Widget, top, shown float64) {
 	old := sbThumbRect(w)
 	w.SetResourceValue("topOfThumb", top)
 	w.SetResourceValue("shown", shown)
-	w.RedrawRect(old.Union(sbThumbRect(w)))
+	w.Damage(old.Union(sbThumbRect(w)))
 }
 
 // sbThumbRect returns the thumb rectangle in widget coordinates.
@@ -204,7 +204,7 @@ func chartState(w *xt.Widget) *stripChartPrivate {
 // layer drives it from the getValue callback on a timer.
 //
 // The steady-state path damages only the new sample's column. Two cases
-// still repaint the whole chart: the sample raises the vertical scale
+// still damage the whole chart: the sample raises the vertical scale
 // (every bar's height changes), and the chart running out of columns —
 // there the samples jump-scroll left by the jumpScroll resource in
 // place, so scroll repaints happen once per jumpScroll samples rather
@@ -224,15 +224,15 @@ func StripChartAddSample(w *xt.Widget, v float64) {
 		}
 		n := copy(st.samples, st.samples[j:])
 		st.samples = append(st.samples[:n], v)
-		w.Redraw()
+		w.Damage(xproto.Rect{})
 		return
 	}
 	st.samples = append(st.samples, v)
 	if v > scale {
-		w.Redraw()
+		w.Damage(xproto.Rect{})
 		return
 	}
-	w.RedrawRect(xproto.Rect{X: len(st.samples) - 1, Y: 0, W: 1, H: w.Int("height")})
+	w.Damage(xproto.Rect{X: len(st.samples) - 1, Y: 0, W: 1, H: w.Int("height")})
 }
 
 // StripChartSamples returns the recorded samples (for tests).

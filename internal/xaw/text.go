@@ -163,7 +163,7 @@ func insertText(w *xt.Widget, s string) {
 	}
 	w.SetResourceValue("string", newBuf)
 	w.SetResourceValue("insertPosition", newPos)
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func textNewline(w *xt.Widget, _ *xproto.Event, _ []string) {
@@ -195,7 +195,7 @@ func textDeletePrev(w *xt.Widget, _ *xproto.Event, _ []string) {
 	}
 	w.SetResourceValue("string", newBuf)
 	w.SetResourceValue("insertPosition", pos-1)
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 func textBackward(w *xt.Widget, _ *xproto.Event, _ []string) {
@@ -242,7 +242,7 @@ func textKillEOL(w *xt.Widget, _ *xproto.Event, _ []string) {
 		end++ // kill the newline itself
 	}
 	w.SetResourceValue("string", buf[:pos]+buf[end:])
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // textPosAt maps window coordinates to a buffer offset.
@@ -286,7 +286,7 @@ func textExtendAdjust(w *xt.Widget, ev *xproto.Event, _ []string) {
 	} else {
 		st.selStart, st.selEnd = st.selAnchor, p
 	}
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // textSelectEnd completes the selection and asserts ownership of the
@@ -390,8 +390,9 @@ func textRedisplay(w *xt.Widget) {
 	gc.Foreground = w.PixelRes("foreground")
 	gc.Font = w.FontRes("font")
 	y := 2 + gc.Font.Ascent
+	right := clip.X + clip.W - 2
 	for _, line := range strings.Split(TextBuffer(w), "\n") {
-		if w.ClipIntersects(2, y-gc.Font.Ascent, gc.Font.TextWidth(line), gc.Font.Height()) {
+		if w.ClipIntersects(2, y-gc.Font.Ascent, textWidthTo(gc.Font, line, right), gc.Font.Height()) {
 			d.DrawString(win, gc, 2, y, line)
 		}
 		y += gc.Font.Height()
@@ -407,6 +408,19 @@ func textRedisplay(w *xt.Widget) {
 			d.DrawLine(win, gc, cx, cy, cx, cy+gc.Font.Height()-1)
 		}
 	}
+}
+
+// textWidthTo returns the width of line in f, counting runes only
+// until the width reaches limit, the clip's right edge.
+func textWidthTo(f *xproto.Font, line string, limit int) int {
+	n := 0
+	for range line {
+		if f.Width*n >= limit {
+			break
+		}
+		n++
+	}
+	return f.Width * n
 }
 
 // textCaret returns the caret's row and rune column, consulting and

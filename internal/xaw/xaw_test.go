@@ -1,7 +1,9 @@
 package xaw
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -736,5 +738,62 @@ func TestAllClassesCreatable(t *testing.T) {
 	app.Pump()
 	if errs := app.Errors(); len(errs) > 0 {
 		t.Errorf("dispatch errors: %v", errs)
+	}
+}
+
+// TestTextLongLineDisplayList pins the display list of an AsciiText
+// holding a line far wider than the widget, repainted whole and through
+// clips that miss, cut and reach past the long line's text: testing a
+// line against the clip measures it only up to the clip's right edge,
+// and that must not change what is drawn. Regenerate the golden with
+// WAFE_UPDATE_GOLDEN=1 only for an intended change.
+func TestTextLongLineDisplayList(t *testing.T) {
+	app, top := newApp(t)
+	long := strings.Repeat("wide \u00fcn\u00efcode ", 500)
+	txt := create(t, app, "t", AsciiTextClass, top, map[string]string{
+		"string": "short\n" + long + "\n\nlast " + long, "editType": "edit",
+		"width": "120", "height": "80",
+	})
+	top.Realize()
+	app.Pump()
+	var b strings.Builder
+	dump := func(title string) {
+		fmt.Fprintf(&b, "-- %s\n", title)
+		for _, op := range txt.Display().DrawLogFor(txt.Window()) {
+			text := op.Text
+			if len(text) > 24 {
+				text = fmt.Sprintf("%s...(%d bytes)", text[:24], len(text))
+			}
+			fmt.Fprintf(&b, "%s %d,%d %dx%d %d,%d %q\n", op.Kind, op.X, op.Y, op.W, op.H, op.X2, op.Y2, text)
+		}
+	}
+	dump("whole")
+	for _, r := range []xproto.Rect{
+		{X: 40, Y: 10, W: 30, H: 20},  // cuts the long line, misses "short"
+		{X: 0, Y: 0, W: 2, H: 80},     // left of every line's text
+		{X: 100, Y: 0, W: 20, H: 80},  // right edge: long lines only
+		{X: 2, Y: 28, W: 60, H: 14},   // the empty line's row
+		{X: 10, Y: 40, W: 110, H: 13}, // the last line's row
+	} {
+		txt.Damage(r)
+		app.Pump()
+		dump(fmt.Sprintf("clip %d,%d %dx%d", r.X, r.Y, r.W, r.H))
+	}
+	golden := filepath.Join("testdata", "text_long_line.golden")
+	if os.Getenv("WAFE_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with WAFE_UPDATE_GOLDEN=1)", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("display list differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }

@@ -144,7 +144,7 @@ var XmPushButtonClass = &xt.Class{
 		"Arm": func(w *xt.Widget, _ *xproto.Event, _ []string) {
 			armState(w).armed = true
 			w.CallCallbacks("armCallback", nil)
-			w.Redraw()
+			w.Damage(xproto.Rect{})
 		},
 		"Activate": func(w *xt.Widget, _ *xproto.Event, _ []string) {
 			if armState(w).armed {
@@ -154,7 +154,7 @@ var XmPushButtonClass = &xt.Class{
 		"Disarm": func(w *xt.Widget, _ *xproto.Event, _ []string) {
 			armState(w).armed = false
 			w.CallCallbacks("disarmCallback", nil)
-			w.Redraw()
+			w.Damage(xproto.Rect{})
 		},
 	},
 	PreferredSize: xmLabelPreferredSize,
@@ -205,7 +205,7 @@ func cascadeSt(w *xt.Widget) *cascadeState {
 // boolean) — the two-argument example in the paper's spec language.
 func CascadeButtonHighlight(w *xt.Widget, highlight bool) {
 	cascadeSt(w).highlighted = highlight
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // CascadeButtonHighlighted reports the highlight state (for tests).
@@ -307,7 +307,7 @@ var XmTextClass = &xt.Class{
 			}
 			w.SetResourceValue("value", v[:len(v)-1])
 			w.CallCallbacks("valueChangedCallback", nil)
-			w.Redraw()
+			w.Damage(xproto.Rect{})
 		},
 	},
 	PreferredSize: func(w *xt.Widget) (int, int) {
@@ -332,7 +332,7 @@ var XmTextClass = &xt.Class{
 func TextInsert(w *xt.Widget, s string) {
 	w.SetResourceValue("value", w.Str("value")+s)
 	w.CallCallbacks("valueChangedCallback", nil)
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // XmCommandClass is the Motif command widget: a prompt plus a command
@@ -353,7 +353,7 @@ var XmCommandClass = &xt.Class{
 // the current command line.
 func CommandAppendValue(w *xt.Widget, s string) {
 	w.SetResourceValue("value", w.Str("value")+s)
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // CommandExecute enters the current value into the history and fires
@@ -371,7 +371,7 @@ func CommandExecute(w *xt.Widget) {
 	w.SetResourceValue("historyItems", hist)
 	w.SetResourceValue("value", "")
 	w.CallCallbacks("commandEnteredCallback", xt.CallData{"value": v})
-	w.Redraw()
+	w.Damage(xproto.Rect{})
 }
 
 // AllClasses returns the Motif classes for the Wafe command layer.

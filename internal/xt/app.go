@@ -82,6 +82,13 @@ type App struct {
 	// Compiled cache slot. Nil outside DispatchEvent.
 	dispatchedCall *ActionCall
 
+	// events holds the event being dispatched at each dispatch depth
+	// (an action may pump re-entrantly), so handing an action or a
+	// Redisplay its *Event copies nothing to the heap. Nothing keeps
+	// the pointer after its dispatch returns.
+	events [8]xproto.Event
+	depth  int
+
 	// ErrorHandler receives errors raised while dispatching actions and
 	// callbacks (default: collect into Errors).
 	ErrorHandler func(error)
@@ -314,14 +321,23 @@ func (app *App) DispatchEvent(d *xproto.Display, ev xproto.Event) {
 	app.dispatchEvent(d, ev)
 }
 
-func (app *App) dispatchEvent(d *xproto.Display, ev xproto.Event) {
-	w := app.byWindow[windowKey{d, ev.Window}]
+func (app *App) dispatchEvent(d *xproto.Display, e xproto.Event) {
+	w := app.byWindow[windowKey{d, e.Window}]
 	if w == nil || w.beingDestroyed {
 		return
 	}
+	var ev *xproto.Event
+	if app.depth < len(app.events) {
+		ev = &app.events[app.depth]
+	} else {
+		ev = new(xproto.Event)
+	}
+	*ev = e
+	app.depth++
+	defer func() { app.depth-- }()
 	switch ev.Type {
 	case xproto.Expose:
-		w.redrawExpose(&ev)
+		w.redrawExpose(ev)
 		return
 	case xproto.MapNotify, xproto.UnmapNotify, xproto.ConfigureNotify, xproto.DestroyNotify:
 		return
@@ -329,7 +345,7 @@ func (app *App) dispatchEvent(d *xproto.Display, ev xproto.Event) {
 	if !w.IsSensitive() {
 		return
 	}
-	calls := w.translations().Match(&ev)
+	calls := w.translations().Match(ev)
 	for i := range calls {
 		call := &calls[i]
 		recv := w
@@ -349,7 +365,7 @@ func (app *App) dispatchEvent(d *xproto.Display, ev xproto.Event) {
 			sp = t.StartSpan("action", call.Name)
 		}
 		app.dispatchedCall = call
-		proc(recv, &ev, call.Params)
+		proc(recv, ev, call.Params)
 		app.dispatchedCall = nil
 		sp.End()
 	}
@@ -369,8 +385,9 @@ func (app *App) SetFullRepaint(on bool) { app.fullRepaint = on }
 func (app *App) FullRepaint() bool { return app.fullRepaint }
 
 // Pump dispatches all pending events on all displays until the queues
-// are empty. Tests and the Wafe command layer call it after injecting
-// events; the main loop calls it each iteration.
+// are empty, the coalesced Exposes of all pending damage included: it
+// settles the screen. The main loop calls it once per turn; commands
+// that inject input or read the screen call it too.
 func (app *App) Pump() {
 	for rounds := 0; rounds < 1000; rounds++ {
 		progress := false
@@ -542,21 +559,33 @@ func (app *App) Quitting() bool { return app.quit }
 
 // MainLoop is XtAppMainLoop: dispatch X events, run posted input
 // closures, fire timers, and run work procs when idle, until Quit.
-// It returns the exit status passed to Quit.
+// Each turn settles the screen: the Pump at its top dispatches the
+// coalesced Exposes of everything the previous turn damaged. It
+// returns the exit status passed to Quit.
 func (app *App) MainLoop() int {
 	app.loopGoID.Store(goid())
 	defer app.loopGoID.Store(0)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for !app.quit {
 		app.Pump()
 		wait := app.runDueTimers()
 		if app.quit {
 			break
 		}
+		// One timer serves every turn; go.mod's go 1.22 timer semantics
+		// need the stop-and-drain before Reset.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(wait)
 		select {
 		case fn := <-app.posted:
-			fn()
-			app.drainPosted()
-		case <-time.After(wait):
+			app.drainPosted(fn)
+		case <-timer.C:
 			if !app.runOneWorkProc() {
 				continue
 			}
@@ -566,9 +595,14 @@ func (app *App) MainLoop() int {
 	return app.quitCode
 }
 
-// drainPosted runs every immediately-available posted closure.
-func (app *App) drainPosted() {
-	for {
+// drainPosted runs fn and the closures queued behind it when the turn
+// began. Closures posted meanwhile wait for the next turn, so an input
+// source that writes faster than the loop reads cannot hold off the
+// repaint and the timers.
+func (app *App) drainPosted(fn func()) {
+	n := len(app.posted)
+	fn()
+	for ; n > 0; n-- {
 		select {
 		case fn := <-app.posted:
 			fn()

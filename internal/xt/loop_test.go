@@ -168,3 +168,60 @@ func TestTimerRemovedBySiblingInBatch(t *testing.T) {
 		t.Error("timer removed by a sibling in the same due batch still fired")
 	}
 }
+
+// TestPostChainYieldsToTimersAndRepaint: a turn of the loop runs only
+// the closures queued when it began, so an input source that keeps
+// posting cannot hold off the timers or the repaint of what it damaged.
+func TestPostChainYieldsToTimersAndRepaint(t *testing.T) {
+	const chain = 100000
+	app := NewTestApp("wafe")
+	top := newShell(t, app)
+	w, err := app.CreateWidget("l", testLabelClass, top, map[string]string{"label": "before"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.Realize()
+	app.Pump()
+	painted := func() bool {
+		for _, s := range app.Display().StringsDrawn(w.Window()) {
+			if s == "after" {
+				return true
+			}
+		}
+		return false
+	}
+	// -1 until it happens; then the number of closures run so far.
+	n, firedAt, paintedAt := 0, -1, -1
+	var step func()
+	step = func() {
+		n++
+		switch {
+		case n == 1:
+			if err := w.SetValues(map[string]string{"label": "after"}); err != nil {
+				t.Error(err)
+			}
+		case paintedAt < 0 && painted():
+			paintedAt = n
+		}
+		if n < chain {
+			app.Post(step)
+			return
+		}
+		app.Quit(0)
+	}
+	app.AddTimeout(time.Millisecond, func() { firedAt = n })
+	app.Post(step)
+	done := make(chan int, 1)
+	go func() { done <- app.MainLoop() }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("MainLoop did not quit")
+	}
+	if firedAt < 0 || firedAt >= chain {
+		t.Errorf("1 ms timeout fired at closure %d of a %d-closure chain (-1: never)", firedAt, chain)
+	}
+	if paintedAt < 0 || paintedAt >= chain {
+		t.Errorf("damaged label repainted at closure %d of a %d-closure chain (-1: never)", paintedAt, chain)
+	}
+}

@@ -471,9 +471,10 @@ func (w *Widget) SetValues(args map[string]string) error {
 	if changed["translations"] {
 		w.updateInputMask()
 	}
-	if w.realized {
-		w.Redraw()
-	}
+	// As XtSetValues asks for redisplay with XClearArea, the widget
+	// damages its window; the repaint is the coalesced Expose the event
+	// loop dispatches when it settles the screen.
+	w.Damage(xproto.Rect{})
 	return nil
 }
 
@@ -747,8 +748,9 @@ func (w *Widget) updateInputMask() {
 	w.display.SelectInput(w.window, mask)
 }
 
-// Redraw clears and repaints the whole widget via its class Redisplay.
-func (w *Widget) Redraw() {
+// redraw clears and repaints the whole widget via its class Redisplay.
+// Only Expose dispatch repaints; everything else damages.
+func (w *Widget) redraw() {
 	if !w.realized {
 		return
 	}
@@ -790,11 +792,11 @@ func (w *Widget) ClipIntersects(x, y, wd, h int) bool {
 	return w.clip.Intersects(xproto.Rect{X: x, Y: y, W: wd, H: h})
 }
 
-// RedrawRect repaints only the given rectangle of the widget: the area
+// redrawRect repaints only the given rectangle of the widget: the area
 // is cleared, the clip set, and the class Redisplay runs consulting
 // the clip. Rects covering the whole widget — and every rect while the
-// app is in full-repaint oracle mode — fall back to Redraw.
-func (w *Widget) RedrawRect(r xproto.Rect) {
+// app is in full-repaint oracle mode — fall back to redraw.
+func (w *Widget) redrawRect(r xproto.Rect) {
 	if !w.realized {
 		return
 	}
@@ -804,7 +806,7 @@ func (w *Widget) RedrawRect(r xproto.Rect) {
 		return
 	}
 	if w.app.fullRepaint || r.Contains(full) {
-		w.Redraw()
+		w.redraw()
 		return
 	}
 	if m := w.app.obs.Load(); m != nil {
@@ -818,8 +820,9 @@ func (w *Widget) RedrawRect(r xproto.Rect) {
 
 // Damage marks a rectangle of the widget dirty (a zero-sized rect
 // means the whole widget): the rect enters the display's per-window
-// damage region and comes back as a coalesced Expose on the next event
-// read, which triggers the clipped redraw.
+// damage region and comes back as a coalesced Expose when the event
+// loop next settles the screen (Pump), which triggers the clipped
+// redraw. Every widget update repaints this way.
 func (w *Widget) Damage(r xproto.Rect) {
 	if !w.realized {
 		return
@@ -836,10 +839,10 @@ func (w *Widget) Damage(r xproto.Rect) {
 func (w *Widget) redrawExpose(ev *xproto.Event) {
 	r := xproto.Rect{X: ev.X, Y: ev.Y, W: ev.Width, H: ev.Height}
 	if r.Empty() {
-		w.Redraw()
+		w.redraw()
 		return
 	}
-	w.RedrawRect(r)
+	w.redrawRect(r)
 }
 
 // Destroy destroys the widget subtree (XtDestroyWidget), invoking

@@ -777,3 +777,71 @@ func TestRealizeChildRealizesParent(t *testing.T) {
 			len(root.Children), len(topWin.Children), len(boxWin.Children))
 	}
 }
+
+// newKeyLabel realizes a label whose KeyPress translation runs the
+// global action key, with keyboard focus on it.
+func newKeyLabel(t *testing.T, app *App) *Widget {
+	t.Helper()
+	top := newShell(t, app)
+	w, err := app.CreateWidget("k", testLabelClass, top, map[string]string{
+		"label": "keys", "translations": "<KeyPress>: key()",
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.Realize()
+	app.Pump()
+	app.Display().SetInputFocus(w.Window())
+	return w
+}
+
+// TestDispatchAllocs: dispatching an event copies nothing to the heap;
+// the action or Redisplay gets a pointer into the app's event slots.
+func TestDispatchAllocs(t *testing.T) {
+	app := NewTestApp("wafe")
+	w := newKeyLabel(t, app)
+	keys := 0
+	app.AddAction("key", func(*Widget, *xproto.Event, []string) { keys++ })
+	d := app.Display()
+	for _, ev := range []xproto.Event{
+		{Type: xproto.Expose, Window: w.Window(), X: 1, Y: 1, Width: 3, Height: 3},
+		{Type: xproto.KeyPress, Window: w.Window(), Keycode: 38, Keysym: "a", Rune: 'a'},
+	} {
+		app.DispatchEvent(d, ev)
+		if got := testing.AllocsPerRun(100, func() { app.DispatchEvent(d, ev) }); got != 0 {
+			t.Errorf("%s dispatch: %.1f allocations, want 0", ev.Type, got)
+		}
+	}
+	if keys == 0 {
+		t.Error("key action never ran")
+	}
+}
+
+// TestDispatchReentrantKeepsEvent: an action that pumps re-entrantly
+// still sees its own event afterwards, at every depth, past the app's
+// event slots too.
+func TestDispatchReentrantKeepsEvent(t *testing.T) {
+	app := NewTestApp("wafe")
+	newKeyLabel(t, app)
+	d := app.Display()
+	limit := 2 * len(app.events)
+	depth, deepest := 0, 0
+	app.AddAction("key", func(_ *Widget, ev *xproto.Event, _ []string) {
+		code := ev.Keycode
+		depth++
+		deepest = max(deepest, depth)
+		if depth < limit {
+			d.InjectKeycode(code+1, true)
+			app.Pump()
+		}
+		if ev.Keycode != code {
+			t.Errorf("depth %d: keycode %d after a nested pump, want %d", depth, ev.Keycode, code)
+		}
+		depth--
+	})
+	d.InjectKeycode(10, true)
+	app.Pump()
+	if deepest != limit {
+		t.Errorf("deepest dispatch = %d, want %d", deepest, limit)
+	}
+}

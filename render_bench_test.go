@@ -49,8 +49,8 @@ func BenchmarkRender_SingleWidgetUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkRender_ListHighlight moves a List highlight across 100 items;
-// each move repaints two cells, not the whole list.
+// BenchmarkRender_ListHighlight moves a List highlight across 100 items
+// and settles; each move repaints two cells, not the whole list.
 func BenchmarkRender_ListHighlight(b *testing.B) {
 	app, top := renderApp(b)
 	items := "i0"
@@ -68,6 +68,7 @@ func BenchmarkRender_ListHighlight(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		xaw.ListHighlight(list, i%100)
+		app.Pump()
 	}
 }
 
@@ -94,8 +95,8 @@ func BenchmarkRender_ExposeStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkRender_ScrollbarThumb drags a scrollbar thumb; each move
-// repaints the union of the old and new thumb rectangles.
+// BenchmarkRender_ScrollbarThumb drags a scrollbar thumb and settles;
+// each move repaints the union of the old and new thumb rectangles.
 func BenchmarkRender_ScrollbarThumb(b *testing.B) {
 	app, top := renderApp(b)
 	sb, err := app.CreateWidget("sb", xaw.ScrollbarClass, top, nil, true)
@@ -107,5 +108,6 @@ func BenchmarkRender_ScrollbarThumb(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		xaw.ScrollbarSetThumb(sb, float64(i%10)/10, 0.1)
+		app.Pump()
 	}
 }

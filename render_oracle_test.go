@@ -18,10 +18,11 @@ import (
 // window and redisplays everything, the pre-damage behaviour) must
 // produce byte-identical ASCII snapshots and rasterized images.
 
-// renderStates captures everything observable about a Wafe instance's
-// screen: the ASCII snapshot and the RGBA rasterization (which, unlike
-// the snapshot, sees fills, lines and partial clears).
+// renderState settles the screen, then captures everything observable
+// about it: the ASCII snapshot and the RGBA rasterization (which,
+// unlike the snapshot, sees fills, lines and partial clears).
 func renderState(w *core.Wafe) (string, []byte) {
+	w.App.Pump()
 	if w.TopLevel == nil || !w.TopLevel.IsRealized() {
 		return "<unrealized>", nil
 	}
@@ -101,6 +102,43 @@ line two}
 realize
 sync`
 
+// oracleStep returns a random command over the oracle zoo: a widget
+// update, an expose, or injected input.
+func oracleStep(rng *rand.Rand) string {
+	switch rng.Intn(11) {
+	case 0:
+		return fmt.Sprintf("listHighlight lst %d", rng.Intn(6))
+	case 1:
+		return "listUnhighlight lst"
+	case 2:
+		return fmt.Sprintf("scrollbarSetThumb sb 0.%d 0.%d", rng.Intn(10), rng.Intn(10))
+	case 3:
+		return fmt.Sprintf("stripChartSample chart %d", rng.Intn(9)+1)
+	case 4:
+		return fmt.Sprintf("sV lab label {value %d}", rng.Intn(100))
+	case 5:
+		// Whole-window or sub-rect expose on a random widget.
+		target := []string{"lab", "lst", "sb", "chart", "txt", "btn"}[rng.Intn(6)]
+		if rng.Intn(2) == 0 {
+			return "sendExpose " + target
+		}
+		return fmt.Sprintf("sendExpose %s %d %d %d %d", target,
+			rng.Intn(40), rng.Intn(20), rng.Intn(60)+1, rng.Intn(30)+1)
+	case 6:
+		return "sendClick btn"
+	case 7:
+		return "sendClick tog"
+	case 8:
+		return fmt.Sprintf("sendKeys txt x%d", rng.Intn(10))
+	case 9:
+		items := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		return "listChange lst {" + strings.Join(items[:rng.Intn(6)+1], " ") + "}"
+	default:
+		return "sync"
+	}
+}
+
 // TestRenderOracle_Randomized drives identical randomized damage/update
 // sequences through twin instances — one clipped, one full-repaint —
 // and compares the screen after every step. This is the adversarial
@@ -122,38 +160,8 @@ func TestRenderOracle_Randomized(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewSource(seed))
-			step := func() string {
-				switch rng.Intn(10) {
-				case 0:
-					return fmt.Sprintf("listHighlight lst %d", rng.Intn(6))
-				case 1:
-					return "listUnhighlight lst"
-				case 2:
-					return fmt.Sprintf("scrollbarSetThumb sb 0.%d 0.%d", rng.Intn(10), rng.Intn(10))
-				case 3:
-					return fmt.Sprintf("stripChartSample chart %d", rng.Intn(9)+1)
-				case 4:
-					return fmt.Sprintf("sV lab label {value %d}", rng.Intn(100))
-				case 5:
-					// Whole-window or sub-rect expose on a random widget.
-					target := []string{"lab", "lst", "sb", "chart", "txt", "btn"}[rng.Intn(6)]
-					if rng.Intn(2) == 0 {
-						return "sendExpose " + target
-					}
-					return fmt.Sprintf("sendExpose %s %d %d %d %d", target,
-						rng.Intn(40), rng.Intn(20), rng.Intn(60)+1, rng.Intn(30)+1)
-				case 6:
-					return "sendClick btn"
-				case 7:
-					return "sendClick tog"
-				case 8:
-					return fmt.Sprintf("sendKeys txt x%d", rng.Intn(10))
-				default:
-					return "sync"
-				}
-			}
 			for i := 0; i < 250; i++ {
-				op := step()
+				op := oracleStep(rng)
 				r1, err1 := clipped.Eval(op)
 				r2, err2 := full.Eval(op)
 				if r1 != r2 || (err1 == nil) != (err2 == nil) {
@@ -166,6 +174,56 @@ func TestRenderOracle_Randomized(t *testing.T) {
 				}
 				if !bytes.Equal(p1, p2) {
 					t.Fatalf("step %d %q: rasterized image mismatch", i, op)
+				}
+			}
+		})
+	}
+}
+
+// TestRenderOracle_Batched proves that deferring the repaint to the
+// event loop loses nothing: twin instances run the same random ops,
+// one settling the screen after every op, the other only at random
+// points, as a loop turn that handles several lines does. Every op's
+// result and the screens at every settle point must match. A widget
+// update that forgot to damage its window leaves a stale screen there,
+// so exposing every realized widget again must not change it either.
+func TestRenderOracle_Batched(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			eager, batched := core.NewTest(), core.NewTest()
+			for _, w := range []*core.Wafe{eager, batched} {
+				w.Interp.Stdout = func(string) {}
+				if _, err := w.Eval(oracleZoo); err != nil {
+					t.Fatalf("zoo setup: %v", err)
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 250; i++ {
+				op := oracleStep(rng)
+				r1, err1 := eager.Eval(op)
+				eager.App.Pump()
+				r2, err2 := batched.Eval(op)
+				if r1 != r2 || (err1 == nil) != (err2 == nil) {
+					t.Fatalf("step %d %q: result mismatch: %q/%v vs %q/%v", i, op, r1, err1, r2, err2)
+				}
+				if rng.Intn(4) != 0 {
+					continue
+				}
+				s1, p1 := renderState(eager)
+				s2, p2 := renderState(batched)
+				if s1 != s2 || !bytes.Equal(p1, p2) {
+					t.Fatalf("step %d %q: screens differ:\n--- settled per op ---\n%s\n--- batched ---\n%s", i, op, s1, s2)
+				}
+				for _, w := range []*core.Wafe{eager, batched} {
+					for _, name := range w.App.WidgetNames() {
+						if wid := w.App.WidgetByName(name); wid.IsRealized() {
+							wid.Display().InjectExpose(wid.Window())
+						}
+					}
+					if s, p := renderState(w); s != s1 || !bytes.Equal(p, p1) {
+						t.Fatalf("step %d %q: a fresh expose changed the screen, so an update missed its damage:\n--- before ---\n%s\n--- after ---\n%s", i, op, s1, s)
+					}
 				}
 			}
 		})

@@ -44,11 +44,13 @@ go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./
 # (handshake, mid-command disconnect, crash respawn beside a live
 # sibling, graceful shutdown) and per-session metrics;
 # TestTrace/TestRing/TestSpan cover concurrent span/event recording
-# against readers, and TestFlight the anomaly snapshots. Run by name
+# against readers, and TestFlight the anomaly snapshots; TestPostChain
+# checks that a self-reposting input cannot hold off the loop's timers
+# and repaint. Run by name
 # so a renamed test cannot silently drop out of the gate.
 echo "== go test -race fault injection + supervision + xrm concurrency + sessions + tracing"
 go test -race -count 1 \
-    -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPostFrom|TestPostFunnel|TestTimerRemoved|TestXrmConcurrent|TestSession|TestServe|TestTrace|TestRing|TestSpan|TestFlight' \
+    -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPostFrom|TestPostFunnel|TestPostChain|TestTimerRemoved|TestXrmConcurrent|TestSession|TestServe|TestTrace|TestRing|TestSpan|TestFlight' \
     ./internal/xt/ ./internal/frontend/ ./internal/obs/
 
 # The serve-mode load harness at a reduced session count: full scale
