@@ -9,7 +9,10 @@ package wafe
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -384,6 +387,96 @@ func BenchmarkC5_MassTransfer(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// massPipe is C5 as wafe --app runs it, in process: a frontend with its
+// event loop running, whose data channel is a real os.Pipe attached
+// with AttachMass and armed for size-byte transfers. A transfer ends
+// when the armed script's reply arrives.
+type massPipe struct {
+	payload []byte
+	want    string
+	pipe    *os.File
+	replies chan string
+	stop    func()
+}
+
+func newMassPipe(tb testing.TB, size int) *massPipe {
+	tb.Helper()
+	w := core.NewTest()
+	f := frontend.New(w, nil, io.Discard)
+	replies := make(chan string, 1)
+	w.Interp.Stdout = func(line string) { replies <- line }
+	r, pw, err := os.Pipe()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.AttachMass(r)
+	f.HandleAppLine("%asciiText text topLevel editType edit")
+	f.HandleAppLine("%realize")
+	f.HandleAppLine(fmt.Sprintf("%%setCommunicationVariable C %d {sV text string $C; echo [string length $C]}", size))
+	done := make(chan int)
+	go func() { done <- w.App.MainLoop() }()
+	return &massPipe{
+		payload: []byte(strings.Repeat("x", size)),
+		want:    strconv.Itoa(size),
+		pipe:    pw,
+		replies: replies,
+		stop: func() {
+			w.App.Post(func() { w.App.Quit(0) })
+			<-done
+			pw.Close()
+			r.Close()
+		},
+	}
+}
+
+func (m *massPipe) transfer(tb testing.TB) {
+	if _, err := m.pipe.Write(m.payload); err != nil {
+		tb.Fatal(err)
+	}
+	if got := <-m.replies; got != m.want {
+		tb.Fatalf("armed script replied %q, want %q", got, m.want)
+	}
+}
+
+// BenchmarkC5_MassPipe moves the paper's 100 000-byte transfer through
+// a real pipe with the event loop running: the path e2ebench's bulk
+// workload times for its mass op, without the process crossings.
+func BenchmarkC5_MassPipe(b *testing.B) {
+	m := newMassPipe(b, 100000)
+	defer m.stop()
+	b.SetBytes(100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.transfer(b)
+	}
+}
+
+// TestMassTransferAllocs gates what a piped 100 000-byte transfer
+// costs the whole process, reader goroutine and loop included: the
+// payload is copied once, into the variable's own storage.
+func TestMassTransferAllocs(t *testing.T) {
+	m := newMassPipe(t, 100000)
+	defer m.stop()
+	for i := 0; i < 10; i++ {
+		m.transfer(t) // warm: read buffers, script cache
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m.transfer(t)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.1f allocations, %.0f B per transfer", allocs, bytes)
+	if allocs > 8 || bytes > 110000 {
+		t.Errorf("piped 100 000-byte transfer: %.1f allocations and %.0f B, want at most 8 and 110000", allocs, bytes)
 	}
 }
 

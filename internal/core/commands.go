@@ -76,7 +76,7 @@ func (w *Wafe) cmdSetSensitive(argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return "", wid.SetValues(map[string]string{"sensitive": argv[2]})
+	return "", wid.SetValues("sensitive", argv[2])
 }
 
 func (w *Wafe) cmdIsRealized(argv []string) (string, error) {
@@ -222,11 +222,7 @@ func (w *Wafe) cmdSetValues(argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	args := make(map[string]string, (len(argv)-2)/2)
-	for i := 2; i+1 < len(argv); i += 2 {
-		args[argv[i]] = argv[i+1]
-	}
-	if err := wid.SetValues(args); err != nil {
+	if err := wid.SetValues(argv[2:]...); err != nil {
 		return "", tcl.NewError("%s", err.Error())
 	}
 	return "", nil

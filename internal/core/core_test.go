@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -128,6 +129,31 @@ func TestSetValuesPaperExample(t *testing.T) {
 	eval(t, w, `echo [gV label1 label]`)
 	if got := output(w); got != "Other\n" {
 		t.Errorf("echo gV = %q", got)
+	}
+}
+
+// TestSetValuesAllOrNothing: sV converts every value before it stores
+// any, so a call with one bad value leaves the widget as it was. With
+// the pairs gathered in a map, which of them were stored before the
+// failure depended on map order. A resource named twice takes its
+// last value, as the pairs apply in order.
+func TestSetValuesAllOrNothing(t *testing.T) {
+	w := NewTest()
+	for i := 0; i < 200; i++ {
+		l := "l" + strconv.Itoa(i)
+		eval(t, w, "label "+l+" topLevel width 40; realize")
+		fg := eval(t, w, "gV "+l+" foreground")
+		evalErr(t, w, "sV "+l+" width 77 foreground notacolor", "notacolor")
+		if got := eval(t, w, "gV "+l+" width"); got != "40" {
+			t.Fatalf("run %d: width %s after a failed sV, want 40", i, got)
+		}
+		if got := eval(t, w, "gV "+l+" foreground"); got != fg {
+			t.Fatalf("run %d: foreground %s after a failed sV, want %s", i, got, fg)
+		}
+	}
+	eval(t, w, "sV l0 width 50 width 60")
+	if got := eval(t, w, "gV l0 width"); got != "60" {
+		t.Errorf("width %s after sV width 50 width 60", got)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestLabelRoundTripProperty(t *testing.T) {
 		if strings.ContainsRune(s, 0) || len(s) > 60 {
 			return true
 		}
-		if err := wid.SetValues(map[string]string{"label": s}); err != nil {
+		if err := wid.SetValues("label", s); err != nil {
 			return false
 		}
 		got, err := wid.GetValue("label")

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"wafe/internal/core"
 	"wafe/internal/obs"
@@ -31,12 +34,20 @@ type Frontend struct {
 	// it.
 	toApp io.Writer
 
-	// mass-transfer state (setCommunicationVariable).
-	massVar    string
-	massLimit  int
-	massAction string
-	massBuf    []byte
-	massFD     int
+	// mass-transfer state (setCommunicationVariable). massAcc holds
+	// the bytes received toward the next transfer; once armed it is
+	// grown to the whole transfer, whose string becomes the variable.
+	// massPipe is the attached data pipe, grown to hold one armed
+	// transfer. massWant mirrors massLimit for the data channel's
+	// reader goroutine, which sizes its reads by it.
+	massVar      string
+	massLimit    int
+	massAction   string
+	massAcc      strings.Builder
+	massFD       int
+	massPipe     *os.File
+	massWant     atomic.Int64
+	massDraining bool
 
 	// stats for tests and benchmarks. The same counts feed the
 	// observability registry (frontend.* metrics) once it is enabled.
@@ -112,6 +123,8 @@ func (f *Frontend) registerCommands() {
 		f.massVar = argv[1]
 		f.massLimit = n
 		f.massAction = argv[3]
+		f.massWant.Store(int64(n))
+		growPipe(f.massPipe, n)
 		// Bytes may already be buffered: the data channel and the
 		// command pipe are independent inputs, so the payload can race
 		// ahead of the arming command. Buffered bytes count toward the
@@ -313,46 +326,109 @@ func (f *Frontend) handleAppLine(line string, m *obs.Metrics) {
 
 // AttachMass wires the optional data channel: bytes read from r
 // accumulate until the configured byte count is reached, then the
-// transfer variable is set and the action script runs.
+// transfer variable is set and the action script runs. A pipe is grown
+// to hold one armed transfer, now or when a transfer is armed.
 func (f *Frontend) AttachMass(r io.Reader) {
-	chunks := make(chan string, 64)
-	go func() {
-		defer close(chunks)
-		buf := make([]byte, 8192)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				chunks <- string(buf[:n])
-			}
-			if err != nil {
-				return
-			}
+	if p, ok := r.(*os.File); ok {
+		f.massPipe = p
+		growPipe(p, f.massLimit)
+	}
+	// Two buffers, made on first use, take turns: the reader fills one
+	// while the loop copies out of the other.
+	free := make(chan []byte, 2)
+	free <- nil
+	free <- nil
+	go f.readMass(r, free)
+}
+
+// Sizes on the data channel. Until a transfer is armed a read takes
+// 8 KB; an armed read takes the whole transfer, up to what one read of
+// a pipe can return (Linux's default pipe-max-size). A transfer's
+// storage is reserved whole when its first byte arrives, up to 64 MB;
+// a larger one grows as its bytes come, so that a byte count no
+// payload fills reserves no more.
+const (
+	massReadMin = 8 << 10
+	massReadMax = 1 << 20
+	massGrowMax = 64 << 20
+)
+
+// readMass is the data channel's reader goroutine. Each read goes to
+// the event loop as it is; the loop copies it into the transfer and
+// only then hands the buffer back through free.
+func (f *Frontend) readMass(r io.Reader, free chan []byte) {
+	for {
+		buf := <-free
+		if size := min(max(int(f.massWant.Load()), massReadMin), massReadMax); cap(buf) < size {
+			buf = make([]byte, size)
 		}
-	}()
-	f.W.App.AddInput(chunks, func(chunk string, eof bool) {
-		if eof {
+		n, err := r.Read(buf[:cap(buf)])
+		if n > 0 {
+			f.W.App.Post(func() {
+				f.feedMass(buf[:n])
+				free <- buf
+			})
+		} else {
+			free <- buf
+		}
+		if err != nil {
 			return
 		}
-		f.massBuf = append(f.massBuf, chunk...)
-		f.drainMass()
-	})
+	}
 }
 
 // FeedMass delivers data-channel bytes synchronously (tests and
 // benchmarks; AttachMass is the asynchronous production path).
 func (f *Frontend) FeedMass(data string) {
-	f.massBuf = append(f.massBuf, data...)
-	f.drainMass()
+	// feedMass only reads its argument, so it may view the string's
+	// bytes in place.
+	f.feedMass(unsafe.Slice(unsafe.StringData(data), len(data)))
 }
 
+// feedMass is the one accumulation path of the data channel, run on
+// the event loop for every delivery. It copies b once, into storage
+// grown to the armed count, and completes every transfer b fills; it
+// keeps no reference to b.
+func (f *Frontend) feedMass(b []byte) {
+	if m := f.W.Metrics; m != nil {
+		m.Frontend.MassReads.Inc()
+	}
+	for len(b) > 0 {
+		n := len(b)
+		if f.massLimit > 0 {
+			need := f.massLimit - f.massAcc.Len()
+			f.massAcc.Grow(min(need, massGrowMax))
+			n = min(n, need)
+		}
+		f.massAcc.Write(b[:n])
+		b = b[n:]
+		f.drainMass()
+	}
+}
+
+// drainMass completes the armed transfer while enough bytes are held.
+// The held bytes become the variable's value without a copy; bytes
+// beyond the transfer, held before a smaller arming, are copied into
+// the next one. An arming made by the armed script takes effect when
+// the script returns: the loop below picks it up, so a script that
+// re-arms does not nest one drain per held transfer.
 func (f *Frontend) drainMass() {
-	for f.massLimit > 0 && len(f.massBuf) >= f.massLimit {
-		data := string(f.massBuf[:f.massLimit])
-		f.massBuf = append(f.massBuf[:0], f.massBuf[f.massLimit:]...)
+	if f.massDraining {
+		return
+	}
+	f.massDraining = true
+	defer func() { f.massDraining = false }()
+	for f.massLimit > 0 && f.massAcc.Len() >= f.massLimit {
+		data := f.massAcc.String()
+		f.massAcc.Reset()
+		if len(data) > f.massLimit {
+			f.massAcc.WriteString(data[f.massLimit:])
+			data = data[:f.massLimit]
+		}
 		if f.massVar != "" {
 			if err := f.W.Interp.SetGlobalVar(f.massVar, data); err != nil {
 				fmt.Fprintf(f.Terminal, "wafe: mass transfer variable: %v\n", err)
-				return
+				continue
 			}
 		}
 		if f.massAction != "" {
@@ -362,7 +438,7 @@ func (f *Frontend) drainMass() {
 		}
 		if m := f.W.Metrics; m != nil {
 			m.Frontend.MassTransfers.Inc()
-			m.Frontend.MassBytes.Add(int64(f.massLimit))
+			m.Frontend.MassBytes.Add(int64(len(data)))
 		}
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"wafe/internal/core"
+	"wafe/internal/tcl"
 )
 
 // syncBuffer is a goroutine-safe terminal sink.
@@ -271,6 +274,103 @@ func TestMassTransfer(t *testing.T) {
 	})
 	if len(got) != size || got != payload {
 		t.Errorf("transferred %d bytes, want %d (content match: %v)", len(got), size, got == payload)
+	}
+}
+
+// TestMassReadsPublished: every delivery from the data channel counts
+// in frontend.mass_reads, which statistics, the Prometheus text and
+// the JSON dump all publish.
+func TestMassReadsPublished(t *testing.T) {
+	f, backendOut, backendIn, _, cleanup := newPipedFrontend(t)
+	defer cleanup()
+	massR, massW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer massR.Close()
+	defer massW.Close()
+	f.AttachMass(massR)
+	stop := run(t, f)
+	defer stop()
+	send(backendOut, "%statistics\n%setCommunicationVariable C 100000 {echo massdone}\n%echo armed\n")
+	if got := readLine(t, backendIn); got != "armed" {
+		t.Fatalf("arm = %q", got)
+	}
+	const transfers = 3
+	payload := []byte(strings.Repeat("x", 100000))
+	for i := 0; i < transfers; i++ {
+		go massW.Write(payload)
+		if got := readLine(t, backendIn); got != "massdone" {
+			t.Fatalf("transfer %d: %q", i, got)
+		}
+	}
+	send(backendOut, "%echo [statistics frontend.mass_*]\n")
+	stats := strings.Fields(readLine(t, backendIn))
+	counts := map[string]string{}
+	for i := 0; i+1 < len(stats); i += 2 {
+		counts[stats[i]] = stats[i+1]
+	}
+	if counts["frontend.mass_transfers"] != "3" {
+		t.Fatalf("statistics = %q", stats)
+	}
+	reads, err := strconv.Atoi(counts["frontend.mass_reads"])
+	if err != nil || reads < transfers {
+		t.Fatalf("frontend.mass_reads = %q for %d transfers", counts["frontend.mass_reads"], transfers)
+	}
+	// On Linux the pipe holds a whole transfer, so each takes one read;
+	// the first read was sized before the arming and may take one more.
+	if runtime.GOOS == "linux" && reads > transfers+1 {
+		t.Errorf("%d reads for %d transfers through a grown pipe", reads, transfers)
+	}
+	var prom, dump strings.Builder
+	post(t, f, func() {
+		_ = f.W.Metrics.WritePrometheus(&prom)
+		_ = f.W.Metrics.WriteJSON(&dump)
+	})
+	if want := "wafe_frontend_mass_reads " + strconv.Itoa(reads); !strings.Contains(prom.String(), want) {
+		t.Errorf("Prometheus text lacks %q", want)
+	}
+	if want := `"frontend.mass_reads":` + strconv.Itoa(reads); !strings.Contains(dump.String(), want) {
+		t.Errorf("JSON dump lacks %q", want)
+	}
+}
+
+// readSizes is a data channel that reports the size of every read the
+// frontend asks of it and returns what the test sends.
+type readSizes struct {
+	sizes chan int
+	data  chan string
+}
+
+func (r *readSizes) Read(p []byte) (int, error) {
+	r.sizes <- len(p)
+	s, ok := <-r.data
+	if !ok {
+		return 0, io.EOF
+	}
+	return copy(p, s), nil
+}
+
+// TestMassReadSizes: until a transfer is armed the data channel reads
+// 8 KB at a time; once armed, a read takes the whole transfer.
+func TestMassReadSizes(t *testing.T) {
+	w := core.NewTest()
+	f := New(w, nil, &syncBuffer{})
+	w.Interp.Stdout = func(string) {}
+	r := &readSizes{sizes: make(chan int), data: make(chan string)}
+	f.AttachMass(r)
+	if got := <-r.sizes; got != 8192 {
+		t.Errorf("unarmed read of %d bytes, want 8192", got)
+	}
+	f.HandleAppLine("%setCommunicationVariable C 100000 {echo done}")
+	r.data <- "x"
+	if got := <-r.sizes; got != 100000 {
+		t.Errorf("armed read of %d bytes, want 100000", got)
+	}
+	close(r.data)
+	w.App.Sync()
+	if got := f.massAcc.String(); got != "x" {
+		t.Errorf("held %q, want the byte read", got)
 	}
 }
 
@@ -565,5 +665,47 @@ func TestInteractiveModeSettles(t *testing.T) {
 	l := w.App.WidgetByName("l")
 	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "updated" {
 		t.Errorf("label shows %q, want [updated]", drawn)
+	}
+}
+
+// TestMassHugeArmedCount: a byte count far beyond any payload reserves
+// a bounded amount of storage when the first bytes arrive, and the
+// bytes wait for the rest of the transfer.
+func TestMassHugeArmedCount(t *testing.T) {
+	w := core.NewTest()
+	term := &syncBuffer{}
+	f := New(w, nil, term)
+	f.HandleAppLine("%setCommunicationVariable C 2000000000 {echo never}")
+	if f.EvalErrors != 0 {
+		t.Fatalf("arming failed: %s", term.String())
+	}
+	f.FeedMass("abc")
+	if got := f.massAcc.String(); got != "abc" {
+		t.Errorf("held %q", got)
+	}
+	if c := f.massAcc.Cap(); c > massGrowMax+massReadMax {
+		t.Errorf("reserved %d bytes for a 3-byte delivery", c)
+	}
+}
+
+// TestMassRearmOverHeldBytes: an armed script that re-arms, run over
+// many transfers' worth of bytes that arrived before the arming, runs
+// once per transfer without nesting: the re-arming applies when the
+// script returns. A drain per re-arming used to nest until the
+// interpreter refused, after about 500 transfers.
+func TestMassRearmOverHeldBytes(t *testing.T) {
+	w := core.NewTest()
+	term := &syncBuffer{}
+	f := New(w, nil, term)
+	runs := 0
+	w.Interp.RegisterCommand("count", func(_ *tcl.Interp, argv []string) (string, error) {
+		runs++
+		return "", nil
+	})
+	f.FeedMass(strings.Repeat("x", 2000))
+	f.HandleAppLine("%proc onMass {} {count; setCommunicationVariable C 1 onMass}")
+	f.HandleAppLine("%setCommunicationVariable C 1 onMass")
+	if runs != 2000 || f.EvalErrors != 0 || term.String() != "" {
+		t.Errorf("script ran %d times for 2000 transfers, %d eval errors, terminal %.200q", runs, f.EvalErrors, term.String())
 	}
 }

@@ -67,6 +67,10 @@ type FrontendMetrics struct {
 	LineLatency   Histogram
 	MassTransfers Counter
 	MassBytes     Counter
+	// MassReads counts deliveries from the data channel, one per read
+	// that returned bytes: over MassTransfers, the reads a transfer
+	// took.
+	MassReads Counter
 
 	// ReadErrors counts command-pipe read failures — previously
 	// indistinguishable from clean EOF.
@@ -208,6 +212,7 @@ func (m *Metrics) SnapshotBase() []Sample {
 		Sample{"frontend.eval_errors", f.EvalErrors.Load()},
 		Sample{"frontend.mass_transfers", f.MassTransfers.Load()},
 		Sample{"frontend.mass_bytes", f.MassBytes.Load()},
+		Sample{"frontend.mass_reads", f.MassReads.Load()},
 		Sample{"frontend.read_errors", f.ReadErrors.Load()},
 		Sample{"frontend.backend_restarts", f.BackendRestarts.Load()},
 		Sample{"frontend.backend_uptime_ms", f.BackendUptime.Load()},

@@ -130,6 +130,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.scalar("frontend.eval_errors", "counter", f.EvalErrors.Load())
 	p.scalar("frontend.mass_transfers", "counter", f.MassTransfers.Load())
 	p.scalar("frontend.mass_bytes", "counter", f.MassBytes.Load())
+	p.scalar("frontend.mass_reads", "counter", f.MassReads.Load())
 	p.scalar("frontend.read_errors", "counter", f.ReadErrors.Load())
 	p.scalar("frontend.backend_restarts", "counter", f.BackendRestarts.Load())
 	p.scalar("frontend.backend_uptime_ms", "gauge", f.BackendUptime.Load())

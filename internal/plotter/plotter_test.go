@@ -41,7 +41,7 @@ func TestBarGraphValues(t *testing.T) {
 		t.Errorf("fill ops = %d", fills)
 	}
 	// Streaming new data redraws.
-	if err := bg.SetValues(map[string]string{"data": "9 9"}); err != nil {
+	if err := bg.SetValues("data", "9 9"); err != nil {
 		t.Fatal(err)
 	}
 	if len(Values(bg)) != 2 {

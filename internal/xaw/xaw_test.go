@@ -94,7 +94,7 @@ func TestLabelColorsFromPaperExample(t *testing.T) {
 		t.Errorf("foreground = %v", w.PixelRes("foreground"))
 	}
 	// setValues label1 background tomato label "Hi Man"
-	if err := w.SetValues(map[string]string{"background": "tomato", "label": "Hi Man"}); err != nil {
+	if err := w.SetValues("background", "tomato", "label", "Hi Man"); err != nil {
 		t.Fatal(err)
 	}
 	if w.PixelRes("background") != (xproto.Pixel{R: 255, G: 99, B: 71}) {
@@ -166,7 +166,7 @@ func TestRadioGroup(t *testing.T) {
 	box := create(t, app, "box", BoxClass, top, nil)
 	a := create(t, app, "a", ToggleClass, box, nil)
 	b := create(t, app, "b", ToggleClass, box, map[string]string{"radioGroup": "a"})
-	_ = a.SetValues(map[string]string{"radioGroup": "a"})
+	_ = a.SetValues("radioGroup", "a")
 	top.Realize()
 	app.Pump()
 	press(app, a)
@@ -214,7 +214,7 @@ func TestFormConstraintCycleIsSafe(t *testing.T) {
 	form := create(t, app, "f", FormClass, top, nil)
 	a := create(t, app, "a", LabelClass, form, nil)
 	b := create(t, app, "b", LabelClass, form, map[string]string{"fromVert": "a"})
-	_ = a.SetValues(map[string]string{"fromVert": "b"}) // cycle
+	_ = a.SetValues("fromVert", "b") // cycle
 	top.Realize()
 	app.Pump() // must not hang or panic
 	_ = b
@@ -330,6 +330,43 @@ func TestListChange(t *testing.T) {
 	ListChange(lst, []string{"x", "y", "z"}, true)
 	if got := lst.StringList("list"); len(got) != 3 || got[2] != "z" {
 		t.Errorf("list = %v", got)
+	}
+}
+
+// TestListChangeSameSizeStopsAtList: a listChange that keeps the
+// List's size lays out nothing, as XtMakeGeometryRequest answers
+// XtGeometryYes to a request for the current geometry without asking
+// the parent; one that changes the size lays the parent Form out once.
+func TestListChangeSameSizeStopsAtList(t *testing.T) {
+	layouts := 0
+	countingForm := &xt.Class{
+		Name:      "CountingForm",
+		Super:     FormClass,
+		Composite: true,
+		ChangeManaged: func(w *xt.Widget) {
+			layouts++
+			formLayout(w)
+		},
+	}
+	app, top := newApp(t)
+	form := create(t, app, "f", countingForm, top, nil)
+	lst := create(t, app, "l", ListClass, form, map[string]string{"list": "aa\nbb", "defaultColumns": "1"})
+	create(t, app, "below", LabelClass, form, map[string]string{"fromVert": "l"})
+	top.Realize()
+	app.Pump()
+	layouts = 0
+	ListChange(lst, []string{"cc", "dd"}, true)
+	if layouts != 0 {
+		t.Errorf("same-size listChange ran %d parent layouts, want 0", layouts)
+	}
+	w, h := lst.Int("width"), lst.Int("height")
+	layouts = 0
+	ListChange(lst, []string{"eeee", "ffff", "gg"}, true)
+	if lst.Int("width") == w && lst.Int("height") == h {
+		t.Fatalf("longer items kept the List at %dx%d", w, h)
+	}
+	if layouts != 1 {
+		t.Errorf("size-changing listChange ran %d parent layouts, want 1", layouts)
 	}
 }
 
@@ -486,7 +523,7 @@ func TestAsciiTextSetStringClampsCaret(t *testing.T) {
 	app, top := newApp(t)
 	txt := create(t, app, "t", AsciiTextClass, top, map[string]string{"editType": "edit", "string": "hello"})
 	txt.SetResourceValue("insertPosition", 5)
-	if err := txt.SetValues(map[string]string{"string": "hi"}); err != nil {
+	if err := txt.SetValues("string", "hi"); err != nil {
 		t.Fatal(err)
 	}
 	if txt.Int("insertPosition") > 2 {
@@ -682,7 +719,7 @@ func TestDialogValue(t *testing.T) {
 	if DialogValue(dlg) != "initial" {
 		t.Errorf("value = %q", DialogValue(dlg))
 	}
-	_ = dlg.SetValues(map[string]string{"value": "edited"})
+	_ = dlg.SetValues("value", "edited")
 	if DialogValue(dlg) != "edited" {
 		t.Errorf("value = %q", DialogValue(dlg))
 	}

@@ -270,7 +270,7 @@ func TestXmTextBackspaceAndLimits(t *testing.T) {
 		t.Errorf("valueChangedCallback fired %d times", changes)
 	}
 	// Non-editable text ignores keys.
-	_ = txt.SetValues(map[string]string{"editable": "false", "value": "locked"})
+	_ = txt.SetValues("editable", "false", "value", "locked")
 	_ = d.TypeString("x")
 	app.Pump()
 	if txt.Str("value") != "locked" {

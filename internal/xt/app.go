@@ -20,10 +20,6 @@ type windowKey struct {
 // (XtAppAddWorkProc). Returning true removes it.
 type WorkProc func() bool
 
-// InputHandler receives lines from an alternate input source
-// (XtAppAddInput). eof is true exactly once, after the source closes.
-type InputHandler func(line string, eof bool)
-
 // App is the application context (XtAppContext): displays, the resource
 // database, converters, global actions, timeouts, alternate inputs and
 // work procedures, plus the widget registries.
@@ -490,20 +486,6 @@ func (app *App) runDueTimers() time.Duration {
 
 // --- alternate inputs ----------------------------------------------------------
 
-// AddInput attaches a line-oriented input source: each line received on
-// ch is handed to handler on the event-loop goroutine; channel close
-// delivers eof. This is the frontend-mode hook (XtAppAddInput on the
-// pipe from the application program).
-func (app *App) AddInput(ch <-chan string, handler InputHandler) {
-	go func() {
-		for line := range ch {
-			l := line
-			app.Post(func() { handler(l, false) })
-		}
-		app.Post(func() { handler("", true) })
-	}()
-}
-
 // InputEvent is one delivery from an error-aware input source: a line,
 // or a terminal condition — EOF (the source closed cleanly) or Err (the
 // read failed). Distinguishing the two is what lets the frontend tell a
@@ -517,7 +499,8 @@ type InputEvent struct {
 // AddInputEvents attaches an input source with error reporting: each
 // event received on ch is handed to handler on the event-loop
 // goroutine, in order. The producer sends a terminal EOF or Err event
-// and then closes ch.
+// and then closes ch. This is the frontend-mode hook (XtAppAddInput on
+// the command pipe from the application program).
 func (app *App) AddInputEvents(ch <-chan InputEvent, handler func(InputEvent)) {
 	go func() {
 		for ev := range ch {

@@ -121,7 +121,7 @@ func TestShellTitleResources(t *testing.T) {
 	if top.Str("title") != "My Application" || top.Str("iconName") != "myapp" {
 		t.Errorf("title=%q icon=%q", top.Str("title"), top.Str("iconName"))
 	}
-	if err := top.SetValues(map[string]string{"title": "Renamed"}); err != nil {
+	if err := top.SetValues("title", "Renamed"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := top.GetValue("title"); got != "Renamed" {

@@ -181,7 +181,7 @@ func TestUndeclaredAndDestroyedStorage(t *testing.T) {
 	if _, ok := l.Get("label"); ok {
 		t.Errorf("a destroyed widget still has its label")
 	}
-	if err := l.SetValues(map[string]string{"label": "late"}); err == nil {
+	if err := l.SetValues("label", "late"); err == nil {
 		t.Errorf("SetValues on a destroyed widget succeeded")
 	}
 }

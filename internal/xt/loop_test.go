@@ -65,8 +65,8 @@ func TestPostFromReaderWithFullQueue(t *testing.T) {
 
 // TestPostFunnelSerializesSessionState pins the cross-goroutine idioms
 // wafevet's sessionowner rule sanctions: session-owned state (the
-// widget tree) is only ever touched via App.Post or the AddInput /
-// AddInputEvents funnels, which marshal onto the loop goroutine. Many
+// widget tree) is only ever touched via App.Post or the
+// AddInputEvents funnel, which marshal onto the loop goroutine. Many
 // producers hammer one widget concurrently; under -race this proves
 // the funnel serializes every access without any locking in xt itself.
 func TestPostFunnelSerializesSessionState(t *testing.T) {
@@ -78,7 +78,7 @@ func TestPostFunnelSerializesSessionState(t *testing.T) {
 	}
 
 	const posters, perPoster, inputLines = 4, 50, 50
-	want := posters*perPoster + 2*inputLines
+	want := posters*perPoster + inputLines
 	touches := 0
 	touch := func(tag string, i int) func() {
 		return func() {
@@ -101,12 +101,6 @@ func TestPostFunnelSerializesSessionState(t *testing.T) {
 		}(p)
 	}
 
-	lines := make(chan string)
-	app.AddInput(lines, func(line string, eof bool) {
-		if !eof {
-			touch("input", len(line))()
-		}
-	})
 	events := make(chan InputEvent)
 	app.AddInputEvents(events, func(ev InputEvent) {
 		if !ev.EOF {
@@ -117,10 +111,8 @@ func TestPostFunnelSerializesSessionState(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < inputLines; i++ {
-			lines <- fmt.Sprintf("line %d", i)
 			events <- InputEvent{Line: fmt.Sprintf("ev %d", i)}
 		}
-		close(lines)
 		close(events)
 	}()
 
@@ -197,7 +189,7 @@ func TestPostChainYieldsToTimersAndRepaint(t *testing.T) {
 		n++
 		switch {
 		case n == 1:
-			if err := w.SetValues(map[string]string{"label": "after"}); err != nil {
+			if err := w.SetValues("label", "after"); err != nil {
 				t.Error(err)
 			}
 		case paintedAt < 0 && painted():

@@ -403,10 +403,15 @@ func (w *Widget) SetResourceValue(name string, v any) { w.setResource(name, v) }
 // RequestResize asks the parent to give the widget a new preferred
 // size (XtMakeResizeRequest): the geometry is updated and a realized
 // parent relaid out; under an unrealized parent the request is simply
-// granted.
+// granted. A request for the current size is granted at once, without
+// asking the parent, as XtMakeGeometryRequest answers XtGeometryYes.
 func (w *Widget) RequestResize(width, height int) {
-	w.setResource("width", maxInt(width, 1))
-	w.setResource("height", maxInt(height, 1))
+	width, height = maxInt(width, 1), maxInt(height, 1)
+	if width == w.Int("width") && height == w.Int("height") {
+		return
+	}
+	w.setResource("width", width)
+	w.setResource("height", height)
 	w.applyGeometry()
 	w.relayoutParent()
 }
@@ -424,51 +429,82 @@ func (w *Widget) IsSensitive() bool {
 
 // --- SetValues / GetValue --------------------------------------------------
 
-// SetValues applies resource string values (the sV command). Values are
-// converted, stored, the class SetValues methods run, and geometry or
+// SetValues applies resources given as name/value pairs, in order, as
+// XtSetValues takes an ArgList (the sV command). Every value is
+// converted before any is stored, so a call that fails changes
+// nothing. The class SetValues methods then run, and geometry or
 // redisplay updates follow, as XtSetValues specifies.
-func (w *Widget) SetValues(args map[string]string) error {
-	changed := make(map[string]bool, len(args))
-	geomChanged := false
-	for name, src := range args {
+func (w *Widget) SetValues(args ...string) error {
+	if len(args)%2 != 0 {
+		return fmt.Errorf("xt: widget %q resource %q: missing value", w.Name, args[len(args)-1])
+	}
+	type setArg struct {
+		slot  int
+		value any
+	}
+	var buf [4]setArg
+	conv := buf[:0]
+	for k := 0; k < len(args); k += 2 {
+		name := args[k]
 		i, ok := w.layout.index[name]
 		if !ok {
 			return fmt.Errorf("xt: widget %q (class %s) has no resource %q", w.Name, w.Class.Name, name)
 		}
 		s := &w.layout.slots[i]
-		v, err := w.app.ConvertQ(w, s.typeQ, s.Type, src)
+		v, err := w.app.ConvertQ(w, s.typeQ, s.Type, args[k+1])
 		if err != nil {
 			return fmt.Errorf("xt: widget %q resource %q: %v", w.Name, name, err)
 		}
-		w.explicit[i] = true
+		conv = append(conv, setArg{i, v})
+	}
+	// Only a class SetValues method reads the names of the changed
+	// resources.
+	var changed map[string]bool
+	for _, k := range w.Class.chain() {
+		if k.SetValues != nil {
+			changed = make(map[string]bool, len(conv))
+			break
+		}
+	}
+	anyChanged, geomChanged, transChanged := false, false, false
+	for k, a := range conv {
+		w.explicit[a.slot] = true
 		// As in XtSetValues, setting a resource to its current value
 		// does not count as a change: the class set_values procedures
 		// report "no redisplay needed" and the widget is left alone.
 		// Only plain comparable values can be checked; anything else
 		// (callback lists, pixmaps) conservatively counts as changed.
-		if scalarResourceEqual(w.values[i], v) {
+		if scalarResourceEqual(w.values[a.slot], a.value) {
 			continue
 		}
-		w.values[i] = v
-		changed[name] = true
+		w.values[a.slot] = a.value
+		anyChanged = true
+		name := args[2*k]
 		switch name {
 		case "x", "y", "width", "height", "borderWidth":
 			geomChanged = true
+		case "translations":
+			transChanged = true
+		}
+		if changed != nil {
+			changed[name] = true
 		}
 	}
-	if len(changed) == 0 {
+	if !anyChanged {
 		return nil
 	}
-	for _, k := range w.Class.chain() {
-		if k.SetValues != nil {
-			k.SetValues(w, changed)
+	if changed != nil {
+		for _, k := range w.Class.chain() {
+			if k.SetValues != nil {
+				k.SetValues(w, changed)
+			}
 		}
 	}
 	if geomChanged {
 		w.applyGeometry()
 		w.relayoutParent()
 	}
-	if changed["translations"] {
+	if transChanged {
 		w.updateInputMask()
 	}
 	// As XtSetValues asks for redisplay with XClearArea, the widget

@@ -196,7 +196,7 @@ func TestSetValuesGetValue(t *testing.T) {
 	app := NewTestApp("wafe")
 	top := newShell(t, app)
 	w, _ := app.CreateWidget("l", testLabelClass, top, nil, true)
-	if err := w.SetValues(map[string]string{"label": "Hi Man", "foreground": "tomato"}); err != nil {
+	if err := w.SetValues("label", "Hi Man", "foreground", "tomato"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := w.GetValue("label")
@@ -207,10 +207,10 @@ func TestSetValuesGetValue(t *testing.T) {
 	if fg != "#ff6347" {
 		t.Errorf("foreground = %q", fg)
 	}
-	if err := w.SetValues(map[string]string{"nosuch": "x"}); err == nil {
+	if err := w.SetValues("nosuch", "x"); err == nil {
 		t.Error("setting unknown resource must fail")
 	}
-	if err := w.SetValues(map[string]string{"foreground": "notacolor"}); err == nil {
+	if err := w.SetValues("foreground", "notacolor"); err == nil {
 		t.Error("bad conversion must fail")
 	}
 	if _, err := w.GetValue("nosuch"); err == nil {
@@ -397,7 +397,7 @@ func TestInsensitiveWidgetIgnoresInput(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("sensitive press count = %d", count)
 	}
-	_ = w.SetValues(map[string]string{"sensitive": "false"})
+	_ = w.SetValues("sensitive", "false")
 	app.Pump()
 	app.Display().InjectButtonPress(1)
 	app.Pump()
@@ -596,21 +596,22 @@ func TestTimeouts(t *testing.T) {
 	}
 }
 
-func TestAddInputDeliversLines(t *testing.T) {
+func TestAddInputEventsDeliversLines(t *testing.T) {
 	app := NewTestApp("wafe")
-	ch := make(chan string, 4)
+	ch := make(chan InputEvent, 4)
 	var got []string
 	var sawEOF bool
-	app.AddInput(ch, func(line string, eof bool) {
-		if eof {
+	app.AddInputEvents(ch, func(ev InputEvent) {
+		if ev.EOF {
 			sawEOF = true
 			app.Quit(0)
 			return
 		}
-		got = append(got, line)
+		got = append(got, ev.Line)
 	})
-	ch <- "one"
-	ch <- "two"
+	ch <- InputEvent{Line: "one"}
+	ch <- InputEvent{Line: "two"}
+	ch <- InputEvent{EOF: true}
 	close(ch)
 	done := make(chan int, 1)
 	go func() { done <- app.MainLoop() }()
@@ -722,7 +723,7 @@ func TestChangeManagedDeferredToRealize(t *testing.T) {
 		}
 	}
 	l, _ := app.CreateWidget("l", testLabelClass, outer, nil, true)
-	if err := l.SetValues(map[string]string{"width": "90"}); err != nil {
+	if err := l.SetValues("width", "90"); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 0 || l.Int("y") != 0 {

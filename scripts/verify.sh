@@ -87,6 +87,14 @@ go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 10s ./internal/tcl/
 echo "== go test -fuzz FuzzParse (10s)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tcl/
 
+# The data-channel fuzz smoke (FuzzMassTransfer): a byte stream cut
+# into arbitrary deliveries, armed before, between or after them and
+# re-armed from the action, must complete the same transfers and hold
+# the same bytes as a reference model of the protocol; seeds in
+# internal/frontend/testdata/fuzz/FuzzMassTransfer.
+echo "== go test -fuzz FuzzMassTransfer (10s)"
+go test -run '^$' -fuzz '^FuzzMassTransfer$' -fuzztime 10s ./internal/frontend/
+
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
 
