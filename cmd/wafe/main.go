@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 
@@ -60,6 +61,7 @@ func run(args []string) int {
 
 	// The classic single-process modes are one Session around the
 	// process's stdin/stdout.
+	limitProcs(opts.Mode)
 	sess, err := frontend.NewSession(frontend.SessionConfig{
 		Set:         set,
 		Opts:        opts,
@@ -200,6 +202,19 @@ func runServe(opts *frontend.Options, set core.WidgetSet, resText string) int {
 		return 1
 	}
 	return 0
+}
+
+// limitProcs runs frontend mode on one P (GOMAXPROCS 1) unless
+// GOMAXPROCS is set in the environment. Frontend mode hosts one session
+// and one event loop. With one P and the backend's socket in the
+// runtime poller, the thread that wakes from the poll reads the line
+// and runs the loop itself, as XtAppMainLoop does, instead of waking a
+// second thread for every line. Serve mode runs one loop per connection
+// and keeps its Ps; file and interactive mode are left as they are.
+func limitProcs(mode frontend.Mode) {
+	if mode == frontend.ModeFrontend && os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(1)
+	}
 }
 
 // flightRecorder builds the flight recorder from the --flight-dir and

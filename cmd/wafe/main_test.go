@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"wafe/internal/frontend"
 )
 
 func TestRunFileMode(t *testing.T) {
@@ -71,5 +74,37 @@ func TestRunScriptError(t *testing.T) {
 	}
 	if code := run([]string{"wafe", "--f", script}); code != 1 {
 		t.Errorf("script error exit = %d", code)
+	}
+}
+
+// TestLimitProcs: frontend mode runs on one P; the other modes, and any
+// run with GOMAXPROCS set in the environment, keep the P count they
+// started with.
+func TestLimitProcs(t *testing.T) {
+	orig := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(orig)
+	const start = 3
+	cases := []struct {
+		mode frontend.Mode
+		env  string
+		want int
+	}{
+		{frontend.ModeFrontend, "", 1},
+		{frontend.ModeServe, "", start},
+		{frontend.ModeFile, "", start},
+		{frontend.ModeInteractive, "", start},
+		{frontend.ModeFrontend, "2", start},
+		{frontend.ModeServe, "2", start},
+	}
+	for _, c := range cases {
+		t.Setenv("GOMAXPROCS", c.env)
+		if c.env == "" {
+			os.Unsetenv("GOMAXPROCS")
+		}
+		runtime.GOMAXPROCS(start)
+		limitProcs(c.mode)
+		if got := runtime.GOMAXPROCS(0); got != c.want {
+			t.Errorf("%v with GOMAXPROCS=%q: %d Ps, want %d", c.mode, c.env, got, c.want)
+		}
 	}
 }

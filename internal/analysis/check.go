@@ -108,14 +108,14 @@ func (c *Checker) CheckEmbedded(file, src string, at func(off int) (line, col in
 	}
 	f := &fileCheck{
 		wholeFile: wholeFile,
-		c:       c,
-		file:    file,
-		src:     src,
-		at:      at,
-		ignores: scanIgnores(src, at),
-		procs:   make(map[string]procInfo),
-		extra:   make(map[string]bool),
-		widgets: map[string]widgetInfo{"topLevel": {class: c.T.TopLevelClass}},
+		c:         c,
+		file:      file,
+		src:       src,
+		at:        at,
+		ignores:   scanIgnores(src, at),
+		procs:     make(map[string]procInfo),
+		extra:     make(map[string]bool),
+		widgets:   map[string]widgetInfo{"topLevel": {class: c.T.TopLevelClass}},
 	}
 	f.addCommands(c.Extra)
 	f.addCommands(extra)

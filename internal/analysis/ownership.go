@@ -50,15 +50,15 @@ var sessionOwnedTypes = map[string]string{
 // explicitly safe from any goroutine (each is internally synchronized
 // and documented as the cross-goroutine entry point).
 var sessionSafeMethods = map[string]bool{
-	xtPkgPath + ".App.Post":            true, // chan send + goid-checked inline run
+	xtPkgPath + ".App.Post":                true, // chan send + goid-checked inline run
 	frontendPkgPath + ".Session.Interrupt": true, // posts to the loop
 }
 
 // loopRunnerMethods mark a goroutine as an owning event loop: a
 // goroutine that runs the loop owns the session state it touches.
 var loopRunnerMethods = map[string]bool{
-	xtPkgPath + ".App.MainLoop":  true,
-	xtPkgPath + ".App.Sync":      true,
+	xtPkgPath + ".App.MainLoop":      true,
+	xtPkgPath + ".App.Sync":          true,
 	frontendPkgPath + ".Session.Run": true,
 }
 

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -150,41 +151,45 @@ func (f *Frontend) AttachApp(appOut io.Reader, appIn io.Writer) {
 		}
 	}
 	events := make(chan xt.InputEvent, 256)
-	go readCommandLines(appOut, f.Opts.LineLimit+4096, events)
+	go readCommandLines(bufio.NewReaderSize(appOut, 64*1024), f.Opts.LineLimit+4096, events)
 	f.W.App.AddInputEvents(events, f.handleInputEvent)
 }
 
 // readCommandLines reads the backend's stdout line by line and delivers
-// each as an InputEvent. A line longer than max bytes is truncated to
-// max and the remainder discarded up to its newline (skip-and-resync),
-// so one runaway line cannot end the session — the frontend rejects the
-// truncated prefix as overlong and the next line parses normally. A
-// read error is delivered as a terminal Err event, distinct from EOF
-// (the backend closing its stdout); bufio.Scanner conflated the two by
-// stopping silently, which made ErrTooLong and broken pipes look like a
-// clean backend exit.
-func readCommandLines(r io.Reader, max int, out chan<- xt.InputEvent) {
+// each as an InputEvent. A line is the bytes before a newline, without
+// the newline and without one carriage return before it. A line longer
+// than max bytes is cut to its first max bytes and the rest is skipped
+// up to its newline (skip-and-resync), so one runaway line cannot end
+// the session — the frontend rejects the cut line as overlong and the
+// next line parses normally. At the end of input a final unterminated
+// line is delivered, then an EOF event. A read error is delivered as a
+// terminal Err event, distinct from EOF (the backend closing its
+// stdout); bufio.Scanner conflated the two by stopping silently, which
+// made ErrTooLong and broken pipes look like a clean backend exit.
+// os.ErrClosed is the end of input too: it is how wafe's own close of
+// a polled descriptor wakes the reader, after the backend has exited.
+func readCommandLines(br *bufio.Reader, max int, out chan<- xt.InputEvent) {
 	defer close(out)
-	br := bufio.NewReaderSize(r, 64*1024)
 	var buf []byte
 	skipping := false
 	for {
 		chunk, err := br.ReadSlice('\n')
-		if skipping {
-			// Discarding the tail of an overlong line.
-		} else if buf = append(buf, chunk...); len(buf) > max {
-			buf = buf[:max]
-			skipping = true
+		if !skipping {
+			buf = append(buf, chunk...)
 		}
-		switch err {
-		case nil:
-			out <- xt.InputEvent{Line: chopLine(buf)}
+		switch {
+		case err == nil:
+			out <- xt.InputEvent{Line: lineOf(buf, max)}
 			buf, skipping = buf[:0], false
-		case bufio.ErrBufferFull:
-			// Mid-line: keep reading.
-		case io.EOF:
-			if len(buf) > 0 {
-				out <- xt.InputEvent{Line: chopLine(buf)}
+		case err == bufio.ErrBufferFull:
+			// Mid-line: keep reading. Beyond max bytes and one byte
+			// that may be the CR of a CRLF, the line is overlong.
+			if !skipping && len(buf) > max+1 {
+				buf, skipping = buf[:max], true
+			}
+		case err == io.EOF || errors.Is(err, os.ErrClosed):
+			if len(buf) > 0 || skipping {
+				out <- xt.InputEvent{Line: lineOf(buf, max)}
 			}
 			out <- xt.InputEvent{EOF: true}
 			return
@@ -197,16 +202,16 @@ func readCommandLines(r io.Reader, max int, out chan<- xt.InputEvent) {
 	}
 }
 
-// chopLine strips the line terminator (\n, optionally preceded by \r)
-// and returns the line as a string.
-func chopLine(b []byte) string {
+// lineOf strips the line terminator (\n, optionally preceded by \r)
+// and returns the line's first max bytes as a string.
+func lineOf(b []byte, max int) string {
 	if n := len(b); n > 0 && b[n-1] == '\n' {
 		b = b[:n-1]
 		if n := len(b); n > 0 && b[n-1] == '\r' {
 			b = b[:n-1]
 		}
 	}
-	return string(b)
+	return string(b[:min(len(b), max)])
 }
 
 // handleInputEvent runs on the event-loop goroutine for every delivery

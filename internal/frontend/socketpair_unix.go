@@ -8,13 +8,23 @@ import (
 )
 
 // socketpair returns the two ends of an AF_UNIX stream socket pair —
-// the paper's preferred program-to-program transport.
+// the paper's preferred program-to-program transport. The parent's end
+// is non-blocking, so os.NewFile hands it to the runtime poller: a
+// reader waiting for the backend's next line parks its goroutine
+// instead of holding a thread in read(2), and the thread that wakes
+// from the poll runs the event loop too. The backend's end stays
+// blocking, as a backend's stdio expects.
 func socketpair() (parent, child *os.File, err error) {
 	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	syscall.CloseOnExec(fds[0])
+	if err := syscall.SetNonblock(fds[0], true); err != nil {
+		syscall.Close(fds[0])
+		syscall.Close(fds[1])
+		return nil, nil, err
+	}
 	return os.NewFile(uintptr(fds[0]), "wafe-sock-parent"),
 		os.NewFile(uintptr(fds[1]), "wafe-sock-child"), nil
 }

@@ -4,10 +4,12 @@ package frontend
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -196,5 +198,64 @@ func TestSpawnMissingProgram(t *testing.T) {
 	f := New(w, nil, &lockedBuf{})
 	if _, err := f.Spawn("/no/such/backend-program", nil); err == nil {
 		t.Fatal("expected spawn error")
+	}
+}
+
+// stdioFlagsHelper names the environment variable that makes
+// TestSpawnSocketpairNonblock, re-run as a backend, report the flags of
+// its stdin and stdout.
+const stdioFlagsHelper = "WAFE_TEST_STDIO_FLAGS"
+
+// nonblocking reports whether fd has O_NONBLOCK set.
+func nonblocking(fd uintptr) (bool, error) {
+	flags, _, errno := syscall.Syscall(syscall.SYS_FCNTL, fd, syscall.F_GETFL, 0)
+	if errno != 0 {
+		return false, errno
+	}
+	return flags&syscall.O_NONBLOCK != 0, nil
+}
+
+// TestSpawnSocketpairNonblock: SpawnIPC's end of the socketpair is
+// non-blocking, so the runtime poller waits on it; the backend's end
+// stays blocking, as a backend's stdio expects. The backend is this
+// test binary, re-run to report its own descriptors.
+func TestSpawnSocketpairNonblock(t *testing.T) {
+	if os.Getenv(stdioFlagsHelper) != "" {
+		in, err0 := nonblocking(0)
+		out, err1 := nonblocking(1)
+		if err0 != nil || err1 != nil {
+			fmt.Fprintln(os.Stderr, "fcntl:", err0, err1)
+			os.Exit(1)
+		}
+		fmt.Printf("%%set backendNonblock {%v %v}\n", in, out)
+		os.Exit(0)
+	}
+	t.Setenv(stdioFlagsHelper, "1")
+	w := core.NewTest()
+	term := &lockedBuf{}
+	f := New(w, nil, term)
+	child, err := f.SpawnIPC(os.Args[0], []string{"-test.run=^TestSpawnSocketpairNonblock$"}, IPCSocketpair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child.Transport != IPCSocketpair {
+		t.Fatalf("transport = %v, want socketpair", child.Transport)
+	}
+	rc, err := child.conn.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent bool
+	var flagsErr error
+	if err := rc.Control(func(fd uintptr) { parent, flagsErr = nonblocking(fd) }); err != nil {
+		t.Fatal(err)
+	}
+	if flagsErr != nil || !parent {
+		t.Errorf("parent end: O_NONBLOCK %v (%v), want set", parent, flagsErr)
+	}
+	runToQuit(t, w)
+	_ = child.Wait()
+	if got, err := w.Eval("set backendNonblock"); err != nil || got != "false false" {
+		t.Errorf("backend's stdin and stdout O_NONBLOCK = %q (%v), want both clear; terminal:\n%s", got, err, term.String())
 	}
 }

@@ -3,13 +3,16 @@
 package frontend
 
 import (
+	"path/filepath"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
-	"path/filepath"
 	"wafe/internal/core"
 	"wafe/internal/obs"
+	"wafe/internal/tcl"
 )
 
 // runLoop starts the main loop and returns its exit code, failing the
@@ -220,5 +223,78 @@ exit 42
 	files, _ := filepath.Glob(filepath.Join(dir, "wafe-flight-*-backend_crash.json"))
 	if len(files) == 0 {
 		t.Errorf("no backend_crash flight dump in %s", dir)
+	}
+}
+
+// TestShutdownLiveBackendEndsInput: a Supervisor.Shutdown started by
+// the frontend while the loop runs closes the socket under the parked
+// command reader, which wakes with os.ErrClosed. That is the end of
+// input, not a read error: nothing reports "read error on command
+// pipe", frontend.read_errors stays 0 and the exit is not classed
+// readerr. The backend's background sleep holds its stdout open after
+// the shell exits, so the reader sees wafe's own close, never EOF.
+func TestShutdownLiveBackendEndsInput(t *testing.T) {
+	backend := writeBackend(t, `#!/bin/sh
+sleep 60 &
+echo "%started $!"
+exec cat >/dev/null
+`)
+	w := core.NewTest()
+	m := w.EnableObservability()
+	started := make(chan string, 1)
+	w.Interp.RegisterCommand("started", func(_ *tcl.Interp, argv []string) (string, error) {
+		started <- argv[1]
+		return "", nil
+	})
+	term := &lockedBuf{}
+	f := New(w, nil, term)
+	sup, err := f.Supervise(backend, nil, RestartPolicy{Grace: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 1)
+	go func() { done <- w.App.MainLoop() }()
+
+	select {
+	case pid := <-started:
+		grandchild, err := strconv.Atoi(pid)
+		if err != nil {
+			t.Fatalf("background pid %q: %v", pid, err)
+		}
+		defer syscall.Kill(grandchild, syscall.SIGKILL)
+	case <-time.After(10 * time.Second):
+		t.Fatal("backend never reported its background process")
+	}
+
+	if err := sup.Shutdown(); err != nil {
+		t.Errorf("Shutdown = %v, want the backend's clean exit", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sup.LastExitClass() == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the end of the command pipe never reached the supervisor")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	f.W.App.Post(func() { f.W.App.Quit(0) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("main loop did not finish")
+	}
+	if strings.Contains(term.String(), "read error on command pipe") {
+		t.Errorf("wafe's own close reported as a read error; terminal:\n%s", term.String())
+	}
+	if f.ReadErrors != 0 || m.Frontend.ReadErrors.Load() != 0 {
+		t.Errorf("ReadErrors = %d, frontend.read_errors = %d; want 0", f.ReadErrors, m.Frontend.ReadErrors.Load())
+	}
+	if got := sup.LastExitClass(); got != ExitClean {
+		t.Errorf("LastExitClass() = %q, want %q", got, ExitClean)
+	}
+	if got := m.Frontend.BackendExits.Get(ExitReadErr); got != 0 {
+		t.Errorf("backend_exits.readerr = %d, want 0", got)
+	}
+	if got := sup.State(); got != BackendStopped {
+		t.Errorf("State() = %q, want %q", got, BackendStopped)
 	}
 }

@@ -89,11 +89,11 @@ type textPrivate struct {
 	// Redisplay consults it so an unchanged buffer needs no O(n) prefix
 	// scan, and the editing actions update it incrementally (caret
 	// geometry depends only on the text before the caret).
-	caretBuf      string
-	caretPos      int
-	caretRow      int
-	caretCol      int // column in runes from the line start
-	caretOK       bool
+	caretBuf string
+	caretPos int
+	caretRow int
+	caretCol int // column in runes from the line start
+	caretOK  bool
 }
 
 func textState(w *xt.Widget) *textPrivate {

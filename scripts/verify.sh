@@ -15,6 +15,16 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# The tree stays gofmt-clean. testdata holds analyzer fixtures that are
+# deliberately left as written; dot-directories hold build products.
+echo "== gofmt -l"
+unformatted=$(find . -path './.*' -prune -o -name testdata -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
@@ -94,6 +104,14 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tcl/
 # internal/frontend/testdata/fuzz/FuzzMassTransfer.
 echo "== go test -fuzz FuzzMassTransfer (10s)"
 go test -run '^$' -fuzz '^FuzzMassTransfer$' -fuzztime 10s ./internal/frontend/
+
+# The command-pipe framing fuzz smoke (FuzzCommandLines): a byte stream
+# cut into arbitrary reads, with an arbitrary line limit and a final
+# EOF, close or read error, must deliver the same lines and the same
+# EOF or error as a reference model of readCommandLines' framing;
+# seeds in internal/frontend/testdata/fuzz/FuzzCommandLines.
+echo "== go test -fuzz FuzzCommandLines (10s)"
+go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
