@@ -320,18 +320,20 @@ func (srv *Server) runSession(ls *liveSession) {
 	case sess.W.QuitRequested():
 		reason = "quit"
 	}
-	srv.mu.Lock()
-	closing := srv.closed
-	delete(srv.sessions, sess.ID)
-	srv.mu.Unlock()
-	if closing {
-		reason = "shutdown"
-	}
 	conn.Close()
 	sess.Close()
+	// Count the end before releasing the slot, in one critical section:
+	// whoever sees SessionsActive fall sees this departure counted, and
+	// whoever sees it counted sees the slot released.
+	srv.mu.Lock()
+	if srv.closed {
+		reason = "shutdown"
+	}
 	if sm := srv.cfg.Metrics; sm != nil {
 		sm.EndSession(sess.ID, reason)
 	}
+	delete(srv.sessions, sess.ID)
+	srv.mu.Unlock()
 	srv.logf(sess.ID, "session ended (%s, exit %d)", reason, code)
 }
 
