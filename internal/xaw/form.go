@@ -228,9 +228,11 @@ var PanedClass = &xt.Class{
 	Resize:        func(w *xt.Widget) { panedPlace(w) },
 }
 
-// panedPrivate guards grip creation against layout recursion.
+// panedPrivate guards grip creation and grip management against
+// layout recursion.
 type panedPrivate struct {
 	creatingGrips bool
+	managingGrips bool
 }
 
 func panedState(w *xt.Widget) *panedPrivate {
@@ -353,7 +355,37 @@ func panedPlace(w *xt.Widget) (int, int) {
 	return maxInt(pos, 1), maxCross
 }
 
+// panedManageGrips manages the grip of every managed pane that shows
+// one and is not the last pane, and unmanages every other grip, as
+// Xaw's Paned does in ChangeManaged (ManageAndUnmanageGrips). The
+// layouts that managing a grip asks for are skipped, because the
+// caller lays the Paned out next.
+func panedManageGrips(w *xt.Widget) {
+	st := panedState(w)
+	st.managingGrips = true
+	defer func() { st.managingGrips = false }()
+	var last *xt.Widget
+	if panes := panedPanes(w); len(panes) > 0 {
+		last = panes[len(panes)-1]
+	}
+	for _, c := range w.Children() {
+		g := w.App().WidgetByName(panedGripName(c))
+		if c.Class == GripClass || g == nil || g.Parent != w {
+			continue
+		}
+		if c.IsManaged() && c != last && c.Bool("showGrip") {
+			g.Manage()
+		} else {
+			g.Unmanage()
+		}
+	}
+}
+
 func panedLayout(w *xt.Widget) {
+	if panedState(w).managingGrips {
+		return
+	}
+	panedManageGrips(w)
 	pw, ph := panedPlace(w)
 	if !w.Explicit("width") || !w.Explicit("height") {
 		nw, nh := w.Int("width"), w.Int("height")

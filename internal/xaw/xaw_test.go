@@ -290,6 +290,53 @@ func TestPanedGripsResize(t *testing.T) {
 	}
 }
 
+// TestPanedGripsFollowPanes: as in Xaw's Paned, a grip is managed only
+// while its pane is managed and is not the last pane, so no grip is
+// left managed outside a Paned that shrank when its pane went.
+func TestPanedGripsFollowPanes(t *testing.T) {
+	app, top := newApp(t)
+	paned := create(t, app, "fp", PanedClass, top, nil)
+	a := create(t, app, "fa", LabelClass, paned, nil)
+	b := create(t, app, "fb", LabelClass, paned, map[string]string{"width": "150"})
+	c := create(t, app, "fc", LabelClass, paned, nil)
+	top.Realize()
+	app.Pump()
+	managed := func() string {
+		var out []string
+		for _, name := range []string{"faGrip", "fbGrip", "fcGrip"} {
+			if g := app.WidgetByName(name); g != nil && g.IsManaged() {
+				out = append(out, name)
+			}
+		}
+		return strings.Join(out, " ")
+	}
+	for _, step := range []struct {
+		what string
+		do   func()
+		want string
+	}{
+		{"realize", func() {}, "faGrip fbGrip"},
+		{"unmanage the middle pane", b.Unmanage, "faGrip"},
+		{"manage it again", b.Manage, "faGrip fbGrip"},
+		{"unmanage the last pane", c.Unmanage, "faGrip"},
+		{"manage it again", c.Manage, "faGrip fbGrip"},
+		{"unmanage the first pane", a.Unmanage, "fbGrip"},
+	} {
+		step.do()
+		app.Pump()
+		if got := managed(); got != step.want {
+			t.Errorf("%s: managed grips %q, want %q", step.what, got, step.want)
+		}
+	}
+	// A grip that is managed lies inside its Paned.
+	for _, name := range []string{"faGrip", "fbGrip"} {
+		g := app.WidgetByName(name)
+		if g.IsManaged() && g.Int("x")+g.Int("width") > paned.Int("width") {
+			t.Errorf("%s at x=%d width %d overhangs the %d-pixel Paned", name, g.Int("x"), g.Int("width"), paned.Int("width"))
+		}
+	}
+}
+
 func TestListSelectionCallback(t *testing.T) {
 	app, top := newApp(t)
 	lst := create(t, app, "chooseLst", ListClass, top, map[string]string{
