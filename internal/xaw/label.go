@@ -42,22 +42,20 @@ var LabelClass = &xt.Class{
 	},
 }
 
+// labelPreferredSize measures the label's lines in place: layout asks
+// for it often, so it must not split the label into a slice.
 func labelPreferredSize(w *xt.Widget) (int, int) {
-	f := w.FontRes("font")
-	label := labelText(w)
-	width := 0
-	lines := strings.Split(label, "\n")
-	for _, l := range lines {
-		if tw := f.TextWidth(l); tw > width {
-			width = tw
-		}
-	}
 	if pm := labelBitmap(w); pm != nil {
-		width = pm.Width
-		return width + 2*w.Int("internalWidth"), pm.Height + 2*w.Int("internalHeight")
+		return pm.Width + 2*w.Int("internalWidth"), pm.Height + 2*w.Int("internalHeight")
 	}
-	h := f.Height() * len(lines)
-	return width + 2*w.Int("internalWidth"), h + 2*w.Int("internalHeight")
+	f := w.FontRes("font")
+	width, lines := 0, 0
+	for text, more := labelText(w), true; more; lines++ {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		width = max(width, f.TextWidth(line))
+	}
+	return width + 2*w.Int("internalWidth"), f.Height()*lines + 2*w.Int("internalHeight")
 }
 
 func labelText(w *xt.Widget) string { return w.Str("label") }
@@ -105,13 +103,9 @@ func labelRedisplay(w *xt.Widget) {
 		}
 		y += f.Height()
 	}
-	text := labelText(w)
-	// Single-line labels (the common case) skip the line split.
-	if !strings.Contains(text, "\n") {
-		drawLine(text)
-		return
-	}
-	for _, line := range strings.Split(text, "\n") {
+	for text, more := labelText(w), true; more; {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
 		drawLine(line)
 	}
 }

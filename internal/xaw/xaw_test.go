@@ -81,6 +81,28 @@ func TestLabelPreferredSizeTracksFont(t *testing.T) {
 	}
 }
 
+// TestMultiLineLabelAllocs: a multi-line label is measured and
+// repainted without splitting its text into a slice.
+func TestMultiLineLabelAllocs(t *testing.T) {
+	app, top := newApp(t)
+	l := create(t, app, "ml", LabelClass, top, map[string]string{"label": "one\ntwo, the longest\n\nfour"})
+	if w, h := labelPreferredSize(l); w != 2*4+6*len("two, the longest") || h != 4*13+2*2 {
+		t.Fatalf("preferred size %dx%d, want %dx%d", w, h, 2*4+6*len("two, the longest"), 4*13+2*2)
+	}
+	if n := testing.AllocsPerRun(100, func() { labelPreferredSize(l) }); n != 0 {
+		t.Errorf("labelPreferredSize allocates %.1f times per call, want 0", n)
+	}
+	top.Realize()
+	app.Pump()
+	d, win := l.Display(), l.Window()
+	if got := strings.Join(d.StringsDrawn(win), "|"); got != "one|two, the longest||four" {
+		t.Fatalf("drawn lines %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.InjectExpose(win); app.Pump() }); n != 0 {
+		t.Errorf("repainting a multi-line label allocates %.1f times, want 0", n)
+	}
+}
+
 func TestLabelColorsFromPaperExample(t *testing.T) {
 	// label label1 topLevel background red foreground blue
 	app, top := newApp(t)
