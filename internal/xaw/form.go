@@ -450,6 +450,10 @@ func ViewportSetLocation(w *xt.Widget, xFrac, yFrac float64) {
 		st.offY = 0
 	}
 	c.SetChildGeometry(-st.offX, -st.offY, cw, ch)
+	// As Xaw's MoveChild does, keep the scrollbar's thumb on the child.
+	if sb := w.App().WidgetByName(viewportScrollName(w)); sb != nil && sb.IsManaged() && ch > 0 {
+		ScrollbarSetThumb(sb, float64(st.offY)/float64(ch), sbFloat(sb, "shown"))
+	}
 	w.Damage(xproto.Rect{})
 }
 

@@ -223,11 +223,19 @@ func listRedisplay(w *xt.Widget) {
 	cols := listColumns(w)
 	cw, ch := listCellSize(w)
 	hl := listState(w).highlight
-	for i, it := range items {
-		col := i % cols
-		row := i / cols
-		x := w.Int("internalWidth") + col*(cw+w.Int("columnSpacing"))
-		y := w.Int("internalHeight") + row*(ch+w.Int("rowSpacing"))
+	iw, ih := w.Int("internalWidth"), w.Int("internalHeight")
+	colStep, rowStep := cw+w.Int("columnSpacing"), ch+w.Int("rowSpacing")
+	// Visit only the rows the clip touches, as Xaw's List does: row r
+	// spans ih+r*rowStep to ih+r*rowStep+ch. The bounds may take in one
+	// row too many, which the cell check below skips.
+	first, end := 0, len(items)
+	if rowStep > 0 {
+		first = max(0, (clip.Y-ih-ch)/rowStep) * cols
+		end = min(end, ((clip.Y+clip.H-1-ih)/rowStep+1)*cols)
+	}
+	for i := first; i < end; i++ {
+		x := iw + i%cols*colStep
+		y := ih + i/cols*rowStep
 		if !w.ClipIntersects(x-1, y, cw+2, ch) {
 			continue
 		}
@@ -236,9 +244,9 @@ func listRedisplay(w *xt.Widget) {
 			inv := d.NewGC()
 			inv.Foreground = w.PixelRes("background")
 			inv.Font = gc.Font
-			d.DrawString(win, inv, x, y+gc.Font.Ascent, it)
+			d.DrawString(win, inv, x, y+gc.Font.Ascent, items[i])
 			continue
 		}
-		d.DrawString(win, gc, x, y+gc.Font.Ascent, it)
+		d.DrawString(win, gc, x, y+gc.Font.Ascent, items[i])
 	}
 }

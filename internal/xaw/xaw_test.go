@@ -2,6 +2,7 @@ package xaw
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -707,6 +708,152 @@ func TestViewportClipsChild(t *testing.T) {
 	if big.Int("height") <= 50 {
 		t.Errorf("child should keep preferred height, got %d", big.Int("height"))
 	}
+}
+
+// TestListInViewportDrawsVisibleRows: a 500-item List in a 120-pixel
+// Viewport is exposed only where the Viewport shows it, and draws only
+// the rows there, also after it scrolls.
+func TestListInViewportDrawsVisibleRows(t *testing.T) {
+	app, top := newApp(t)
+	vp := create(t, app, "vp", ViewportClass, top, map[string]string{
+		"width": "120", "height": "120", "allowVert": "true"})
+	items := make([]string, 500)
+	for i := range items {
+		items[i] = fmt.Sprintf("row%03d", i)
+	}
+	lst := create(t, app, "rows", ListClass, vp, map[string]string{
+		"list": strings.Join(items, "\n"), "verticalList": "true"})
+	top.Realize()
+	app.Pump()
+	// visible lists the rows whose cell the Viewport's 120 pixels show.
+	visible := func() []string {
+		_, ch := listCellSize(lst)
+		step := ch + lst.Int("rowSpacing")
+		var out []string
+		for i, it := range items {
+			y := lst.Int("y") + lst.Int("internalHeight") + i*step
+			if y < vp.Int("height") && y+ch > 0 {
+				out = append(out, it)
+			}
+		}
+		return out
+	}
+	d, win := lst.Display(), lst.Window()
+	for _, frac := range []float64{0, 0.5, 0.0123, 1} {
+		ViewportSetLocation(vp, 0, frac)
+		app.Pump()
+		want := visible()
+		if len(want) == 0 || len(want) > 10 {
+			t.Fatalf("at %v: %d visible rows, the geometry is not what the test assumes", frac, len(want))
+		}
+		if got := d.StringsDrawn(win); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("at %v: %d rows drawn (%s ... %s), want the %d visible ones %v",
+				frac, len(got), got[0], got[len(got)-1], len(want), want)
+		}
+	}
+}
+
+// listRedisplayFullScan is listRedisplay as it was before it visited
+// only the clipped rows: it walks every item and skips those outside
+// the clip. TestListRedisplayMatchesFullScan holds the two to the same
+// output.
+func listRedisplayFullScan(w *xt.Widget) {
+	d := w.Display()
+	win := w.Window()
+	clip := w.Clip()
+	gc := d.NewGC()
+	gc.Foreground = w.PixelRes("background")
+	d.FillRectangle(win, gc, clip.X, clip.Y, clip.W, clip.H)
+	gc.Foreground = w.PixelRes("foreground")
+	gc.Font = w.FontRes("font")
+	items := listItems(w)
+	cols := listColumns(w)
+	cw, ch := listCellSize(w)
+	hl := listState(w).highlight
+	for i, it := range items {
+		col := i % cols
+		row := i / cols
+		x := w.Int("internalWidth") + col*(cw+w.Int("columnSpacing"))
+		y := w.Int("internalHeight") + row*(ch+w.Int("rowSpacing"))
+		if !w.ClipIntersects(x-1, y, cw+2, ch) {
+			continue
+		}
+		if i == hl {
+			d.FillRectangle(win, gc, x-1, y, cw+2, ch)
+			inv := d.NewGC()
+			inv.Foreground = w.PixelRes("background")
+			inv.Font = gc.Font
+			d.DrawString(win, inv, x, y+gc.Font.Ascent, it)
+			continue
+		}
+		d.DrawString(win, gc, x, y+gc.Font.Ascent, it)
+	}
+}
+
+// TestListRedisplayMatchesFullScan: for lists of every shape, spacing
+// and margin, and for random exposed rectangles, listRedisplay emits
+// the same ops in the same order as the full scan.
+func TestListRedisplayMatchesFullScan(t *testing.T) {
+	fullScan := &xt.Class{Name: "FullScanList", Super: ListClass, Redisplay: listRedisplayFullScan}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 60; trial++ {
+		n := rng.Intn(40)
+		items := make([]string, n)
+		for i := range items {
+			items[i] = strings.Repeat("x", 1+rng.Intn(8))
+		}
+		args := map[string]string{
+			"list":           strings.Join(items, "\n"),
+			"defaultColumns": fmt.Sprint(1 + rng.Intn(4)),
+			"internalWidth":  fmt.Sprint(rng.Intn(6)),
+			"internalHeight": fmt.Sprint(rng.Intn(6)),
+			"columnSpacing":  fmt.Sprint(rng.Intn(8)),
+			"rowSpacing":     fmt.Sprint(rng.Intn(30) - 18),
+		}
+		var logs [2][]string
+		for k, class := range []*xt.Class{ListClass, fullScan} {
+			app, top := newApp(t)
+			lst := create(t, app, "l", class, top, args)
+			top.Realize()
+			app.Pump()
+			if n > 0 {
+				ListHighlight(lst, trial%n)
+			}
+			app.Pump()
+			d, win := lst.Display(), lst.Window()
+			sub := rand.New(rand.NewSource(int64(trial)))
+			for e := 0; e < 20; e++ {
+				w, h := lst.Int("width"), lst.Int("height")
+				d.InjectExposeRect(win, sub.Intn(w+10)-5, sub.Intn(h+10)-5, 1+sub.Intn(w), 1+sub.Intn(h/2+1))
+				app.Pump()
+				for _, op := range d.DrawLogFor(win) {
+					logs[k] = append(logs[k], fmt.Sprintf("%v", op))
+				}
+				logs[k] = append(logs[k], "--")
+			}
+		}
+		if a, b := strings.Join(logs[0], "\n"), strings.Join(logs[1], "\n"); a != b {
+			t.Fatalf("trial %d (%v): listRedisplay and the full scan differ:\n%s", trial, args, firstLineDiff(a, b))
+		}
+	}
+}
+
+// firstLineDiff reports the first line where two texts differ.
+func firstLineDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) || i < len(bl); i++ {
+		var x, y string
+		if i < len(al) {
+			x = al[i]
+		}
+		if i < len(bl) {
+			y = bl[i]
+		}
+		if x != y {
+			return fmt.Sprintf("line %d: %q vs %q", i+1, x, y)
+		}
+	}
+	return "(same)"
 }
 
 func TestViewportScrolling(t *testing.T) {

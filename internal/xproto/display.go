@@ -545,9 +545,11 @@ func (d *Display) addDamage(win *Window, r Rect) {
 }
 
 // FlushDamage converts every pending damage region into Expose events,
-// one per coalesced rect, in damage-arrival order. Windows that became
-// unviewable (or deselected exposure) since the damage accrued are
-// skipped, as a real server would. The number of mutations saved by
+// one per coalesced rect, in damage-arrival order. As an X server does,
+// it exposes only what is on screen: each rect is clipped to the
+// window's viewable rectangle when the flush runs, so damage to a
+// window that became unviewable, or that lies off screen or outside
+// an ancestor, delivers nothing. The number of mutations saved by
 // coalescing is counted (xproto.exposes_coalesced).
 func (d *Display) FlushDamage() {
 	if len(d.damaged) == 0 {
@@ -559,12 +561,16 @@ func (d *Display) FlushDamage() {
 		if reg == nil || reg.Len() == 0 {
 			continue
 		}
-		if win, ok := d.windows[id]; ok && win.EventMask&ExposureMask != 0 && win.Viewable() {
-			for _, r := range reg.Rects() {
-				d.enqueue(Event{Type: Expose, Window: id, X: r.X, Y: r.Y, Width: r.W, Height: r.H})
-			}
-			if m := d.obs; m != nil && reg.Added() > reg.Len() {
-				m.ExposesCoalesced.Add(int64(reg.Added() - reg.Len()))
+		if win, ok := d.windows[id]; ok && win.EventMask&ExposureMask != 0 {
+			if vis := win.viewableRect(); !vis.Empty() {
+				for _, r := range reg.Rects() {
+					if r = r.Intersect(vis); !r.Empty() {
+						d.enqueue(Event{Type: Expose, Window: id, X: r.X, Y: r.Y, Width: r.W, Height: r.H})
+					}
+				}
+				if m := d.obs; m != nil && reg.Added() > reg.Len() {
+					m.ExposesCoalesced.Add(int64(reg.Added() - reg.Len()))
+				}
 			}
 		}
 		reg.Reset()

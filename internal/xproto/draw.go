@@ -263,8 +263,7 @@ func (d *Display) Snapshot(rootOf WindowID) string {
 			grid[i][j] = ' '
 		}
 	}
-	ox, oy := w.RootCoords(0, 0)
-	d.paintInto(grid, w, -ox, -oy)
+	d.paintInto(grid, w, 0, 0, d.parentClip(w))
 	buf := d.snapBuf[:0]
 	for _, row := range grid {
 		end := len(row)
@@ -283,38 +282,75 @@ func (d *Display) Snapshot(rootOf WindowID) string {
 	return d.snapStr
 }
 
-func (d *Display) paintInto(grid [][]rune, w *Window, dx, dy int) {
-	if !w.Mapped && w.Parent != None {
+// parentClip returns the area w's border and contents may show in, in
+// w's own coordinates: its parent's viewable interior, or nothing when
+// w is unmapped. The root window, having no parent, shows all of
+// itself.
+func (d *Display) parentClip(w *Window) Rect {
+	p := d.windows[w.Parent]
+	if p == nil {
+		return Rect{W: w.Width, H: w.Height}
+	}
+	if !w.Mapped {
+		return Rect{}
+	}
+	r := p.viewableRect()
+	r.X -= w.X + w.BorderWidth
+	r.Y -= w.Y + w.BorderWidth
+	return r
+}
+
+// paintInto paints w's frame and strings into the cell grid, then its
+// mapped children. (ax, ay) is w's origin in grid pixels and pclip the
+// part of its parent that is on screen. As on an X screen, nothing
+// outside w's viewable rectangle shows: a string is painted only when
+// it touches that rectangle, and only in the cells the rectangle
+// spans; the frame is likewise kept to the border's viewable part.
+func (d *Display) paintInto(grid [][]rune, w *Window, ax, ay int, pclip Rect) {
+	bw := w.BorderWidth
+	outer := pclip.Intersect(Rect{X: ax - bw, Y: ay - bw, W: w.Width + 2*bw, H: w.Height + 2*bw})
+	if outer.Empty() {
 		return
 	}
-	ax, ay := w.RootCoords(0, 0)
-	ax += dx
-	ay += dy
-	// Frame the window if it has a border.
-	if w.BorderWidth > 0 {
-		d.frame(grid, ax, ay, w.Width, w.Height)
+	if bw > 0 {
+		d.frame(grid, ax, ay, w.Width, w.Height, outer)
 	}
-	// Paint recorded strings.
+	clip := outer.Intersect(Rect{X: ax, Y: ay, W: w.Width, H: w.Height})
+	if clip.Empty() {
+		return
+	}
 	for _, op := range d.drawLog[w.ID] {
 		if op.Kind != OpDrawString {
 			continue
 		}
-		col := (ax + op.X) / cellW
-		row := (ay + op.Y) / cellH
-		d.putString(grid, row, col, op.Text)
+		b := opBounds(op)
+		b.X += ax
+		b.Y += ay
+		if !b.Intersects(clip) {
+			continue
+		}
+		d.putString(grid, (ay+op.Y)/cellH, (ax+op.X)/cellW, op.Text, clip)
 	}
 	for _, c := range w.Children {
-		if cw := d.windows[c]; cw != nil {
-			d.paintInto(grid, cw, dx, dy)
+		if cw := d.windows[c]; cw != nil && cw.Mapped {
+			d.paintInto(grid, cw, ax+cw.X+cw.BorderWidth, ay+cw.Y+cw.BorderWidth, clip)
 		}
 	}
 }
 
-func (d *Display) frame(grid [][]rune, x, y, wpx, hpx int) {
+// cellSpan returns the grid cells a pixel rectangle touches, as
+// inclusive column and row bounds.
+func cellSpan(r Rect) (c0, r0, c1, r1 int) {
+	return r.X / cellW, r.Y / cellH, (r.X + r.W - 1) / cellW, (r.Y + r.H - 1) / cellH
+}
+
+func (d *Display) frame(grid [][]rune, x, y, wpx, hpx int, clip Rect) {
 	c0, r0 := x/cellW, y/cellH
 	c1, r1 := (x+wpx)/cellW, (y+hpx)/cellH
+	vc0, vr0, vc1, vr1 := cellSpan(clip)
 	put := func(r, c int, ch rune) {
-		if r >= 0 && r < len(grid) && c >= 0 && c < len(grid[r]) {
+		if r >= vr0 && r <= vr1 && c >= vc0 && c <= vc1 &&
+			r >= 0 && r < len(grid) && c >= 0 && c < len(grid[r]) {
 			grid[r][c] = ch
 		}
 	}
@@ -332,13 +368,16 @@ func (d *Display) frame(grid [][]rune, x, y, wpx, hpx int) {
 	put(r1, c1, '+')
 }
 
-func (d *Display) putString(grid [][]rune, row, col int, s string) {
-	if row < 0 || row >= len(grid) {
+// putString writes s from the given cell onwards, keeping to the cells
+// clip spans.
+func (d *Display) putString(grid [][]rune, row, col int, s string, clip Rect) {
+	vc0, vr0, vc1, vr1 := cellSpan(clip)
+	if row < 0 || row >= len(grid) || row < vr0 || row > vr1 {
 		return
 	}
 	for i, r := range s {
 		c := col + i
-		if c < 0 || c >= len(grid[row]) {
+		if c < 0 || c >= len(grid[row]) || c < vc0 || c > vc1 {
 			continue
 		}
 		grid[row][c] = r
@@ -360,23 +399,22 @@ func (d *Display) RenderImage(rootOf WindowID) *image.RGBA {
 			img.Set(x, y, color.White)
 		}
 	}
-	ox, oy := w.RootCoords(0, 0)
-	d.renderInto(img, w, -ox, -oy)
+	d.renderInto(img, w, 0, 0, w.viewableRect())
 	return img
 }
 
-func (d *Display) renderInto(img *image.RGBA, w *Window, dx, dy int) {
-	if !w.Mapped && w.Parent != None {
+// renderInto rasterizes w's display list, then its mapped children's.
+// (ax, ay) is w's origin in image pixels and clip its viewable
+// rectangle there. As on an X screen, output is clipped to that
+// rectangle: an op overhanging the window edge (a scrollbar thumb with
+// shown near 1, a long string) paints nothing outside the window, and
+// nothing paints outside an ancestor or off screen.
+func (d *Display) renderInto(img *image.RGBA, w *Window, ax, ay int, clip Rect) {
+	if clip.Empty() {
 		return
 	}
-	ax, ay := w.RootCoords(0, 0)
-	ax += dx
-	ay += dy
-	// As in X, output is clipped to the window: an op whose geometry
-	// overhangs the window edge (a scrollbar thumb with shown near 1,
-	// a long string) must not paint outside it.
 	set := func(x, y int, p Pixel) {
-		if x < ax || y < ay || x >= ax+w.Width || y >= ay+w.Height {
+		if x < clip.X || y < clip.Y || x >= clip.X+clip.W || y >= clip.Y+clip.H {
 			return
 		}
 		img.Set(x, y, color.RGBA{p.R, p.G, p.B, 255})
@@ -414,8 +452,9 @@ func (d *Display) renderInto(img *image.RGBA, w *Window, dx, dy int) {
 		}
 	}
 	for _, c := range w.Children {
-		if cw := d.windows[c]; cw != nil {
-			d.renderInto(img, cw, dx, dy)
+		if cw := d.windows[c]; cw != nil && cw.Mapped {
+			cx, cy := ax+cw.X+cw.BorderWidth, ay+cw.Y+cw.BorderWidth
+			d.renderInto(img, cw, cx, cy, clip.Intersect(Rect{X: cx, Y: cy, W: cw.Width, H: cw.Height}))
 		}
 	}
 }

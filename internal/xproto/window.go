@@ -61,6 +61,34 @@ func (w *Window) Viewable() bool {
 	return false
 }
 
+// viewableRect returns the part of the window that is on screen, in
+// the window's own coordinates: its rectangle clipped by the interior
+// of every ancestor, the root (the screen) included. That is the
+// region an X server exposes. It is empty when the window or an
+// ancestor is unmapped, or when no part of it lies on screen.
+// Occlusion by stacked siblings is not subtracted.
+func (w *Window) viewableRect() Rect {
+	r := Rect{W: w.Width, H: w.Height}
+	x, y := 0, 0 // the current ancestor's interior origin, in w's coordinates
+	for w.Parent != None {
+		if !w.Mapped {
+			return Rect{}
+		}
+		x -= w.X + w.BorderWidth
+		y -= w.Y + w.BorderWidth
+		if w = w.display.windows[w.Parent]; w == nil {
+			return Rect{}
+		}
+		if r = r.Intersect(Rect{X: x, Y: y, W: w.Width, H: w.Height}); r.Empty() {
+			return Rect{}
+		}
+	}
+	if !w.Mapped {
+		return Rect{}
+	}
+	return r
+}
+
 // CreateWindow creates a child of parent with the given geometry. The
 // window starts unmapped with no event mask, as in the X protocol.
 func (d *Display) CreateWindow(parent WindowID, x, y, width, height, borderWidth int) (WindowID, error) {
@@ -172,8 +200,17 @@ func (d *Display) MapWindow(id WindowID) {
 	d.recomputePointerWindow()
 }
 
+// exposeTree discards the contents of w and of its mapped descendants
+// and damages them whole, as a server without backing store does for
+// windows it maps or reconfigures: on its Expose, each window repaints
+// what is then on screen, and its display list holds only that.
+// Windows that do not select exposure are never repainted, so they
+// keep their contents.
 func (d *Display) exposeTree(w *Window) {
 	if w.EventMask&ExposureMask != 0 {
+		if log := d.drawLog[w.ID]; len(log) > 0 {
+			d.drawLog[w.ID] = log[:0]
+		}
 		d.addDamage(w, Rect{W: w.Width, H: w.Height})
 	}
 	for _, c := range w.Children {
@@ -204,27 +241,30 @@ func (d *Display) UnmapWindow(id WindowID) {
 	d.recomputePointerWindow()
 }
 
-// ConfigureWindow moves/resizes a window and generates ConfigureNotify
-// plus Expose when the size grows.
+// ConfigureWindow moves/resizes a window and generates ConfigureNotify.
+// A viewable window that moves or changes size is exposed together
+// with its mapped descendants, as a server does for a window whose
+// contents it discards; the flush keeps only what is then on screen.
+// A non-positive width or height keeps the current one.
 func (d *Display) ConfigureWindow(id WindowID, x, y, width, height int) {
 	w, ok := d.windows[id]
 	if !ok {
 		return
 	}
-	grew := width > w.Width || height > w.Height
-	w.X, w.Y = x, y
-	if width > 0 {
-		w.Width = width
+	if width <= 0 {
+		width = w.Width
 	}
-	if height > 0 {
-		w.Height = height
+	if height <= 0 {
+		height = w.Height
 	}
+	changed := x != w.X || y != w.Y || width != w.Width || height != w.Height
+	w.X, w.Y, w.Width, w.Height = x, y, width, height
 	d.gen++
 	if w.EventMask&StructureNotifyMask != 0 {
 		d.enqueue(Event{Type: ConfigureNotify, Window: id, X: x, Y: y, Width: w.Width, Height: w.Height})
 	}
-	if grew && w.EventMask&ExposureMask != 0 {
-		d.addDamage(w, Rect{W: w.Width, H: w.Height})
+	if changed && w.Viewable() {
+		d.exposeTree(w)
 	}
 	d.recomputePointerWindow()
 }

@@ -27,7 +27,13 @@ import (
 // grips above the panes too). viewport_unsized is newer than the rest:
 // a Viewport without an explicit width and height used to recurse
 // through its own resize until the stack overflowed, so its file was
-// captured once that was fixed.
+// captured once that was fixed. Since exposure and the renderer show
+// only what is on screen, four files differ from their first capture:
+// bulk_popup's popup runs below the screen, so those rows of its
+// snapshot are blank; viewport_scrollbar and viewport_unsized no
+// longer paint children's pixels outside the Viewport; and in
+// paned_grips step 4 the panes a layout shrank are exposed and repaint
+// their labels centred, while p2Grip, whose pane is gone, is unmanaged.
 //
 // A missing golden file is written from the current tree and the test
 // fails, so regenerating one is a deliberate delete-run-review cycle.

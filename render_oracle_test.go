@@ -2,6 +2,7 @@ package wafe
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -225,6 +226,139 @@ func TestRenderOracle_Batched(t *testing.T) {
 						t.Fatalf("step %d %q: a fresh expose changed the screen, so an update missed its damage:\n--- before ---\n%s\n--- after ---\n%s", i, op, s1, s)
 					}
 				}
+			}
+		})
+	}
+}
+
+// geometryStep is one step of a geometry case: op changes the running
+// session, and fresh builds the state op leads to in a new session,
+// realized directly there.
+type geometryStep struct{ op, fresh string }
+
+// shellScreens settles the screen and returns, for every realized
+// shell by name, its ASCII snapshot and a digest of its rasterization.
+func shellScreens(w *core.Wafe) map[string]string {
+	w.App.Pump()
+	out := map[string]string{}
+	for _, name := range w.App.WidgetNames() {
+		if s := w.App.WidgetByName(name); s.Class.Shell && s.IsRealized() {
+			d := s.Display()
+			out[name] = fmt.Sprintf("rgba %x\n%s", sha256.Sum256(d.RenderImage(s.Window()).Pix), d.Snapshot(s.Window()))
+		}
+	}
+	return out
+}
+
+// geometryList is a 500-row list script for a Viewport, sized
+// explicitly so that its final scroll position can be set before
+// realize: 6-character rows, 13-pixel font, rowSpacing 2 and
+// internal margins of 2 make it 40 × 7502 pixels.
+func geometryList(parent string) string {
+	rows := make([]string, 500)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("row%03d", i)
+	}
+	return fmt.Sprintf("list l %s verticalList true width 40 height 7502 list {%s}", parent, strings.Join(rows, "\n"))
+}
+
+// geometryCases scroll a long List in a Viewport, move and resize
+// children that overhang their Form (a List among them, which draws
+// only the rows it is asked for), shrink Paned panes by a layout alone,
+// and move a popup shell across the screen's edges.
+func geometryCases() map[string][]geometryStep {
+	viewport := "viewport v topLevel allowVert true width 120 height 120\n" + geometryList("v") + "\n"
+	scroll := func(frac string) geometryStep {
+		return geometryStep{"viewportSetLocation v 0 " + frac, viewport + "viewportSetLocation v 0 " + frac + "\nrealize"}
+	}
+	form := func(a, b, c string) string {
+		return "form f topLevel width 100 height 60\nlabel a f label {first} " + a +
+			"\nlist b f fromVert a verticalList true list {one\ntwo\nthree\nfour\nfive\nsix\nseven\neight} " + b +
+			"\nlabel c f fromHoriz a label {a label that overhangs the form} " + c + "\nrealize"
+	}
+	shell := func(at, t1 string) string {
+		return "form top topLevel\nlabel main top label {main window}\nrealize\n" +
+			"transientShell ts top " + at + "\nform tf ts\nlabel t1 tf label {a label in a shell near the edge} " + t1 +
+			"\nlabel t2 tf fromVert t1 label {second row}\npopup ts none"
+	}
+	paned := func(p2 string) string {
+		return "paned p topLevel\nlabel p1 p label {pane one}\nasciiText p2 p " + p2 +
+			" string {two} height 60 width 150\nlabel p3 p label {pane three}\nrealize"
+	}
+	return map[string][]geometryStep{
+		"paned_shrink": {
+			{"", paned("")},
+			{"unmanageChild p2", paned("-unmanaged")},
+		},
+		"viewport_scroll": {
+			{"", viewport + "realize"},
+			scroll("0.1"),
+			scroll("0.5"),
+			scroll("0.037"),
+			scroll("0.999"),
+			scroll("0.0"),
+		},
+		"form_overhang": {
+			{"", form("height 40", "", "")},
+			{"sV a height 10", form("height 10", "", "")},
+			{"sV a height 50 width 80", form("height 50 width 80", "", "")},
+			{"sV a height 20 width 20", form("height 20 width 20", "", "")},
+			{"sV b width 120", form("height 20 width 20", "width 120", "")},
+			{"sV c width 30", form("height 20 width 20", "width 120", "width 30")},
+		},
+		"shell_edge": {
+			{"", shell("x 1200 y 950", "")},
+			{"sV ts x 1250 y 1000", shell("x 1250 y 1000", "")},
+			{"sV t1 width 400", shell("x 1250 y 1000", "width 400")},
+			{"sV ts x 600 y 400", shell("x 600 y 400", "width 400")},
+			{"sV ts x -100 y 1010", shell("x -100 y 1010", "width 400")},
+			{"sV t1 width 100", shell("x -100 y 1010", "width 100")},
+		},
+	}
+}
+
+// TestRenderOracle_Geometry checks that moving and resizing windows
+// exposes what they then show: after every step, the screens of the
+// running session, clipped and in full-repaint mode, must equal those
+// of a fresh session realized directly at the step's end state. A
+// moved or resized window that is not exposed keeps the contents it
+// had, which only ever covered what was on screen before.
+func TestRenderOracle_Geometry(t *testing.T) {
+	for name, steps := range geometryCases() {
+		steps := steps
+		t.Run(name, func(t *testing.T) {
+			clipped, full := core.NewTest(), core.NewTest()
+			full.App.SetFullRepaint(true)
+			for i, step := range steps {
+				fresh := core.NewTest()
+				for _, w := range []*core.Wafe{clipped, full, fresh} {
+					w.Interp.Stdout = func(string) {}
+				}
+				op := step.op
+				if i == 0 {
+					op = step.fresh
+				}
+				for _, w := range []*core.Wafe{clipped, full} {
+					if _, err := w.Eval(op); err != nil {
+						t.Fatalf("step %d %q: %v", i, op, err)
+					}
+				}
+				if _, err := fresh.Eval(step.fresh); err != nil {
+					t.Fatalf("step %d fresh: %v", i, err)
+				}
+				want := shellScreens(fresh)
+				for mode, w := range map[string]*core.Wafe{"clipped": clipped, "full repaint": full} {
+					got := shellScreens(w)
+					for shell, screen := range want {
+						if got[shell] != screen {
+							t.Errorf("step %d %q, %s: shell %s differs from a fresh session:\n--- running ---\n%s\n--- fresh ---\n%s", i, op, mode, shell, got[shell], screen)
+						}
+					}
+					if len(got) != len(want) {
+						t.Errorf("step %d %q, %s: %d realized shells, fresh has %d", i, op, mode, len(got), len(want))
+					}
+				}
+				fresh.Close()
 			}
 		})
 	}

@@ -113,13 +113,23 @@ go test -run '^$' -fuzz '^FuzzMassTransfer$' -fuzztime 10s ./internal/frontend/
 echo "== go test -fuzz FuzzCommandLines (10s)"
 go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 
+# The exposure fuzz smoke (FuzzExposeRegion): random window trees with
+# borders, windows off screen and outside their parents, driven
+# through map, unmap, configure, damage and flush; every Expose must
+# lie inside its window's viewable region and together cover every
+# damaged pixel then on screen, by a per-pixel model; seeds in
+# internal/xproto/testdata/fuzz/FuzzExposeRegion.
+echo "== go test -fuzz FuzzExposeRegion (10s)"
+go test -run '^$' -fuzz '^FuzzExposeRegion$' -fuzztime 10s ./internal/xproto/
+
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
 
 # The damage-region render gate: the differential oracle proves
 # clipped partial redraws are pixel-identical to full repaints (every
 # demo plus randomized damage sequences, under the race detector),
-# then the perf gate holds the steady-state single-widget update at
+# and that scrolled, moved and resized windows show what a session
+# realized directly in their final place shows; then the perf gate holds the steady-state single-widget update at
 # 0 B/op and memoized snapshots at O(1) in tree size.
 echo "== go test -race render differential oracle"
 go test -race -count 1 -run 'TestRenderOracle' .
