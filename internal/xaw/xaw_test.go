@@ -832,28 +832,12 @@ func TestListRedisplayMatchesFullScan(t *testing.T) {
 				logs[k] = append(logs[k], "--")
 			}
 		}
-		if a, b := strings.Join(logs[0], "\n"), strings.Join(logs[1], "\n"); a != b {
-			t.Fatalf("trial %d (%v): listRedisplay and the full scan differ:\n%s", trial, args, firstLineDiff(a, b))
+		for j := 0; j < len(logs[0]) || j < len(logs[1]); j++ {
+			if j >= len(logs[0]) || j >= len(logs[1]) || logs[0][j] != logs[1][j] {
+				t.Fatalf("trial %d (%v): listRedisplay and the full scan differ at op %d:\n%v\n%v", trial, args, j, logs[0][j:], logs[1][j:])
+			}
 		}
 	}
-}
-
-// firstLineDiff reports the first line where two texts differ.
-func firstLineDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) || i < len(bl); i++ {
-		var x, y string
-		if i < len(al) {
-			x = al[i]
-		}
-		if i < len(bl) {
-			y = bl[i]
-		}
-		if x != y {
-			return fmt.Sprintf("line %d: %q vs %q", i+1, x, y)
-		}
-	}
-	return "(same)"
 }
 
 func TestViewportScrolling(t *testing.T) {

@@ -250,24 +250,20 @@ func shellScreens(w *core.Wafe) map[string]string {
 	return out
 }
 
-// geometryList is a 500-row list script for a Viewport, sized
-// explicitly so that its final scroll position can be set before
-// realize: 6-character rows, 13-pixel font, rowSpacing 2 and
-// internal margins of 2 make it 40 × 7502 pixels.
-func geometryList(parent string) string {
-	rows := make([]string, 500)
-	for i := range rows {
-		rows[i] = fmt.Sprintf("row%03d", i)
-	}
-	return fmt.Sprintf("list l %s verticalList true width 40 height 7502 list {%s}", parent, strings.Join(rows, "\n"))
-}
-
 // geometryCases scroll a long List in a Viewport, move and resize
 // children that overhang their Form (a List among them, which draws
 // only the rows it is asked for), shrink Paned panes by a layout alone,
 // and move a popup shell across the screen's edges.
 func geometryCases() map[string][]geometryStep {
-	viewport := "viewport v topLevel allowVert true width 120 height 120\n" + geometryList("v") + "\n"
+	// The 500-row List is sized explicitly, so that the fresh session
+	// can set its scroll position before realize: 6-character rows, a
+	// 13-pixel font, rowSpacing 2 and margins of 2 make 40 × 7502.
+	rows := make([]string, 500)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("row%03d", i)
+	}
+	viewport := "viewport v topLevel allowVert true width 120 height 120\n" +
+		"list l v verticalList true width 40 height 7502 list {" + strings.Join(rows, "\n") + "}\n"
 	scroll := func(frac string) geometryStep {
 		return geometryStep{"viewportSetLocation v 0 " + frac, viewport + "viewportSetLocation v 0 " + frac + "\nrealize"}
 	}
@@ -331,9 +327,6 @@ func TestRenderOracle_Geometry(t *testing.T) {
 			full.App.SetFullRepaint(true)
 			for i, step := range steps {
 				fresh := core.NewTest()
-				for _, w := range []*core.Wafe{clipped, full, fresh} {
-					w.Interp.Stdout = func(string) {}
-				}
 				op := step.op
 				if i == 0 {
 					op = step.fresh
