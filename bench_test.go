@@ -213,13 +213,12 @@ func BenchmarkF4_DistinctStream(b *testing.B) {
 
 // BenchmarkF4_FrontendRoundTripTraced is F4 with observability enabled
 // and span tracing on: every line records a line span plus an eval
-// span into the bounded ring, and a cmd event into the event ring.
-// bench.sh's trace mode gates on the paired delta between this
-// benchmark and the plain F4 measured in the same run (the per-line
-// cost of enabled tracing). The echo sink is detached: echoing every
-// traced line to the terminal is the verbose debug channel, whose
-// cost is the terminal write itself, not the recording machinery this
-// gate governs.
+// span into the bounded ring. bench.sh's trace mode gates on the
+// paired delta between this benchmark and the plain F4 measured in the
+// same run (the per-line cost of enabled tracing). The echo sink is
+// detached: echoing every traced line to the terminal is the verbose
+// debug channel, whose cost is the terminal write itself, not the
+// recording machinery this gate governs.
 func BenchmarkF4_FrontendRoundTripTraced(b *testing.B) {
 	w := core.NewTest()
 	var sink strings.Builder

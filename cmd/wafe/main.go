@@ -80,9 +80,10 @@ func run(args []string) int {
 	}
 
 	// Observability: the dump/debug/flight flags enable the metrics
-	// layer; --debug-addr additionally serves expvar + pprof +
-	// Prometheus text, --metrics-dump writes the JSON document when
-	// the process exits, and --flight-dir arms the flight recorder.
+	// layer; --debug-addr additionally serves the runtime's expvar
+	// variables, pprof, Prometheus text and the JSON document,
+	// --metrics-dump writes the JSON document when the process exits,
+	// and --flight-dir arms the flight recorder.
 	w.Flight = flightRecorder(opts)
 	if opts.MetricsDump != "" || opts.DebugAddr != "" || w.Flight != nil {
 		m := w.EnableObservability()
@@ -160,7 +161,7 @@ func runServe(opts *frontend.Options, set core.WidgetSet, resText string) int {
 	if opts.MetricsDump != "" || opts.DebugAddr != "" || fr != nil {
 		sm = obs.NewServer()
 		if opts.DebugAddr != "" {
-			ln, err := obs.ServeDebugSource(opts.DebugAddr, sm)
+			ln, err := obs.ServeDebug(opts.DebugAddr, sm)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "wafe: --debug-addr:", err)
 				return 2

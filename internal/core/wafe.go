@@ -476,8 +476,9 @@ func (w *Wafe) registerActions() {
 	})
 }
 
-// traceFired records a fired callback/action script when tracing is
-// on; the text is only assembled in that case.
+// traceFired records a fired callback/action script as a script
+// instant under the callback or action span, and echoes it, when
+// tracing is on; the text is only assembled in that case.
 func (w *Wafe) traceFired(kind string, widget *xt.Widget, script string) {
 	m := w.Metrics
 	if m == nil || !m.Trace.Enabled() {
@@ -487,5 +488,7 @@ func (w *Wafe) traceFired(kind string, widget *xt.Widget, script string) {
 	if widget != nil {
 		name = widget.Name
 	}
-	m.Trace.Emit(kind, name+": "+script)
+	text := name + ": " + script
+	m.Trace.Instant("script", text)
+	m.Trace.Echo(kind, text)
 }

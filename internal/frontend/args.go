@@ -89,10 +89,11 @@ type Options struct {
 	MetricsDump string
 
 	// DebugAddr, when non-empty, enables observability and serves the
-	// expvar/pprof/metrics debug endpoint on the address.
+	// debug endpoint on the address: the runtime's expvar variables,
+	// pprof, /metrics and /metrics.json.
 	DebugAddr string
 
-	// TraceRing overrides the per-session span/trace ring capacity
+	// TraceRing overrides the per-session span ring capacity
 	// (--trace-ring); 0 keeps obs.DefaultRingSize.
 	TraceRing int
 

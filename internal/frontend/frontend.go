@@ -301,9 +301,7 @@ func (f *Frontend) handleAppLine(line string, m *obs.Metrics) {
 		}
 		if m != nil {
 			m.Frontend.CommandLines.Inc()
-			if m.Trace.Enabled() {
-				m.Trace.Emit("cmd", line)
-			}
+			m.Trace.Echo("cmd", line)
 		}
 		if _, err := f.W.Eval(line[1:]); err != nil {
 			f.EvalErrors++

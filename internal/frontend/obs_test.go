@@ -278,7 +278,7 @@ func TestStatisticsAndTraceOverPipe(t *testing.T) {
 	// The metricsDump command returns the single-line JSON document.
 	send(backendOut, "%echo [metricsDump]\n")
 	dump := readLine(t, backendIn)
-	if !strings.HasPrefix(dump, "{") || !strings.Contains(dump, `"tcl.evals"`) || !strings.Contains(dump, `"trace"`) {
+	if !strings.HasPrefix(dump, "{") || !strings.Contains(dump, `"tcl.evals"`) || !strings.Contains(dump, `"spans"`) {
 		t.Errorf("metricsDump = %.120q", dump)
 	}
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"bufio"
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
@@ -54,8 +55,9 @@ func hasAncestor(spans []obs.Span, sp *obs.Span, id uint64) bool {
 // TestServeSpanTree is the tracing acceptance test: one serve-mode
 // session builds a UI and clicks a button over the protocol, and the
 // recorded spans must form the complete request tree — protocol line →
-// tcl eval → xt callback → xproto request — with correct parent links,
-// the session id stamped on every span, and plausible durations.
+// tcl eval → xt callback → fired script and xproto request — with
+// correct parent links, the spans keyed by session id in the serve
+// dump, and plausible durations.
 func TestServeSpanTree(t *testing.T) {
 	srv, sm := startServer(t, ServeConfig{})
 	c := dialServe(t, srv)
@@ -123,6 +125,11 @@ func TestServeSpanTree(t *testing.T) {
 	if !hasAncestor(spans, xp, realLine.ID) {
 		t.Errorf("CreateWindow not under the %%realize line; ancestors = %v", ancestors(spans, xp))
 	}
+	// The script the click fired is an instant under its callback.
+	script := findSpan(spans, "script", "hello: echo pressed")
+	if script == nil || script.Parent != cb.ID || script.Dur != 0 {
+		t.Errorf("no script instant under the callback; spans:\n%s", obs.RenderSpanTree(spans, 0))
+	}
 
 	// Durations: real regions measured something, nesting is consistent,
 	// instants are points.
@@ -141,16 +148,20 @@ func TestServeSpanTree(t *testing.T) {
 		t.Errorf("instant dur = %v, want 0", xp.Dur)
 	}
 
-	// Serve-mode aggregation: spans are keyed by session id, each
-	// stamped with it.
-	agg := sm.SessionSpans()
-	if len(agg[c.id]) == 0 {
-		t.Fatalf("SessionSpans missing %s: %v", c.id, agg)
+	// Serve-mode aggregation: the dump keys the session's spans by its
+	// id.
+	var sb strings.Builder
+	if err := sm.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
 	}
-	for _, sp := range agg[c.id] {
-		if sp.Session != c.id {
-			t.Errorf("span %d stamped %q, want %q", sp.ID, sp.Session, c.id)
-		}
+	var dump struct {
+		Spans map[string][]obs.Span `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &dump); err != nil {
+		t.Fatalf("serve dump: %v", err)
+	}
+	if got := dump.Spans[c.id]; len(got) == 0 || findSpan(got, "line", "%sendClick hello") == nil {
+		t.Fatalf("serve dump misses %s's spans: %v", c.id, dump.Spans)
 	}
 
 	c.send("%quit")

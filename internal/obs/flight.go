@@ -41,7 +41,6 @@ type flightDump struct {
 	Time    time.Time        `json:"time"`
 	Metrics map[string]int64 `json:"metrics"`
 	Spans   []Span           `json:"spans,omitempty"`
-	Trace   []TraceEvent     `json:"trace,omitempty"`
 }
 
 // TripLatency reports whether d crosses the configured latency
@@ -52,8 +51,9 @@ func (fr *FlightRecorder) TripLatency(d time.Duration) bool {
 
 // Trip writes one flight dump and returns its path. src supplies the
 // metric snapshot (a session's *Metrics or the serve aggregate); tr,
-// when non-nil, contributes the span and event rings. A trip inside
-// MinInterval of the previous dump is dropped (counted, not written).
+// when non-nil, contributes its span ring and, when session is empty,
+// its session id. A trip inside MinInterval of the previous dump is
+// dropped (counted, not written).
 func (fr *FlightRecorder) Trip(reason, session, detail string, src Source, tr *Trace) (string, error) {
 	min := fr.MinInterval
 	if min <= 0 {
@@ -70,16 +70,13 @@ func (fr *FlightRecorder) Trip(reason, session, detail string, src Source, tr *T
 		Session: session,
 		Detail:  detail,
 		Time:    time.Now(),
-		Metrics: make(map[string]int64),
+		Metrics: map[string]int64{},
 	}
 	if src != nil {
-		for _, s := range src.Snapshot() {
-			d.Metrics[s.Name] = s.Value
-		}
+		d.Metrics = sampleMap(src.Snapshot())
 	}
 	if tr != nil {
 		d.Spans = tr.Spans()
-		d.Trace = tr.Events()
 		if session == "" {
 			d.Session = tr.Session()
 		}

@@ -6,69 +6,25 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
-// Source is anything that can be published on the debug endpoint: a
-// single-session *Metrics or the serve-mode *ServerMetrics aggregate.
+// Source is a metrics registry the debug endpoint, the exit dump and
+// the flight recorder publish: a single-session *Metrics or the
+// serve-mode *ServerMetrics aggregate.
 type Source interface {
 	Snapshot() []Sample
 	WriteJSON(w io.Writer) error
-}
-
-// published is the source the expvar variable reads; expvar names are
-// process-global and can be registered only once, so the variable
-// indirects through this slot.
-var (
-	publishMu   sync.Mutex
-	published   Source
-	publishOnce sync.Once
-)
-
-func publish(s Source) {
-	publishMu.Lock()
-	published = s
-	publishMu.Unlock()
-	publishOnce.Do(func() {
-		expvar.Publish("wafe", expvar.Func(func() any {
-			publishMu.Lock()
-			cur := published
-			publishMu.Unlock()
-			if cur == nil {
-				return nil
-			}
-			out := make(map[string]int64)
-			for _, s := range cur.Snapshot() {
-				out[s.Name] = s.Value
-			}
-			return out
-		}))
-	})
-}
-
-// PromSource is a Source that can also render itself in Prometheus
-// text format — both *Metrics and *ServerMetrics implement it.
-type PromSource interface {
-	Source
 	WritePrometheus(w io.Writer) error
 }
 
-// ServeDebug exposes m on addr: /debug/vars (expvar, including the
-// "wafe" metrics map), the /debug/pprof profiling endpoints, /metrics
+// ServeDebug exposes src on addr: /debug/vars (the runtime's expvar
+// variables), the /debug/pprof profiling endpoints, /metrics
 // (Prometheus text format, full histogram buckets) and /metrics.json
-// (the metricsDump JSON document). It returns the bound listener so
-// callers can report the actual address (addr may use port 0) and
-// close it; the HTTP server runs until the listener closes.
-func ServeDebug(addr string, m *Metrics) (net.Listener, error) {
-	return ServeDebugSource(addr, m)
-}
-
-// ServeDebugSource is ServeDebug for any snapshot source — serve mode
-// passes the ServerMetrics aggregate, so /debug/vars and /metrics
-// report the whole process (per-session objects included in the
-// serve-mode JSON document).
-func ServeDebugSource(addr string, src Source) (net.Listener, error) {
-	publish(src)
+// (the metricsDump JSON document; in serve mode the aggregate with one
+// object per session). It returns the bound listener so callers can
+// report the actual address (addr may use port 0) and close it; the
+// HTTP server runs until the listener closes.
+func ServeDebug(addr string, src Source) (net.Listener, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -80,13 +36,8 @@ func ServeDebugSource(addr string, src Source) (net.Listener, error) {
 		_ = src.WriteJSON(w)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		if ps, ok := src.(PromSource); ok {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = ps.WritePrometheus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = src.WriteJSON(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = src.WritePrometheus(w)
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -128,25 +127,50 @@ type Sample struct {
 	Value int64
 }
 
-func histSamples(prefix string, h *Histogram, out []Sample) []Sample {
-	return append(out,
-		Sample{prefix + ".count", h.Count()},
-		Sample{prefix + ".mean_ns", h.Mean()},
-		Sample{prefix + ".p50_ns", h.Quantile(0.50)},
-		Sample{prefix + ".p99_ns", h.Quantile(0.99)},
-		Sample{prefix + ".max_ns", h.Max()},
+// metricVisitor receives a registry's metrics in order, one call per
+// metric. Each registry lists its metrics once, in its walk method;
+// sampleList flattens them for statistics and the JSON documents, and
+// promWriter (prom.go) writes them as Prometheus families.
+type metricVisitor interface {
+	// scalar is one counter or gauge value; typ is its Prometheus
+	// type.
+	scalar(name, typ string, v int64)
+	// vec is a counter per label value.
+	vec(name, label string, v *CounterVec)
+	histogram(name string, h *Histogram)
+}
+
+// sampleList flattens metrics into dotted samples: a vector becomes
+// <name>.<label value> per label, a histogram its count, mean, p50, p99
+// and max in nanoseconds.
+type sampleList []Sample
+
+func (s *sampleList) scalar(name, _ string, v int64) {
+	*s = append(*s, Sample{name, v})
+}
+
+func (s *sampleList) vec(name, _ string, v *CounterVec) {
+	v.each(func(label string, n int64) {
+		*s = append(*s, Sample{name + "." + label, n})
+	})
+}
+
+func (s *sampleList) histogram(name string, h *Histogram) {
+	*s = append(*s,
+		Sample{name + ".count", h.Count()},
+		Sample{name + ".mean_ns", h.Mean()},
+		Sample{name + ".p50_ns", h.Quantile(0.50)},
+		Sample{name + ".p99_ns", h.Quantile(0.99)},
+		Sample{name + ".max_ns", h.Max()},
 	)
 }
 
-func vecSamples(prefix string, v *CounterVec, out []Sample) []Sample {
-	snap := v.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, Sample{prefix + "." + k, snap[k]})
+// sampleMap turns samples into the name → value object of the JSON
+// documents.
+func sampleMap(samples []Sample) map[string]int64 {
+	out := make(map[string]int64, len(samples))
+	for _, s := range samples {
+		out[s.Name] = s.Value
 	}
 	return out
 }
@@ -167,60 +191,57 @@ func (m *Metrics) Snapshot() []Sample {
 // SnapshotBase is Snapshot without the Extra samples — what aggregators
 // walking many session registries must use.
 func (m *Metrics) SnapshotBase() []Sample {
-	var out []Sample
+	var out sampleList
+	m.walk(&out)
+	return out
+}
+
+// walk visits every metric of the registry, grouped per layer.
+func (m *Metrics) walk(v metricVisitor) {
 	t := &m.Tcl
-	out = append(out,
-		Sample{"tcl.evals", t.Evals.Load()},
-		Sample{"tcl.script_cache.hits", t.ScriptCacheHits.Load()},
-		Sample{"tcl.script_cache.misses", t.ScriptCacheMisses.Load()},
-		Sample{"tcl.expr_cache.hits", t.ExprCacheHits.Load()},
-		Sample{"tcl.expr_cache.misses", t.ExprCacheMisses.Load()},
-	)
-	out = histSamples("tcl.eval_latency", &t.EvalLatency, out)
-	out = vecSamples("tcl.dispatch", &t.Dispatch, out)
+	v.scalar("tcl.evals", "counter", t.Evals.Load())
+	v.scalar("tcl.script_cache.hits", "counter", t.ScriptCacheHits.Load())
+	v.scalar("tcl.script_cache.misses", "counter", t.ScriptCacheMisses.Load())
+	v.scalar("tcl.expr_cache.hits", "counter", t.ExprCacheHits.Load())
+	v.scalar("tcl.expr_cache.misses", "counter", t.ExprCacheMisses.Load())
+	v.histogram("tcl.eval_latency", &t.EvalLatency)
+	v.vec("tcl.dispatch", "command", &t.Dispatch)
 
 	x := &m.Xt
-	out = append(out,
-		Sample{"xt.events_dispatched", x.EventsDispatched.Load()},
-		Sample{"xt.event_queue_depth", x.EventQueueDepth.Load()},
-		Sample{"xt.event_queue_depth_max", x.EventQueueDepth.Max()},
-		Sample{"xt.posted_queue_depth_max", x.PostedQueueDepth.Max()},
-		Sample{"xt.callbacks_fired", x.CallbacksFired.Load()},
-		Sample{"xt.actions_fired", x.ActionsFired.Load()},
-		Sample{"xt.redraw_clipped", x.RedrawClipped.Load()},
-		Sample{"xt.redraw_full", x.RedrawFull.Load()},
-		Sample{"xt.xrm_searchlist_hits", x.XrmSearchListHits.Load()},
-		Sample{"xt.xrm_searchlist_misses", x.XrmSearchListMisses.Load()},
-		Sample{"xt.xrm_generation", x.XrmGeneration.Load()},
-	)
-	out = histSamples("xt.dispatch_latency", &x.DispatchLatency, out)
+	v.scalar("xt.events_dispatched", "counter", x.EventsDispatched.Load())
+	v.scalar("xt.event_queue_depth", "gauge", x.EventQueueDepth.Load())
+	v.scalar("xt.event_queue_depth_max", "gauge", x.EventQueueDepth.Max())
+	v.scalar("xt.posted_queue_depth_max", "gauge", x.PostedQueueDepth.Max())
+	v.scalar("xt.callbacks_fired", "counter", x.CallbacksFired.Load())
+	v.scalar("xt.actions_fired", "counter", x.ActionsFired.Load())
+	v.scalar("xt.redraw_clipped", "counter", x.RedrawClipped.Load())
+	v.scalar("xt.redraw_full", "counter", x.RedrawFull.Load())
+	v.scalar("xt.xrm_searchlist_hits", "counter", x.XrmSearchListHits.Load())
+	v.scalar("xt.xrm_searchlist_misses", "counter", x.XrmSearchListMisses.Load())
+	v.scalar("xt.xrm_generation", "gauge", x.XrmGeneration.Load())
+	v.histogram("xt.dispatch_latency", &x.DispatchLatency)
 
 	p := &m.Xproto
-	out = append(out,
-		Sample{"xproto.events_queued", p.EventsQueued.Load()},
-		Sample{"xproto.damage_rects", p.DamageRects.Load()},
-		Sample{"xproto.exposes_coalesced", p.ExposesCoalesced.Load()},
-		Sample{"xproto.exposes_dropped", p.ExposesDropped.Load()},
-	)
-	out = vecSamples("xproto.requests", &p.Requests, out)
+	v.scalar("xproto.events_queued", "counter", p.EventsQueued.Load())
+	v.scalar("xproto.damage_rects", "counter", p.DamageRects.Load())
+	v.scalar("xproto.exposes_coalesced", "counter", p.ExposesCoalesced.Load())
+	v.scalar("xproto.exposes_dropped", "counter", p.ExposesDropped.Load())
+	v.vec("xproto.requests", "op", &p.Requests)
 
 	f := &m.Frontend
-	out = append(out,
-		Sample{"frontend.command_lines", f.CommandLines.Load()},
-		Sample{"frontend.passed_lines", f.PassedLines.Load()},
-		Sample{"frontend.overlong_lines", f.OverlongLines.Load()},
-		Sample{"frontend.eval_errors", f.EvalErrors.Load()},
-		Sample{"frontend.mass_transfers", f.MassTransfers.Load()},
-		Sample{"frontend.mass_bytes", f.MassBytes.Load()},
-		Sample{"frontend.mass_reads", f.MassReads.Load()},
-		Sample{"frontend.read_errors", f.ReadErrors.Load()},
-		Sample{"frontend.backend_restarts", f.BackendRestarts.Load()},
-		Sample{"frontend.backend_uptime_ms", f.BackendUptime.Load()},
-		Sample{"frontend.backend_uptime_ms_max", f.BackendUptime.Max()},
-	)
-	out = vecSamples("frontend.backend_exits", &f.BackendExits, out)
-	out = histSamples("frontend.line_latency", &f.LineLatency, out)
-	return out
+	v.scalar("frontend.command_lines", "counter", f.CommandLines.Load())
+	v.scalar("frontend.passed_lines", "counter", f.PassedLines.Load())
+	v.scalar("frontend.overlong_lines", "counter", f.OverlongLines.Load())
+	v.scalar("frontend.eval_errors", "counter", f.EvalErrors.Load())
+	v.scalar("frontend.mass_transfers", "counter", f.MassTransfers.Load())
+	v.scalar("frontend.mass_bytes", "counter", f.MassBytes.Load())
+	v.scalar("frontend.mass_reads", "counter", f.MassReads.Load())
+	v.scalar("frontend.read_errors", "counter", f.ReadErrors.Load())
+	v.scalar("frontend.backend_restarts", "counter", f.BackendRestarts.Load())
+	v.scalar("frontend.backend_uptime_ms", "gauge", f.BackendUptime.Load())
+	v.scalar("frontend.backend_uptime_ms_max", "gauge", f.BackendUptime.Max())
+	v.vec("frontend.backend_exits", "class", &f.BackendExits)
+	v.histogram("frontend.line_latency", &f.LineLatency)
 }
 
 // Get returns the snapshot value for a metric name (tests).
@@ -236,36 +257,33 @@ func (m *Metrics) Get(name string) (int64, bool) {
 // jsonDump is the --metrics-dump / metricsDump document shape.
 type jsonDump struct {
 	Metrics map[string]int64 `json:"metrics"`
-	Trace   []TraceEvent     `json:"trace,omitempty"`
 	Spans   []Span           `json:"spans,omitempty"`
 }
 
-// DumpTraceCap bounds the trace events and spans embedded in the
-// metricsDump JSON: the document travels as one protocol line, so a
-// large configured ring (--trace-ring 65536) must not balloon it. The
-// most recent entries win; the full rings stay reachable through the
-// trace Tcl command and the flight recorder.
+// DumpTraceCap bounds the spans embedded in the metricsDump JSON and
+// kept for an ended serve session: the document travels as one
+// protocol line, so a large configured ring (--trace-ring 65536) must
+// not balloon it. The most recent spans win; the full ring stays
+// reachable through the trace Tcl command and the flight recorder.
 const DumpTraceCap = 64
 
-func lastN[T any](in []T, n int) []T {
-	if len(in) > n {
-		return in[len(in)-n:]
+// dumpTail returns the last DumpTraceCap spans.
+func dumpTail(spans []Span) []Span {
+	if len(spans) > DumpTraceCap {
+		return spans[len(spans)-DumpTraceCap:]
 	}
-	return in
+	return spans
 }
 
-// WriteJSON writes the snapshot (plus the tails of the trace and span
-// rings, capped at DumpTraceCap each) as a single-line JSON object, so
+// WriteJSON writes the snapshot (plus the tail of the span ring,
+// capped at DumpTraceCap) as a single-line JSON object, so
 // `echo [metricsDump]` stays one protocol line.
 func (m *Metrics) WriteJSON(w io.Writer) error {
-	d := jsonDump{Metrics: make(map[string]int64)}
-	for _, s := range m.Snapshot() {
-		d.Metrics[s.Name] = s.Value
+	d := jsonDump{
+		Metrics: sampleMap(m.Snapshot()),
+		Spans:   dumpTail(m.Trace.Spans()),
 	}
-	d.Trace = lastN(m.Trace.Events(), DumpTraceCap)
-	d.Spans = lastN(m.Trace.Spans(), DumpTraceCap)
-	enc := json.NewEncoder(w)
-	return enc.Encode(d)
+	return json.NewEncoder(w).Encode(d)
 }
 
 // FormatValue renders a sample value for the statistics Tcl list.

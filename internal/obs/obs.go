@@ -1,9 +1,8 @@
 // Package obs is Wafe's runtime observability layer: low-overhead
 // metric primitives (atomic counters, gauges, fixed-bucket latency
-// histograms, labelled counter vectors), a bounded ring buffer of
-// recent trace events, and the aggregate Metrics registry the
-// statistics/traceOn commands and the --metrics-dump / --debug-addr
-// flags expose.
+// histograms, labelled counter vectors), a bounded ring of recent
+// spans, and the aggregate Metrics registry the statistics/traceOn
+// commands and the --metrics-dump / --debug-addr flags expose.
 //
 // The layer is designed to be zero-cost when disabled: every
 // instrumented hot path holds a typed metrics pointer that is nil
@@ -15,6 +14,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,4 +216,17 @@ func (v *CounterVec) Snapshot() map[string]int64 {
 		out[k] = c.Load()
 	}
 	return out
+}
+
+// each calls fn for every label and its value, in label order.
+func (v *CounterVec) each(fn func(label string, n int64)) {
+	snap := v.Snapshot()
+	labels := make([]string, 0, len(snap))
+	for k := range snap {
+		labels = append(labels, k)
+	}
+	sort.Strings(labels)
+	for _, k := range labels {
+		fn(k, snap[k])
+	}
 }

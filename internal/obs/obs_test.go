@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,40 +115,23 @@ func TestCounterVec(t *testing.T) {
 	}
 }
 
-func TestRingWraps(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Push(TraceEvent{Seq: uint64(i)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		if want := uint64(6 + i); ev.Seq != want {
-			t.Errorf("event %d seq = %d, want %d", i, ev.Seq, want)
-		}
-	}
-}
-
 func TestTraceGatingAndSink(t *testing.T) {
 	var tr Trace
 	var lines []string
 	tr.SetSink(func(s string) { lines = append(lines, s) })
-	tr.Emit("cmd", "ignored while disabled")
-	if len(tr.Events()) != 0 || len(lines) != 0 {
-		t.Fatal("disabled trace recorded")
+	tr.Echo("cmd", "ignored while disabled")
+	if len(lines) != 0 {
+		t.Fatal("disabled trace echoed")
 	}
 	tr.SetEnabled(true)
-	tr.Emit("cmd", "%echo hi")
+	tr.Echo("cmd", "%echo hi")
 	tr.SetEnabled(false)
-	tr.Emit("cmd", "off again")
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != "cmd" || evs[0].Text != "%echo hi" {
-		t.Fatalf("events = %+v", evs)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "wafe: trace cmd: %echo hi") {
+	tr.Echo("cmd", "off again")
+	if len(lines) != 1 || lines[0] != "wafe: trace cmd: %echo hi" {
 		t.Fatalf("sink = %q", lines)
+	}
+	if spans := tr.Spans(); len(spans) != 0 {
+		t.Fatalf("Echo recorded spans %+v", spans)
 	}
 }
 
@@ -169,7 +153,7 @@ func TestMetricsSnapshotAndJSON(t *testing.T) {
 		t.Errorf("dispatch latency count = %d, %v", v, ok)
 	}
 	m.Trace.SetEnabled(true)
-	m.Trace.Emit("cmd", "line")
+	m.Trace.StartSpan("line", "%echo hi").End()
 	var sb strings.Builder
 	if err := m.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -180,7 +164,7 @@ func TestMetricsSnapshotAndJSON(t *testing.T) {
 	}
 	var doc struct {
 		Metrics map[string]int64 `json:"metrics"`
-		Trace   []TraceEvent     `json:"trace"`
+		Spans   []Span           `json:"spans"`
 	}
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("dump not valid JSON: %v", err)
@@ -188,8 +172,79 @@ func TestMetricsSnapshotAndJSON(t *testing.T) {
 	if doc.Metrics["frontend.mass_bytes"] != 4096 || doc.Metrics["xproto.requests.DrawString"] != 1 {
 		t.Errorf("dump metrics = %v", doc.Metrics)
 	}
-	if len(doc.Trace) != 1 || doc.Trace[0].Text != "line" {
-		t.Errorf("dump trace = %v", doc.Trace)
+	if len(doc.Spans) != 1 || doc.Spans[0].Kind != "line" || doc.Spans[0].Name != "%echo hi" {
+		t.Errorf("dump spans = %v", doc.Spans)
+	}
+}
+
+// touchAll adds to every counter, gauge, histogram and counter vector
+// in the struct v points at, recursing into nested structs, so that
+// each metric a registry lists shows up in its snapshot.
+func touchAll(v reflect.Value) {
+	v = v.Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		f := v.Field(i).Addr()
+		switch x := f.Interface().(type) {
+		case *Counter:
+			x.Inc()
+		case *Gauge:
+			x.Observe(1)
+		case *Histogram:
+			x.Observe(time.Microsecond)
+		case *CounterVec:
+			x.Inc("x")
+		default:
+			if f.Elem().Kind() == reflect.Struct {
+				touchAll(f)
+			}
+		}
+	}
+}
+
+// TestPrometheusCarriesEverySample: every name statistics reports has
+// a family in the Prometheus output. A scalar a.b maps to wafe_a_b, a
+// histogram's five samples to the wafe_<name>_seconds histogram, and a
+// vector's <name>.<label> to a labelled series of wafe_<name>.
+func TestPrometheusCarriesEverySample(t *testing.T) {
+	sm := NewServer()
+	m := sm.AddSession("s1")
+	touchAll(reflect.ValueOf(m))
+	touchAll(reflect.ValueOf(sm))
+	for _, src := range []Source{m, sm} {
+		var sb strings.Builder
+		if err := src.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		vals := parsePromText(t, sb.String())
+		has := func(name string) bool {
+			if _, ok := vals[promName(name)]; ok {
+				return true
+			}
+			for _, suf := range []string{".count", ".mean_ns", ".p50_ns", ".p99_ns", ".max_ns"} {
+				if base, ok := strings.CutSuffix(name, suf); ok {
+					if _, ok := vals[promName(base)+`_seconds_bucket{le="+Inf"}`]; ok {
+						return true
+					}
+				}
+			}
+			if i := strings.LastIndexByte(name, '.'); i >= 0 {
+				family, label := promName(name[:i])+"{", `="`+name[i+1:]+`"}`
+				for series := range vals {
+					if strings.HasPrefix(series, family) && strings.HasSuffix(series, label) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		for _, s := range src.Snapshot() {
+			if !has(s.Name) {
+				t.Errorf("statistics name %s has no Prometheus family", s.Name)
+			}
+		}
 	}
 }
 
@@ -247,8 +302,8 @@ func TestServeDebug(t *testing.T) {
 	if body := get("/metrics"); !strings.Contains(body, "wafe_tcl_evals 9") {
 		t.Errorf("/metrics = %q", body)
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, `"wafe"`) {
-		t.Errorf("/debug/vars misses wafe var")
+	if body := get("/debug/vars"); !strings.Contains(body, `"memstats"`) {
+		t.Errorf("/debug/vars misses the runtime's memstats")
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %.100q", body)

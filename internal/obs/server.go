@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -86,12 +85,8 @@ func (s *ServerMetrics) EndSession(id, reason string) {
 		if limit <= 0 {
 			limit = 4096
 		}
-		final := make(map[string]int64)
-		for _, sam := range m.SnapshotBase() {
-			final[sam.Name] = sam.Value
-		}
-		s.done[id] = final
-		if spans := lastN(m.Trace.Spans(), DumpTraceCap); len(spans) > 0 {
+		s.done[id] = sampleMap(m.SnapshotBase())
+		if spans := dumpTail(m.Trace.Spans()); len(spans) > 0 {
 			s.doneSpans[id] = spans
 		}
 		s.doneOrder = append(s.doneOrder, id)
@@ -113,19 +108,22 @@ func (s *ServerMetrics) Session(id string) *Metrics {
 	return s.live[id]
 }
 
-// Active returns the number of live sessions.
-func (s *ServerMetrics) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.live)
-}
-
 // Snapshot returns the aggregate server.* samples: the server's own
 // counters plus aggregates computed over the live sessions (summed
-// eval counts, max queue depths). It never descends into a session's
+// eval counts, max queue depths). The per-session line and error
+// counters stay out of it; the JSON document keys each session's own
+// counters by id instead.
+func (s *ServerMetrics) Snapshot() []Sample {
+	var out sampleList
+	s.walk(&out, false)
+	return out
+}
+
+// walk visits the aggregate metrics, and with perSession also the
+// counters labelled by session id. It never descends into a session's
 // full Snapshot, so a session whose Extra hook points back here cannot
 // recurse.
-func (s *ServerMetrics) Snapshot() []Sample {
+func (s *ServerMetrics) walk(v metricVisitor, perSession bool) {
 	s.mu.Lock()
 	var evals, lines, errs, queueMax int64
 	for _, m := range s.live {
@@ -137,20 +135,21 @@ func (s *ServerMetrics) Snapshot() []Sample {
 		}
 	}
 	s.mu.Unlock()
-	out := []Sample{
-		{"server.sessions_active", s.SessionsActive.Load()},
-		{"server.sessions_active_max", s.SessionsActive.Max()},
-		{"server.sessions_total", s.SessionsTotal.Load()},
-		{"server.refused", s.Refused.Load()},
-		{"server.accept_errors", s.AcceptErrors.Load()},
-		{"server.live_evals", evals},
-		{"server.live_command_lines", lines},
-		{"server.live_eval_errors", errs},
-		{"server.live_queue_depth_max", queueMax},
+	v.scalar("server.sessions_active", "gauge", s.SessionsActive.Load())
+	v.scalar("server.sessions_active_max", "gauge", s.SessionsActive.Max())
+	v.scalar("server.sessions_total", "counter", s.SessionsTotal.Load())
+	v.scalar("server.refused", "counter", s.Refused.Load())
+	v.scalar("server.accept_errors", "counter", s.AcceptErrors.Load())
+	v.scalar("server.live_evals", "gauge", evals)
+	v.scalar("server.live_command_lines", "gauge", lines)
+	v.scalar("server.live_eval_errors", "gauge", errs)
+	v.scalar("server.live_queue_depth_max", "gauge", queueMax)
+	v.vec("server.session_ends", "reason", &s.SessionEnds)
+	if perSession {
+		v.vec("server.session_lines", "session", &s.SessionLines)
+		v.vec("server.session_errors", "session", &s.SessionErrors)
 	}
-	out = vecSamples("server.session_ends", &s.SessionEnds, out)
-	out = histSamples("server.dispatch_latency", &s.DispatchLatency, out)
-	return out
+	v.histogram("server.dispatch_latency", &s.DispatchLatency)
 }
 
 // serverDump is the serve-mode --metrics-dump document: the aggregate
@@ -168,71 +167,29 @@ type serverDump struct {
 // WriteJSON writes the serve-mode metrics document.
 func (s *ServerMetrics) WriteJSON(w io.Writer) error {
 	d := serverDump{
-		Server:   make(map[string]int64),
+		Server:   sampleMap(s.Snapshot()),
 		Sessions: make(map[string]map[string]int64),
-	}
-	for _, sam := range s.Snapshot() {
-		d.Server[sam.Name] = sam.Value
+		Spans:    make(map[string][]Span),
 	}
 	s.mu.Lock()
-	liveIDs := make([]string, 0, len(s.live))
-	for id := range s.live {
-		liveIDs = append(liveIDs, id)
-	}
-	sort.Strings(liveIDs)
-	liveMetrics := make([]*Metrics, len(liveIDs))
-	for i, id := range liveIDs {
-		liveMetrics[i] = s.live[id]
+	live := make(map[string]*Metrics, len(s.live))
+	for id, m := range s.live {
+		live[id] = m
 	}
 	for id, final := range s.done {
 		d.Sessions[id] = final
 	}
 	for id, spans := range s.doneSpans {
-		if d.Spans == nil {
-			d.Spans = make(map[string][]Span)
-		}
 		d.Spans[id] = spans
 	}
 	s.mu.Unlock()
 	// Snapshot live sessions outside the lock: SnapshotBase walks
 	// lock-free atomics only.
-	for i, id := range liveIDs {
-		final := make(map[string]int64)
-		for _, sam := range liveMetrics[i].SnapshotBase() {
-			final[sam.Name] = sam.Value
-		}
-		d.Sessions[id] = final
-		if spans := lastN(liveMetrics[i].Trace.Spans(), DumpTraceCap); len(spans) > 0 {
-			if d.Spans == nil {
-				d.Spans = make(map[string][]Span)
-			}
+	for id, m := range live {
+		d.Sessions[id] = sampleMap(m.SnapshotBase())
+		if spans := dumpTail(m.Trace.Spans()); len(spans) > 0 {
 			d.Spans[id] = spans
 		}
 	}
 	return json.NewEncoder(w).Encode(d)
-}
-
-// SessionSpans returns the recent spans of every session that has
-// recorded any — live sessions' full rings plus completed sessions'
-// retained tails — keyed by session id; the serve-layer view behind
-// the aggregate span dump.
-func (s *ServerMetrics) SessionSpans() map[string][]Span {
-	s.mu.Lock()
-	live := make([]*Metrics, 0, len(s.live))
-	ids := make([]string, 0, len(s.live))
-	for id, m := range s.live {
-		ids = append(ids, id)
-		live = append(live, m)
-	}
-	out := make(map[string][]Span, len(s.doneSpans))
-	for id, spans := range s.doneSpans {
-		out[id] = spans
-	}
-	s.mu.Unlock()
-	for i, m := range live {
-		if spans := m.Trace.Spans(); len(spans) > 0 {
-			out[ids[i]] = spans
-		}
-	}
-	return out
 }

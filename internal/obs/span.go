@@ -9,38 +9,19 @@ import (
 
 // Span is one timed region of a request: a backend protocol line, a
 // top-level tcl eval, a proc call, an xt dispatch/callback/action, or
-// an xproto request. Parent links make the chain a tree rooted at the
-// protocol line (Parent == 0), so a slow line can be decomposed into
-// the eval → dispatch → request path that caused it.
+// an instant (zero duration) such as an xproto request or the script a
+// callback or action fired. Parent links make the chain a tree rooted
+// at the protocol line (Parent == 0), so a slow line can be decomposed
+// into the eval → dispatch → request path that caused it.
 type Span struct {
-	ID      uint64        `json:"id"`
-	Parent  uint64        `json:"parent,omitempty"`
-	Session string        `json:"session,omitempty"`
-	Kind    string        `json:"kind"`
-	Name    string        `json:"name"`
-	Start   time.Time     `json:"start"`
-	Dur     time.Duration `json:"dur_ns"`
-	Attrs   string        `json:"attrs,omitempty"`
+	ID     uint64        `json:"id"`
+	Parent uint64        `json:"parent,omitempty"`
+	Kind   string        `json:"kind"`
+	Name   string        `json:"name"`
+	Start  time.Time     `json:"start"`
+	Dur    time.Duration `json:"dur_ns"`
+	Attrs  string        `json:"attrs,omitempty"`
 }
-
-// SpanRing is a bounded ring buffer of completed spans, the span
-// counterpart of Ring: writers never block, old spans are overwritten.
-type SpanRing struct {
-	r ring[Span]
-}
-
-// NewSpanRing returns a ring holding the last n spans (n <= 0 picks
-// DefaultRingSize).
-func NewSpanRing(n int) *SpanRing { return &SpanRing{r: newRing[Span](n)} }
-
-// Push appends a span, overwriting the oldest once full.
-func (s *SpanRing) Push(sp Span) { s.r.push(sp) }
-
-// Len returns the number of spans currently held.
-func (s *SpanRing) Len() int { return s.r.len() }
-
-// Spans returns the held spans, oldest first.
-func (s *SpanRing) Spans() []Span { return s.r.items() }
 
 // SpanCtx is the context-free propagation handle StartSpan returns: a
 // plain value the call site keeps on its stack, no context plumbing
@@ -101,8 +82,9 @@ func (c SpanCtx) EndAttrs(attrs string) {
 }
 
 // Instant records a zero-duration span parented to the current span —
-// a point event in the tree (one xproto request, a supervisor
-// lifecycle transition). Disabled tracing costs one atomic load.
+// a point event in the tree (one xproto request, a fired script, a
+// supervisor lifecycle transition). Disabled tracing costs one atomic
+// load.
 func (t *Trace) Instant(kind, name string) {
 	if !t.enabled.Load() {
 		return
@@ -116,51 +98,45 @@ func (t *Trace) Instant(kind, name string) {
 	})
 }
 
-// record finalises a span into the ring, attaching the session id.
+// record writes a finished span into the ring, overwriting the oldest
+// once the ring is full.
 func (t *Trace) record(sp Span) {
 	t.mu.Lock()
-	sp.Session = t.session
-	if t.spans == nil {
-		t.spans = NewSpanRing(t.ringSize)
+	if t.ring == nil {
+		n := t.ringSize
+		if n <= 0 {
+			n = DefaultRingSize
+		}
+		t.ring = make([]Span, n)
 	}
-	t.spans.Push(sp)
+	t.ring[t.next] = sp
+	t.next++
+	if t.next == len(t.ring) {
+		t.next = 0
+		t.full = true
+	}
 	t.mu.Unlock()
 }
 
 // Spans returns the completed spans, oldest first.
 func (t *Trace) Spans() []Span {
 	t.mu.Lock()
-	ring := t.spans
-	t.mu.Unlock()
-	if ring == nil {
-		return nil
+	defer t.mu.Unlock()
+	if !t.full {
+		return append([]Span(nil), t.ring[:t.next]...)
 	}
-	return ring.Spans()
+	out := make([]Span, 0, len(t.ring))
+	out = append(out, t.ring[t.next:]...)
+	return append(out, t.ring[:t.next]...)
 }
 
-// Clear drops all recorded spans and trace events (the `trace clear`
-// command) without touching the enabled flag or the ring size.
+// Clear drops all recorded spans (the `trace clear` command) without
+// touching the enabled flag or the ring size.
 func (t *Trace) Clear() {
 	t.mu.Lock()
-	t.spans = nil
-	t.ring = nil
+	t.ring, t.next, t.full = nil, 0, false
 	t.mu.Unlock()
 	t.cur.Store(0)
-}
-
-// FormatSpanList renders spans one per entry as
-//
-//	<id> <parent> <kind> <name> <dur_us>
-//
-// in recording order; the trace spans command wraps each as a Tcl
-// sub-list.
-func FormatSpanList(spans []Span) []string {
-	out := make([]string, 0, len(spans))
-	for _, sp := range spans {
-		out = append(out, fmt.Sprintf("%d %d %s %s %d",
-			sp.ID, sp.Parent, sp.Kind, sp.Name, sp.Dur.Microseconds()))
-	}
-	return out
 }
 
 // RenderSpanTree renders the span forest (or, when root != 0, the

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,10 +91,9 @@ func TestSpanClear(t *testing.T) {
 	var tr Trace
 	tr.SetEnabled(true)
 	tr.StartSpan("line", "a").End()
-	tr.Emit("cmd", "a")
 	tr.Clear()
-	if len(tr.Spans()) != 0 || len(tr.Events()) != 0 {
-		t.Fatal("Clear left spans or events behind")
+	if len(tr.Spans()) != 0 {
+		t.Fatal("Clear left spans behind")
 	}
 	// Recording still works after Clear, and parents restart at root.
 	tr.StartSpan("line", "b").End()
@@ -103,16 +103,26 @@ func TestSpanClear(t *testing.T) {
 	}
 }
 
+// TestSpanSessionStamp: the session id is kept once, on the trace,
+// not copied into each span; dumps name it once per session.
 func TestSpanSessionStamp(t *testing.T) {
 	var tr Trace
 	tr.SetSession("s7")
 	tr.SetEnabled(true)
 	tr.StartSpan("line", "x").End()
-	if spans := tr.Spans(); len(spans) != 1 || spans[0].Session != "s7" {
-		t.Fatalf("spans = %+v, want session s7", spans)
-	}
 	if tr.Session() != "s7" {
 		t.Errorf("Session() = %q", tr.Session())
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("spans = %+v", spans)
+	}
+	b, err := json.Marshal(spans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "s7") {
+		t.Errorf("span carries the session id: %s", b)
 	}
 }
 
@@ -135,9 +145,6 @@ func TestRenderSpanTree(t *testing.T) {
 	if !strings.HasPrefix(sub, "eval \"echo hi\"") || !strings.Contains(sub, "DrawString") || strings.Contains(sub, "line") {
 		t.Errorf("subtree = %q", sub)
 	}
-	if list := FormatSpanList(spans[:1]); list[0] != "1 0 line %echo hi 5" {
-		t.Errorf("span list = %q", list[0])
-	}
 }
 
 // TestTraceConcurrency hammers one Trace from parallel goroutines doing
@@ -157,7 +164,7 @@ func TestTraceConcurrency(t *testing.T) {
 			sp := tr.StartSpan("eval", "e")
 			tr.Instant("xproto", "op")
 			sp.End()
-			tr.Emit("cmd", "line")
+			tr.Echo("cmd", "line")
 			if i%64 == 0 {
 				tr.Clear()
 			}
@@ -173,7 +180,7 @@ func TestTraceConcurrency(t *testing.T) {
 				case 0:
 					_ = tr.Spans()
 				case 1:
-					_ = tr.Events()
+					_ = tr.Session()
 				case 2:
 					tr.SetSink(func(string) {})
 				case 3:
@@ -183,29 +190,6 @@ func TestTraceConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestRingConcurrency: parallel Push vs Events on the raw ring.
-func TestRingConcurrency(t *testing.T) {
-	r := NewRing(32)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if g%2 == 0 {
-					r.Push(TraceEvent{Seq: uint64(i)})
-				} else {
-					_ = r.Events()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() == 0 {
-		t.Error("ring empty after pushes")
-	}
 }
 
 // TestServerSampleNamesDistinct is the regression test for serve-mode
@@ -250,28 +234,33 @@ func TestServerSampleNamesDistinct(t *testing.T) {
 }
 
 // TestServerRetainsEndedSessionSpans: a traced session that ends
-// before the exit dump keeps its span tail — SessionSpans and the
-// JSON document still carry it, keyed by session id, and eviction of
-// the oldest done session drops its spans too.
+// before the exit dump keeps its span tail — the JSON document still
+// carries it, keyed by session id, and eviction of the oldest done
+// session drops its spans too.
 func TestServerRetainsEndedSessionSpans(t *testing.T) {
 	sm := NewServer()
 	sm.DoneLimit = 1
+	dumpSpans := func() map[string][]Span {
+		t.Helper()
+		var sb strings.Builder
+		if err := sm.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var d serverDump
+		if err := json.Unmarshal([]byte(sb.String()), &d); err != nil {
+			t.Fatalf("dump not valid JSON: %v", err)
+		}
+		return d.Spans
+	}
 	m := sm.AddSession("s1")
 	m.Trace.SetSession("s1")
 	m.Trace.SetEnabled(true)
 	m.Trace.StartSpan("line", "%echo hi").End()
 	sm.EndSession("s1", "quit")
 
-	agg := sm.SessionSpans()
+	agg := dumpSpans()
 	if len(agg["s1"]) != 1 || agg["s1"][0].Name != "%echo hi" {
-		t.Fatalf("SessionSpans after end = %v", agg)
-	}
-	var sb strings.Builder
-	if err := sm.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"spans":{"s1":`) {
-		t.Errorf("dump misses ended session spans: %s", sb.String())
+		t.Fatalf("dump spans after end = %v", agg)
 	}
 	// A second ended session evicts the first (DoneLimit 1), spans
 	// included.
@@ -279,7 +268,7 @@ func TestServerRetainsEndedSessionSpans(t *testing.T) {
 	m2.Trace.SetEnabled(true)
 	m2.Trace.StartSpan("line", "%quit").End()
 	sm.EndSession("s2", "quit")
-	agg = sm.SessionSpans()
+	agg = dumpSpans()
 	if len(agg["s1"]) != 0 {
 		t.Errorf("evicted session s1 still has spans: %v", agg["s1"])
 	}
@@ -527,7 +516,6 @@ func TestMetricsDumpCapsTraceAndSpans(t *testing.T) {
 	m.Trace.SetRingSize(DumpTraceCap * 4)
 	m.Trace.SetEnabled(true)
 	for i := 0; i < DumpTraceCap*3; i++ {
-		m.Trace.Emit("cmd", fmt.Sprintf("line %d", i))
 		m.Trace.StartSpan("eval", fmt.Sprintf("e%d", i)).End()
 	}
 	var sb strings.Builder
@@ -535,9 +523,6 @@ func TestMetricsDumpCapsTraceAndSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if n := strings.Count(out, `"kind":"cmd"`); n != DumpTraceCap {
-		t.Errorf("dump trace events = %d, want cap %d", n, DumpTraceCap)
-	}
 	if n := strings.Count(out, `"kind":"eval"`); n != DumpTraceCap {
 		t.Errorf("dump spans = %d, want cap %d", n, DumpTraceCap)
 	}
@@ -545,5 +530,8 @@ func TestMetricsDumpCapsTraceAndSpans(t *testing.T) {
 	last := fmt.Sprintf("e%d", DumpTraceCap*3-1)
 	if !strings.Contains(out, last) {
 		t.Errorf("dump misses newest span %s", last)
+	}
+	if strings.Contains(out, `"trace"`) {
+		t.Errorf("dump still has a trace array: %.200s", out)
 	}
 }

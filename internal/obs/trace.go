@@ -3,96 +3,17 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// DefaultRingSize is the trace/span ring capacity used when none is
+// DefaultRingSize is the span ring capacity used when none is
 // configured (--trace-ring / traceOn <n>).
 const DefaultRingSize = 256
 
-// TraceEvent is one recorded trace entry: a backend command line, a
-// fired callback/action, or any other annotated happening.
-type TraceEvent struct {
-	Seq  uint64    `json:"seq"`
-	Time time.Time `json:"time"`
-	Kind string    `json:"kind"` // "cmd", "callback", "action", ...
-	Text string    `json:"text"`
-}
-
-// ring is the shared bounded-buffer core behind Ring (trace events)
-// and SpanRing (spans): writers never block and never allocate beyond
-// the fixed backing array; old entries are overwritten.
-type ring[T any] struct {
-	mu   sync.Mutex
-	buf  []T
-	next int
-	full bool
-}
-
-func newRing[T any](n int) ring[T] {
-	if n <= 0 {
-		n = DefaultRingSize
-	}
-	return ring[T]{buf: make([]T, n)}
-}
-
-func (r *ring[T]) push(v T) {
-	r.mu.Lock()
-	r.buf[r.next] = v
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *ring[T]) len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-func (r *ring[T]) items() []T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		out := make([]T, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Ring is a bounded ring buffer of trace events.
-type Ring struct {
-	r ring[TraceEvent]
-}
-
-// NewRing returns a ring holding the last n events (n <= 0 picks
-// DefaultRingSize).
-func NewRing(n int) *Ring { return &Ring{r: newRing[TraceEvent](n)} }
-
-// Push appends an event, overwriting the oldest once full.
-func (r *Ring) Push(ev TraceEvent) { r.r.push(ev) }
-
-// Len returns the number of events currently held.
-func (r *Ring) Len() int { return r.r.len() }
-
-// Events returns the held events, oldest first.
-func (r *Ring) Events() []TraceEvent { return r.r.items() }
-
-// Trace is the tracing half of the observability layer: a ring of
-// recent flat events plus a ring of completed spans (span.go) and an
-// optional echo sink (the terminal, in frontend mode), mirroring the
-// original Wafe's debug/echo mode. Recording is gated by an atomic
-// flag so a disabled tracer costs one atomic load per site.
+// Trace is the tracing half of the observability layer: a bounded ring
+// of completed spans (span.go) plus an optional echo sink (the
+// terminal, in frontend mode), mirroring the original Wafe's
+// debug/echo mode. Recording is gated by an atomic flag so a disabled
+// tracer costs one atomic load per site.
 type Trace struct {
 	enabled atomic.Bool
 	seq     atomic.Uint64
@@ -103,12 +24,16 @@ type Trace struct {
 	// atomic so concurrent snapshot readers stay race-free.
 	cur atomic.Uint64
 
+	// mu guards everything below. The ring is allocated on the first
+	// recorded span; next is the slot the next span overwrites, and
+	// full says the ring has wrapped.
 	mu       sync.Mutex
+	ring     []Span
+	next     int
+	full     bool
 	sink     func(line string)
-	ring     *Ring
-	spans    *SpanRing
 	ringSize int    // 0 → DefaultRingSize, set by --trace-ring / traceOn <n>
-	session  string // session id stamped on recorded spans
+	session  string // the session id flight dumps name
 }
 
 // Enabled reports whether tracing is on.
@@ -118,25 +43,23 @@ func (t *Trace) Enabled() bool { return t.enabled.Load() }
 func (t *Trace) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // SetSink directs echoed trace lines to fn (nil silences the echo;
-// the ring keeps recording).
+// spans are still recorded).
 func (t *Trace) SetSink(fn func(line string)) {
 	t.mu.Lock()
 	t.sink = fn
 	t.mu.Unlock()
 }
 
-// SetRingSize configures the capacity of the event and span rings
-// (n <= 0 restores DefaultRingSize). Existing rings are resized by
-// dropping their contents; the usual sequence is `traceOn <n>` before
-// any recording.
+// SetRingSize configures the capacity of the span ring (n <= 0
+// restores DefaultRingSize). The recorded spans are dropped; the usual
+// sequence is `traceOn <n>` before any recording.
 func (t *Trace) SetRingSize(n int) {
 	if n < 0 {
 		n = 0
 	}
 	t.mu.Lock()
 	t.ringSize = n
-	t.ring = nil
-	t.spans = nil
+	t.ring, t.next, t.full = nil, 0, false
 	t.mu.Unlock()
 }
 
@@ -151,7 +74,7 @@ func (t *Trace) RingSize() int {
 	return t.ringSize
 }
 
-// SetSession stamps sid on every span recorded from now on — the serve
+// SetSession names the session this trace belongs to — the serve
 // layer sets the session id before the session loop starts.
 func (t *Trace) SetSession(sid string) {
 	t.mu.Lock()
@@ -159,43 +82,27 @@ func (t *Trace) SetSession(sid string) {
 	t.mu.Unlock()
 }
 
-// Session returns the stamped session id.
+// Session returns the session id.
 func (t *Trace) Session() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.session
 }
 
-// Emit records one trace event and echoes it to the sink as
+// Echo writes one trace line to the sink as
 //
 //	wafe: trace <kind>: <text>
 //
-// It is a no-op unless tracing is enabled; callers on hot paths should
-// still guard with Enabled() to avoid building the text.
-func (t *Trace) Emit(kind, text string) {
+// It records nothing — the spans hold what ran — and is a no-op unless
+// tracing is enabled.
+func (t *Trace) Echo(kind, text string) {
 	if !t.enabled.Load() {
 		return
 	}
-	ev := TraceEvent{Seq: t.seq.Add(1), Time: time.Now(), Kind: kind, Text: text}
 	t.mu.Lock()
-	if t.ring == nil {
-		t.ring = NewRing(t.ringSize)
-	}
-	t.ring.Push(ev)
 	sink := t.sink
 	t.mu.Unlock()
 	if sink != nil {
 		sink("wafe: trace " + kind + ": " + text)
 	}
-}
-
-// Events returns the recorded trace events, oldest first.
-func (t *Trace) Events() []TraceEvent {
-	t.mu.Lock()
-	ring := t.ring
-	t.mu.Unlock()
-	if ring == nil {
-		return nil
-	}
-	return ring.Events()
 }
