@@ -249,12 +249,6 @@ func (w *Wafe) widgetArg(name string) (*xt.Widget, error) {
 	return wid, nil
 }
 
-// classFor returns the class registered for a creation command.
-func (w *Wafe) classFor(cmd string) (*xt.Class, bool) {
-	c, ok := w.classes[cmd]
-	return c, ok
-}
-
 // WidgetSetClasses returns the classes for the configured set.
 func (w *Wafe) WidgetSetClasses() []*xt.Class {
 	var classes []*xt.Class

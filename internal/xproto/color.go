@@ -127,7 +127,3 @@ func ParseColor(spec string) (Pixel, error) {
 	}
 	return Pixel{}, fmt.Errorf("xproto: unknown color name %q", spec)
 }
-
-// KnownColorNames returns the names in the colour database, for
-// documentation and tests.
-func KnownColorNames() int { return len(namedColors) }

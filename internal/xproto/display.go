@@ -217,9 +217,6 @@ func (d *Display) NextEvent() (Event, bool) {
 	return ev, true
 }
 
-// Flush is a no-op kept for API parity with Xlib.
-func (d *Display) Flush() {}
-
 // SetInputFocus assigns keyboard focus, generating FocusOut/FocusIn.
 func (d *Display) SetInputFocus(id WindowID) {
 	if d.focus == id {

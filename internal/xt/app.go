@@ -377,9 +377,6 @@ func (app *App) DispatchedCall() *ActionCall { return app.dispatchedCall }
 // run both and require identical snapshots.
 func (app *App) SetFullRepaint(on bool) { app.fullRepaint = on }
 
-// FullRepaint reports whether the legacy full-repaint path is active.
-func (app *App) FullRepaint() bool { return app.fullRepaint }
-
 // Pump dispatches all pending events on all displays until the queues
 // are empty, the coalesced Exposes of all pending damage included: it
 // settles the screen. The main loop calls it once per turn; commands
@@ -536,9 +533,6 @@ func (app *App) Quit(code int) {
 	app.quit = true
 	app.quitCode = code
 }
-
-// Quitting reports whether Quit has been called.
-func (app *App) Quitting() bool { return app.quit }
 
 // MainLoop is XtAppMainLoop: dispatch X events, run posted input
 // closures, fire timers, and run work procs when idle, until Quit.

@@ -18,12 +18,10 @@ const NullQuark Quark = 0
 // resource lists once and share them across every App. Reads take the
 // shared lock only; interning a new string is the rare path.
 var quarkTab = struct {
-	mu    sync.RWMutex
-	m     map[string]Quark
-	names []string
+	mu sync.RWMutex
+	m  map[string]Quark
 }{
-	m:     map[string]Quark{},
-	names: []string{""}, // index 0 is NullQuark
+	m: map[string]Quark{},
 }
 
 // StringToQuark interns s and returns its quark (XrmStringToQuark).
@@ -41,21 +39,9 @@ func StringToQuark(s string) Quark {
 	if q, ok := quarkTab.m[s]; ok {
 		return q
 	}
-	q = Quark(len(quarkTab.names))
-	quarkTab.names = append(quarkTab.names, s)
+	q = Quark(len(quarkTab.m) + 1) // 0 is NullQuark
 	quarkTab.m[s] = q
 	return q
-}
-
-// QuarkToString returns the string a quark was interned from
-// (XrmQuarkToString), or "" for NullQuark and unknown quarks.
-func QuarkToString(q Quark) string {
-	quarkTab.mu.RLock()
-	defer quarkTab.mu.RUnlock()
-	if q <= 0 || int(q) >= len(quarkTab.names) {
-		return ""
-	}
-	return quarkTab.names[q]
 }
 
 // quarkQuestion is the interned '?' wildcard component.

@@ -2,7 +2,6 @@ package xt
 
 import (
 	"fmt"
-	"strings"
 
 	"wafe/internal/xproto"
 )
@@ -245,33 +244,6 @@ func (w *Widget) SetDisplay(d *xproto.Display) error {
 	}
 	move(w)
 	return nil
-}
-
-// pathNames returns the widget naming path from the application down
-// ("wafe", "form", "label1"), used by Xrm matching.
-func (w *Widget) pathNames() []string {
-	var rev []string
-	for x := w; x != nil; x = x.Parent {
-		rev = append(rev, x.Name)
-	}
-	out := []string{w.app.Name}
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
-}
-
-// pathClasses is the parallel class-name path.
-func (w *Widget) pathClasses() []string {
-	var rev []string
-	for x := w; x != nil; x = x.Parent {
-		rev = append(rev, x.Class.Name)
-	}
-	out := []string{w.app.ClassName}
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
 }
 
 // --- typed accessors ------------------------------------------------------
@@ -918,9 +890,4 @@ func (w *Widget) Destroy() {
 	w.app.liveWidgets--
 	// Drop resource storage so late references fail loudly.
 	w.layout, w.values, w.explicit, w.extra = destroyedLayout, nil, nil, nil
-}
-
-// PathString returns the dotted widget path (for diagnostics).
-func (w *Widget) PathString() string {
-	return strings.Join(w.pathNames(), ".")
 }
