@@ -254,15 +254,16 @@ func textPosAt(w *xt.Widget, x, y int) int {
 	if row < 0 {
 		return 0
 	}
-	lines := strings.Split(buf, "\n")
-	if row >= len(lines) {
-		return len(buf)
-	}
 	pos := 0
-	for i := 0; i < row; i++ {
-		pos += len(lines[i]) + 1
+	for text, more := buf, true; more; row-- {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		if row == 0 {
+			return pos + clamp(col, 0, len(line))
+		}
+		pos += len(line) + 1
 	}
-	return pos + clamp(col, 0, len(lines[row]))
+	return len(buf)
 }
 
 func textSelectStart(w *xt.Widget, ev *xproto.Event, _ []string) {
@@ -368,16 +369,18 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
+// textPreferredSize measures the text's lines in place, as Label
+// does: layout asks for it often, so it must not split the text into a
+// slice.
 func textPreferredSize(w *xt.Widget) (int, int) {
 	f := w.FontRes("font")
-	lines := strings.Split(TextBuffer(w), "\n")
-	maxW := 100
-	for _, l := range lines {
-		if tw := f.TextWidth(l); tw > maxW {
-			maxW = tw
-		}
+	width, lines := 100, 0
+	for text, more := TextBuffer(w), true; more; lines++ {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		width = max(width, f.TextWidth(line))
 	}
-	return maxW + 4, maxInt(len(lines), 1)*f.Height() + 4
+	return width + 4, lines*f.Height() + 4
 }
 
 func textRedisplay(w *xt.Widget) {
@@ -391,7 +394,9 @@ func textRedisplay(w *xt.Widget) {
 	gc.Font = w.FontRes("font")
 	y := 2 + gc.Font.Ascent
 	right := clip.X + clip.W - 2
-	for _, line := range strings.Split(TextBuffer(w), "\n") {
+	for text, more := TextBuffer(w), true; more; {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
 		if w.ClipIntersects(2, y-gc.Font.Ascent, textWidthTo(gc.Font, line, right), gc.Font.Height()) {
 			d.DrawString(win, gc, 2, y, line)
 		}

@@ -104,6 +104,38 @@ func TestMultiLineLabelAllocs(t *testing.T) {
 	}
 }
 
+func TestMultiLineTextAllocs(t *testing.T) {
+	app, top := newApp(t)
+	const text = "one\ntwo, the longest line\n\nfour"
+	txt := create(t, app, "mt", AsciiTextClass, top, map[string]string{"string": text})
+	if w, h := textPreferredSize(txt); w != 6*len("two, the longest line")+4 || h != 4*13+4 {
+		t.Fatalf("preferred size %dx%d, want %dx%d", w, h, 6*len("two, the longest line")+4, 4*13+4)
+	}
+	if n := testing.AllocsPerRun(100, func() { textPreferredSize(txt) }); n != 0 {
+		t.Errorf("textPreferredSize allocates %.1f times per call, want 0", n)
+	}
+	top.Realize()
+	app.Pump()
+	d, win := txt.Display(), txt.Window()
+	if got := strings.Join(d.StringsDrawn(win), "|"); got != "one|two, the longest line||four" {
+		t.Fatalf("drawn lines %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.InjectExpose(win); app.Pump() }); n != 0 {
+		t.Errorf("repainting a multi-line text allocates %.1f times, want 0", n)
+	}
+	// Positions map through the same line walk: the start of "four",
+	// a click past the end of "one", and a row below the last line.
+	for _, c := range []struct{ x, y, want int }{
+		{2, 2 + 3*13, len(text) - len("four")},
+		{200, 2, len("one")},
+		{2, 2 + 9*13, len(text)},
+	} {
+		if got := textPosAt(txt, c.x, c.y); got != c.want {
+			t.Errorf("textPosAt(%d, %d) = %d, want %d", c.x, c.y, got, c.want)
+		}
+	}
+}
+
 func TestLabelColorsFromPaperExample(t *testing.T) {
 	// label label1 topLevel background red foreground blue
 	app, top := newApp(t)
