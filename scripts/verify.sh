@@ -121,6 +121,13 @@ go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 echo "== go test -fuzz FuzzExposeRegion (10s)"
 go test -run '^$' -fuzz '^FuzzExposeRegion$' -fuzztime 10s ./internal/xproto/
 
+# The resource-file fuzz smoke (FuzzXrm): generated resource lines,
+# with '!' comments and backslash-newline continuations, loaded with
+# EnterString; every query must agree with the legacy flat matcher;
+# seeds in internal/xt/testdata/fuzz/FuzzXrm.
+echo "== go test -fuzz FuzzXrm (10s)"
+go test -run '^$' -fuzz '^FuzzXrm$' -fuzztime 10s ./internal/xt/
+
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
 
