@@ -29,7 +29,7 @@ var FormClass = &xt.Class{
 		{Name: "resizable", Class: "Boolean", Type: xt.TBoolean, Default: "False"},
 	},
 	ChangeManaged: formLayout,
-	PreferredSize: formPreferredSize,
+	PreferredSize: formPlace,
 	Resize:        func(w *xt.Widget) { formPlace(w) },
 }
 
@@ -62,63 +62,94 @@ func constraintWidget(c *xt.Widget, name string) *xt.Widget {
 	return nil
 }
 
-// formPlace computes child positions from their constraints.
-func formPlace(w *xt.Widget) map[*xt.Widget][4]int {
-	placed := make(map[*xt.Widget][4]int) // x, y, w, h
-	kids := w.ManagedChildren()
-	dd := w.Int("defaultDistance")
-	var place func(c *xt.Widget) [4]int
-	visiting := map[*xt.Widget]bool{}
-	place = func(c *xt.Widget) [4]int {
-		if g, ok := placed[c]; ok {
-			return g
-		}
-		if visiting[c] {
-			// Constraint cycle: fall back to origin.
-			return [4]int{dd, dd, 1, 1}
-		}
-		visiting[c] = true
-		defer delete(visiting, c)
-		cw, ch := c.PreferredSize()
-		x, y := dd, dd
-		if fh := constraintWidget(c, "fromHoriz"); fh != nil && fh.Parent == w && fh.IsManaged() {
-			g := place(fh)
-			x = g[0] + g[2] + 2*fh.Int("borderWidth") + c.Int("horizDistance")
-		}
-		if fv := constraintWidget(c, "fromVert"); fv != nil && fv.Parent == w && fv.IsManaged() {
-			g := place(fv)
-			y = g[1] + g[3] + 2*fv.Int("borderWidth") + c.Int("vertDistance")
-		}
-		g := [4]int{x, y, cw, ch}
-		placed[c] = g
-		return g
+// formPlace places a Form's managed children from their constraints,
+// sets their geometry in managed-child order and returns the size that
+// encloses them.
+func formPlace(w *xt.Widget) (int, int) {
+	p := formPlacer{form: w, dd: w.Int("defaultDistance"), kids: w.ManagedChildren()}
+	p.slots = make([]formSlot, len(p.kids))
+	for i := range p.kids {
+		p.place(i)
 	}
-	for _, c := range kids {
-		place(c)
-	}
-	for c, g := range placed {
+	maxX, maxY := 1, 1
+	for i, c := range p.kids {
+		g := p.slots[i].geom
 		c.SetChildGeometry(g[0], g[1], g[2], g[3])
+		bw := c.Int("borderWidth")
+		maxX = max(maxX, g[0]+g[2]+2*bw+p.dd)
+		maxY = max(maxY, g[1]+g[3]+2*bw+p.dd)
 	}
-	return placed
+	return maxX, maxY
+}
+
+// formPlacer holds a Form's children while formPlace places them:
+// slots[i] is kids[i]'s place.
+type formPlacer struct {
+	form  *xt.Widget
+	dd    int
+	kids  []*xt.Widget
+	slots []formSlot
+}
+
+type formSlot struct {
+	geom  [4]int // x, y, width, height
+	state uint8
+}
+
+const (
+	formUnplaced uint8 = iota
+	formPlacing        // a constraint leading back here is a cycle
+	formPlaced
+)
+
+// index returns the slot of c, a widget a constraint names, or -1 when
+// c is not a managed child of the form.
+func (p *formPlacer) index(c *xt.Widget) int {
+	if c == nil || c.Parent != p.form || !c.IsManaged() {
+		return -1
+	}
+	for i, k := range p.kids {
+		if k == c {
+			return i
+		}
+	}
+	// A managed popup shell is not among the managed children, but a
+	// constraint may still name it, and then it is placed too.
+	p.kids = append(p.kids, c)
+	p.slots = append(p.slots, formSlot{})
+	return len(p.kids) - 1
+}
+
+func (p *formPlacer) place(i int) [4]int {
+	switch p.slots[i].state {
+	case formPlaced:
+		return p.slots[i].geom
+	case formPlacing:
+		// Constraint cycle: fall back to origin.
+		return [4]int{p.dd, p.dd, 1, 1}
+	}
+	p.slots[i].state = formPlacing
+	c := p.kids[i]
+	cw, ch := c.PreferredSize()
+	x, y := p.dd, p.dd
+	if j := p.index(constraintWidget(c, "fromHoriz")); j >= 0 {
+		g := p.place(j)
+		x = g[0] + g[2] + 2*p.kids[j].Int("borderWidth") + c.Int("horizDistance")
+	}
+	if j := p.index(constraintWidget(c, "fromVert")); j >= 0 {
+		g := p.place(j)
+		y = g[1] + g[3] + 2*p.kids[j].Int("borderWidth") + c.Int("vertDistance")
+	}
+	p.slots[i] = formSlot{[4]int{x, y, cw, ch}, formPlaced}
+	return p.slots[i].geom
 }
 
 func formLayout(w *xt.Widget) {
-	placed := formPlace(w)
+	maxX, maxY := formPlace(w)
 	if st, ok := w.Private.(*formPrivate); ok && st.resizeDisabled {
 		return
 	}
 	// Size the form to enclose its children unless explicitly sized.
-	maxX, maxY := 1, 1
-	dd := w.Int("defaultDistance")
-	for c, g := range placed {
-		bw := c.Int("borderWidth")
-		if r := g[0] + g[2] + 2*bw + dd; r > maxX {
-			maxX = r
-		}
-		if b := g[1] + g[3] + 2*bw + dd; b > maxY {
-			maxY = b
-		}
-	}
 	if !w.Explicit("width") || !w.Explicit("height") {
 		nw, nh := w.Int("width"), w.Int("height")
 		if !w.Explicit("width") {
@@ -131,22 +162,6 @@ func formLayout(w *xt.Widget) {
 			w.RequestResize(nw, nh)
 		}
 	}
-}
-
-func formPreferredSize(w *xt.Widget) (int, int) {
-	placed := formPlace(w)
-	maxX, maxY := 1, 1
-	dd := w.Int("defaultDistance")
-	for c, g := range placed {
-		bw := c.Int("borderWidth")
-		if r := g[0] + g[2] + 2*bw + dd; r > maxX {
-			maxX = r
-		}
-		if b := g[1] + g[3] + 2*bw + dd; b > maxY {
-			maxY = b
-		}
-	}
-	return maxX, maxY
 }
 
 // BoxClass packs children in rows (or a column when vertical).
@@ -610,7 +625,7 @@ var DialogClass = &xt.Class{
 }
 
 func dialogPreferredSize(w *xt.Widget) (int, int) {
-	fw, fh := formPreferredSize(w)
+	fw, fh := formPlace(w)
 	f := w.App()
 	_ = f
 	labelW := 6*len(w.Str("label")) + 8

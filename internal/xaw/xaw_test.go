@@ -275,6 +275,42 @@ func TestFormConstraintCycleIsSafe(t *testing.T) {
 	_ = b
 }
 
+// TestFormConfiguresChildrenInOrder moves a column of children by
+// changing the form's default distance and checks that the re-layout
+// configures them in managed-child order.
+func TestFormConfiguresChildrenInOrder(t *testing.T) {
+	var order []string
+	recording := &xt.Class{
+		Name:   "RecordingLabel",
+		Super:  LabelClass,
+		Resize: func(w *xt.Widget) { order = append(order, w.Name) },
+	}
+	app, top := newApp(t)
+	form := create(t, app, "f", FormClass, top, nil)
+	var kids []*xt.Widget
+	for i := 0; i < 12; i++ {
+		args := map[string]string{}
+		if i > 0 {
+			args["fromVert"] = kids[i-1].Name
+		}
+		kids = append(kids, create(t, app, fmt.Sprintf("c%02d", i), recording, form, args))
+	}
+	top.Realize()
+	app.Pump()
+	var want []string
+	for _, c := range kids {
+		want = append(want, c.Name)
+	}
+	for _, dist := range []int{20, 8, 30} {
+		form.SetResourceValue("defaultDistance", dist)
+		order = nil
+		formLayout(form)
+		if got := strings.Join(order, " "); got != strings.Join(want, " ") {
+			t.Fatalf("defaultDistance %d configured %s, want %s", dist, got, strings.Join(want, " "))
+		}
+	}
+}
+
 func TestBoxOrientation(t *testing.T) {
 	app, top := newApp(t)
 	box := create(t, app, "box", BoxClass, top, map[string]string{"orientation": "horizontal"})
