@@ -213,9 +213,9 @@ func BenchmarkF4_DistinctStream(b *testing.B) {
 
 // BenchmarkF4_FrontendRoundTripTraced is F4 with observability enabled
 // and span tracing on: every line records a line span plus an eval
-// span into the bounded ring. bench.sh's trace mode gates on the
-// paired delta between this benchmark and the plain F4 measured in the
-// same run (the per-line cost of enabled tracing). The echo sink is
+// span into the bounded ring. cmd/wafebench gates on the median of
+// the per-repetition differences between this benchmark and plain F4
+// (the per-line cost of enabled tracing). The echo sink is
 // detached: echoing every traced line to the terminal is the verbose
 // debug channel, whose cost is the terminal write itself, not the
 // recording machinery this gate governs.
@@ -246,8 +246,8 @@ func BenchmarkF4_FrontendRoundTripTraced(b *testing.B) {
 // BenchmarkF4_FrontendRoundTripSupervised is F4 with a live supervised
 // backend attached (cat, idle): the per-line path must not pay for
 // supervision, whose hooks only run when the command pipe ends.
-// bench.sh's supervise mode gates on the delta between this benchmark
-// and the plain F4 measured in the same run.
+// cmd/wafebench gates on the median of the per-repetition ratios of
+// this benchmark to plain F4.
 func BenchmarkF4_FrontendRoundTripSupervised(b *testing.B) {
 	w := core.NewTest()
 	var sink strings.Builder

@@ -10,7 +10,7 @@ import (
 // BenchmarkXrm_CachedQuery is the steady-state resource lookup: a large
 // database, one widget path queried repeatedly. The search list is
 // cached after the first query, so every iteration must run with zero
-// heap allocations — scripts/bench.sh xrm gates on B/op == 0 here.
+// heap allocations — cmd/wafebench gates on 0 B/op here.
 func BenchmarkXrm_CachedQuery(b *testing.B) {
 	db := xt.NewXrm()
 	for i := 0; i < 512; i++ {

@@ -21,9 +21,8 @@ import (
 // traffic through every one with per-session answers verified, and
 // reports dispatch-latency quantiles from the server aggregate.
 //
-// The summary line is machine-parseable; scripts/bench.sh serve turns
-// it into BENCH_serve.json and applies the acceptance gates
-// (SERVE_P99_MAX_MS, SERVE_MAX_SESSION_KB):
+// The summary line is machine-parseable; cmd/wafebench reads it and
+// bounds p99_ns and bytes_per_session:
 //
 //	serveload: sessions=N lines=N p50_ns=N p99_ns=N max_ns=N bytes_per_session=N
 //

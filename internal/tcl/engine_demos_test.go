@@ -70,8 +70,8 @@ func TestDemoScriptsEngineDifferential(t *testing.T) {
 }
 
 // BenchmarkTcl_EngineCompare runs identical workloads under the tree
-// walker and the bytecode engine in one process. The tclvm bench gate
-// computes the speedup from the two sub-benchmarks of a single run, so
+// walker and the bytecode engine in one binary. cmd/wafebench computes
+// the speedup from the two sub-benchmarks of each repetition, so
 // machine noise cancels instead of being baked into an absolute
 // nanosecond threshold.
 func BenchmarkTcl_EngineCompare(b *testing.B) {

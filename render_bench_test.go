@@ -11,7 +11,7 @@ import (
 // single-widget updates must not allocate (the display list, scratch
 // buffers and damage regions are all reused), and expose storms must
 // collapse through region coalescing instead of fanning out into
-// per-rect repaints. scripts/bench.sh render gates on these numbers.
+// per-rect repaints. cmd/wafebench gates on SingleWidgetUpdate.
 
 func renderApp(b *testing.B) (*xt.App, *xt.Widget) {
 	b.Helper()

@@ -5,28 +5,41 @@
 # are written from the loop and snapshotted from anywhere), and the
 # resource database (quark intern table, generation counter and
 # search-list cache, written by mergeResources while widget creation
-# reads).
-set -e
-cd "$(dirname "$0")/.."
+# reads). It ends with the performance gates of cmd/wafebench.
+#
+# Every step runs even when an earlier one fails; the failed steps are
+# listed at the end, and the script then exits 1.
+cd "$(dirname "$0")/.." || exit 1
 
-echo "== go build ./..."
-go build ./...
+failed=""
 
-echo "== go vet ./..."
-go vet ./...
+# step <title> <command...> runs one step and records its failure.
+step() {
+    title=$1
+    shift
+    echo "== $title"
+    "$@" || failed="$failed
+    $title"
+}
 
 # The tree stays gofmt-clean. testdata holds analyzer fixtures that are
 # deliberately left as written; dot-directories hold build products.
-echo "== gofmt -l"
-unformatted=$(find . -path './.*' -prune -o -name testdata -prune -o -name '*.go' -print | xargs gofmt -l)
-if [ -n "$unformatted" ]; then
-    echo "gofmt: these files need formatting:"
-    echo "$unformatted"
-    exit 1
-fi
+gofmt_clean() {
+    unformatted=$(find . -path './.*' -prune -o -name testdata -prune -o -name '*.go' -print | xargs gofmt -l)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: these files need formatting:"
+        echo "$unformatted"
+        return 1
+    fi
+}
 
-echo "== go test ./..."
-go test ./...
+step "go build ./..." go build ./...
+
+step "go vet ./..." go vet ./...
+
+step "gofmt -l" gofmt_clean
+
+step "go test ./..." go test ./...
 
 # The repo's own analyzers: wafevet enforces runtime invariants
 # (nil-guarded obs pointers, no mutex held across Interp.Eval,
@@ -35,16 +48,14 @@ go test ./...
 # graph) over every internal and cmd package; wafecheck lints the
 # shipped demos and the example programs' embedded scripts against
 # the live command table.
-echo "== wafevet ./internal/... ./cmd/..."
-go run ./cmd/wafevet ./internal/... ./cmd/...
+step "wafevet ./internal/... ./cmd/..." go run ./cmd/wafevet ./internal/... ./cmd/...
 
-echo "== wafecheck demos/ examples/"
-go run ./cmd/wafecheck demos/ examples/
+step "wafecheck demos/ examples/" go run ./cmd/wafecheck demos/ examples/
 
 # The widget sets (xaw, xm, plotter) keep per-widget state that every
 # session's event loop touches, so they run under -race too.
-echo "== go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./internal/xm/ ./internal/plotter/ ./internal/frontend/... ./internal/obs/"
-go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./internal/xm/ ./internal/plotter/ ./internal/frontend/... ./internal/obs/
+step "go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./internal/xm/ ./internal/plotter/ ./internal/frontend/... ./internal/obs/" \
+    go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./internal/xm/ ./internal/plotter/ ./internal/frontend/... ./internal/obs/
 
 # The fault-injection suite drives the supervisor and the pipe loop
 # through crash, hang, overlong-line and broken-pipe scenarios;
@@ -57,60 +68,49 @@ go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/xaw/ ./
 # and TestFlight the anomaly snapshots; TestPostChain checks that a
 # self-reposting input cannot hold off the loop's timers and repaint.
 # Run by name so a renamed test cannot silently drop out of the gate.
-echo "== go test -race fault injection + supervision + xrm concurrency + sessions + tracing"
-go test -race -count 1 \
+step "go test -race fault injection + supervision + xrm concurrency + sessions + tracing" \
+    go test -race -count 1 \
     -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPostFrom|TestPostFunnel|TestPostChain|TestTimerRemoved|TestXrmConcurrent|TestSession|TestServe|TestTrace|TestSpan|TestFlight' \
     ./internal/xt/ ./internal/frontend/ ./internal/obs/
 
 # The serve-mode load harness at a reduced session count: full scale
-# (1024 sessions) runs in the bench gate; here 256 sessions under the
-# race detector prove isolation with the full machinery engaged.
-echo "== go test -race serve-mode load harness (256 sessions)"
-WAFE_SERVE_SESSIONS=256 go test -race -count 1 -run 'TestServeLoad$' ./internal/frontend/
+# (1024 sessions) runs in the performance gates; here 256 sessions
+# under the race detector prove isolation with the full machinery
+# engaged.
+step "go test -race serve-mode load harness (256 sessions)" \
+    env WAFE_SERVE_SESSIONS=256 go test -race -count 1 -run 'TestServeLoad$' ./internal/frontend/
 
-# The tracing perf gate: disabled-path span hooks must stay within
-# noise of the seed, enabled spans must cost under a microsecond per
-# line (paired same-run comparison).
-echo "== scripts/bench.sh trace"
-COUNT=2 BENCHTIME=0.3s scripts/bench.sh trace
-
-# The execution-engine-v2 gate: the oracle suite (tree walker vs
-# bytecode VM over the corpus, the bug-sweep goldens and the
-# randomized scripts, each run as a first sighting, an admission and a
-# cache hit; back-to-back first sightings that reuse scratch storage)
-# under the race detector, then the paired same-run perf comparison
-# (bytecode speedup, proc-call allocs, F4/T1 no-regression).
-echo "== go test -race engine differential oracle"
-go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs|TestScratchReuse|TestFirstSightingsNotCached' ./internal/tcl/
+# The engine oracle suite: tree walker vs bytecode VM over the corpus,
+# the bug-sweep goldens and the randomized scripts, each run as a first
+# sighting, an admission and a cache hit; back-to-back first sightings
+# that reuse scratch storage; all under the race detector.
+step "go test -race engine differential oracle" \
+    go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs|TestScratchReuse|TestFirstSightingsNotCached' ./internal/tcl/
 
 # The expression fuzz smoke (FuzzExpr): arbitrary sources must not
 # panic, interpreters with and without the expression cache must agree
 # on results, errors and side effects, and a source that evaluates must
 # pass CheckExpr.
-echo "== go test -fuzz FuzzExpr (10s)"
-go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 10s ./internal/tcl/
+step "go test -fuzz FuzzExpr (10s)" go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 10s ./internal/tcl/
 
 # The parser fuzz smoke (FuzzParse): a source parsed into reused
 # scratch storage must give the same commands, tokens, nested scripts
 # and parse error as Compile; seeds in testdata/fuzz/FuzzParse.
-echo "== go test -fuzz FuzzParse (10s)"
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tcl/
+step "go test -fuzz FuzzParse (10s)" go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tcl/
 
 # The data-channel fuzz smoke (FuzzMassTransfer): a byte stream cut
 # into arbitrary deliveries, armed before, between or after them and
 # re-armed from the action, must complete the same transfers and hold
 # the same bytes as a reference model of the protocol; seeds in
 # internal/frontend/testdata/fuzz/FuzzMassTransfer.
-echo "== go test -fuzz FuzzMassTransfer (10s)"
-go test -run '^$' -fuzz '^FuzzMassTransfer$' -fuzztime 10s ./internal/frontend/
+step "go test -fuzz FuzzMassTransfer (10s)" go test -run '^$' -fuzz '^FuzzMassTransfer$' -fuzztime 10s ./internal/frontend/
 
 # The command-pipe framing fuzz smoke (FuzzCommandLines): a byte stream
 # cut into arbitrary reads, with an arbitrary line limit and a final
 # EOF, close or read error, must deliver the same lines and the same
 # EOF or error as a reference model of readCommandLines' framing;
 # seeds in internal/frontend/testdata/fuzz/FuzzCommandLines.
-echo "== go test -fuzz FuzzCommandLines (10s)"
-go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
+step "go test -fuzz FuzzCommandLines (10s)" go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 
 # The exposure fuzz smoke (FuzzExposeRegion): random window trees with
 # borders, windows off screen and outside their parents, driven
@@ -118,29 +118,32 @@ go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 # lie inside its window's viewable region and together cover every
 # damaged pixel then on screen, by a per-pixel model; seeds in
 # internal/xproto/testdata/fuzz/FuzzExposeRegion.
-echo "== go test -fuzz FuzzExposeRegion (10s)"
-go test -run '^$' -fuzz '^FuzzExposeRegion$' -fuzztime 10s ./internal/xproto/
+step "go test -fuzz FuzzExposeRegion (10s)" go test -run '^$' -fuzz '^FuzzExposeRegion$' -fuzztime 10s ./internal/xproto/
 
 # The resource-file fuzz smoke (FuzzXrm): generated resource lines,
 # with '!' comments and backslash-newline continuations, loaded with
 # EnterString; every query must agree with the legacy flat matcher;
 # seeds in internal/xt/testdata/fuzz/FuzzXrm.
-echo "== go test -fuzz FuzzXrm (10s)"
-go test -run '^$' -fuzz '^FuzzXrm$' -fuzztime 10s ./internal/xt/
+step "go test -fuzz FuzzXrm (10s)" go test -run '^$' -fuzz '^FuzzXrm$' -fuzztime 10s ./internal/xt/
 
-echo "== scripts/bench.sh tclvm"
-COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
+# The render differential oracle proves clipped partial redraws are
+# pixel-identical to full repaints (every demo plus randomized damage
+# sequences, under the race detector), and that scrolled, moved and
+# resized windows show what a session realized directly in their final
+# place shows.
+step "go test -race render differential oracle" go test -race -count 1 -run 'TestRenderOracle' .
 
-# The damage-region render gate: the differential oracle proves
-# clipped partial redraws are pixel-identical to full repaints (every
-# demo plus randomized damage sequences, under the race detector),
-# and that scrolled, moved and resized windows show what a session
-# realized directly in their final place shows; then the perf gate holds the steady-state single-widget update at
-# 0 B/op and memoized snapshots at O(1) in tree size.
-echo "== go test -race render differential oracle"
-go test -race -count 1 -run 'TestRenderOracle' .
+# The performance gates (the table in cmd/wafebench/main.go), each
+# decided on the medians of interleaved repetitions: F4, T1 and F1
+# against the seed commit measured in the same run; enabled spans,
+# supervision, the bytecode speedup and Xrm and snapshot scaling paired
+# within one binary; absolute allocation and latency bounds; the serve
+# load at 1024 sessions; and the wafecheck and wafevet passes. It
+# writes BENCH.json.
+step "go run ./cmd/wafebench" go run ./cmd/wafebench
 
-echo "== scripts/bench.sh render"
-COUNT=2 BENCHTIME=0.3s scripts/bench.sh render
-
+if [ -n "$failed" ]; then
+    echo "verify: FAILED:$failed"
+    exit 1
+fi
 echo "verify: OK"
