@@ -472,15 +472,16 @@ func report(r result) {
 	if !r.Pass {
 		verdict = "FAIL"
 	}
+	if r.Error != "" {
+		fmt.Printf("FAIL  %-36s not measured\n      %s\n", r.Gate, strings.ReplaceAll(r.Error, "\n", "\n      "))
+		return
+	}
 	fmt.Printf("%s  %-36s %9.4g %s %-6g %-9s", verdict, r.Gate, r.Value, r.Op, r.Bound, r.Unit)
 	if r.Seed != nil {
 		fmt.Printf("  HEAD %.4g [%.4g, %.4g], seed %.4g [%.4g, %.4g]",
 			r.Spread.Median, r.Spread.Q1, r.Spread.Q3, r.Seed.Median, r.Seed.Q1, r.Seed.Q3)
-	} else if r.Spread != nil {
+	} else {
 		fmt.Printf("  quartiles [%.4g, %.4g]", r.Spread.Q1, r.Spread.Q3)
 	}
 	fmt.Println()
-	if r.Error != "" {
-		fmt.Printf("      %s\n", strings.ReplaceAll(r.Error, "\n", "\n      "))
-	}
 }
