@@ -33,11 +33,11 @@ type builder struct {
 
 // scratch is the compile storage of one first-sighting Eval: the
 // Scripts, commands, words and tokens its parse stores, and the
-// Programs it is lowered into, nested [script]s and loop bodies
-// included. The interpreter keeps scratches in a LIFO pool because
+// Programs it is lowered into, loop bodies included. The interpreter keeps scratches in a LIFO pool because
 // Evals nest; a scratch is reused once the Eval that took it returns.
 // Nothing in it may be reached after that, so none of it enters a
-// cache, and a reused Program starts with zeroed inline caches.
+// cache, and a reused Program starts with zeroed inline caches,
+// variable sites and dispatch counters.
 type scratch struct {
 	b       builder
 	scripts []Script
@@ -92,12 +92,23 @@ func (b *builder) carveWords(base int) []word {
 	return pop(&b.words, base, nil)
 }
 
-// script parses src into a Script, building each nested [script] as it
-// goes. It never fails: a parse error is recorded on the Script and
-// replayed at evaluation time, after the commands that precede it have
-// run (matching the incremental evaluator, which only discovers a parse
-// error once evaluation reaches the malformed command).
+// script parses src into a Script and, when b builds for an
+// interpreter, lowers it into its Program.
 func (b *builder) script(src string) *Script {
+	s := b.parse(src)
+	if b.in != nil {
+		s.owner, s.prog = b.in, b.program(s, nil)
+	}
+	return s
+}
+
+// parse parses src into a Script, parsing each nested [script] as it
+// goes; nothing is lowered. It never fails: a parse error is recorded
+// on the Script and replayed at evaluation time, after the commands
+// that precede it have run (matching the incremental evaluator, which
+// only discovers a parse error once evaluation reaches the malformed
+// command).
+func (b *builder) parse(src string) *Script {
 	var s *Script
 	if b.sc != nil {
 		s = &carve(&b.sc.scripts, 1)[0]
@@ -133,20 +144,18 @@ func (b *builder) script(src string) *Script {
 	} else {
 		s.cmds = pop(&b.cmds, cbase, nil)
 	}
-	if b.in != nil {
-		s.owner, s.prog = b.in, b.program(s)
-	}
 	return s
 }
 
-// nested builds the [script] substitutions among toks, array indexes
-// included, so that evaluation never re-parses them.
+// nested parses the [script] substitutions among toks, array indexes
+// included, so that evaluation never re-parses them. The Program of
+// the enclosing script compiles them inline (compile.go).
 func (b *builder) nested(toks []token) {
 	for i := range toks {
 		t := &toks[i]
 		switch t.kind {
 		case tokCommand:
-			t.script = b.script(t.text)
+			t.script = b.parse(t.text)
 		case tokVar:
 			b.nested(t.index)
 		}
@@ -166,9 +175,9 @@ func (b *builder) newProgram(s *Script) *Program {
 	p := sc.progs[sc.nprogs]
 	sc.nprogs++
 	*p = Program{script: s, insns: p.insns[:0], cmds: p.cmds[:0],
-		consts: p.consts[:0], names: p.names[:0], words: p.words[:0],
+		inl: p.inl[:0], consts: p.consts[:0], vars: p.vars[:0],
 		subs: p.subs[:0], exprs: p.exprs[:0], tmpls: p.tmpls[:0],
-		loops: p.loops[:0], caches: p.caches[:0], vrefs: p.vrefs[:0]}
+		loops: p.loops[:0], caches: p.caches[:0]}
 	return p
 }
 

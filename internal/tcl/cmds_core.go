@@ -381,7 +381,7 @@ func cmdProc(in *Interp, argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p := &Proc{Name: name, Body: argv[3], compiled: in.bld.script(argv[3])}
+	p := &Proc{Name: name, Body: argv[3]}
 	for _, f := range formals {
 		parts, err := ParseList(f)
 		if err != nil {
@@ -630,7 +630,7 @@ func cmdInfo(in *Interp, argv []string) (string, error) {
 			f = in.globalFrame()
 		}
 		var names []string
-		for n := range f.vars {
+		for _, n := range f.varNames() {
 			if len(argv) == 3 && !GlobMatch(argv[2], n) {
 				continue
 			}
@@ -736,9 +736,8 @@ func cmdArray(in *Interp, argv []string) (string, error) {
 		}
 		return "", nil
 	case "unset":
-		f := in.currentFrame()
-		if v, ok := f.vars[name]; ok && v.resolve().isArray {
-			delete(f.vars, name)
+		if _, ok := in.arrayVar(name); ok {
+			in.currentFrame().bind(name, nil)
 			in.varEpoch++ // unset: cached refs to this name are invalid
 		}
 		return "", nil

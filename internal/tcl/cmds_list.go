@@ -62,15 +62,11 @@ func cmdLappend(in *Interp, argv []string) (string, error) {
 	// surface: appending to an array variable reports the read error.
 	if base, _, isArr := splitArrayRef(argv[1]); !isArr {
 		f := in.currentFrame()
-		var rv *variable
-		if v, ok := f.vars[base]; ok {
-			rv = v.resolve()
-			if rv.isArray {
-				return "", NewError("can't read %q: variable is array", argv[1])
-			}
-		} else {
-			rv = &variable{}
-			f.vars[base] = rv
+		rv := f.lookup(base)
+		if rv == nil {
+			rv = f.create(base)
+		} else if rv.isArray {
+			return "", NewError("can't read %q: variable is array", argv[1])
 		}
 		res := appendListElems(rv.val.String(), argv[2:])
 		rv.val = strVal(res)

@@ -3,6 +3,8 @@ package tcl
 import (
 	"strconv"
 	"strings"
+
+	"wafe/internal/obs"
 )
 
 // This file is the bytecode compiler of execution engine v2. It lowers
@@ -14,6 +16,14 @@ import (
 // literal or reconstructible argument) compile to dedicated opcodes
 // that skip argv construction and the command table entirely.
 //
+// As Tcl 8 does, the compiler lowers substitutions inline: a word of
+// several pieces compiles to its pieces and one concatenation, and a
+// [script] word compiles its commands into the enclosing register
+// window, each leaving its result in a register. A proc body is
+// lowered with its Proc, which gives every variable name the body
+// spells out literally a slot in the proc's frames (Proc.slots); the
+// body's instructions then address those slots directly.
+//
 // The compiler is purely syntactic and interpreter-independent, but a
 // Program is stored with its Script for one interpreter (Script.owner)
 // because it embeds mutable inline dispatch caches.
@@ -21,16 +31,23 @@ import (
 type op uint8
 
 const (
-	// Word instructions: compute one word into a register.
+	// Word instructions: compute one value into a register.
 	opConst  op = iota // regs[c] = consts[a]
-	opVar              // regs[c] = scalar variable names[a] (typed read)
-	opWord             // regs[c] = generic substitution of words[a]
-	opScript           // regs[c] = result of nested script subs[a]
+	opVar              // regs[c] = scalar variable vars[a] (typed read)
+	opElem             // regs[c] = element regs[b] of array variable vars[a]
+	opConcat           // regs[c] = regs[a : a+b] joined as strings
+	opEnter            // enter an inlined [script]: one nesting level deeper
+	opLeave            // leave it
+	opScript           // regs[c] = result of subs[a], a [script] that failed to parse
 
-	// Dispatch instructions: exactly one terminates every command.
+	// Dispatch instructions: exactly one terminates every command. d is
+	// -1 for a command of the Program's script; an inlined command's
+	// dispatch has d = its index in inl and leaves its result in
+	// register inl[d].dst. Every dispatch but a dynamic opInvoke has
+	// the cache site caches[c].
 	opInvoke   // argv = regs[a : a+b] stringified; dispatch via cache site c (-1 = uncached)
-	opSet      // names[a] <- regs[b]; result is the stored value
-	opIncr     // names[a] += b; result is the new value
+	opSet      // vars[a] <- regs[b]; result is the stored value
+	opIncr     // vars[a] += b; result is the new value
 	opExpr     // result = typed evaluation of exprs[a]
 	opExprTmpl // result = typed evaluation of tmpls[a], bailing to classic on impure operands
 	opWhile    // loops[a]: while {cond} {body} with pre-compiled cond and pre-parsed body
@@ -38,15 +55,20 @@ const (
 )
 
 type insn struct {
-	op      op
-	a, b, c int32
+	op         op
+	a, b, c, d int32
 }
 
-// dispatchCache is one inline cache site: the command resolved for a
-// literal name, valid while the interpreter's cmdGen matches.
+// dispatchCache is one dispatch site's inline cache: the command
+// resolved for a literal name, valid while the interpreter's cmdGen
+// matches, and the name's dispatch counter, valid for the metrics it
+// was taken from (statistics can attach metrics partway through a
+// run).
 type dispatchCache struct {
 	gen uint64
 	fn  CommandFunc
+	m   *obs.TclMetrics
+	ctr *obs.Counter
 }
 
 // loopInfo is the operand record of a specialized loop: the condition
@@ -62,13 +84,11 @@ type loopInfo struct {
 
 // exprTemplate is a compiled multi-word expr: the AST of the
 // reconstructed source with every variable reference replaced by a
-// slot, plus the slot variable names in fetch order. See
-// buildExprTemplate for the equivalence argument.
+// slot, plus the variable sites in fetch order. See buildExprTemplate
+// for the equivalence argument.
 type exprTemplate struct {
-	node exprNode
-	vars []string
-	// refs are the per-slot variable-pointer caches, parallel to vars.
-	refs []varRef
+	node  exprNode
+	sites []varSite
 	// fastOp (non-"") marks a template that is exactly one binary
 	// operator over two slots — the dominant shape of loop-carried
 	// arithmetic like [expr $n % $d]. When both slot values are ints,
@@ -82,40 +102,43 @@ type exprTemplate struct {
 // progCmd is the per-source-command record: its instruction range
 // (insns[end-1] is the dispatch instruction), why the compiler left
 // the command on generic dispatch (reasonNone when it specialized it;
-// read by ExplainScript), its 1-based source line (0 until a profiled
-// run first asks, see Program.line), and the original parsed command
-// (for the fallback and expr-template bail paths).
+// read by ExplainScript), its 1-based line in scr (0 until a profiled
+// run first asks, see Program.line), the register an inlined command's
+// result goes to, the original parsed command (for the fallback and
+// expr-template bail paths) and scr, the script it was parsed from.
 type progCmd struct {
 	start, end int32
 	reason     reason
 	line       int32
+	dst        int32
 	src        *parsedCommand
+	scr        *Script
 }
 
 // Program is a compiled register-bytecode form of a Script.
 type Program struct {
 	script *Script
 	insns  []insn
-	cmds   []progCmd
+	// cmds are the script's commands; inl are the commands of its
+	// [script] words, compiled inline.
+	cmds []progCmd
+	inl  []progCmd
 
 	consts []Value
-	names  []string
-	words  []word
+	// vars are the variable sites: a slot in a proc body, elsewhere a
+	// name with its inline cache. A Program belongs to exactly one
+	// interpreter (its Script's owner), which is what makes frame ids —
+	// unique only within one interpreter — a sound cache key, and a
+	// proc body's Program runs only in that proc's frames.
+	vars   []varSite
 	subs   []*Script
 	exprs  []exprNode
 	tmpls  []*exprTemplate
 	loops  []loopInfo
 	caches []dispatchCache
-	// vrefs are per-site variable-pointer caches, parallel to names:
-	// the site that reads or writes names[i] validates vrefs[i] against
-	// the current frame id and the interpreter's variable epoch. A
-	// Program belongs to exactly one interpreter (its Script's owner),
-	// which is what makes frame ids — unique only within one
-	// interpreter — a sound cache key.
-	vrefs []varRef
 
-	// nregs is the register window size: the maximum word count of any
-	// command in the script.
+	// nregs is the register window size: the registers the deepest
+	// word of any command uses.
 	nregs int
 }
 
@@ -124,25 +147,24 @@ type Program struct {
 // another interpreter, lowers it again for the interpreter running it.
 func (in *Interp) program(s *Script) *Program {
 	if s.owner != in || s.prog == nil {
-		s.owner, s.prog = in, in.bld.program(s)
+		s.owner, s.prog = in, in.bld.program(s, nil)
 	}
 	return s.prog
 }
 
 // compileProgram lowers s into a new Program for this interpreter.
-func (in *Interp) compileProgram(s *Script) *Program { return in.bld.program(s) }
+func (in *Interp) compileProgram(s *Script) *Program { return in.bld.program(s, nil) }
 
-// program lowers every command of s into a Program from b's storage.
-// Specialized opcodes are only emitted while set/incr/expr are known
-// to be the builtins (specialGen == specialBase); see the interp
-// fields.
-func (b *builder) program(s *Script) *Program {
+// program lowers every command of s into a Program from b's storage;
+// with proc non-nil, s is proc's body. Specialized opcodes are only
+// emitted while set/incr/expr are known to be the builtins
+// (specialGen == specialBase); see the interp fields.
+func (b *builder) program(s *Script, proc *Proc) *Program {
 	p := b.newProgram(s)
-	c := progCompiler{b: b, p: p, specialize: b.in.specialGen == b.in.specialBase}
+	c := progCompiler{b: b, p: p, proc: proc, specialize: b.in.specialGen == b.in.specialBase}
 	for i := range s.cmds {
-		c.compileCommand(&s.cmds[i])
+		c.command(s, &s.cmds[i], 0, -1)
 	}
-	p.vrefs = append(p.vrefs, make([]varRef, len(p.names))...)
 	return p
 }
 
@@ -151,16 +173,20 @@ type progCompiler struct {
 	// storage as the Program; compilation is otherwise
 	// interpreter-independent. The recursion ends because a loop script
 	// is a strict substring of the command being compiled.
-	b          *builder
-	p          *Program
+	b *builder
+	p *Program
+	// proc, when non-nil, owns the body being lowered: variable sites
+	// get its slots.
+	proc       *Proc
 	specialize bool
 }
 
 func (c *progCompiler) emit(i insn) { c.p.insns = append(c.p.insns, i) }
 
-func (c *progCompiler) needRegs(n int) {
-	if n > c.p.nregs {
-		c.p.nregs = n
+// use records that the Program writes registers below n.
+func (c *progCompiler) use(n int32) {
+	if int(n) > c.p.nregs {
+		c.p.nregs = int(n)
 	}
 }
 
@@ -173,48 +199,106 @@ func wordLiteral(w word) (string, bool) {
 	return "", false
 }
 
-func (c *progCompiler) addConst(v Value) int32 {
+func (c *progCompiler) emitConst(v Value, dst int32) {
 	c.p.consts = append(c.p.consts, v)
-	return int32(len(c.p.consts) - 1)
+	c.use(dst + 1)
+	c.emit(insn{op: opConst, a: int32(len(c.p.consts) - 1), c: dst})
 }
 
-func (c *progCompiler) addName(n string) int32 {
-	for i, e := range c.p.names {
-		if e == n {
+// site returns the variable site of name, adding one.
+func (c *progCompiler) site(name string) int32 {
+	for i := range c.p.vars {
+		if c.p.vars[i].name == name {
 			return int32(i)
 		}
 	}
-	c.p.names = append(c.p.names, n)
-	return int32(len(c.p.names) - 1)
+	slot := int32(-1)
+	if c.proc != nil {
+		slot = c.proc.slot(name)
+	}
+	c.p.vars = append(c.p.vars, varSite{name: name, slot: slot})
+	return int32(len(c.p.vars) - 1)
 }
 
-func (c *progCompiler) compileCommand(cmd *parsedCommand) {
+// cache adds a dispatch cache site.
+func (c *progCompiler) cache() int32 {
+	c.p.caches = append(c.p.caches, dispatchCache{})
+	return int32(len(c.p.caches) - 1)
+}
+
+// command compiles cmd, parsed from scr, with its words in registers
+// from base on. A command of the Program's own script (dst < 0) ends
+// with its dispatch; an inlined one leaves its result in register dst.
+func (c *progCompiler) command(scr *Script, cmd *parsedCommand, base, dst int32) {
 	words := cmd.words
 	if len(words) == 0 {
 		return
 	}
-	pc := progCmd{start: int32(len(c.p.insns)), src: cmd}
+	pc := progCmd{start: int32(len(c.p.insns)), dst: dst, src: cmd, scr: scr}
+	d := int32(-1)
+	if dst >= 0 {
+		// Reserve the record: the words may inline commands of their
+		// own.
+		d = int32(len(c.p.inl))
+		c.p.inl = append(c.p.inl, progCmd{})
+	}
 	name, nameLit := wordLiteral(words[0])
+	if nameLit && c.proc != nil {
+		c.declare(name, words)
+	}
 	switch {
 	case !nameLit:
 		pc.reason = reasonDynamicName
 	case !c.specialize:
 		pc.reason = reasonRebound
 	default:
-		pc.reason = c.trySpecialize(name, cmd)
+		pc.reason = c.trySpecialize(name, cmd, base, d)
 	}
 	if pc.reason != reasonNone {
-		c.compileGeneric(words, nameLit)
+		c.compileGeneric(words, nameLit, base, d)
 	}
 	pc.end = int32(len(c.p.insns))
-	c.p.cmds = append(c.p.cmds, pc)
+	if d >= 0 {
+		c.p.inl[d] = pc
+	} else {
+		c.p.cmds = append(c.p.cmds, pc)
+	}
+}
+
+// declare gives slots to the literal names a set, incr, global or
+// upvar command of a proc body binds, so that they live in the frame's
+// slots even where the command is dispatched generically.
+func (c *progCompiler) declare(name string, words []word) {
+	var targets []word
+	switch name {
+	case "set", "incr":
+		if len(words) > 1 {
+			targets = words[1:2]
+		}
+	case "global":
+		targets = words[1:]
+	case "upvar":
+		rest := words[1:]
+		if len(rest)%2 == 1 {
+			rest = rest[1:]
+		}
+		for i := 1; i < len(rest); i += 2 {
+			targets = append(targets, rest[i])
+		}
+	}
+	for _, w := range targets {
+		if lit, ok := wordLiteral(w); ok {
+			base, _, _ := splitArrayRef(lit)
+			c.proc.slot(base)
+		}
+	}
 }
 
 // trySpecialize emits a dedicated instruction sequence for the hot
 // command shapes and returns reasonNone. When the shape does not
 // qualify it emits nothing and returns the rule that refused it,
 // leaving the command to generic dispatch.
-func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
+func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand, base, d int32) reason {
 	words := cmd.words
 	switch name {
 	case "set":
@@ -230,12 +314,8 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 		if _, _, isArr := splitArrayRef(vn); isArr {
 			return reasonSetArray
 		}
-		c.needRegs(1)
-		if !c.compileWordOp(words[2], 0) {
-			c.p.words = append(c.p.words, words[2])
-			c.emit(insn{op: opWord, a: int32(len(c.p.words) - 1), c: 0})
-		}
-		c.emit(insn{op: opSet, a: c.addName(vn), b: 0})
+		c.word(words[2], base, base+1)
+		c.emit(insn{op: opSet, a: c.site(vn), b: base, c: c.cache(), d: d})
 		return reasonNone
 	case "incr":
 		// incr NAME ?literal-int? — delta parsed at compile time with
@@ -264,7 +344,7 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 			}
 			delta = d
 		}
-		c.emit(insn{op: opIncr, a: c.addName(vn), b: int32(delta)})
+		c.emit(insn{op: opIncr, a: c.site(vn), b: int32(delta), c: c.cache(), d: d})
 		return reasonNone
 	case "expr":
 		if len(words) == 2 {
@@ -276,14 +356,15 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 				if err != nil {
 					return reasonExprSyntax
 				}
+				c.bindExpr(node)
 				c.p.exprs = append(c.p.exprs, node)
-				c.emit(insn{op: opExpr, a: int32(len(c.p.exprs) - 1)})
+				c.emit(insn{op: opExpr, a: int32(len(c.p.exprs) - 1), c: c.cache(), d: d})
 				return reasonNone
 			}
 		}
 		idx, r := c.buildExprTemplate(words[1:])
 		if r == reasonNone {
-			c.emit(insn{op: opExprTmpl, a: idx})
+			c.emit(insn{op: opExprTmpl, a: idx, c: c.cache(), d: d})
 		}
 		return r
 	case "while":
@@ -306,8 +387,9 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 		if err != nil {
 			return reasonCondSyntax
 		}
-		c.p.loops = append(c.p.loops, loopInfo{cond: node, body: c.b.script(bodySrc)})
-		c.emit(insn{op: opWhile, a: int32(len(c.p.loops) - 1)})
+		c.bindExpr(node)
+		c.p.loops = append(c.p.loops, loopInfo{cond: node, body: c.loopScript(bodySrc)})
+		c.emit(insn{op: opWhile, a: int32(len(c.p.loops) - 1), c: c.cache(), d: d})
 		return reasonNone
 	case "for":
 		// for {init} {cond} {next} {body} — all four literal.
@@ -325,67 +407,144 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) reason {
 		if err != nil {
 			return reasonCondSyntax
 		}
+		c.bindExpr(node)
 		c.p.loops = append(c.p.loops, loopInfo{
 			cond: node,
-			init: c.b.script(initSrc),
-			next: c.b.script(nextSrc),
-			body: c.b.script(bodySrc),
+			init: c.loopScript(initSrc),
+			next: c.loopScript(nextSrc),
+			body: c.loopScript(bodySrc),
 		})
-		c.emit(insn{op: opFor, a: int32(len(c.p.loops) - 1)})
+		c.emit(insn{op: opFor, a: int32(len(c.p.loops) - 1), c: c.cache(), d: d})
 		return reasonNone
 	}
 	return reasonNoOpcode
 }
 
-// compileGeneric emits one word instruction per word plus the dispatch
-// instruction. The dispatch gets an inline cache site when the command
-// name is literal.
-func (c *progCompiler) compileGeneric(words []word, nameLit bool) {
-	for i, w := range words {
-		if !c.compileWordOp(w, int32(i)) {
-			c.p.words = append(c.p.words, w)
-			c.emit(insn{op: opWord, a: int32(len(c.p.words) - 1), c: int32(i)})
-		}
-	}
-	c.needRegs(len(words))
-	cacheIdx := int32(-1)
-	if nameLit {
-		c.p.caches = append(c.p.caches, dispatchCache{})
-		cacheIdx = int32(len(c.p.caches) - 1)
-	}
-	c.emit(insn{op: opInvoke, a: 0, b: int32(len(words)), c: cacheIdx})
+// loopScript builds a specialized loop's script and lowers it with the
+// Program: in a proc body, with the same slots.
+func (c *progCompiler) loopScript(src string) *Script {
+	s := c.b.parse(src)
+	s.owner, s.prog = c.b.in, c.b.program(s, c.proc)
+	return s
 }
 
-// compileWordOp emits the cheapest instruction that computes w into
-// register dst, or reports false when only the generic substitution
-// path (opWord) can handle it.
-func (c *progCompiler) compileWordOp(w word, dst int32) bool {
-	c.needRegs(int(dst) + 1)
-	if len(w.tokens) != 1 {
-		return false
+// bindExpr gives the variables of an expression compiled for this
+// Program their sites: in a proc body, the slots of their names.
+func (c *progCompiler) bindExpr(n exprNode) {
+	if c.proc == nil {
+		return
 	}
-	t := w.tokens[0]
+	switch t := n.(type) {
+	case *exprVarNode:
+		if t.tok.hasIdx {
+			c.proc.slot(t.tok.text)
+		} else {
+			t.site.slot = c.proc.slot(t.tok.text)
+		}
+	case *exprUnaryNode:
+		c.bindExpr(t.x)
+	case *exprBinaryNode:
+		c.bindExpr(t.l)
+		c.bindExpr(t.r)
+	case *exprAndOrNode:
+		c.bindExpr(t.l)
+		c.bindExpr(t.r)
+	case *exprTernaryNode:
+		c.bindExpr(t.cond)
+		c.bindExpr(t.thenN)
+		if t.elseN != nil {
+			c.bindExpr(t.elseN)
+		}
+	case *exprFuncNode:
+		for _, a := range t.args {
+			c.bindExpr(a)
+		}
+	case *exprErrNode:
+		if t.pre != nil {
+			c.bindExpr(t.pre)
+		}
+	}
+}
+
+// compileGeneric emits the words into registers base on, then the
+// dispatch instruction. The dispatch gets an inline cache site when
+// the command name is literal.
+func (c *progCompiler) compileGeneric(words []word, nameLit bool, base, d int32) {
+	n := int32(len(words))
+	for i, w := range words {
+		c.word(w, base+int32(i), base+n)
+	}
+	cacheIdx := int32(-1)
+	if nameLit {
+		cacheIdx = c.cache()
+	}
+	c.emit(insn{op: opInvoke, a: base, b: n, c: cacheIdx, d: d})
+}
+
+// word emits the instructions that compute w into register dst, using
+// the registers from top on for its pieces.
+func (c *progCompiler) word(w word, dst, top int32) {
+	switch n := int32(len(w.tokens)); n {
+	case 0:
+		c.emitConst(Value{}, dst)
+	case 1:
+		c.token(w.tokens[0], dst, top, true)
+	default:
+		for i, t := range w.tokens {
+			c.token(t, top+int32(i), top+n, false)
+		}
+		c.use(dst + 1)
+		c.emit(insn{op: opConcat, a: top, b: n, c: dst})
+	}
+}
+
+// token emits the instructions that compute t into register dst. A
+// whole word's literal is interned, so that e.g. `set d 2` stores a
+// typed int and later $d reads skip the string parse entirely.
+func (c *progCompiler) token(t token, dst, top int32, whole bool) {
+	c.use(dst + 1)
 	switch t.kind {
 	case tokText:
-		// Interning numeric literals here means e.g. `set d 2` stores a
-		// typed int, so later $d reads skip the string parse entirely.
-		c.emit(insn{op: opConst, a: c.addConst(internValue(t.text)), c: dst})
-		return true
+		if whole {
+			c.emitConst(internValue(t.text), dst)
+		} else {
+			c.emitConst(strVal(t.text), dst)
+		}
 	case tokVar:
-		if t.hasIdx {
-			return false
+		if !t.hasIdx {
+			c.emit(insn{op: opVar, a: c.site(t.text), c: dst})
+			return
 		}
-		c.emit(insn{op: opVar, a: c.addName(t.text), c: dst})
-		return true
+		c.word(word{tokens: t.index}, top, top+1)
+		c.emit(insn{op: opElem, a: c.site(t.text), b: top, c: dst})
 	case tokCommand:
-		if t.script == nil {
-			return false
-		}
-		c.p.subs = append(c.p.subs, t.script)
-		c.emit(insn{op: opScript, a: int32(len(c.p.subs) - 1), c: dst})
-		return true
+		c.inline(t, dst, top)
 	}
-	return false
+}
+
+// inline compiles the [script] of t into this Program, its commands'
+// words in the registers from top on and its result in register dst.
+// opEnter and opLeave keep the nesting level the script would have run
+// at on its own. A script that failed to parse runs on its own
+// (opScript), so that its well-formed prefix runs before the error.
+func (c *progCompiler) inline(t token, dst, top int32) {
+	s := t.script
+	if s == nil {
+		s = c.b.parse(t.text)
+	}
+	if s.parseErr != nil {
+		c.p.subs = append(c.p.subs, s)
+		c.emit(insn{op: opScript, a: int32(len(c.p.subs) - 1), c: dst})
+		return
+	}
+	c.emit(insn{op: opEnter})
+	if len(s.cmds) == 0 {
+		c.emitConst(Value{}, dst)
+	}
+	for i := range s.cmds {
+		c.command(s, &s.cmds[i], top, dst)
+	}
+	c.emit(insn{op: opLeave})
 }
 
 // exprSafeText reports whether literal text can be spliced verbatim
@@ -431,7 +590,13 @@ func (c *progCompiler) buildExprTemplate(args []word) (int32, reason) {
 	if !ok {
 		return 0, reasonImpureNode
 	}
-	t := &exprTemplate{node: node, vars: vars, refs: make([]varRef, len(vars))}
+	t := &exprTemplate{node: node, sites: make([]varSite, len(vars))}
+	for i, name := range vars {
+		t.sites[i] = varSite{name: name, slot: -1}
+		if c.proc != nil {
+			t.sites[i].slot = c.proc.slot(name)
+		}
+	}
 	if bn, ok := node.(*exprBinaryNode); ok {
 		if ls, ok := bn.l.(*exprSlotNode); ok {
 			if rs, ok := bn.r.(*exprSlotNode); ok {

@@ -109,6 +109,19 @@ func BenchmarkTcl_EngineCompare(b *testing.B) {
 				}
 			}
 		})
+		b.Run("proc-body/"+eng.name, func(b *testing.B) {
+			in := newInterp(eng.tree)
+			in.RegisterCommand("nop", func(*tcl.Interp, []string) (string, error) { return "", nil })
+			if _, err := in.Eval("set acc 0\n" + tcl.TickProc); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := in.Eval("tick 3 4"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run("proc-call/"+eng.name, func(b *testing.B) {
 			in := newInterp(eng.tree)
 			if _, err := in.Eval("proc f {a b} {expr {$a+$b}}"); err != nil {

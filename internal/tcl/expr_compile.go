@@ -40,11 +40,12 @@ func (n *exprLit) eval(*exprEvaluator) (exprVal, error) { return n.v, nil }
 
 type exprVarNode struct {
 	tok token
-	// ref is this site's variable-pointer cache. Compiled expression
-	// ASTs are per-interpreter (exprCache and Program.loops both are),
-	// so the frame-id/epoch validation in cachedScalar is sound here
-	// for the same reason it is for Program.vrefs.
-	ref varRef
+	// site is the variable's site. Compiled expression ASTs are
+	// per-interpreter (exprCache and Programs both are), so the
+	// frame-id/epoch validation of its cache is sound here for the same
+	// reason it is for Program.vars. An AST compiled into a proc body's
+	// Program has the slots of that proc (progCompiler.bindExpr).
+	site varSite
 }
 
 func (n *exprVarNode) eval(ev *exprEvaluator) (exprVal, error) {
@@ -57,7 +58,7 @@ func (n *exprVarNode) eval(ev *exprEvaluator) (exprVal, error) {
 		// and missing variables fall through to substToken, which
 		// raises the classic error messages. A lone $ is a tokText
 		// token: a literal, never a variable.
-		if v, ok := ev.in.cachedScalar(&n.ref, n.tok.text); ok {
+		if v := ev.in.siteScalar(&n.site); v != nil {
 			return coerce(v.val)
 		}
 	}
@@ -80,6 +81,7 @@ type exprCmdNode struct {
 	owner *Interp
 	tmpl  *exprTemplate
 	tcmd  *progCmd
+	tca   *dispatchCache
 }
 
 func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
@@ -88,14 +90,13 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	}
 	in := ev.in
 	if n.owner != in {
-		n.owner, n.tmpl, n.tcmd = in, nil, nil
+		n.owner, n.tmpl, n.tcmd, n.tca = in, nil, nil, nil
 		if n.script != nil && n.script.parseErr == nil {
 			p := in.program(n.script)
 			if len(p.cmds) == 1 {
 				c := &p.cmds[0]
-				if c.end-c.start == 1 && p.insns[c.start].op == opExprTmpl {
-					n.tmpl = p.tmpls[p.insns[c.start].a]
-					n.tcmd = c
+				if ins := p.insns[c.start]; c.end-c.start == 1 && ins.op == opExprTmpl {
+					n.tmpl, n.tcmd, n.tca = p.tmpls[ins.a], c, &p.caches[ins.c]
 				}
 			}
 		}
@@ -111,7 +112,7 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	// nesting increment cannot unbound recursion.
 	if n.tmpl != nil && in.oracle == nil && in.prof == nil &&
 		in.nesting >= 1 && in.specialGen == in.specialBase {
-		v, _, _, err := in.execExprTmpl(n.tmpl, n.tcmd)
+		v, _, _, err := in.execExprTmpl(n.tmpl, n.tcmd, n.tca)
 		if err != nil {
 			return exprVal{}, err
 		}
@@ -607,7 +608,7 @@ func (c *exprCompiler) compilePrimary() exprNode {
 		}
 		c.pos = p.pos
 		p.b.nested(t.index)
-		return &exprVarNode{tok: t}
+		return &exprVarNode{tok: t, site: varSite{name: t.text, slot: -1}}
 	case ch == '[':
 		p := c.parser()
 		t, err := p.parseCommandToken()

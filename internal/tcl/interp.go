@@ -76,11 +76,18 @@ type Proc struct {
 	Args []ProcArg
 	Body string
 
-	// compiled is the Body compiled once at registration (or lazily on
-	// the first call, for procs built directly by embedders). It is
-	// derived purely from Body; redefining a proc installs a fresh Proc
-	// with a fresh compiled body, so no invalidation is needed.
+	// compiled is the Body, parsed and lowered by the first call
+	// (lowerProc). It is derived purely from Body; redefining a proc
+	// installs a fresh Proc, so no invalidation is needed.
 	compiled *Script
+	// slots names the proc's compiled locals, as Tcl 8's compiled
+	// procedures do: every variable name the lowered body spells out
+	// literally, the formals first. Each frame of the proc holds one
+	// variable per slot, and the body's instructions address them by
+	// index. The table is fixed before the first frame exists.
+	slots []string
+	// formalSlot is the slot of each formal, parallel to Args.
+	formalSlot []int32
 }
 
 // ProcArg is one formal parameter of a proc, with an optional default.
@@ -90,40 +97,104 @@ type ProcArg struct {
 	HasDefault bool
 }
 
-// variable holds a scalar or associative-array value. A variable with a
-// non-nil link is an alias created by upvar/global. Scalars hold a
+// slot returns the slot of name, adding one for a name it lacks. An
+// array reference gets none: such a name is only ever looked up by
+// its base.
+func (p *Proc) slot(name string) int32 {
+	for i, n := range p.slots {
+		if n == name {
+			return int32(i)
+		}
+	}
+	if _, _, isArr := splitArrayRef(name); isArr {
+		return -1
+	}
+	p.slots = append(p.slots, name)
+	return int32(len(p.slots) - 1)
+}
+
+// variable holds a scalar or associative-array value. Scalars hold a
 // typed Value so numbers written by the bytecode engine (incr, set
 // from an expr) keep their machine representation between commands.
+// upvar and global bind a second name to the same variable.
 type variable struct {
 	val     Value
 	arr     map[string]string
 	isArray bool
-	link    *variable
 }
 
-func (v *variable) resolve() *variable {
-	for v.link != nil {
-		v = v.link
-	}
-	return v
-}
-
-// frame is one procedure call frame. Frames are pooled (acquireFrame/
-// releaseFrame) and formal parameters are allocated from the frame's
-// storage slab, so a proc call reuses one map and one backing array
-// instead of allocating per call. The slab is safe to recycle because
-// variable links always point from a deeper frame to a shallower one:
-// by the time a frame is released every frame that could alias its
-// variables is already gone.
+// frame is one procedure call frame. A name the proc's lowering saw
+// lives in the frame's slot of that name; any other name, computed or
+// created at run time, lives in the map. Frames are pooled
+// (acquireFrame/releaseFrame) and a frame's new variables come from
+// its slab, so a proc call reuses one slot array, one map and one
+// backing array instead of allocating per call. The slab is safe to
+// recycle because a name only ever refers to a variable of its own
+// frame or of a shallower one: by the time a frame is released every
+// frame that could refer to its variables is already gone.
 type frame struct {
 	vars map[string]*variable
 	// proc is the procedure executing in this frame, nil for the global frame.
 	proc *Proc
-	// storage backs the formal-parameter variables of a pooled frame.
-	storage []variable
+	// slots holds the variable of each of proc's slots, nil while the
+	// name has none.
+	slots []*variable
+	// slab backs the variables this activation creates; nslab of them
+	// are handed out.
+	slab  []variable
+	nslab int
 	// id is the activation identity (frameSeq): unique per activation
 	// even when the frame object itself is recycled through the pool.
 	id uint64
+}
+
+// slotOf returns the slot name has in f, -1 for none.
+func (f *frame) slotOf(name string) int {
+	if f.proc != nil {
+		for i, n := range f.proc.slots {
+			if n == name {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// lookup returns the variable name refers to in f, nil for none.
+func (f *frame) lookup(name string) *variable {
+	if i := f.slotOf(name); i >= 0 {
+		return f.slots[i]
+	}
+	return f.vars[name]
+}
+
+// bind makes name refer to v in f; a nil v removes the name.
+func (f *frame) bind(name string, v *variable) {
+	switch i := f.slotOf(name); {
+	case i >= 0:
+		f.slots[i] = v
+	case v != nil:
+		f.vars[name] = v
+	default:
+		delete(f.vars, name)
+	}
+}
+
+// create binds name to a new, empty variable in f and returns it.
+func (f *frame) create(name string) *variable {
+	v := f.newVar()
+	f.bind(name, v)
+	return v
+}
+
+// newVar returns an empty variable from the slab, or from the heap
+// once the slab is used up.
+func (f *frame) newVar() *variable {
+	if f.nslab < len(f.slab) {
+		f.nslab++
+		return &f.slab[f.nslab-1]
+	}
+	return &variable{}
 }
 
 // Interp is a Tcl interpreter instance. It is not safe for concurrent
@@ -224,6 +295,14 @@ type Interp struct {
 	// not retain their argv slice past returning.
 	argvPool [][]string
 
+	// ctrs remembers the dispatch counters of ctrOf by command name,
+	// for the dispatch sites that fill their caches (vm.go count).
+	ctrOf *obs.TclMetrics
+	ctrs  map[string]*obs.Counter
+
+	// catBuf is the scratch buffer opConcat joins a word's pieces in.
+	catBuf []byte
+
 	// tmplSlots is a scratch buffer for expr-template slot values
 	// (vm.go execExprTmpl); reused across evaluations to avoid
 	// per-expression allocation.
@@ -247,15 +326,6 @@ type Interp struct {
 	// Together they validate varRef caches (see cachedScalar).
 	frameSeq uint64
 	varEpoch uint64
-}
-
-// varRef is an inline cache for one compiled variable-access site: the
-// resolved scalar variable, valid while the same frame activation is
-// current and no unset/relink/array conversion has happened since.
-type varRef struct {
-	frameID uint64
-	epoch   uint64
-	v       *variable
 }
 
 // SetObs attaches (or, with nil, detaches) the observability metrics.
@@ -372,25 +442,33 @@ func (in *Interp) GetVar(name string) (string, error) {
 
 func (in *Interp) getVarInFrame(f *frame, name string) (string, error) {
 	base, idx, isArr := splitArrayRef(name)
-	v, ok := f.vars[base]
-	if !ok {
-		return "", NewError("can't read %q: no such variable", name)
-	}
-	v = v.resolve()
+	v := f.lookup(base)
 	if isArr {
-		if !v.isArray {
-			return "", NewError("can't read %q: variable isn't array", name)
-		}
-		val, ok := v.arr[idx]
-		if !ok {
-			return "", NewError("can't read %q: no such element in array", name)
-		}
-		return val, nil
+		return readElem(v, base, idx)
+	}
+	if v == nil {
+		return "", NewError("can't read %q: no such variable", name)
 	}
 	if v.isArray {
 		return "", NewError("can't read %q: variable is array", name)
 	}
 	return v.val.String(), nil
+}
+
+// readElem reads element idx of v, the variable base refers to (nil
+// for none), with the error messages of a read of "base(idx)".
+func readElem(v *variable, base, idx string) (string, error) {
+	switch {
+	case v == nil:
+		return "", NewError("can't read %q: no such variable", base+"("+idx+")")
+	case !v.isArray:
+		return "", NewError("can't read %q: variable isn't array", base+"("+idx+")")
+	}
+	val, ok := v.arr[idx]
+	if !ok {
+		return "", NewError("can't read %q: no such element in array", base+"("+idx+")")
+	}
+	return val, nil
 }
 
 // incrVar adds delta to an integer variable, creating it at 0 like the
@@ -400,28 +478,11 @@ func (in *Interp) incrVar(name string, delta int64) (Value, error) {
 	base, _, isArr := splitArrayRef(name)
 	if !isArr {
 		f := in.currentFrame()
-		if v, ok := f.vars[base]; ok {
-			rv := v.resolve()
-			if rv.isArray {
-				return Value{}, NewError("can't read %q: variable is array", name)
-			}
-			var cur int64
-			if rv.val.kind == vInt {
-				cur = rv.val.i
-			} else {
-				s := rv.val.String()
-				c, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
-				if err != nil {
-					return Value{}, NewError("expected integer but got %q", s)
-				}
-				cur = c
-			}
-			nv := intVal(cur + delta)
-			rv.val = nv
-			return nv, nil
+		if v := f.lookup(base); v != nil {
+			return incrScalar(v, name, delta)
 		}
 		nv := intVal(delta)
-		f.vars[base] = &variable{val: nv}
+		f.create(base).val = nv
 		return nv, nil
 	}
 	// Array elements go through the string API.
@@ -444,66 +505,16 @@ func (in *Interp) incrVar(name string, delta int64) (Value, error) {
 	return nv, nil
 }
 
-// cachedScalar resolves a plain scalar variable through a per-site
-// inline cache. A hit skips the frame's map lookup entirely; the cache
-// is valid while the same activation (frame id) is current and no
-// unset/upvar/array-conversion has happened since it was filled
-// (varEpoch). Only positive, scalar results are cached: misses and
-// arrays fall back to the classic paths and leave the cache alone, so
-// a stale negative can never shadow a later creation.
-func (in *Interp) cachedScalar(ref *varRef, name string) (*variable, bool) {
-	f := in.currentFrame()
-	if ref.frameID == f.id && ref.epoch == in.varEpoch {
-		return ref.v, true
-	}
-	v, ok := f.vars[name]
-	if !ok {
-		return nil, false
-	}
-	rv := v.resolve()
-	if rv.isArray {
-		return nil, false
-	}
-	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, rv
-	return rv, true
-}
-
-// setScalarRef stores a typed value into a plain scalar variable
-// through a varRef cache, creating the variable when it is missing.
-// Floats are normalized on store so the typed engine matches the
-// string engine's format-and-reparse round trip. A hit writes straight
-// through the cached pointer; a miss fills the cache.
-func (in *Interp) setScalarRef(ref *varRef, name string, val Value) error {
-	f := in.currentFrame()
-	if ref.frameID == f.id && ref.epoch == in.varEpoch {
-		ref.v.val = normFloat(val)
-		return nil
-	}
-	v, ok := f.vars[name]
-	if !ok {
-		v = &variable{}
-		f.vars[name] = v
-	}
-	rv := v.resolve()
-	if rv.isArray {
-		return NewError("can't set %q: variable is array", name)
-	}
-	rv.val = normFloat(val)
-	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, rv
-	return nil
-}
-
-// incrRef is the scalar-variable incr through a varRef cache.
-func (in *Interp) incrRef(ref *varRef, name string, delta int64) (Value, error) {
-	rv, ok := in.cachedScalar(ref, name)
-	if !ok {
-		return in.incrVar(name, delta)
+// incrScalar adds delta to v, the variable name refers to.
+func incrScalar(v *variable, name string, delta int64) (Value, error) {
+	if v.isArray {
+		return Value{}, NewError("can't read %q: variable is array", name)
 	}
 	var cur int64
-	if rv.val.kind == vInt {
-		cur = rv.val.i
+	if v.val.kind == vInt {
+		cur = v.val.i
 	} else {
-		s := rv.val.String()
+		s := v.val.String()
 		c, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
 		if err != nil {
 			return Value{}, NewError("expected integer but got %q", s)
@@ -511,8 +522,131 @@ func (in *Interp) incrRef(ref *varRef, name string, delta int64) (Value, error) 
 		cur = c
 	}
 	nv := intVal(cur + delta)
-	rv.val = nv
+	v.val = nv
 	return nv, nil
+}
+
+// varSite is one compiled variable access. In a proc body the name is
+// a compiled local and the site holds its slot; anywhere else slot is
+// -1 and the site finds the variable by name, through its inline
+// cache.
+type varSite struct {
+	name string
+	slot int32
+	ref  varRef
+}
+
+// varRef is an inline cache for one variable access by name: the
+// resolved scalar variable, valid while the same frame activation is
+// current and no unset/relink/array conversion has happened since.
+type varRef struct {
+	frameID uint64
+	epoch   uint64
+	v       *variable
+}
+
+// siteScalar returns the scalar variable site s refers to in the
+// current frame, nil when there is none or it is an array.
+func (in *Interp) siteScalar(s *varSite) *variable {
+	if s.slot < 0 {
+		return in.cachedScalar(&s.ref, s.name)
+	}
+	if v := in.frames[len(in.frames)-1].slots[s.slot]; v != nil && !v.isArray {
+		return v
+	}
+	return nil
+}
+
+// siteVar returns the variable site s refers to in the current frame,
+// nil for none.
+func (in *Interp) siteVar(s *varSite) *variable {
+	f := in.currentFrame()
+	if s.slot < 0 {
+		return f.lookup(s.name)
+	}
+	return f.slots[s.slot]
+}
+
+// setSite stores a typed value into the scalar variable of site s,
+// creating the variable when it is missing. Floats are normalized on
+// store so the typed engine matches the string engine's
+// format-and-reparse round trip.
+func (in *Interp) setSite(s *varSite, val Value) error {
+	if s.slot < 0 {
+		return in.setScalarRef(&s.ref, s.name, val)
+	}
+	f := in.frames[len(in.frames)-1]
+	v := f.slots[s.slot]
+	if v == nil {
+		v = f.newVar()
+		f.slots[s.slot] = v
+	} else if v.isArray {
+		return NewError("can't set %q: variable is array", s.name)
+	}
+	v.val = normFloat(val)
+	return nil
+}
+
+// incrSite is incr of the scalar variable of site s.
+func (in *Interp) incrSite(s *varSite, delta int64) (Value, error) {
+	if s.slot < 0 {
+		if rv := in.cachedScalar(&s.ref, s.name); rv != nil {
+			return incrScalar(rv, s.name, delta)
+		}
+		return in.incrVar(s.name, delta)
+	}
+	f := in.frames[len(in.frames)-1]
+	v := f.slots[s.slot]
+	if v == nil {
+		nv := intVal(delta)
+		v = f.newVar()
+		v.val = nv
+		f.slots[s.slot] = v
+		return nv, nil
+	}
+	return incrScalar(v, s.name, delta)
+}
+
+// cachedScalar resolves a plain scalar variable through a per-site
+// inline cache. A hit skips the name lookup entirely; the cache is
+// valid while the same activation (frame id) is current and no
+// unset/upvar/array-conversion has happened since it was filled
+// (varEpoch). Only positive, scalar results are cached: misses and
+// arrays return nil and leave the cache alone, so a stale negative can
+// never shadow a later creation.
+func (in *Interp) cachedScalar(ref *varRef, name string) *variable {
+	f := in.currentFrame()
+	if ref.frameID == f.id && ref.epoch == in.varEpoch {
+		return ref.v
+	}
+	v := f.lookup(name)
+	if v == nil || v.isArray {
+		return nil
+	}
+	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, v
+	return v
+}
+
+// setScalarRef stores a typed value into a plain scalar variable
+// through a varRef cache, creating the variable when it is missing. A
+// hit writes straight through the cached pointer; a miss fills the
+// cache.
+func (in *Interp) setScalarRef(ref *varRef, name string, val Value) error {
+	f := in.currentFrame()
+	if ref.frameID == f.id && ref.epoch == in.varEpoch {
+		ref.v.val = normFloat(val)
+		return nil
+	}
+	v := f.lookup(name)
+	if v == nil {
+		v = f.create(name)
+	}
+	if v.isArray {
+		return NewError("can't set %q: variable is array", name)
+	}
+	v.val = normFloat(val)
+	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, v
+	return nil
 }
 
 // SetVar sets a variable (or array element, for name(index)) in the
@@ -534,12 +668,10 @@ func (in *Interp) GetGlobalVar(name string) (string, error) {
 
 func (in *Interp) setVarInFrame(f *frame, name, value string) error {
 	base, idx, isArr := splitArrayRef(name)
-	v, ok := f.vars[base]
-	if !ok {
-		v = &variable{}
-		f.vars[base] = v
+	v := f.lookup(base)
+	if v == nil {
+		v = f.create(base)
 	}
-	v = v.resolve()
 	if isArr {
 		if !v.isArray {
 			if v.val.String() != "" {
@@ -563,35 +695,32 @@ func (in *Interp) setVarInFrame(f *frame, name, value string) error {
 func (in *Interp) UnsetVar(name string) error {
 	f := in.currentFrame()
 	base, idx, isArr := splitArrayRef(name)
-	v, ok := f.vars[base]
-	if !ok {
+	v := f.lookup(base)
+	if v == nil {
 		return NewError("can't unset %q: no such variable", name)
 	}
-	rv := v.resolve()
 	if isArr {
-		if !rv.isArray {
+		if !v.isArray {
 			return NewError("can't unset %q: variable isn't array", name)
 		}
-		if _, ok := rv.arr[idx]; !ok {
+		if _, ok := v.arr[idx]; !ok {
 			return NewError("can't unset %q: no such element in array", name)
 		}
-		delete(rv.arr, idx)
+		delete(v.arr, idx)
 		return nil
 	}
-	delete(f.vars, base)
+	f.bind(base, nil)
 	in.varEpoch++ // unset: cached refs to this name are invalid
 	return nil
 }
 
 // VarExists reports whether a variable (or array element) exists.
 func (in *Interp) VarExists(name string) bool {
-	f := in.currentFrame()
 	base, idx, isArr := splitArrayRef(name)
-	v, ok := f.vars[base]
-	if !ok {
+	v := in.currentFrame().lookup(base)
+	if v == nil {
 		return false
 	}
-	v = v.resolve()
 	if isArr {
 		if !v.isArray {
 			return false
@@ -602,34 +731,46 @@ func (in *Interp) VarExists(name string) bool {
 	return true
 }
 
-// arrayVar returns the resolved variable for name if it is an array.
+// arrayVar returns the variable name refers to if it is an array.
 func (in *Interp) arrayVar(name string) (*variable, bool) {
-	v, ok := in.currentFrame().vars[name]
-	if !ok {
-		return nil, false
-	}
-	v = v.resolve()
-	if !v.isArray {
+	v := in.currentFrame().lookup(name)
+	if v == nil || !v.isArray {
 		return nil, false
 	}
 	return v, true
 }
 
-// linkVar makes localName in the current frame an alias for name in the
-// target frame (upvar/global).
+// linkVar makes localName in the current frame refer to the variable
+// name refers to in the target frame (upvar/global), creating that
+// variable when it is missing.
 func (in *Interp) linkVar(target *frame, name, localName string) error {
 	base, _, isArr := splitArrayRef(name)
 	if isArr {
 		return NewError("can't upvar to array element %q", name)
 	}
-	tv, ok := target.vars[base]
-	if !ok {
-		tv = &variable{}
-		target.vars[base] = tv
+	tv := target.lookup(base)
+	if tv == nil {
+		tv = target.create(base)
 	}
-	in.currentFrame().vars[localName] = &variable{link: tv}
-	in.varEpoch++ // relink: localName may have resolved elsewhere before
+	in.currentFrame().bind(localName, tv)
+	in.varEpoch++ // relink: localName may have referred elsewhere before
 	return nil
+}
+
+// varNames returns the names of f's variables, unsorted.
+func (f *frame) varNames() []string {
+	var names []string
+	if f.proc != nil {
+		for i, v := range f.slots {
+			if v != nil {
+				names = append(names, f.proc.slots[i])
+			}
+		}
+	}
+	for n := range f.vars {
+		names = append(names, n)
+	}
+	return names
 }
 
 // EvalWords invokes a command given pre-substituted words, bypassing the
@@ -748,7 +889,6 @@ func (in *Interp) Subst(s string) (string, error) {
 	return b.String(), nil
 }
 
-// callProc pushes a frame, binds arguments and evaluates the proc body.
 // recordErrorInfo appends a stack-trace line to the errorInfo global,
 // as classic Tcl does while an error unwinds.
 func (in *Interp) recordErrorInfo(err error, context string) {
@@ -774,35 +914,59 @@ func (in *Interp) ErrorInfo() string {
 	return v
 }
 
-// acquireFrame grabs a pooled call frame (or makes one) for proc p.
-// Every activation gets a fresh id so varRef caches from a previous
-// tenant of a recycled frame object cannot hit.
+// acquireFrame grabs a pooled call frame (or makes one) for proc p,
+// with a slot and a slab entry per compiled local. Every activation
+// gets a fresh id so varRef caches from a previous tenant of a
+// recycled frame object cannot hit.
 func (in *Interp) acquireFrame(p *Proc) *frame {
 	in.frameSeq++
+	var f *frame
 	if n := len(in.framePool); n > 0 {
-		f := in.framePool[n-1]
+		f = in.framePool[n-1]
 		in.framePool = in.framePool[:n-1]
-		f.proc = p
-		f.id = in.frameSeq
-		return f
+	} else {
+		f = &frame{vars: make(map[string]*variable)}
 	}
-	return &frame{vars: make(map[string]*variable, 8), proc: p, id: in.frameSeq}
+	f.proc, f.id = p, in.frameSeq
+	n := len(p.slots)
+	if cap(f.slots) < n {
+		f.slots = make([]*variable, n)
+		f.slab = make([]variable, n)
+	}
+	f.slots, f.slab = f.slots[:n], f.slab[:n]
+	return f
 }
 
 // releaseFrame clears a frame and returns it to the pool. Must only be
-// called once the frame is off the stack — no live variable can alias
-// the slab then (links point deeper-to-shallower).
+// called once the frame is off the stack: no other frame can refer to
+// its variables then.
 func (in *Interp) releaseFrame(f *frame) {
-	for k := range f.vars {
-		delete(f.vars, k)
+	if len(f.vars) > 0 {
+		clear(f.vars)
 	}
-	f.proc = nil
-	f.storage = f.storage[:0]
+	clear(f.slots)
+	clear(f.slab[:f.nslab])
+	f.proc, f.nslab = nil, 0
 	if len(in.framePool) < 64 {
 		in.framePool = append(in.framePool, f)
 	}
 }
 
+// lowerProc parses p's body and lowers it for this interpreter, which
+// gives p its slots: the formals first, then every name the body's
+// instructions address (compile.go).
+func (in *Interp) lowerProc(p *Proc) {
+	p.formalSlot = make([]int32, len(p.Args))
+	for i, a := range p.Args {
+		p.formalSlot[i] = p.slot(a.Name)
+	}
+	s := in.bld.parse(p.Body)
+	s.owner, s.prog = in, in.bld.program(s, p)
+	p.compiled = s
+}
+
+// callProc pushes a frame, binds arguments into the formals' slots and
+// evaluates the proc body.
 func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 	if t := in.trace; t != nil {
 		sp := t.StartSpan("proc", p.Name)
@@ -812,37 +976,40 @@ func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 		done := in.profEnterProc(p.Name)
 		defer done()
 	}
+	if p.compiled == nil {
+		in.lowerProc(p)
+	}
 	f := in.acquireFrame(p)
 	actual := argv[1:]
 	nFormal := len(p.Args)
-	if cap(f.storage) < nFormal {
-		f.storage = make([]variable, 0, nFormal+4)
-	}
 	varArgs := nFormal > 0 && p.Args[nFormal-1].Name == "args"
 	for i, formal := range p.Args {
-		if varArgs && i == nFormal-1 {
+		var val Value
+		switch {
+		case varArgs && i == nFormal-1:
 			var rest []string
 			if i < len(actual) {
 				rest = actual[i:]
 			}
-			f.storage = append(f.storage, variable{val: strVal(FormatList(rest))})
-			f.vars["args"] = &f.storage[len(f.storage)-1]
-			break
-		}
-		var val string
-		switch {
+			val = strVal(FormatList(rest))
 		case i < len(actual):
-			val = actual[i]
+			// Interned so numeric arguments (the common case for
+			// compute procs) arrive typed and loop bodies never
+			// re-parse them.
+			val = internValue(actual[i])
 		case formal.HasDefault:
-			val = formal.Default
+			val = internValue(formal.Default)
 		default:
 			in.releaseFrame(f)
 			return "", NewError("no value given for parameter %q to %q", formal.Name, p.Name)
 		}
-		// Interned so numeric arguments (the common case for compute
-		// procs) arrive typed and loop bodies never re-parse them.
-		f.storage = append(f.storage, variable{val: internValue(val)})
-		f.vars[formal.Name] = &f.storage[len(f.storage)-1]
+		v := f.newVar()
+		v.val = val
+		if s := p.formalSlot[i]; s >= 0 {
+			f.slots[s] = v
+		} else {
+			f.vars[formal.Name] = v
+		}
 	}
 	if !varArgs && len(actual) > nFormal {
 		in.releaseFrame(f)
@@ -853,10 +1020,7 @@ func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 		in.frames = in.frames[:len(in.frames)-1]
 		in.releaseFrame(f)
 	}()
-	if p.compiled == nil {
-		p.compiled = in.bld.script(p.Body)
-	}
-	res, err := in.EvalScript(p.compiled)
+	res, err := in.evalScriptV(p.compiled)
 	if err != nil {
 		var te *Error
 		if asTclError(err, &te) {
@@ -871,7 +1035,7 @@ func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 		in.recordErrorInfo(err, fmt.Sprintf("(procedure %q invoked as %q)", p.Name, strings.Join(argv, " ")))
 		return "", err
 	}
-	return res, nil
+	return res.String(), nil
 }
 
 func asTclError(err error, out **Error) bool {

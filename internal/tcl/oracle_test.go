@@ -63,14 +63,13 @@ func globalVarDump(in *Interp) string {
 		if name == "errorInfo" {
 			continue
 		}
-		rv := v.resolve()
-		if rv.isArray {
-			for idx, val := range rv.arr {
+		if v.isArray {
+			for idx, val := range v.arr {
 				lines = append(lines, name+"("+idx+")="+val)
 			}
 			continue
 		}
-		lines = append(lines, name+"="+rv.val.String())
+		lines = append(lines, name+"="+v.val.String())
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")

@@ -39,22 +39,30 @@ func (in *Interp) Profiler() *obs.Profiler { return in.prof }
 // top-level eval and proc-call sites record into.
 func (in *Interp) SetTrace(t *obs.Trace) { in.trace = t }
 
-// profExecCmd runs command c inside the profiler's activation record.
-// It runs the word instructions untimed, then times the dispatch
-// instruction alone, subtracts the time of commands nested inside it
-// (loop bodies, proc bodies, command substitutions evaluated during
-// the call) and charges the remainder as self time to the command's
-// site "<cmd>@<proc>:<line>". A dispatch that fails before invoking a
-// command (a fallback path's word substitution) records no site.
+// profExecCmd runs command c inside the profiler's activation record:
+// its word instructions untimed, then its dispatch through
+// profDispatch.
 func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, string, bool, error) {
 	last := c.end - 1
 	if _, _, _, err := in.execCmd(p, c, p.insns[c.start:last], regs); err != nil {
 		return Value{}, "", false, err
 	}
+	return in.profDispatch(p, c, &p.insns[last], regs)
+}
+
+// profDispatch times the dispatch instruction ins of command c alone,
+// subtracts the time of commands nested inside it (loop bodies, proc
+// bodies, command substitutions evaluated during the call) and charges
+// the remainder as self time to the command's site
+// "<cmd>@<proc>:<line>". A dispatch that fails before invoking a
+// command (a fallback path's word substitution) records no site. An
+// inlined command's dispatch is timed the same way, while the
+// enclosing command's words run.
+func (in *Interp) profDispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Value, string, bool, error) {
 	prof := in.prof
 	in.profCmdChild = append(in.profCmdChild, 0)
 	start := time.Now()
-	res, name, invoked, err := in.execCmd(p, c, p.insns[last:c.end], regs)
+	res, name, invoked, err := in.dispatch(p, c, ins, regs)
 	dur := time.Since(start)
 	// The stacks may have been cleared under us when the dispatched
 	// command was profileOff itself (SetProfiler(nil) drops them);
@@ -78,22 +86,34 @@ func (in *Interp) profExecCmd(p *Program, c *progCmd, regs []Value) (Value, stri
 	return res, name, invoked, err
 }
 
-// line returns the 1-based line of command c in the Program's script
-// (a proc or loop body counts from the body's first line). The first
-// call computes every command's line in one pass over the source;
-// only profiled runs ask, and the lines live and die with the Program.
+// line returns the 1-based line of command c in the script it was
+// parsed from: a proc or loop body, or a [script] compiled inline,
+// counts from its own first line. The first call numbers every command
+// of the Program; only profiled runs ask, and the lines live and die
+// with the Program.
 func (p *Program) line(c *progCmd) int {
 	if c.line == 0 {
-		src := p.script.Source
-		line, off := 1, 0
-		for i := range p.cmds {
-			pos := p.cmds[i].src.words[0].pos
-			line += strings.Count(src[off:pos], "\n")
-			off = pos
-			p.cmds[i].line = int32(line)
-		}
+		numberLines(p.cmds)
+		numberLines(p.inl)
 	}
 	return int(c.line)
+}
+
+// numberLines numbers cmds in one pass over each run of commands that
+// share a script.
+func numberLines(cmds []progCmd) {
+	var scr *Script
+	line, off := 1, 0
+	for i := range cmds {
+		c := &cmds[i]
+		pos := c.src.words[0].pos
+		if c.scr != scr || pos < off {
+			scr, line, off = c.scr, 1, 0
+		}
+		line += strings.Count(scr.Source[off:pos], "\n")
+		off = pos
+		c.line = int32(line)
+	}
 }
 
 // profEnterProc opens a proc activation record and returns the closer

@@ -346,10 +346,13 @@ func (in *Interp) evalScriptBody(s *Script) (Value, error) {
 	if s == nil {
 		return Value{}, nil
 	}
+	// Restored, not decremented: an error inside an inlined [script]
+	// leaves that script's level in place (execCmd).
+	saved := in.nesting
 	in.nesting++
-	defer func() { in.nesting-- }()
+	defer func() { in.nesting = saved }()
 	if in.nesting > in.maxNesting {
-		return Value{}, NewError("too many nested calls to Eval (infinite loop?)")
+		return Value{}, errNesting()
 	}
 	if in.nesting == 1 {
 		// A fresh top-level evaluation starts a fresh traceback.

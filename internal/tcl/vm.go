@@ -2,7 +2,10 @@ package tcl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"wafe/internal/obs"
 )
 
 // This file is the executor of execution engine v2. execScript runs a
@@ -10,10 +13,13 @@ import (
 // word instructions fills a register window with typed Values, then a
 // dispatch instruction invokes the command — through an inline cache
 // for literal names, or through a dedicated opcode for the specialized
-// shapes (set/incr/expr). Semantics are defined by the tree walker,
-// which the tests keep as the differential oracle (export_test.go);
-// every observable behavior here — results, error strings, errorInfo
-// tracebacks, dispatch metrics, profiler sites — must match it exactly.
+// shapes (set/incr/expr). The commands of an inlined [script] run in
+// the same window, between the word instructions of the command whose
+// word they compute. Semantics are defined by the tree walker, which
+// the tests keep as the differential oracle (export_test.go); every
+// observable behavior here — results, error strings, errorInfo
+// tracebacks, nesting limits, dispatch metrics, profiler sites — must
+// match it exactly.
 
 // execScript executes s under the bytecode engine. The caller
 // (evalScriptBody) has already done the nesting bookkeeping.
@@ -65,8 +71,11 @@ func (in *Interp) execProgram(p *Program) (Value, error) {
 // execCmd runs insns, a run of command c's instructions: word
 // instructions, normally ending in the dispatch instruction. It
 // returns the command's result, the command name, and whether the
-// command was invoked: an error from word substitution reports false,
-// and gets no errorInfo traceback entry or profile site.
+// command was invoked: an error from word substitution, an inlined
+// command's included, reports false, and gets no errorInfo traceback
+// entry or profile site. Such an error leaves the nesting level of an
+// inlined [script] in place; evalScriptBody and execLoopScript, which
+// every run of a Program is under, restore it.
 func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (Value, string, bool, error) {
 	for i := range insns {
 		ins := &insns[i]
@@ -75,25 +84,38 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			regs[ins.c] = p.consts[ins.a]
 
 		case opVar:
-			name := p.names[ins.a]
-			if v, ok := in.cachedScalar(&p.vrefs[ins.a], name); ok {
+			s := &p.vars[ins.a]
+			if v := in.siteScalar(s); v != nil {
 				regs[ins.c] = v.val
 				continue
 			}
 			// Missing variable or array: GetVar raises the classic
 			// error message.
-			s, err := in.GetVar(name)
+			str, err := in.GetVar(s.name)
 			if err != nil {
 				return Value{}, "", false, err
 			}
-			regs[ins.c] = strVal(s)
+			regs[ins.c] = strVal(str)
 
-		case opWord:
-			s, err := in.substWord(p.words[ins.a])
+		case opElem:
+			s := &p.vars[ins.a]
+			str, err := readElem(in.siteVar(s), s.name, regs[ins.b].String())
 			if err != nil {
 				return Value{}, "", false, err
 			}
-			regs[ins.c] = strVal(s)
+			regs[ins.c] = strVal(str)
+
+		case opConcat:
+			regs[ins.c] = strVal(in.concat(regs[ins.a : ins.a+ins.b]))
+
+		case opEnter:
+			in.nesting++
+			if in.nesting > in.maxNesting {
+				return Value{}, "", false, errNesting()
+			}
+
+		case opLeave:
+			in.nesting--
 
 		case opScript:
 			v, err := in.evalScriptV(p.subs[ins.a])
@@ -102,141 +124,224 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 			}
 			regs[ins.c] = v
 
-		case opInvoke:
-			argv := in.acquireArgv(int(ins.b))
-			for j := range argv {
-				argv[j] = regs[int(ins.a)+j].String()
+		default:
+			if ins.d < 0 {
+				return in.dispatch(p, c, ins, regs)
 			}
-			name := argv[0]
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc(name)
+			ic := &p.inl[ins.d]
+			var res Value
+			var err error
+			if in.prof == nil {
+				res, _, _, err = in.dispatch(p, ic, ins, regs)
+			} else {
+				res, _, _, err = in.profDispatch(p, ic, ins, regs)
 			}
-			if dc := in.opCounts; dc != nil {
-				dc.Invoke++
-			}
-			var fn CommandFunc
-			if ins.c >= 0 {
-				ca := &p.caches[ins.c]
-				if ca.fn != nil && ca.gen == in.cmdGen {
-					fn = ca.fn
-				} else if f, ok := in.commands[name]; ok {
-					ca.gen, ca.fn = in.cmdGen, f
-					fn = f
-				}
-			} else if f, ok := in.commands[name]; ok {
-				fn = f
-			}
-			if fn == nil {
-				if in.Unknown != nil {
-					res, err := in.Unknown(in, argv)
-					in.releaseArgv(argv)
-					return strVal(res), name, true, err
-				}
-				in.releaseArgv(argv)
-				return Value{}, name, true, NewError("invalid command name %q", name)
-			}
-			res, err := fn(in, argv)
-			in.releaseArgv(argv)
-			return strVal(res), name, true, err
-
-		case opSet:
-			// The specialized shapes bypass the command table, so they
-			// must re-check that the builtin is still bound
-			// (specialGen) before running its semantics directly.
-			if in.specialGen != in.specialBase {
-				// The value word has already run into regs[b];
-				// substituting the source words again would run its
-				// commands twice.
-				res, err := in.invoke([]string{"set", p.names[ins.a], regs[ins.b].String()})
-				return strVal(res), "set", true, err
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("set")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Set++
-			}
-			nv := normFloat(regs[ins.b])
-			if err := in.setScalarRef(&p.vrefs[ins.a], p.names[ins.a], nv); err != nil {
-				return Value{}, "set", true, err
-			}
-			return nv, "set", true, nil
-
-		case opIncr:
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("incr")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Incr++
-			}
-			v, err := in.incrRef(&p.vrefs[ins.a], p.names[ins.a], int64(ins.b))
 			if err != nil {
-				return Value{}, "incr", true, err
+				return Value{}, "", false, err
 			}
-			return v, "incr", true, nil
-
-		case opExpr:
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("expr")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Expr++
-			}
-			ev := in.acquireEval()
-			v, err := p.exprs[ins.a].eval(ev)
-			in.releaseEval(ev)
-			if err != nil {
-				return Value{}, "expr", true, err
-			}
-			return normFloat(v), "expr", true, nil
-
-		case opExprTmpl:
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.ExprTmpl++
-			}
-			return in.execExprTmpl(p.tmpls[ins.a], c)
-
-		case opWhile:
-			// Mirrors cmdWhile exactly, minus the per-invocation script
-			// parse and the per-iteration expression-cache lookups.
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("while")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.While++
-			}
-			return Value{}, "while", true, in.runWhile(&p.loops[ins.a])
-
-		case opFor:
-			// Mirrors cmdFor, including Tcl_ForObjCmd's rule that a
-			// break raised by the next script terminates the loop.
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("for")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.For++
-			}
-			return Value{}, "for", true, in.runFor(&p.loops[ins.a])
+			regs[ic.dst] = res
 		}
 	}
 	// Only a run of word instructions ends here: profExecCmd runs a
 	// command's words apart from its dispatch instruction.
 	return Value{}, "", false, nil
+}
+
+// errNesting is the error of a run past the nesting limit.
+func errNesting() *Error {
+	return NewError("too many nested calls to Eval (infinite loop?)")
+}
+
+// concat joins vals as strings, writing machine integers without
+// formatting them first.
+func (in *Interp) concat(vals []Value) string {
+	b := in.catBuf[:0]
+	for _, v := range vals {
+		if v.kind == vInt && v.s == "" {
+			b = strconv.AppendInt(b, v.i, 10)
+		} else {
+			b = append(b, v.String()...)
+		}
+	}
+	in.catBuf = b
+	return string(b)
+}
+
+// count increments name's dispatch counter, which cache site ca
+// holds. Callers check that metrics are attached first.
+func (in *Interp) count(ca *dispatchCache, name string) {
+	m := in.obs
+	if m == nil {
+		return
+	}
+	if ca.m != m {
+		ca.m, ca.ctr = m, in.dispatchCounter(name)
+	}
+	if c := ca.ctr; c != nil {
+		c.Inc()
+	}
+}
+
+// dispatchCounter returns the attached metrics' Dispatch.Counter(name),
+// remembered per interpreter: a site whose cache is empty, as every
+// site of a first sighting's scratch Program is, then takes no lock to
+// fill it.
+func (in *Interp) dispatchCounter(name string) *obs.Counter {
+	m := in.obs
+	if m == nil {
+		return nil
+	}
+	if in.ctrOf != m {
+		in.ctrOf, in.ctrs = m, make(map[string]*obs.Counter)
+	}
+	c := in.ctrs[name]
+	if c == nil {
+		c = m.Dispatch.Counter(name)
+		in.ctrs[name] = c
+	}
+	return c
+}
+
+// dispatch runs the dispatch instruction ins of command c and returns
+// what execCmd does.
+func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Value, string, bool, error) {
+	switch ins.op {
+	case opInvoke:
+		argv := in.acquireArgv(int(ins.b))
+		for j := range argv {
+			argv[j] = regs[int(ins.a)+j].String()
+		}
+		name := argv[0]
+		if dc := in.opCounts; dc != nil {
+			dc.Invoke++
+		}
+		var fn CommandFunc
+		if ins.c >= 0 {
+			ca := &p.caches[ins.c]
+			if in.obs != nil {
+				in.count(ca, name)
+			}
+			if ca.fn != nil && ca.gen == in.cmdGen {
+				fn = ca.fn
+			} else if f, ok := in.commands[name]; ok {
+				ca.gen, ca.fn = in.cmdGen, f
+				fn = f
+			}
+		} else {
+			if m := in.obs; m != nil {
+				m.Dispatch.Inc(name)
+			}
+			fn = in.commands[name]
+		}
+		if fn == nil {
+			if in.Unknown != nil {
+				res, err := in.Unknown(in, argv)
+				in.releaseArgv(argv)
+				return strVal(res), name, true, err
+			}
+			in.releaseArgv(argv)
+			return Value{}, name, true, NewError("invalid command name %q", name)
+		}
+		res, err := fn(in, argv)
+		in.releaseArgv(argv)
+		return strVal(res), name, true, err
+
+	case opSet:
+		// The specialized shapes bypass the command table, so they
+		// must re-check that the builtin is still bound (specialGen)
+		// before running its semantics directly.
+		s := &p.vars[ins.a]
+		if in.specialGen != in.specialBase {
+			// The value word has already run into regs[b];
+			// substituting the source words again would run its
+			// commands twice.
+			res, err := in.invoke([]string{"set", s.name, regs[ins.b].String()})
+			return strVal(res), "set", true, err
+		}
+		if in.obs != nil {
+			in.count(&p.caches[ins.c], "set")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Set++
+		}
+		nv := normFloat(regs[ins.b])
+		if err := in.setSite(s, nv); err != nil {
+			return Value{}, "set", true, err
+		}
+		return nv, "set", true, nil
+
+	case opIncr:
+		if in.specialGen != in.specialBase {
+			return in.execGenericFallback(c)
+		}
+		if in.obs != nil {
+			in.count(&p.caches[ins.c], "incr")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Incr++
+		}
+		v, err := in.incrSite(&p.vars[ins.a], int64(ins.b))
+		if err != nil {
+			return Value{}, "incr", true, err
+		}
+		return v, "incr", true, nil
+
+	case opExpr:
+		if in.specialGen != in.specialBase {
+			return in.execGenericFallback(c)
+		}
+		if in.obs != nil {
+			in.count(&p.caches[ins.c], "expr")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Expr++
+		}
+		ev := in.acquireEval()
+		v, err := p.exprs[ins.a].eval(ev)
+		in.releaseEval(ev)
+		if err != nil {
+			return Value{}, "expr", true, err
+		}
+		return normFloat(v), "expr", true, nil
+
+	case opExprTmpl:
+		if in.specialGen != in.specialBase {
+			return in.execGenericFallback(c)
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.ExprTmpl++
+		}
+		return in.execExprTmpl(p.tmpls[ins.a], c, &p.caches[ins.c])
+
+	case opWhile:
+		// Mirrors cmdWhile exactly, minus the per-invocation script
+		// parse and the per-iteration expression-cache lookups.
+		if in.specialGen != in.specialBase {
+			return in.execGenericFallback(c)
+		}
+		if in.obs != nil {
+			in.count(&p.caches[ins.c], "while")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.While++
+		}
+		return Value{}, "while", true, in.runWhile(&p.loops[ins.a])
+
+	case opFor:
+		// Mirrors cmdFor, including Tcl_ForObjCmd's rule that a break
+		// raised by the next script terminates the loop.
+		if in.specialGen != in.specialBase {
+			return in.execGenericFallback(c)
+		}
+		if in.obs != nil {
+			in.count(&p.caches[ins.c], "for")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.For++
+		}
+		return Value{}, "for", true, in.runFor(&p.loops[ins.a])
+	}
+	panic("tcl: not a dispatch instruction")
 }
 
 // execGenericFallback runs a command whose specialized opcode has been
@@ -256,14 +361,15 @@ func (in *Interp) execGenericFallback(c *progCmd) (Value, string, bool, error) {
 // variable, verify each value is a pure numeric literal, then run the
 // typed AST. Any impurity — a missing variable, an array, a value the
 // expression lexer would not scan as exactly one number — bails to the
-// classic join-and-parse path, which is the defining semantics.
-func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, bool, error) {
+// classic join-and-parse path, which is the defining semantics. ca is
+// the dispatch's cache site, which holds its counter.
+func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd, ca *dispatchCache) (Value, string, bool, error) {
 	slots := in.tmplSlots[:0]
-	for si, name := range t.vars {
-		rv, ok := in.cachedScalar(&t.refs[si], name)
-		if !ok {
+	for si := range t.sites {
+		rv := in.siteScalar(&t.sites[si])
+		if rv == nil {
 			in.tmplSlots = slots[:0]
-			return in.execExprTmplBail(c)
+			return in.execExprTmplBail(c, ca)
 		}
 		v := rv.val
 		if v.kind == vInt {
@@ -275,23 +381,20 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, bool
 		pv, ok := pureOperandValue(v)
 		if !ok {
 			in.tmplSlots = slots[:0]
-			return in.execExprTmplBail(c)
+			return in.execExprTmplBail(c, ca)
 		}
 		slots = append(slots, pv)
 	}
 	in.tmplSlots = slots[:0]
+	if in.obs != nil {
+		in.count(ca, "expr")
+	}
 	if t.fastOp != "" {
 		if a, b := slots[t.fastL], slots[t.fastR]; a.kind == vInt && b.kind == vInt {
 			if r, ok := intBinaryFast(t.fastOp, a.i, b.i); ok {
-				if m := in.obs; m != nil {
-					m.Dispatch.Inc("expr")
-				}
 				return r, "expr", true, nil
 			}
 		}
-	}
-	if m := in.obs; m != nil {
-		m.Dispatch.Inc("expr")
 	}
 	ev := in.acquireEval()
 	ev.slots = slots
@@ -307,13 +410,13 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, bool
 // original words and evaluate like cmdExpr. A substitution failure is
 // reported as such (no traceback entry), matching the tree walker's
 // ordering where substitution precedes dispatch.
-func (in *Interp) execExprTmplBail(c *progCmd) (Value, string, bool, error) {
+func (in *Interp) execExprTmplBail(c *progCmd, ca *dispatchCache) (Value, string, bool, error) {
 	argv, err := in.substWords(c.src.words)
 	if err != nil {
 		return Value{}, "", false, err
 	}
-	if m := in.obs; m != nil {
-		m.Dispatch.Inc("expr")
+	if in.obs != nil {
+		in.count(ca, "expr")
 	}
 	res, err := in.ExprEval(strings.Join(argv[1:], " "))
 	if err != nil {
@@ -492,10 +595,11 @@ func (in *Interp) runFor(li *loopInfo) error {
 // instrumentation branch of evalScriptV cannot apply, and the
 // nesting==1 traceback reset in evalScriptBody cannot fire.
 func (in *Interp) execLoopScript(s *Script) (Value, error) {
+	saved := in.nesting
 	in.nesting++
-	defer func() { in.nesting-- }()
+	defer func() { in.nesting = saved }()
 	if in.nesting > in.maxNesting {
-		return Value{}, NewError("too many nested calls to Eval (infinite loop?)")
+		return Value{}, errNesting()
 	}
 	if in.oracle != nil {
 		return in.oracle(s)

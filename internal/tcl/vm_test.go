@@ -262,3 +262,29 @@ func TestProcCallAllocs(t *testing.T) {
 		t.Errorf("proc call allocates %.1f/op, want <= 4", allocs)
 	}
 }
+
+// TickProc is the proc a stream backend defines once and calls on
+// many of its lines: formals, a global, sets from [expr], and two
+// quoted words handed to a widget command (nop in tests).
+const TickProc = `proc tick {a b} {global acc; set acc [expr {($acc * 31 + $a * 7 + $b) % 1000003}]; set s [expr {$a + $b}]; nop hist data "$a $b $s [expr {$s / 2}]"; nop status label "tick $a $b = $acc"}`
+
+// TestProcBodyAllocs: a tick call binds its arguments into pooled
+// slots, links the global and creates its local without allocating,
+// and runs its [expr] words inline, so it allocates only the two
+// strings its quoted words build.
+func TestProcBodyAllocs(t *testing.T) {
+	in := New()
+	in.RegisterCommand("nop", func(*Interp, []string) (string, error) { return "", nil })
+	evalOK(t, in, "set acc 0\n"+TickProc)
+	for i := 0; i < 3; i++ {
+		evalOK(t, in, "tick 3 4") // admit, cache and warm the pools
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := in.Eval("tick 3 4"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("tick allocates %.1f/op, want <= 2", allocs)
+	}
+}

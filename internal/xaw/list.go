@@ -37,8 +37,8 @@ var ListClass = &xt.Class{
 	},
 	PreferredSize: listPreferredSize,
 	Redisplay:     listRedisplay,
-	SetValues: func(w *xt.Widget, changed map[string]bool) {
-		if changed["list"] {
+	SetValues: func(w *xt.Widget, changed xt.Changed) {
+		if changed.Has("list") {
 			listState(w).highlight = -1
 			if !w.Explicit("width") {
 				pw, ph := listPreferredSize(w)
@@ -50,6 +50,11 @@ var ListClass = &xt.Class{
 
 type listPrivate struct {
 	highlight int
+	// cellW is the width of the widest of cellItems in cellFont: the
+	// cell width measured for the items and font the List had then.
+	cellItems []string
+	cellFont  *xproto.Font
+	cellW     int
 }
 
 func listState(w *xt.Widget) *listPrivate {
@@ -87,16 +92,30 @@ func listColumns(w *xt.Widget) int {
 	return cols
 }
 
-// listCellSize computes a uniform cell size from the longest item.
+// listCellSize computes a uniform cell size from the longest item. The
+// width is measured again only when the items or the font differ from
+// the ones last measured: a new list value, a new numberStrings or a
+// new font.
 func listCellSize(w *xt.Widget) (int, int) {
 	f := w.FontRes("font")
-	maxW := 1
-	for _, it := range listItems(w) {
-		if tw := f.TextWidth(it); tw > maxW {
-			maxW = tw
+	items := listItems(w)
+	st := listState(w)
+	if st.cellW == 0 || st.cellFont != f || !sameSlice(st.cellItems, items) {
+		maxW := 1
+		for _, it := range items {
+			if tw := f.TextWidth(it); tw > maxW {
+				maxW = tw
+			}
 		}
+		st.cellItems, st.cellFont, st.cellW = items, f, maxW
 	}
-	return maxW, f.Height()
+	return st.cellW, f.Height()
+}
+
+// sameSlice reports whether a and b are the same elements of the same
+// array.
+func sameSlice(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func listPreferredSize(w *xt.Widget) (int, int) {

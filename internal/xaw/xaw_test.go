@@ -1102,3 +1102,60 @@ func TestTextLongLineDisplayList(t *testing.T) {
 		t.Errorf("display list differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
+
+// TestListCellWidthFollowsChanges: the List measures its items once
+// per change, and after listChange, a new numberStrings and a new font
+// its preferred size still equals a fresh measurement.
+func TestListCellWidthFollowsChanges(t *testing.T) {
+	app, top := newApp(t)
+	lst := create(t, app, "l", ListClass, top, map[string]string{"list": "a\nbb", "defaultColumns": "1"})
+	top.Realize()
+	check := func(what string) {
+		t.Helper()
+		f := lst.FontRes("font")
+		widest := 1
+		for _, it := range listItems(lst) {
+			widest = max(widest, f.TextWidth(it))
+		}
+		want := widest + 2*lst.Int("internalWidth")
+		if got, _ := listPreferredSize(lst); got != want {
+			t.Errorf("%s: preferred width %d, fresh measurement %d", what, got, want)
+		}
+	}
+	check("created")
+	ListChange(lst, []string{"d", "cccccccccccc"}, true)
+	check("listChange")
+	if err := lst.SetValues("numberStrings", "1"); err != nil {
+		t.Fatal(err)
+	}
+	check("numberStrings")
+	if err := lst.SetValues("numberStrings", "0", "font", "9x15"); err != nil {
+		t.Fatal(err)
+	}
+	check("font")
+	if err := lst.SetValues("list", "eeeeeeeeeeeeeeeeeeee"); err != nil {
+		t.Fatal(err)
+	}
+	check("sV list")
+}
+
+// TestLabelSetValuesAllocs: setting a new label on a Label through
+// Widget.SetValues builds no set of changed names for Label's
+// SetValues method; what allocates is boxing the converted string.
+func TestLabelSetValuesAllocs(t *testing.T) {
+	app, top := newApp(t)
+	lbl := create(t, app, "l", LabelClass, top, map[string]string{"label": "one"})
+	top.Realize()
+	app.Pump()
+	labels := [2]string{"two", "one"}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		if err := lbl.SetValues("label", labels[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("SetValues of a new label allocates %.1f/op, want <= 1", allocs)
+	}
+}

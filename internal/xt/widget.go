@@ -429,15 +429,7 @@ func (w *Widget) SetValues(args ...string) error {
 		}
 		conv = append(conv, setArg{i, v})
 	}
-	// Only a class SetValues method reads the names of the changed
-	// resources.
-	var changed map[string]bool
-	for _, k := range w.Class.chain() {
-		if k.SetValues != nil {
-			changed = make(map[string]bool, len(conv))
-			break
-		}
-	}
+	changed := Changed{layout: w.layout}
 	anyChanged, geomChanged, transChanged := false, false, false
 	for k, a := range conv {
 		w.explicit[a.slot] = true
@@ -458,18 +450,14 @@ func (w *Widget) SetValues(args ...string) error {
 		case "translations":
 			transChanged = true
 		}
-		if changed != nil {
-			changed[name] = true
-		}
+		changed.add(a.slot)
 	}
 	if !anyChanged {
 		return nil
 	}
-	if changed != nil {
-		for _, k := range w.Class.chain() {
-			if k.SetValues != nil {
-				k.SetValues(w, changed)
-			}
+	for _, k := range w.Class.chain() {
+		if k.SetValues != nil {
+			k.SetValues(w, changed)
 		}
 	}
 	if geomChanged {
@@ -484,6 +472,45 @@ func (w *Widget) SetValues(args ...string) error {
 	// loop dispatches when it settles the screen.
 	w.Damage(xproto.Rect{})
 	return nil
+}
+
+// Changed names the resources one SetValues call changed, for the
+// class SetValues methods. It records the changed slots of the
+// widget's layout in place, so a call that changes up to four
+// resources builds nothing on the heap.
+type Changed struct {
+	layout *resourceLayout
+	n      int
+	slots  [4]int
+	more   []int
+}
+
+func (c *Changed) add(slot int) {
+	if c.n < len(c.slots) {
+		c.slots[c.n] = slot
+	} else {
+		c.more = append(c.more, slot)
+	}
+	c.n++
+}
+
+// Has reports whether the call changed the resource name.
+func (c Changed) Has(name string) bool {
+	i, ok := c.layout.index[name]
+	if !ok {
+		return false
+	}
+	for _, s := range c.slots[:min(c.n, len(c.slots))] {
+		if s == i {
+			return true
+		}
+	}
+	for _, s := range c.more {
+		if s == i {
+			return true
+		}
+	}
+	return false
 }
 
 // scalarResourceEqual reports whether two converted resource values
