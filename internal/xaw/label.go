@@ -34,8 +34,8 @@ var LabelClass = &xt.Class{
 	},
 	PreferredSize: labelPreferredSize,
 	Redisplay:     labelRedisplay,
-	SetValues: func(w *xt.Widget, changed xt.Changed) {
-		if (changed.Has("label") || changed.Has("font")) && w.Bool("resize") && !w.Explicit("width") {
+	SetValues: func(w *xt.Widget, changed map[string]bool) {
+		if (changed["label"] || changed["font"]) && w.Bool("resize") && !w.Explicit("width") {
 			pw, ph := labelPreferredSize(w)
 			w.RequestResize(pw, ph)
 		}

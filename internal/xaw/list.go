@@ -37,8 +37,8 @@ var ListClass = &xt.Class{
 	},
 	PreferredSize: listPreferredSize,
 	Redisplay:     listRedisplay,
-	SetValues: func(w *xt.Widget, changed xt.Changed) {
-		if changed.Has("list") {
+	SetValues: func(w *xt.Widget, changed map[string]bool) {
+		if changed["list"] {
 			listState(w).highlight = -1
 			if !w.Explicit("width") {
 				pw, ph := listPreferredSize(w)

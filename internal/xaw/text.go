@@ -57,8 +57,8 @@ var AsciiTextClass = &xt.Class{
 	},
 	PreferredSize: textPreferredSize,
 	Redisplay:     textRedisplay,
-	SetValues: func(w *xt.Widget, changed xt.Changed) {
-		if changed.Has("string") {
+	SetValues: func(w *xt.Widget, changed map[string]bool) {
+		if changed["string"] {
 			// Clamp the caret into the new buffer.
 			n := len(w.Str("string"))
 			if w.Int("insertPosition") > n {

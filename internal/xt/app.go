@@ -111,6 +111,12 @@ type App struct {
 	// loop (MainLoop, or Sync in tests); zero when none. Post consults
 	// it on the full-queue path to avoid deadlocking against itself.
 	loopGoID atomic.Int64
+
+	// changedSets holds the emptied sets of changed resource names that
+	// SetValues hands the class SetValues methods. They are reused, so
+	// a SetValues call builds none; calls nest when a method sets
+	// resources of its own.
+	changedSets []map[string]bool
 }
 
 // SetObs attaches (or, with nil, detaches) the observability metrics,

@@ -39,7 +39,7 @@ type Class struct {
 	Realize       func(w *Widget)
 	Redisplay     func(w *Widget)
 	Resize        func(w *Widget)
-	SetValues     func(w *Widget, changed Changed)
+	SetValues     func(w *Widget, changed map[string]bool)
 	Destroy       func(w *Widget)
 	ChangeManaged func(w *Widget)
 	// PreferredSize returns the widget's desired size given its current

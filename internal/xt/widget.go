@@ -429,7 +429,14 @@ func (w *Widget) SetValues(args ...string) error {
 		}
 		conv = append(conv, setArg{i, v})
 	}
-	changed := Changed{layout: w.layout}
+	// Only a class SetValues method reads the names of the changed
+	// resources; the set comes emptied from the app's pool and goes
+	// back to it.
+	var changed map[string]bool
+	if w.Class.hasSetValues() {
+		changed = w.app.takeChangedSet()
+		defer w.app.putChangedSet(changed)
+	}
 	anyChanged, geomChanged, transChanged := false, false, false
 	for k, a := range conv {
 		w.explicit[a.slot] = true
@@ -450,14 +457,18 @@ func (w *Widget) SetValues(args ...string) error {
 		case "translations":
 			transChanged = true
 		}
-		changed.add(a.slot)
+		if changed != nil {
+			changed[name] = true
+		}
 	}
 	if !anyChanged {
 		return nil
 	}
-	for _, k := range w.Class.chain() {
-		if k.SetValues != nil {
-			k.SetValues(w, changed)
+	if changed != nil {
+		for _, k := range w.Class.chain() {
+			if k.SetValues != nil {
+				k.SetValues(w, changed)
+			}
 		}
 	}
 	if geomChanged {
@@ -474,43 +485,31 @@ func (w *Widget) SetValues(args ...string) error {
 	return nil
 }
 
-// Changed names the resources one SetValues call changed, for the
-// class SetValues methods. It records the changed slots of the
-// widget's layout in place, so a call that changes up to four
-// resources builds nothing on the heap.
-type Changed struct {
-	layout *resourceLayout
-	n      int
-	slots  [4]int
-	more   []int
-}
-
-func (c *Changed) add(slot int) {
-	if c.n < len(c.slots) {
-		c.slots[c.n] = slot
-	} else {
-		c.more = append(c.more, slot)
-	}
-	c.n++
-}
-
-// Has reports whether the call changed the resource name.
-func (c Changed) Has(name string) bool {
-	i, ok := c.layout.index[name]
-	if !ok {
-		return false
-	}
-	for _, s := range c.slots[:min(c.n, len(c.slots))] {
-		if s == i {
-			return true
-		}
-	}
-	for _, s := range c.more {
-		if s == i {
+// hasSetValues reports whether a class of c's chain has a SetValues
+// method.
+func (c *Class) hasSetValues() bool {
+	for _, k := range c.chain() {
+		if k.SetValues != nil {
 			return true
 		}
 	}
 	return false
+}
+
+// takeChangedSet returns an empty set of resource names for SetValues.
+func (app *App) takeChangedSet() map[string]bool {
+	if n := len(app.changedSets); n > 0 {
+		m := app.changedSets[n-1]
+		app.changedSets = app.changedSets[:n-1]
+		return m
+	}
+	return make(map[string]bool)
+}
+
+// putChangedSet empties m and keeps it for the next SetValues call.
+func (app *App) putChangedSet(m map[string]bool) {
+	clear(m)
+	app.changedSets = append(app.changedSets, m)
 }
 
 // scalarResourceEqual reports whether two converted resource values
