@@ -314,7 +314,7 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand, base, d in
 		if _, _, isArr := splitArrayRef(vn); isArr {
 			return reasonSetArray
 		}
-		c.word(words[2], base, base+1)
+		c.word(&words[2], base, base+1)
 		c.emit(insn{op: opSet, a: c.site(vn), b: base, c: c.cache(), d: d})
 		return reasonNone
 	case "incr":
@@ -471,8 +471,8 @@ func (c *progCompiler) bindExpr(n exprNode) {
 // the command name is literal.
 func (c *progCompiler) compileGeneric(words []word, nameLit bool, base, d int32) {
 	n := int32(len(words))
-	for i, w := range words {
-		c.word(w, base+int32(i), base+n)
+	for i := range words {
+		c.word(&words[i], base+int32(i), base+n)
 	}
 	cacheIdx := int32(-1)
 	if nameLit {
@@ -483,15 +483,15 @@ func (c *progCompiler) compileGeneric(words []word, nameLit bool, base, d int32)
 
 // word emits the instructions that compute w into register dst, using
 // the registers from top on for its pieces.
-func (c *progCompiler) word(w word, dst, top int32) {
+func (c *progCompiler) word(w *word, dst, top int32) {
 	switch n := int32(len(w.tokens)); n {
 	case 0:
 		c.emitConst(Value{}, dst)
 	case 1:
-		c.token(w.tokens[0], dst, top, true)
+		c.token(&w.tokens[0], dst, top, true)
 	default:
-		for i, t := range w.tokens {
-			c.token(t, top+int32(i), top+n, false)
+		for i := range w.tokens {
+			c.token(&w.tokens[i], top+int32(i), top+n, false)
 		}
 		c.use(dst + 1)
 		c.emit(insn{op: opConcat, a: top, b: n, c: dst})
@@ -501,7 +501,7 @@ func (c *progCompiler) word(w word, dst, top int32) {
 // token emits the instructions that compute t into register dst. A
 // whole word's literal is interned, so that e.g. `set d 2` stores a
 // typed int and later $d reads skip the string parse entirely.
-func (c *progCompiler) token(t token, dst, top int32, whole bool) {
+func (c *progCompiler) token(t *token, dst, top int32, whole bool) {
 	c.use(dst + 1)
 	switch t.kind {
 	case tokText:
@@ -515,7 +515,7 @@ func (c *progCompiler) token(t token, dst, top int32, whole bool) {
 			c.emit(insn{op: opVar, a: c.site(t.text), c: dst})
 			return
 		}
-		c.word(word{tokens: t.index}, top, top+1)
+		c.word(&word{tokens: t.index}, top, top+1)
 		c.emit(insn{op: opElem, a: c.site(t.text), b: top, c: dst})
 	case tokCommand:
 		c.inline(t, dst, top)
@@ -527,7 +527,7 @@ func (c *progCompiler) token(t token, dst, top int32, whole bool) {
 // opEnter and opLeave keep the nesting level the script would have run
 // at on its own. A script that failed to parse runs on its own
 // (opScript), so that its well-formed prefix runs before the error.
-func (c *progCompiler) inline(t token, dst, top int32) {
+func (c *progCompiler) inline(t *token, dst, top int32) {
 	s := t.script
 	if s == nil {
 		s = c.b.parse(t.text)

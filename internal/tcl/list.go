@@ -45,11 +45,16 @@ func ParseList(s string) ([]string, error) {
 			}
 		case '"':
 			i++
+			start := i
 			var b strings.Builder
-			closed := false
+			escaped, closed := false, false
 			for i < n {
 				c := s[i]
 				if c == '\\' && i+1 < n {
+					if !escaped {
+						b.WriteString(s[start:i])
+						escaped = true
+					}
 					r, w := listBackslash(s[i:])
 					b.WriteString(r)
 					i += w
@@ -57,32 +62,51 @@ func ParseList(s string) ([]string, error) {
 				}
 				if c == '"' {
 					closed = true
-					i++
 					break
 				}
-				b.WriteByte(c)
+				if escaped {
+					b.WriteByte(c)
+				}
 				i++
 			}
 			if !closed {
 				return nil, NewError("unmatched open quote in list")
 			}
+			elem := s[start:i]
+			if escaped {
+				elem = b.String()
+			}
+			i++
 			if i < n && !isListSpace(s[i]) {
 				return nil, NewError("list element in quotes followed by %q instead of space", s[i:i+1])
 			}
-			elems = append(elems, b.String())
+			elems = append(elems, elem)
 		default:
+			// An element without backslashes is a substring of s.
+			start := i
 			var b strings.Builder
+			escaped := false
 			for i < n && !isListSpace(s[i]) {
 				if s[i] == '\\' && i+1 < n {
+					if !escaped {
+						b.WriteString(s[start:i])
+						escaped = true
+					}
 					r, w := listBackslash(s[i:])
 					b.WriteString(r)
 					i += w
 					continue
 				}
-				b.WriteByte(s[i])
+				if escaped {
+					b.WriteByte(s[i])
+				}
 				i++
 			}
-			elems = append(elems, b.String())
+			if escaped {
+				elems = append(elems, b.String())
+			} else {
+				elems = append(elems, s[start:i])
+			}
 		}
 	}
 }
