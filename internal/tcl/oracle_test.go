@@ -114,67 +114,69 @@ func TestOracleEngineCorpus(t *testing.T) {
 	}
 }
 
-// TestOracleEngineSweep pins the behaviors found (or deliberately
-// preserved) during the bug sweep of the tree walker. Each entry is a
-// golden: both engines must agree, and where a value is asserted it is
-// the classic Tcl answer.
+// sweepCases pin the behaviors found (or deliberately preserved)
+// during the bug sweep of the tree walker. Each entry is a golden:
+// both engines must agree, and where a value is asserted it is the
+// classic Tcl answer.
+var sweepCases = []struct {
+	name, src string
+}{
+	// Integer-syntax literals that overflow int64 must raise
+	// "integer value too large to represent", not round through the
+	// float parser (the seed silently rounded).
+	{"int-overflow-literal", "catch {expr {9223372036854775808 + 0}} m; set m"},
+	{"int-overflow-var", "set x 9223372036854775808; catch {expr {$x + 1}} m; set m"},
+	{"int-overflow-incr", "set x 99999999999999999999; catch {incr x} m; set m"},
+	// incr accepts what the base-0 integer parser accepts —
+	// surrounding whitespace, hex, a leading sign — and rejects the
+	// rest with the classic message.
+	{"incr-whitespace", "set x { 5 }; incr x 2"},
+	{"incr-hex", "set x 0x10; incr x"},
+	{"incr-plus-sign", "set x +5; catch {incr x 2} m; set m"},
+	{"incr-float-reject", "set x 1.5; catch {incr x} m; set m"},
+	{"incr-creates", "incr fresh 3; set fresh"},
+	// A break raised by for's next script terminates the loop
+	// (Tcl_ForObjCmd), while one from the body does the same; both
+	// must agree between the engines and the specialized opcode.
+	{"for-next-break", "set r {}; for {set i 0} {$i < 5} {if {$i == 2} break; incr i} {lappend r $i}; set r"},
+	{"for-body-break", "set r {}; for {set i 0} {$i < 5} {incr i} {if {$i == 3} break; lappend r $i}; set r"},
+	{"while-continue", "set r {}; set i 0; while {$i < 6} {incr i; if {$i % 2} continue; lappend r $i}; set r"},
+	// Canonical-spelling boundary: "09" and " 7" must stay strings
+	// (the numeric parsers disagree about them), so expr sees the
+	// classic behavior.
+	{"octal-like-string", "set x 09; catch {expr {$x + 1}} m; set m"},
+	{"leading-space-number", "set x { 7}; expr {$x + 1}"},
+	// Division and modulo: floor semantics and divide-by-zero.
+	{"floor-div", "expr {-7 / 2}"},
+	{"floor-mod", "expr {-7 % 2}"},
+	{"div-zero", "catch {expr {1 / 0}} m; set m"},
+	{"mod-zero", "set a 1; set b 0; catch {expr {$a % $b}} m; set m"},
+	// Float storage round-trips through the 12-digit rendering.
+	{"float-roundtrip", "set x [expr {1.0 / 3}]; expr {$x == 0.333333333333}"},
+	// upvar aliasing observed through the specialized opcodes.
+	{"upvar-set", "proc bump {v} {upvar $v x; set x [expr {$x + 1}]}\nset n 5; bump n; bump n; set n"},
+	{"upvar-incr", "proc bump {v} {upvar $v x; incr x 10}\nset n 1; bump n; set n"},
+	// unset / re-create between loop iterations (varRef invalidation).
+	{"unset-in-loop", "set r {}; for {set i 0} {$i < 3} {incr i} {set t $i; lappend r $t; unset t}; set r"},
+	// A scalar turning into an array mid-script.
+	{"scalar-to-array", "catch {set x 1; set x(k) v} m; set m"},
+	{"array-after-unset", "set x 1; unset x; set x(k) v; set x(k)"},
+	// Rebinding a specialized command must route the specialized
+	// opcodes back through the command table.
+	{"rebind-incr", "rename incr _incr\nproc incr {v} {uplevel _incr $v 100}\nset n 1; incr n\nset n"},
+	{"rebind-expr", "rename expr _expr\nproc expr {args} {return fixed}\nset a [expr 1 + 1]\nset b [expr {2 + 2}]\nlist $a $b"},
+	// Errors inside loop conditions and bodies.
+	{"while-cond-error", "set i 0; catch {while {$i <} {incr i}} m; set m"},
+	{"for-body-error", "catch {for {set i 0} {$i < 3} {incr i} {error boom$i}} m; set m"},
+	{"while-body-error-info", "proc p {} {set i 0; while {$i < 3} {incr i; badcmd}}\ncatch p m; set m"},
+	// A command name that substitutes to the empty string is still
+	// invoked: at the top level errorInfo ends in `while executing ""`.
+	{"empty-command-name", "set e {}; $e"},
+}
+
+// TestOracleEngineSweep runs sweepCases under both engines.
 func TestOracleEngineSweep(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		// Integer-syntax literals that overflow int64 must raise
-		// "integer value too large to represent", not round through the
-		// float parser (the seed silently rounded).
-		{"int-overflow-literal", "catch {expr {9223372036854775808 + 0}} m; set m"},
-		{"int-overflow-var", "set x 9223372036854775808; catch {expr {$x + 1}} m; set m"},
-		{"int-overflow-incr", "set x 99999999999999999999; catch {incr x} m; set m"},
-		// incr accepts what the base-0 integer parser accepts —
-		// surrounding whitespace, hex, a leading sign — and rejects the
-		// rest with the classic message.
-		{"incr-whitespace", "set x { 5 }; incr x 2"},
-		{"incr-hex", "set x 0x10; incr x"},
-		{"incr-plus-sign", "set x +5; catch {incr x 2} m; set m"},
-		{"incr-float-reject", "set x 1.5; catch {incr x} m; set m"},
-		{"incr-creates", "incr fresh 3; set fresh"},
-		// A break raised by for's next script terminates the loop
-		// (Tcl_ForObjCmd), while one from the body does the same; both
-		// must agree between the engines and the specialized opcode.
-		{"for-next-break", "set r {}; for {set i 0} {$i < 5} {if {$i == 2} break; incr i} {lappend r $i}; set r"},
-		{"for-body-break", "set r {}; for {set i 0} {$i < 5} {incr i} {if {$i == 3} break; lappend r $i}; set r"},
-		{"while-continue", "set r {}; set i 0; while {$i < 6} {incr i; if {$i % 2} continue; lappend r $i}; set r"},
-		// Canonical-spelling boundary: "09" and " 7" must stay strings
-		// (the numeric parsers disagree about them), so expr sees the
-		// classic behavior.
-		{"octal-like-string", "set x 09; catch {expr {$x + 1}} m; set m"},
-		{"leading-space-number", "set x { 7}; expr {$x + 1}"},
-		// Division and modulo: floor semantics and divide-by-zero.
-		{"floor-div", "expr {-7 / 2}"},
-		{"floor-mod", "expr {-7 % 2}"},
-		{"div-zero", "catch {expr {1 / 0}} m; set m"},
-		{"mod-zero", "set a 1; set b 0; catch {expr {$a % $b}} m; set m"},
-		// Float storage round-trips through the 12-digit rendering.
-		{"float-roundtrip", "set x [expr {1.0 / 3}]; expr {$x == 0.333333333333}"},
-		// upvar aliasing observed through the specialized opcodes.
-		{"upvar-set", "proc bump {v} {upvar $v x; set x [expr {$x + 1}]}\nset n 5; bump n; bump n; set n"},
-		{"upvar-incr", "proc bump {v} {upvar $v x; incr x 10}\nset n 1; bump n; set n"},
-		// unset / re-create between loop iterations (varRef invalidation).
-		{"unset-in-loop", "set r {}; for {set i 0} {$i < 3} {incr i} {set t $i; lappend r $t; unset t}; set r"},
-		// A scalar turning into an array mid-script.
-		{"scalar-to-array", "catch {set x 1; set x(k) v} m; set m"},
-		{"array-after-unset", "set x 1; unset x; set x(k) v; set x(k)"},
-		// Rebinding a specialized command must route the specialized
-		// opcodes back through the command table.
-		{"rebind-incr", "rename incr _incr\nproc incr {v} {uplevel _incr $v 100}\nset n 1; incr n\nset n"},
-		{"rebind-expr", "rename expr _expr\nproc expr {args} {return fixed}\nset a [expr 1 + 1]\nset b [expr {2 + 2}]\nlist $a $b"},
-		// Errors inside loop conditions and bodies.
-		{"while-cond-error", "set i 0; catch {while {$i <} {incr i}} m; set m"},
-		{"for-body-error", "catch {for {set i 0} {$i < 3} {incr i} {error boom$i}} m; set m"},
-		{"while-body-error-info", "proc p {} {set i 0; while {$i < 3} {incr i; badcmd}}\ncatch p m; set m"},
-		// A command name that substitutes to the empty string is still
-		// invoked: at the top level errorInfo ends in `while executing ""`.
-		{"empty-command-name", "set e {}; $e"},
-	}
-	for _, c := range cases {
+	for _, c := range sweepCases {
 		t.Run(c.name, func(t *testing.T) { oracleCheck(t, c.src) })
 	}
 }
@@ -182,10 +184,15 @@ func TestOracleEngineSweep(t *testing.T) {
 // scriptGen produces random but always-terminating Tcl scripts from a
 // small grammar biased toward the constructs the bytecode engine
 // specializes: scalar set/incr, expr in every spelling, while/for with
-// literal braced parts, procs with upvar, catch, unset, arrays.
+// literal braced parts, procs with upvar, catch, unset, arrays. With
+// ext set it also draws on evalGen's productions (eval_fuzz_test.go).
 type scriptGen struct {
-	r *rand.Rand
+	r   chooser
+	ext bool
 }
+
+// chooser makes the generator's choices: a *rand.Rand, or fuzz input.
+type chooser interface{ Intn(n int) int }
 
 func (g *scriptGen) pick(ss ...string) string { return ss[g.r.Intn(len(ss))] }
 
@@ -216,9 +223,12 @@ func (g *scriptGen) exprSrc() string {
 }
 
 func (g *scriptGen) stmt(depth int) string {
-	n := g.r.Intn(10)
+	n := g.r.Intn(10 + g.extStmts())
 	if depth > 2 && n > 5 {
 		n = g.r.Intn(6) // no nesting past depth 2
+	}
+	if n >= 10 {
+		return g.extStmt(n-10, depth)
 	}
 	v := g.varName()
 	switch n {
@@ -239,11 +249,11 @@ func (g *scriptGen) stmt(depth int) string {
 		// not reset an outer loop's counter, or the script never ends.
 		i := fmt.Sprintf("i%d", depth)
 		return "for {set " + i + " 0} {$" + i + " < " + fmt.Sprintf("%d", 1+g.r.Intn(4)) +
-			"} {incr " + i + "} {" + g.stmt(depth+1) + "}"
+			"} {incr " + i + "} {" + g.stmt(depth+1) + g.loopTail() + "}"
 	case 7:
 		i := fmt.Sprintf("j%d", depth)
 		return "set " + i + " 0; while {$" + i + " < " + fmt.Sprintf("%d", 1+g.r.Intn(4)) +
-			"} {incr " + i + "; " + g.stmt(depth+1) + "}"
+			"} {incr " + i + "; " + g.stmt(depth+1) + g.loopTail() + "}"
 	case 8:
 		return "if {" + g.exprSrc() + "} {" + g.stmt(depth+1) + "} else {" + g.stmt(depth+1) + "}"
 	default:
@@ -254,6 +264,7 @@ func (g *scriptGen) stmt(depth int) string {
 func (g *scriptGen) script() string {
 	var b strings.Builder
 	b.WriteString("set r {}\n")
+	b.WriteString(g.prelude())
 	for i, n := 0, 2+g.r.Intn(6); i < n; i++ {
 		b.WriteString(g.stmt(0))
 		b.WriteByte('\n')

@@ -83,9 +83,10 @@ step "go test -race serve-mode load harness (256 sessions)" \
 # The engine oracle suite: tree walker vs bytecode VM over the corpus,
 # the bug-sweep goldens and the randomized scripts, each run as a first
 # sighting, an admission and a cache hit; back-to-back first sightings
-# that reuse scratch storage; all under the race detector.
+# that reuse scratch storage; both engines against the proc-variable
+# golden; all under the race detector.
 step "go test -race engine differential oracle" \
-    go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs|TestScratchReuse|TestFirstSightingsNotCached' ./internal/tcl/
+    go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs|TestProcBodyAllocs|TestProcVarsGolden|TestScratchReuse|TestFirstSightingsNotCached' ./internal/tcl/
 
 # The expression fuzz smoke (FuzzExpr): arbitrary sources must not
 # panic, interpreters with and without the expression cache must agree
@@ -125,6 +126,14 @@ step "go test -fuzz FuzzExposeRegion (10s)" go test -run '^$' -fuzz '^FuzzExpose
 # EnterString; every query must agree with the legacy flat matcher;
 # seeds in internal/xt/testdata/fuzz/FuzzXrm.
 step "go test -fuzz FuzzXrm (10s)" go test -run '^$' -fuzz '^FuzzXrm$' -fuzztime 10s ./internal/xt/
+
+# The evaluation fuzz smoke (FuzzEval): the input drives the oracle's
+# script generator, extended with proc variables, upvar, uplevel,
+# info, arrays, [script] and quoted words and completion codes; the
+# tree walker and the VM must agree on result, error, output,
+# errorInfo and globals in each of three runs; seeds in
+# internal/tcl/testdata/fuzz/FuzzEval.
+step "go test -fuzz FuzzEval (10s)" go test -run '^$' -fuzz '^FuzzEval$' -fuzztime 10s ./internal/tcl/
 
 # The render differential oracle proves clipped partial redraws are
 # pixel-identical to full repaints (every demo plus randomized damage
