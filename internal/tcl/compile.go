@@ -201,7 +201,6 @@ func wordLiteral(w word) (string, bool) {
 
 func (c *progCompiler) emitConst(v Value, dst int32) {
 	c.p.consts = append(c.p.consts, v)
-	c.use(dst + 1)
 	c.emit(insn{op: opConst, a: int32(len(c.p.consts) - 1), c: dst})
 }
 
@@ -484,6 +483,7 @@ func (c *progCompiler) compileGeneric(words []word, nameLit bool, base, d int32)
 // word emits the instructions that compute w into register dst, using
 // the registers from top on for its pieces.
 func (c *progCompiler) word(w *word, dst, top int32) {
+	c.use(dst + 1)
 	switch n := int32(len(w.tokens)); n {
 	case 0:
 		c.emitConst(Value{}, dst)
@@ -493,7 +493,6 @@ func (c *progCompiler) word(w *word, dst, top int32) {
 		for i := range w.tokens {
 			c.token(&w.tokens[i], top+int32(i), top+n, false)
 		}
-		c.use(dst + 1)
 		c.emit(insn{op: opConcat, a: top, b: n, c: dst})
 	}
 }
@@ -529,9 +528,6 @@ func (c *progCompiler) token(t *token, dst, top int32, whole bool) {
 // (opScript), so that its well-formed prefix runs before the error.
 func (c *progCompiler) inline(t *token, dst, top int32) {
 	s := t.script
-	if s == nil {
-		s = c.b.parse(t.text)
-	}
 	if s.parseErr != nil {
 		c.p.subs = append(c.p.subs, s)
 		c.emit(insn{op: opScript, a: int32(len(c.p.subs) - 1), c: dst})

@@ -551,7 +551,7 @@ func (in *Interp) siteScalar(s *varSite) *variable {
 	if s.slot < 0 {
 		return in.cachedScalar(&s.ref, s.name)
 	}
-	if v := in.frames[len(in.frames)-1].slots[s.slot]; v != nil && !v.isArray {
+	if v := in.currentFrame().slots[s.slot]; v != nil && !v.isArray {
 		return v
 	}
 	return nil
@@ -567,21 +567,29 @@ func (in *Interp) siteVar(s *varSite) *variable {
 	return f.slots[s.slot]
 }
 
+// createSite binds the name of site s to a new variable in the current
+// frame and returns it.
+func (in *Interp) createSite(s *varSite) *variable {
+	f := in.currentFrame()
+	if s.slot < 0 {
+		return f.create(s.name)
+	}
+	v := f.newVar()
+	f.slots[s.slot] = v
+	return v
+}
+
 // setSite stores a typed value into the scalar variable of site s,
 // creating the variable when it is missing. Floats are normalized on
 // store so the typed engine matches the string engine's
 // format-and-reparse round trip.
 func (in *Interp) setSite(s *varSite, val Value) error {
-	if s.slot < 0 {
-		return in.setScalarRef(&s.ref, s.name, val)
-	}
-	f := in.frames[len(in.frames)-1]
-	v := f.slots[s.slot]
+	v := in.siteScalar(s)
 	if v == nil {
-		v = f.newVar()
-		f.slots[s.slot] = v
-	} else if v.isArray {
-		return NewError("can't set %q: variable is array", s.name)
+		if in.siteVar(s) != nil {
+			return NewError("can't set %q: variable is array", s.name)
+		}
+		v = in.createSite(s)
 	}
 	v.val = normFloat(val)
 	return nil
@@ -589,20 +597,13 @@ func (in *Interp) setSite(s *varSite, val Value) error {
 
 // incrSite is incr of the scalar variable of site s.
 func (in *Interp) incrSite(s *varSite, delta int64) (Value, error) {
-	if s.slot < 0 {
-		if rv := in.cachedScalar(&s.ref, s.name); rv != nil {
-			return incrScalar(rv, s.name, delta)
-		}
-		return in.incrVar(s.name, delta)
-	}
-	f := in.frames[len(in.frames)-1]
-	v := f.slots[s.slot]
+	v := in.siteScalar(s)
 	if v == nil {
-		nv := intVal(delta)
-		v = f.newVar()
-		v.val = nv
-		f.slots[s.slot] = v
-		return nv, nil
+		if v = in.siteVar(s); v == nil {
+			nv := intVal(delta)
+			in.createSite(s).val = nv
+			return nv, nil
+		}
 	}
 	return incrScalar(v, s.name, delta)
 }
@@ -625,28 +626,6 @@ func (in *Interp) cachedScalar(ref *varRef, name string) *variable {
 	}
 	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, v
 	return v
-}
-
-// setScalarRef stores a typed value into a plain scalar variable
-// through a varRef cache, creating the variable when it is missing. A
-// hit writes straight through the cached pointer; a miss fills the
-// cache.
-func (in *Interp) setScalarRef(ref *varRef, name string, val Value) error {
-	f := in.currentFrame()
-	if ref.frameID == f.id && ref.epoch == in.varEpoch {
-		ref.v.val = normFloat(val)
-		return nil
-	}
-	v := f.lookup(name)
-	if v == nil {
-		v = f.create(name)
-	}
-	if v.isArray {
-		return NewError("can't set %q: variable is array", name)
-	}
-	v.val = normFloat(val)
-	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, v
-	return nil
 }
 
 // SetVar sets a variable (or array element, for name(index)) in the
