@@ -944,8 +944,7 @@ func (in *Interp) lowerProc(p *Proc) {
 	p.compiled = s
 }
 
-// callProc pushes a frame, binds arguments into the formals' slots and
-// evaluates the proc body.
+// callProc calls proc p inside its trace span and profiler record.
 func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 	if t := in.trace; t != nil {
 		sp := t.StartSpan("proc", p.Name)
@@ -955,6 +954,13 @@ func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
 		done := in.profEnterProc(p.Name)
 		defer done()
 	}
+	return in.runProc(p, argv)
+}
+
+// runProc pushes a frame, binds arguments into the formals' slots and
+// evaluates the proc body. It is apart from callProc so that Go can
+// inline its one defer at each of its returns.
+func (in *Interp) runProc(p *Proc, argv []string) (string, error) {
 	if p.compiled == nil {
 		in.lowerProc(p)
 	}
