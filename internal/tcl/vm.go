@@ -153,7 +153,8 @@ func errNesting() *Error {
 }
 
 // concat joins vals as strings, writing machine integers without
-// formatting them first.
+// formatting them first. The buffer is kept for the next word unless
+// it grew past maxCachedSrcLen, the size of a source worth caching.
 func (in *Interp) concat(vals []Value) string {
 	b := in.catBuf[:0]
 	for _, v := range vals {
@@ -163,7 +164,9 @@ func (in *Interp) concat(vals []Value) string {
 			b = append(b, v.String()...)
 		}
 	}
-	in.catBuf = b
+	if cap(b) <= maxCachedSrcLen {
+		in.catBuf = b
+	}
 	return string(b)
 }
 
