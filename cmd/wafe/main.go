@@ -103,7 +103,6 @@ func run(args []string) int {
 
 	switch opts.Mode {
 	case frontend.ModeInteractive:
-		w.Interp.Stdout = func(line string) { fmt.Println(line) }
 		err := f.RunInteractive(os.Stdin, func() { fmt.Fprint(os.Stderr, "wafe> ") })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wafe:", err)
@@ -117,7 +116,6 @@ func run(args []string) int {
 			fmt.Fprintln(os.Stderr, "wafe:", err)
 			return 2
 		}
-		w.Interp.Stdout = func(line string) { fmt.Println(line) }
 		if err := f.RunScript(string(data)); err != nil {
 			fmt.Fprintln(os.Stderr, "wafe:", err)
 			return 1

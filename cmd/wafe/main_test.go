@@ -21,6 +21,24 @@ func TestRunFileMode(t *testing.T) {
 	}
 }
 
+// TestRunFileModeFlushesChannels: a channel the script leaves open is
+// flushed and closed when the session ends, as Tcl does at exit.
+func TestRunFileModeFlushesChannels(t *testing.T) {
+	dir := t.TempDir()
+	script := filepath.Join(dir, "s.wafe")
+	out := filepath.Join(dir, "out")
+	src := "set f [open " + out + " w]\nputs $f hello\nexit 0\n"
+	if err := os.WriteFile(script, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"wafe", "--f", script}); code != 0 {
+		t.Fatalf("exit = %d, want 0", code)
+	}
+	if got, err := os.ReadFile(out); err != nil || string(got) != "hello\n" {
+		t.Errorf("out = %q, %v; want \"hello\\n\"", got, err)
+	}
+}
+
 func TestRunBadArgs(t *testing.T) {
 	if code := run([]string{"wafe", "--bogus"}); code != 2 {
 		t.Errorf("bad option exit = %d", code)

@@ -88,7 +88,7 @@ var gates = []gate{
 	{"enabled spans, ns per line", diff, ".", f4 + "Traced", f4, "ns/op", "<=", 1000},
 	{"supervised F4 / F4", ratio, ".", f4 + "Supervised", f4, "ns/op", "<=", 1.15},
 	{"T1 predefined callbacks vs seed", seedRatio, ".", "BenchmarkT1_PredefinedCallbacks", "", "ns/op", "<=", 1.15},
-	{"F1 build and realize allocs vs seed", seedRatio, ".", "BenchmarkF1_BuildAndRealizeTree", "", "allocs/op", "<=", 0.75},
+	{"F1 build and realize allocs", absolute, ".", "BenchmarkF1_BuildAndRealizeTree", "", "allocs/op", "<=", 128},
 	{"prime-factors tree / bytecode", ratio, "./internal/tcl", pf + "tree", pf + "bytecode", "ns/op", ">=", 2.0},
 	{"bytecode proc call allocs", absolute, "./internal/tcl", "BenchmarkTcl_EngineCompare/proc-call/bytecode", "", "allocs/op", "<=", 4},
 	{"Xrm entries=512 / entries=4", ratio, ".", "BenchmarkAblation_XrmScale/entries=512", "BenchmarkAblation_XrmScale/entries=4", "ns/op", "<=", 3},

@@ -46,7 +46,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w.Interp.Stdout = func(line string) { fmt.Println(line) }
 	d := &designer{w: w, attrs: map[string][][2]string{}, class: map[string]string{}}
 
 	if *interactive {

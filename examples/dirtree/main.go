@@ -38,7 +38,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w.Interp.Stdout = func(line string) { fmt.Println(line) }
 	must(w, `
 		form top topLevel
 		label path top label {} width 300 borderWidth 0

@@ -134,7 +134,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w.Interp.Stdout = func(line string) { fmt.Println(line) }
 	must(w, `
 		form g topLevel
 		label where g label {gopher://} width 340 borderWidth 0

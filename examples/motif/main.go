@@ -26,7 +26,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w.Interp.Stdout = func(line string) { fmt.Println(line) }
 	// Brace quoting keeps the compound-string layout commands (\bft,
 	// \ft, \rl) away from Tcl's own backslash processing; in double
 	// quotes they would need doubling (\\bft).

@@ -32,7 +32,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	w.Interp.Stdout = func(line string) { fmt.Println(line) }
 	f := frontend.New(w, &frontend.Options{Mode: frontend.ModeFile}, os.Stdout)
 	if err := f.RunScript(script); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)

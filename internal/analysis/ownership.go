@@ -17,9 +17,9 @@ package analysis
 //   - reads of pointer/interface/chan/func-typed fields — session
 //     wiring is written once at construction and read-only afterwards
 //     (writes to them are still flagged);
-//   - goroutines that run the loop themselves (they call App.MainLoop,
-//     App.Sync or Session.Run somewhere in their call closure): they
-//     are an owning event loop, not an intruder.
+//   - goroutines that run the loop themselves (they call App.MainLoop
+//     or Session.Run somewhere in their call closure): they are an
+//     owning event loop, not an intruder.
 
 import (
 	"fmt"
@@ -58,7 +58,6 @@ var sessionSafeMethods = map[string]bool{
 // goroutine that runs the loop owns the session state it touches.
 var loopRunnerMethods = map[string]bool{
 	xtPkgPath + ".App.MainLoop":      true,
-	xtPkgPath + ".App.Sync":          true,
 	frontendPkgPath + ".Session.Run": true,
 }
 

@@ -55,9 +55,10 @@ func TestArityGolden(t *testing.T) {
 	}
 	sort.Strings(names)
 
+	metas := commandMetas(probe)
 	var b strings.Builder
 	for _, name := range names {
-		meta, ok := probe.Interp.LookupMeta(name)
+		meta, ok := metas[name]
 		if !ok {
 			fmt.Fprintf(&b, "%s: no metadata\n", name)
 			continue

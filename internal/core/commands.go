@@ -537,21 +537,9 @@ func (w *Wafe) cmdOwnSelection(argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sel, script := argv[2], argv[3]
-	// Scripts without the %t target code never change between requests,
-	// so they compile once here.
-	var compiled *tcl.Script
-	if !strings.Contains(script, "%t") {
-		compiled, _ = w.Interp.Compile(script)
-	}
+	sel, ps := argv[2], w.percentScript(argv[3])
 	wid.Display().OwnSelection(sel, wid.Window(), func(target string) (string, bool) {
-		var res string
-		var err error
-		if compiled != nil {
-			res, err = w.EvalScript(compiled)
-		} else {
-			res, err = w.Eval(strings.ReplaceAll(script, "%t", target))
-		}
+		res, err := w.evalValues(ps, map[byte]string{'t': target})
 		if err != nil {
 			return "", false
 		}

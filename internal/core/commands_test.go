@@ -8,16 +8,16 @@ import (
 )
 
 func TestPopupPopdownCommands(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "transientShell sh topLevel x 300 y 300")
 	eval(t, w, "label in sh")
 	eval(t, w, "realize")
 	eval(t, w, "popup sh")
-	if !w.App.WidgetByName("sh").IsPoppedUp() {
+	if !poppedUp(w.App.WidgetByName("sh")) {
 		t.Fatal("popup failed")
 	}
 	eval(t, w, "popdown sh")
-	if w.App.WidgetByName("sh").IsPoppedUp() {
+	if poppedUp(w.App.WidgetByName("sh")) {
 		t.Fatal("popdown failed")
 	}
 	eval(t, w, "popup sh exclusive")
@@ -32,7 +32,7 @@ func TestPopupPopdownCommands(t *testing.T) {
 }
 
 func TestCallbackCommandFamily(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "command c topLevel")
 	if got := eval(t, w, "hasCallbacks c callback"); got != "0" {
 		t.Errorf("hasCallbacks = %q", got)
@@ -56,7 +56,7 @@ func TestCallbackCommandFamily(t *testing.T) {
 }
 
 func TestListCommandFamily(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `list lst topLevel verticalList true list "a
 b
 c"`)
@@ -82,7 +82,7 @@ c"`)
 }
 
 func TestDialogAndScrollbarCommands(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "transientShell pop topLevel")
 	eval(t, w, `dialog dlg pop label Question value Answer`)
 	if got := eval(t, w, "dialogGetValueString dlg"); got != "Answer" {
@@ -104,7 +104,7 @@ func TestDialogAndScrollbarCommands(t *testing.T) {
 // TestGetValuesArrayConvention checks the paper's structure-return
 // convention: entries are created in a Tcl associative array.
 func TestGetValuesArrayConvention(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel label Hello foreground blue width 120")
 	if got := eval(t, w, "getValues l info label foreground width"); got != "3" {
 		t.Fatalf("count = %q", got)
@@ -130,7 +130,7 @@ func TestGetValuesArrayConvention(t *testing.T) {
 
 // TestStripChartAutoSampling runs the Xaw-style getValue sampling loop.
 func TestStripChartAutoSampling(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "set n 0")
 	eval(t, w, `stripChart sc topLevel update 1 getValue {incr n}`)
 	eval(t, w, "realize")
@@ -146,7 +146,7 @@ func TestStripChartAutoSampling(t *testing.T) {
 }
 
 func TestFormAllowResizeCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, "label a f")
 	eval(t, w, "formAllowResize f false")
@@ -159,7 +159,7 @@ func TestFormAllowResizeCommand(t *testing.T) {
 }
 
 func TestSendKeysAndFocusCommands(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "asciiText in topLevel editType edit width 120")
 	evalErr(t, w, "sendKeys in hello", "not realized")
 	eval(t, w, "realize")
@@ -175,7 +175,7 @@ func TestSendKeysAndFocusCommands(t *testing.T) {
 }
 
 func TestWriteImageCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel label picture")
 	eval(t, w, "realize")
 	dir := t.TempDir()
@@ -192,7 +192,7 @@ func TestWriteImageCommand(t *testing.T) {
 }
 
 func TestTranslateCoordsCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, "label a f")
 	eval(t, w, "label b f fromVert a")
@@ -211,7 +211,7 @@ func TestTranslateCoordsCommand(t *testing.T) {
 }
 
 func TestSetSensitiveCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `command c topLevel callback "echo hit"`)
 	eval(t, w, "realize")
 	eval(t, w, "setSensitive c false")
@@ -227,7 +227,7 @@ func TestSetSensitiveCommand(t *testing.T) {
 }
 
 func TestTimeoutScriptError(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "addTimeOut 1 {nosuchcmd}")
 	eval(t, w, "addTimeOut 30 {quit}")
 	done := make(chan int, 1)
@@ -239,7 +239,7 @@ func TestTimeoutScriptError(t *testing.T) {
 }
 
 func TestGetValueOfTranslations(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel")
 	eval(t, w, `action l replace {<Btn1Down>: exec(echo hi)}`)
 	got := eval(t, w, "gV l translations")
@@ -249,13 +249,13 @@ func TestGetValueOfTranslations(t *testing.T) {
 }
 
 func TestSnapshotUnrealizedError(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel")
 	evalErr(t, w, "snapshot", "not realized")
 }
 
 func TestCreationOnSecondDisplayIndependence(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label local topLevel label here")
 	eval(t, w, "applicationShell far unit-ind-d2:0")
 	eval(t, w, "label remote far label there")

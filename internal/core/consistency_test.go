@@ -37,7 +37,7 @@ func TestSpecRuntimeConsistency(t *testing.T) {
 	for _, e := range entries {
 		for _, cmd := range append([]string{e.CommandName()}, e.Aliases...) {
 			declared[cmd] = true
-			if !w.Interp.HasCommand(cmd) {
+			if _, ok := w.Interp.Command(cmd); !ok {
 				t.Errorf("spec declares %q (%s) but the runtime does not register it", cmd, e.Kind)
 			}
 		}
@@ -98,6 +98,7 @@ func TestGeneratedBindingTableCoversSpec(t *testing.T) {
 		rows[c.meta.Name] = c.meta
 	}
 	w := NewTest()
+	metas := commandMetas(w)
 	want := 0
 	for _, e := range parseSpec(t) {
 		if e.Kind != "function" {
@@ -114,7 +115,7 @@ func TestGeneratedBindingTableCoversSpec(t *testing.T) {
 			if m.MinArgs != min || m.MaxArgs != max || (m.Usage != e.Usage()) != e.Unchecked {
 				t.Errorf("row %s = %+v, spec says %d..%d %q unchecked=%v", name, m, min, max, e.Usage(), e.Unchecked)
 			}
-			if got, _ := w.Interp.LookupMeta(name); !reflect.DeepEqual(got, m) {
+			if got := metas[name]; !reflect.DeepEqual(got, m) {
 				t.Errorf("runtime metadata for %s = %+v, want the row's %+v", name, got, m)
 			}
 		}

@@ -3,10 +3,12 @@ package core
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"wafe/internal/spec"
 	"wafe/internal/xproto"
+	"wafe/internal/xt"
 )
 
 func eval(t *testing.T, w *Wafe, script string) string {
@@ -29,7 +31,45 @@ func evalErr(t *testing.T, w *Wafe, script, substr string) {
 	}
 }
 
-func output(w *Wafe) string { return w.Interp.Output() }
+// outputs holds, per test session made by newTest, what its puts and
+// echo wrote.
+var outputs sync.Map // *Wafe → *strings.Builder
+
+// newTest returns a test session whose puts and echo lines the output
+// helper returns.
+func newTest(t *testing.T) *Wafe {
+	w := NewTest()
+	b := new(strings.Builder)
+	w.Interp.Stdout = func(line string) {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	outputs.Store(w, b)
+	t.Cleanup(func() { outputs.Delete(w) })
+	return w
+}
+
+// poppedUp reports whether the popup shell w is up: its window is
+// mapped.
+func poppedUp(w *xt.Widget) bool {
+	win, ok := w.Display().Lookup(w.Window())
+	return ok && win.Mapped
+}
+
+// hasCommand reports whether w's interpreter has the command name.
+func hasCommand(w *Wafe, name string) bool {
+	_, ok := w.Interp.Command(name)
+	return ok
+}
+
+// output returns and clears what w's puts and echo wrote.
+func output(w *Wafe) string {
+	v, _ := outputs.Load(w)
+	b := v.(*strings.Builder)
+	s := b.String()
+	b.Reset()
+	return s
+}
 
 func TestCommandNaming(t *testing.T) {
 	cases := map[string]string{
@@ -67,7 +107,7 @@ func TestCommandNaming(t *testing.T) {
 //	echo [getResourceList l retVal]   → 42
 //	echo Resources: $retVal           → destroyCallback ancestorSensitive ...
 func TestGetResourceListPaperExample(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel")
 	eval(t, w, "echo [getResourceList l retVal]")
 	if got := strings.TrimSpace(output(w)); got != "42" {
@@ -81,7 +121,7 @@ func TestGetResourceListPaperExample(t *testing.T) {
 }
 
 func TestWidgetCreationCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label label1 topLevel background red foreground blue")
 	l := w.App.WidgetByName("label1")
 	if l == nil {
@@ -98,7 +138,7 @@ func TestWidgetCreationCommand(t *testing.T) {
 }
 
 func TestUnmanagedCreation(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, "label hidden f -unmanaged")
 	if w.App.WidgetByName("hidden").IsManaged() {
@@ -116,7 +156,7 @@ func TestUnmanagedCreation(t *testing.T) {
 
 // TestSetValuesPaperExample: sV/gV aliases and the tomato example.
 func TestSetValuesPaperExample(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label label1 topLevel background red foreground blue")
 	eval(t, w, `setValues label1 background "tomato" label "Hi Man"`)
 	if got := eval(t, w, "gV label1 label"); got != "Hi Man" {
@@ -138,7 +178,7 @@ func TestSetValuesPaperExample(t *testing.T) {
 // failure depended on map order. A resource named twice takes its
 // last value, as the pairs apply in order.
 func TestSetValuesAllOrNothing(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	for i := 0; i < 200; i++ {
 		l := "l" + strconv.Itoa(i)
 		eval(t, w, "label "+l+" topLevel width 40; realize")
@@ -160,7 +200,7 @@ func TestSetValuesAllOrNothing(t *testing.T) {
 // TestMergeResourcesPrecedence checks the paper's precedence order:
 // resource file < mergeResources < creation args < setValues.
 func TestMergeResourcesPrecedence(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "mergeResources *Font fixed *foreground blue *background red")
 	eval(t, w, "label hello topLevel")
 	l := w.App.WidgetByName("hello")
@@ -192,7 +232,7 @@ func TestMergeResourcesPrecedence(t *testing.T) {
 // TestCallbackConverter: the paper's "command hello topLevel callback
 // {echo hello world}" pattern.
 func TestCallbackConverter(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `command hello topLevel callback "echo hello world"`)
 	eval(t, w, "realize")
 	clickOn(t, w, "hello")
@@ -204,7 +244,7 @@ func TestCallbackConverter(t *testing.T) {
 // TestCallbackResourceReadable reproduces the paper's c1/c2 script: the
 // callback of c2 is set to the content of c1's callback resource.
 func TestCallbackResourceReadable(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, `command c1 f callback "echo i am %w."`)
 	eval(t, w, `command c2 f callback [gV c1 callback] fromVert c1`)
@@ -241,7 +281,7 @@ func clickOn(t *testing.T, w *Wafe, name string) {
 // TestPredefinedCallbacksTable exercises every row of the paper's
 // Predefined Callbacks table (experiment T1).
 func TestPredefinedCallbacksTable(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "command b topLevel")
 	eval(t, w, "transientShell popup topLevel x 400 y 400")
 	eval(t, w, "label inside popup")
@@ -253,7 +293,7 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 	// none: realize shell, grab none.
 	eval(t, w, "callback b callback none popup")
 	clickOn(t, w, "b")
-	if !shell.IsPoppedUp() {
+	if !poppedUp(shell) {
 		t.Fatal("none: shell not popped up")
 	}
 	if d.GrabbedWindow() != xproto.None {
@@ -264,7 +304,7 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 	eval(t, w, "removeAllCallbacks b callback")
 	eval(t, w, "callback b callback popdown popup")
 	clickOn(t, w, "b")
-	if shell.IsPoppedUp() {
+	if poppedUp(shell) {
 		t.Fatal("popdown: shell still up")
 	}
 
@@ -272,7 +312,7 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 	eval(t, w, "removeAllCallbacks b callback")
 	eval(t, w, "callback b callback exclusive popup")
 	clickOn(t, w, "b")
-	if !shell.IsPoppedUp() || d.GrabbedWindow() != shell.Window() {
+	if !poppedUp(shell) || d.GrabbedWindow() != shell.Window() {
 		t.Error("exclusive: popup or grab missing")
 	}
 	_ = shell.Popdown()
@@ -281,7 +321,7 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 	eval(t, w, "removeAllCallbacks b callback")
 	eval(t, w, "callback b callback nonexclusive popup")
 	clickOn(t, w, "b")
-	if !shell.IsPoppedUp() {
+	if !poppedUp(shell) {
 		t.Error("nonexclusive: shell not popped up")
 	}
 	_ = shell.Popdown()
@@ -318,7 +358,7 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 //
 // typing "w!" prints the documented three lines.
 func TestXevExample(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label xev topLevel")
 	eval(t, w, `action xev override {<KeyPress>: exec(echo %k %a %s)}`)
 	eval(t, w, "realize")
@@ -341,7 +381,7 @@ func TestXevExample(t *testing.T) {
 // TestActionPercentCodeTable covers the action percent-code validity
 // matrix (experiment T2).
 func TestActionPercentCodeTable(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel width 60 height 40")
 	eval(t, w, `action l override {<Btn1Down>: exec(echo b=%b t=%t x=%x y=%y X=%X Y=%Y w=%w)}`)
 	eval(t, w, `action l augment {<EnterWindow>: exec(echo enter t=%t k=%k a=%a s=%s b=%b)}`)
@@ -391,7 +431,7 @@ func itoa(n int) string {
 // TestListCallbackPercentCodes covers the Athena List callback table
 // (experiment T3): %w, %i, %s.
 func TestListCallbackPercentCodes(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, `label confirmLab f label " "`)
 	eval(t, w, `list chooseLst f fromVert confirmLab verticalList true list "alpha
@@ -419,7 +459,7 @@ gamma"`)
 
 // TestMenuButtonPopupMenu reproduces the paper's MenuButton example.
 func TestMenuButtonPopupMenu(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "menuButton mb topLevel menuName mymenu")
 	eval(t, w, "simpleMenu mymenu topLevel")
 	eval(t, w, "smeBSB entry1 mymenu label First")
@@ -433,13 +473,13 @@ func TestMenuButtonPopupMenu(t *testing.T) {
 	x, y := win.RootCoords(2, 2)
 	d.WarpPointer(x, y)
 	w.App.Pump()
-	if !w.App.WidgetByName("mymenu").IsPoppedUp() {
+	if !poppedUp(w.App.WidgetByName("mymenu")) {
 		t.Error("menu did not pop up on EnterWindow")
 	}
 }
 
 func TestExecActionRunsAnyWafeCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "label l topLevel")
 	eval(t, w, `label target topLevel label before`)
 	eval(t, w, `action l override {<Btn1Down>: exec(sV target label after)}`)
@@ -464,7 +504,7 @@ func clickRaw(t *testing.T, w *Wafe, name string) {
 }
 
 func TestMultiDisplayShells(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "applicationShell top2 unit-core-dec4:0")
 	eval(t, w, "label remote top2 label faraway")
 	eval(t, w, "realize top2")
@@ -485,12 +525,12 @@ func TestMultiDisplayShells(t *testing.T) {
 }
 
 func TestQuitCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "quit")
 	if !w.QuitRequested() || w.ExitCode() != 0 {
 		t.Error("quit not recorded")
 	}
-	w2 := NewTest()
+	w2 := newTest(t)
 	eval(t, w2, "quit 3")
 	if w2.ExitCode() != 3 {
 		t.Errorf("exit code = %d", w2.ExitCode())
@@ -498,7 +538,7 @@ func TestQuitCommand(t *testing.T) {
 }
 
 func TestTclExitMapsToQuit(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	if _, err := w.Eval("exit 7"); err != nil {
 		t.Fatalf("exit should be absorbed: %v", err)
 	}
@@ -508,20 +548,20 @@ func TestTclExitMapsToQuit(t *testing.T) {
 }
 
 func TestDestroyWidgetCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, "label a f")
 	eval(t, w, "label b f fromVert a")
-	before := w.App.LiveWidgets()
+	before := len(w.App.WidgetNames())
 	eval(t, w, "destroyWidget f")
-	if got := w.App.LiveWidgets(); got != before-3 {
+	if got := len(w.App.WidgetNames()); got != before-3 {
 		t.Errorf("live widgets = %d, want %d", got, before-3)
 	}
 	evalErr(t, w, "gV a label", "no widget named")
 }
 
 func TestActionCommandModes(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "command c topLevel")
 	// Override replaces Btn1Down set() with a custom action.
 	eval(t, w, `action c override {<Btn1Down>: exec(echo overridden)}`)
@@ -536,7 +576,7 @@ func TestActionCommandModes(t *testing.T) {
 }
 
 func TestTimeoutCommand(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	id := eval(t, w, "addTimeOut 1 {echo timer-fired; quit}")
 	if !strings.HasPrefix(id, "timeout") {
 		t.Fatalf("id = %q", id)
@@ -555,7 +595,7 @@ func TestTimeoutCommand(t *testing.T) {
 }
 
 func TestSelectionsCommands(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `asciiText txt topLevel string "selected stuff"`)
 	eval(t, w, "realize")
 	eval(t, w, `ownSelection txt PRIMARY {gV txt string}`)
@@ -567,7 +607,7 @@ func TestSelectionsCommands(t *testing.T) {
 }
 
 func TestMotifCommandsThroughWafe(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "mRowColumn rc topLevel")
 	eval(t, w, `mLabel l rc fontList "*b&h-lucida-medium-r*14*=ft,*b&h-lucida-bold-r*14*=bft" labelString {I'm\bft bold\ft and\rl strange}`)
 	if got := eval(t, w, "gV l labelString"); got != `I'm\bft bold\ft and\rl strange` {
@@ -579,7 +619,7 @@ func TestMotifCommandsThroughWafe(t *testing.T) {
 	eval(t, w, "callback pressMe armCallback none pop")
 	eval(t, w, "realize")
 	clickRaw(t, w, "pressMe")
-	if !w.App.WidgetByName("pop").IsPoppedUp() {
+	if !poppedUp(w.App.WidgetByName("pop")) {
 		t.Error("armCallback none did not pop up the shell")
 	}
 	eval(t, w, "mCascadeButton mc rc")
@@ -592,7 +632,7 @@ func TestMotifCommandsThroughWafe(t *testing.T) {
 }
 
 func TestPixmapConverterFallback(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	// XBM first.
 	eval(t, w, `label b1 topLevel bitmap {#define i_width 8
 #define i_height 1
@@ -603,7 +643,7 @@ static char i_bits[] = {0xff};}`)
 }
 
 func TestSnapshotAndWidgetTree(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, `label hello f label "Wafe new World"`)
 	eval(t, w, "realize")
@@ -622,7 +662,7 @@ func TestSnapshotAndWidgetTree(t *testing.T) {
 }
 
 func TestScriptErrorReporting(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `command bad topLevel callback "nosuchcommand"`)
 	eval(t, w, "realize")
 	clickOn(t, w, "bad")
@@ -635,7 +675,7 @@ func TestScriptErrorReporting(t *testing.T) {
 // TestLayering is experiment F1: a widget tree built through the full
 // Tcl → Wafe → Xt → Xaw → xproto stack works end to end.
 func TestLayering(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `
 		form top topLevel
 		asciiText input top editType edit width 200
@@ -670,7 +710,7 @@ func TestMemoryManagementOnSetValues(t *testing.T) {
 	// "every time a string resource, a callback ... is updated, the old
 	// value is freed": replacing a callback via sV replaces, not
 	// appends.
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, `command c topLevel callback "echo one"`)
 	eval(t, w, `sV c callback "echo two"`)
 	eval(t, w, "realize")
@@ -684,7 +724,7 @@ func TestMemoryManagementOnSetValues(t *testing.T) {
 }
 
 func TestEchoJoinsArgs(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "echo listening on 5")
 	if got := output(w); got != "listening on 5\n" {
 		t.Errorf("echo = %q", got)
@@ -695,7 +735,7 @@ func TestEchoJoinsArgs(t *testing.T) {
 // collides with Tcl's list built-in; dispatch goes by the father
 // argument.
 func TestListCommandCollision(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	// Tcl semantics when the second word is not a widget.
 	if got := eval(t, w, "list year 1994"); got != "year 1994" {
 		t.Errorf("tcl list = %q", got)
@@ -718,7 +758,7 @@ y"`)
 }
 
 func TestNameToWidget(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, "box inner f")
 	eval(t, w, "label deep inner")
@@ -732,7 +772,7 @@ func TestNameToWidget(t *testing.T) {
 }
 
 func TestInstallAccelerators(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, `command btn f callback "echo accelerated"`)
 	eval(t, w, `asciiText entry f fromVert btn editType edit width 100`)
@@ -744,8 +784,10 @@ func TestInstallAccelerators(t *testing.T) {
 	wid := w.App.WidgetByName("entry")
 	d := wid.Display()
 	d.SetInputFocus(wid.Window())
-	ctrl, _ := d.Keymap().KeycodeFor("Control_L")
-	ret, _ := d.Keymap().KeycodeFor("Return")
+	ctrl, ret := 175, xproto.DefaultKeymap().ReturnKeycode
+	if name, _ := xproto.DefaultKeymap().Lookup(ctrl, false); name != "Control_L" {
+		t.Fatalf("keycode %d is %q, not Control_L", ctrl, name)
+	}
 	d.InjectKeycode(ctrl, true)
 	d.InjectKeycode(ret, true)
 	d.InjectKeycode(ret, false)
@@ -758,7 +800,7 @@ func TestInstallAccelerators(t *testing.T) {
 }
 
 func TestWidgetIntrospectionCommands(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "form f topLevel")
 	eval(t, w, "label a f")
 	eval(t, w, "label b f fromVert a")
@@ -789,7 +831,7 @@ func TestWidgetIntrospectionCommands(t *testing.T) {
 // TestRddDragAndDropCommands exercises the Rdd integration the paper
 // mentions through the script-level commands.
 func TestRddDragAndDropCommands(t *testing.T) {
-	w := NewTest()
+	w := newTest(t)
 	eval(t, w, "box b topLevel orientation horizontal")
 	eval(t, w, `label src b label {payload-text}`)
 	eval(t, w, `label dst b label {drop here}`)
@@ -813,29 +855,49 @@ func TestRddDragAndDropCommands(t *testing.T) {
 	evalErr(t, w, "rddDrag src nosuch", "no widget named")
 }
 
+// TestRddDropValueKeepsPercent: a dropped value is substituted once,
+// so percent signs in it stay as they are, and "%%" in a drop script
+// is a literal percent, as in every other percent context.
+func TestRddDropValueKeepsPercent(t *testing.T) {
+	w := newTest(t)
+	eval(t, w, "box b topLevel orientation horizontal")
+	eval(t, w, `label src b label {50%x off %y}`)
+	eval(t, w, `label dst b`)
+	eval(t, w, "realize")
+	eval(t, w, `rddRegisterSource src {gV %w label}`)
+	eval(t, w, `rddRegisterTarget dst {set got %v; set pct 100%%}`)
+	eval(t, w, "rddDrag src dst")
+	if got := eval(t, w, "set got"); got != "50%x off %y" {
+		t.Errorf("dropped value = %q, want it as dragged", got)
+	}
+	if got := eval(t, w, "set pct"); got != "100%" {
+		t.Errorf("pct = %q, want 100%%", got)
+	}
+}
+
 func TestWidgetSetConfigurations(t *testing.T) {
 	athena, err := New(Config{TestDisplay: true, Set: SetAthena})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !athena.Interp.HasCommand("asciiText") {
+	if !hasCommand(athena, "asciiText") {
 		t.Error("athena build lacks asciiText")
 	}
-	if athena.Interp.HasCommand("mPushButton") {
+	if hasCommand(athena, "mPushButton") {
 		t.Error("athena build must not have Motif widgets (no free mixing)")
 	}
 	motif, err := New(Config{TestDisplay: true, Set: SetMotif, AppName: "mofe"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if motif.Interp.HasCommand("asciiText") {
+	if hasCommand(motif, "asciiText") {
 		t.Error("motif build must not have asciiText (paper: not possible to mix freely)")
 	}
-	if !motif.Interp.HasCommand("mCascadeButton") {
+	if !hasCommand(motif, "mCascadeButton") {
 		t.Error("motif build lacks mCascadeButton")
 	}
 	// Plotter set is in both.
-	if !athena.Interp.HasCommand("barGraph") || !motif.Interp.HasCommand("barGraph") {
+	if !hasCommand(athena, "barGraph") || !hasCommand(motif, "barGraph") {
 		t.Error("plotter classes missing")
 	}
 }

@@ -4,16 +4,27 @@ import (
 	"strings"
 	"testing"
 
+	"wafe/internal/tcl"
 	"wafe/internal/xt"
 )
+
+// commandMetas indexes the command metadata of w's interpreter by name.
+func commandMetas(w *Wafe) map[string]tcl.CommandMeta {
+	metas := map[string]tcl.CommandMeta{}
+	for _, m := range w.Interp.CommandMetas() {
+		metas[m.Name] = m
+	}
+	return metas
+}
 
 // TestCreationCommandMeta asserts every widget-creation command has
 // registered metadata and that the central arity enforcement produces
 // the canonical wrong-#-args message.
 func TestCreationCommandMeta(t *testing.T) {
 	w := NewTest()
+	metas := commandMetas(w)
 	for name := range w.classes {
-		if _, ok := w.Interp.LookupMeta(name); !ok {
+		if _, ok := metas[name]; !ok {
 			t.Errorf("creation command %q has no metadata", name)
 		}
 	}

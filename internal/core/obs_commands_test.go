@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,6 +109,20 @@ func TestTraceTreeSubtree(t *testing.T) {
 	evalErr(t, w, "trace tree notanid", "expected span id")
 }
 
+// dumpedProfile decodes w's profileDump document into the profiled
+// total and the row of each proc.
+func dumpedProfile(t *testing.T, w *Wafe) (int64, map[string]obs.ProfStat) {
+	t.Helper()
+	var d struct {
+		TotalNs int64                   `json:"total_ns"`
+		Procs   map[string]obs.ProfStat `json:"procs"`
+	}
+	if err := json.Unmarshal([]byte(eval(t, w, "profileDump")), &d); err != nil {
+		t.Fatal(err)
+	}
+	return d.TotalNs, d.Procs
+}
+
 // TestProfileCommands drives the profileOn/profileOff/profileDump
 // cycle over Tcl.
 func TestProfileCommands(t *testing.T) {
@@ -129,9 +144,9 @@ func TestProfileCommands(t *testing.T) {
 	}
 	// Evals after profileOff are not recorded.
 	p := w.profiler
-	before := p.TotalNs()
+	before, _ := dumpedProfile(t, w)
 	eval(t, w, "work")
-	if p.TotalNs() != before {
+	if after, _ := dumpedProfile(t, w); after != before {
 		t.Error("profiler kept recording after profileOff")
 	}
 	// profileOn opens a fresh window.
@@ -141,8 +156,8 @@ func TestProfileCommands(t *testing.T) {
 	if w.profiler == p {
 		t.Error("profileOn reused the old profiler")
 	}
-	if st := w.profiler.ProcStat("work"); st.Count != 0 {
-		t.Errorf("fresh profiler inherited work count %d", st.Count)
+	if _, procs := dumpedProfile(t, w); procs["work"].Count != 0 {
+		t.Errorf("fresh profiler inherited work count %d", procs["work"].Count)
 	}
 	evalErr(t, w, "profileDump -folded extra junk", "wrong # args")
 }
@@ -153,8 +168,12 @@ func TestTraceRingSizeStaged(t *testing.T) {
 	w := NewTest()
 	w.TraceRingSize = 7
 	m := w.EnableObservability()
-	if got := m.Trace.RingSize(); got != 7 {
-		t.Errorf("ring size = %d, want staged 7", got)
+	m.Trace.SetEnabled(true)
+	for i := 0; i < 10; i++ {
+		m.Trace.Instant("test", "fill")
+	}
+	if got := len(m.Trace.Spans()); got != 7 {
+		t.Errorf("ring holds %d spans, want staged 7", got)
 	}
 	// Idempotent enable keeps the registry.
 	if w.EnableObservability() != m {

@@ -47,49 +47,15 @@ func isPercentEvent(t xproto.EventType) bool {
 	return false
 }
 
-// ExpandActionPercent substitutes the exec-action percent codes of the
-// paper's table into a command string:
-//
-//	%t event type   %w widget      %b button number
-//	%x %y           window coords  %X %Y root coords
-//	%a ascii char   %k keycode     %s keysym
-//
-// Codes that are invalid for the event type expand to the empty string
-// ("it is the programmer's responsibility to ensure ... a percent code
-// substitution occurs only with a valid event type").
-func ExpandActionPercent(cmd string, w *xt.Widget, ev *xproto.Event) string {
-	if !strings.ContainsRune(cmd, '%') {
-		return cmd
-	}
-	var b strings.Builder
-	b.Grow(len(cmd))
-	start := 0
-	for i := 0; i < len(cmd); i++ {
-		if cmd[i] != '%' || i+1 >= len(cmd) {
-			continue
-		}
-		b.WriteString(cmd[start:i])
-		i++
-		expandActionCode(&b, cmd[i], w, ev)
-		start = i + 1
-	}
-	b.WriteString(cmd[start:])
-	return b.String()
-}
-
 // expandActionCode writes the expansion of one exec-action percent code.
 func expandActionCode(b *strings.Builder, code byte, w *xt.Widget, ev *xproto.Event) {
 	if ev == nil {
-		if code == '%' {
-			b.WriteByte('%')
-		} else if code == 'w' {
+		if code == 'w' {
 			b.WriteString(w.Name)
 		}
 		return
 	}
 	switch code {
-	case '%':
-		b.WriteByte('%')
 	case 't':
 		b.WriteString(actionEventName(ev.Type))
 	case 'w':
@@ -133,46 +99,6 @@ func expandActionCode(b *strings.Builder, code byte, w *xt.Widget, ev *xproto.Ev
 	}
 }
 
-// ExpandBackendPercent substitutes the backend lifecycle percent codes
-// into an onBackendExit / onBackendRestart script. The code→value map
-// comes from the frontend's supervisor:
-//
-//	%p pid   %n restart count   %r exit class   %x exit status
-//	%u uptime (ms)
-//
-// Codes not in the map pass through untouched; %% is a literal percent.
-// The scan follows the other expansion functions exactly: a '%'
-// introduces a code only when a byte follows it.
-func ExpandBackendPercent(script string, vals map[byte]string) string {
-	if !strings.ContainsRune(script, '%') {
-		return script
-	}
-	var b strings.Builder
-	b.Grow(len(script))
-	start := 0
-	for i := 0; i < len(script); i++ {
-		if script[i] != '%' || i+1 >= len(script) {
-			continue
-		}
-		b.WriteString(script[start:i])
-		i++
-		switch c := script[i]; {
-		case c == '%':
-			b.WriteByte('%')
-		default:
-			if v, ok := vals[c]; ok {
-				b.WriteString(v)
-			} else {
-				b.WriteByte('%')
-				b.WriteByte(c)
-			}
-		}
-		start = i + 1
-	}
-	b.WriteString(script[start:])
-	return b.String()
-}
-
 // percentSegment is one piece of a scanned script: either a literal run
 // (code == 0) or a single percent code.
 type percentSegment struct {
@@ -180,8 +106,8 @@ type percentSegment struct {
 	code byte
 }
 
-// PercentScript is a callback or action script scanned for percent
-// codes once, at registration time. A script without any percent code
+// PercentScript is a callback, action or backend lifecycle script
+// scanned for percent codes once, at registration time. A script without any percent code
 // is static: it carries a compiled *tcl.Script so each invocation skips
 // both the expansion scan and the parse. Scripts with codes keep the
 // literal/code segment list, so per-event expansion only substitutes —
@@ -192,15 +118,25 @@ type PercentScript struct {
 	compiled *tcl.Script // non-nil iff the script has no percent codes
 }
 
-// NewPercentScript scans src. The segmentation follows the expansion
-// functions exactly: a '%' introduces a code only when a byte follows
-// it; a trailing lone '%' stays literal.
+// NewPercentScript scans src: a '%' introduces a code only when a byte
+// follows it, so a trailing lone '%' stays literal. The scan is the
+// only place that finds percent codes; every expansion substitutes
+// into its segments.
 func NewPercentScript(src string) *PercentScript { return newPercentScript(src, tcl.Compile) }
 
 // percentScript is NewPercentScript for a script this session runs: a
 // static script is compiled by the session's interpreter, which owns it.
 func (w *Wafe) percentScript(src string) *PercentScript {
 	return newPercentScript(src, w.Interp.Compile)
+}
+
+// evalValues runs a script whose codes ExpandValues substitutes from
+// vals; a script without codes runs compiled.
+func (w *Wafe) evalValues(p *PercentScript, vals map[byte]string) (string, error) {
+	if s := p.Compiled(); s != nil {
+		return w.EvalScript(s)
+	}
+	return w.Eval(p.ExpandValues(vals))
 }
 
 func newPercentScript(src string, compile func(string) (*tcl.Script, error)) *PercentScript {
@@ -247,27 +183,34 @@ func (p *PercentScript) Codes() []byte {
 	return out
 }
 
-// ExpandWith substitutes every percent code through fn, leaving
-// literal segments untouched ("%%" is always a literal percent).
-// Static analysis uses it to turn a percent script into plain Tcl by
-// substituting placeholder values.
-func (p *PercentScript) ExpandWith(fn func(code byte) string) string {
+// expand is the one substitution loop over the segments: it writes
+// literal runs and "%%" (a literal percent) to b and hands every other
+// code to code, which writes its expansion to b. Each caller captures
+// b in code, so the builder stays on the caller's stack.
+func (p *PercentScript) expand(b *strings.Builder, code func(c byte)) string {
 	if p.compiled != nil {
 		return p.Source
 	}
-	var b strings.Builder
 	b.Grow(len(p.Source))
 	for _, s := range p.segs {
-		switch {
-		case s.code == 0:
+		switch s.code {
+		case 0:
 			b.WriteString(s.lit)
-		case s.code == '%':
+		case '%':
 			b.WriteByte('%')
 		default:
-			b.WriteString(fn(s.code))
+			code(s.code)
 		}
 	}
 	return b.String()
+}
+
+// ExpandWith substitutes every percent code through fn. Static analysis
+// uses it to turn a percent script into plain Tcl by substituting
+// placeholder values.
+func (p *PercentScript) ExpandWith(fn func(code byte) string) string {
+	var b strings.Builder
+	return p.expand(&b, func(c byte) { b.WriteString(fn(c)) })
 }
 
 // The known percent-code sets, one per expansion context. Each string
@@ -277,91 +220,70 @@ func (p *PercentScript) ExpandWith(fn func(code byte) string) string {
 // KnownActionPercentCodes mirrors expandActionCode's switch;
 // KnownCallbackPercentCodes is %w plus the single-character CallData
 // keys the widget classes publish (List %i/%s, scrollbar %f/%d);
-// KnownBackendPercentCodes mirrors the supervisor's value map handed
-// to ExpandBackendPercent.
+// KnownBackendPercentCodes mirrors the value map the supervisor hands
+// to ExpandValues.
 const (
 	KnownActionPercentCodes   = "twbxyXYaks%"
 	KnownCallbackPercentCodes = "wisfd%"
 	KnownBackendPercentCodes  = "pnrxu%"
 )
 
-// ExpandAction substitutes the exec-action percent codes; identical to
-// ExpandActionPercent on the source.
+// ExpandAction substitutes the exec-action percent codes of the
+// paper's table:
+//
+//	%t event type   %w widget      %b button number
+//	%x %y           window coords  %X %Y root coords
+//	%a ascii char   %k keycode     %s keysym
+//
+// Codes that are invalid for the event type expand to the empty string
+// ("it is the programmer's responsibility to ensure ... a percent code
+// substitution occurs only with a valid event type").
 func (p *PercentScript) ExpandAction(w *xt.Widget, ev *xproto.Event) string {
-	if p.compiled != nil {
-		return p.Source
-	}
 	var b strings.Builder
-	b.Grow(len(p.Source))
-	for _, s := range p.segs {
-		if s.code == 0 {
-			b.WriteString(s.lit)
-			continue
-		}
-		expandActionCode(&b, s.code, w, ev)
-	}
-	return b.String()
+	return p.expand(&b, func(c byte) { expandActionCode(&b, c, w, ev) })
 }
 
-// ExpandCallback substitutes the callback clientData percent codes;
-// identical to ExpandCallbackPercent on the source.
-func (p *PercentScript) ExpandCallback(w *xt.Widget, data xt.CallData) string {
-	if p.compiled != nil {
-		return p.Source
-	}
-	var b strings.Builder
-	b.Grow(len(p.Source))
-	for _, s := range p.segs {
-		if s.code == 0 {
-			b.WriteString(s.lit)
-			continue
-		}
-		expandCallbackCode(&b, s.code, w, data)
-	}
-	return b.String()
-}
-
-// ExpandCallbackPercent substitutes callback clientData percent codes.
-// %w (the invoking widget) is available for every callback; the other
-// codes come from the widget-class-specific CallData — for the Athena
+// ExpandCallback substitutes the callback clientData percent codes. %w
+// (the invoking widget) is available for every callback; the other
+// codes come from the widget-class-specific CallData: for the Athena
 // List widget, %i (index) and %s (active element), per the paper's
 // table.
-func ExpandCallbackPercent(script string, w *xt.Widget, data xt.CallData) string {
-	if !strings.ContainsRune(script, '%') {
-		return script
-	}
+func (p *PercentScript) ExpandCallback(w *xt.Widget, data xt.CallData) string {
 	var b strings.Builder
-	b.Grow(len(script))
-	start := 0
-	for i := 0; i < len(script); i++ {
-		if script[i] != '%' || i+1 >= len(script) {
-			continue
+	return p.expand(&b, func(c byte) { expandCallbackCode(&b, c, w, data) })
+}
+
+// ExpandValues substitutes the codes of a context whose values are known
+// when the script runs, and leaves codes not in vals literal. The
+// contexts are the supervisor's onBackendExit and onBackendRestart
+// scripts:
+//
+//	%p pid   %n restart count   %r exit class   %x exit status
+//	%u uptime (ms)
+//
+// a selection owner's conversion script (%t target), a drag source's
+// script (%w widget) and a drop target's script (%w widget, %v the
+// dropped value, %x %y the drop position).
+func (p *PercentScript) ExpandValues(vals map[byte]string) string {
+	var b strings.Builder
+	return p.expand(&b, func(c byte) {
+		if v, ok := vals[c]; ok {
+			b.WriteString(v)
+		} else {
+			b.WriteByte('%')
+			b.WriteByte(c)
 		}
-		b.WriteString(script[start:i])
-		i++
-		expandCallbackCode(&b, script[i], w, data)
-		start = i + 1
-	}
-	b.WriteString(script[start:])
-	return b.String()
+	})
 }
 
 // expandCallbackCode writes the expansion of one callback clientData
-// percent code.
+// percent code. Codes the widget class does not provide stay literal.
 func expandCallbackCode(b *strings.Builder, code byte, w *xt.Widget, data xt.CallData) {
-	switch {
-	case code == '%':
-		b.WriteByte('%')
-	case code == 'w':
+	if code == 'w' {
 		b.WriteString(w.Name)
-	default:
-		if data != nil {
-			if v, ok := data[string(code)]; ok {
-				b.WriteString(v)
-				return
-			}
-		}
-		// Codes not provided by this widget class stay literal.
+	} else if v, ok := data[string(code)]; ok {
+		b.WriteString(v)
+	} else {
 		b.WriteByte('%')
 		b.WriteByte(code)
 	}

@@ -19,8 +19,8 @@ func TestExpandBackendPercent(t *testing.T) {
 		{"no codes", "no codes"},
 	}
 	for _, c := range cases {
-		if got := ExpandBackendPercent(c.in, vals); got != c.want {
-			t.Errorf("ExpandBackendPercent(%q) = %q, want %q", c.in, got, c.want)
+		if got := NewPercentScript(c.in).ExpandValues(vals); got != c.want {
+			t.Errorf("ExpandValues(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func TestActionPercentExpansionProperties(t *testing.T) {
 			return true
 		}
 		ev := events[int(evIdx)%len(events)]
-		out := ExpandActionPercent(s, wid, &ev)
+		out := NewPercentScript(s).ExpandAction(wid, &ev)
 		if !strings.ContainsRune(s, '%') && out != s {
 			t.Logf("identity violated: %q → %q", s, out)
 			return false
@@ -58,7 +59,7 @@ func TestCallbackPercentExpansionProperties(t *testing.T) {
 			return true
 		}
 		data := xt.CallData{"i": "7", "s": item}
-		out := ExpandCallbackPercent("w=%w i=%i s=%s q=%q", wid, data)
+		out := NewPercentScript("w=%w i=%i s=%s q=%q").ExpandCallback(wid, data)
 		want := "w=cb i=7 s=" + item + " q=%q"
 		if out != want {
 			t.Logf("got %q want %q", out, want)
@@ -68,6 +69,92 @@ func TestCallbackPercentExpansionProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanExpand is the direct-scan reference for percent expansion: it
+// walks src byte by byte and hands each code after a '%' to code. "%%"
+// is a literal percent, and a '%' with no byte after it stays literal.
+func scanExpand(src string, code func(b *strings.Builder, c byte)) string {
+	var b strings.Builder
+	for i := 0; i < len(src); i++ {
+		switch {
+		case src[i] != '%' || i+1 == len(src):
+			b.WriteByte(src[i])
+		case src[i+1] == '%':
+			b.WriteByte('%')
+			i++
+		default:
+			code(&b, src[i+1])
+			i++
+		}
+	}
+	return b.String()
+}
+
+// TestPercentExpansionMatchesDirectScan: expanding a script scanned
+// once into segments gives what scanning the source directly gives, for
+// the action, callback and backend code sets, on sources with "%%", a
+// trailing '%', unknown codes and no codes at all.
+func TestPercentExpansionMatchesDirectScan(t *testing.T) {
+	w := NewTest()
+	eval(t, w, "label l topLevel")
+	wid := w.App.WidgetByName("l")
+	events := []*xproto.Event{
+		nil,
+		{Type: xproto.ButtonPress, Button: 2, X: 1, Y: 2, XRoot: 3, YRoot: 4},
+		{Type: xproto.KeyRelease, Keycode: 198, Keysym: "w", Rune: 'w'},
+		{Type: xproto.LeaveNotify, X: 5, Y: 6},
+		{Type: xproto.Expose},
+	}
+	data := xt.CallData{"i": "7", "s": "beta", "f": "0.5"}
+	vals := map[byte]string{'p': "4321", 'n': "2", 'r': "crash", 'x': "42", 'u': "1500"}
+	literal := func(b *strings.Builder, c byte) {
+		b.WriteByte('%')
+		b.WriteByte(c)
+	}
+	check := func(src string) {
+		ps := NewPercentScript(src)
+		for _, ev := range events {
+			want := scanExpand(src, func(b *strings.Builder, c byte) { expandActionCode(b, c, wid, ev) })
+			if got := ps.ExpandAction(wid, ev); got != want {
+				t.Errorf("ExpandAction(%q, %v) = %q, want %q", src, ev, got, want)
+			}
+		}
+		want := scanExpand(src, func(b *strings.Builder, c byte) {
+			if c == 'w' {
+				b.WriteString(wid.Name)
+			} else if v, ok := data[string(c)]; ok {
+				b.WriteString(v)
+			} else {
+				literal(b, c)
+			}
+		})
+		if got := ps.ExpandCallback(wid, data); got != want {
+			t.Errorf("ExpandCallback(%q) = %q, want %q", src, got, want)
+		}
+		want = scanExpand(src, func(b *strings.Builder, c byte) {
+			if v, ok := vals[c]; ok {
+				b.WriteString(v)
+			} else {
+				literal(b, c)
+			}
+		})
+		if got := ps.ExpandValues(vals); got != want {
+			t.Errorf("ExpandValues(%q) = %q, want %q", src, got, want)
+		}
+	}
+	for _, src := range []string{"", "%", "%%", "%%%", "a%", "%%x%", "%q", "%w%", "echo 100%% %p%n", "no codes"} {
+		check(src)
+	}
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "%%%%twbxyXYaksispnrxuq {}$;\n"
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(16))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		check(string(b))
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"strings"
 
 	"wafe/internal/rdd"
 	"wafe/internal/tcl"
@@ -22,9 +21,9 @@ func (w *Wafe) cmdRddRegisterSource(argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	script := argv[2]
+	ps := w.percentScript(argv[2])
 	err = w.dnd().RegisterSource(wid, func(src *xt.Widget) string {
-		res, err := w.Eval(strings.ReplaceAll(script, "%w", src.Name))
+		res, err := w.evalValues(ps, map[byte]string{'w': src.Name})
 		if err != nil {
 			w.reportScriptError("drag source", src, err)
 			return ""
@@ -42,14 +41,10 @@ func (w *Wafe) cmdRddRegisterTarget(argv []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	script := argv[2]
+	ps := w.percentScript(argv[2])
 	err = w.dnd().RegisterTarget(wid, func(tgt *xt.Widget, data string, x, y int) {
-		expanded := script
-		expanded = strings.ReplaceAll(expanded, "%w", tgt.Name)
-		expanded = strings.ReplaceAll(expanded, "%v", tcl.QuoteListElement(data))
-		expanded = strings.ReplaceAll(expanded, "%x", strconv.Itoa(x))
-		expanded = strings.ReplaceAll(expanded, "%y", strconv.Itoa(y))
-		if _, err := w.Eval(expanded); err != nil {
+		vals := map[byte]string{'w': tgt.Name, 'v': tcl.QuoteListElement(data), 'x': strconv.Itoa(x), 'y': strconv.Itoa(y)}
+		if _, err := w.evalValues(ps, vals); err != nil {
 			w.reportScriptError("drop target", tgt, err)
 		}
 	})

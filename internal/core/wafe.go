@@ -142,6 +142,8 @@ func New(cfg Config) (*Wafe, error) {
 }
 
 // NewTest returns a Wafe on a private display with both widget sets.
+//
+//wafe:seam the constructor of every test that needs a session
 func NewTest() *Wafe {
 	w, err := New(Config{TestDisplay: true, Set: SetBoth})
 	if err != nil {
@@ -197,11 +199,13 @@ func (w *Wafe) EnableObservabilityWith(m *obs.Metrics) *obs.Metrics {
 	return m
 }
 
-// Close releases the process-global resources this instance holds:
-// its virtual displays leave the xproto registry and the drag-and-drop
-// context map drops the app. Must run after the event loop has
-// stopped; sessions call it when they retire.
+// Close ends the session as Tcl ends at exit: it flushes and closes
+// the open channels. It then releases the process-global resources
+// this instance holds: its virtual displays leave the xproto registry
+// and the drag-and-drop context map drops the app. Must run after the
+// event loop has stopped; sessions call it when they retire.
 func (w *Wafe) Close() {
+	w.Interp.CloseAllChannels()
 	rdd.Release(w.App)
 	w.App.Close()
 }

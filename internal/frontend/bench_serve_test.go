@@ -81,7 +81,7 @@ func TestServeLoad(t *testing.T) {
 		}(clients[i])
 	}
 	up.Wait()
-	if live := srv.SessionsActive(); live != sessions {
+	if live := sessionsActive(srv); live != sessions {
 		t.Fatalf("SessionsActive = %d, want all %d live concurrently", live, sessions)
 	}
 

@@ -20,6 +20,7 @@ type FlakyReader struct {
 	read int
 }
 
+//wafe:seam the pipe-loop and supervisor tests inject faults through it
 func (f *FlakyReader) Read(p []byte) (int, error) {
 	if f.read >= f.N {
 		return 0, f.Err
@@ -44,6 +45,7 @@ type ShortReader struct {
 	Max int
 }
 
+//wafe:seam the pipe-loop and supervisor tests inject faults through it
 func (s *ShortReader) Read(p []byte) (int, error) {
 	if s.Max > 0 && len(p) > s.Max {
 		p = p[:s.Max]
@@ -54,6 +56,7 @@ func (s *ShortReader) Read(p []byte) (int, error) {
 // ErrReader fails immediately with Err on every Read.
 type ErrReader struct{ Err error }
 
+//wafe:seam the pipe-loop and supervisor tests inject faults through it
 func (e *ErrReader) Read([]byte) (int, error) { return 0, e.Err }
 
 // FlakyWriter delegates to W until N bytes have been accepted, then
@@ -68,6 +71,7 @@ type FlakyWriter struct {
 	written int
 }
 
+//wafe:seam the pipe-loop and supervisor tests inject faults through it
 func (f *FlakyWriter) Write(p []byte) (int, error) {
 	if f.written >= f.N {
 		return 0, f.Err

@@ -103,6 +103,9 @@ func New(w *core.Wafe, opts *Options, terminal io.Writer) *Frontend {
 	// mirroring the original debug mode ("other lines ... are printed
 	// by Wafe to stdout").
 	w.SetTraceSink(func(line string) { fmt.Fprintln(f.Terminal, line) })
+	// An action the translations name but nothing binds is reported as
+	// a failed command is.
+	w.App.ErrorHandler = func(err error) { fmt.Fprintf(f.Terminal, "wafe: %v\n", err) }
 	f.registerCommands()
 	return f
 }
@@ -382,6 +385,8 @@ func (f *Frontend) readMass(r io.Reader, free chan []byte) {
 
 // FeedMass delivers data-channel bytes synchronously (tests and
 // benchmarks; AttachMass is the asynchronous production path).
+//
+//wafe:seam the end-to-end benchmark's tests feed generated transfers through it
 func (f *Frontend) FeedMass(data string) {
 	// feedMass only reads its argument, so it may view the string's
 	// bytes in place.

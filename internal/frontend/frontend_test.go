@@ -14,7 +14,10 @@ import (
 	"time"
 
 	"wafe/internal/core"
+	"wafe/internal/obs"
 	"wafe/internal/tcl"
+	"wafe/internal/xproto"
+	"wafe/internal/xt"
 )
 
 // syncBuffer is a goroutine-safe terminal sink.
@@ -98,6 +101,30 @@ func post(t *testing.T, f *Frontend, fn func()) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("posted function did not run")
 	}
+}
+
+// drawnStrings lists the text of the DrawString requests in the display
+// list of w's window.
+func drawnStrings(w *xt.Widget) []string {
+	var out []string
+	if win, ok := w.Display().Lookup(w.Window()); ok {
+		for _, op := range win.Ops {
+			if op.Kind == xproto.OpDrawString {
+				out = append(out, op.Text)
+			}
+		}
+	}
+	return out
+}
+
+// metric returns the snapshot value of the named metric.
+func metric(m *obs.Metrics, name string) int64 {
+	for _, s := range m.Snapshot() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	return 0
 }
 
 func readLine(t *testing.T, r *bufio.Reader) string {
@@ -222,9 +249,9 @@ func TestRefreshWhileBusy(t *testing.T) {
 		wid := f.W.App.WidgetByName("l")
 		d := wid.Display()
 		d.ClearWindow(wid.Window()) // wipe the display list
-		d.InjectExpose(wid.Window())
+		d.InjectExposeRect(wid.Window(), 0, 0, 0, 0)
 		f.W.App.Pump()
-		for _, s := range d.StringsDrawn(wid.Window()) {
+		for _, s := range drawnStrings(wid) {
 			if s == "refresh me" {
 				redrawn = true
 			}
@@ -368,7 +395,9 @@ func TestMassReadSizes(t *testing.T) {
 		t.Errorf("armed read of %d bytes, want 100000", got)
 	}
 	close(r.data)
-	w.App.Sync()
+	// Run the closures the reader posted, then stop.
+	w.App.Post(func() { w.App.Quit(0) })
+	w.App.MainLoop()
 	if got := f.massAcc.String(); got != "x" {
 		t.Errorf("held %q, want the byte read", got)
 	}
@@ -649,7 +678,7 @@ func TestSetValuesBurstRepaintsOnce(t *testing.T) {
 		t.Errorf("64 updates then one settle repainted the label %d times, want 1", got)
 	}
 	l := w.App.WidgetByName("status")
-	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "load 63" {
+	if drawn := drawnStrings(l); len(drawn) != 1 || drawn[0] != "load 63" {
 		t.Errorf("label shows %q, want [load 63]", drawn)
 	}
 }
@@ -663,7 +692,7 @@ func TestInteractiveModeSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := w.App.WidgetByName("l")
-	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "updated" {
+	if drawn := drawnStrings(l); len(drawn) != 1 || drawn[0] != "updated" {
 		t.Errorf("label shows %q, want [updated]", drawn)
 	}
 }

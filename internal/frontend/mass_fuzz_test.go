@@ -133,7 +133,7 @@ func FuzzMassTransfer(f *testing.F) {
 		fe := New(w, nil, term)
 		var before [3]int64
 		for i, name := range massMetricNames {
-			before[i], _ = metrics.Get(name)
+			before[i] = metric(metrics, name)
 		}
 		model := &massModel{plan: p}
 		arming := func() {
@@ -178,7 +178,7 @@ func FuzzMassTransfer(f *testing.F) {
 			bytes += int64(len(s.value))
 		}
 		for i, want := range [3]int64{int64(len(chunks)), int64(len(model.seen)), bytes} {
-			if v, _ := metrics.Get(massMetricNames[i]); v-before[i] != want {
+			if v := metric(metrics, massMetricNames[i]); v-before[i] != want {
 				t.Errorf("%s rose by %d, want %d", massMetricNames[i], v-before[i], want)
 			}
 		}

@@ -79,15 +79,44 @@ func TestFrontendAccounting(t *testing.T) {
 		"frontend.overlong_lines": 1,
 		"frontend.eval_errors":    1,
 	} {
-		if got, _ := m.Get(name); got != want {
+		if got := metric(m, name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got, _ := m.Get("frontend.line_latency.count"); got != 4 {
+	if got := metric(m, "frontend.line_latency.count"); got != 4 {
 		t.Errorf("line latency count = %d, want 4", got)
 	}
 	if !strings.Contains(term.String(), "error in command") {
 		t.Errorf("terminal = %q", term.String())
+	}
+}
+
+// TestDispatchErrorsReported: an action that a translation names but
+// nothing binds is written on the terminal as a failed command is, and
+// each one counts once in xt.dispatch_errors.
+func TestDispatchErrorsReported(t *testing.T) {
+	w := core.NewTest()
+	term := &syncBuffer{}
+	f := New(w, nil, term)
+	m := w.EnableObservability()
+	f.HandleAppLine("%label l topLevel")
+	f.HandleAppLine("%action l override {<Btn1Down>: nosuch()}")
+	f.HandleAppLine("%realize")
+	for i := 0; i < 3; i++ {
+		f.HandleAppLine("%sendClick l")
+	}
+	if f.EvalErrors != 0 {
+		t.Fatalf("%d eval errors; terminal:\n%s", f.EvalErrors, term.String())
+	}
+	if got := strings.Count(term.String(), `wafe: xt: widget "l": unbound action "nosuch"`); got != 3 {
+		t.Errorf("terminal reports %d unbound actions, want 3:\n%s", got, term.String())
+	}
+	if got := metric(m, "xt.dispatch_errors"); got != 3 {
+		t.Errorf("xt.dispatch_errors = %d, want 3", got)
+	}
+	stats, err := w.Eval("statistics xt.dispatch_errors")
+	if err != nil || strings.Count(stats, "xt.dispatch_errors") != 1 {
+		t.Errorf("statistics lists xt.dispatch_errors as %q, %v; want it once", stats, err)
 	}
 }
 
@@ -129,10 +158,10 @@ func TestDrainMassErrors(t *testing.T) {
 		if v, err := w.Interp.GetGlobalVar("C"); err != nil || v != "efgh" {
 			t.Errorf("C = %q, %v", v, err)
 		}
-		if got, _ := m.Get("frontend.mass_transfers"); got != 2 {
+		if got := metric(m, "frontend.mass_transfers"); got != 2 {
 			t.Errorf("mass_transfers = %d, want 2", got)
 		}
-		if got, _ := m.Get("frontend.mass_bytes"); got != 8 {
+		if got := metric(m, "frontend.mass_bytes"); got != 8 {
 			t.Errorf("mass_bytes = %d, want 8", got)
 		}
 	})

@@ -162,13 +162,6 @@ func validateResources(resources string, xrm []string) error {
 // Addr returns the bound listener address.
 func (srv *Server) Addr() net.Addr { return srv.ln.Addr() }
 
-// SessionsActive returns the number of live sessions.
-func (srv *Server) SessionsActive() int {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return len(srv.sessions)
-}
-
 // Serve accepts connections until the listener closes, starting one
 // session per connection. It returns nil after a graceful Shutdown has
 // drained every session; a fatal listener error triggers the same

@@ -146,13 +146,21 @@ func (c *client) readLine() string {
 	}
 }
 
+// sessionsActive counts the server's sessions, those still starting
+// included.
+func sessionsActive(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return len(srv.sessions)
+}
+
 // waitDrained polls until no session is live.
 func waitDrained(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.SessionsActive() > 0 {
+	for sessionsActive(srv) > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions still live", srv.SessionsActive())
+			t.Fatalf("%d sessions still live", sessionsActive(srv))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -174,7 +182,7 @@ func TestServeHandshakeAndInitCom(t *testing.T) {
 	}
 	c.send("%quit")
 	waitDrained(t, srv)
-	if got := sm.SessionEnds.Get("quit"); got != 1 {
+	if got := sm.SessionEnds.Snapshot()["quit"]; got != 1 {
 		t.Errorf("session_ends.quit = %d, want 1", got)
 	}
 	if got := sm.SessionsTotal.Load(); got != 1 {
@@ -220,7 +228,7 @@ func TestServeSessionIsolation(t *testing.T) {
 		t.Error(err)
 	}
 	waitDrained(t, srv)
-	if got := sm.SessionEnds.Get("quit"); got != sessions {
+	if got := sm.SessionEnds.Snapshot()["quit"]; got != sessions {
 		t.Errorf("session_ends.quit = %d, want %d", got, sessions)
 	}
 	if got := sm.SessionsActive.Max(); got < 2 {
@@ -252,14 +260,14 @@ func TestServeMidCommandDisconnect(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for sm.SessionEnds.Get("eof") != 1 {
+	for sm.SessionEnds.Snapshot()["eof"] != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("session_ends = %v, want one eof", sm.SessionEnds.Snapshot())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if srv.SessionsActive() != 1 {
-		t.Errorf("SessionsActive = %d, want 1 (only the sibling)", srv.SessionsActive())
+	if sessionsActive(srv) != 1 {
+		t.Errorf("SessionsActive = %d, want 1 (only the sibling)", sessionsActive(srv))
 	}
 	b.send("%quit")
 	waitDrained(t, srv)
@@ -303,7 +311,7 @@ func TestServeReadErrorIsolated(t *testing.T) {
 	// The next read on a's session hits the injected error.
 	go io.WriteString(clientEnd, "%echo never-delivered\n")
 	deadline := time.Now().Add(10 * time.Second)
-	for sm.SessionEnds.Get("readerr") != 1 {
+	for sm.SessionEnds.Snapshot()["readerr"] != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("session_ends = %v, want one readerr", sm.SessionEnds.Snapshot())
 		}
@@ -388,10 +396,10 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after Shutdown")
 	}
-	if n := srv.SessionsActive(); n != 0 {
+	if n := sessionsActive(srv); n != 0 {
 		t.Errorf("SessionsActive = %d after shutdown, want 0", n)
 	}
-	if got := sm.SessionEnds.Get("shutdown"); got != 3 {
+	if got := sm.SessionEnds.Snapshot()["shutdown"]; got != 3 {
 		t.Errorf("session_ends.shutdown = %d, want 3", got)
 	}
 	// New connections are now refused at the StartConn layer.
@@ -420,7 +428,7 @@ func TestServeUnixSocket(t *testing.T) {
 	}
 	c.send("%quit")
 	waitDrained(t, srv)
-	if got := sm.SessionEnds.Get("quit"); got != 1 {
+	if got := sm.SessionEnds.Snapshot()["quit"]; got != 1 {
 		t.Errorf("session_ends.quit = %d, want 1", got)
 	}
 }
@@ -477,10 +485,10 @@ func TestServeMetricsDumpKeyedBySession(t *testing.T) {
 	}
 	// The per-session labelled aggregates agree.
 	for i, id := range ids {
-		if got := sm.SessionLines.Get(id); got != int64(i+3) {
+		if got := sm.SessionLines.Snapshot()[id]; got != int64(i+3) {
 			t.Errorf("SessionLines[%s] = %d, want %d", id, got, i+3)
 		}
-		if got := sm.SessionErrors.Get(id); got != 1 {
+		if got := sm.SessionErrors.Snapshot()[id]; got != 1 {
 			t.Errorf("SessionErrors[%s] = %d, want 1", id, got)
 		}
 	}

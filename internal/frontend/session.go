@@ -172,9 +172,6 @@ func (s *Session) Interrupt(code int) {
 	s.W.App.Post(func() { s.W.App.Quit(code) })
 }
 
-// Supervisor returns the session's supervisor, or nil.
-func (s *Session) Supervisor() *Supervisor { return s.sup }
-
 // Close retires the session: the supervised backend (if any) is torn
 // down through the graceful escalation, and the session's virtual
 // displays and drag-and-drop context leave the process-global

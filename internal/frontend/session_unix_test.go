@@ -58,8 +58,8 @@ exit 42
 	if sup.Restarts() != 2 {
 		t.Errorf("Restarts() = %d, want 2", sup.Restarts())
 	}
-	if sup.LastExitClass() != ExitCrash {
-		t.Errorf("LastExitClass() = %q, want %q", sup.LastExitClass(), ExitCrash)
+	if reported(sup, "lastExitClass") != ExitCrash {
+		t.Errorf("lastExitClass = %q, want %q", reported(sup, "lastExitClass"), ExitCrash)
 	}
 	// Three incarnations, each receiving InitCom after its (re)spawn.
 	if got := strings.Count(term.String(), "booted boot"); got != 3 {

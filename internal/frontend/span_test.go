@@ -77,10 +77,13 @@ func TestServeSpanTree(t *testing.T) {
 		t.Fatalf("sync = %q", got)
 	}
 
-	m := sm.Session(c.id)
-	if m == nil {
+	srv.mu.Lock()
+	ls := srv.sessions[c.id]
+	srv.mu.Unlock()
+	if ls == nil || ls.s.W.Metrics == nil {
 		t.Fatal("no live session metrics")
 	}
+	m := ls.s.W.Metrics
 	spans := m.Trace.Spans()
 
 	line := findSpan(spans, "line", "%sendClick hello")

@@ -299,7 +299,7 @@ func (s *Supervisor) fireCallback(name, class string, exitClass string, status i
 	if !ok || script == "" {
 		return false
 	}
-	expanded := core.ExpandBackendPercent(script, map[byte]string{
+	expanded := core.NewPercentScript(script).ExpandValues(map[byte]string{
 		'p': strconv.Itoa(s.Pid()),
 		'n': strconv.Itoa(s.Restarts()),
 		'r': exitClass,
@@ -333,20 +333,6 @@ func (s *Supervisor) setState(st BackendState) {
 	s.mu.Unlock()
 }
 
-// State returns the current lifecycle state.
-func (s *Supervisor) State() BackendState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-// Child returns the current backend child, or nil between incarnations.
-func (s *Supervisor) Child() *Child {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.child
-}
-
 // Pid returns the pid of the current (or most recent) backend.
 func (s *Supervisor) Pid() int {
 	s.mu.Lock()
@@ -359,14 +345,6 @@ func (s *Supervisor) Restarts() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.restarts
-}
-
-// LastExitClass returns the classification of the most recent backend
-// departure ("" while the first incarnation runs).
-func (s *Supervisor) LastExitClass() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastClass
 }
 
 // Report renders the lifecycle state for the `backend` Tcl command as

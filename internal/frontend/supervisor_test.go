@@ -30,6 +30,18 @@ func runLoop(t *testing.T, w *core.Wafe, timeout time.Duration) int {
 	}
 }
 
+// reported returns the value of key in the supervisor's report, which
+// the backend command prints.
+func reported(sup *Supervisor, key string) string {
+	r := sup.Report()
+	for i := 0; i+1 < len(r); i += 2 {
+		if r[i] == key {
+			return r[i+1]
+		}
+	}
+	return ""
+}
+
 // TestSupervisorRestartsCrashedBackend: a backend that keeps crashing
 // is restarted with InitCom re-sent each time, the onBackendRestart
 // script runs with percent codes expanded, and once the restart budget
@@ -64,16 +76,16 @@ exit 42
 	if sup.Restarts() != 2 {
 		t.Errorf("Restarts() = %d, want 2", sup.Restarts())
 	}
-	if sup.State() != BackendExited {
-		t.Errorf("State() = %q, want %q", sup.State(), BackendExited)
+	if BackendState(reported(sup, "state")) != BackendExited {
+		t.Errorf("state = %q, want %q", BackendState(reported(sup, "state")), BackendExited)
 	}
-	if sup.LastExitClass() != ExitCrash {
-		t.Errorf("LastExitClass() = %q, want %q", sup.LastExitClass(), ExitCrash)
+	if reported(sup, "lastExitClass") != ExitCrash {
+		t.Errorf("lastExitClass = %q, want %q", reported(sup, "lastExitClass"), ExitCrash)
 	}
 	if got := m.Frontend.BackendRestarts.Load(); got != 2 {
 		t.Errorf("backend_restarts = %d, want 2", got)
 	}
-	if got := m.Frontend.BackendExits.Get(ExitCrash); got != 3 {
+	if got := m.Frontend.BackendExits.Snapshot()[ExitCrash]; got != 3 {
 		t.Errorf("backend_exits.crash = %d, want 3", got)
 	}
 	// The restart script ran with %r and %n substituted.
@@ -107,7 +119,7 @@ exit 0
 	if sup.Restarts() != 0 {
 		t.Errorf("Restarts() = %d, want 0", sup.Restarts())
 	}
-	if got := m.Frontend.BackendExits.Get(ExitClean); got != 1 {
+	if got := m.Frontend.BackendExits.Snapshot()[ExitClean]; got != 1 {
 		t.Errorf("backend_exits.clean = %d, want 1", got)
 	}
 	if !strings.Contains(term.String(), "hello from backend") {
@@ -134,7 +146,7 @@ exit 0
 	go func() { done <- w.App.MainLoop() }()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for sup.State() != BackendExited {
+	for BackendState(reported(sup, "state")) != BackendExited {
 		if time.Now().After(deadline) {
 			t.Fatal("supervisor never reached the exited state")
 		}
@@ -270,7 +282,7 @@ exec cat >/dev/null
 		t.Errorf("Shutdown = %v, want the backend's clean exit", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for sup.LastExitClass() == "" {
+	for reported(sup, "lastExitClass") == "" {
 		if time.Now().After(deadline) {
 			t.Fatal("the end of the command pipe never reached the supervisor")
 		}
@@ -288,13 +300,13 @@ exec cat >/dev/null
 	if f.ReadErrors != 0 || m.Frontend.ReadErrors.Load() != 0 {
 		t.Errorf("ReadErrors = %d, frontend.read_errors = %d; want 0", f.ReadErrors, m.Frontend.ReadErrors.Load())
 	}
-	if got := sup.LastExitClass(); got != ExitClean {
-		t.Errorf("LastExitClass() = %q, want %q", got, ExitClean)
+	if got := reported(sup, "lastExitClass"); got != ExitClean {
+		t.Errorf("lastExitClass = %q, want %q", got, ExitClean)
 	}
-	if got := m.Frontend.BackendExits.Get(ExitReadErr); got != 0 {
+	if got := m.Frontend.BackendExits.Snapshot()[ExitReadErr]; got != 0 {
 		t.Errorf("backend_exits.readerr = %d, want 0", got)
 	}
-	if got := sup.State(); got != BackendStopped {
-		t.Errorf("State() = %q, want %q", got, BackendStopped)
+	if got := BackendState(reported(sup, "state")); got != BackendStopped {
+		t.Errorf("state = %q, want %q", got, BackendStopped)
 	}
 }

@@ -27,6 +27,7 @@ type XtMetrics struct {
 	PostedQueueDepth Gauge // posted-closure channel observed in Post
 	CallbacksFired   Counter
 	ActionsFired     Counter
+	DispatchErrors   Counter // translation actions bound to no action procedure
 
 	// RedrawClipped/RedrawFull split widget repaints by path: clipped
 	// partial redraws against unconditional full-window repaints.
@@ -214,6 +215,7 @@ func (m *Metrics) walk(v metricVisitor) {
 	v.scalar("xt.posted_queue_depth_max", "gauge", x.PostedQueueDepth.Max())
 	v.scalar("xt.callbacks_fired", "counter", x.CallbacksFired.Load())
 	v.scalar("xt.actions_fired", "counter", x.ActionsFired.Load())
+	v.scalar("xt.dispatch_errors", "counter", x.DispatchErrors.Load())
 	v.scalar("xt.redraw_clipped", "counter", x.RedrawClipped.Load())
 	v.scalar("xt.redraw_full", "counter", x.RedrawFull.Load())
 	v.scalar("xt.xrm_searchlist_hits", "counter", x.XrmSearchListHits.Load())
@@ -242,16 +244,6 @@ func (m *Metrics) walk(v metricVisitor) {
 	v.scalar("frontend.backend_uptime_ms_max", "gauge", f.BackendUptime.Max())
 	v.vec("frontend.backend_exits", "class", &f.BackendExits)
 	v.histogram("frontend.line_latency", &f.LineLatency)
-}
-
-// Get returns the snapshot value for a metric name (tests).
-func (m *Metrics) Get(name string) (int64, bool) {
-	for _, s := range m.Snapshot() {
-		if s.Name == name {
-			return s.Value, true
-		}
-	}
-	return 0, false
 }
 
 // jsonDump is the --metrics-dump / metricsDump document shape.

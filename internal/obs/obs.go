@@ -196,17 +196,6 @@ func (v *CounterVec) Counter(label string) *Counter {
 	return c
 }
 
-// Get returns the current value for the label (0 when unseen).
-func (v *CounterVec) Get(label string) int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	c := v.m[label]
-	if c == nil {
-		return 0
-	}
-	return c.Load()
-}
-
 // Snapshot returns all label→value pairs.
 func (v *CounterVec) Snapshot() map[string]int64 {
 	v.mu.RLock()

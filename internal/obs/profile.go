@@ -70,9 +70,6 @@ func (p *Profiler) Stop() {
 	p.mu.Unlock()
 }
 
-// Active reports whether the window is open.
-func (p *Profiler) Active() bool { return p.active.Load() }
-
 func add(m map[string]*ProfStat, key string, self, cum time.Duration) {
 	st := m[key]
 	if st == nil {
@@ -120,24 +117,6 @@ func (p *Profiler) AddToplevel(self, cum time.Duration) {
 	p.totalNs += cum.Nanoseconds()
 	p.stacks["<top>"] += self.Nanoseconds()
 	p.mu.Unlock()
-}
-
-// TotalNs returns the summed duration of profiled top-level evals.
-func (p *Profiler) TotalNs() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.totalNs
-}
-
-// ProcStat returns the aggregated row for one proc (zero value when
-// never called).
-func (p *Profiler) ProcStat(name string) ProfStat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st := p.procs[name]; st != nil {
-		return *st
-	}
-	return ProfStat{}
 }
 
 // profDump is the profileDump JSON document shape.

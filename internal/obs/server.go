@@ -101,13 +101,6 @@ func (s *ServerMetrics) EndSession(id, reason string) {
 	s.SessionEnds.Inc(reason)
 }
 
-// Session returns the live registry for a session id, or nil.
-func (s *ServerMetrics) Session(id string) *Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.live[id]
-}
-
 // Snapshot returns the aggregate server.* samples: the server's own
 // counters plus aggregates computed over the live sessions (summed
 // eval counts, max queue depths). The per-session line and error

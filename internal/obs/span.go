@@ -54,10 +54,6 @@ func (t *Trace) StartSpan(kind, name string) SpanCtx {
 	return SpanCtx{t: t, id: id, parent: parent, kind: kind, name: name, start: time.Now()}
 }
 
-// Active reports whether the span is live (tracing was enabled when it
-// started); callers use it to skip building names/attrs.
-func (c SpanCtx) Active() bool { return c.id != 0 }
-
 // End closes the span, restores its parent as current, and records it.
 // A zero SpanCtx (disabled at StartSpan time) is a no-op.
 func (c SpanCtx) End() { c.EndAttrs("") }

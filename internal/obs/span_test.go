@@ -15,7 +15,7 @@ import (
 func TestSpanDisabledIsNoop(t *testing.T) {
 	var tr Trace
 	sp := tr.StartSpan("line", "ignored")
-	if sp.Active() {
+	if sp.id != 0 {
 		t.Fatal("disabled StartSpan returned an active span")
 	}
 	sp.End()
@@ -82,8 +82,8 @@ func TestSpanRingEvictsOldest(t *testing.T) {
 			t.Errorf("span %d = %s, want %s", i, sp.Name, want)
 		}
 	}
-	if tr.RingSize() != 3 {
-		t.Errorf("RingSize = %d", tr.RingSize())
+	if tr.ringSize != 3 {
+		t.Errorf("ring size = %d", tr.ringSize)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestServerRetainsEndedSessionSpans(t *testing.T) {
 func TestProfilerMath(t *testing.T) {
 	p := NewProfiler()
 	p.Start()
-	if !p.Active() {
+	if !p.active.Load() {
 		t.Fatal("not active after Start")
 	}
 	p.AddCommand("incr@hot:2", 2*time.Microsecond, 2*time.Microsecond)
@@ -289,16 +289,16 @@ func TestProfilerMath(t *testing.T) {
 	p.AddProc("hot", "<top>;hot", 5*time.Microsecond, 10*time.Microsecond, true) // recursive: no cum
 	p.AddToplevel(time.Microsecond, 20*time.Microsecond)
 	p.Stop()
-	if p.Active() {
+	if p.active.Load() {
 		t.Fatal("active after Stop")
 	}
 
-	st := p.ProcStat("hot")
+	st := *p.procs["hot"]
 	if st.Count != 2 || st.SelfNs != 10_000 || st.CumNs != 10_000 {
 		t.Errorf("hot = %+v", st)
 	}
-	if p.TotalNs() != 20_000 {
-		t.Errorf("total = %d", p.TotalNs())
+	if p.totalNs != 20_000 {
+		t.Errorf("total = %d", p.totalNs)
 	}
 	var sb strings.Builder
 	if err := p.WriteJSON(&sb); err != nil {

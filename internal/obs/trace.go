@@ -63,17 +63,6 @@ func (t *Trace) SetRingSize(n int) {
 	t.mu.Unlock()
 }
 
-// RingSize returns the configured ring capacity (the default when
-// unset).
-func (t *Trace) RingSize() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ringSize <= 0 {
-		return DefaultRingSize
-	}
-	return t.ringSize
-}
-
 // SetSession names the session this trace belongs to — the serve
 // layer sets the session id before the session loop starts.
 func (t *Trace) SetSession(sid string) {

@@ -7,6 +7,14 @@ import (
 	"wafe/internal/xt"
 )
 
+// displayList returns the display list of w's window.
+func displayList(w *xt.Widget) []xproto.DrawOp {
+	if win, ok := w.Display().Lookup(w.Window()); ok {
+		return win.Ops
+	}
+	return nil
+}
+
 func newApp(t *testing.T) (*xt.App, *xt.Widget) {
 	t.Helper()
 	app := xt.NewTestApp("wafe")
@@ -30,7 +38,7 @@ func TestBarGraphValues(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	// A fill op per bar plus the background clear appears in the log.
-	ops := bg.Display().DrawLogFor(bg.Window())
+	ops := displayList(bg)
 	fills := 0
 	for _, op := range ops {
 		if op.Kind == xproto.OpFillRect {
@@ -71,7 +79,7 @@ func TestLineGraphSeries(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	ops := lg.Display().DrawLogFor(lg.Window())
+	ops := displayList(lg)
 	lines := 0
 	for _, op := range ops {
 		if op.Kind == xproto.OpDrawLine {
@@ -106,7 +114,12 @@ func TestGraphLayoutLevels(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	texts := g.Display().StringsDrawn(g.Window())
+	var texts []string
+	for _, op := range displayList(g) {
+		if op.Kind == xproto.OpDrawString {
+			texts = append(texts, op.Text)
+		}
+	}
 	if len(texts) != 5 {
 		t.Errorf("node labels drawn = %v", texts)
 	}

@@ -103,9 +103,6 @@ func (d *DND) UnregisterSource(w *xt.Widget) { delete(d.sources, w.Name) }
 // UnregisterTarget removes a target registration.
 func (d *DND) UnregisterTarget(w *xt.Widget) { delete(d.targets, w.Name) }
 
-// Dragging reports whether a drag is in progress, with its payload.
-func (d *DND) Dragging() (bool, string) { return d.dragging, d.data }
-
 func (d *DND) installTranslations(w *xt.Widget, binding string) error {
 	nt, err := xt.ParseTranslations(binding)
 	if err != nil {

@@ -46,7 +46,7 @@ func TestDragAndDrop(t *testing.T) {
 	if got != "drag me" {
 		t.Errorf("dropped data = %q", got)
 	}
-	if dragging, _ := dnd.Dragging(); dragging {
+	if dnd.dragging {
 		t.Error("drag state not cleared")
 	}
 	_ = app
@@ -63,7 +63,7 @@ func TestDropOutsideTargetCancels(t *testing.T) {
 	if dropped {
 		t.Error("drop fired without target registration")
 	}
-	if dragging, data := dnd.Dragging(); dragging || data != "" {
+	if dnd.dragging || dnd.data != "" {
 		t.Error("cancelled drag left state behind")
 	}
 }

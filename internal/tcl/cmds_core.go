@@ -738,7 +738,6 @@ func cmdArray(in *Interp, argv []string) (string, error) {
 	case "unset":
 		if _, ok := in.arrayVar(name); ok {
 			in.currentFrame().bind(name, nil)
-			in.varEpoch++ // unset: cached refs to this name are invalid
 		}
 		return "", nil
 	}

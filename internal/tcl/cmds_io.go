@@ -435,18 +435,3 @@ func cmdCase(in *Interp, argv []string) (string, error) {
 	}
 	return "", nil
 }
-
-// OpenChannelNames lists open channels, sorted (tests and diagnostics).
-func (in *Interp) OpenChannelNames() []string {
-	if in.chans == nil {
-		return nil
-	}
-	var names []string
-	for n, ch := range in.chans.byName {
-		if !ch.closed {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}

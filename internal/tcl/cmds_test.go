@@ -213,7 +213,7 @@ func TestErrorInfoTraceback(t *testing.T) {
 	if _, err := in.Eval("outerP"); err == nil {
 		t.Fatal("expected error")
 	}
-	info := in.ErrorInfo()
+	info, _ := in.GetGlobalVar("errorInfo")
 	if !strings.Contains(info, "boom") {
 		t.Errorf("errorInfo missing message: %q", info)
 	}
@@ -225,7 +225,7 @@ func TestErrorInfoTraceback(t *testing.T) {
 	if _, err := in.Eval("error second"); err == nil {
 		t.Fatal("expected error")
 	}
-	info = in.ErrorInfo()
+	info, _ = in.GetGlobalVar("errorInfo")
 	if !strings.HasPrefix(info, "second") && !strings.Contains(info, "second") {
 		t.Errorf("stale errorInfo: %q", info)
 	}

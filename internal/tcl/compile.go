@@ -126,10 +126,7 @@ type Program struct {
 
 	consts []Value
 	// vars are the variable sites: a slot in a proc body, elsewhere a
-	// name with its inline cache. A Program belongs to exactly one
-	// interpreter (its Script's owner), which is what makes frame ids —
-	// unique only within one interpreter — a sound cache key, and a
-	// proc body's Program runs only in that proc's frames.
+	// name. A proc body's Program runs only in that proc's frames.
 	vars   []varSite
 	subs   []*Script
 	exprs  []exprNode

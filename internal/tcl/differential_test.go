@@ -1,6 +1,9 @@
 package tcl
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // differentialCorpus exercises the constructs whose bodies the compiled
 // pipeline caches: procs, loops, conditionals, expressions, nested
@@ -51,6 +54,8 @@ var differentialCorpus = []string{
 // pass hits the intern cache when enabled) and reports the results,
 // error strings, accumulated output and final errorInfo.
 func runDifferential(in *Interp, src string) (results, errs [2]string, out, errorInfo string) {
+	var b strings.Builder
+	in.Stdout = collect(&b)
 	for i := 0; i < 2; i++ {
 		res, err := in.Eval(src)
 		results[i] = res
@@ -58,7 +63,7 @@ func runDifferential(in *Interp, src string) (results, errs [2]string, out, erro
 			errs[i] = err.Error()
 		}
 	}
-	out = in.Output()
+	out = b.String()
 	if info, err := in.Eval("set errorInfo"); err == nil {
 		errorInfo = info
 	}
@@ -100,6 +105,8 @@ func TestDifferentialEvalScriptVsEval(t *testing.T) {
 		s, _ := Compile(src)
 		compiled := New()
 		plain := New()
+		var cout, pout strings.Builder
+		compiled.Stdout, plain.Stdout = collect(&cout), collect(&pout)
 		plain.SetScriptCacheSize(0)
 		plain.SetExprCacheSize(0)
 		var cr, pr, ce, pe [2]string
@@ -118,8 +125,8 @@ func TestDifferentialEvalScriptVsEval(t *testing.T) {
 		if cr != pr || ce != pe {
 			t.Errorf("script %q: EvalScript (%q, %q) != Eval (%q, %q)", src, cr, ce, pr, pe)
 		}
-		if cout, pout := compiled.Output(), plain.Output(); cout != pout {
-			t.Errorf("script %q: output differs\nEvalScript: %q\nEval:       %q", src, cout, pout)
+		if cout.String() != pout.String() {
+			t.Errorf("script %q: output differs\nEvalScript: %q\nEval:       %q", src, cout.String(), pout.String())
 		}
 	}
 }

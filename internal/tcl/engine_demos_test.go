@@ -32,10 +32,12 @@ func TestDemoScriptsEngineDifferential(t *testing.T) {
 		if tree {
 			w.Interp.UseTreeWalker()
 		}
+		var out strings.Builder
+		w.Interp.Stdout = func(line string) { out.WriteString(line + "\n") }
 		res, err := w.Eval(src)
 		o := outcome{
 			result:   res,
-			output:   w.Interp.Output(),
+			output:   out.String(),
 			quit:     w.QuitRequested(),
 			exitCode: w.ExitCode(),
 		}

@@ -209,12 +209,16 @@ type DispatchCounts struct {
 }
 
 // SpecializedTotal sums the dispatches that bypassed the command table.
+//
+//wafe:seam the wafecheck -why tests check their labels against the opcodes run
 func (d *DispatchCounts) SpecializedTotal() int64 {
 	return d.Set + d.Incr + d.Expr + d.ExprTmpl + d.While + d.For
 }
 
 // CountDispatch arms per-opcode dispatch counting and returns the
 // live counter struct (idempotent: a second call returns the same).
+//
+//wafe:seam the wafecheck -why tests check their labels against the opcodes run
 func (in *Interp) CountDispatch() *DispatchCounts {
 	if in.opCounts == nil {
 		in.opCounts = &DispatchCounts{}

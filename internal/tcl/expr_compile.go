@@ -40,10 +40,7 @@ func (n *exprLit) eval(*exprEvaluator) (exprVal, error) { return n.v, nil }
 
 type exprVarNode struct {
 	tok token
-	// site is the variable's site. Compiled expression ASTs are
-	// per-interpreter (exprCache and Programs both are), so the
-	// frame-id/epoch validation of its cache is sound here for the same
-	// reason it is for Program.vars. An AST compiled into a proc body's
+	// site is the variable's site. An AST compiled into a proc body's
 	// Program has the slots of that proc (progCompiler.bindExpr).
 	site varSite
 }

@@ -149,7 +149,7 @@ func exprErrorRecord(t *testing.T, src string) string {
 		msg, _ := in.GetVar("msg")
 		info := ""
 		if code == "1" {
-			info = in.ErrorInfo()
+			info, _ = in.GetGlobalVar("errorInfo")
 		}
 		fmt.Fprintf(&b, "%-5s %s %q log %q info %q\n", form.name, code, msg, *log, info)
 	}
@@ -272,9 +272,14 @@ func TestExprLoneDollar(t *testing.T) {
 func fuzzExprInterp() (*Interp, *[]string) {
 	in, log := exprLogInterp()
 	for _, name := range in.CommandNames() {
-		if name != "t" && name != "error" && name != "expr" {
-			in.UnregisterCommand(name)
+		if name != "t" && name != "error" && name != "expr" && name != "rename" {
+			if _, err := in.Eval("rename " + name + " {}"); err != nil {
+				panic(err)
+			}
 		}
+	}
+	if _, err := in.Eval("rename rename {}"); err != nil {
+		panic(err)
 	}
 	return in, log
 }

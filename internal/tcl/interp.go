@@ -143,9 +143,6 @@ type frame struct {
 	// are handed out.
 	slab  []variable
 	nslab int
-	// id is the activation identity (frameSeq): unique per activation
-	// even when the frame object itself is recycled through the pool.
-	id uint64
 }
 
 // slotOf returns the slot name has in f, -1 for none.
@@ -214,12 +211,10 @@ type Interp struct {
 	// mirroring Tcl's unknown mechanism.
 	Unknown CommandFunc
 
-	// Stdout receives output of puts/echo. Defaults to an internal
-	// buffer accessible via Output; the Wafe frontend points it at the
-	// real stdout or the backend pipe.
+	// Stdout receives output of puts/echo. It defaults to the process's
+	// standard output, as tclsh's puts writes; the Wafe frontend points
+	// it at the backend pipe.
 	Stdout func(line string)
-
-	output strings.Builder
 
 	// maxNesting guards against runaway recursion.
 	nesting    int
@@ -317,15 +312,6 @@ type Interp struct {
 	// opcode kind so tests can cross-check `wafecheck -why` labels
 	// against what the engine actually executed. Nil (free) by default.
 	opCounts *DispatchCounts
-
-	// frameSeq hands out a fresh identity to every frame activation
-	// (pooled frame objects are reused, so the pointer is not an
-	// identity); varEpoch counts the events that can invalidate a
-	// cached name->variable resolution anywhere in the interpreter:
-	// unset, upvar/global relinking, scalar-to-array conversion.
-	// Together they validate varRef caches (see cachedScalar).
-	frameSeq uint64
-	varEpoch uint64
 }
 
 // SetObs attaches (or, with nil, detaches) the observability metrics.
@@ -336,17 +322,13 @@ func New() *Interp {
 	in := &Interp{
 		commands:    make(map[string]CommandFunc),
 		procs:       make(map[string]*Proc),
-		frames:      []*frame{{vars: make(map[string]*variable), id: 1}},
-		frameSeq:    1,
+		frames:      []*frame{{vars: make(map[string]*variable)}},
 		maxNesting:  1000,
 		scriptCache: newLRUCache(defaultScriptCacheSize),
 		exprCache:   newLRUCache(defaultExprCacheSize),
 	}
 	in.bld.in = in
-	in.Stdout = func(line string) {
-		in.output.WriteString(line)
-		in.output.WriteByte('\n')
-	}
+	in.Stdout = func(line string) { fmt.Println(line) }
 	registerCoreCommands(in)
 	registerStringCommands(in)
 	registerListCommands(in)
@@ -354,14 +336,6 @@ func New() *Interp {
 	registerBuiltinMetas(in)
 	in.specialBase = in.specialGen
 	return in
-}
-
-// Output returns and clears text accumulated by puts/echo when Stdout
-// has not been redirected.
-func (in *Interp) Output() string {
-	s := in.output.String()
-	in.output.Reset()
-	return s
 }
 
 // isSpecializedName reports whether the bytecode compiler emits
@@ -381,23 +355,6 @@ func (in *Interp) RegisterCommand(name string, fn CommandFunc) {
 	if isSpecializedName(name) {
 		in.specialGen++
 	}
-}
-
-// UnregisterCommand removes a command binding and its metadata.
-func (in *Interp) UnregisterCommand(name string) {
-	delete(in.commands, name)
-	delete(in.procs, name)
-	delete(in.metas, name)
-	in.cmdGen++
-	if isSpecializedName(name) {
-		in.specialGen++
-	}
-}
-
-// HasCommand reports whether name is a registered command or proc.
-func (in *Interp) HasCommand(name string) bool {
-	_, ok := in.commands[name]
-	return ok
 }
 
 // Command returns the registered implementation of a command, allowing
@@ -528,30 +485,16 @@ func incrScalar(v *variable, name string, delta int64) (Value, error) {
 
 // varSite is one compiled variable access. In a proc body the name is
 // a compiled local and the site holds its slot; anywhere else slot is
-// -1 and the site finds the variable by name, through its inline
-// cache.
+// -1 and the site finds the variable by name, as GetVar does.
 type varSite struct {
 	name string
 	slot int32
-	ref  varRef
-}
-
-// varRef is an inline cache for one variable access by name: the
-// resolved scalar variable, valid while the same frame activation is
-// current and no unset/relink/array conversion has happened since.
-type varRef struct {
-	frameID uint64
-	epoch   uint64
-	v       *variable
 }
 
 // siteScalar returns the scalar variable site s refers to in the
 // current frame, nil when there is none or it is an array.
 func (in *Interp) siteScalar(s *varSite) *variable {
-	if s.slot < 0 {
-		return in.cachedScalar(&s.ref, s.name)
-	}
-	if v := in.currentFrame().slots[s.slot]; v != nil && !v.isArray {
+	if v := in.siteVar(s); v != nil && !v.isArray {
 		return v
 	}
 	return nil
@@ -608,26 +551,6 @@ func (in *Interp) incrSite(s *varSite, delta int64) (Value, error) {
 	return incrScalar(v, s.name, delta)
 }
 
-// cachedScalar resolves a plain scalar variable through a per-site
-// inline cache. A hit skips the name lookup entirely; the cache is
-// valid while the same activation (frame id) is current and no
-// unset/upvar/array-conversion has happened since it was filled
-// (varEpoch). Only positive, scalar results are cached: misses and
-// arrays return nil and leave the cache alone, so a stale negative can
-// never shadow a later creation.
-func (in *Interp) cachedScalar(ref *varRef, name string) *variable {
-	f := in.currentFrame()
-	if ref.frameID == f.id && ref.epoch == in.varEpoch {
-		return ref.v
-	}
-	v := f.lookup(name)
-	if v == nil || v.isArray {
-		return nil
-	}
-	ref.frameID, ref.epoch, ref.v = f.id, in.varEpoch, v
-	return v
-}
-
 // SetVar sets a variable (or array element, for name(index)) in the
 // current frame.
 func (in *Interp) SetVar(name, value string) error {
@@ -658,7 +581,6 @@ func (in *Interp) setVarInFrame(f *frame, name, value string) error {
 			}
 			v.isArray = true
 			v.arr = make(map[string]string)
-			in.varEpoch++ // scalar became array: cached scalar refs to it are invalid
 		}
 		v.arr[idx] = value
 		return nil
@@ -689,7 +611,6 @@ func (in *Interp) UnsetVar(name string) error {
 		return nil
 	}
 	f.bind(base, nil)
-	in.varEpoch++ // unset: cached refs to this name are invalid
 	return nil
 }
 
@@ -732,7 +653,6 @@ func (in *Interp) linkVar(target *frame, name, localName string) error {
 		tv = target.create(base)
 	}
 	in.currentFrame().bind(localName, tv)
-	in.varEpoch++ // relink: localName may have referred elsewhere before
 	return nil
 }
 
@@ -883,22 +803,9 @@ func (in *Interp) recordErrorInfo(err error, context string) {
 	_ = in.SetGlobalVar("errorInfo", cur+"\n    "+context)
 }
 
-// ErrorInfo returns the traceback accumulated for the most recent
-// error (the errorInfo global).
-func (in *Interp) ErrorInfo() string {
-	v, err := in.GetGlobalVar("errorInfo")
-	if err != nil {
-		return ""
-	}
-	return v
-}
-
 // acquireFrame grabs a pooled call frame (or makes one) for proc p,
-// with a slot and a slab entry per compiled local. Every activation
-// gets a fresh id so varRef caches from a previous tenant of a
-// recycled frame object cannot hit.
+// with a slot and a slab entry per compiled local.
 func (in *Interp) acquireFrame(p *Proc) *frame {
-	in.frameSeq++
 	var f *frame
 	if n := len(in.framePool); n > 0 {
 		f = in.framePool[n-1]
@@ -906,7 +813,7 @@ func (in *Interp) acquireFrame(p *Proc) *frame {
 	} else {
 		f = &frame{vars: make(map[string]*variable)}
 	}
-	f.proc, f.id = p, in.frameSeq
+	f.proc = p
 	n := len(p.slots)
 	if cap(f.slots) < n {
 		f.slots = make([]*variable, n)

@@ -77,12 +77,6 @@ func enforceArity(meta CommandMeta, fn CommandFunc) CommandFunc {
 	}
 }
 
-// LookupMeta returns the metadata recorded for a command.
-func (in *Interp) LookupMeta(name string) (CommandMeta, bool) {
-	m, ok := in.metas[name]
-	return m, ok
-}
-
 // CommandMetas returns all recorded metadata entries sorted by name.
 func (in *Interp) CommandMetas() []CommandMeta {
 	out := make([]CommandMeta, 0, len(in.metas))

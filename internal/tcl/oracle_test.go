@@ -39,8 +39,10 @@ func oracleRuns(tree bool, src string) [3]oracleObs {
 
 // oracleEval evaluates src on in and observes the run.
 func oracleEval(in *Interp, src string) oracleObs {
+	var out strings.Builder
+	in.Stdout = collect(&out)
 	res, err := in.Eval(src)
-	o := oracleObs{result: res, out: in.Output(), vars: globalVarDump(in)}
+	o := oracleObs{result: res, out: out.String(), vars: globalVarDump(in)}
 	if err != nil {
 		o.errstr = err.Error()
 	}

@@ -32,9 +32,6 @@ func (in *Interp) SetProfiler(p *obs.Profiler) {
 	}
 }
 
-// Profiler returns the attached profiler, or nil.
-func (in *Interp) Profiler() *obs.Profiler { return in.prof }
-
 // SetTrace attaches (or, with nil, detaches) the span tracer the
 // top-level eval and proc-call sites record into.
 func (in *Interp) SetTrace(t *obs.Trace) { in.trace = t }

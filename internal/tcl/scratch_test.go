@@ -33,7 +33,7 @@ func TestScratchReuse(t *testing.T) {
 		for _, src := range pair {
 			oracleCompare(t, fmt.Sprintf("%q after %q", src, pair[0]), oracleEval(tree, src), oracleEval(vm, src))
 		}
-		if n := vm.ScriptCacheLen(); n != 0 {
+		if n := len(vm.scriptCache.m); n != 0 {
 			t.Errorf("%q: %d scripts cached, want none", pair, n)
 		}
 	}
@@ -49,7 +49,7 @@ func TestFirstSightingsNotCached(t *testing.T) {
 			t.Fatalf("%q = %q, %v", src, res, err)
 		}
 	}
-	if n := in.ScriptCacheLen(); n != 0 {
+	if n := len(in.scriptCache.m); n != 0 {
 		t.Fatalf("%d scripts cached after 2000 distinct sources, want none", n)
 	}
 }

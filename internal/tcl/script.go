@@ -85,9 +85,6 @@ func scriptErr(s *Script) (*Script, error) {
 	return s, nil
 }
 
-// IsComplete reports whether the script parsed without error.
-func (s *Script) IsComplete() bool { return s.parseErr == nil }
-
 // maxCachedSrcLen bounds the size of sources kept in the script cache
 // or compiled into a scratch; larger scripts (generated programs, file
 // contents) compile onto the heap and are dropped after the run, so a
@@ -175,12 +172,12 @@ func (c *lruCache) put(key string, val any) {
 	}
 }
 
-func (c *lruCache) len() int { return len(c.m) }
-
 // SetScriptCacheSize resizes the compiled-script intern cache. A size
 // of zero (or less) disables caching entirely, so every Eval compiles
 // fresh — the knob the differential tests use to compare the cached
 // and uncached paths. Resizing clears the cache.
+//
+//wafe:seam the differential tests compare cached and uncached evaluation
 func (in *Interp) SetScriptCacheSize(n int) {
 	if n <= 0 {
 		in.scriptCache = nil
@@ -191,21 +188,14 @@ func (in *Interp) SetScriptCacheSize(n int) {
 
 // SetExprCacheSize resizes the compiled-expression cache; zero (or
 // less) disables it so every expr re-parses its source.
+//
+//wafe:seam the differential tests compare cached and uncached evaluation
 func (in *Interp) SetExprCacheSize(n int) {
 	if n <= 0 {
 		in.exprCache = nil
 		return
 	}
 	in.exprCache = newLRUCache(n)
-}
-
-// ScriptCacheLen reports how many compiled scripts are interned
-// (diagnostics and tests).
-func (in *Interp) ScriptCacheLen() int {
-	if in.scriptCache == nil {
-		return 0
-	}
-	return in.scriptCache.len()
 }
 
 // compileCached returns the cached Script for src, compiling and

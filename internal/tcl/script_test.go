@@ -80,7 +80,7 @@ func TestCompileAndEvalScript(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if !s.IsComplete() {
+	if s.parseErr != nil {
 		t.Fatal("script should be complete")
 	}
 	in := New()
@@ -103,7 +103,7 @@ func TestCompileMalformedScript(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "missing close-bracket") {
 		t.Fatalf("Compile error = %v, want missing close-bracket", err)
 	}
-	if s == nil || s.IsComplete() {
+	if s == nil || s.parseErr == nil {
 		t.Fatal("malformed source must yield an incomplete, evaluable Script")
 	}
 	// The prefix still runs before the error is replayed.
@@ -118,11 +118,11 @@ func TestScriptCacheInterning(t *testing.T) {
 	in := New()
 	in.SetScriptCacheSize(4)
 	evalOK(t, in, "set x 1")
-	if n := in.ScriptCacheLen(); n != 0 {
+	if n := len(in.scriptCache.m); n != 0 {
 		t.Fatalf("a source evaluated once was interned (%d entries)", n)
 	}
 	evalOK(t, in, "set x 1")
-	if in.ScriptCacheLen() != 1 {
+	if len(in.scriptCache.m) != 1 {
 		t.Fatal("expected the script evaluated twice to be interned")
 	}
 	// The cache is LRU-bounded: distinct sources beyond the capacity
@@ -131,14 +131,14 @@ func TestScriptCacheInterning(t *testing.T) {
 		evalOK(t, in, src)
 		evalOK(t, in, src)
 	}
-	if n := in.ScriptCacheLen(); n > 4 {
+	if n := len(in.scriptCache.m); n > 4 {
 		t.Fatalf("cache grew to %d entries, capacity is 4", n)
 	}
 	// Size zero disables interning but evaluation still works.
 	in.SetScriptCacheSize(0)
 	wantEval(t, in, "set x 2", "2")
-	if n := in.ScriptCacheLen(); n != 0 {
-		t.Fatalf("disabled cache holds %d entries", n)
+	if in.scriptCache != nil {
+		t.Fatal("a zero size left a script cache")
 	}
 }
 

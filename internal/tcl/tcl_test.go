@@ -23,6 +23,15 @@ func wantEval(t *testing.T, in *Interp, script, want string) {
 	}
 }
 
+// collect returns a Stdout that appends each line puts or echo writes
+// to b.
+func collect(b *strings.Builder) func(string) {
+	return func(line string) {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+}
+
 func wantErr(t *testing.T, in *Interp, script, substr string) {
 	t.Helper()
 	_, err := in.Eval(script)
@@ -465,12 +474,15 @@ func TestSubstCommand(t *testing.T) {
 
 func TestEchoOutput(t *testing.T) {
 	in := New()
+	var out strings.Builder
+	in.Stdout = collect(&out)
 	evalOK(t, in, "echo hello world")
-	if got := in.Output(); got != "hello world\n" {
+	if got := out.String(); got != "hello world\n" {
 		t.Errorf("echo output = %q", got)
 	}
+	out.Reset()
 	evalOK(t, in, "puts one; puts two")
-	if got := in.Output(); got != "one\ntwo\n" {
+	if got := out.String(); got != "one\ntwo\n" {
 		t.Errorf("puts output = %q", got)
 	}
 }
@@ -556,10 +568,12 @@ func TestWafeStyleDollarUsage(t *testing.T) {
 	// The paper prints "$Resources" style variable references after
 	// getResourceList; reproduce the list-in-variable pattern.
 	in := New()
+	var out strings.Builder
+	in.Stdout = collect(&out)
 	evalOK(t, in, "set Resources {destroyCallback x y width height}")
 	wantEval(t, in, "llength $Resources", "5")
 	evalOK(t, in, "echo Resources: $Resources")
-	if got := in.Output(); got != "Resources: destroyCallback x y width height\n" {
+	if got := out.String(); got != "Resources: destroyCallback x y width height\n" {
 		t.Errorf("output = %q", got)
 	}
 }

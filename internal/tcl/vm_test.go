@@ -121,7 +121,7 @@ func TestDispatchCacheInvalidation(t *testing.T) {
 	if res, _ := in.Eval("probe"); res != "second" {
 		t.Fatalf("probe after rebind = %q (stale inline cache)", res)
 	}
-	in.UnregisterCommand("probe")
+	evalOK(t, in, "rename probe {}")
 	if _, err := in.Eval("probe"); err == nil || !strings.Contains(err.Error(), "invalid command name") {
 		t.Fatalf("probe after unregister: %v", err)
 	}

@@ -472,12 +472,6 @@ func ViewportSetLocation(w *xt.Widget, xFrac, yFrac float64) {
 	w.Damage(xproto.Rect{})
 }
 
-// ViewportLocation returns the current scroll offsets in pixels.
-func ViewportLocation(w *xt.Widget) (int, int) {
-	st := viewportState(w)
-	return st.offX, st.offY
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

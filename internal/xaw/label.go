@@ -201,9 +201,6 @@ func commandRedisplay(w *xt.Widget) {
 	}
 }
 
-// IsCommandSet reports the pressed state (for tests).
-func IsCommandSet(w *xt.Widget) bool { return cmdState(w).set }
-
 // ToggleClass is a Command that latches its state.
 var ToggleClass = &xt.Class{
 	Name:  "Toggle",

@@ -349,16 +349,6 @@ func textInsertSelection(w *xt.Widget, ev *xproto.Event, params []string) {
 	insertText(w, v)
 }
 
-// TextSelection returns the widget's current selection range and text.
-func TextSelection(w *xt.Widget) (start, end int, text string) {
-	st := textState(w)
-	buf := TextBuffer(w)
-	if st.selStart >= st.selEnd || st.selEnd > len(buf) {
-		return 0, 0, ""
-	}
-	return st.selStart, st.selEnd, buf[st.selStart:st.selEnd]
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo

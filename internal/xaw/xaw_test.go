@@ -22,6 +22,33 @@ func newApp(t *testing.T) (*xt.App, *xt.Widget) {
 	return app, top
 }
 
+// drawnStrings lists the text of the DrawString requests in the display
+// list of w's window.
+func drawnStrings(w *xt.Widget) []string {
+	var out []string
+	for _, op := range displayList(w) {
+		if op.Kind == xproto.OpDrawString {
+			out = append(out, op.Text)
+		}
+	}
+	return out
+}
+
+// displayList returns the display list of w's window.
+func displayList(w *xt.Widget) []xproto.DrawOp {
+	if win, ok := w.Display().Lookup(w.Window()); ok {
+		return win.Ops
+	}
+	return nil
+}
+
+// poppedUp reports whether the popup shell w is up: its window is
+// mapped.
+func poppedUp(w *xt.Widget) bool {
+	win, ok := w.Display().Lookup(w.Window())
+	return ok && win.Mapped
+}
+
 func create(t *testing.T, app *xt.App, name string, class *xt.Class, parent *xt.Widget, args map[string]string) *xt.Widget {
 	t.Helper()
 	w, err := app.CreateWidget(name, class, parent, args, true)
@@ -96,10 +123,10 @@ func TestMultiLineLabelAllocs(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	d, win := l.Display(), l.Window()
-	if got := strings.Join(d.StringsDrawn(win), "|"); got != "one|two, the longest||four" {
+	if got := strings.Join(drawnStrings(l), "|"); got != "one|two, the longest||four" {
 		t.Fatalf("drawn lines %q", got)
 	}
-	if n := testing.AllocsPerRun(100, func() { d.InjectExpose(win); app.Pump() }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { d.InjectExposeRect(win, 0, 0, 0, 0); app.Pump() }); n != 0 {
 		t.Errorf("repainting a multi-line label allocates %.1f times, want 0", n)
 	}
 }
@@ -117,10 +144,10 @@ func TestMultiLineTextAllocs(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	d, win := txt.Display(), txt.Window()
-	if got := strings.Join(d.StringsDrawn(win), "|"); got != "one|two, the longest line||four" {
+	if got := strings.Join(drawnStrings(txt), "|"); got != "one|two, the longest line||four" {
 		t.Fatalf("drawn lines %q", got)
 	}
-	if n := testing.AllocsPerRun(100, func() { d.InjectExpose(win); app.Pump() }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { d.InjectExposeRect(win, 0, 0, 0, 0); app.Pump() }); n != 0 {
 		t.Errorf("repainting a multi-line text allocates %.1f times, want 0", n)
 	}
 	// Positions map through the same line walk: the start of "four",
@@ -172,13 +199,14 @@ func TestCommandPressFiresCallback(t *testing.T) {
 		t.Errorf("callback fired %d times", fired)
 	}
 	// Press without release inside: set() then unset via leave+reset.
-	if IsCommandSet(b) {
+	if cmdState(b).set {
 		t.Error("button still set after release")
 	}
 }
 
 func TestCommandHighlightOnEnter(t *testing.T) {
 	app, top := newApp(t)
+	app.ErrorHandler = func(err error) { t.Errorf("dispatch error: %v", err) }
 	b := create(t, app, "b", CommandClass, top, nil)
 	top.Realize()
 	app.Pump()
@@ -193,9 +221,6 @@ func TestCommandHighlightOnEnter(t *testing.T) {
 	// state toggles on leave.
 	d.WarpPointer(900, 900)
 	app.Pump()
-	if errs := app.Errors(); len(errs) > 0 {
-		t.Errorf("errors: %v", errs)
-	}
 }
 
 func TestToggleState(t *testing.T) {
@@ -523,9 +548,9 @@ func TestAsciiTextTyping(t *testing.T) {
 		t.Errorf("buffer = %q", txt.Str("string"))
 	}
 	// BackSpace deletes.
-	code, _ := d.Keymap().KeycodeFor("BackSpace")
-	d.InjectKeycode(code, true)
-	d.InjectKeycode(code, false)
+	if err := d.TypeString("\b"); err != nil {
+		t.Fatal(err)
+	}
 	app.Pump()
 	if txt.Str("string") != "36" {
 		t.Errorf("after backspace = %q", txt.Str("string"))
@@ -561,7 +586,7 @@ func TestAsciiTextFileType(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	drawn := strings.Join(txt.Display().StringsDrawn(txt.Window()), "|")
+	drawn := strings.Join(drawnStrings(txt), "|")
 	if !strings.Contains(drawn, "line two") {
 		t.Errorf("file content not drawn: %q", drawn)
 	}
@@ -603,12 +628,9 @@ func TestTextSelectionOwnsPrimary(t *testing.T) {
 	app.Pump()
 	d.InjectButtonRelease(1)
 	app.Pump()
-	s, e, text := TextSelection(src)
-	if text != "hello" {
-		t.Fatalf("selection = [%d,%d) %q", s, e, text)
-	}
-	if d.SelectionOwner("PRIMARY") != src.Window() {
-		t.Fatal("PRIMARY not owned")
+	st := textState(src)
+	if text := TextBuffer(src)[st.selStart:st.selEnd]; text != "hello" {
+		t.Fatalf("selection = [%d,%d) %q", st.selStart, st.selEnd, text)
 	}
 	if v, ok := d.ConvertSelection("PRIMARY", "STRING"); !ok || v != "hello" {
 		t.Fatalf("PRIMARY value = %q/%v", v, ok)
@@ -698,7 +720,7 @@ func TestMenuButtonEnterWindowOverride(t *testing.T) {
 	x, y := win.RootCoords(2, 2)
 	d.WarpPointer(x, y)
 	app.Pump()
-	if !menu.IsPoppedUp() {
+	if !poppedUp(menu) {
 		t.Error("menu did not pop up on EnterWindow")
 	}
 }
@@ -734,7 +756,7 @@ func TestSimpleMenuNotify(t *testing.T) {
 	if picked != "close" {
 		t.Errorf("picked = %q", picked)
 	}
-	if menu.IsPoppedUp() {
+	if poppedUp(menu) {
 		t.Error("menu should pop down after notify")
 	}
 }
@@ -806,7 +828,6 @@ func TestListInViewportDrawsVisibleRows(t *testing.T) {
 		}
 		return out
 	}
-	d, win := lst.Display(), lst.Window()
 	for _, frac := range []float64{0, 0.5, 0.0123, 1} {
 		ViewportSetLocation(vp, 0, frac)
 		app.Pump()
@@ -814,7 +835,7 @@ func TestListInViewportDrawsVisibleRows(t *testing.T) {
 		if len(want) == 0 || len(want) > 10 {
 			t.Fatalf("at %v: %d visible rows, the geometry is not what the test assumes", frac, len(want))
 		}
-		if got := d.StringsDrawn(win); strings.Join(got, " ") != strings.Join(want, " ") {
+		if got := drawnStrings(lst); strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("at %v: %d rows drawn (%s ... %s), want the %d visible ones %v",
 				frac, len(got), got[0], got[len(got)-1], len(want), want)
 		}
@@ -894,7 +915,7 @@ func TestListRedisplayMatchesFullScan(t *testing.T) {
 				w, h := lst.Int("width"), lst.Int("height")
 				d.InjectExposeRect(win, sub.Intn(w+10)-5, sub.Intn(h+10)-5, 1+sub.Intn(w), 1+sub.Intn(h/2+1))
 				app.Pump()
-				for _, op := range d.DrawLogFor(win) {
+				for _, op := range displayList(lst) {
 					logs[k] = append(logs[k], fmt.Sprintf("%v", op))
 				}
 				logs[k] = append(logs[k], "--")
@@ -916,11 +937,12 @@ func TestViewportScrolling(t *testing.T) {
 		"list": strings.Repeat("row\n", 40) + "last", "verticalList": "true"})
 	top.Realize()
 	app.Pump()
-	if x, y := ViewportLocation(vp); x != 0 || y != 0 {
-		t.Fatalf("initial offset = %d,%d", x, y)
+	st := viewportState(vp)
+	if st.offX != 0 || st.offY != 0 {
+		t.Fatalf("initial offset = %d,%d", st.offX, st.offY)
 	}
 	ViewportSetLocation(vp, 0, 0.5)
-	_, offY := ViewportLocation(vp)
+	offY := st.offY
 	if offY <= 0 {
 		t.Fatalf("scroll had no effect: offY=%d", offY)
 	}
@@ -929,13 +951,13 @@ func TestViewportScrolling(t *testing.T) {
 	}
 	// Horizontal scrolling disabled → x offset forced to zero.
 	ViewportSetLocation(vp, 0.5, 0.5)
-	offX, _ := ViewportLocation(vp)
+	offX := st.offX
 	if offX != 0 {
 		t.Errorf("allowHoriz=false but offX=%d", offX)
 	}
 	// Scrolling past the end clamps.
 	ViewportSetLocation(vp, 0, 5.0)
-	_, offY = ViewportLocation(vp)
+	offY = st.offY
 	if offY > big.Int("height") {
 		t.Errorf("offset %d beyond child height %d", offY, big.Int("height"))
 	}
@@ -966,7 +988,7 @@ func TestViewportAutoScrollbar(t *testing.T) {
 	d.WarpPointer(x, y)
 	d.InjectButtonPress(2)
 	app.Pump()
-	if _, offY := ViewportLocation(vp); offY <= 0 {
+	if offY := viewportState(vp).offY; offY <= 0 {
 		t.Errorf("thumb drag did not scroll (offY=%d)", offY)
 	}
 	// No scrollbar without allowVert.
@@ -1023,6 +1045,7 @@ func TestGripCallback(t *testing.T) {
 
 func TestAllClassesCreatable(t *testing.T) {
 	app, top := newApp(t)
+	app.ErrorHandler = func(err error) { t.Errorf("dispatch error: %v", err) }
 	// Every class in the registry must instantiate without error.
 	parentFor := func(c *xt.Class) *xt.Widget { return top }
 	menu, _ := app.CreateWidget("menushell", SimpleMenuClass, top, nil, false)
@@ -1041,9 +1064,6 @@ func TestAllClassesCreatable(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	if errs := app.Errors(); len(errs) > 0 {
-		t.Errorf("dispatch errors: %v", errs)
-	}
 }
 
 // TestTextLongLineDisplayList pins the display list of an AsciiText
@@ -1064,7 +1084,7 @@ func TestTextLongLineDisplayList(t *testing.T) {
 	var b strings.Builder
 	dump := func(title string) {
 		fmt.Fprintf(&b, "-- %s\n", title)
-		for _, op := range txt.Display().DrawLogFor(txt.Window()) {
+		for _, op := range displayList(txt) {
 			text := op.Text
 			if len(text) > 24 {
 				text = fmt.Sprintf("%s...(%d bytes)", text[:24], len(text))

@@ -208,9 +208,6 @@ func CascadeButtonHighlight(w *xt.Widget, highlight bool) {
 	w.Damage(xproto.Rect{})
 }
 
-// CascadeButtonHighlighted reports the highlight state (for tests).
-func CascadeButtonHighlighted(w *xt.Widget) bool { return cascadeSt(w).highlighted }
-
 // XmRowColumnClass lays children out in rows/columns (menus, menu bars,
 // radio boxes).
 var XmRowColumnClass = &xt.Class{
@@ -353,24 +350,6 @@ var XmCommandClass = &xt.Class{
 // the current command line.
 func CommandAppendValue(w *xt.Widget, s string) {
 	w.SetResourceValue("value", w.Str("value")+s)
-	w.Damage(xproto.Rect{})
-}
-
-// CommandExecute enters the current value into the history and fires
-// commandEnteredCallback.
-func CommandExecute(w *xt.Widget) {
-	v := strings.TrimSpace(w.Str("value"))
-	if v == "" {
-		return
-	}
-	hist := w.StringList("historyItems")
-	hist = append(hist, v)
-	if max := w.Int("historyMaxItems"); max > 0 && len(hist) > max {
-		hist = hist[len(hist)-max:]
-	}
-	w.SetResourceValue("historyItems", hist)
-	w.SetResourceValue("value", "")
-	w.CallCallbacks("commandEnteredCallback", xt.CallData{"value": v})
 	w.Damage(xproto.Rect{})
 }
 

@@ -2,7 +2,6 @@ package xproto
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"wafe/internal/obs"
@@ -45,10 +44,6 @@ type Display struct {
 	keymap *Keymap
 
 	selections map[string]*selection
-
-	// Display list of drawing operations, grouped per window, used for
-	// snapshots and assertions.
-	drawLog map[WindowID][]DrawOp
 
 	// damage accumulates per-window dirty regions; FlushDamage converts
 	// each into coalesced Expose events when the event queue drains.
@@ -121,20 +116,6 @@ func CloseDisplay(d *Display) {
 	delete(registry, d.Name)
 }
 
-// OpenDisplayNames lists the names of all open displays, sorted.
-func OpenDisplayNames() []string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	var names []string
-	for n, d := range registry {
-		if !d.closed {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 func newDisplay(name string) *Display {
 	d := &Display{
 		Name:       name,
@@ -144,7 +125,6 @@ func newDisplay(name string) *Display {
 		nextID:     2,
 		keymap:     DefaultKeymap(),
 		selections: make(map[string]*selection),
-		drawLog:    make(map[WindowID][]DrawOp),
 		damage:     make(map[WindowID]*Region),
 	}
 	d.gcProto = GC{
@@ -176,9 +156,6 @@ func (d *Display) WhitePixel() Pixel { return Pixel{R: 255, G: 255, B: 255} }
 
 // BlackPixel returns the screen's black pixel.
 func (d *Display) BlackPixel() Pixel { return Pixel{} }
-
-// Keymap returns the display's keyboard mapping.
-func (d *Display) Keymap() *Keymap { return d.keymap }
 
 func (d *Display) enqueue(ev Event) {
 	if m := d.obs; m != nil {
@@ -230,9 +207,6 @@ func (d *Display) SetInputFocus(id WindowID) {
 		d.enqueue(Event{Type: FocusIn, Window: id})
 	}
 }
-
-// Focus returns the current input focus window.
-func (d *Display) Focus() WindowID { return d.focus }
 
 // GrabPointer directs all pointer events to the given window until
 // UngrabPointer (used by popup shells with exclusive grabs).
@@ -475,12 +449,6 @@ func (d *Display) TypeString(s string) error {
 	return nil
 }
 
-// InjectExpose queues a full-window Expose for the window. Mask misses
-// are counted (xproto.exposes_dropped) instead of silently vanishing.
-func (d *Display) InjectExpose(id WindowID) {
-	d.InjectExposeRect(id, 0, 0, 0, 0)
-}
-
 // InjectExposeRect damages a rectangle of the window; a zero-sized rect
 // means the whole window. The damage flows through the per-window
 // region, so repeated injections coalesce into the minimal Expose set
@@ -573,12 +541,6 @@ func (d *Display) FlushDamage() {
 		reg.Reset()
 	}
 	d.damaged = d.damaged[:0]
-}
-
-// InjectClientMessage queues a ClientMessage carrying an opaque string
-// payload.
-func (d *Display) InjectClientMessage(id WindowID, data string) {
-	d.enqueue(Event{Type: ClientMessage, Window: id, Data: data})
 }
 
 // Pointer returns the current pointer root position and window.

@@ -1,11 +1,8 @@
 package xproto
 
 import (
-	"fmt"
 	"image"
 	"image/color"
-	"sort"
-	"strings"
 	"unicode/utf8"
 )
 
@@ -84,7 +81,9 @@ func (d *Display) record(win WindowID, op DrawOp) {
 		t.Instant("xproto", op.Kind.String())
 	}
 	d.gen++
-	d.drawLog[win] = append(d.drawLog[win], op)
+	if w := d.windows[win]; w != nil {
+		w.Ops = append(w.Ops, op)
+	}
 }
 
 // ClearWindow erases the window to its background and resets its
@@ -94,7 +93,7 @@ func (d *Display) ClearWindow(win WindowID) {
 	if !ok {
 		return
 	}
-	d.drawLog[win] = d.drawLog[win][:0]
+	w.Ops = w.Ops[:0]
 	d.record(win, DrawOp{Kind: OpClear, W: w.Width, H: w.Height, Color: w.Background})
 }
 
@@ -141,9 +140,8 @@ func (d *Display) ClearArea(id WindowID, x, y, w, h int) {
 		d.ClearWindow(id)
 		return
 	}
-	log := d.drawLog[id]
-	out := log[:0]
-	for _, op := range log {
+	out := win.Ops[:0]
+	for _, op := range win.Ops {
 		b := opBounds(op)
 		keep := !r.Contains(b)
 		if keep && op.Kind == OpDrawString && r.Intersects(b) {
@@ -153,7 +151,7 @@ func (d *Display) ClearArea(id WindowID, x, y, w, h int) {
 			out = append(out, op)
 		}
 	}
-	d.drawLog[id] = out
+	win.Ops = out
 	d.record(id, DrawOp{Kind: OpClear, X: r.X, Y: r.Y, W: r.W, H: r.H, Color: win.Background})
 }
 
@@ -195,25 +193,6 @@ func (d *Display) CopyPixmap(win WindowID, pm *Pixmap, x, y int) {
 		return
 	}
 	d.record(win, DrawOp{Kind: OpCopyPixmap, X: x, Y: y, W: pm.Width, H: pm.Height, PixmapName: pm.Name})
-}
-
-// DrawLogFor returns a copy of the window's display list.
-func (d *Display) DrawLogFor(win WindowID) []DrawOp {
-	ops := d.drawLog[win]
-	out := make([]DrawOp, len(ops))
-	copy(out, ops)
-	return out
-}
-
-// StringsDrawn returns all text drawn into the window, in order.
-func (d *Display) StringsDrawn(win WindowID) []string {
-	var out []string
-	for _, op := range d.drawLog[win] {
-		if op.Kind == OpDrawString {
-			out = append(out, op.Text)
-		}
-	}
-	return out
 }
 
 // --- snapshots -----------------------------------------------------------
@@ -319,7 +298,7 @@ func (d *Display) paintInto(grid [][]rune, w *Window, ax, ay int, pclip Rect) {
 	if clip.Empty() {
 		return
 	}
-	for _, op := range d.drawLog[w.ID] {
+	for _, op := range w.Ops {
 		if op.Kind != OpDrawString {
 			continue
 		}
@@ -419,7 +398,7 @@ func (d *Display) renderInto(img *image.RGBA, w *Window, ax, ay int, clip Rect) 
 		}
 		img.Set(x, y, color.RGBA{p.R, p.G, p.B, 255})
 	}
-	for _, op := range d.drawLog[w.ID] {
+	for _, op := range w.Ops {
 		switch op.Kind {
 		case OpClear, OpFillRect:
 			x0, y0 := ax+op.X, ay+op.Y
@@ -492,29 +471,4 @@ func abs(a int) int {
 		return -a
 	}
 	return a
-}
-
-// TreeString renders the window hierarchy as an indented outline, used
-// by tests and the designer example.
-func (d *Display) TreeString() string {
-	var b strings.Builder
-	var walk func(id WindowID, depth int)
-	walk = func(id WindowID, depth int) {
-		w := d.windows[id]
-		if w == nil {
-			return
-		}
-		state := "unmapped"
-		if w.Mapped {
-			state = "mapped"
-		}
-		fmt.Fprintf(&b, "%s%d %dx%d+%d+%d %s\n", strings.Repeat("  ", depth), w.ID, w.Width, w.Height, w.X, w.Y, state)
-		kids := append([]WindowID(nil), w.Children...)
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		for _, c := range kids {
-			walk(c, depth+1)
-		}
-	}
-	walk(d.Root, 0)
-	return b.String()
 }

@@ -110,9 +110,6 @@ type Event struct {
 	// Expose / ConfigureNotify geometry.
 	Width, Height int
 
-	// ClientMessage payload.
-	Data string
-
 	// Serial increases monotonically per display; used in tests to
 	// assert ordering.
 	Serial uint64

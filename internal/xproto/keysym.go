@@ -150,14 +150,3 @@ func (k *Keymap) StrokesFor(r rune) (Stroke, bool) {
 	s, ok := k.byRune[r]
 	return s, ok
 }
-
-// KeycodeFor returns the keycode whose unshifted or shifted keysym has
-// the given name (e.g. "Return", "w", "exclam").
-func (k *Keymap) KeycodeFor(keysym string) (int, bool) {
-	for code, e := range k.keys {
-		if e.plain.name == keysym || e.shifted.name == keysym {
-			return code, true
-		}
-	}
-	return 0, false
-}

@@ -20,15 +20,6 @@ type Pixmap struct {
 	Depth int
 }
 
-// At returns the pixel at (x, y).
-func (p *Pixmap) At(x, y int) (Pixel, bool) {
-	if x < 0 || y < 0 || x >= p.Width || y >= p.Height {
-		return Pixel{}, false
-	}
-	i := y*p.Width + x
-	return p.Pixels[i], p.Mask[i]
-}
-
 // ParseXBM parses the X11 bitmap C-source text format:
 //
 //	#define name_width 8

@@ -110,15 +110,6 @@ func (g *Region) Added() int { return g.added }
 // Add or Reset.
 func (g *Region) Rects() []Rect { return g.rects[:g.n] }
 
-// Bounds returns the union of all held rects.
-func (g *Region) Bounds() Rect {
-	var b Rect
-	for i := 0; i < g.n; i++ {
-		b = b.Union(g.rects[i])
-	}
-	return b
-}
-
 // Add accumulates one damage rect, merging it with any rect it touches
 // and cascading the merge while the grown rect touches others.
 func (g *Region) Add(r Rect) {

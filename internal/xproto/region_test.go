@@ -39,8 +39,8 @@ func TestRegionCoalescesTouchingRects(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d after adjacent add, want 1", r.Len())
 	}
-	if got := r.Bounds(); got != (Rect{X: 0, Y: 0, W: 20, H: 10}) {
-		t.Errorf("Bounds = %+v", got)
+	if got := r.Rects()[0]; got != (Rect{X: 0, Y: 0, W: 20, H: 10}) {
+		t.Errorf("merged = %+v", got)
 	}
 	// A disjoint rect stays separate.
 	r.Add(Rect{X: 100, Y: 100, W: 5, H: 5})
@@ -118,7 +118,7 @@ func TestInjectExposeDroppedCounted(t *testing.T) {
 	w := mustWindow(t, d, d.Root, 0, 0, 50, 50, 0)
 	d.MapWindow(w)
 	// No ExposureMask selected: the expose is dropped, and counted.
-	d.InjectExpose(w)
+	d.InjectExposeRect(w, 0, 0, 0, 0)
 	if evs := drain(d); len(evs) != 0 {
 		t.Fatalf("got %d events, want 0", len(evs))
 	}
@@ -163,7 +163,7 @@ func TestClearAreaScrubsDisplayList(t *testing.T) {
 	d.DrawString(w, gc, 25, 20, "hello")   // intersects the clear, dropped
 	d.DrawString(w, gc, 80, 50, "safe")    // outside, kept
 	d.ClearArea(w, 5, 5, 40, 40)
-	ops := d.DrawLogFor(w)
+	ops := d.windows[w].Ops
 	var kinds []string
 	var texts []string
 	for _, op := range ops {
@@ -193,7 +193,7 @@ func TestClearAreaFullWindowResetsLog(t *testing.T) {
 	gc := d.NewGC()
 	d.DrawString(w, gc, 5, 12, "x")
 	d.ClearArea(w, 0, 0, 30, 30)
-	ops := d.DrawLogFor(w)
+	ops := d.windows[w].Ops
 	if len(ops) != 1 || ops[0].Kind != OpClear || ops[0].W != 30 {
 		t.Errorf("full-window ClearArea should degenerate to ClearWindow, got %+v", ops)
 	}

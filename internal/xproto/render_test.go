@@ -85,16 +85,6 @@ func TestImplicitButtonGrab(t *testing.T) {
 	d.InjectButtonRelease(1)
 }
 
-func TestClientMessage(t *testing.T) {
-	d := NewTestDisplay()
-	w := mustWindow(t, d, d.Root, 0, 0, 10, 10, 0)
-	d.InjectClientMessage(w, "payload")
-	evs := drain(d)
-	if len(evs) != 1 || evs[0].Type != ClientMessage || evs[0].Data != "payload" {
-		t.Errorf("client message = %+v", evs)
-	}
-}
-
 func TestKeyToUnselectedWindowIsDropped(t *testing.T) {
 	d := NewTestDisplay()
 	w := mustWindow(t, d, d.Root, 0, 0, 10, 10, 0)
@@ -117,14 +107,17 @@ func TestKeyToUnselectedWindowIsDropped(t *testing.T) {
 
 func TestKeymapLookups(t *testing.T) {
 	k := DefaultKeymap()
-	if code, ok := k.KeycodeFor("Return"); !ok || code != 189 {
-		t.Errorf("Return keycode = %d/%v", code, ok)
+	if s, ok := k.StrokesFor('\r'); !ok || s != (Stroke{Keycode: 189}) {
+		t.Errorf("Return stroke = %+v/%v", s, ok)
 	}
-	if code, ok := k.KeycodeFor("exclam"); !ok || code != 197 {
-		t.Errorf("exclam keycode = %d/%v", code, ok)
+	if s, ok := k.StrokesFor('!'); !ok || s != (Stroke{Keycode: 197, Shift: true}) {
+		t.Errorf("exclam stroke = %+v/%v", s, ok)
 	}
-	if _, ok := k.KeycodeFor("NoSuchSym"); ok {
-		t.Error("bogus keysym resolved")
+	if _, ok := k.StrokesFor('€'); ok {
+		t.Error("unmapped rune resolved")
+	}
+	if sym, _ := k.Lookup(197, true); sym != "exclam" {
+		t.Errorf("lookup shifted 197 = %q", sym)
 	}
 	if sym, r := k.Lookup(198, false); sym != "w" || r != 'w' {
 		t.Errorf("lookup 198 = %q/%q", sym, string(r))
@@ -144,20 +137,6 @@ func TestTypeStringUnknownRune(t *testing.T) {
 	d := NewTestDisplay()
 	if err := d.TypeString("ok€"); err == nil {
 		t.Error("expected error for unmapped rune")
-	}
-}
-
-func TestTreeString(t *testing.T) {
-	d := NewTestDisplay()
-	a := mustWindow(t, d, d.Root, 5, 6, 50, 40, 0)
-	_ = mustWindow(t, d, a, 1, 2, 10, 10, 0)
-	d.MapWindow(a)
-	out := d.TreeString()
-	if !strings.Contains(out, "50x40+5+6 mapped") {
-		t.Errorf("tree missing a: %s", out)
-	}
-	if !strings.Contains(out, "10x10+1+2 unmapped") {
-		t.Errorf("tree missing child: %s", out)
 	}
 }
 
@@ -199,7 +178,7 @@ func TestCopyPixmapRecorded(t *testing.T) {
 	}
 	d.CopyPixmap(w, pm, 3, 4)
 	d.CopyPixmap(w, nil, 0, 0) // nil is a no-op
-	ops := d.DrawLogFor(w)
+	ops := d.windows[w].Ops
 	if len(ops) != 1 || ops[0].Kind != OpCopyPixmap || ops[0].PixmapName != "i" {
 		t.Errorf("ops = %+v", ops)
 	}
@@ -260,12 +239,12 @@ func TestFocusEvents(t *testing.T) {
 	if strings.Join(kinds, ",") != want {
 		t.Errorf("focus events = %v, want %s", kinds, want)
 	}
-	if d.Focus() != b {
-		t.Errorf("focus = %d", d.Focus())
+	if d.focus != b {
+		t.Errorf("focus = %d", d.focus)
 	}
 	// Destroying the focus window clears focus.
 	d.DestroyWindow(b)
-	if d.Focus() != None {
+	if d.focus != None {
 		t.Error("focus not cleared on destroy")
 	}
 }

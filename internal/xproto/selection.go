@@ -22,14 +22,6 @@ func (d *Display) DisownSelection(name string, win WindowID) {
 	}
 }
 
-// SelectionOwner returns the owner window of the selection, or None.
-func (d *Display) SelectionOwner(name string) WindowID {
-	if s, ok := d.selections[name]; ok {
-		return s.owner
-	}
-	return None
-}
-
 // ConvertSelection requests the selection value for a target type.
 // Unlike the asynchronous X protocol, the headless server resolves the
 // conversion synchronously; Xt's callback-style API is layered on top.

@@ -30,6 +30,11 @@ type Window struct {
 	// with grabs.
 	OverrideRedirect bool
 
+	// Ops is the window's display list: the drawing requests since it
+	// was last cleared, which Snapshot and RenderImage replay. Only the
+	// drawing requests write it.
+	Ops []DrawOp
+
 	display *Display
 }
 
@@ -165,7 +170,6 @@ func (d *Display) DestroyWindow(id WindowID) {
 		d.grabWindow = None
 	}
 	delete(d.windows, id)
-	delete(d.drawLog, id)
 	delete(d.damage, id)
 	d.recomputePointerWindow()
 }
@@ -208,9 +212,7 @@ func (d *Display) MapWindow(id WindowID) {
 // keep their contents.
 func (d *Display) exposeTree(w *Window) {
 	if w.EventMask&ExposureMask != 0 {
-		if log := d.drawLog[w.ID]; len(log) > 0 {
-			d.drawLog[w.ID] = log[:0]
-		}
+		w.Ops = w.Ops[:0]
 		d.addDamage(w, Rect{W: w.Width, H: w.Height})
 	}
 	for _, c := range w.Children {
@@ -305,18 +307,4 @@ func (d *Display) descend(w *Window, x, y int) WindowID {
 		}
 	}
 	return w.ID
-}
-
-// ancestors returns the chain from w up to the root, inclusive.
-func (d *Display) ancestors(id WindowID) []WindowID {
-	var chain []WindowID
-	for id != None {
-		chain = append(chain, id)
-		w, ok := d.windows[id]
-		if !ok {
-			break
-		}
-		id = w.Parent
-	}
-	return chain
 }

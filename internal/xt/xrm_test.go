@@ -93,7 +93,7 @@ func TestXrmGenerationInvalidation(t *testing.T) {
 	if err := db.Enter("*color", "red"); err != nil {
 		t.Fatal(err)
 	}
-	g0 := db.Generation()
+	g0 := db.gen.Load()
 	names := []string{"wafe", "form"}
 	classes := []string{"Wafe", "Form"}
 	if v, _ := db.Query(names, classes, "color", "Color"); v != "red" {
@@ -105,7 +105,7 @@ func TestXrmGenerationInvalidation(t *testing.T) {
 	if err := db.Enter("wafe.form.color", "blue"); err != nil {
 		t.Fatal(err)
 	}
-	if db.Generation() == g0 {
+	if db.gen.Load() == g0 {
 		t.Error("Enter did not bump the generation")
 	}
 	if v, _ := db.Query(names, classes, "color", "Color"); v != "blue" {
@@ -130,14 +130,14 @@ func TestXrmObsMetrics(t *testing.T) {
 	db.Query(names, classes, "x", "X") // miss (build)
 	db.Query(names, classes, "x", "X") // hit
 	db.Query(names, classes, "x", "X") // hit
-	if v, _ := m.Get("xt.xrm_searchlist_misses"); v != 1 {
+	if v := m.Xt.XrmSearchListMisses.Load(); v != 1 {
 		t.Errorf("misses = %d, want 1", v)
 	}
-	if v, _ := m.Get("xt.xrm_searchlist_hits"); v != 2 {
+	if v := m.Xt.XrmSearchListHits.Load(); v != 2 {
 		t.Errorf("hits = %d, want 2", v)
 	}
-	if v, _ := m.Get("xt.xrm_generation"); v != int64(db.Generation()) {
-		t.Errorf("generation gauge = %d, want %d", v, db.Generation())
+	if v := m.Xt.XrmGeneration.Load(); v != int64(db.gen.Load()) {
+		t.Errorf("generation gauge = %d, want %d", v, db.gen.Load())
 	}
 }
 

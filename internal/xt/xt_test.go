@@ -450,10 +450,10 @@ func TestDestroyCallbacksAndMemory(t *testing.T) {
 	_ = w.AddCallback("destroyCallback", Callback{Proc: func(w *Widget, _ CallData) {
 		destroyed = append(destroyed, w.Name)
 	}})
-	before := app.LiveWidgets()
+	before := len(app.widgets)
 	box.Destroy()
-	if app.LiveWidgets() != before-2 {
-		t.Errorf("live widgets %d → %d, want -2", before, app.LiveWidgets())
+	if len(app.widgets) != before-2 {
+		t.Errorf("live widgets %d → %d, want -2", before, len(app.widgets))
 	}
 	if len(destroyed) != 1 || destroyed[0] != "b" {
 		t.Errorf("destroyCallback fired %v", destroyed)
@@ -494,13 +494,27 @@ func TestRealizeCreatesWindows(t *testing.T) {
 	}
 }
 
+// drawnStrings lists the text of the DrawString requests in the display
+// list of w's window.
+func drawnStrings(w *Widget) []string {
+	var out []string
+	if win, ok := w.Display().Lookup(w.Window()); ok {
+		for _, op := range win.Ops {
+			if op.Kind == xproto.OpDrawString {
+				out = append(out, op.Text)
+			}
+		}
+	}
+	return out
+}
+
 func TestExposeRedraw(t *testing.T) {
 	app := NewTestApp("wafe")
 	top := newShell(t, app)
 	w, _ := app.CreateWidget("l", testLabelClass, top, map[string]string{"label": "drawme"}, true)
 	top.Realize()
 	app.Pump()
-	texts := app.Display().StringsDrawn(w.Window())
+	texts := drawnStrings(w)
 	found := false
 	for _, s := range texts {
 		if s == "drawme" {
@@ -521,7 +535,7 @@ func TestPopupPopdownGrabs(t *testing.T) {
 	if err := popup.Popup(GrabExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if !popup.IsPoppedUp() {
+	if !popup.poppedUp {
 		t.Error("not popped up")
 	}
 	d := app.Display()
@@ -535,7 +549,7 @@ func TestPopupPopdownGrabs(t *testing.T) {
 	if err := popup.Popdown(); err != nil {
 		t.Fatal(err)
 	}
-	if popup.IsPoppedUp() || d.GrabbedWindow() != xproto.None {
+	if popup.poppedUp || d.GrabbedWindow() != xproto.None {
 		t.Error("popdown did not release state")
 	}
 	if win.Mapped {
@@ -625,29 +639,6 @@ func TestAddInputEventsDeliversLines(t *testing.T) {
 	}
 }
 
-func TestWorkProcRunsWhenIdle(t *testing.T) {
-	app := NewTestApp("wafe")
-	runs := 0
-	app.AddWorkProc(func() bool {
-		runs++
-		if runs >= 3 {
-			app.Quit(0)
-			return true
-		}
-		return false
-	})
-	done := make(chan int, 1)
-	go func() { done <- app.MainLoop() }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("MainLoop did not quit")
-	}
-	if runs != 3 {
-		t.Errorf("work proc ran %d times", runs)
-	}
-}
-
 func TestSecondDisplay(t *testing.T) {
 	app := NewTestApp("wafe")
 	d2 := app.OpenSecondDisplay("unit-dec4:0")
@@ -662,6 +653,8 @@ func TestSecondDisplay(t *testing.T) {
 
 func TestUnboundActionRaisesError(t *testing.T) {
 	app := NewTestApp("wafe")
+	var errs []error
+	app.ErrorHandler = func(err error) { errs = append(errs, err) }
 	top := newShell(t, app)
 	w, _ := app.CreateWidget("l", testLabelClass, top, map[string]string{"width": "30", "height": "10"}, true)
 	tt, _ := ParseTranslations("<Btn1Down>: NoSuchAction()")
@@ -673,7 +666,6 @@ func TestUnboundActionRaisesError(t *testing.T) {
 	app.Display().WarpPointer(wx+1, wy+1)
 	app.Display().InjectButtonPress(1)
 	app.Pump()
-	errs := app.Errors()
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unbound action") {
 		t.Errorf("errors = %v", errs)
 	}
@@ -681,19 +673,19 @@ func TestUnboundActionRaisesError(t *testing.T) {
 
 func TestConverterErrors(t *testing.T) {
 	app := NewTestApp("wafe")
-	if _, err := app.Convert(nil, "NoSuchType", "x"); err == nil {
+	if _, err := convert(app, nil, "NoSuchType", "x"); err == nil {
 		t.Error("unknown type must fail")
 	}
-	if _, err := app.Convert(nil, TInt, "abc"); err == nil {
+	if _, err := convert(app, nil, TInt, "abc"); err == nil {
 		t.Error("bad int must fail")
 	}
-	if _, err := app.Convert(nil, TBoolean, "maybe"); err == nil {
+	if _, err := convert(app, nil, TBoolean, "maybe"); err == nil {
 		t.Error("bad bool must fail")
 	}
-	if v, err := app.Convert(nil, TDimension, "42"); err != nil || v.(int) != 42 {
+	if v, err := convert(app, nil, TDimension, "42"); err != nil || v.(int) != 42 {
 		t.Errorf("dimension = %v, %v", v, err)
 	}
-	if v, err := app.Convert(nil, TFloat, "0.5"); err != nil || v.(float64) != 0.5 {
+	if v, err := convert(app, nil, TFloat, "0.5"); err != nil || v.(float64) != 0.5 {
 		t.Errorf("float = %v, %v", v, err)
 	}
 }

@@ -219,7 +219,7 @@ func TestRenderOracle_Batched(t *testing.T) {
 				for _, w := range []*core.Wafe{eager, batched} {
 					for _, name := range w.App.WidgetNames() {
 						if wid := w.App.WidgetByName(name); wid.IsRealized() {
-							wid.Display().InjectExpose(wid.Window())
+							wid.Display().InjectExposeRect(wid.Window(), 0, 0, 0, 0)
 						}
 					}
 					if s, p := renderState(w); s != s1 || !bytes.Equal(p, p1) {
