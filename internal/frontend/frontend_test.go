@@ -16,8 +16,6 @@ import (
 	"wafe/internal/core"
 	"wafe/internal/obs"
 	"wafe/internal/tcl"
-	"wafe/internal/xproto"
-	"wafe/internal/xt"
 )
 
 // syncBuffer is a goroutine-safe terminal sink.
@@ -101,20 +99,6 @@ func post(t *testing.T, f *Frontend, fn func()) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("posted function did not run")
 	}
-}
-
-// drawnStrings lists the text of the DrawString requests in the display
-// list of w's window.
-func drawnStrings(w *xt.Widget) []string {
-	var out []string
-	if win, ok := w.Display().Lookup(w.Window()); ok {
-		for _, op := range win.Ops {
-			if op.Kind == xproto.OpDrawString {
-				out = append(out, op.Text)
-			}
-		}
-	}
-	return out
 }
 
 // metric returns the snapshot value of the named metric.
@@ -251,7 +235,7 @@ func TestRefreshWhileBusy(t *testing.T) {
 		d.ClearWindow(wid.Window()) // wipe the display list
 		d.InjectExposeRect(wid.Window(), 0, 0, 0, 0)
 		f.W.App.Pump()
-		for _, s := range drawnStrings(wid) {
+		for _, s := range wid.Display().StringsDrawn(wid.Window()) {
 			if s == "refresh me" {
 				redrawn = true
 			}
@@ -678,7 +662,7 @@ func TestSetValuesBurstRepaintsOnce(t *testing.T) {
 		t.Errorf("64 updates then one settle repainted the label %d times, want 1", got)
 	}
 	l := w.App.WidgetByName("status")
-	if drawn := drawnStrings(l); len(drawn) != 1 || drawn[0] != "load 63" {
+	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "load 63" {
 		t.Errorf("label shows %q, want [load 63]", drawn)
 	}
 }
@@ -692,7 +676,7 @@ func TestInteractiveModeSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := w.App.WidgetByName("l")
-	if drawn := drawnStrings(l); len(drawn) != 1 || drawn[0] != "updated" {
+	if drawn := l.Display().StringsDrawn(l.Window()); len(drawn) != 1 || drawn[0] != "updated" {
 		t.Errorf("label shows %q, want [updated]", drawn)
 	}
 }

@@ -7,14 +7,6 @@ import (
 	"wafe/internal/xt"
 )
 
-// displayList returns the display list of w's window.
-func displayList(w *xt.Widget) []xproto.DrawOp {
-	if win, ok := w.Display().Lookup(w.Window()); ok {
-		return win.Ops
-	}
-	return nil
-}
-
 func newApp(t *testing.T) (*xt.App, *xt.Widget) {
 	t.Helper()
 	app := xt.NewTestApp("wafe")
@@ -38,7 +30,7 @@ func TestBarGraphValues(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	// A fill op per bar plus the background clear appears in the log.
-	ops := displayList(bg)
+	ops := bg.Display().DrawLogFor(bg.Window())
 	fills := 0
 	for _, op := range ops {
 		if op.Kind == xproto.OpFillRect {
@@ -79,7 +71,7 @@ func TestLineGraphSeries(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	ops := displayList(lg)
+	ops := lg.Display().DrawLogFor(lg.Window())
 	lines := 0
 	for _, op := range ops {
 		if op.Kind == xproto.OpDrawLine {
@@ -114,12 +106,7 @@ func TestGraphLayoutLevels(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	var texts []string
-	for _, op := range displayList(g) {
-		if op.Kind == xproto.OpDrawString {
-			texts = append(texts, op.Text)
-		}
-	}
+	texts := g.Display().StringsDrawn(g.Window())
 	if len(texts) != 5 {
 		t.Errorf("node labels drawn = %v", texts)
 	}

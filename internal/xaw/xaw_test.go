@@ -22,26 +22,6 @@ func newApp(t *testing.T) (*xt.App, *xt.Widget) {
 	return app, top
 }
 
-// drawnStrings lists the text of the DrawString requests in the display
-// list of w's window.
-func drawnStrings(w *xt.Widget) []string {
-	var out []string
-	for _, op := range displayList(w) {
-		if op.Kind == xproto.OpDrawString {
-			out = append(out, op.Text)
-		}
-	}
-	return out
-}
-
-// displayList returns the display list of w's window.
-func displayList(w *xt.Widget) []xproto.DrawOp {
-	if win, ok := w.Display().Lookup(w.Window()); ok {
-		return win.Ops
-	}
-	return nil
-}
-
 // poppedUp reports whether the popup shell w is up: its window is
 // mapped.
 func poppedUp(w *xt.Widget) bool {
@@ -123,7 +103,7 @@ func TestMultiLineLabelAllocs(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	d, win := l.Display(), l.Window()
-	if got := strings.Join(drawnStrings(l), "|"); got != "one|two, the longest||four" {
+	if got := strings.Join(d.StringsDrawn(win), "|"); got != "one|two, the longest||four" {
 		t.Fatalf("drawn lines %q", got)
 	}
 	if n := testing.AllocsPerRun(100, func() { d.InjectExposeRect(win, 0, 0, 0, 0); app.Pump() }); n != 0 {
@@ -144,7 +124,7 @@ func TestMultiLineTextAllocs(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	d, win := txt.Display(), txt.Window()
-	if got := strings.Join(drawnStrings(txt), "|"); got != "one|two, the longest line||four" {
+	if got := strings.Join(d.StringsDrawn(win), "|"); got != "one|two, the longest line||four" {
 		t.Fatalf("drawn lines %q", got)
 	}
 	if n := testing.AllocsPerRun(100, func() { d.InjectExposeRect(win, 0, 0, 0, 0); app.Pump() }); n != 0 {
@@ -586,7 +566,7 @@ func TestAsciiTextFileType(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	drawn := strings.Join(drawnStrings(txt), "|")
+	drawn := strings.Join(txt.Display().StringsDrawn(txt.Window()), "|")
 	if !strings.Contains(drawn, "line two") {
 		t.Errorf("file content not drawn: %q", drawn)
 	}
@@ -644,6 +624,16 @@ func TestTextSelectionOwnsPrimary(t *testing.T) {
 	app.Pump()
 	if dst.Str("string") != "hello" {
 		t.Errorf("paste result = %q", dst.Str("string"))
+	}
+	// src's window owns PRIMARY: disowning it for dst's window keeps
+	// the selection, disowning it for src's window ends it.
+	d.DisownSelection("PRIMARY", dst.Window())
+	if _, ok := d.ConvertSelection("PRIMARY", "STRING"); !ok {
+		t.Fatal("PRIMARY was owned by the paste target's window")
+	}
+	d.DisownSelection("PRIMARY", src.Window())
+	if v, ok := d.ConvertSelection("PRIMARY", "STRING"); ok {
+		t.Fatalf("PRIMARY still converts to %q: src's window was not its owner", v)
 	}
 }
 
@@ -835,7 +825,7 @@ func TestListInViewportDrawsVisibleRows(t *testing.T) {
 		if len(want) == 0 || len(want) > 10 {
 			t.Fatalf("at %v: %d visible rows, the geometry is not what the test assumes", frac, len(want))
 		}
-		if got := drawnStrings(lst); strings.Join(got, " ") != strings.Join(want, " ") {
+		if got := lst.Display().StringsDrawn(lst.Window()); strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("at %v: %d rows drawn (%s ... %s), want the %d visible ones %v",
 				frac, len(got), got[0], got[len(got)-1], len(want), want)
 		}
@@ -915,7 +905,7 @@ func TestListRedisplayMatchesFullScan(t *testing.T) {
 				w, h := lst.Int("width"), lst.Int("height")
 				d.InjectExposeRect(win, sub.Intn(w+10)-5, sub.Intn(h+10)-5, 1+sub.Intn(w), 1+sub.Intn(h/2+1))
 				app.Pump()
-				for _, op := range displayList(lst) {
+				for _, op := range lst.Display().DrawLogFor(lst.Window()) {
 					logs[k] = append(logs[k], fmt.Sprintf("%v", op))
 				}
 				logs[k] = append(logs[k], "--")
@@ -1084,7 +1074,7 @@ func TestTextLongLineDisplayList(t *testing.T) {
 	var b strings.Builder
 	dump := func(title string) {
 		fmt.Fprintf(&b, "-- %s\n", title)
-		for _, op := range displayList(txt) {
+		for _, op := range txt.Display().DrawLogFor(txt.Window()) {
 			text := op.Text
 			if len(text) > 24 {
 				text = fmt.Sprintf("%s...(%d bytes)", text[:24], len(text))

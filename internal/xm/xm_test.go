@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"wafe/internal/xproto"
 	"wafe/internal/xt"
 )
 
@@ -96,13 +95,7 @@ func TestXmLabelWidget(t *testing.T) {
 	}
 	top.Realize()
 	app.Pump()
-	var texts []string
-	win, _ := l.Display().Lookup(l.Window())
-	for _, op := range win.Ops {
-		if op.Kind == xproto.OpDrawString {
-			texts = append(texts, op.Text)
-		}
-	}
+	texts := l.Display().StringsDrawn(l.Window())
 	joined := strings.Join(texts, "|")
 	if !strings.Contains(joined, " bold") || !strings.Contains(joined, "egnarts") {
 		t.Errorf("drawn = %q", joined)

@@ -82,7 +82,7 @@ func (d *Display) record(win WindowID, op DrawOp) {
 	}
 	d.gen++
 	if w := d.windows[win]; w != nil {
-		w.Ops = append(w.Ops, op)
+		w.ops = append(w.ops, op)
 	}
 }
 
@@ -93,7 +93,7 @@ func (d *Display) ClearWindow(win WindowID) {
 	if !ok {
 		return
 	}
-	w.Ops = w.Ops[:0]
+	w.ops = w.ops[:0]
 	d.record(win, DrawOp{Kind: OpClear, W: w.Width, H: w.Height, Color: w.Background})
 }
 
@@ -140,8 +140,8 @@ func (d *Display) ClearArea(id WindowID, x, y, w, h int) {
 		d.ClearWindow(id)
 		return
 	}
-	out := win.Ops[:0]
-	for _, op := range win.Ops {
+	out := win.ops[:0]
+	for _, op := range win.ops {
 		b := opBounds(op)
 		keep := !r.Contains(b)
 		if keep && op.Kind == OpDrawString && r.Intersects(b) {
@@ -151,7 +151,7 @@ func (d *Display) ClearArea(id WindowID, x, y, w, h int) {
 			out = append(out, op)
 		}
 	}
-	win.Ops = out
+	win.ops = out
 	d.record(id, DrawOp{Kind: OpClear, X: r.X, Y: r.Y, W: r.W, H: r.H, Color: win.Background})
 }
 
@@ -193,6 +193,29 @@ func (d *Display) CopyPixmap(win WindowID, pm *Pixmap, x, y int) {
 		return
 	}
 	d.record(win, DrawOp{Kind: OpCopyPixmap, X: x, Y: y, W: pm.Width, H: pm.Height, PixmapName: pm.Name})
+}
+
+// DrawLogFor returns a copy of the window's display list.
+//
+//wafe:seam tests read what a widget drew
+func (d *Display) DrawLogFor(win WindowID) []DrawOp {
+	if w := d.windows[win]; w != nil {
+		return append([]DrawOp(nil), w.ops...)
+	}
+	return nil
+}
+
+// StringsDrawn returns the text of the window's display list, in order.
+//
+//wafe:seam tests read what a widget drew
+func (d *Display) StringsDrawn(win WindowID) []string {
+	var out []string
+	for _, op := range d.DrawLogFor(win) {
+		if op.Kind == OpDrawString {
+			out = append(out, op.Text)
+		}
+	}
+	return out
 }
 
 // --- snapshots -----------------------------------------------------------
@@ -298,7 +321,7 @@ func (d *Display) paintInto(grid [][]rune, w *Window, ax, ay int, pclip Rect) {
 	if clip.Empty() {
 		return
 	}
-	for _, op := range w.Ops {
+	for _, op := range w.ops {
 		if op.Kind != OpDrawString {
 			continue
 		}
@@ -398,7 +421,7 @@ func (d *Display) renderInto(img *image.RGBA, w *Window, ax, ay int, clip Rect) 
 		}
 		img.Set(x, y, color.RGBA{p.R, p.G, p.B, 255})
 	}
-	for _, op := range w.Ops {
+	for _, op := range w.ops {
 		switch op.Kind {
 		case OpClear, OpFillRect:
 			x0, y0 := ax+op.X, ay+op.Y

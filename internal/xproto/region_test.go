@@ -163,7 +163,7 @@ func TestClearAreaScrubsDisplayList(t *testing.T) {
 	d.DrawString(w, gc, 25, 20, "hello")   // intersects the clear, dropped
 	d.DrawString(w, gc, 80, 50, "safe")    // outside, kept
 	d.ClearArea(w, 5, 5, 40, 40)
-	ops := d.windows[w].Ops
+	ops := d.DrawLogFor(w)
 	var kinds []string
 	var texts []string
 	for _, op := range ops {
@@ -193,7 +193,7 @@ func TestClearAreaFullWindowResetsLog(t *testing.T) {
 	gc := d.NewGC()
 	d.DrawString(w, gc, 5, 12, "x")
 	d.ClearArea(w, 0, 0, 30, 30)
-	ops := d.windows[w].Ops
+	ops := d.DrawLogFor(w)
 	if len(ops) != 1 || ops[0].Kind != OpClear || ops[0].W != 30 {
 		t.Errorf("full-window ClearArea should degenerate to ClearWindow, got %+v", ops)
 	}

@@ -178,7 +178,7 @@ func TestCopyPixmapRecorded(t *testing.T) {
 	}
 	d.CopyPixmap(w, pm, 3, 4)
 	d.CopyPixmap(w, nil, 0, 0) // nil is a no-op
-	ops := d.windows[w].Ops
+	ops := d.DrawLogFor(w)
 	if len(ops) != 1 || ops[0].Kind != OpCopyPixmap || ops[0].PixmapName != "i" {
 		t.Errorf("ops = %+v", ops)
 	}

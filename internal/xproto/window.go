@@ -30,10 +30,10 @@ type Window struct {
 	// with grabs.
 	OverrideRedirect bool
 
-	// Ops is the window's display list: the drawing requests since it
+	// ops is the window's display list: the drawing requests since it
 	// was last cleared, which Snapshot and RenderImage replay. Only the
 	// drawing requests write it.
-	Ops []DrawOp
+	ops []DrawOp
 
 	display *Display
 }
@@ -212,7 +212,7 @@ func (d *Display) MapWindow(id WindowID) {
 // keep their contents.
 func (d *Display) exposeTree(w *Window) {
 	if w.EventMask&ExposureMask != 0 {
-		w.Ops = w.Ops[:0]
+		w.ops = w.ops[:0]
 		d.addDamage(w, Rect{W: w.Width, H: w.Height})
 	}
 	for _, c := range w.Children {

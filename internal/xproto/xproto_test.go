@@ -352,7 +352,7 @@ func TestDrawLogAndSnapshot(t *testing.T) {
 	gc := d.NewGC()
 	d.ClearWindow(w)
 	d.DrawString(w, gc, 6, 11, "hello")
-	ops := d.windows[w].Ops
+	ops := d.DrawLogFor(w)
 	if len(ops) != 2 || ops[1].Kind != OpDrawString || ops[1].Text != "hello" {
 		t.Fatalf("ops = %+v", ops)
 	}
@@ -362,6 +362,9 @@ func TestDrawLogAndSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(snap, "+") {
 		t.Errorf("snapshot missing border frame:\n%s", snap)
+	}
+	if got := d.StringsDrawn(w); len(got) != 1 || got[0] != "hello" {
+		t.Errorf("StringsDrawn = %v", got)
 	}
 }
 
@@ -592,7 +595,7 @@ func TestDestroyWindowFreesDrawingState(t *testing.T) {
 			t.Errorf("damage keeps destroyed window %d", id)
 		}
 	}
-	if len(d.windows[live].Ops) == 0 {
+	if len(d.windows[live].ops) == 0 {
 		t.Error("live window lost its display list")
 	}
 }

@@ -175,7 +175,7 @@ func TestPostChainYieldsToTimersAndRepaint(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	painted := func() bool {
-		for _, s := range drawnStrings(w) {
+		for _, s := range w.Display().StringsDrawn(w.Window()) {
 			if s == "after" {
 				return true
 			}

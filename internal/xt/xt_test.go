@@ -494,27 +494,13 @@ func TestRealizeCreatesWindows(t *testing.T) {
 	}
 }
 
-// drawnStrings lists the text of the DrawString requests in the display
-// list of w's window.
-func drawnStrings(w *Widget) []string {
-	var out []string
-	if win, ok := w.Display().Lookup(w.Window()); ok {
-		for _, op := range win.Ops {
-			if op.Kind == xproto.OpDrawString {
-				out = append(out, op.Text)
-			}
-		}
-	}
-	return out
-}
-
 func TestExposeRedraw(t *testing.T) {
 	app := NewTestApp("wafe")
 	top := newShell(t, app)
 	w, _ := app.CreateWidget("l", testLabelClass, top, map[string]string{"label": "drawme"}, true)
 	top.Realize()
 	app.Pump()
-	texts := drawnStrings(w)
+	texts := w.Display().StringsDrawn(w.Window())
 	found := false
 	for _, s := range texts {
 		if s == "drawme" {
