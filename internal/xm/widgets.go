@@ -268,6 +268,11 @@ func rowColumnLayout(w *xt.Widget) {
 
 func rowColumnPreferredSize(w *xt.Widget) (int, int) { return rowColumnPlace(w) }
 
+// xmTextTranslations edit an XmText's value and activate it on Return.
+const xmTextTranslations = `<Key>Return: activate()
+<Key>BackSpace: delete-previous-character()
+<KeyPress>: self-insert()`
+
 // XmTextClass is the Motif text editor (string-valued "value").
 var XmTextClass = &xt.Class{
 	Name:  "XmText",
@@ -281,9 +286,7 @@ var XmTextClass = &xt.Class{
 		{Name: "valueChangedCallback", Class: "Callback", Type: xt.TCallback, Default: ""},
 		{Name: "activateCallback", Class: "Callback", Type: xt.TCallback, Default: ""},
 	},
-	DefaultTranslations: `<Key>Return: activate()
-<Key>BackSpace: delete-previous-character()
-<KeyPress>: self-insert()`,
+	DefaultTranslations: xmTextTranslations,
 	Actions: map[string]xt.ActionProc{
 		"self-insert": func(w *xt.Widget, ev *xproto.Event, _ []string) {
 			if !w.Bool("editable") || ev.Rune < 0x20 {
@@ -334,7 +337,8 @@ func TextInsert(w *xt.Widget, s string) {
 
 // XmCommandClass is the Motif command widget: a prompt plus a command
 // history; XmCommandAppendValue is the naming-convention example
-// (mCommandAppendValue) in the paper.
+// (mCommandAppendValue) in the paper. It edits its value as XmText
+// does, and Return enters the value instead of activating it.
 var XmCommandClass = &xt.Class{
 	Name:  "XmCommand",
 	Super: XmTextClass,
@@ -344,6 +348,28 @@ var XmCommandClass = &xt.Class{
 		{Name: "historyMaxItems", Class: "HistoryMaxItems", Type: xt.TInt, Default: "100"},
 		{Name: "commandEnteredCallback", Class: "Callback", Type: xt.TCallback, Default: ""},
 	},
+	DefaultTranslations: xmTextTranslations,
+	Actions: map[string]xt.ActionProc{
+		"activate": func(w *xt.Widget, _ *xproto.Event, _ []string) { commandEnter(w) },
+	},
+}
+
+// commandEnter enters the current value into the history, keeping the
+// last historyMaxItems, clears the value and fires
+// commandEnteredCallback.
+func commandEnter(w *xt.Widget) {
+	v := strings.TrimSpace(w.Str("value"))
+	if v == "" {
+		return
+	}
+	hist := append(w.StringList("historyItems"), v)
+	if max := w.Int("historyMaxItems"); max > 0 && len(hist) > max {
+		hist = hist[len(hist)-max:]
+	}
+	w.SetResourceValue("historyItems", hist)
+	w.SetResourceValue("value", "")
+	w.CallCallbacks("commandEnteredCallback", xt.CallData{"value": v})
+	w.Damage(xproto.Rect{})
 }
 
 // CommandAppendValue implements XmCommandAppendValue: append text to

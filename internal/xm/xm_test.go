@@ -173,13 +173,51 @@ func TestXmTextEditing(t *testing.T) {
 	}
 }
 
+// TestXmCommand: typed and appended text builds the value, and Return
+// enters it.
 func TestXmCommand(t *testing.T) {
 	app, top := newApp(t)
 	cmd, _ := app.CreateWidget("c", XmCommandClass, top, nil, true)
+	var entered string
+	_ = cmd.AddCallback("commandEnteredCallback", xt.Callback{Proc: func(w *xt.Widget, d xt.CallData) {
+		entered = d["value"]
+	}})
+	top.Realize()
+	app.Pump()
+	d := cmd.Display()
+	d.SetInputFocus(cmd.Window())
 	CommandAppendValue(cmd, "ls ")
-	CommandAppendValue(cmd, "-l")
+	_ = d.TypeString("-l")
+	app.Pump()
 	if cmd.Str("value") != "ls -l" {
 		t.Errorf("value = %q", cmd.Str("value"))
+	}
+	_ = d.TypeString("\r")
+	app.Pump()
+	if entered != "ls -l" {
+		t.Errorf("entered = %q", entered)
+	}
+	hist := cmd.StringList("historyItems")
+	if len(hist) != 1 || hist[0] != "ls -l" {
+		t.Errorf("history = %v", hist)
+	}
+	if cmd.Str("value") != "" {
+		t.Error("value not cleared after Return")
+	}
+}
+
+func TestHistoryLimit(t *testing.T) {
+	app, top := newApp(t)
+	cmd, _ := app.CreateWidget("c", XmCommandClass, top, map[string]string{"historyMaxItems": "3"}, true)
+	top.Realize()
+	app.Pump()
+	d := cmd.Display()
+	d.SetInputFocus(cmd.Window())
+	_ = d.TypeString("a\rb\rc\r\rd\r")
+	app.Pump()
+	hist := cmd.StringList("historyItems")
+	if strings.Join(hist, " ") != "b c d" {
+		t.Errorf("history = %v, want the last three entered, without the empty one", hist)
 	}
 }
 
