@@ -139,6 +139,12 @@ func (w *Wafe) evalValues(p *PercentScript, vals map[byte]string) (string, error
 	return w.Eval(p.ExpandValues(vals))
 }
 
+// EvalPercent scans src and runs it as evalValues does, for a script
+// that runs once, such as the supervisor's onBackendExit.
+func (w *Wafe) EvalPercent(src string, vals map[byte]string) (string, error) {
+	return w.evalValues(w.percentScript(src), vals)
+}
+
 func newPercentScript(src string, compile func(string) (*tcl.Script, error)) *PercentScript {
 	p := &PercentScript{Source: src}
 	static := true

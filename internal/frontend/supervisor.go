@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"wafe/internal/core"
 )
 
 // BackendState is the lifecycle state the `backend` command reports.
@@ -299,14 +297,14 @@ func (s *Supervisor) fireCallback(name, class string, exitClass string, status i
 	if !ok || script == "" {
 		return false
 	}
-	expanded := core.NewPercentScript(script).ExpandValues(map[byte]string{
+	_, err := s.f.W.EvalPercent(script, map[byte]string{
 		'p': strconv.Itoa(s.Pid()),
 		'n': strconv.Itoa(s.Restarts()),
 		'r': exitClass,
 		'x': strconv.Itoa(status),
 		'u': strconv.FormatInt(uptime.Milliseconds(), 10),
 	})
-	if _, err := s.f.W.Eval(expanded); err != nil {
+	if err != nil {
 		fmt.Fprintf(s.f.Terminal, "wafe: %s script: %v\n", name, err)
 	}
 	return true
