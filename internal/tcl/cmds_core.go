@@ -47,22 +47,16 @@ func registerCoreCommands(in *Interp) {
 }
 
 func cmdSet(in *Interp, argv []string) (string, error) {
-	switch len(argv) {
-	case 2:
+	if len(argv) == 2 {
 		return in.GetVar(argv[1])
-	case 3:
-		if err := in.SetVar(argv[1], argv[2]); err != nil {
-			return "", err
-		}
-		return argv[2], nil
 	}
-	return "", arityError("set", "varName ?newValue?")
+	if err := in.SetVar(argv[1], argv[2]); err != nil {
+		return "", err
+	}
+	return argv[2], nil
 }
 
 func cmdUnset(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("unset", "varName ?varName ...?")
-	}
 	for _, name := range argv[1:] {
 		if err := in.UnsetVar(name); err != nil {
 			return "", err
@@ -72,9 +66,6 @@ func cmdUnset(in *Interp, argv []string) (string, error) {
 }
 
 func cmdIncr(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("incr", "varName ?increment?")
-	}
 	delta := int64(1)
 	if len(argv) == 3 {
 		// Like the stored value, the increment tolerates surrounding
@@ -94,9 +85,6 @@ func cmdIncr(in *Interp, argv []string) (string, error) {
 }
 
 func cmdAppend(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("append", "varName ?value value ...?")
-	}
 	cur := ""
 	if in.VarExists(argv[1]) {
 		s, err := in.GetVar(argv[1])
@@ -113,9 +101,6 @@ func cmdAppend(in *Interp, argv []string) (string, error) {
 }
 
 func cmdExpr(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("expr", "arg ?arg ...?")
-	}
 	return in.ExprEval(strings.Join(argv[1:], " "))
 }
 
@@ -163,9 +148,6 @@ func cmdIf(in *Interp, argv []string) (string, error) {
 }
 
 func cmdWhile(in *Interp, argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", arityError("while", "test command")
-	}
 	body := in.compileCached(argv[2])
 	for {
 		ok, err := in.ExprBool(argv[1])
@@ -192,9 +174,6 @@ func cmdWhile(in *Interp, argv []string) (string, error) {
 }
 
 func cmdFor(in *Interp, argv []string) (string, error) {
-	if len(argv) != 5 {
-		return "", arityError("for", "start test next command")
-	}
 	if _, err := in.Eval(argv[1]); err != nil {
 		return "", err
 	}
@@ -237,9 +216,6 @@ func cmdFor(in *Interp, argv []string) (string, error) {
 }
 
 func cmdForeach(in *Interp, argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", arityError("foreach", "varName list command")
-	}
 	vars, err := ParseList(argv[1])
 	if err != nil {
 		return "", err
@@ -348,24 +324,15 @@ parsed:
 }
 
 func cmdBreak(in *Interp, argv []string) (string, error) {
-	if len(argv) != 1 {
-		return "", arityError("break", "")
-	}
 	return "", errBreak
 }
 
 func cmdContinue(in *Interp, argv []string) (string, error) {
-	if len(argv) != 1 {
-		return "", arityError("continue", "")
-	}
 	return "", errContinue
 }
 
 func cmdReturn(in *Interp, argv []string) (string, error) {
 	val := ""
-	if len(argv) > 2 {
-		return "", arityError("return", "?value?")
-	}
 	if len(argv) == 2 {
 		val = argv[1]
 	}
@@ -373,9 +340,6 @@ func cmdReturn(in *Interp, argv []string) (string, error) {
 }
 
 func cmdProc(in *Interp, argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", arityError("proc", "name args body")
-	}
 	name := argv[1]
 	formals, err := ParseList(argv[2])
 	if err != nil {
@@ -404,16 +368,10 @@ func cmdProc(in *Interp, argv []string) (string, error) {
 }
 
 func cmdError(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("error", "message")
-	}
 	return "", NewError("%s", argv[1])
 }
 
 func cmdCatch(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("catch", "command ?varName?")
-	}
 	res, err := in.Eval(argv[1])
 	code := CodeOK
 	if err != nil {
@@ -437,23 +395,14 @@ func cmdCatch(in *Interp, argv []string) (string, error) {
 }
 
 func cmdEval(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("eval", "arg ?arg ...?")
-	}
 	return in.Eval(strings.Join(argv[1:], " "))
 }
 
 func cmdSubst(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("subst", "string")
-	}
 	return in.Subst(argv[1])
 }
 
 func cmdGlobal(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("global", "varName ?varName ...?")
-	}
 	if in.Level() == 0 {
 		return "", nil // global at global level is a no-op
 	}
@@ -490,9 +439,6 @@ func (in *Interp) frameAt(spec string) (*frame, error) {
 }
 
 func cmdUpvar(in *Interp, argv []string) (string, error) {
-	if len(argv) < 3 {
-		return "", arityError("upvar", "?level? otherVar localVar ?otherVar localVar ...?")
-	}
 	rest := argv[1:]
 	levelSpec := ""
 	if len(rest)%2 == 1 {
@@ -512,9 +458,6 @@ func cmdUpvar(in *Interp, argv []string) (string, error) {
 }
 
 func cmdUplevel(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("uplevel", "?level? command ?arg ...?")
-	}
 	rest := argv[1:]
 	levelSpec := ""
 	if len(rest) > 1 {
@@ -560,9 +503,6 @@ func isAllDigits(s string) bool {
 }
 
 func cmdRename(in *Interp, argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", arityError("rename", "oldName newName")
-	}
 	old, nw := argv[1], argv[2]
 	fn, ok := in.commands[old]
 	if !ok {
@@ -590,9 +530,6 @@ func cmdRename(in *Interp, argv []string) (string, error) {
 }
 
 func cmdInfo(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("info", "option ?arg ...?")
-	}
 	switch argv[1] {
 	case "exists":
 		if len(argv) != 3 {
@@ -672,9 +609,6 @@ func cmdInfo(in *Interp, argv []string) (string, error) {
 }
 
 func cmdArray(in *Interp, argv []string) (string, error) {
-	if len(argv) < 3 {
-		return "", arityError("array", "option arrayName ?arg ...?")
-	}
 	op, name := argv[1], argv[2]
 	switch op {
 	case "exists":
@@ -787,9 +721,6 @@ func cmdEcho(in *Interp, argv []string) (string, error) {
 }
 
 func cmdSource(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("source", "fileName")
-	}
 	data, err := os.ReadFile(argv[1])
 	if err != nil {
 		return "", NewError("couldn't read file %q: %v", argv[1], err)
@@ -798,9 +729,6 @@ func cmdSource(in *Interp, argv []string) (string, error) {
 }
 
 func cmdTime(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("time", "command ?count?")
-	}
 	count := 1
 	if len(argv) == 3 {
 		c, err := strconv.Atoi(argv[2])

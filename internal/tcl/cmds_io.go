@@ -110,9 +110,6 @@ func cmdPwd(in *Interp, argv []string) (string, error) {
 }
 
 func cmdCd(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("cd", "dirName")
-	}
 	if err := os.Chdir(argv[1]); err != nil {
 		return "", NewError("couldn't change directory to %q: %v", argv[1], err)
 	}
@@ -122,9 +119,6 @@ func cmdCd(in *Interp, argv []string) (string, error) {
 // cmdOpen implements "open fileName ?access?" with the classic access
 // modes r, r+, w, w+, a, a+.
 func cmdOpen(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("open", "fileName ?access?")
-	}
 	access := "r"
 	if len(argv) == 3 {
 		access = argv[2]
@@ -164,9 +158,6 @@ func cmdOpen(in *Interp, argv []string) (string, error) {
 }
 
 func cmdClose(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("close", "fileId")
-	}
 	ch, err := in.lookupChannel(argv[1])
 	if err != nil {
 		return "", err
@@ -185,9 +176,6 @@ func cmdClose(in *Interp, argv []string) (string, error) {
 // cmdGets implements "gets fileId ?varName?": with a variable it
 // returns the line length (-1 at EOF); without, the line itself.
 func cmdGets(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("gets", "fileId ?varName?")
-	}
 	ch, err := in.lookupChannel(argv[1])
 	if err != nil {
 		return "", err
@@ -218,9 +206,6 @@ func cmdGets(in *Interp, argv []string) (string, error) {
 
 // cmdRead implements "read fileId" (whole rest) and "read fileId n".
 func cmdRead(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("read", "fileId ?numBytes?")
-	}
 	ch, err := in.lookupChannel(argv[1])
 	if err != nil {
 		return "", err
@@ -266,9 +251,6 @@ func fullRead(r *bufio.Reader, buf []byte) (int, error) {
 }
 
 func cmdEOF(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("eof", "fileId")
-	}
 	ch, err := in.lookupChannel(argv[1])
 	if err != nil {
 		return "", err
@@ -287,9 +269,6 @@ func cmdEOF(in *Interp, argv []string) (string, error) {
 }
 
 func cmdFlush(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("flush", "fileId")
-	}
 	if argv[1] == "stdout" || argv[1] == "stderr" {
 		return "", nil
 	}
@@ -309,9 +288,6 @@ func cmdFlush(in *Interp, argv []string) (string, error) {
 // isdirectory, size, dirname, tail, rootname, extension, readable,
 // writable.
 func cmdFile(in *Interp, argv []string) (string, error) {
-	if len(argv) < 3 {
-		return "", arityError("file", "option name ?arg ...?")
-	}
 	op, name := argv[1], argv[2]
 	stat := func() (os.FileInfo, error) { return os.Stat(name) }
 	switch op {
@@ -378,9 +354,6 @@ func cmdFile(in *Interp, argv []string) (string, error) {
 // trailing newline stripped, as Tcl's exec does. Pipelines and
 // redirections are not supported.
 func cmdExec(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("exec", "command ?arg ...?")
-	}
 	cmd := exec.Command(argv[1], argv[2:]...)
 	out, err := cmd.Output()
 	res := strings.TrimRight(string(out), "\n")
@@ -401,9 +374,6 @@ func cmdExec(in *Interp, argv []string) (string, error) {
 // switch): case string ?in? {pattern body pattern body ...} or inline
 // pairs. Patterns are glob patterns; "default" matches anything.
 func cmdCase(in *Interp, argv []string) (string, error) {
-	if len(argv) < 3 {
-		return "", arityError("case", "string ?in? patList body ?patList body ...?")
-	}
 	subject := argv[1]
 	rest := argv[2:]
 	if rest[0] == "in" {

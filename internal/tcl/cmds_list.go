@@ -25,9 +25,6 @@ func cmdList(in *Interp, argv []string) (string, error) {
 }
 
 func cmdLindex(in *Interp, argv []string) (string, error) {
-	if len(argv) != 3 {
-		return "", arityError("lindex", "list index")
-	}
 	items, err := ParseList(argv[1])
 	if err != nil {
 		return "", err
@@ -43,9 +40,6 @@ func cmdLindex(in *Interp, argv []string) (string, error) {
 }
 
 func cmdLlength(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("llength", "list")
-	}
 	items, err := ParseList(argv[1])
 	if err != nil {
 		return "", err
@@ -54,9 +48,6 @@ func cmdLlength(in *Interp, argv []string) (string, error) {
 }
 
 func cmdLappend(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("lappend", "varName ?value value ...?")
-	}
 	// Plain scalar fast path: one frame lookup instead of the three
 	// (exists / read / write) the general path pays. Same error
 	// surface: appending to an array variable reports the read error.
@@ -100,9 +91,6 @@ func appendListElems(cur string, elems []string) string {
 }
 
 func cmdLrange(in *Interp, argv []string) (string, error) {
-	if len(argv) != 4 {
-		return "", arityError("lrange", "list first last")
-	}
 	items, err := ParseList(argv[1])
 	if err != nil {
 		return "", err
@@ -128,9 +116,6 @@ func cmdLrange(in *Interp, argv []string) (string, error) {
 }
 
 func cmdLinsert(in *Interp, argv []string) (string, error) {
-	if len(argv) < 4 {
-		return "", arityError("linsert", "list index element ?element ...?")
-	}
 	items, err := ParseList(argv[1])
 	if err != nil {
 		return "", err
@@ -153,9 +138,6 @@ func cmdLinsert(in *Interp, argv []string) (string, error) {
 }
 
 func cmdLreplace(in *Interp, argv []string) (string, error) {
-	if len(argv) < 4 {
-		return "", arityError("lreplace", "list first last ?element ...?")
-	}
 	items, err := ParseList(argv[1])
 	if err != nil {
 		return "", err
@@ -367,9 +349,6 @@ func lower(c byte) byte {
 }
 
 func cmdLreverse(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 {
-		return "", arityError("lreverse", "list")
-	}
 	items, err := ParseList(argv[1])
 	if err != nil {
 		return "", err

@@ -105,9 +105,6 @@ func matchCharClass(class string, c byte) bool {
 }
 
 func cmdString(in *Interp, argv []string) (string, error) {
-	if len(argv) < 3 {
-		return "", arityError("string", "option arg ?arg ...?")
-	}
 	op := argv[1]
 	switch op {
 	case "length":
@@ -228,9 +225,6 @@ func parseIndex(s string, length int) (int, error) {
 // cmdFormat implements a printf-compatible format using Go's fmt after
 // translating the Tcl verbs (%d %i %u %s %c %x %X %o %f %e %g %%).
 func cmdFormat(in *Interp, argv []string) (string, error) {
-	if len(argv) < 2 {
-		return "", arityError("format", "formatString ?arg ...?")
-	}
 	return FormatTcl(argv[1], argv[2:])
 }
 
@@ -346,9 +340,6 @@ func FormatTcl(format string, args []string) (string, error) {
 // cmdScan implements a small but useful subset of Tcl scan: %d %f %s %c
 // with literal text matching.
 func cmdScan(in *Interp, argv []string) (string, error) {
-	if len(argv) < 4 {
-		return "", arityError("scan", "string format varName ?varName ...?")
-	}
 	s, format := argv[1], argv[2]
 	vars := argv[3:]
 	si, vi := 0, 0
@@ -593,9 +584,6 @@ parsed:
 }
 
 func cmdSplit(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("split", "string ?splitChars?")
-	}
 	s := argv[1]
 	chars := " \t\n\r"
 	if len(argv) == 3 {
@@ -622,9 +610,6 @@ func cmdSplit(in *Interp, argv []string) (string, error) {
 }
 
 func cmdJoin(in *Interp, argv []string) (string, error) {
-	if len(argv) != 2 && len(argv) != 3 {
-		return "", arityError("join", "list ?joinString?")
-	}
 	sep := " "
 	if len(argv) == 3 {
 		sep = argv[2]

@@ -24,8 +24,8 @@ type CommandMeta struct {
 	// Usage, when non-empty, turns on central arity enforcement: a
 	// call outside the bounds fails with
 	//   wrong # args: should be "<Usage>"
-	// before the command function runs. Commands that produce custom
-	// messages leave Usage empty and keep their own checks.
+	// before the command function runs, which then checks only what
+	// depends on a subcommand or an option word.
 	Usage string
 
 	// Options lists the literal "-flag" words the command accepts.
@@ -88,75 +88,78 @@ func (in *Interp) CommandMetas() []CommandMeta {
 }
 
 // builtinMetas describes the standard command set registered by New.
-// Bounds mirror each implementation's own arity check (Usage stays
-// empty — the builtins keep their historical messages); the table
-// exists for wafecheck and for introspection.
+// A row's bounds are the only top-level arity check of its builtin:
+// the interpreter enforces them with the row's usage text, and
+// wafecheck reads the same row. Four rows have no usage text: echo,
+// list and concat take any number of arguments and so stay unwrapped,
+// and if reports Tcl's own positional messages ("no script following
+// ...").
 var builtinMetas = []CommandMeta{
-	{Name: "set", MinArgs: 1, MaxArgs: 2},
-	{Name: "unset", MinArgs: 1, MaxArgs: -1},
-	{Name: "incr", MinArgs: 1, MaxArgs: 2, VarArgs: []int{1}},
-	{Name: "append", MinArgs: 1, MaxArgs: -1, VarArgs: []int{1}},
-	{Name: "expr", MinArgs: 1, MaxArgs: -1, ExprArgs: []int{1}},
+	{Name: "set", MinArgs: 1, MaxArgs: 2, Usage: "set varName ?newValue?"},
+	{Name: "unset", MinArgs: 1, MaxArgs: -1, Usage: "unset varName ?varName ...?"},
+	{Name: "incr", MinArgs: 1, MaxArgs: 2, Usage: "incr varName ?increment?", VarArgs: []int{1}},
+	{Name: "append", MinArgs: 1, MaxArgs: -1, Usage: "append varName ?value value ...?", VarArgs: []int{1}},
+	{Name: "expr", MinArgs: 1, MaxArgs: -1, Usage: "expr arg ?arg ...?", ExprArgs: []int{1}},
 	{Name: "if", MinArgs: 2, MaxArgs: -1},
-	{Name: "while", MinArgs: 2, MaxArgs: 2, ExprArgs: []int{1}, ScriptArgs: []int{2}},
-	{Name: "for", MinArgs: 4, MaxArgs: 4, ExprArgs: []int{2}, ScriptArgs: []int{1, 3, 4}},
-	{Name: "foreach", MinArgs: 3, MaxArgs: 3, VarArgs: []int{1}, ScriptArgs: []int{3}},
-	{Name: "switch", MinArgs: 2, MaxArgs: -1, Options: []string{"-exact", "-glob", "-regexp", "--"}},
-	{Name: "break", MinArgs: 0, MaxArgs: 0},
-	{Name: "continue", MinArgs: 0, MaxArgs: 0},
-	{Name: "return", MinArgs: 0, MaxArgs: 1},
-	{Name: "proc", MinArgs: 3, MaxArgs: 3},
-	{Name: "error", MinArgs: 1, MaxArgs: 2},
-	{Name: "catch", MinArgs: 1, MaxArgs: 2, ScriptArgs: []int{1}, VarArgs: []int{2}},
-	{Name: "eval", MinArgs: 1, MaxArgs: -1},
-	{Name: "subst", MinArgs: 1, MaxArgs: 1},
-	{Name: "global", MinArgs: 1, MaxArgs: -1},
-	{Name: "upvar", MinArgs: 2, MaxArgs: -1},
-	{Name: "uplevel", MinArgs: 1, MaxArgs: -1},
-	{Name: "rename", MinArgs: 2, MaxArgs: 2},
-	{Name: "info", MinArgs: 1, MaxArgs: -1,
+	{Name: "while", MinArgs: 2, MaxArgs: 2, Usage: "while test command", ExprArgs: []int{1}, ScriptArgs: []int{2}},
+	{Name: "for", MinArgs: 4, MaxArgs: 4, Usage: "for start test next command", ExprArgs: []int{2}, ScriptArgs: []int{1, 3, 4}},
+	{Name: "foreach", MinArgs: 3, MaxArgs: 3, Usage: "foreach varName list command", VarArgs: []int{1}, ScriptArgs: []int{3}},
+	{Name: "switch", MinArgs: 2, MaxArgs: -1, Usage: "switch ?options? string pattern body ... ?default body?", Options: []string{"-exact", "-glob", "-regexp", "--"}},
+	{Name: "break", MinArgs: 0, MaxArgs: 0, Usage: "break"},
+	{Name: "continue", MinArgs: 0, MaxArgs: 0, Usage: "continue"},
+	{Name: "return", MinArgs: 0, MaxArgs: 1, Usage: "return ?value?"},
+	{Name: "proc", MinArgs: 3, MaxArgs: 3, Usage: "proc name args body"},
+	{Name: "error", MinArgs: 1, MaxArgs: 3, Usage: "error message ?errorInfo? ?errorCode?"},
+	{Name: "catch", MinArgs: 1, MaxArgs: 2, Usage: "catch command ?varName?", ScriptArgs: []int{1}, VarArgs: []int{2}},
+	{Name: "eval", MinArgs: 1, MaxArgs: -1, Usage: "eval arg ?arg ...?"},
+	{Name: "subst", MinArgs: 1, MaxArgs: 1, Usage: "subst string"},
+	{Name: "global", MinArgs: 1, MaxArgs: -1, Usage: "global varName ?varName ...?"},
+	{Name: "upvar", MinArgs: 2, MaxArgs: -1, Usage: "upvar ?level? otherVar localVar ?otherVar localVar ...?"},
+	{Name: "uplevel", MinArgs: 1, MaxArgs: -1, Usage: "uplevel ?level? command ?arg ...?"},
+	{Name: "rename", MinArgs: 2, MaxArgs: 2, Usage: "rename oldName newName"},
+	{Name: "info", MinArgs: 1, MaxArgs: -1, Usage: "info option ?arg ...?",
 		Subcommands: []string{"exists", "commands", "procs", "vars", "locals", "globals", "level", "body", "args", "tclversion"}},
-	{Name: "array", MinArgs: 2, MaxArgs: -1,
+	{Name: "array", MinArgs: 2, MaxArgs: -1, Usage: "array option arrayName ?arg ...?",
 		Subcommands: []string{"exists", "size", "names", "get", "set", "unset"}},
-	{Name: "puts", MinArgs: 1, MaxArgs: 3, Options: []string{"-nonewline"}},
-	{Name: "source", MinArgs: 1, MaxArgs: 1},
-	{Name: "time", MinArgs: 1, MaxArgs: 2, ScriptArgs: []int{1}},
+	{Name: "puts", MinArgs: 1, MaxArgs: 3, Usage: "puts ?-nonewline? ?fileId? string", Options: []string{"-nonewline"}},
+	{Name: "source", MinArgs: 1, MaxArgs: 1, Usage: "source fileName"},
+	{Name: "time", MinArgs: 1, MaxArgs: 2, Usage: "time command ?count?", ScriptArgs: []int{1}},
 	{Name: "list", MinArgs: 0, MaxArgs: -1},
 	{Name: "concat", MinArgs: 0, MaxArgs: -1},
-	{Name: "lindex", MinArgs: 2, MaxArgs: 2},
-	{Name: "llength", MinArgs: 1, MaxArgs: 1},
-	{Name: "lappend", MinArgs: 1, MaxArgs: -1, VarArgs: []int{1}},
-	{Name: "lrange", MinArgs: 3, MaxArgs: 3},
-	{Name: "linsert", MinArgs: 3, MaxArgs: -1},
-	{Name: "lreplace", MinArgs: 3, MaxArgs: -1},
-	{Name: "lsearch", MinArgs: 2, MaxArgs: 3, Options: []string{"-exact", "-glob", "-regexp"}},
-	{Name: "lsort", MinArgs: 1, MaxArgs: -1,
+	{Name: "lindex", MinArgs: 2, MaxArgs: 2, Usage: "lindex list index"},
+	{Name: "llength", MinArgs: 1, MaxArgs: 1, Usage: "llength list"},
+	{Name: "lappend", MinArgs: 1, MaxArgs: -1, Usage: "lappend varName ?value value ...?", VarArgs: []int{1}},
+	{Name: "lrange", MinArgs: 3, MaxArgs: 3, Usage: "lrange list first last"},
+	{Name: "linsert", MinArgs: 3, MaxArgs: -1, Usage: "linsert list index element ?element ...?"},
+	{Name: "lreplace", MinArgs: 3, MaxArgs: -1, Usage: "lreplace list first last ?element ...?"},
+	{Name: "lsearch", MinArgs: 2, MaxArgs: 3, Usage: "lsearch ?mode? list pattern", Options: []string{"-exact", "-glob", "-regexp"}},
+	{Name: "lsort", MinArgs: 1, MaxArgs: -1, Usage: "lsort ?options? list",
 		Options: []string{"-ascii", "-integer", "-real", "-dictionary", "-increasing", "-decreasing", "-command"}},
-	{Name: "lreverse", MinArgs: 1, MaxArgs: 1},
-	{Name: "string", MinArgs: 2, MaxArgs: -1,
+	{Name: "lreverse", MinArgs: 1, MaxArgs: 1, Usage: "lreverse list"},
+	{Name: "string", MinArgs: 2, MaxArgs: -1, Usage: "string option arg ?arg ...?",
 		Subcommands: []string{"length", "tolower", "toupper", "trim", "trimleft", "trimright", "index", "range", "compare", "match", "first", "last", "repeat", "reverse"}},
-	{Name: "format", MinArgs: 1, MaxArgs: -1},
-	{Name: "scan", MinArgs: 3, MaxArgs: -1},
-	{Name: "regexp", MinArgs: 2, MaxArgs: -1, Options: []string{"-nocase", "-indices", "--"}},
-	{Name: "regsub", MinArgs: 4, MaxArgs: -1, Options: []string{"-nocase", "-all", "--"}, VarArgs: []int{4}},
-	{Name: "split", MinArgs: 1, MaxArgs: 2},
-	{Name: "join", MinArgs: 1, MaxArgs: 2},
-	{Name: "glob", MinArgs: 1, MaxArgs: -1, Options: []string{"-nocomplain"}},
-	{Name: "cd", MinArgs: 0, MaxArgs: 1},
-	{Name: "pwd", MinArgs: 0, MaxArgs: 0},
-	{Name: "open", MinArgs: 1, MaxArgs: 2},
-	{Name: "close", MinArgs: 1, MaxArgs: 1},
-	{Name: "gets", MinArgs: 1, MaxArgs: 2, VarArgs: []int{2}},
-	{Name: "read", MinArgs: 1, MaxArgs: 2},
-	{Name: "eof", MinArgs: 1, MaxArgs: 1},
-	{Name: "flush", MinArgs: 1, MaxArgs: 1},
-	{Name: "file", MinArgs: 2, MaxArgs: -1,
+	{Name: "format", MinArgs: 1, MaxArgs: -1, Usage: "format formatString ?arg ...?"},
+	{Name: "scan", MinArgs: 3, MaxArgs: -1, Usage: "scan string format varName ?varName ...?"},
+	{Name: "regexp", MinArgs: 2, MaxArgs: -1, Usage: "regexp ?switches? exp string ?matchVar? ?subMatchVar ...?", Options: []string{"-nocase", "-indices", "--"}},
+	{Name: "regsub", MinArgs: 4, MaxArgs: -1, Usage: "regsub ?switches? exp string subSpec varName", Options: []string{"-nocase", "-all", "--"}, VarArgs: []int{4}},
+	{Name: "split", MinArgs: 1, MaxArgs: 2, Usage: "split string ?splitChars?"},
+	{Name: "join", MinArgs: 1, MaxArgs: 2, Usage: "join list ?joinString?"},
+	{Name: "glob", MinArgs: 1, MaxArgs: -1, Usage: "glob ?-nocomplain? pattern ?pattern ...?", Options: []string{"-nocomplain"}},
+	{Name: "cd", MinArgs: 1, MaxArgs: 1, Usage: "cd dirName"},
+	{Name: "pwd", MinArgs: 0, MaxArgs: 0, Usage: "pwd"},
+	{Name: "open", MinArgs: 1, MaxArgs: 2, Usage: "open fileName ?access?"},
+	{Name: "close", MinArgs: 1, MaxArgs: 1, Usage: "close fileId"},
+	{Name: "gets", MinArgs: 1, MaxArgs: 2, Usage: "gets fileId ?varName?", VarArgs: []int{2}},
+	{Name: "read", MinArgs: 1, MaxArgs: 2, Usage: "read fileId ?numBytes?"},
+	{Name: "eof", MinArgs: 1, MaxArgs: 1, Usage: "eof fileId"},
+	{Name: "flush", MinArgs: 1, MaxArgs: 1, Usage: "flush fileId"},
+	{Name: "file", MinArgs: 2, MaxArgs: -1, Usage: "file option name ?arg ...?",
 		Subcommands: []string{"exists", "isfile", "isdirectory", "size", "dirname", "tail", "rootname", "extension", "readable", "writable"}},
-	{Name: "exec", MinArgs: 1, MaxArgs: -1},
-	{Name: "case", MinArgs: 2, MaxArgs: -1},
-	{Name: "pid", MinArgs: 0, MaxArgs: 0},
+	{Name: "exec", MinArgs: 1, MaxArgs: -1, Usage: "exec command ?arg ...?"},
+	{Name: "case", MinArgs: 2, MaxArgs: -1, Usage: "case string ?in? patList body ?patList body ...?"},
+	{Name: "pid", MinArgs: 0, MaxArgs: 0, Usage: "pid"},
 	{Name: "echo", MinArgs: 0, MaxArgs: -1},
-	{Name: "exit", MinArgs: 0, MaxArgs: 1},
+	{Name: "exit", MinArgs: 0, MaxArgs: 1, Usage: "exit ?returnCode?"},
 }
 
 func registerBuiltinMetas(in *Interp) {

@@ -142,8 +142,8 @@ func TestCheckExpr(t *testing.T) {
 }
 
 func TestBuiltinArityMessagesUnchanged(t *testing.T) {
-	// Builtins keep their own arity checks (Usage is empty in the
-	// builtin table); the registry must not change their messages.
+	// The builtin table's usage texts give the builtins their
+	// historical messages.
 	in := New()
 	_, err := in.Eval("incr")
 	if err == nil || !strings.Contains(err.Error(), "wrong # args") {
