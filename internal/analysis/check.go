@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"wafe/internal/core"
+	"wafe/internal/spec"
 	"wafe/internal/tcl"
 	"wafe/internal/xt"
 )
@@ -360,6 +361,7 @@ func (f *fileCheck) checkCommand(cmd tcl.CommandView, pos posFn, sub subFn, trac
 		}
 		f.checkOptions(cmd, meta, pos)
 		f.checkSubcommand(cmd, meta, pos)
+		f.checkArgTypes(cmd, meta, pos)
 		f.checkExprArgs(cmd, meta, pos)
 		for _, idx := range meta.ScriptArgs {
 			if idx < len(cmd.Words) {
@@ -369,6 +371,19 @@ func (f *fileCheck) checkCommand(cmd tcl.CommandView, pos posFn, sub subFn, trac
 	}
 	f.checkSpecial(name, cmd, pos, sub, track)
 	f.trackDefs(name, cmd, track)
+}
+
+// checkArgTypes reports a literal argument of an Int, Float or Boolean
+// parameter that does not convert, with the message the command gives
+// at run time: spec.CheckWord is the conversion its trampoline calls.
+func (f *fileCheck) checkArgTypes(cmd tcl.CommandView, meta tcl.CommandMeta, pos posFn) {
+	for i := 1; i < len(cmd.Words) && i <= len(meta.ArgTypes); i++ {
+		if word, ok := cmd.Words[i].Literal(); ok {
+			if err := spec.CheckWord(meta.ArgTypes[i-1], word); err != nil {
+				f.report(pos, cmd.Words[i].Pos, "argtype", "%v", err)
+			}
+		}
+	}
 }
 
 func boundsText(min, max int) string {

@@ -76,9 +76,9 @@ c"`)
 	if got := eval(t, w, "gV lst list"); got != "x\ny" {
 		t.Errorf("list = %q", got)
 	}
-	evalErr(t, w, "listHighlight lst notanumber", "bad index")
+	evalErr(t, w, "listHighlight lst notanumber", `expected integer but got "notanumber"`)
 	eval(t, w, "label notalist topLevel")
-	evalErr(t, w, "listHighlight notalist 0", "not a List")
+	evalErr(t, w, "listHighlight notalist 0", `widget "notalist" is a Label, not a List`)
 }
 
 func TestDialogAndScrollbarCommands(t *testing.T) {
@@ -94,11 +94,11 @@ func TestDialogAndScrollbarCommands(t *testing.T) {
 	if got := eval(t, w, "gV sb topOfThumb"); got != "0.5" {
 		t.Errorf("thumb = %q", got)
 	}
-	evalErr(t, w, "scrollbarSetThumb sb x y", "bad thumb values")
+	evalErr(t, w, "scrollbarSetThumb sb x y", `expected floating-point number but got "x"`)
 	eval(t, w, "stripChart sc topLevel")
 	eval(t, w, "stripChartSample sc 4.5")
 	eval(t, w, "stripChartSample sc 2.5")
-	evalErr(t, w, "stripChartSample sc abc", "bad sample")
+	evalErr(t, w, "stripChartSample sc abc", `expected floating-point number but got "abc"`)
 }
 
 // TestGetValuesArrayConvention checks the paper's structure-return
@@ -170,7 +170,7 @@ func TestSendKeysAndFocusCommands(t *testing.T) {
 	}
 	eval(t, w, "sendExpose in")
 	eval(t, w, "warpPointer 10 10")
-	evalErr(t, w, "warpPointer x y", "bad coordinates")
+	evalErr(t, w, "warpPointer x y", `expected integer but got "x"`)
 	evalErr(t, w, "sendClick in 9", "bad button")
 }
 
@@ -205,7 +205,7 @@ func TestTranslateCoordsCommand(t *testing.T) {
 	if got != want {
 		t.Errorf("translateCoords = %q, want %q", got, want)
 	}
-	evalErr(t, w, "translateCoords b one two", "bad coordinates")
+	evalErr(t, w, "translateCoords b one two", `expected integer but got "one"`)
 	eval(t, w, "label unreal topLevel -unmanaged")
 	evalErr(t, w, "translateCoords unreal 0 0", "not realized")
 }
@@ -233,7 +233,7 @@ func TestTimeoutScriptError(t *testing.T) {
 	done := make(chan int, 1)
 	go func() { done <- w.App.MainLoop() }()
 	<-done
-	if got := output(w); !strings.Contains(got, "timeout error") {
+	if got := terminal(w); !strings.Contains(got, "timeout error") {
 		t.Errorf("timeout error not reported: %q", got)
 	}
 }

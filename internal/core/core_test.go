@@ -31,21 +31,25 @@ func evalErr(t *testing.T, w *Wafe, script, substr string) {
 	}
 }
 
-// outputs holds, per test session made by newTest, what its puts and
-// echo wrote.
-var outputs sync.Map // *Wafe → *strings.Builder
+// outputs and terminals hold, per test session made by newTest, what
+// its puts and echo wrote and what it wrote on its terminal.
+var outputs, terminals sync.Map // *Wafe → *strings.Builder
 
 // newTest returns a test session whose puts and echo lines the output
-// helper returns.
+// helper returns, and whose terminal lines the terminal helper returns.
 func newTest(t *testing.T) *Wafe {
 	w := NewTest()
-	b := new(strings.Builder)
-	w.Interp.Stdout = func(line string) {
-		b.WriteString(line)
-		b.WriteByte('\n')
+	capture := func(m *sync.Map) func(string) {
+		b := new(strings.Builder)
+		m.Store(w, b)
+		t.Cleanup(func() { m.Delete(w) })
+		return func(line string) {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
 	}
-	outputs.Store(w, b)
-	t.Cleanup(func() { outputs.Delete(w) })
+	w.Interp.Stdout = capture(&outputs)
+	w.Terminal = capture(&terminals)
 	return w
 }
 
@@ -63,8 +67,13 @@ func hasCommand(w *Wafe, name string) bool {
 }
 
 // output returns and clears what w's puts and echo wrote.
-func output(w *Wafe) string {
-	v, _ := outputs.Load(w)
+func output(w *Wafe) string { return drain(&outputs, w) }
+
+// terminal returns and clears what w wrote on its terminal.
+func terminal(w *Wafe) string { return drain(&terminals, w) }
+
+func drain(m *sync.Map, w *Wafe) string {
+	v, _ := m.Load(w)
 	b := v.(*strings.Builder)
 	s := b.String()
 	b.Reset()
@@ -666,9 +675,11 @@ func TestScriptErrorReporting(t *testing.T) {
 	eval(t, w, `command bad topLevel callback "nosuchcommand"`)
 	eval(t, w, "realize")
 	clickOn(t, w, "bad")
-	out := output(w)
-	if !strings.Contains(out, "callback error") {
-		t.Errorf("error not reported: %q", out)
+	if out := terminal(w); !strings.Contains(out, "callback error") {
+		t.Errorf("error not reported on the terminal: %q", out)
+	}
+	if out := output(w); out != "" {
+		t.Errorf("error reached the interpreter's output: %q", out)
 	}
 }
 

@@ -16,45 +16,44 @@ import (
 // Each command enables observability on first use, so a backend in any
 // language can opt in without restarting the frontend.
 
-func (w *Wafe) cmdStatistics(argv []string) (string, error) {
-	m := w.EnableObservability()
-	samples := m.Snapshot()
+func (w *Wafe) statistics(pattern string) ([]string, error) {
+	samples := w.EnableObservability().Snapshot()
 	flat := make([]string, 0, 2*len(samples))
 	for _, s := range samples {
-		if len(argv) == 2 && !tcl.GlobMatch(argv[1], s.Name) {
-			continue
+		if tcl.GlobMatch(pattern, s.Name) {
+			flat = append(flat, s.Name, s.FormatValue())
 		}
-		flat = append(flat, s.Name, s.FormatValue())
 	}
-	return tcl.FormatList(flat), nil
+	return flat, nil
 }
 
-func (w *Wafe) cmdTraceOn(argv []string) (string, error) {
+func (w *Wafe) traceOn(ringSize *int) error {
 	m := w.EnableObservability()
-	if len(argv) == 2 {
-		n, err := strconv.Atoi(argv[1])
-		if err != nil || n <= 0 {
-			return "", tcl.NewError("traceOn: expected positive ring size but got %q", argv[1])
+	if ringSize != nil {
+		if *ringSize <= 0 {
+			return tcl.NewError("traceOn: expected positive ring size but got \"%d\"", *ringSize)
 		}
-		m.Trace.SetRingSize(n)
+		m.Trace.SetRingSize(*ringSize)
 	}
 	m.Trace.SetEnabled(true)
-	return "", nil
+	return nil
 }
 
-func (w *Wafe) cmdTraceOff(argv []string) (string, error) {
+func (w *Wafe) traceOff() error {
 	w.EnableObservability().Trace.SetEnabled(false)
-	return "", nil
+	return nil
 }
 
-func (w *Wafe) cmdTrace(argv []string) (string, error) {
-	if len(argv) < 2 {
+// trace reads the recorded spans; its subcommand words are checked
+// here, as the spec records them unchecked.
+func (w *Wafe) trace(args []string) (string, error) {
+	if len(args) == 0 {
 		return "", tcl.NewError("wrong # args: should be \"trace spans|tree|clear ?arg?\"")
 	}
 	m := w.EnableObservability()
-	switch argv[1] {
+	switch args[0] {
 	case "spans":
-		if len(argv) != 2 {
+		if len(args) != 1 {
 			return "", tcl.NewError("wrong # args: should be \"trace spans\"")
 		}
 		spans := m.Trace.Spans()
@@ -70,66 +69,71 @@ func (w *Wafe) cmdTrace(argv []string) (string, error) {
 		}
 		return tcl.FormatList(lines), nil
 	case "tree":
-		if len(argv) > 3 {
+		if len(args) > 2 {
 			return "", tcl.NewError("wrong # args: should be \"trace tree ?id?\"")
 		}
 		var root uint64
-		if len(argv) == 3 {
-			n, err := strconv.ParseUint(argv[2], 10, 64)
+		if len(args) == 2 {
+			n, err := strconv.ParseUint(args[1], 10, 64)
 			if err != nil {
-				return "", tcl.NewError("trace tree: expected span id but got %q", argv[2])
+				return "", tcl.NewError("trace tree: expected span id but got %q", args[1])
 			}
 			root = n
 		}
 		return obs.RenderSpanTree(m.Trace.Spans(), root), nil
 	case "clear":
-		if len(argv) != 2 {
+		if len(args) != 1 {
 			return "", tcl.NewError("wrong # args: should be \"trace clear\"")
 		}
 		m.Trace.Clear()
 		return "", nil
 	}
-	return "", tcl.NewError("trace: unknown subcommand %q: must be spans, tree or clear", argv[1])
+	return "", tcl.NewError("trace: unknown subcommand %q: must be spans, tree or clear", args[0])
 }
 
-func (w *Wafe) cmdMetricsDump(argv []string) (string, error) {
-	m := w.EnableObservability()
+// metricsDump returns the metrics as JSON, or writes them to the file.
+func (w *Wafe) metricsDump(file *string) (string, error) {
 	var sb strings.Builder
-	if err := m.WriteJSON(&sb); err != nil {
+	if err := w.EnableObservability().WriteJSON(&sb); err != nil {
 		return "", tcl.NewError("metricsDump: %v", err)
 	}
-	doc := strings.TrimRight(sb.String(), "\n")
-	if len(argv) == 2 {
-		if err := os.WriteFile(argv[1], []byte(doc+"\n"), 0o644); err != nil {
-			return "", tcl.NewError("metricsDump: %v", err)
-		}
-		return "", nil
-	}
-	return doc, nil
+	return w.dump("metricsDump", strings.TrimRight(sb.String(), "\n"), file)
 }
 
-func (w *Wafe) cmdProfileOn(argv []string) (string, error) {
+// dump returns the document, or writes it to the file when one is
+// named.
+func (w *Wafe) dump(cmd, doc string, file *string) (string, error) {
+	if file == nil {
+		return doc, nil
+	}
+	if err := os.WriteFile(*file, []byte(doc+"\n"), 0o644); err != nil {
+		return "", tcl.NewError("%s: %v", cmd, err)
+	}
+	return "", nil
+}
+
+func (w *Wafe) profileOn() error {
 	w.EnableObservability()
 	p := obs.NewProfiler()
 	p.Start()
 	w.profiler = p
 	w.Interp.SetProfiler(p)
-	return "", nil
+	return nil
 }
 
-func (w *Wafe) cmdProfileOff(argv []string) (string, error) {
+func (w *Wafe) profileOff() error {
 	if w.profiler != nil {
 		w.profiler.Stop()
 	}
 	w.Interp.SetProfiler(nil)
-	return "", nil
+	return nil
 }
 
-func (w *Wafe) cmdProfileDump(argv []string) (string, error) {
-	folded := false
-	args := argv[1:]
-	if len(args) > 0 && args[0] == "-folded" {
-		folded = true
+// profileDump returns the profile as JSON, or as folded stacks after
+// the -folded option word, or writes it to the file.
+func (w *Wafe) profileDump(args []string) (string, error) {
+	folded := len(args) > 0 && args[0] == "-folded"
+	if folded {
 		args = args[1:]
 	}
 	if len(args) > 1 {
@@ -149,11 +153,9 @@ func (w *Wafe) cmdProfileDump(argv []string) (string, error) {
 		}
 		doc = strings.TrimRight(sb.String(), "\n")
 	}
+	var file *string
 	if len(args) == 1 {
-		if err := os.WriteFile(args[0], []byte(doc+"\n"), 0o644); err != nil {
-			return "", tcl.NewError("profileDump: %v", err)
-		}
-		return "", nil
+		file = &args[0]
 	}
-	return doc, nil
+	return w.dump("profileDump", doc, file)
 }

@@ -74,7 +74,7 @@ func TestTraceCommands(t *testing.T) {
 		t.Errorf("spans after clear = %q", got)
 	}
 	evalErr(t, w, "trace bogus", "unknown subcommand")
-	evalErr(t, w, "traceOn zero", "positive ring size")
+	evalErr(t, w, "traceOn zero", `expected integer but got "zero"`)
 	evalErr(t, w, "traceOn 0", "positive ring size")
 	eval(t, w, "traceOff")
 }

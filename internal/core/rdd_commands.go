@@ -16,13 +16,9 @@ import (
 
 func (w *Wafe) dnd() *rdd.DND { return rdd.Context(w.App) }
 
-func (w *Wafe) cmdRddRegisterSource(argv []string) (string, error) {
-	wid, err := w.widgetArg(argv[1])
-	if err != nil {
-		return "", err
-	}
-	ps := w.percentScript(argv[2])
-	err = w.dnd().RegisterSource(wid, func(src *xt.Widget) string {
+func (w *Wafe) rddRegisterSource(wid *xt.Widget, script string) error {
+	ps := w.percentScript(script)
+	return w.dnd().RegisterSource(wid, func(src *xt.Widget) string {
 		res, err := w.evalValues(ps, map[byte]string{'w': src.Name})
 		if err != nil {
 			w.reportScriptError("drag source", src, err)
@@ -30,59 +26,26 @@ func (w *Wafe) cmdRddRegisterSource(argv []string) (string, error) {
 		}
 		return res
 	})
-	if err != nil {
-		return "", tcl.NewError("%s", err.Error())
-	}
-	return "", nil
 }
 
-func (w *Wafe) cmdRddRegisterTarget(argv []string) (string, error) {
-	wid, err := w.widgetArg(argv[1])
-	if err != nil {
-		return "", err
-	}
-	ps := w.percentScript(argv[2])
-	err = w.dnd().RegisterTarget(wid, func(tgt *xt.Widget, data string, x, y int) {
+func (w *Wafe) rddRegisterTarget(wid *xt.Widget, script string) error {
+	ps := w.percentScript(script)
+	return w.dnd().RegisterTarget(wid, func(tgt *xt.Widget, data string, x, y int) {
 		vals := map[byte]string{'w': tgt.Name, 'v': tcl.QuoteListElement(data), 'x': strconv.Itoa(x), 'y': strconv.Itoa(y)}
 		if _, err := w.evalValues(ps, vals); err != nil {
 			w.reportScriptError("drop target", tgt, err)
 		}
 	})
-	if err != nil {
-		return "", tcl.NewError("%s", err.Error())
-	}
-	return "", nil
 }
 
-func (w *Wafe) cmdRddUnregisterSource(argv []string) (string, error) {
-	wid, err := w.widgetArg(argv[1])
-	if err != nil {
-		return "", err
-	}
+func (w *Wafe) rddUnregisterSource(wid *xt.Widget) error {
 	w.dnd().UnregisterSource(wid)
-	return "", nil
+	return nil
 }
 
-func (w *Wafe) cmdRddUnregisterTarget(argv []string) (string, error) {
-	wid, err := w.widgetArg(argv[1])
-	if err != nil {
-		return "", err
-	}
+func (w *Wafe) rddUnregisterTarget(wid *xt.Widget) error {
 	w.dnd().UnregisterTarget(wid)
-	return "", nil
+	return nil
 }
 
-func (w *Wafe) cmdRddDrag(argv []string) (string, error) {
-	src, err := w.widgetArg(argv[1])
-	if err != nil {
-		return "", err
-	}
-	dst, err := w.widgetArg(argv[2])
-	if err != nil {
-		return "", err
-	}
-	if err := w.dnd().Drag(src, dst); err != nil {
-		return "", tcl.NewError("%s", err.Error())
-	}
-	return "", nil
-}
+func (w *Wafe) rddDrag(src, dst *xt.Widget) error { return w.dnd().Drag(src, dst) }

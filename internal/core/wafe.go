@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"wafe/internal/obs"
@@ -65,9 +64,12 @@ type Wafe struct {
 	// While nil every instrumented hot path costs one pointer check.
 	Metrics *obs.Metrics
 
-	// traceSink receives echoed trace lines; the frontend points it at
-	// the terminal so traces never land on the backend pipe.
-	traceSink func(string)
+	// Terminal receives the lines meant for the person at the
+	// frontend's terminal, never for the backend: echoed traces, failed
+	// callback, action and timeout scripts, and dispatch errors. New
+	// points it at standard output; the frontend points it at its
+	// terminal.
+	Terminal func(string)
 
 	// TraceRingSize, when positive, configures the trace/span ring
 	// capacity applied when observability is (lazily) enabled — the
@@ -129,6 +131,10 @@ func New(cfg Config) (*Wafe, error) {
 		classes: make(map[string]*xt.Class),
 		timers:  make(map[string]*xt.Timer),
 	}
+	w.Terminal = func(line string) { fmt.Println(line) }
+	// An action the translations name but nothing binds is reported as
+	// a failed command is.
+	app.ErrorHandler = func(err error) { w.Terminal("wafe: " + err.Error()) }
 	w.registerConverters()
 	w.registerWidgetSet()
 	w.registerCommands()
@@ -150,16 +156,6 @@ func NewTest() *Wafe {
 		panic(err)
 	}
 	return w
-}
-
-// SetTraceSink directs echoed trace lines to fn (the frontend passes
-// its terminal). Applies immediately when observability is already
-// enabled.
-func (w *Wafe) SetTraceSink(fn func(string)) {
-	w.traceSink = fn
-	if w.Metrics != nil {
-		w.Metrics.Trace.SetSink(fn)
-	}
 }
 
 // EnableObservability creates the metrics registry (idempotently) and
@@ -191,11 +187,7 @@ func (w *Wafe) EnableObservabilityWith(m *obs.Metrics) *obs.Metrics {
 	w.App.SetObs(&m.Xt)
 	w.App.SetDisplayObs(&m.Xproto)
 	w.App.SetTrace(&m.Trace)
-	sink := w.traceSink
-	if sink == nil {
-		sink = func(line string) { fmt.Fprintln(os.Stdout, line) }
-	}
-	m.Trace.SetSink(sink)
+	m.Trace.SetSink(func(line string) { w.Terminal(line) })
 	return m
 }
 
@@ -222,10 +214,7 @@ func (w *Wafe) ExitCode() int { return w.exitCode }
 func (w *Wafe) Eval(script string) (string, error) {
 	res, err := w.Interp.Eval(script)
 	if code, isExit := tcl.IsExit(err); isExit {
-		w.quitRequested = true
-		w.exitCode = code
-		w.App.Quit(code)
-		return res, nil
+		return res, w.quit(code)
 	}
 	return res, err
 }
@@ -236,21 +225,9 @@ func (w *Wafe) Eval(script string) (string, error) {
 func (w *Wafe) EvalScript(s *tcl.Script) (string, error) {
 	res, err := w.Interp.EvalScript(s)
 	if code, isExit := tcl.IsExit(err); isExit {
-		w.quitRequested = true
-		w.exitCode = code
-		w.App.Quit(code)
-		return res, nil
+		return res, w.quit(code)
 	}
 	return res, err
-}
-
-// widgetArg resolves a widget-name argument.
-func (w *Wafe) widgetArg(name string) (*xt.Widget, error) {
-	wid := w.App.WidgetByName(name)
-	if wid == nil {
-		return nil, tcl.NewError("no widget named %q", name)
-	}
-	return wid, nil
 }
 
 // WidgetSetClasses returns the classes for the configured set.
@@ -293,14 +270,16 @@ func (w *Wafe) registerWidgetSet() {
 		if prev, collides := w.Interp.Command(cmdName); collides {
 			w.Interp.RegisterCommand(cmdName, func(in *tcl.Interp, argv []string) (string, error) {
 				if len(argv) >= 3 && (w.App.WidgetByName(argv[2]) != nil || cls.Shell) {
-					return w.cmdCreateWidget(cls, argv)
+					name, err := w.cmdCreateWidget(cls, argv)
+					return name, tclError(err)
 				}
 				return prev(in, argv)
 			})
 			continue
 		}
 		w.Interp.RegisterCommand(cmdName, func(in *tcl.Interp, argv []string) (string, error) {
-			return w.cmdCreateWidget(cls, argv)
+			name, err := w.cmdCreateWidget(cls, argv)
+			return name, tclError(err)
 		})
 		w.Interp.SetCommandMeta(tcl.CommandMeta{
 			Name:    cmdName,
@@ -356,21 +335,16 @@ func (w *Wafe) cmdCreateWidget(class *xt.Class, argv []string) (string, error) {
 		d := w.App.OpenSecondDisplay(father)
 		shell, err := w.App.CreateWidget(name, class, nil, args, false)
 		if err != nil {
-			return "", tcl.NewError("%s", err.Error())
+			return "", err
 		}
-		if err := shell.SetDisplay(d); err != nil {
-			return "", tcl.NewError("%s", err.Error())
-		}
-		return name, nil
+		return name, shell.SetDisplay(d)
 	}
 	// Shells under a widget parent stay unmanaged (popups).
 	if class.Shell {
 		managed = false
 	}
-	if _, err := w.App.CreateWidget(name, class, parent, args, managed); err != nil {
-		return "", tcl.NewError("%s", err.Error())
-	}
-	return name, nil
+	_, err := w.App.CreateWidget(name, class, parent, args, managed)
+	return name, err
 }
 
 // registerConverters installs the Wafe converter extensions: the
@@ -428,18 +402,18 @@ func (w *Wafe) scriptCallback(script string) xt.Callback {
 	}
 }
 
+// reportScriptError writes a failed script's error on the terminal;
+// the backend is not told.
 func (w *Wafe) reportScriptError(kind string, widget *xt.Widget, err error) {
 	if code, isExit := tcl.IsExit(err); isExit {
-		w.quitRequested = true
-		w.exitCode = code
-		w.App.Quit(code)
+		w.quit(code)
 		return
 	}
 	name := "?"
 	if widget != nil {
 		name = widget.Name
 	}
-	w.Interp.Stdout(fmt.Sprintf("wafe: %s error in widget %s: %v", kind, name, err))
+	w.Terminal(fmt.Sprintf("wafe: %s error in widget %s: %v", kind, name, err))
 }
 
 // registerActions installs the global exec action: "Wafe registers a

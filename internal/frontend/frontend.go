@@ -99,13 +99,10 @@ func New(w *core.Wafe, opts *Options, terminal io.Writer) *Frontend {
 		opts.LineLimit = DefaultLineLimit
 	}
 	f := &Frontend{W: w, Opts: opts, Terminal: terminal, massFD: 3}
-	// Trace lines echo to the terminal, never onto the backend pipe,
-	// mirroring the original debug mode ("other lines ... are printed
-	// by Wafe to stdout").
-	w.SetTraceSink(func(line string) { fmt.Fprintln(f.Terminal, line) })
-	// An action the translations name but nothing binds is reported as
-	// a failed command is.
-	w.App.ErrorHandler = func(err error) { fmt.Fprintf(f.Terminal, "wafe: %v\n", err) }
+	// Traces, failed scripts and dispatch errors go to the terminal,
+	// never onto the backend pipe, mirroring the original debug mode
+	// ("other lines ... are printed by Wafe to stdout").
+	w.Terminal = func(line string) { fmt.Fprintln(f.Terminal, line) }
 	f.registerCommands()
 	return f
 }

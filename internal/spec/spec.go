@@ -52,6 +52,9 @@ type Param struct {
 	// Name is the word the usage text shows; it defaults to the
 	// lower-cased type, or "varName" for an out parameter.
 	Name string
+	// Default is the word an omitted opt parameter takes ("= word"
+	// after the name); without one the method receives nil.
+	Default string
 }
 
 func (p Param) word() string {
@@ -179,6 +182,20 @@ func (e *Entry) Subcommands() []string {
 		}
 	}
 	return nil
+}
+
+// ArgTypes returns the spec type of each parameter in order; an out
+// parameter's argument is a variable name, typed VarName.
+func (e *Entry) ArgTypes() []string {
+	var types []string
+	for _, p := range e.Params {
+		if p.Dir == "out" {
+			types = append(types, "VarName")
+		} else {
+			types = append(types, p.Type)
+		}
+	}
+	return types
 }
 
 // VarArgs returns the 1-based positions of the out parameters.
@@ -327,7 +344,8 @@ func (e *Entry) parseLine(t string) error {
 			return fmt.Errorf("%s parameter after %s parameter", key, prev)
 		}
 	}
-	e.Params = append(e.Params, Param{Dir: key, Type: typ, Name: strings.TrimSpace(name)})
+	name, def, _ := strings.Cut(name, "=")
+	e.Params = append(e.Params, Param{Dir: key, Type: typ, Name: strings.TrimSpace(name), Default: strings.TrimSpace(def)})
 	return nil
 }
 

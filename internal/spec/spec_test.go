@@ -190,11 +190,71 @@ func TestGenerateGoCompilesSyntactically(t *testing.T) {
 	if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
 		t.Fatalf("generated code does not parse: %v\n%s", err, src)
 	}
-	// One table row: the metadata with bounds and usage text, and the
-	// method implementing the command.
-	row := `{tcl.CommandMeta{Name: "mCascadeButtonHighlight", MinArgs: 2, MaxArgs: 2, Usage: "mCascadeButtonHighlight widget boolean"}, (*Wafe).cmdMCascadeButtonHighlight},`
-	if !strings.Contains(src, row) {
-		t.Errorf("generated table lacks row %s:\n%s", row, src)
+	// One table row: the metadata with bounds, usage text and argument
+	// types, and the trampoline running the command, which converts
+	// the Boolean before it calls the method.
+	for _, want := range []string{
+		`{tcl.CommandMeta{Name: "mCascadeButtonHighlight", MinArgs: 2, MaxArgs: 2, Usage: "mCascadeButtonHighlight widget boolean", ArgTypes: []string{"Widget", "Boolean"}}, (*Wafe).cmdMCascadeButtonHighlight},`,
+		"a2, err := tcl.ParseBool(argv[2])",
+		`return "", w.mCascadeButtonHighlight(a1, a2)`,
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated code lacks %s:\n%s", want, src)
+		}
+	}
+}
+
+// TestTrampolineConversions checks the code generated for each kind of
+// parameter and result, and that a type with no conversion is refused.
+func TestTrampolineConversions(t *testing.T) {
+	entries, err := Parse(`~widgetClass
+List
+
+Int
+listShow
+in: List widget
+out: String varName
+opt: Int index
+opt: Boolean resize = true
+
+void
+pairs
+in: Widget widget
+rest: String resource value
+
+String
+dump
+opt: Option -folded
+opt: String fileName
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := GenerateGo(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`a1, err := w.widgetOf(argv[1], "List")`,
+		"var a3 *int\n\tif len(argv) > 3 {\n\t\tv, err := tcl.ParseInt(argv[3])",
+		`a4, err := tcl.ParseBool(optArg(argv, 4, "true"))`,
+		"r, o2, err := w.listShow(a1, a3, a4)",
+		"if err := w.Interp.SetVar(argv[2], o2); err != nil {",
+		"return strconv.Itoa(r), nil",
+		"if (len(argv)-2)%2 != 0 {",
+		`return "", w.pairs(a1, argv[2:])`,
+		"return w.dump(argv[1:])",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated code lacks %q:\n%s", want, src)
+		}
+	}
+	bad, err := Parse("void\nbad\nin: Integer n\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := GenerateGo(bad); err == nil {
+		t.Error("a parameter type with no conversion was accepted")
 	}
 }
 

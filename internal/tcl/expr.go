@@ -42,6 +42,26 @@ func (in *Interp) ExprBool(s string) (bool, error) {
 	return v.asBool()
 }
 
+// ParseInt converts a decimal integer word, allowing surrounding
+// white space, with Tcl's message on failure.
+func ParseInt(s string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil {
+		return 0, NewError("expected integer but got %q", s)
+	}
+	return n, nil
+}
+
+// ParseFloat converts a floating-point word, allowing surrounding
+// white space, with Tcl's message on failure.
+func ParseFloat(s string) (float64, error) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, NewError("expected floating-point number but got %q", s)
+	}
+	return f, nil
+}
+
 // ParseBool interprets a Tcl boolean string: numbers (non-zero = true)
 // or the words true/false/yes/no/on/off.
 func ParseBool(s string) (bool, error) {

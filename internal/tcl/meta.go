@@ -47,6 +47,12 @@ type CommandMeta struct {
 	// WRITES (catch's ?varName?, gets's ?varName?), so a static
 	// checker knows the variable is defined afterwards.
 	VarArgs []int
+
+	// ArgTypes lists the spec type of each argument in order (Widget,
+	// Int, Boolean, ...; a rest parameter's type once), for the
+	// commands wafegen generates; wafecheck converts a literal
+	// argument of a scalar type as the command would.
+	ArgTypes []string
 }
 
 // SetCommandMeta records metadata for a command. When meta.Usage is
