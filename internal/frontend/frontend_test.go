@@ -420,6 +420,25 @@ func TestCommandErrorGoesToTerminal(t *testing.T) {
 	}
 }
 
+// TestScriptErrorGoesToTerminal: a failed action script is reported on
+// the terminal, and the backend, which reads the frontend's replies,
+// sees none of it (docs/protocol.md).
+func TestScriptErrorGoesToTerminal(t *testing.T) {
+	f, toFE, fromFE, term, cleanup := newPipedFrontend(t)
+	defer cleanup()
+	stop := run(t, f)
+	defer stop()
+	send(toFE, "%label l topLevel\n%action l override {<Btn1Down>: exec(nosuchcmd)}\n%realize\n")
+	send(toFE, "%sendClick l\n%echo done\n")
+	if got := readLine(t, fromFE); got != "done" {
+		t.Errorf("backend read %q, want only the echo", got)
+	}
+	want := `wafe: action error in widget l: invalid command name "nosuchcmd"`
+	if !strings.Contains(term.String(), want) {
+		t.Errorf("terminal = %q, want %q", term.String(), want)
+	}
+}
+
 // TestArgvSplit is experiment C9: the three argument classes.
 func TestArgvSplit(t *testing.T) {
 	o, err := ParseArgs("wafe", []string{"--app", "backend", "-display", "host:0",

@@ -164,6 +164,10 @@ var XmPushButtonClass = &xt.Class{
 type pushState struct{ armed bool }
 
 func armState(w *xt.Widget) *pushState {
+	// A cascade button keeps its arming beside its highlight.
+	if cs, ok := w.Private.(*cascadeState); ok {
+		return &cs.pushState
+	}
 	st, ok := w.Private.(*pushState)
 	if !ok {
 		st = &pushState{}
@@ -183,8 +187,38 @@ var XmCascadeButtonClass = &xt.Class{
 		{Name: "cascadingCallback", Class: "Callback", Type: xt.TCallback, Default: ""},
 		{Name: "mappingDelay", Class: "MappingDelay", Type: xt.TInt, Default: "180"},
 	},
+	Initialize:    func(w *xt.Widget) { w.Private = &cascadeState{} },
 	PreferredSize: xmLabelPreferredSize,
-	Redisplay:     xmLabelRedisplay,
+	Redisplay:     xmCascadeRedisplay,
+}
+
+// xmCascadeRedisplay draws the label and, while the button is
+// highlighted, the shadow border Motif draws in the shadowThickness
+// the button reserves on each side: light above and left, dark below
+// and right.
+func xmCascadeRedisplay(w *xt.Widget) {
+	xmLabelRedisplay(w)
+	t := w.Int("shadowThickness")
+	if !cascadeSt(w).highlighted || t <= 0 {
+		return
+	}
+	wd, ht := w.Int("width"), w.Int("height")
+	d, clip := w.Display(), w.Clip()
+	gc := d.NewGC()
+	for _, edge := range []struct {
+		color string
+		r     xproto.Rect
+	}{
+		{"topShadowColor", xproto.Rect{W: wd, H: t}},
+		{"topShadowColor", xproto.Rect{W: t, H: ht}},
+		{"bottomShadowColor", xproto.Rect{Y: ht - t, W: wd, H: t}},
+		{"bottomShadowColor", xproto.Rect{X: wd - t, W: t, H: ht}},
+	} {
+		if r := edge.r.Intersect(clip); !r.Empty() {
+			gc.Foreground = w.PixelRes(edge.color)
+			d.FillRectangle(w.Window(), gc, r.X, r.Y, r.W, r.H)
+		}
+	}
 }
 
 type cascadeState struct {
@@ -192,14 +226,7 @@ type cascadeState struct {
 	highlighted bool
 }
 
-func cascadeSt(w *xt.Widget) *cascadeState {
-	st, ok := w.Private.(*cascadeState)
-	if !ok {
-		st = &cascadeState{}
-		w.Private = st
-	}
-	return st
-}
+func cascadeSt(w *xt.Widget) *cascadeState { return w.Private.(*cascadeState) }
 
 // CascadeButtonHighlight implements XmCascadeButtonHighlight(widget,
 // boolean) — the two-argument example in the paper's spec language.

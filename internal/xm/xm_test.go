@@ -124,17 +124,34 @@ func TestXmPushButtonProtocol(t *testing.T) {
 	}
 }
 
+// TestCascadeButtonHighlight: the highlight draws a shadow border on
+// the screen and removing it restores the button's pixels; a press
+// in between keeps the highlight.
 func TestCascadeButtonHighlight(t *testing.T) {
 	app, top := newApp(t)
-	cb, _ := app.CreateWidget("casc", XmCascadeButtonClass, top, nil, true)
+	cb, _ := app.CreateWidget("casc", XmCascadeButtonClass, top, map[string]string{"labelString": "File"}, true)
 	top.Realize()
+	pixels := func() string {
+		app.Pump()
+		return string(cb.Display().RenderImage(cb.Window()).Pix)
+	}
+	plain := pixels()
 	CascadeButtonHighlight(cb, true)
-	if !cascadeSt(cb).highlighted {
-		t.Error("highlight not set")
+	lit := pixels()
+	if lit == plain {
+		t.Error("highlighting left the button's pixels unchanged")
+	}
+	d := cb.Display()
+	win, _ := d.Lookup(cb.Window())
+	d.WarpPointer(win.RootCoords(4, 4))
+	d.InjectButtonPress(1)
+	d.InjectButtonRelease(1)
+	if pixels() != lit {
+		t.Error("a click on the highlighted button changed its pixels")
 	}
 	CascadeButtonHighlight(cb, false)
-	if cascadeSt(cb).highlighted {
-		t.Error("highlight not cleared")
+	if pixels() != plain {
+		t.Error("removing the highlight did not restore the button's pixels")
 	}
 }
 
