@@ -7,6 +7,29 @@ import (
 	"testing"
 )
 
+// TestConversionMessages pins the one message each parameter type's
+// conversion gives, whichever command the argument belongs to.
+func TestConversionMessages(t *testing.T) {
+	w := newTest(t)
+	eval(t, w, "form f topLevel; label l f; list lst f; transientShell sh f")
+	for script, want := range map[string]string{
+		"warpPointer a1 0":            `expected integer but got "a1"`,
+		"stripChartSample sc a1":      `no widget named "sc"`,
+		"viewportSetLocation l 0 0":   `widget "l" is a Label, not a Viewport`,
+		"listHighlight lst 1.5":       `expected integer but got "1.5"`,
+		"listChange lst {a b} a1":     `expected boolean value but got "a1"`,
+		"listChange lst {a {b}c}":     "list element in braces followed by",
+		"popup sh a1":                 `xt: bad grab kind "a1"`,
+		"scrollbarSetThumb f 0 0":     `widget "f" is a Form, not a Scrollbar`,
+		"mCascadeButtonHighlight l 1": `widget "l" is a Label, not a XmCascadeButton`,
+		"addTimeOut a1 {}":            `expected integer but got "a1"`,
+	} {
+		evalErr(t, w, script, want)
+	}
+	eval(t, w, "scrollbar sb f")
+	evalErr(t, w, "scrollbarSetThumb sb 0.5 a1", `expected floating-point number but got "a1"`)
+}
+
 func TestPopupPopdownCommands(t *testing.T) {
 	w := newTest(t)
 	eval(t, w, "transientShell sh topLevel x 300 y 300")

@@ -118,6 +118,13 @@ step "go test -fuzz FuzzMassTransfer (10s)" go test -run '^$' -fuzz '^FuzzMassTr
 # seeds in internal/frontend/testdata/fuzz/FuzzCommandLines.
 step "go test -fuzz FuzzCommandLines (10s)" go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 
+# The command-argument fuzz smoke (FuzzCommandArgs): one command of the
+# generated table with arbitrary words, in a session holding a widget
+# of each class the spec's typed parameters name, must neither panic
+# nor return an error that is not a Tcl error; seeded from the probes
+# of internal/core/testdata/commands.golden.
+step "go test -fuzz FuzzCommandArgs (10s)" go test -run '^$' -fuzz '^FuzzCommandArgs$' -fuzztime 10s ./internal/core/
+
 # The exposure fuzz smoke (FuzzExposeRegion): random window trees with
 # borders, windows off screen and outside their parents, driven
 # through map, unmap, configure, damage and flush; every Expose must
