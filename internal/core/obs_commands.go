@@ -97,12 +97,12 @@ func (w *Wafe) metricsDump(file *string) (string, error) {
 	if err := w.EnableObservability().WriteJSON(&sb); err != nil {
 		return "", tcl.NewError("metricsDump: %v", err)
 	}
-	return w.dump("metricsDump", strings.TrimRight(sb.String(), "\n"), file)
+	return dump("metricsDump", strings.TrimRight(sb.String(), "\n"), file)
 }
 
 // dump returns the document, or writes it to the file when one is
 // named.
-func (w *Wafe) dump(cmd, doc string, file *string) (string, error) {
+func dump(cmd, doc string, file *string) (string, error) {
 	if file == nil {
 		return doc, nil
 	}
@@ -157,5 +157,5 @@ func (w *Wafe) profileDump(args []string) (string, error) {
 	if len(args) == 1 {
 		file = &args[0]
 	}
-	return w.dump("profileDump", doc, file)
+	return dump("profileDump", doc, file)
 }

@@ -214,7 +214,8 @@ func (w *Wafe) ExitCode() int { return w.exitCode }
 func (w *Wafe) Eval(script string) (string, error) {
 	res, err := w.Interp.Eval(script)
 	if code, isExit := tcl.IsExit(err); isExit {
-		return res, w.quit(code)
+		w.quit(code)
+		return res, nil
 	}
 	return res, err
 }
@@ -225,7 +226,8 @@ func (w *Wafe) Eval(script string) (string, error) {
 func (w *Wafe) EvalScript(s *tcl.Script) (string, error) {
 	res, err := w.Interp.EvalScript(s)
 	if code, isExit := tcl.IsExit(err); isExit {
-		return res, w.quit(code)
+		w.quit(code)
+		return res, nil
 	}
 	return res, err
 }

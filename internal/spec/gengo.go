@@ -172,7 +172,7 @@ params:
 			if !isConv {
 				conv = struct{ goType, fn string }{"string", "%s"}
 			}
-			val, ref := "v", ""
+			ref := ""
 			if !strings.HasPrefix(conv.goType, "*") && !strings.HasPrefix(conv.goType, "[]") {
 				conv.goType, ref = "*"+conv.goType, "&"
 			}
@@ -182,7 +182,7 @@ params:
 			} else {
 				fmt.Fprintf(b, "v := %s\n", word)
 			}
-			fmt.Fprintf(b, "%s = %s%s\n}\n", v, ref, val)
+			fmt.Fprintf(b, "%s = %sv\n}\n", v, ref)
 			args = append(args, v)
 		case isConv:
 			fmt.Fprintf(b, "%s, err := %s\nif err != nil {\nreturn \"\", err\n}\n", v, fmt.Sprintf(conv.fn, word))

@@ -345,6 +345,9 @@ func (e *Entry) parseLine(t string) error {
 		}
 	}
 	name, def, _ := strings.Cut(name, "=")
+	if def != "" && key != "opt" {
+		return fmt.Errorf("default on %s parameter", key)
+	}
 	e.Params = append(e.Params, Param{Dir: key, Type: typ, Name: strings.TrimSpace(name), Default: strings.TrimSpace(def)})
 	return nil
 }

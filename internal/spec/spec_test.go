@@ -96,6 +96,7 @@ func TestParseErrors(t *testing.T) {
 		"void\nXtFoo\nalias:",                  // empty alias line
 		"void\nXtFoo\nusage:",                  // empty usage line
 		"void\nXtFoo\nuncheckd",                // misspelt keyword
+		"void\nXtFoo\nin: Int a = 1",           // default on a required parameter
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -755,8 +755,8 @@ func cmdPid(in *Interp, argv []string) (string, error) {
 func cmdExit(in *Interp, argv []string) (string, error) {
 	code := "0"
 	if len(argv) == 2 {
-		if _, err := strconv.Atoi(strings.TrimSpace(argv[1])); err != nil {
-			return "", NewError("expected integer but got %q", argv[1])
+		if _, err := ParseInt(argv[1]); err != nil {
+			return "", err
 		}
 		code = argv[1]
 	}
