@@ -25,26 +25,26 @@ type server struct {
 
 // badNilGuard dereferences the optional metrics pointer unguarded.
 func (s *server) badNilGuard() {
-	s.tm.Evals.Inc() // want nilguard
+	s.tm.ScriptCacheHits.Inc() // want nilguard
 }
 
 // goodNilGuard uses every accepted guard shape; none may be flagged.
 func (s *server) goodNilGuard() {
 	if s.tm != nil {
-		s.tm.Evals.Inc()
+		s.tm.ScriptCacheHits.Inc()
 	}
 	if m := s.tm; m != nil {
-		m.Evals.Inc()
+		m.ScriptCacheHits.Inc()
 	}
-	if s.tm != nil && s.tm.Evals.Load() > 0 {
-		s.tm.Evals.Inc()
+	if s.tm != nil && s.tm.ScriptCacheHits.Load() > 0 {
+		s.tm.ScriptCacheHits.Inc()
 	}
-	if s.tm == nil || s.tm.Evals.Load() == 0 {
+	if s.tm == nil || s.tm.ScriptCacheHits.Load() == 0 {
 		return
 	}
-	s.tm.Evals.Inc()
+	s.tm.ScriptCacheHits.Inc()
 	fresh := obs.New()
-	fresh.Tcl.Evals.Inc()
+	fresh.Tcl.ScriptCacheHits.Inc()
 }
 
 // badLockedEval evaluates a script with the server mutex held: the

@@ -182,11 +182,8 @@ func (w *Wafe) EnableObservabilityWith(m *obs.Metrics) *obs.Metrics {
 	if w.Flight != nil && m.Flight == nil {
 		m.Flight = w.Flight
 	}
-	w.Interp.SetObs(&m.Tcl)
-	w.Interp.SetTrace(&m.Trace)
-	w.App.SetObs(&m.Xt)
-	w.App.SetDisplayObs(&m.Xproto)
-	w.App.SetTrace(&m.Trace)
+	w.Interp.SetMetrics(m)
+	w.App.SetMetrics(m)
 	m.Trace.SetSink(func(line string) { w.Terminal(line) })
 	return m
 }

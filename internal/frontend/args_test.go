@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wafe/internal/core"
+	"wafe/internal/tcl"
 )
 
 func TestParseArgsPrefixAndLimit(t *testing.T) {
@@ -113,8 +114,8 @@ func TestBalancedHelper(t *testing.T) {
 		"[open":           false,
 	}
 	for in, want := range cases {
-		if got := balanced(in); got != want {
-			t.Errorf("balanced(%q) = %v, want %v", in, got, want)
+		if got := tcl.CommandComplete(in + "\n"); got != want {
+			t.Errorf("CommandComplete(%q) = %v, want %v", in+"\n", got, want)
 		}
 	}
 }

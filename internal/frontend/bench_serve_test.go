@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,17 +142,21 @@ func TestServeLoad(t *testing.T) {
 		c.conn.Close()
 	}
 
+	lat := map[string]int64{}
+	for _, s := range sm.Snapshot() {
+		if name, ok := strings.CutPrefix(s.Name, "server.dispatch_latency."); ok {
+			lat[name] = s.Value
+		}
+	}
 	wantLines := int64(sessions * linesPerSession)
-	if got := sm.DispatchLatency.Count(); got != wantLines {
+	if got := lat["count"]; got != wantLines {
 		t.Errorf("dispatch latency observations = %d, want %d", got, wantLines)
 	}
 	if got := sm.SessionsActive.Max(); got != int64(sessions) {
 		t.Errorf("sessions_active high watermark = %d, want %d", got, sessions)
 	}
 	t.Logf("serveload: sessions=%d lines=%d p50_ns=%d p99_ns=%d max_ns=%d bytes_per_session=%d",
-		sessions, sm.DispatchLatency.Count(),
-		sm.DispatchLatency.Quantile(0.50), sm.DispatchLatency.Quantile(0.99),
-		sm.DispatchLatency.Max(), bytesPerSession)
+		sessions, lat["count"], lat["p50_ns"], lat["p99_ns"], lat["max_ns"], bytesPerSession)
 }
 
 // lineReader is a minimal blocking line reader with a deadline.

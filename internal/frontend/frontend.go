@@ -68,23 +68,6 @@ type Frontend struct {
 	// Supervisor installs itself here to classify the exit and apply
 	// the restart policy.
 	onBackendGone func(readErr error)
-
-	// Serve-mode mirrors, nil outside serve mode: per-line latency is
-	// also observed into the server-wide aggregate histogram, and line
-	// and error counts into this session's labelled counters.
-	aggLatency *obs.Histogram
-	aggLines   *obs.Counter
-	aggErrors  *obs.Counter
-}
-
-// SetServeObs wires the serve-mode aggregates: lat receives every
-// line's handling latency alongside the session's own histogram;
-// lines/errs are the per-session labelled counters from the server
-// registry. All three may be nil.
-func (f *Frontend) SetServeObs(lat *obs.Histogram, lines, errs *obs.Counter) {
-	f.aggLatency = lat
-	f.aggLines = lines
-	f.aggErrors = errs
 }
 
 // New wires a Frontend around a Wafe instance.
@@ -252,27 +235,19 @@ func (f *Frontend) backendGone(readErr error) {
 // threshold trips a flight dump.
 func (f *Frontend) HandleAppLine(line string) {
 	m := f.W.Metrics
-	if m == nil && f.aggLatency == nil {
+	if m == nil {
 		f.handleAppLine(line, nil)
 		return
 	}
-	var sp obs.SpanCtx
-	if m != nil {
-		sp = m.Trace.StartSpan("line", spanLabel(line))
-	}
+	sp := m.Trace.StartSpan("line", spanLabel(line))
 	start := time.Now()
 	f.handleAppLine(line, m)
 	d := time.Since(start)
 	sp.End()
-	if m != nil {
-		m.Frontend.LineLatency.Observe(d)
-		if fr := m.Flight; fr != nil && fr.TripLatency(d) {
-			_, _ = fr.Trip("line_latency", m.Trace.Session(),
-				fmt.Sprintf("line took %v: %.60q", d, line), m, &m.Trace)
-		}
-	}
-	if f.aggLatency != nil {
-		f.aggLatency.Observe(d)
+	m.Frontend.LineLatency.Observe(d)
+	if fr := m.Flight; fr != nil && fr.TripLatency(d) {
+		_, _ = fr.Trip("line_latency", m.Trace.Session(),
+			fmt.Sprintf("line took %v: %.60q", d, line), m, &m.Trace)
 	}
 }
 
@@ -296,18 +271,12 @@ func (f *Frontend) handleAppLine(line string, m *obs.Metrics) {
 	}
 	if len(line) > 0 && line[0] == f.Opts.Prefix {
 		f.CommandLines++
-		if f.aggLines != nil {
-			f.aggLines.Inc()
-		}
 		if m != nil {
 			m.Frontend.CommandLines.Inc()
 			m.Trace.Echo("cmd", line)
 		}
 		if _, err := f.W.Eval(line[1:]); err != nil {
 			f.EvalErrors++
-			if f.aggErrors != nil {
-				f.aggErrors.Inc()
-			}
 			// The statistics/traceOn commands enable observability
 			// mid-line; re-read so the very first failure still counts.
 			if m == nil {
@@ -476,8 +445,9 @@ func (f *Frontend) RunScript(content string) error {
 }
 
 // RunInteractive reads commands from r, evaluating line by line with
-// brace-continuation: lines are accumulated until braces and brackets
-// balance, so multi-line procs work at the prompt.
+// continuation: as tclsh does, each line and its newline join the
+// pending text, which runs once the parser calls it a complete command
+// (tcl.CommandComplete), so multi-line procs work at the prompt.
 func (f *Frontend) RunInteractive(r io.Reader, prompt func()) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), f.Opts.LineLimit+4096)
@@ -486,12 +456,10 @@ func (f *Frontend) RunInteractive(r io.Reader, prompt func()) error {
 		prompt()
 	}
 	for sc.Scan() {
-		if pending.Len() > 0 {
-			pending.WriteByte('\n')
-		}
 		pending.WriteString(sc.Text())
+		pending.WriteByte('\n')
 		script := pending.String()
-		if !balanced(script) {
+		if !tcl.CommandComplete(script) {
 			continue
 		}
 		pending.Reset()
@@ -519,43 +487,4 @@ func (f *Frontend) RunInteractive(r io.Reader, prompt func()) error {
 		}
 	}
 	return sc.Err()
-}
-
-// balanced reports whether braces/brackets balance outside of
-// backslash escapes and double-quoted strings (good enough for
-// interactive continuation). Quotes are only significant at brace
-// depth zero — inside braces a `"` is an ordinary character, as in
-// Tcl. A closer with no matching opener can never balance by reading
-// more input, so negative depth is terminal: the line is handed to
-// the evaluator, which reports the parse error.
-func balanced(s string) bool {
-	depth := 0
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '\\':
-			if i == len(s)-1 {
-				// A trailing backslash is a Tcl line continuation
-				// (backslash-newline): the command is incomplete until
-				// more input arrives.
-				return false
-			}
-			i++
-		case inQuote:
-			if c == '"' {
-				inQuote = false
-			}
-		case c == '"' && depth == 0:
-			inQuote = true
-		case c == '{' || c == '[':
-			depth++
-		case c == '}' || c == ']':
-			depth--
-			if depth < 0 {
-				return true
-			}
-		}
-	}
-	return depth == 0 && !inQuote
 }

@@ -10,9 +10,11 @@ import (
 	"wafe/internal/tcl"
 )
 
-// TestBalanced covers the interactive-continuation heuristic: quoted
-// braces must not count, a closer with no opener is terminal, and
-// unclosed quotes/braces continue.
+// TestBalanced covers interactive continuation, which asks the parser
+// whether a line and its newline end a command: quoted braces do not
+// count, and unclosed quotes, braces, substitutions and indexes
+// continue. The rows after the first block carry tclsh 8.6's
+// `info complete` answers.
 func TestBalanced(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -25,34 +27,47 @@ func TestBalanced(t *testing.T) {
 		{`set x "a{b"`, true},     // quoted brace is not an opener
 		{`set x "a}b"`, true},     // quoted brace is not a closer
 		{`set x "a{b`, false},     // unclosed quote continues
-		{"}{", true},              // negative depth is terminal
-		{"} {foo", true},          // ...even when later openers recover it
+		{"}{", true},              // a bare word's braces are characters
+		{"} {foo", false},         // the braced word after it is open
 		{"set x \\{", true},       // escaped brace is literal
 		{"set x {a\"b}", true},    // quote inside braces is ordinary
 		{"set x {a\"b} {", false}, // ...and does not hide later openers
 		{`puts "x" ; set y {1 2}`, true},
+
+		{`puts a"b`, true},      // a quote inside a bare word is a character
+		{"# note {", true},      // a comment ends at its newline
+		{`set a [b "]"]`, true}, // the quoted ']' does not end the substitution
+		{"puts $a(x", false},    // open array index
+		{`set x "[`, false},     // open substitution in a quoted word
+		{"puts ${abc", false},   // open ${name}
 	}
 	for _, c := range cases {
-		if got := balanced(c.in); got != c.want {
-			t.Errorf("balanced(%q) = %v, want %v", c.in, got, c.want)
+		if got := tcl.CommandComplete(c.in + "\n"); got != c.want {
+			t.Errorf("CommandComplete(%q) = %v, want %v", c.in+"\n", got, c.want)
 		}
 	}
 }
 
 // TestInteractiveQuotedBrace: a brace inside a quoted string used to
-// leave the prompt accumulating forever; now the line evaluates.
+// leave the prompt accumulating forever; now the line evaluates. So do
+// a line whose bare word holds a quote and a comment holding a brace,
+// which Tcl calls complete, and the lines after them.
 func TestInteractiveQuotedBrace(t *testing.T) {
-	w := core.NewTest()
-	term := &syncBuffer{}
-	f := New(w, nil, term)
-	w.Interp.Stdout = func(line string) { fmt.Fprintln(term, line) }
-	input := "echo \"open{brace\"\necho done\nquit\n"
-	if err := f.RunInteractive(strings.NewReader(input), nil); err != nil {
-		t.Fatal(err)
-	}
-	out := term.String()
-	if !strings.Contains(out, "open{brace") || !strings.Contains(out, "done") {
-		t.Errorf("interactive output = %q", out)
+	for _, c := range []struct{ input, want string }{
+		{"echo \"open{brace\"\necho done\nquit\n", "open{brace\ndone\n"},
+		{"puts a\"b\necho done\n", "a\"b\ndone\n"},
+		{"# note {\necho done\n", "done\n"},
+	} {
+		w := core.NewTest()
+		term := &syncBuffer{}
+		f := New(w, nil, term)
+		w.Interp.Stdout = func(line string) { fmt.Fprintln(term, line) }
+		if err := f.RunInteractive(strings.NewReader(c.input), nil); err != nil {
+			t.Fatal(err)
+		}
+		if out := term.String(); out != c.want {
+			t.Errorf("input %q: interactive output = %q, want %q", c.input, out, c.want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"wafe/internal/core"
 	"wafe/internal/frontend/faultio"
+	"wafe/internal/tcl"
 )
 
 // TestOverlongLineResync: a line exceeding the reader budget must be
@@ -117,8 +118,8 @@ func TestReadCommandLinesFragmented(t *testing.T) {
 }
 
 // TestBalancedTrailingBackslash: a trailing backslash is a Tcl line
-// continuation, so the command is incomplete — balanced() treating it
-// as complete made interactive mode evaluate half a command.
+// continuation, so the command is incomplete — calling it complete
+// made interactive mode evaluate half a command.
 func TestBalancedTrailingBackslash(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -133,8 +134,8 @@ func TestBalancedTrailingBackslash(t *testing.T) {
 		{`set x \;`, true},      // escaped separator: complete
 	}
 	for _, c := range cases {
-		if got := balanced(c.in); got != c.want {
-			t.Errorf("balanced(%q) = %v, want %v", c.in, got, c.want)
+		if got := tcl.CommandComplete(c.in + "\n"); got != c.want {
+			t.Errorf("CommandComplete(%q) = %v, want %v", c.in+"\n", got, c.want)
 		}
 	}
 }

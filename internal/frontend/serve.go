@@ -257,9 +257,6 @@ func (srv *Server) StartConn(conn net.Conn) (string, error) {
 		// could land here. The session still runs.
 		srv.logf(id, "resources: %v", err)
 	}
-	if sm != nil {
-		sess.F.SetServeObs(&sm.DispatchLatency, sm.SessionLines.Counter(id), sm.SessionErrors.Counter(id))
-	}
 
 	ls := &liveSession{s: sess, conn: conn}
 	srv.mu.Lock()

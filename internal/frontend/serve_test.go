@@ -483,13 +483,88 @@ func TestServeMetricsDumpKeyedBySession(t *testing.T) {
 			t.Errorf("session %s eval_errors = %d, want 1", id, s["frontend.eval_errors"])
 		}
 	}
-	// The per-session labelled aggregates agree.
+	// The per-session series of /metrics agree.
+	var prom strings.Builder
+	if err := sm.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
 	for i, id := range ids {
-		if got := sm.SessionLines.Snapshot()[id]; got != int64(i+3) {
-			t.Errorf("SessionLines[%s] = %d, want %d", id, got, i+3)
+		for _, want := range []string{
+			fmt.Sprintf("wafe_server_session_lines{session=%q} %d\n", id, i+3),
+			fmt.Sprintf("wafe_server_session_errors{session=%q} 1\n", id),
+		} {
+			if !strings.Contains(prom.String(), want) {
+				t.Errorf("/metrics lacks %q:\n%s", want, prom.String())
+			}
 		}
-		if got := sm.SessionErrors.Snapshot()[id]; got != 1 {
-			t.Errorf("SessionErrors[%s] = %d, want 1", id, got)
+	}
+}
+
+// TestServePerSessionSeriesRetained: the per-session series of
+// /metrics and the sessions of the dump document cover the live and
+// the retained ended sessions only, so a server that ran more sessions
+// than DoneLimit lists the last DoneLimit of them; server.dispatch_latency
+// still counts the lines of every session.
+func TestServePerSessionSeriesRetained(t *testing.T) {
+	srv, sm := startServer(t, ServeConfig{})
+	sm.DoneLimit = 2
+	var ids []string
+	lines := 0
+	for i := 0; i < 5; i++ {
+		c := dialServe(t, srv)
+		ids = append(ids, c.id)
+		for j := 0; j <= i; j++ {
+			c.send("%echo x")
+			if got := c.readLine(); got != "x" {
+				t.Fatalf("echo = %q", got)
+			}
 		}
+		c.send("%quit")
+		lines += i + 2
+		waitFor(t, func() bool { return sm.SessionEnds.Snapshot()["quit"] == int64(i+1) })
+		c.conn.Close()
+	}
+	waitDrained(t, srv)
+
+	var prom strings.Builder
+	if err := sm.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"wafe_server_session_lines", "wafe_server_session_errors"} {
+		var series []string
+		for _, line := range strings.Split(prom.String(), "\n") {
+			if strings.HasPrefix(line, family+"{") {
+				series = append(series, line)
+			}
+		}
+		if len(series) != 2 {
+			t.Errorf("%s has %d series, want the 2 retained sessions:\n%s", family, len(series), strings.Join(series, "\n"))
+		}
+		for _, id := range ids[3:] {
+			if !strings.Contains(prom.String(), fmt.Sprintf("%s{session=%q}", family, id)) {
+				t.Errorf("%s lacks retained session %s", family, id)
+			}
+		}
+	}
+	if want := fmt.Sprintf("wafe_server_dispatch_latency_seconds_count %d\n", lines); !strings.Contains(prom.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+
+	var buf strings.Builder
+	if err := sm.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Server   map[string]int64            `json:"server"`
+		Sessions map[string]map[string]int64 `json:"sessions"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Sessions) != 2 || doc.Sessions[ids[3]] == nil || doc.Sessions[ids[4]] == nil {
+		t.Errorf("dump sessions = %v, want %v", doc.Sessions, ids[3:])
+	}
+	if got := doc.Server["server.dispatch_latency.count"]; got != int64(lines) {
+		t.Errorf("server.dispatch_latency.count = %d, want %d", got, lines)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"strconv"
 )
 
-// TclMetrics instruments the interpreter: top-level eval latency,
-// per-command dispatch counts, and the PR 1 intern caches.
+// TclMetrics instruments the interpreter: top-level eval latency
+// (whose count is tcl.evals), per-command dispatch counts, and the
+// intern caches.
 type TclMetrics struct {
-	Evals             Counter
 	EvalLatency       Histogram
 	ScriptCacheHits   Counter
 	ScriptCacheMisses Counter
@@ -18,10 +18,9 @@ type TclMetrics struct {
 	Dispatch          CounterVec // per command name
 }
 
-// XtMetrics instruments the event loop: dispatch latency, queue
-// depths, and callback/action firings.
+// XtMetrics instruments the event loop: dispatch latency (whose count
+// is xt.events_dispatched), queue depths, and callback/action firings.
 type XtMetrics struct {
-	EventsDispatched Counter
 	DispatchLatency  Histogram
 	EventQueueDepth  Gauge // X event queue observed in Pump
 	PostedQueueDepth Gauge // posted-closure channel observed in Post
@@ -86,8 +85,9 @@ type FrontendMetrics struct {
 }
 
 // Metrics is the aggregate registry one Wafe instance threads through
-// its layers. Layers hold pointers to their sub-struct; a nil pointer
-// (observability disabled) keeps every instrumented path zero-cost.
+// its layers. The interpreter, the event loop, its resource database
+// and each display hold one handle to it; a nil handle (observability
+// disabled) keeps every instrumented path at one comparison.
 type Metrics struct {
 	Tcl      TclMetrics
 	Xt       XtMetrics
@@ -200,7 +200,7 @@ func (m *Metrics) SnapshotBase() []Sample {
 // walk visits every metric of the registry, grouped per layer.
 func (m *Metrics) walk(v metricVisitor) {
 	t := &m.Tcl
-	v.scalar("tcl.evals", "counter", t.Evals.Load())
+	v.scalar("tcl.evals", "counter", t.EvalLatency.Count())
 	v.scalar("tcl.script_cache.hits", "counter", t.ScriptCacheHits.Load())
 	v.scalar("tcl.script_cache.misses", "counter", t.ScriptCacheMisses.Load())
 	v.scalar("tcl.expr_cache.hits", "counter", t.ExprCacheHits.Load())
@@ -209,7 +209,7 @@ func (m *Metrics) walk(v metricVisitor) {
 	v.vec("tcl.dispatch", "command", &t.Dispatch)
 
 	x := &m.Xt
-	v.scalar("xt.events_dispatched", "counter", x.EventsDispatched.Load())
+	v.scalar("xt.events_dispatched", "counter", x.DispatchLatency.Count())
 	v.scalar("xt.event_queue_depth", "gauge", x.EventQueueDepth.Load())
 	v.scalar("xt.event_queue_depth_max", "gauge", x.EventQueueDepth.Max())
 	v.scalar("xt.posted_queue_depth_max", "gauge", x.PostedQueueDepth.Max())

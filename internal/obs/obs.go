@@ -41,9 +41,14 @@ type Gauge struct {
 // Observe records v, updating the high watermark.
 func (g *Gauge) Observe(v int64) {
 	g.cur.Store(v)
+	storeMax(&g.max, v)
+}
+
+// storeMax raises a to v unless it holds v or more already.
+func storeMax(a *atomic.Int64, v int64) {
 	for {
-		m := g.max.Load()
-		if v <= m || g.max.CompareAndSwap(m, v) {
+		m := a.Load()
+		if v <= m || a.CompareAndSwap(m, v) {
 			return
 		}
 	}
@@ -86,12 +91,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(ns)
-	for {
-		m := h.max.Load()
-		if ns <= m || h.max.CompareAndSwap(m, ns) {
-			break
-		}
-	}
+	storeMax(&h.max, ns)
 }
 
 // Count returns the number of observations.
@@ -142,6 +142,16 @@ func (h *Histogram) Quantile(q float64) int64 {
 		bound <<= 1
 	}
 	return h.max.Load()
+}
+
+// add folds the observations of o into h.
+func (h *Histogram) add(o *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	storeMax(&h.max, o.max.Load())
 }
 
 // Buckets returns a copy of the bucket counts (tests, JSON dump).

@@ -145,9 +145,16 @@ func sample(m *Metrics, name string) (int64, bool) {
 	return 0, false
 }
 
+// observeN records n one-microsecond observations into h.
+func observeN(h *Histogram, n int) {
+	for i := 0; i < n; i++ {
+		h.Observe(time.Microsecond)
+	}
+}
+
 func TestMetricsSnapshotAndJSON(t *testing.T) {
 	m := New()
-	m.Tcl.Evals.Add(3)
+	observeN(&m.Tcl.EvalLatency, 3)
 	m.Tcl.ScriptCacheHits.Add(2)
 	m.Tcl.Dispatch.Inc("echo")
 	m.Xt.DispatchLatency.Observe(time.Millisecond)
@@ -266,7 +273,7 @@ func TestConcurrentWritersAndSnapshot(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				m.Tcl.Evals.Inc()
+				m.Tcl.EvalLatency.Observe(time.Duration(i))
 				m.Tcl.Dispatch.Inc(fmt.Sprintf("cmd%d", g%2))
 				m.Xt.DispatchLatency.Observe(time.Duration(i))
 				m.Xt.EventQueueDepth.Observe(int64(i))
@@ -277,8 +284,8 @@ func TestConcurrentWritersAndSnapshot(t *testing.T) {
 		_ = m.Snapshot()
 	}
 	wg.Wait()
-	if m.Tcl.Evals.Load() != 4000 {
-		t.Errorf("evals = %d", m.Tcl.Evals.Load())
+	if v, _ := sample(m, "tcl.evals"); v != 4000 {
+		t.Errorf("evals = %d", v)
 	}
 	if m.Xt.DispatchLatency.Count() != 4000 {
 		t.Errorf("latency count = %d", m.Xt.DispatchLatency.Count())
@@ -287,7 +294,7 @@ func TestConcurrentWritersAndSnapshot(t *testing.T) {
 
 func TestServeDebug(t *testing.T) {
 	m := New()
-	m.Tcl.Evals.Add(9)
+	observeN(&m.Tcl.EvalLatency, 9)
 	ln, err := ServeDebug("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)

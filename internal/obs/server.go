@@ -28,14 +28,6 @@ type ServerMetrics struct {
 	Refused Counter
 	// AcceptErrors counts transient listener failures.
 	AcceptErrors Counter
-	// DispatchLatency aggregates per-line handling latency across all
-	// sessions (each session also records into its own
-	// frontend.line_latency histogram).
-	DispatchLatency Histogram
-	// SessionLines / SessionErrors are per-session labelled counters:
-	// command lines handled and eval errors, keyed by session id.
-	SessionLines  CounterVec
-	SessionErrors CounterVec
 
 	// DoneLimit bounds retained snapshots of completed sessions
 	// (<= 0 means the default of 4096).
@@ -46,6 +38,10 @@ type ServerMetrics struct {
 	done      map[string]map[string]int64
 	doneSpans map[string][]Span
 	doneOrder []string
+	// doneLatency holds the frontend.line_latency of every ended
+	// session, retained or not: with the live sessions' own histograms
+	// it is server.dispatch_latency.
+	doneLatency Histogram
 }
 
 // NewServer returns an empty serve-mode registry.
@@ -74,7 +70,8 @@ func (s *ServerMetrics) AddSession(id string) *Metrics {
 
 // EndSession retires a session: its final snapshot — and, when it
 // traced, its last DumpTraceCap spans — is retained (up to DoneLimit
-// sessions), the live map shrinks, and the departure is classified.
+// sessions), its line latencies join the ended sessions' histogram,
+// the live map shrinks, and the departure is classified.
 func (s *ServerMetrics) EndSession(id, reason string) {
 	s.mu.Lock()
 	m := s.live[id]
@@ -86,6 +83,7 @@ func (s *ServerMetrics) EndSession(id, reason string) {
 			limit = 4096
 		}
 		s.done[id] = sampleMap(m.SnapshotBase())
+		s.doneLatency.add(&m.Frontend.LineLatency)
 		if spans := dumpTail(m.Trace.Spans()); len(spans) > 0 {
 			s.doneSpans[id] = spans
 		}
@@ -103,9 +101,9 @@ func (s *ServerMetrics) EndSession(id, reason string) {
 
 // Snapshot returns the aggregate server.* samples: the server's own
 // counters plus aggregates computed over the live sessions (summed
-// eval counts, max queue depths). The per-session line and error
-// counters stay out of it; the JSON document keys each session's own
-// counters by id instead.
+// eval counts, max queue depths) and the line latency of every
+// session. The per-session line and error counts stay out of it; the
+// JSON document keys each session's own counters by id instead.
 func (s *ServerMetrics) Snapshot() []Sample {
 	var out sampleList
 	s.walk(&out, false)
@@ -113,18 +111,32 @@ func (s *ServerMetrics) Snapshot() []Sample {
 }
 
 // walk visits the aggregate metrics, and with perSession also the
-// counters labelled by session id. It never descends into a session's
-// full Snapshot, so a session whose Extra hook points back here cannot
-// recurse.
+// line and error counts of each live and retained session, labelled
+// by session id. It never descends into a session's full Snapshot, so
+// a session whose Extra hook points back here cannot recurse.
 func (s *ServerMetrics) walk(v metricVisitor, perSession bool) {
-	s.mu.Lock()
 	var evals, lines, errs, queueMax int64
-	for _, m := range s.live {
-		evals += m.Tcl.Evals.Load()
-		lines += m.Frontend.CommandLines.Load()
-		errs += m.Frontend.EvalErrors.Load()
+	var sessionLines, sessionErrors CounterVec
+	var latency Histogram
+	s.mu.Lock()
+	latency.add(&s.doneLatency)
+	for id, m := range s.live {
+		n, e := m.Frontend.CommandLines.Load(), m.Frontend.EvalErrors.Load()
+		evals += m.Tcl.EvalLatency.Count()
+		lines, errs = lines+n, errs+e
 		if q := m.Xt.PostedQueueDepth.Max(); q > queueMax {
 			queueMax = q
+		}
+		latency.add(&m.Frontend.LineLatency)
+		if perSession {
+			sessionLines.Counter(id).Add(n)
+			sessionErrors.Counter(id).Add(e)
+		}
+	}
+	if perSession {
+		for id, final := range s.done {
+			sessionLines.Counter(id).Add(final["frontend.command_lines"])
+			sessionErrors.Counter(id).Add(final["frontend.eval_errors"])
 		}
 	}
 	s.mu.Unlock()
@@ -139,10 +151,10 @@ func (s *ServerMetrics) walk(v metricVisitor, perSession bool) {
 	v.scalar("server.live_queue_depth_max", "gauge", queueMax)
 	v.vec("server.session_ends", "reason", &s.SessionEnds)
 	if perSession {
-		v.vec("server.session_lines", "session", &s.SessionLines)
-		v.vec("server.session_errors", "session", &s.SessionErrors)
+		v.vec("server.session_lines", "session", &sessionLines)
+		v.vec("server.session_errors", "session", &sessionErrors)
 	}
-	v.histogram("server.dispatch_latency", &s.DispatchLatency)
+	v.histogram("server.dispatch_latency", &latency)
 }
 
 // serverDump is the serve-mode --metrics-dump document: the aggregate

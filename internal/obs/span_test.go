@@ -201,10 +201,10 @@ func TestServerSampleNamesDistinct(t *testing.T) {
 	sm := NewServer()
 	m := sm.AddSession("s1")
 	m.Extra = sm.Snapshot
-	sm.SessionLines.Counter("s1").Inc()
-	sm.SessionErrors.Counter("s1").Inc()
+	m.Frontend.CommandLines.Inc()
+	m.Frontend.EvalErrors.Inc()
 	sm.SessionEnds.Inc("eof")
-	sm.DispatchLatency.Observe(time.Millisecond)
+	m.Frontend.LineLatency.Observe(time.Millisecond)
 
 	base := make(map[string]bool)
 	for _, s := range m.SnapshotBase() {
@@ -391,7 +391,6 @@ func parsePromText(t *testing.T, text string) map[string]string {
 
 func TestWritePrometheus(t *testing.T) {
 	m := New()
-	m.Tcl.Evals.Add(7)
 	m.Tcl.Dispatch.Inc("echo")
 	m.Tcl.Dispatch.Inc(`quoted"cmd`)
 	m.Tcl.EvalLatency.Observe(200 * time.Nanosecond)
@@ -402,7 +401,7 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := parsePromText(t, sb.String())
-	if vals["wafe_tcl_evals"] != "7" {
+	if vals["wafe_tcl_evals"] != "2" {
 		t.Errorf("wafe_tcl_evals = %q", vals["wafe_tcl_evals"])
 	}
 	if vals[`wafe_tcl_dispatch{command="echo"}`] != "1" {
@@ -427,10 +426,10 @@ func TestWritePrometheus(t *testing.T) {
 func TestWritePrometheusServer(t *testing.T) {
 	sm := NewServer()
 	m := sm.AddSession("s1")
-	m.Tcl.Evals.Add(3)
-	sm.SessionLines.Counter("s1").Add(5)
+	observeN(&m.Tcl.EvalLatency, 3)
+	m.Frontend.CommandLines.Add(5)
 	sm.SessionEnds.Inc("eof")
-	sm.DispatchLatency.Observe(time.Millisecond)
+	m.Frontend.LineLatency.Observe(time.Millisecond)
 	var sb strings.Builder
 	if err := sm.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -473,7 +472,7 @@ func TestFlightRecorderTrip(t *testing.T) {
 	}
 
 	m := New()
-	m.Tcl.Evals.Add(5)
+	observeN(&m.Tcl.EvalLatency, 5)
 	m.Trace.SetEnabled(true)
 	m.Trace.SetSession("s9")
 	m.Trace.StartSpan("line", "%echo hi").End()

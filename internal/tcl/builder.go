@@ -102,13 +102,23 @@ func (b *builder) script(src string) *Script {
 	return s
 }
 
-// parse parses src into a Script, parsing each nested [script] as it
-// goes; nothing is lowered. It never fails: a parse error is recorded
-// on the Script and replayed at evaluation time, after the commands
-// that precede it have run (matching the incremental evaluator, which
-// only discovers a parse error once evaluation reaches the malformed
+// parse parses src into a Script, each nested [script] included;
+// nothing is lowered. It never fails: a parse error is recorded on the
+// Script and replayed at evaluation time, after the commands that
+// precede it have run (matching the incremental evaluator, which only
+// discovers a parse error once evaluation reaches the malformed
 // command).
 func (b *builder) parse(src string) *Script {
+	s, _ := b.parseScript(src, false)
+	return s
+}
+
+// parseScript is parse, or with nested the parse of a command
+// substitution's script, which src holds from just after its '[' on.
+// A nested script ends at its first unmatched ']', where its Source
+// stops, and its parse error is returned: the enclosing word cannot
+// end without the ']'. The offset of a missing ']' is -1, its '['.
+func (b *builder) parseScript(src string, nested bool) (*Script, error) {
 	var s *Script
 	if b.sc != nil {
 		s = &carve(&b.sc.scripts, 1)[0]
@@ -116,11 +126,19 @@ func (b *builder) parse(src string) *Script {
 	} else {
 		s = &Script{Source: src}
 	}
-	p := parser{src: src, b: b}
+	p := parser{src: src, b: b, nested: nested}
 	cbase, wbase, tbase := len(b.cmds), len(b.words), len(b.toks)
 	for {
 		cmd, ok, err := p.nextCommand()
+		if err == nil && !ok && nested && p.atEnd() {
+			err = p.missing(-1, "close-bracket")
+		}
 		if err != nil {
+			b.words, b.toks = b.words[:wbase], b.toks[:tbase]
+			if nested {
+				b.cmds = b.cmds[:cbase]
+				return nil, err
+			}
 			msg := err.Error()
 			if pe, ok := err.(*ParseError); ok {
 				s.parseErrOff = pe.Off
@@ -128,38 +146,22 @@ func (b *builder) parse(src string) *Script {
 				msg = fmt.Sprintf("%s (line %d, column %d)", msg, line, col)
 			}
 			s.parseErr = &Error{Code: CodeError, Value: msg}
-			b.words, b.toks = b.words[:wbase], b.toks[:tbase]
 			break
 		}
 		if !ok {
 			break
 		}
-		for i := range cmd.words {
-			b.nested(cmd.words[i].tokens)
-		}
 		b.cmds = append(b.cmds, cmd)
+	}
+	if nested {
+		s.Source = src[:p.pos]
 	}
 	if b.sc != nil {
 		s.cmds = pop(&b.cmds, cbase, &b.sc.cmds)
 	} else {
 		s.cmds = pop(&b.cmds, cbase, nil)
 	}
-	return s
-}
-
-// nested parses the [script] substitutions among toks, array indexes
-// included, so that evaluation never re-parses them. The Program of
-// the enclosing script compiles them inline (compile.go).
-func (b *builder) nested(toks []token) {
-	for i := range toks {
-		t := &toks[i]
-		switch t.kind {
-		case tokCommand:
-			t.script = b.parse(t.text)
-		case tokVar:
-			b.nested(t.index)
-		}
-	}
+	return s, nil
 }
 
 // newProgram returns the Program s is lowered into: a new one, or the
@@ -176,7 +178,7 @@ func (b *builder) newProgram(s *Script) *Program {
 	sc.nprogs++
 	*p = Program{script: s, insns: p.insns[:0], cmds: p.cmds[:0],
 		inl: p.inl[:0], consts: p.consts[:0], vars: p.vars[:0],
-		subs: p.subs[:0], exprs: p.exprs[:0], tmpls: p.tmpls[:0],
+		exprs: p.exprs[:0], tmpls: p.tmpls[:0],
 		loops: p.loops[:0], caches: p.caches[:0]}
 	return p
 }

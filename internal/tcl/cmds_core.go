@@ -367,7 +367,17 @@ func cmdProc(in *Interp, argv []string) (string, error) {
 	return "", nil
 }
 
+// cmdError raises its message. As in Tcl, a non-empty errorInfo word
+// begins the traceback, leaving out the error command's own line, and
+// an errorCode word sets errorCode.
 func cmdError(in *Interp, argv []string) (string, error) {
+	if len(argv) > 2 && argv[2] != "" {
+		_ = in.SetGlobalVar("errorInfo", argv[2])
+		in.errorUnwinding, in.errorLogged = true, in.nesting == 1
+	}
+	if len(argv) > 3 {
+		_ = in.SetGlobalVar("errorCode", argv[3])
+	}
 	return "", NewError("%s", argv[1])
 }
 

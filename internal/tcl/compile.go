@@ -38,7 +38,6 @@ const (
 	opConcat           // regs[c] = regs[a : a+b] joined as strings
 	opEnter            // enter an inlined [script]: one nesting level deeper
 	opLeave            // leave it
-	opScript           // regs[c] = result of subs[a], a [script] that failed to parse
 
 	// Dispatch instructions: exactly one terminates every command. d is
 	// -1 for a command of the Program's script; an inlined command's
@@ -67,7 +66,7 @@ type insn struct {
 type dispatchCache struct {
 	gen uint64
 	fn  CommandFunc
-	m   *obs.TclMetrics
+	m   *obs.Metrics
 	ctr *obs.Counter
 }
 
@@ -128,7 +127,6 @@ type Program struct {
 	// vars are the variable sites: a slot in a proc body, elsewhere a
 	// name. A proc body's Program runs only in that proc's frames.
 	vars   []varSite
-	subs   []*Script
 	exprs  []exprNode
 	tmpls  []*exprTemplate
 	loops  []loopInfo
@@ -521,15 +519,9 @@ func (c *progCompiler) token(t *token, dst, top int32, whole bool) {
 // inline compiles the [script] of t into this Program, its commands'
 // words in the registers from top on and its result in register dst.
 // opEnter and opLeave keep the nesting level the script would have run
-// at on its own. A script that failed to parse runs on its own
-// (opScript), so that its well-formed prefix runs before the error.
+// at on its own.
 func (c *progCompiler) inline(t *token, dst, top int32) {
 	s := t.script
-	if s.parseErr != nil {
-		c.p.subs = append(c.p.subs, s)
-		c.emit(insn{op: opScript, a: int32(len(c.p.subs) - 1), c: dst})
-		return
-	}
 	c.emit(insn{op: opEnter})
 	if len(s.cmds) == 0 {
 		c.emitConst(Value{}, dst)

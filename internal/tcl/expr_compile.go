@@ -88,13 +88,11 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	in := ev.in
 	if n.owner != in {
 		n.owner, n.tmpl, n.tcmd, n.tca = in, nil, nil, nil
-		if n.script != nil && n.script.parseErr == nil {
-			p := in.program(n.script)
-			if len(p.cmds) == 1 {
-				c := &p.cmds[0]
-				if ins := p.insns[c.start]; c.end-c.start == 1 && ins.op == opExprTmpl {
-					n.tmpl, n.tcmd, n.tca = p.tmpls[ins.a], c, &p.caches[ins.c]
-				}
+		p := in.program(n.script)
+		if len(p.cmds) == 1 {
+			c := &p.cmds[0]
+			if ins := p.insns[c.start]; c.end-c.start == 1 && ins.op == opExprTmpl {
+				n.tmpl, n.tcmd, n.tca = p.tmpls[ins.a], c, &p.caches[ins.c]
 			}
 		}
 	}
@@ -604,7 +602,6 @@ func (c *exprCompiler) compilePrimary() exprNode {
 			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		p.b.nested(t.index)
 		return &exprVarNode{tok: t, site: varSite{name: t.text, slot: -1}}
 	case ch == '[':
 		p := c.parser()
@@ -613,7 +610,7 @@ func (c *exprCompiler) compilePrimary() exprNode {
 			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		return &exprCmdNode{script: compileScript(t.text)}
+		return &exprCmdNode{script: t.script}
 	case ch == '"':
 		p := c.parser()
 		w, err := p.parseQuotedWordForExpr()
@@ -621,7 +618,6 @@ func (c *exprCompiler) compilePrimary() exprNode {
 			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		p.b.nested(w.tokens)
 		if len(w.tokens) == 0 {
 			return &exprLit{v: strVal("")}
 		}
@@ -778,13 +774,13 @@ func (in *Interp) compileExprCached(s string) exprNode {
 		return n
 	}
 	if v, ok := in.exprCache.get(s); ok {
-		if m := in.obs; m != nil {
-			m.ExprCacheHits.Inc()
+		if m := in.metrics; m != nil {
+			m.Tcl.ExprCacheHits.Inc()
 		}
 		return v.(exprNode)
 	}
-	if m := in.obs; m != nil {
-		m.ExprCacheMisses.Inc()
+	if m := in.metrics; m != nil {
+		m.Tcl.ExprCacheMisses.Inc()
 	}
 	n, _ := compileExprAST(s)
 	in.exprCache.put(s, n)

@@ -105,11 +105,6 @@ func viewTokens(toks []token) []Part {
 		case tokCommand:
 			p.Kind = PartCommand
 			p.Script = t.script
-			if p.Script == nil {
-				// Standalone-parsed tokens carry no compiled script;
-				// compile one so callers can always recurse.
-				p.Script = compileScript(t.text)
-			}
 		}
 		out = append(out, p)
 	}

@@ -224,8 +224,9 @@ type Interp struct {
 	chans *channelTable
 
 	// errorUnwinding marks that errorInfo is being accumulated for the
-	// currently-propagating error.
-	errorUnwinding bool
+	// currently-propagating error; errorLogged, that a top-level error
+	// command began it with its info word, which leaves out its line.
+	errorUnwinding, errorLogged bool
 
 	// scriptCache holds compiled scripts by source string, so that
 	// repeatedly evaluated callbacks and bodies compile once. A nil
@@ -236,14 +237,11 @@ type Interp struct {
 	// exprCache interns compiled expression ASTs by source string.
 	exprCache *lruCache
 
-	// obs, when non-nil, collects dispatch counts, eval latency and
-	// cache hit rates. Nil (the default) keeps every hot path at a
-	// single pointer comparison.
-	obs *obs.TclMetrics
-
-	// trace, when non-nil, records spans for top-level evals and proc
-	// calls (same nil-pointer discipline as obs).
-	trace *obs.Trace
+	// metrics, when non-nil, collects dispatch counts, eval latency
+	// and cache hit rates, and its Trace records spans for top-level
+	// evals and proc calls. Nil (the default) keeps every hot path at
+	// a single pointer comparison.
+	metrics *obs.Metrics
 
 	// prof is the active Tcl profiler; nil outside a profiling window.
 	// The remaining fields are its activation bookkeeping: per-command
@@ -292,7 +290,7 @@ type Interp struct {
 
 	// ctrs remembers the dispatch counters of ctrOf by command name,
 	// for the dispatch sites that fill their caches (vm.go count).
-	ctrOf *obs.TclMetrics
+	ctrOf *obs.Metrics
 	ctrs  map[string]*obs.Counter
 
 	// catBuf is the scratch buffer opConcat joins a word's pieces in.
@@ -314,8 +312,9 @@ type Interp struct {
 	opCounts *DispatchCounts
 }
 
-// SetObs attaches (or, with nil, detaches) the observability metrics.
-func (in *Interp) SetObs(m *obs.TclMetrics) { in.obs = m }
+// SetMetrics attaches (or, with nil, detaches) the observability
+// registry: its Tcl metrics and its span tracer.
+func (in *Interp) SetMetrics(m *obs.Metrics) { in.metrics = m }
 
 // New creates an interpreter with the standard command set registered.
 func New() *Interp {
@@ -683,8 +682,8 @@ func (in *Interp) EvalWords(argv []string) (string, error) {
 
 func (in *Interp) invoke(argv []string) (string, error) {
 	name := argv[0]
-	if m := in.obs; m != nil {
-		m.Dispatch.Inc(name)
+	if m := in.metrics; m != nil {
+		m.Tcl.Dispatch.Inc(name)
 	}
 	if fn, ok := in.commands[name]; ok {
 		return fn(in, argv)
@@ -742,10 +741,7 @@ func (in *Interp) substToken(t token) (string, error) {
 		}
 		return in.GetVar(name)
 	case tokCommand:
-		if t.script != nil {
-			return in.EvalScript(t.script)
-		}
-		return in.Eval(t.text)
+		return in.EvalScript(t.script)
 	}
 	return "", NewError("internal: bad token kind")
 }
@@ -792,7 +788,8 @@ func (in *Interp) Subst(s string) (string, error) {
 // as classic Tcl does while an error unwinds.
 func (in *Interp) recordErrorInfo(err error, context string) {
 	te, ok := err.(*Error)
-	if !ok || te.Code != CodeError {
+	if !ok || te.Code != CodeError || in.errorLogged {
+		in.errorLogged = false
 		return
 	}
 	cur, getErr := in.GetGlobalVar("errorInfo")
@@ -853,8 +850,8 @@ func (in *Interp) lowerProc(p *Proc) {
 
 // callProc calls proc p inside its trace span and profiler record.
 func (in *Interp) callProc(p *Proc, argv []string) (string, error) {
-	if t := in.trace; t != nil {
-		sp := t.StartSpan("proc", p.Name)
+	if m := in.metrics; m != nil {
+		sp := m.Trace.StartSpan("proc", p.Name)
 		defer sp.End()
 	}
 	if in.prof != nil {

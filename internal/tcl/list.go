@@ -166,7 +166,9 @@ func QuoteListElement(e string) string {
 	if !strings.ContainsAny(e, " \t\n\r\v\f;\"$[]{}\\") {
 		return e
 	}
-	if braceable(e) {
+	// As in Tcl 8.6, an element whose only special characters are ']'
+	// and '"' inside it is escaped rather than braced.
+	if braceable(e) && (strings.ContainsAny(e, " \t\n\r\v\f;$[{}\\") || e[0] == '"' || e[0] == '#') {
 		return "{" + e + "}"
 	}
 	// Fall back to backslash quoting.

@@ -174,6 +174,15 @@ var sweepCases = []struct {
 	// A command name that substitutes to the empty string is still
 	// invoked: at the top level errorInfo ends in `while executing ""`.
 	{"empty-command-name", "set e {}; $e"},
+	// error's info word begins errorInfo, without the error command's
+	// own line, and its code word sets errorCode, as in tclsh 8.6.
+	{"error-info-code-caught", "catch {error msg myinfo mycode} r; list $r $errorInfo $errorCode"},
+	{"error-info-top-level", "error msg myinfo"},
+	{"error-info-in-proc", "proc f {} {error boom fromf CODE}\ncatch f; list $errorInfo $errorCode"},
+	{"error-info-uncaught-proc", "proc f {} {error boom fromf}\nf"},
+	{"error-empty-info", "catch {error msg {} code} r; list $r $errorCode"},
+	// A command substitution ends where its script ends.
+	{"bracket-in-nested-quotes", `list [list "]"] [string length "a]b"] [list {]}]`},
 }
 
 // TestOracleEngineSweep runs sweepCases under both engines.

@@ -9,7 +9,10 @@
 // core: RegisterCommand, Eval, SetVar/GetVar and list helpers.
 package tcl
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // A parser walks a script one command at a time. Its output is
 // wrapped by Script (script.go) so that a source string compiles once
@@ -28,6 +31,9 @@ type parser struct {
 	// moved the run's text into b.esc.
 	lit     int
 	escaped bool
+	// nested says src is the script of a command substitution, which
+	// its first unmatched ']' ends, as any command terminator would.
+	nested bool
 }
 
 // word is one parsed word of a command before substitution. Words are
@@ -52,12 +58,42 @@ type word struct {
 type ParseError struct {
 	Msg string
 	Off int // byte offset into the source handed to the parser
+	// incomplete says the source ended inside the construct at Off.
+	incomplete bool
 }
 
 func (e *ParseError) Error() string { return e.Msg }
 
 func (p *parser) errAt(off int, format string, args ...any) error {
 	return &ParseError{Msg: fmt.Sprintf(format, args...), Off: off}
+}
+
+// missing reports the construct at off that the source ends inside.
+func (p *parser) missing(off int, what string) error {
+	return &ParseError{Msg: "missing " + what, Off: off, incomplete: true}
+}
+
+// CommandComplete reports whether src ends between commands, as Tcl's
+// Tcl_CommandComplete decides it; interactive mode gathers lines, each
+// with its newline, until it does. src is incomplete when it ends
+// inside a braced or quoted word, a command substitution, a ${name}
+// or an array index, or in a backslash-newline. A parse error of
+// another kind leaves it complete: evaluating it reports the error.
+func CommandComplete(src string) bool {
+	p := newParser(src)
+	for {
+		_, ok, err := p.nextCommand()
+		if pe, isParse := err.(*ParseError); isParse {
+			return !pe.incomplete
+		}
+		if !ok {
+			break
+		}
+	}
+	// An odd run of backslashes before the final newline ends in a
+	// backslash-newline.
+	line, ok := strings.CutSuffix(src, "\n")
+	return !ok || (len(line)-len(strings.TrimRight(line, `\`)))%2 == 0
 }
 
 // LineCol converts a byte offset within src to a 1-based line and
@@ -100,10 +136,8 @@ type token struct {
 	// and the variable reference had the form $name(index).
 	index  []token
 	hasIdx bool
-	// script is the compiled form of text when kind==tokCommand and the
-	// token came from a compiled Script; nil when the token was parsed
-	// standalone (Subst, expr fallback), in which case evaluation goes
-	// through the interning Eval.
+	// script is the parsed form of text when kind==tokCommand, built
+	// while the enclosing word was parsed.
 	script *Script
 }
 
@@ -118,6 +152,9 @@ func newParser(src string) *parser { return &parser{src: src, b: &builder{}} }
 func (p *parser) atEnd() bool { return p.pos >= len(p.src) }
 
 func (p *parser) peek() byte { return p.src[p.pos] }
+
+// closes reports whether p.pos is at the ']' that ends a nested script.
+func (p *parser) closes() bool { return p.nested && !p.atEnd() && p.src[p.pos] == ']' }
 
 // skipCommandSeparators consumes whitespace, newlines, semicolons and
 // comments between commands.
@@ -159,7 +196,7 @@ func (p *parser) skipWordSeparators() (commandEnded bool) {
 		case c == '\\' && p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n':
 			// Backslash-newline acts as a word separator.
 			p.pos += 2
-		case c == '\n' || c == '\r' || c == ';':
+		case c == '\n' || c == '\r' || c == ';' || p.closes():
 			return true
 		default:
 			return false
@@ -169,11 +206,11 @@ func (p *parser) skipWordSeparators() (commandEnded bool) {
 }
 
 // nextCommand parses the next command from the script. ok is false
-// when the script is exhausted.
+// when the script is exhausted, or in a nested script at its ']'.
 func (p *parser) nextCommand() (cmd parsedCommand, ok bool, err error) {
 	for {
 		p.skipCommandSeparators()
-		if p.atEnd() {
+		if p.atEnd() || p.closes() {
 			return parsedCommand{}, false, nil
 		}
 		base := len(p.b.words)
@@ -240,7 +277,7 @@ func (p *parser) parseBracedWord() error {
 				p.pos = i + 1
 				if !p.atEnd() {
 					c := p.peek()
-					if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' && !(c == '\\' && p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n') {
+					if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' && !(c == '\\' && p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n') && !p.closes() {
 						return p.errAt(p.pos, "extra characters after close-brace")
 					}
 				}
@@ -249,7 +286,7 @@ func (p *parser) parseBracedWord() error {
 		}
 		i++
 	}
-	return p.errAt(open, "missing close-brace")
+	return p.missing(open, "close-brace")
 }
 
 func (p *parser) parseQuotedWord() error {
@@ -259,7 +296,7 @@ func (p *parser) parseQuotedWord() error {
 	}
 	if !p.atEnd() {
 		c := p.peek()
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' && !p.closes() {
 			return p.errAt(p.pos, "extra characters after close-quote")
 		}
 	}
@@ -268,9 +305,10 @@ func (p *parser) parseQuotedWord() error {
 
 // gatherTokens pushes the tokens of one word onto the token stack, up
 // to the end its form sets: a word separator or command end for a bare
-// word (0), the closing quote of a quoted word ('"', whose opening
-// quote the caller consumed), or the ')' balancing the '(' of an array
-// index (')', likewise). The caller carves the tokens out.
+// word (0), a nested script's ']' included, the closing quote of a
+// quoted word ('"', whose opening quote the caller consumed), or the
+// ')' balancing the '(' of an array index (')', likewise). The caller
+// carves the tokens out.
 func (p *parser) gatherTokens(form byte) error {
 	open := p.pos - 1
 	p.lit, p.escaped = -1, false
@@ -278,8 +316,8 @@ func (p *parser) gatherTokens(form byte) error {
 	for !p.atEnd() {
 		c := p.src[p.pos]
 		switch c {
-		case ' ', '\t', '\n', '\r', ';':
-			if form == 0 {
+		case ' ', '\t', '\n', '\r', ';', ']':
+			if form == 0 && (c != ']' || p.nested) {
 				p.flushLit()
 				return nil
 			}
@@ -334,9 +372,9 @@ func (p *parser) gatherTokens(form byte) error {
 	}
 	switch form {
 	case '"':
-		return p.errAt(open, "missing closing quote")
+		return p.missing(open, "closing quote")
 	case ')':
-		return p.errAt(open, "missing )")
+		return p.missing(open, ")")
 	}
 	p.flushLit()
 	return nil
@@ -455,7 +493,7 @@ func (p *parser) parseVarToken() (token, error) {
 			p.pos++
 		}
 		if p.atEnd() {
-			return token{}, p.errAt(dollar, "missing close-brace for variable name")
+			return token{}, p.missing(dollar, "close-brace for variable name")
 		}
 		name := p.src[start:p.pos]
 		p.pos++
@@ -482,35 +520,19 @@ func (p *parser) parseVarToken() (token, error) {
 	return t, nil
 }
 
-// parseCommandToken parses a [script] substitution; the script is kept
-// unevaluated until substitution time.
+// parseCommandToken parses a [script] substitution in place, as Tcl's
+// parser does: the nested script's commands are parsed as they come,
+// so a ']' in one of its braced or quoted words is just a character,
+// and its first unmatched ']' ends it. The token carries the Script,
+// whose positions are relative to its own Source; a parse error in it
+// is the enclosing word's.
 func (p *parser) parseCommandToken() (token, error) {
 	open := p.pos
-	p.pos++ // consume [
-	start := p.pos
-	depth := 1
-	for !p.atEnd() {
-		switch p.peek() {
-		case '\\':
-			p.pos++ // skip next char
-			if !p.atEnd() {
-				p.pos++
-			}
-			continue
-		case '[':
-			depth++
-		case ']':
-			depth--
-			if depth == 0 {
-				script := p.src[start:p.pos]
-				p.pos++
-				return token{kind: tokCommand, text: script, pos: open}, nil
-			}
-		case '{':
-			// Braces inside bracketed scripts must balance so that
-			// "[gV input string])" style text nests correctly.
-		}
-		p.pos++
+	s, err := p.b.parseScript(p.src[open+1:], true)
+	if err != nil {
+		err.(*ParseError).Off += open + 1
+		return token{}, err
 	}
-	return token{}, p.errAt(open, "missing close-bracket")
+	p.pos = open + 1 + len(s.Source) + 1
+	return token{kind: tokCommand, text: s.Source, pos: open, script: s}, nil
 }

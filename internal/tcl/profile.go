@@ -32,10 +32,6 @@ func (in *Interp) SetProfiler(p *obs.Profiler) {
 	}
 }
 
-// SetTrace attaches (or, with nil, detaches) the span tracer the
-// top-level eval and proc-call sites record into.
-func (in *Interp) SetTrace(t *obs.Trace) { in.trace = t }
-
 // profExecCmd runs command c inside the profiler's activation record:
 // its word instructions untimed, then its dispatch through
 // profDispatch.

@@ -211,17 +211,17 @@ func TestProfilerOffInsideProfiledCommand(t *testing.T) {
 	}
 }
 
-// TestProfilerSpanOnEval: with a tracer attached, a top-level eval
+// TestProfilerSpanOnEval: with a registry attached, a top-level eval
 // opens an eval span and proc calls nest under it.
 func TestProfilerSpanOnEval(t *testing.T) {
 	in := New()
-	var tr obs.Trace
-	tr.SetEnabled(true)
-	in.SetTrace(&tr)
+	m := obs.New()
+	m.Trace.SetEnabled(true)
+	in.SetMetrics(m)
 	evalOK(t, in, "proc f {} { return 1 }")
 	evalOK(t, in, "f")
-	in.SetTrace(nil)
-	spans := tr.Spans()
+	in.SetMetrics(nil)
+	spans := m.Trace.Spans()
 	var evalSpan, procSpan *obs.Span
 	for i := range spans {
 		sp := &spans[i]

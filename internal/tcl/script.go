@@ -217,11 +217,11 @@ func (in *Interp) compileCached(src string) *Script {
 // lookup returns the cached Script for src and counts the hit or miss.
 func (in *Interp) lookup(src string) (*Script, bool) {
 	v, ok := in.scriptCache.get(src)
-	if m := in.obs; m != nil {
+	if m := in.metrics; m != nil {
 		if ok {
-			m.ScriptCacheHits.Inc()
+			m.Tcl.ScriptCacheHits.Inc()
 		} else {
-			m.ScriptCacheMisses.Inc()
+			m.Tcl.ScriptCacheMisses.Inc()
 		}
 	}
 	s, _ := v.(*Script)
@@ -305,13 +305,13 @@ func (in *Interp) evalScriptV(s *Script) (Value, error) {
 	if in.nesting != 0 {
 		return in.evalScriptBody(s)
 	}
-	m, t, prof := in.obs, in.trace, in.prof
-	if m == nil && t == nil && prof == nil {
+	m, prof := in.metrics, in.prof
+	if m == nil && prof == nil {
 		return in.evalScriptBody(s)
 	}
 	var sp obs.SpanCtx
-	if t != nil && s != nil {
-		sp = t.StartSpan("eval", spanName(s.Source))
+	if m != nil && s != nil {
+		sp = m.Trace.StartSpan("eval", spanName(s.Source))
 	}
 	if prof != nil {
 		in.profCmdChild = append(in.profCmdChild, 0)
@@ -320,8 +320,7 @@ func (in *Interp) evalScriptV(s *Script) (Value, error) {
 	res, err := in.evalScriptBody(s)
 	d := time.Since(start)
 	if m != nil {
-		m.Evals.Inc()
-		m.EvalLatency.Observe(d)
+		m.Tcl.EvalLatency.Observe(d)
 	}
 	if prof != nil {
 		in.profToplevel(prof, d)
@@ -346,7 +345,7 @@ func (in *Interp) evalScriptBody(s *Script) (Value, error) {
 	}
 	if in.nesting == 1 {
 		// A fresh top-level evaluation starts a fresh traceback.
-		in.errorUnwinding = false
+		in.errorUnwinding, in.errorLogged = false, false
 	}
 	if in.oracle != nil {
 		return in.oracle(s)

@@ -35,6 +35,13 @@ func TestBracketInsideDoubleQuotes(t *testing.T) {
 	wantEval(t, in, `set x "\[string length bcd]"`, "[string length bcd]")
 	// Brackets nest inside the substitution.
 	wantEval(t, in, `set x "v=[string length [string range abcdef 0 2]]"`, "v=3")
+	// A substitution ends where its script ends, so a ']' inside one of
+	// its quoted or braced words is a character. The expected values
+	// are what tclsh 8.6 prints for `puts [list "]"]`,
+	// `puts [string length "a]b"]` and `puts [list {]}]`.
+	wantEval(t, in, `set x [list "]"]`, `\]`)
+	wantEval(t, in, `set x [string length "a]b"]`, "3")
+	wantEval(t, in, `set x [list {]}]`, `\]`)
 }
 
 func TestArrayIndexSubstitution(t *testing.T) {

@@ -226,6 +226,14 @@ func TestCatch(t *testing.T) {
 func TestErrorCommand(t *testing.T) {
 	in := New()
 	wantErr(t, in, "error {my message}", "my message")
+	// The optional words set errorInfo and errorCode, with the values
+	// tclsh 8.6 gives them: a non-empty info word begins the traceback
+	// and the error command's own line is left out.
+	wantEval(t, in, "catch {error msg myinfo mycode} r; list $r $errorInfo $errorCode", "msg myinfo mycode")
+	wantErr(t, in, "error top infotop", "top")
+	wantEval(t, in, "set errorInfo", "infotop")
+	wantEval(t, in, "proc f {} {error boom fromf}\ncatch f; set errorInfo", "fromf\n    (procedure \"f\" invoked as \"f\")")
+	wantEval(t, in, "catch {error msg {} code2}; set errorCode", "code2")
 }
 
 func TestEvalCommand(t *testing.T) {

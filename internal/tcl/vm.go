@@ -117,13 +117,6 @@ func (in *Interp) execCmd(p *Program, c *progCmd, insns []insn, regs []Value) (V
 		case opLeave:
 			in.nesting--
 
-		case opScript:
-			v, err := in.evalScriptV(p.subs[ins.a])
-			if err != nil {
-				return Value{}, "", false, err
-			}
-			regs[ins.c] = v
-
 		default:
 			if ins.d < 0 {
 				return in.dispatch(p, c, ins, regs)
@@ -173,7 +166,7 @@ func (in *Interp) concat(vals []Value) string {
 // count increments name's dispatch counter, which cache site ca
 // holds. Callers check that metrics are attached first.
 func (in *Interp) count(ca *dispatchCache, name string) {
-	m := in.obs
+	m := in.metrics
 	if m == nil {
 		return
 	}
@@ -190,7 +183,7 @@ func (in *Interp) count(ca *dispatchCache, name string) {
 // site of a first sighting's scratch Program is, then takes no lock to
 // fill it.
 func (in *Interp) dispatchCounter(name string) *obs.Counter {
-	m := in.obs
+	m := in.metrics
 	if m == nil {
 		return nil
 	}
@@ -199,7 +192,7 @@ func (in *Interp) dispatchCounter(name string) *obs.Counter {
 	}
 	c := in.ctrs[name]
 	if c == nil {
-		c = m.Dispatch.Counter(name)
+		c = m.Tcl.Dispatch.Counter(name)
 		in.ctrs[name] = c
 	}
 	return c
@@ -221,7 +214,7 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 		var fn CommandFunc
 		if ins.c >= 0 {
 			ca := &p.caches[ins.c]
-			if in.obs != nil {
+			if in.metrics != nil {
 				in.count(ca, name)
 			}
 			if ca.fn != nil && ca.gen == in.cmdGen {
@@ -231,8 +224,8 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 				fn = f
 			}
 		} else {
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc(name)
+			if m := in.metrics; m != nil {
+				m.Tcl.Dispatch.Inc(name)
 			}
 			fn = in.commands[name]
 		}
@@ -261,7 +254,7 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 			res, err := in.invoke([]string{"set", s.name, regs[ins.b].String()})
 			return strVal(res), "set", true, err
 		}
-		if in.obs != nil {
+		if in.metrics != nil {
 			in.count(&p.caches[ins.c], "set")
 		}
 		if dc := in.opCounts; dc != nil {
@@ -277,7 +270,7 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 		if in.specialGen != in.specialBase {
 			return in.execGenericFallback(c)
 		}
-		if in.obs != nil {
+		if in.metrics != nil {
 			in.count(&p.caches[ins.c], "incr")
 		}
 		if dc := in.opCounts; dc != nil {
@@ -293,7 +286,7 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 		if in.specialGen != in.specialBase {
 			return in.execGenericFallback(c)
 		}
-		if in.obs != nil {
+		if in.metrics != nil {
 			in.count(&p.caches[ins.c], "expr")
 		}
 		if dc := in.opCounts; dc != nil {
@@ -322,7 +315,7 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 		if in.specialGen != in.specialBase {
 			return in.execGenericFallback(c)
 		}
-		if in.obs != nil {
+		if in.metrics != nil {
 			in.count(&p.caches[ins.c], "while")
 		}
 		if dc := in.opCounts; dc != nil {
@@ -336,7 +329,7 @@ func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Val
 		if in.specialGen != in.specialBase {
 			return in.execGenericFallback(c)
 		}
-		if in.obs != nil {
+		if in.metrics != nil {
 			in.count(&p.caches[ins.c], "for")
 		}
 		if dc := in.opCounts; dc != nil {
@@ -389,7 +382,7 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd, ca *dispatchCache) (
 		slots = append(slots, pv)
 	}
 	in.tmplSlots = slots[:0]
-	if in.obs != nil {
+	if in.metrics != nil {
 		in.count(ca, "expr")
 	}
 	if t.fastOp != "" {
@@ -418,7 +411,7 @@ func (in *Interp) execExprTmplBail(c *progCmd, ca *dispatchCache) (Value, string
 	if err != nil {
 		return Value{}, "", false, err
 	}
-	if in.obs != nil {
+	if in.metrics != nil {
 		in.count(ca, "expr")
 	}
 	res, err := in.ExprEval(strings.Join(argv[1:], " "))

@@ -66,24 +66,27 @@ type Display struct {
 	snapGen  uint64
 	snapStr  string
 
-	// obs, when non-nil, counts protocol requests per operation and
-	// queued events. Nil (the default) keeps request paths at a single
-	// pointer comparison.
-	obs *obs.XprotoMetrics
-
-	// trace, when non-nil, records each protocol request as an instant
-	// span parented to whatever span is open (the dispatching callback
-	// or eval). Same nil discipline as obs.
-	trace *obs.Trace
+	// metrics, when non-nil, counts protocol requests per operation,
+	// queued events and damage, and its Trace records each request as
+	// an instant span parented to whatever span is open (the
+	// dispatching callback or eval). Nil (the default) keeps request
+	// paths at a single pointer comparison.
+	metrics *obs.Metrics
 
 	closed bool
 }
 
-// SetObs attaches (or, with nil, detaches) the observability metrics.
-func (d *Display) SetObs(m *obs.XprotoMetrics) { d.obs = m }
+// SetMetrics attaches (or, with nil, detaches) the observability
+// registry.
+func (d *Display) SetMetrics(m *obs.Metrics) { d.metrics = m }
 
-// SetTrace attaches (or, with nil, detaches) the span tracer.
-func (d *Display) SetTrace(t *obs.Trace) { d.trace = t }
+// request counts one protocol request and records its instant.
+func (d *Display) request(op string) {
+	if m := d.metrics; m != nil {
+		m.Xproto.Requests.Inc(op)
+		m.Trace.Instant("xproto", op)
+	}
+}
 
 // registry of open displays, keyed by display name, emulating multiple
 // X servers ("applicationShell top2 dec4:0" opens a second display).
@@ -158,8 +161,8 @@ func (d *Display) WhitePixel() Pixel { return Pixel{R: 255, G: 255, B: 255} }
 func (d *Display) BlackPixel() Pixel { return Pixel{} }
 
 func (d *Display) enqueue(ev Event) {
-	if m := d.obs; m != nil {
-		m.EventsQueued.Inc()
+	if m := d.metrics; m != nil {
+		m.Xproto.EventsQueued.Inc()
 	}
 	d.serial++
 	ev.Serial = d.serial
@@ -457,8 +460,8 @@ func (d *Display) TypeString(s string) error {
 func (d *Display) InjectExposeRect(id WindowID, x, y, w, h int) {
 	win, ok := d.windows[id]
 	if !ok || win.EventMask&ExposureMask == 0 {
-		if m := d.obs; m != nil {
-			m.ExposesDropped.Inc()
+		if m := d.metrics; m != nil {
+			m.Xproto.ExposesDropped.Inc()
 		}
 		return
 	}
@@ -476,8 +479,8 @@ func (d *Display) InjectExposeRect(id WindowID, x, y, w, h int) {
 func (d *Display) DamageRect(id WindowID, x, y, w, h int) {
 	win, ok := d.windows[id]
 	if !ok || win.EventMask&ExposureMask == 0 {
-		if m := d.obs; m != nil {
-			m.ExposesDropped.Inc()
+		if m := d.metrics; m != nil {
+			m.Xproto.ExposesDropped.Inc()
 		}
 		return
 	}
@@ -495,8 +498,8 @@ func (d *Display) addDamage(win *Window, r Rect) {
 	if r.Empty() {
 		return
 	}
-	if m := d.obs; m != nil {
-		m.DamageRects.Inc()
+	if m := d.metrics; m != nil {
+		m.Xproto.DamageRects.Inc()
 	}
 	reg := d.damage[win.ID]
 	if reg == nil {
@@ -533,8 +536,8 @@ func (d *Display) FlushDamage() {
 						d.enqueue(Event{Type: Expose, Window: id, X: r.X, Y: r.Y, Width: r.W, Height: r.H})
 					}
 				}
-				if m := d.obs; m != nil && reg.Added() > reg.Len() {
-					m.ExposesCoalesced.Add(int64(reg.Added() - reg.Len()))
+				if m := d.metrics; m != nil && reg.Added() > reg.Len() {
+					m.Xproto.ExposesCoalesced.Add(int64(reg.Added() - reg.Len()))
 				}
 			}
 		}

@@ -74,12 +74,7 @@ func (k DrawOpKind) String() string {
 }
 
 func (d *Display) record(win WindowID, op DrawOp) {
-	if m := d.obs; m != nil {
-		m.Requests.Inc(op.Kind.String())
-	}
-	if t := d.trace; t != nil {
-		t.Instant("xproto", op.Kind.String())
-	}
+	d.request(op.Kind.String())
 	d.gen++
 	if w := d.windows[win]; w != nil {
 		w.ops = append(w.ops, op)

@@ -86,8 +86,9 @@ func TestRegionCapOverflowMergesLeastGrowth(t *testing.T) {
 
 func TestExposeCoalescingAndMetrics(t *testing.T) {
 	d := NewTestDisplay()
-	m := &obs.XprotoMetrics{}
-	d.SetObs(m)
+	reg := obs.New()
+	d.SetMetrics(reg)
+	m := &reg.Xproto
 	w := mustWindow(t, d, d.Root, 0, 0, 100, 100, 0)
 	d.SelectInput(w, ExposureMask)
 	d.MapWindow(w)
@@ -113,8 +114,9 @@ func TestExposeCoalescingAndMetrics(t *testing.T) {
 
 func TestInjectExposeDroppedCounted(t *testing.T) {
 	d := NewTestDisplay()
-	m := &obs.XprotoMetrics{}
-	d.SetObs(m)
+	reg := obs.New()
+	d.SetMetrics(reg)
+	m := &reg.Xproto
 	w := mustWindow(t, d, d.Root, 0, 0, 50, 50, 0)
 	d.MapWindow(w)
 	// No ExposureMask selected: the expose is dropped, and counted.

@@ -107,12 +107,7 @@ func (d *Display) CreateWindow(parent WindowID, x, y, width, height, borderWidth
 	if height <= 0 {
 		height = 1
 	}
-	if m := d.obs; m != nil {
-		m.Requests.Inc("CreateWindow")
-	}
-	if t := d.trace; t != nil {
-		t.Instant("xproto", "CreateWindow")
-	}
+	d.request("CreateWindow")
 	d.gen++
 	id := d.nextID
 	d.nextID++
@@ -139,12 +134,7 @@ func (d *Display) DestroyWindow(id WindowID) {
 	if !ok || id == d.Root {
 		return
 	}
-	if m := d.obs; m != nil {
-		m.Requests.Inc("DestroyWindow")
-	}
-	if t := d.trace; t != nil {
-		t.Instant("xproto", "DestroyWindow")
-	}
+	d.request("DestroyWindow")
 	d.gen++
 	for _, c := range append([]WindowID(nil), w.Children...) {
 		d.DestroyWindow(c)
@@ -187,12 +177,7 @@ func (d *Display) MapWindow(id WindowID) {
 	if !ok || w.Mapped {
 		return
 	}
-	if m := d.obs; m != nil {
-		m.Requests.Inc("MapWindow")
-	}
-	if t := d.trace; t != nil {
-		t.Instant("xproto", "MapWindow")
-	}
+	d.request("MapWindow")
 	w.Mapped = true
 	d.gen++
 	if w.EventMask&StructureNotifyMask != 0 {
@@ -229,12 +214,7 @@ func (d *Display) UnmapWindow(id WindowID) {
 	if !ok || !w.Mapped {
 		return
 	}
-	if m := d.obs; m != nil {
-		m.Requests.Inc("UnmapWindow")
-	}
-	if t := d.trace; t != nil {
-		t.Instant("xproto", "UnmapWindow")
-	}
+	d.request("UnmapWindow")
 	w.Mapped = false
 	d.gen++
 	if w.EventMask&StructureNotifyMask != 0 {

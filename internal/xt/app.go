@@ -81,21 +81,15 @@ type App struct {
 	// dispatching actions; the frontend writes it on its terminal.
 	ErrorHandler func(error)
 
-	// obs, when non-nil, collects event-dispatch latency, queue depths
-	// and callback/action firings. Nil (the default) keeps the
-	// dispatch paths at a single atomic pointer load. Atomic because
-	// Post is called from input-reader goroutines while observability
-	// may be enabled on the loop goroutine mid-session.
-	obs atomic.Pointer[obs.XtMetrics]
-	// displayObs is handed to every display attached to the app, so
-	// displays opened after observability is enabled are instrumented
-	// too.
-	displayObs atomic.Pointer[obs.XprotoMetrics]
-
-	// trace, when non-nil, records spans per event dispatch, action
-	// and callback, and is handed to every display (current and
-	// future) for per-request spans. Same atomic discipline as obs.
-	trace atomic.Pointer[obs.Trace]
+	// metrics, when non-nil, collects event-dispatch latency, queue
+	// depths and callback/action firings, and its Trace records a span
+	// per event dispatch, action and callback. It is handed to the
+	// resource database and to every display, current and future. Nil
+	// (the default) keeps the dispatch paths at a single atomic
+	// pointer load. Atomic because Post is called from input-reader
+	// goroutines while observability may be enabled on the loop
+	// goroutine mid-session.
+	metrics atomic.Pointer[obs.Metrics]
 
 	// loopGoID identifies the goroutine currently running the event
 	// loop (MainLoop, or Sync in tests); zero when none. Post consults
@@ -109,29 +103,14 @@ type App struct {
 	changedSets []map[string]bool
 }
 
-// SetObs attaches (or, with nil, detaches) the observability metrics,
-// including the resource-database search-list and generation metrics.
-func (app *App) SetObs(m *obs.XtMetrics) {
-	app.obs.Store(m)
-	app.DB.SetObs(m)
-}
-
-// SetDisplayObs attaches protocol-request metrics to every display of
-// the app, current and future.
-func (app *App) SetDisplayObs(m *obs.XprotoMetrics) {
-	app.displayObs.Store(m)
+// SetMetrics attaches (or, with nil, detaches) the observability
+// registry: on the app's dispatch sites, on its resource database and
+// on every display of the app, current and future.
+func (app *App) SetMetrics(m *obs.Metrics) {
+	app.metrics.Store(m)
+	app.DB.setMetrics(m)
 	for _, d := range app.displays {
-		d.SetObs(m)
-	}
-}
-
-// SetTrace attaches (or, with nil, detaches) the span tracer, on the
-// app's dispatch sites and on every display of the app, current and
-// future.
-func (app *App) SetTrace(t *obs.Trace) {
-	app.trace.Store(t)
-	for _, d := range app.displays {
-		d.SetTrace(t)
+		d.SetMetrics(m)
 	}
 }
 
@@ -203,11 +182,8 @@ func (app *App) OpenSecondDisplay(name string) *xproto.Display {
 			return d
 		}
 	}
-	if m := app.displayObs.Load(); m != nil {
-		d.SetObs(m)
-	}
-	if t := app.trace.Load(); t != nil {
-		d.SetTrace(t)
+	if m := app.metrics.Load(); m != nil {
+		d.SetMetrics(m)
 	}
 	app.displays = append(app.displays, d)
 	return d
@@ -250,8 +226,8 @@ func (app *App) WidgetNames() []string {
 
 // raise counts a dispatch error and hands it to ErrorHandler.
 func (app *App) raise(err error) {
-	if m := app.obs.Load(); m != nil {
-		m.DispatchErrors.Inc()
+	if m := app.metrics.Load(); m != nil {
+		m.Xt.DispatchErrors.Inc()
 	}
 	if app.ErrorHandler != nil {
 		app.ErrorHandler(err)
@@ -277,19 +253,18 @@ func (app *App) LookupAction(w *Widget, name string) ActionProc {
 
 // DispatchEvent routes one X event to its widget (XtDispatchEvent):
 // Expose redraws, input events run through the translation table.
-// With observability attached, each dispatch is counted and timed;
-// with tracing attached, each dispatch is a span (a root span when no
-// protocol line is open — timer- and input-driven events).
+// With observability attached, each dispatch is timed, and with
+// tracing enabled it is a span (a root span when no protocol line is
+// open — timer- and input-driven events).
 func (app *App) DispatchEvent(d *xproto.Display, ev xproto.Event) {
-	if t := app.trace.Load(); t != nil && t.Enabled() {
-		sp := t.StartSpan("dispatch", ev.Type.String())
-		defer sp.End()
-	}
-	if m := app.obs.Load(); m != nil {
+	if m := app.metrics.Load(); m != nil {
+		if m.Trace.Enabled() {
+			sp := m.Trace.StartSpan("dispatch", ev.Type.String())
+			defer sp.End()
+		}
 		start := time.Now()
 		app.dispatchEvent(d, ev)
-		m.EventsDispatched.Inc()
-		m.DispatchLatency.Observe(time.Since(start))
+		m.Xt.DispatchLatency.Observe(time.Since(start))
 		return
 	}
 	app.dispatchEvent(d, ev)
@@ -331,12 +306,10 @@ func (app *App) dispatchEvent(d *xproto.Display, e xproto.Event) {
 			app.raise(fmt.Errorf("xt: widget %q: unbound action %q", recv.Name, call.Name))
 			continue
 		}
-		if m := app.obs.Load(); m != nil {
-			m.ActionsFired.Inc()
-		}
 		var sp obs.SpanCtx
-		if t := app.trace.Load(); t != nil {
-			sp = t.StartSpan("action", call.Name)
+		if m := app.metrics.Load(); m != nil {
+			m.Xt.ActionsFired.Inc()
+			sp = m.Trace.StartSpan("action", call.Name)
 		}
 		app.dispatchedCall = call
 		proc(recv, ev, call.Params)
@@ -365,8 +338,8 @@ func (app *App) Pump() {
 	for rounds := 0; rounds < 1000; rounds++ {
 		progress := false
 		for _, d := range app.displays {
-			if m := app.obs.Load(); m != nil {
-				m.EventQueueDepth.Observe(int64(d.Pending()))
+			if m := app.metrics.Load(); m != nil {
+				m.Xt.EventQueueDepth.Observe(int64(d.Pending()))
 			}
 			for {
 				ev, ok := d.NextEvent()
@@ -385,8 +358,8 @@ func (app *App) Pump() {
 
 // Post schedules fn to run on the event-loop goroutine.
 func (app *App) Post(fn func()) {
-	if m := app.obs.Load(); m != nil {
-		m.PostedQueueDepth.Observe(int64(len(app.posted)))
+	if m := app.metrics.Load(); m != nil {
+		m.Xt.PostedQueueDepth.Observe(int64(len(app.posted)))
 	}
 	select {
 	case app.posted <- fn:

@@ -83,12 +83,12 @@ func (w *Widget) CallCallbacks(name string, data CallData) {
 	list, _ := cur.(CallbackList)
 	for _, cb := range list {
 		if cb.Proc != nil {
-			if m := w.app.obs.Load(); m != nil {
-				m.CallbacksFired.Inc()
-			}
 			var sp obs.SpanCtx
-			if t := w.app.trace.Load(); t != nil && t.Enabled() {
-				sp = t.StartSpan("callback", w.Name+"."+name)
+			if m := w.app.metrics.Load(); m != nil {
+				m.Xt.CallbacksFired.Inc()
+				if m.Trace.Enabled() {
+					sp = m.Trace.StartSpan("callback", w.Name+"."+name)
+				}
 			}
 			cb.Proc(w, data)
 			sp.End()

@@ -778,8 +778,8 @@ func (w *Widget) redraw() {
 	if !w.realized {
 		return
 	}
-	if m := w.app.obs.Load(); m != nil {
-		m.RedrawFull.Inc()
+	if m := w.app.metrics.Load(); m != nil {
+		m.Xt.RedrawFull.Inc()
 	}
 	w.hasClip = false
 	w.display.ClearWindow(w.window)
@@ -833,8 +833,8 @@ func (w *Widget) redrawRect(r xproto.Rect) {
 		w.redraw()
 		return
 	}
-	if m := w.app.obs.Load(); m != nil {
-		m.RedrawClipped.Inc()
+	if m := w.app.metrics.Load(); m != nil {
+		m.Xt.RedrawClipped.Inc()
 	}
 	w.clip, w.hasClip = r, true
 	w.display.ClearArea(w.window, r.X, r.Y, r.W, r.H)

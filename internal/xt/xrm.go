@@ -45,9 +45,9 @@ type Xrm struct {
 	// generation they were built at; a generation mismatch is a miss.
 	lists map[uint64]*SearchList
 
-	// obs, when non-nil, counts search-list cache hits/misses and
+	// metrics, when non-nil, counts search-list cache hits/misses and
 	// mirrors the generation counter (xt.xrm_* metrics).
-	obs atomic.Pointer[obs.XtMetrics]
+	metrics atomic.Pointer[obs.Metrics]
 }
 
 type xrmComponent struct {
@@ -88,12 +88,13 @@ func (db *Xrm) Len() int {
 	return db.count
 }
 
-// SetObs attaches (or, with nil, detaches) observability metrics:
-// search-list cache hits/misses and the generation gauge.
-func (db *Xrm) SetObs(m *obs.XtMetrics) {
-	db.obs.Store(m)
+// setMetrics attaches (or, with nil, detaches) the registry that
+// counts search-list cache hits/misses and mirrors the generation
+// (App.SetMetrics).
+func (db *Xrm) setMetrics(m *obs.Metrics) {
+	db.metrics.Store(m)
 	if m != nil {
-		m.XrmGeneration.Observe(int64(db.gen.Load()))
+		m.Xt.XrmGeneration.Observe(int64(db.gen.Load()))
 	}
 }
 
@@ -189,8 +190,8 @@ func (db *Xrm) Enter(spec, value string) error {
 		db.count++
 	}
 	g := db.gen.Add(1)
-	if m := db.obs.Load(); m != nil {
-		m.XrmGeneration.Observe(int64(g))
+	if m := db.metrics.Load(); m != nil {
+		m.Xt.XrmGeneration.Observe(int64(g))
 	}
 	return nil
 }
@@ -278,8 +279,8 @@ func (db *Xrm) SearchListFor(namesQ, classesQ []Quark) *SearchList {
 	if sl := db.lists[h]; sl != nil && sl.gen == g &&
 		quarksEqual(sl.namesQ, namesQ) && quarksEqual(sl.classesQ, classesQ) {
 		db.mu.RUnlock()
-		if m := db.obs.Load(); m != nil {
-			m.XrmSearchListHits.Inc()
+		if m := db.metrics.Load(); m != nil {
+			m.Xt.XrmSearchListHits.Inc()
 		}
 		return sl
 	}
@@ -290,8 +291,8 @@ func (db *Xrm) SearchListFor(namesQ, classesQ []Quark) *SearchList {
 	}
 	fresh.states = db.buildStatesLocked(fresh.namesQ, fresh.classesQ)
 	db.mu.RUnlock()
-	if m := db.obs.Load(); m != nil {
-		m.XrmSearchListMisses.Inc()
+	if m := db.metrics.Load(); m != nil {
+		m.Xt.XrmSearchListMisses.Inc()
 	}
 	db.mu.Lock()
 	// Publish only if still current — the tree may have changed while
@@ -319,8 +320,8 @@ func (db *Xrm) SearchResource(sl *SearchList, resName, resClass Quark) (string, 
 		// racing widget creation). Recompute privately under the read
 		// lock; sl itself is immutable, so concurrent holders are safe.
 		states = db.buildStatesLocked(sl.namesQ, sl.classesQ)
-		if m := db.obs.Load(); m != nil {
-			m.XrmSearchListMisses.Inc()
+		if m := db.metrics.Load(); m != nil {
+			m.Xt.XrmSearchListMisses.Inc()
 		}
 	}
 	v := lookupStates(states, resName, resClass)
@@ -348,8 +349,8 @@ func (db *Xrm) searchSlots(sl *SearchList, slots []layoutSlot, dst []slotSource)
 	states := sl.states
 	if sl.gen != db.gen.Load() {
 		states = db.buildStatesLocked(sl.namesQ, sl.classesQ)
-		if m := db.obs.Load(); m != nil {
-			m.XrmSearchListMisses.Inc()
+		if m := db.metrics.Load(); m != nil {
+			m.Xt.XrmSearchListMisses.Inc()
 		}
 	}
 	for i := range slots {

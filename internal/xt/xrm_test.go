@@ -122,7 +122,7 @@ func TestXrmGenerationInvalidation(t *testing.T) {
 func TestXrmObsMetrics(t *testing.T) {
 	m := obs.New()
 	db := NewXrm()
-	db.SetObs(&m.Xt)
+	db.setMetrics(m)
 	if err := db.Enter("*x", "1"); err != nil {
 		t.Fatal(err)
 	}

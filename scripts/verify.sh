@@ -118,6 +118,15 @@ step "go test -fuzz FuzzMassTransfer (10s)" go test -run '^$' -fuzz '^FuzzMassTr
 # seeds in internal/frontend/testdata/fuzz/FuzzCommandLines.
 step "go test -fuzz FuzzCommandLines (10s)" go test -run '^$' -fuzz '^FuzzCommandLines$' -fuzztime 10s ./internal/frontend/
 
+# The interactive-mode fuzz smoke (FuzzInteractive): lines run through
+# RunInteractive, in a session whose every command only records its
+# words, must be evaluated in exactly the chunks the parser calls
+# complete, in order, each as soon as it is complete; through
+# HandleAppLine each line must count as exactly one of a command,
+# passed or overlong line. Seeds in
+# internal/frontend/testdata/fuzz/FuzzInteractive.
+step "go test -fuzz FuzzInteractive (10s)" go test -run '^$' -fuzz '^FuzzInteractive$' -fuzztime 10s ./internal/frontend/
+
 # The command-argument fuzz smoke (FuzzCommandArgs): one command of the
 # generated table with arbitrary words, in a session holding a widget
 # of each class the spec's typed parameters name, must neither panic
