@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"wafe/internal/xaw"
 
 	"wafe/internal/core"
 	"wafe/internal/frontend"
@@ -384,8 +385,8 @@ func BenchmarkC5_MassTransfer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f.FeedMass(payload)
 				w.App.Pump()
-				if len(wid.Str("string")) != size {
-					b.Fatalf("transfer incomplete: %d", len(wid.Str("string")))
+				if len(wid.Str(xaw.QString)) != size {
+					b.Fatalf("transfer incomplete: %d", len(wid.Str(xaw.QString)))
 				}
 			}
 		})

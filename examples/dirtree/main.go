@@ -118,7 +118,7 @@ func printSnapshot(w *core.Wafe) {
 // label, as a user click would.
 func selectEntry(w *core.Wafe, label string) bool {
 	lst := w.App.WidgetByName("dir")
-	items := lst.StringList("list")
+	items := lst.StringList(xaw.QList)
 	for i, it := range items {
 		if it == label {
 			xaw.ListHighlight(lst, i)

@@ -199,7 +199,7 @@ func main() {
 	sel(w, 0) // What is Wafe?
 	fmt.Println("--- document ---")
 	printSnap(w)
-	fmt.Println("body:", w.App.WidgetByName("body").Str("string"))
+	fmt.Println("body:", w.App.WidgetByName("body").Str(xaw.QString))
 }
 
 func sel(w *core.Wafe, idx int) {

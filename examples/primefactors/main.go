@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"wafe/internal/xaw"
 
 	"wafe/internal/core"
 	"wafe/internal/frontend"
@@ -128,11 +129,11 @@ func frontendProcess(inputs []string) {
 		// Wait until the result label reflects this input.
 		waitFor(w, func() bool {
 			info := w.App.WidgetByName("info")
-			return info != nil && strings.Contains(info.Str("label"), "seconds")
+			return info != nil && strings.Contains(info.Str(xaw.QLabel), "seconds")
 		})
 		var result string
 		post(w, func() {
-			result = w.App.WidgetByName("result").Str("label")
+			result = w.App.WidgetByName("result").Str(xaw.QLabel)
 			_, _ = w.Eval("sV info label {}")
 		})
 		fmt.Printf("frontend: %s → %s\n", in, result)

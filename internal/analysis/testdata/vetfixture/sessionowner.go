@@ -21,9 +21,9 @@ type session struct {
 // the frontend, and a widget method.
 func (s *session) badOffLoopTouches() {
 	go func() {
-		s.in.Eval("hook")                  // want sessionowner
-		s.f.CommandLines++                 // want sessionowner
-		s.w.SetResourceValue("width", 100) // want sessionowner
+		s.in.Eval("hook")                    // want sessionowner
+		s.f.CommandLines++                   // want sessionowner
+		s.w.SetResourceValue(xt.QWidth, 100) // want sessionowner
 	}()
 }
 

@@ -43,6 +43,10 @@ import (
 //	             must be acyclic, and no known mutex may be held across
 //	             a call that reaches Interp.Eval*/App.Post
 //	             (lockorder.go).
+//	quarkonce  — xt.StringToQuark with a constant argument belongs in a
+//	             package-level var initializer: interning takes the
+//	             process-wide quark lock and a map lookup, so a name
+//	             known at compile time is interned once, as a handle.
 //
 // Findings on a line (or the line below) a "//wafevet:ignore rule"
 // comment are suppressed.
@@ -176,6 +180,7 @@ func (v *Vet) CheckDir(dir string) ([]Diagnostic, error) {
 		}
 		timed("lockedeval", func() { fc.checkLockedEval(f) })
 		timed("checkscan", func() { fc.checkScan(f) })
+		timed("quarkonce", func() { fc.checkQuarkOnce(f) })
 	}
 	timed("atomics", func() { fc.checkAtomics(files) })
 	timed("redisplayclip", func() { fc.checkRedisplayClip(files) })
@@ -722,6 +727,43 @@ func (fc *vetCheck) checkScan(f *ast.File) {
 		}
 		return true
 	})
+}
+
+// ---------------------------------------------------------------- quarkonce
+
+// checkQuarkOnce reports each call of xt.StringToQuark whose argument
+// is a constant, outside the initializers of package-level vars.
+func (fc *vetCheck) checkQuarkOnce(f *ast.File) {
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			continue
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 || !fc.isStringToQuark(call.Fun) {
+				return true
+			}
+			if fc.info.Types[call.Args[0]].Value != nil {
+				fc.report(call.Pos(), "quarkonce", "xt.StringToQuark of a constant interns on every call; declare the quark once in a package-level var")
+			}
+			return true
+		})
+	}
+}
+
+// isStringToQuark reports whether fun names xt.StringToQuark.
+func (fc *vetCheck) isStringToQuark(fun ast.Expr) bool {
+	var id *ast.Ident
+	switch e := fun.(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return false
+	}
+	fn, ok := fc.info.Uses[id].(*types.Func)
+	return ok && fn.Name() == "StringToQuark" && fn.Pkg() != nil && fn.Pkg().Path() == xtPkgPath
 }
 
 // ---------------------------------------------------------------- redisplayclip

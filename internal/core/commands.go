@@ -167,7 +167,7 @@ func (w *Wafe) translateCoords(wid *xt.Widget, x, y int) (string, error) {
 // destination's translations (XtInstallAccelerators).
 func (w *Wafe) installAccelerators(dst, src *xt.Widget) error {
 	var acc *xt.Translations
-	if v, ok := src.Get("accelerators"); ok {
+	if v, ok := src.Get(xt.QAccelerators); ok {
 		acc, _ = v.(*xt.Translations)
 	}
 	if acc == nil || acc.Len() == 0 {
@@ -181,10 +181,10 @@ func (w *Wafe) installAccelerators(dst, src *xt.Widget) error {
 // mergeTranslations merges t into the widget's translation table.
 func mergeTranslations(wid *xt.Widget, t *xt.Translations, mode xt.MergeMode) {
 	var cur *xt.Translations
-	if v, ok := wid.Get("translations"); ok {
+	if v, ok := wid.Get(xt.QTranslations); ok {
 		cur, _ = v.(*xt.Translations)
 	}
-	wid.SetResourceValue("translations", cur.Merge(t, mode))
+	wid.SetResourceValue(xt.QTranslations, cur.Merge(t, mode))
 	wid.UpdateInputMask()
 }
 
@@ -463,7 +463,7 @@ func (w *Wafe) stripChartStart(wid *xt.Widget) error {
 	}
 	run := &stripChartRun{}
 	w.chartRuns[wid.Name] = run
-	interval := time.Duration(max(wid.Int("update"), 1)) * time.Second
+	interval := time.Duration(max(wid.Int(xaw.QUpdate), 1)) * time.Second
 	compiled, _ := w.Interp.Compile(script)
 	var tick func()
 	tick = func() {
@@ -554,7 +554,7 @@ func (w *Wafe) widgetTree(root *xt.Widget) (string, error) {
 	walk = func(x *xt.Widget, depth int) {
 		fmt.Fprintf(&b, "%s%s (%s) %dx%d+%d+%d\n",
 			strings.Repeat("  ", depth), x.Name, x.Class.Name,
-			x.Int("width"), x.Int("height"), x.Int("x"), x.Int("y"))
+			x.Int(xt.QWidth), x.Int(xt.QHeight), x.Int(xt.QX), x.Int(xt.QY))
 		for _, c := range x.Children() {
 			walk(c, depth+1)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"wafe/internal/xaw"
 
 	"wafe/internal/spec"
 	"wafe/internal/xproto"
@@ -136,8 +137,8 @@ func TestWidgetCreationCommand(t *testing.T) {
 	if l == nil {
 		t.Fatal("label1 not created")
 	}
-	if l.PixelRes("background") != (xproto.Pixel{R: 255}) {
-		t.Errorf("background = %v", l.PixelRes("background"))
+	if l.PixelRes(xt.QBackground) != (xproto.Pixel{R: 255}) {
+		t.Errorf("background = %v", l.PixelRes(xt.QBackground))
 	}
 	// Errors from the paper's rules.
 	evalErr(t, w, "label", "wrong # args")
@@ -213,27 +214,27 @@ func TestMergeResourcesPrecedence(t *testing.T) {
 	eval(t, w, "mergeResources *Font fixed *foreground blue *background red")
 	eval(t, w, "label hello topLevel")
 	l := w.App.WidgetByName("hello")
-	if l.PixelRes("background") != (xproto.Pixel{R: 255}) {
-		t.Errorf("mergeResources background not applied: %v", l.PixelRes("background"))
+	if l.PixelRes(xt.QBackground) != (xproto.Pixel{R: 255}) {
+		t.Errorf("mergeResources background not applied: %v", l.PixelRes(xt.QBackground))
 	}
-	if l.PixelRes("foreground") != (xproto.Pixel{B: 255}) {
-		t.Errorf("mergeResources foreground not applied: %v", l.PixelRes("foreground"))
+	if l.PixelRes(xaw.QForeground) != (xproto.Pixel{B: 255}) {
+		t.Errorf("mergeResources foreground not applied: %v", l.PixelRes(xaw.QForeground))
 	}
 	// Creation args beat mergeResources.
 	eval(t, w, "label l2 topLevel background green")
-	if w.App.WidgetByName("l2").PixelRes("background") != (xproto.Pixel{G: 255}) {
+	if w.App.WidgetByName("l2").PixelRes(xt.QBackground) != (xproto.Pixel{G: 255}) {
 		t.Error("creation arg should beat mergeResources")
 	}
 	// setValues beats everything.
 	eval(t, w, "sV l2 background white")
-	if w.App.WidgetByName("l2").PixelRes("background") != (xproto.Pixel{R: 255, G: 255, B: 255}) {
+	if w.App.WidgetByName("l2").PixelRes(xt.QBackground) != (xproto.Pixel{R: 255, G: 255, B: 255}) {
 		t.Error("setValues should beat creation args")
 	}
 	// mergeResources applies to widgets created afterwards (per-class).
 	eval(t, w, "mergeResources *Label.foreground gold")
 	eval(t, w, "label l3 topLevel")
-	if w.App.WidgetByName("l3").PixelRes("foreground") != (xproto.Pixel{R: 255, G: 215}) {
-		t.Errorf("class-specific mergeResources: %v", w.App.WidgetByName("l3").PixelRes("foreground"))
+	if w.App.WidgetByName("l3").PixelRes(xaw.QForeground) != (xproto.Pixel{R: 255, G: 215}) {
+		t.Errorf("class-specific mergeResources: %v", w.App.WidgetByName("l3").PixelRes(xaw.QForeground))
 	}
 	evalErr(t, w, "mergeResources *odd", "spec value")
 }
@@ -339,8 +340,8 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 	eval(t, w, "removeAllCallbacks b callback")
 	eval(t, w, "callback b callback position popup 111 222")
 	clickOn(t, w, "b")
-	if shell.Int("x") != 111 || shell.Int("y") != 222 {
-		t.Errorf("position: %d,%d", shell.Int("x"), shell.Int("y"))
+	if shell.Int(xt.QX) != 111 || shell.Int(xt.QY) != 222 {
+		t.Errorf("position: %d,%d", shell.Int(xt.QX), shell.Int(xt.QY))
 	}
 
 	// positionCursor: position shell under pointer.
@@ -350,8 +351,8 @@ func TestPredefinedCallbacksTable(t *testing.T) {
 	win, _ := d.Lookup(wid.Window())
 	bx, by := win.RootCoords(2, 2)
 	clickOn(t, w, "b")
-	if shell.Int("x") != bx || shell.Int("y") != by {
-		t.Errorf("positionCursor: shell at %d,%d pointer at %d,%d", shell.Int("x"), shell.Int("y"), bx, by)
+	if shell.Int(xt.QX) != bx || shell.Int(xt.QY) != by {
+		t.Errorf("positionCursor: shell at %d,%d pointer at %d,%d", shell.Int(xt.QX), shell.Int(xt.QY), bx, by)
 	}
 
 	// Unknown names fail.
@@ -453,7 +454,7 @@ gamma"`)
 	d := wid.Display()
 	win, _ := d.Lookup(wid.Window())
 	// Click second row.
-	x, y := win.RootCoords(3, wid.Int("internalHeight")+15+2)
+	x, y := win.RootCoords(3, wid.Int(xaw.QInternalHeight)+15+2)
 	d.WarpPointer(x, y)
 	d.InjectButtonPress(1)
 	d.InjectButtonRelease(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"wafe/internal/xt"
 )
 
 // TestQuickstartGoldenSnapshot pins the exact ASCII rendering of the
@@ -49,9 +50,9 @@ func TestPrimeFactorsGoldenGeometry(t *testing.T) {
 	}
 	for name, g := range want {
 		wid := w.App.WidgetByName(name)
-		if wid.Int("x") != g.x || wid.Int("y") != g.y || wid.Int("width") != g.w {
+		if wid.Int(xt.QX) != g.x || wid.Int(xt.QY) != g.y || wid.Int(xt.QWidth) != g.w {
 			t.Errorf("%s geometry = %dx?+%d+%d, want width=%d x=%d y=%d",
-				name, wid.Int("width"), wid.Int("x"), wid.Int("y"), g.w, g.x, g.y)
+				name, wid.Int(xt.QWidth), wid.Int(xt.QX), wid.Int(xt.QY), g.w, g.x, g.y)
 		}
 	}
 }

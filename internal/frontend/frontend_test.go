@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"wafe/internal/xaw"
 
 	"wafe/internal/core"
 	"wafe/internal/obs"
@@ -281,7 +282,7 @@ func TestMassTransfer(t *testing.T) {
 	}
 	var got string
 	post(t, f, func() {
-		got = f.W.App.WidgetByName("text").Str("string")
+		got = f.W.App.WidgetByName("text").Str(xaw.QString)
 	})
 	if len(got) != size || got != payload {
 		t.Errorf("transferred %d bytes, want %d (content match: %v)", len(got), size, got == payload)
@@ -545,8 +546,8 @@ func TestPrimeFactorsPhases(t *testing.T) {
 	}
 	var result, info string
 	post(t, f, func() {
-		result = f.W.App.WidgetByName("result").Str("label")
-		info = f.W.App.WidgetByName("info").Str("label")
+		result = f.W.App.WidgetByName("result").Str(xaw.QLabel)
+		info = f.W.App.WidgetByName("info").Str(xaw.QLabel)
 	})
 	if result != "2*2*2*3*3*5" {
 		t.Errorf("result label = %q", result)

@@ -40,6 +40,9 @@ func TestBalanced(t *testing.T) {
 		{"puts $a(x", false},    // open array index
 		{`set x "[`, false},     // open substitution in a quoted word
 		{"puts ${abc", false},   // open ${name}
+		{"puts $a((x)", true},   // an index ends at its first ')'
+		{"puts $a(b(c))", true}, // ...so the second ')' is a character
+		{"set {a((x)} 1", true},
 	}
 	for _, c := range cases {
 		if got := tcl.CommandComplete(c.in + "\n"); got != c.want {
@@ -57,6 +60,11 @@ func TestInteractiveQuotedBrace(t *testing.T) {
 		{"echo \"open{brace\"\necho done\nquit\n", "open{brace\ndone\n"},
 		{"puts a\"b\necho done\n", "a\"b\ndone\n"},
 		{"# note {\necho done\n", "done\n"},
+		// An array index ends at its first ')', as in Tcl 8.6: tclsh
+		// prints 1 and next for the first input, 1) for the second.
+		// Interactive mode also echoes set's result.
+		{"set {a((x)} 1\nputs $a((x)\nputs next\n", "1\n1\nnext\n"},
+		{"set a(b(c) 1\nputs $a(b(c))\n", "1\n1)\n"},
 	} {
 		w := core.NewTest()
 		term := &syncBuffer{}

@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"wafe/internal/xaw"
 
 	"wafe/internal/core"
 )
@@ -108,7 +109,7 @@ done
 	child.Kill()
 	_ = child.Wait()
 	// The loop has ended; reading the widget directly is safe.
-	if got := w.App.WidgetByName("text").Str("string"); got != "0123456789" {
+	if got := w.App.WidgetByName("text").Str(xaw.QString); got != "0123456789" {
 		t.Errorf("mass transfer over fd 3 = %q", got)
 	}
 }

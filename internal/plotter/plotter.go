@@ -14,6 +14,26 @@ import (
 	"wafe/internal/xt"
 )
 
+// Handles of the plotter resources Go code reads, the quarks the
+// accessors take. Each is interned once, while the package
+// initialises.
+var (
+	QBarSpacing     = xt.StringToQuark("barSpacing")
+	QData           = xt.StringToQuark("data")
+	QEdges          = xt.StringToQuark("edges")
+	QForeground     = xt.StringToQuark("foreground")
+	QGridLines      = xt.StringToQuark("gridLines")
+	QLabels         = xt.StringToQuark("labels")
+	QLevelSpacing   = xt.StringToQuark("levelSpacing")
+	QMaxValue       = xt.StringToQuark("maxValue")
+	QMinValue       = xt.StringToQuark("minValue")
+	QNodeHeight     = xt.StringToQuark("nodeHeight")
+	QNodeWidth      = xt.StringToQuark("nodeWidth")
+	QNodes          = xt.StringToQuark("nodes")
+	QShowValues     = xt.StringToQuark("showValues")
+	QSiblingSpacing = xt.StringToQuark("siblingSpacing")
+)
+
 // BarGraphClass draws one bar per data point. Data arrives through the
 // string resource "data" as whitespace-separated numbers, so backends
 // stream samples with a single sV command.
@@ -49,7 +69,7 @@ func parseSeries(s string) ([]float64, error) {
 
 // Values returns the widget's parsed data series.
 func Values(w *xt.Widget) []float64 {
-	vs, err := parseSeries(w.Str("data"))
+	vs, err := parseSeries(w.Str(QData))
 	if err != nil {
 		return nil
 	}
@@ -57,8 +77,8 @@ func Values(w *xt.Widget) []float64 {
 }
 
 func dataRange(w *xt.Widget, vs []float64) (lo, hi float64) {
-	lo = floatRes(w, "minValue")
-	hi = floatRes(w, "maxValue")
+	lo = floatRes(w, QMinValue)
+	hi = floatRes(w, QMaxValue)
 	if hi > lo {
 		return lo, hi
 	}
@@ -74,8 +94,8 @@ func dataRange(w *xt.Widget, vs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-func floatRes(w *xt.Widget, name string) float64 {
-	if v, ok := w.Get(name); ok {
+func floatRes(w *xt.Widget, q xt.Quark) float64 {
+	if v, ok := w.Get(q); ok {
 		if f, ok := v.(float64); ok {
 			return f
 		}
@@ -87,7 +107,7 @@ func barGraphRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
 	vs := Values(w)
 	if len(vs) == 0 {
@@ -98,14 +118,14 @@ func barGraphRedisplay(w *xt.Widget) {
 	if span <= 0 {
 		span = 1
 	}
-	gc.Foreground = w.PixelRes("foreground")
-	sp := w.Int("barSpacing")
-	bw := (w.Int("width") - sp*(len(vs)+1)) / len(vs)
+	gc.Foreground = w.PixelRes(QForeground)
+	sp := w.Int(QBarSpacing)
+	bw := (w.Int(xt.QWidth) - sp*(len(vs)+1)) / len(vs)
 	if bw < 1 {
 		bw = 1
 	}
-	h := w.Int("height")
-	labels := strings.Fields(w.Str("labels"))
+	h := w.Int(xt.QHeight)
+	labels := strings.Fields(w.Str(QLabels))
 	for i, v := range vs {
 		x := sp + i*(bw+sp)
 		// One bar's column spans its fill plus label and value text.
@@ -116,10 +136,10 @@ func barGraphRedisplay(w *xt.Widget) {
 		d.FillRectangle(w.Window(), gc, x, h-bh, bw, bh)
 		if i < len(labels) {
 			lgc := d.NewGC()
-			lgc.Foreground = w.PixelRes("foreground")
+			lgc.Foreground = w.PixelRes(QForeground)
 			d.DrawString(w.Window(), lgc, x, h-bh-2, labels[i])
 		}
-		if w.Bool("showValues") {
+		if w.Bool(QShowValues) {
 			vgc := d.NewGC()
 			d.DrawString(w.Window(), vgc, x, 12, strconv.FormatFloat(v, 'g', 4, 64))
 		}
@@ -145,7 +165,7 @@ var LineGraphClass = &xt.Class{
 // SeriesOf parses the multi-series data resource.
 func SeriesOf(w *xt.Widget) [][]float64 {
 	var out [][]float64
-	for _, line := range strings.Split(w.Str("data"), "\n") {
+	for _, line := range strings.Split(w.Str(QData), "\n") {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -169,14 +189,14 @@ func lineGraphRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
 	series := SeriesOf(w)
 	if len(series) == 0 {
 		return
 	}
-	lo := floatRes(w, "minValue")
-	hi := floatRes(w, "maxValue")
+	lo := floatRes(w, QMinValue)
+	hi := floatRes(w, QMaxValue)
 	if hi <= lo {
 		lo, hi = 0, 1
 		for _, s := range series {
@@ -194,8 +214,8 @@ func lineGraphRedisplay(w *xt.Widget) {
 	if span <= 0 {
 		span = 1
 	}
-	wd, h := w.Int("width"), w.Int("height")
-	if n := w.Int("gridLines"); n > 0 {
+	wd, h := w.Int(xt.QWidth), w.Int(xt.QHeight)
+	if n := w.Int(QGridLines); n > 0 {
 		ggc := d.NewGC()
 		ggc.Foreground = xproto.Pixel{R: 220, G: 220, B: 220}
 		for i := 1; i <= n; i++ {
@@ -258,7 +278,7 @@ type Edge struct{ From, To string }
 // GraphEdges parses the edges resource ("a-b c-d").
 func GraphEdges(w *xt.Widget) []Edge {
 	var out []Edge
-	for _, tok := range strings.Fields(w.Str("edges")) {
+	for _, tok := range strings.Fields(w.Str(QEdges)) {
 		parts := strings.SplitN(tok, "-", 2)
 		if len(parts) == 2 && parts[0] != "" && parts[1] != "" {
 			out = append(out, Edge{From: parts[0], To: parts[1]})
@@ -269,7 +289,7 @@ func GraphEdges(w *xt.Widget) []Edge {
 
 // NodePositions computes the layered layout: node → (x, y).
 func NodePositions(w *xt.Widget) map[string][2]int {
-	nodes := strings.Fields(w.Str("nodes"))
+	nodes := strings.Fields(w.Str(QNodes))
 	edges := GraphEdges(w)
 	known := map[string]bool{}
 	for _, n := range nodes {
@@ -320,8 +340,8 @@ func NodePositions(w *xt.Widget) map[string][2]int {
 	for _, n := range nodes {
 		byLevel[level[n]] = append(byLevel[level[n]], n)
 	}
-	nw, nh := w.Int("nodeWidth"), w.Int("nodeHeight")
-	ls, ss := w.Int("levelSpacing"), w.Int("siblingSpacing")
+	nw, nh := w.Int(QNodeWidth), w.Int(QNodeHeight)
+	ls, ss := w.Int(QLevelSpacing), w.Int(QSiblingSpacing)
 	pos := make(map[string][2]int, len(nodes))
 	var levels []int
 	for l := range byLevel {
@@ -342,10 +362,10 @@ func graphPreferredSize(w *xt.Widget) (int, int) {
 	pos := NodePositions(w)
 	maxX, maxY := 100, 60
 	for _, p := range pos {
-		if x := p[0] + w.Int("nodeWidth") + w.Int("siblingSpacing"); x > maxX {
+		if x := p[0] + w.Int(QNodeWidth) + w.Int(QSiblingSpacing); x > maxX {
 			maxX = x
 		}
-		if y := p[1] + w.Int("nodeHeight") + w.Int("siblingSpacing"); y > maxY {
+		if y := p[1] + w.Int(QNodeHeight) + w.Int(QSiblingSpacing); y > maxY {
 			maxY = y
 		}
 	}
@@ -356,11 +376,11 @@ func graphRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
-	gc.Foreground = w.PixelRes("foreground")
+	gc.Foreground = w.PixelRes(QForeground)
 	pos := NodePositions(w)
-	nw, nh := w.Int("nodeWidth"), w.Int("nodeHeight")
+	nw, nh := w.Int(QNodeWidth), w.Int(QNodeHeight)
 	for _, e := range GraphEdges(w) {
 		f, okF := pos[e.From]
 		t, okT := pos[e.To]

@@ -109,10 +109,10 @@ func (d *DND) installTranslations(w *xt.Widget, binding string) error {
 		return err
 	}
 	var cur *xt.Translations
-	if v, ok := w.Get("translations"); ok {
+	if v, ok := w.Get(xt.QTranslations); ok {
 		cur, _ = v.(*xt.Translations)
 	}
-	w.SetResourceValue("translations", cur.Merge(nt, xt.MergeAugment))
+	w.SetResourceValue(xt.QTranslations, cur.Merge(nt, xt.MergeAugment))
 	w.UpdateInputMask()
 	return nil
 }

@@ -33,7 +33,7 @@ func setup(t *testing.T) (*xt.App, *DND, *xt.Widget, *xt.Widget) {
 
 func TestDragAndDrop(t *testing.T) {
 	app, dnd, src, dst := setup(t)
-	if err := dnd.RegisterSource(src, func(w *xt.Widget) string { return w.Str("label") }); err != nil {
+	if err := dnd.RegisterSource(src, func(w *xt.Widget) string { return w.Str(xaw.QLabel) }); err != nil {
 		t.Fatal(err)
 	}
 	var got string

@@ -371,13 +371,21 @@ func cmdProc(in *Interp, argv []string) (string, error) {
 // begins the traceback, leaving out the error command's own line, and
 // an errorCode word sets errorCode.
 func cmdError(in *Interp, argv []string) (string, error) {
+	// As in Tcl 8.6, a non-empty info word begins the traceback in
+	// place of the error command's own line; without one the
+	// traceback begins with that line. A top-level error command
+	// writes its line here, so the top level does not add it again.
+	info := argv[1] + "\n    while executing\n\"" + FormatList(argv) + "\""
 	if len(argv) > 2 && argv[2] != "" {
-		_ = in.SetGlobalVar("errorInfo", argv[2])
-		in.errorUnwinding, in.errorLogged = true, in.nesting == 1
+		info = argv[2]
 	}
+	_ = in.SetGlobalVar("errorInfo", info)
+	in.errorUnwinding, in.errorLogged = true, in.nesting == 1
+	code := "NONE"
 	if len(argv) > 3 {
-		_ = in.SetGlobalVar("errorCode", argv[3])
+		code = argv[3]
 	}
+	_ = in.SetGlobalVar("errorCode", code)
 	return "", NewError("%s", argv[1])
 }
 

@@ -85,7 +85,7 @@ func appendListElems(cur string, elems []string) string {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(QuoteListElement(v))
+		b.WriteString(quoteElement(v, b.Len() == 0))
 	}
 	return b.String()
 }

@@ -152,68 +152,84 @@ func FormatList(elems []string) string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(QuoteListElement(e))
+		b.WriteString(quoteElement(e, i == 0))
 	}
 	return b.String()
 }
 
 // QuoteListElement quotes a single string so that it parses as exactly
-// one list element.
-func QuoteListElement(e string) string {
+// one list element, as Tcl 8.6 quotes a list's first element.
+func QuoteListElement(e string) string { return quoteElement(e, true) }
+
+// quoteElement quotes e by Tcl 8.6's rules (TclScanElement). Words that
+// need no quoting stay bare, braces inside one included when they
+// balance. Whitespace, '[', '$', ';' and backslashes, and a leading
+// '{' or '"', are protected by braces; ']' and '"' inside a word alone
+// by backslashes. Unbalanced braces, a trailing backslash or a
+// backslash-newline rule braces out. A leading '#' is protected only
+// in a list's first element (quoteHash), where eval would read it as a
+// comment.
+func quoteElement(e string, quoteHash bool) string {
 	if e == "" {
 		return "{}"
 	}
-	if !strings.ContainsAny(e, " \t\n\r\v\f;\"$[]{}\\") {
-		return e
-	}
-	// As in Tcl 8.6, an element whose only special characters are ']'
-	// and '"' inside it is escaped rather than braced.
-	if braceable(e) && (strings.ContainsAny(e, " \t\n\r\v\f;$[{}\\") || e[0] == '"' || e[0] == '#') {
-		return "{" + e + "}"
-	}
-	// Fall back to backslash quoting.
-	var b strings.Builder
-	for i := 0; i < len(e); i++ {
-		c := e[i]
-		switch c {
-		case ' ', '\t', ';', '"', '$', '[', ']', '{', '}', '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case '\n':
-			b.WriteString("\\n")
-		case '\r':
-			b.WriteString("\\r")
-		case '\v':
-			b.WriteString("\\v")
-		case '\f':
-			b.WriteString("\\f")
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-// braceable reports whether "{"+e+"}" parses back to exactly e: the
-// simulation must follow the list scanner (a backslash skips the next
-// byte for brace counting) and end at depth zero without closing early.
-func braceable(e string) bool {
+	forbidNone := e[0] == '{' || e[0] == '"' || (quoteHash && e[0] == '#')
+	preferBrace, preferEscape, requireEscape := forbidNone, false, false
 	depth := 0
 	for i := 0; i < len(e); i++ {
 		switch e[i] {
-		case '\\':
-			i++
-			if i >= len(e) {
-				return false // trailing backslash would escape the closer
-			}
 		case '{':
 			depth++
 		case '}':
-			depth--
-			if depth < 0 {
-				return false
+			if depth--; depth < 0 {
+				requireEscape = true
 			}
+		case ']', '"':
+			forbidNone, preferEscape = true, true
+		case '[', '$', ';', ' ', '\t', '\n', '\r', '\v', '\f':
+			forbidNone, preferBrace = true, true
+		case '\\':
+			if i+1 == len(e) || e[i+1] == '\n' {
+				requireEscape = true
+			} else if c := e[i+1]; c == '{' || c == '}' || c == '\\' {
+				i++
+			}
+			forbidNone, preferBrace = true, true
 		}
 	}
-	return depth == 0
+	switch {
+	case requireEscape || depth != 0:
+		return escapeElement(e, quoteHash, true)
+	case !forbidNone:
+		return e
+	case preferEscape && !preferBrace:
+		return escapeElement(e, quoteHash, false)
+	}
+	return "{" + e + "}"
+}
+
+// escapeElement backslash-quotes every special character of e, braces
+// only when escBraces is set (TclConvertElement's escape and mask
+// modes).
+func escapeElement(e string, quoteHash, escBraces bool) string {
+	var b strings.Builder
+	if quoteHash && e[0] == '#' {
+		b.WriteByte('\\')
+	}
+	for i := 0; i < len(e); i++ {
+		c := e[i]
+		switch c {
+		case ' ', ';', '"', '$', '[', ']', '\\':
+			b.WriteByte('\\')
+		case '{', '}':
+			if escBraces {
+				b.WriteByte('\\')
+			}
+		case '\t', '\n', '\r', '\v', '\f':
+			b.WriteByte('\\')
+			c = "tnrvf"[strings.IndexByte("\t\n\r\v\f", c)]
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }

@@ -183,6 +183,9 @@ var sweepCases = []struct {
 	{"error-empty-info", "catch {error msg {} code} r; list $r $errorCode"},
 	// A command substitution ends where its script ends.
 	{"bracket-in-nested-quotes", `list [list "]"] [string length "a]b"] [list {]}]`},
+	// Without an info word the traceback begins with the error
+	// command's line, and errorCode is NONE.
+	{"error-no-info", "catch {error boom fromf CODE}; catch {error plain}; list $errorInfo $errorCode"},
 }
 
 // TestOracleEngineSweep runs sweepCases under both engines.

@@ -312,7 +312,6 @@ func (p *parser) parseQuotedWord() error {
 func (p *parser) gatherTokens(form byte) error {
 	open := p.pos - 1
 	p.lit, p.escaped = -1, false
-	depth := 1
 	for !p.atEnd() {
 		c := p.src[p.pos]
 		switch c {
@@ -355,15 +354,13 @@ func (p *parser) gatherTokens(form byte) error {
 				return nil
 			}
 			p.litByte()
-		case '(', ')':
+		case ')':
+			// As in Tcl 8.6, an array index ends at its first ')':
+			// parentheses inside it do not nest.
 			if form == ')' {
-				if c == '(' {
-					depth++
-				} else if depth--; depth == 0 {
-					p.flushLit()
-					p.pos++
-					return nil
-				}
+				p.flushLit()
+				p.pos++
+				return nil
 			}
 			p.litByte()
 		default:

@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -234,6 +235,10 @@ func TestErrorCommand(t *testing.T) {
 	wantEval(t, in, "set errorInfo", "infotop")
 	wantEval(t, in, "proc f {} {error boom fromf}\ncatch f; set errorInfo", "fromf\n    (procedure \"f\" invoked as \"f\")")
 	wantEval(t, in, "catch {error msg {} code2}; set errorCode", "code2")
+	// Without an info word the traceback begins with the error
+	// command's line, and without a code word errorCode is NONE.
+	wantEval(t, in, "catch {error boom fromf CODE}; catch {error plain}; list $errorInfo $errorCode",
+		"{plain\n    while executing\n\"error plain\"} NONE")
 }
 
 func TestEvalCommand(t *testing.T) {
@@ -397,6 +402,39 @@ func TestListQuotingRoundTrip(t *testing.T) {
 	wantEval(t, in, `lindex [list "has space" plain] 0`, "has space")
 	wantEval(t, in, "llength [list {} {} {}]", "3")
 	wantEval(t, in, "lindex [list {}] 0", "")
+}
+
+// TestListQuotingTcl86 checks list's quoting against tclsh 8.6's
+// output for each row, and that ParseList gives the elements back: a
+// leading '#' is braced only in the first element, and a word whose
+// inner braces balance stays bare.
+func TestListQuotingTcl86(t *testing.T) {
+	in := New()
+	for _, c := range []struct {
+		src  string
+		want string
+		elem []string
+	}{
+		{"list # a", "{#} a", []string{"#", "a"}},
+		{"list {#a} b", "{#a} b", []string{"#a", "b"}},
+		{"list a #", "a #", []string{"a", "#"}},
+		{"list {a{b}c}", "a{b}c", []string{"a{b}c"}},
+		{"list {a{b} c}", "{a{b} c}", []string{"a{b} c"}},
+		{"list {{a}b}", "{{a}b}", []string{"{a}b"}},
+		{`list "a\{b"`, `a\{b`, []string{"a{b"}},
+		{`list "#\{" x`, `\#\{ x`, []string{"#{", "x"}},
+		{`list a {#a"b}`, `a #a\"b`, []string{"a", `#a"b`}},
+		{"set l {}; lappend l #x #y", "{#x} #y", []string{"#x", "#y"}},
+	} {
+		got := evalOK(t, in, c.src)
+		if got != c.want {
+			t.Errorf("Eval(%q) = %q, want %q", c.src, got, c.want)
+		}
+		elems, err := ParseList(got)
+		if err != nil || !slices.Equal(elems, c.elem) {
+			t.Errorf("ParseList(%q) = %q, %v; want %q", got, elems, err, c.elem)
+		}
+	}
 }
 
 func TestStringCommands(t *testing.T) {

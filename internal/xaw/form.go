@@ -53,8 +53,8 @@ func FormAllowResize(w *xt.Widget, allow bool) {
 	}
 }
 
-func constraintWidget(c *xt.Widget, name string) *xt.Widget {
-	if v, ok := c.Get(name); ok {
+func constraintWidget(c *xt.Widget, q xt.Quark) *xt.Widget {
+	if v, ok := c.Get(q); ok {
 		if w, ok := v.(*xt.Widget); ok {
 			return w
 		}
@@ -66,7 +66,7 @@ func constraintWidget(c *xt.Widget, name string) *xt.Widget {
 // sets their geometry in managed-child order and returns the size that
 // encloses them.
 func formPlace(w *xt.Widget) (int, int) {
-	p := formPlacer{form: w, dd: w.Int("defaultDistance"), kids: w.ManagedChildren()}
+	p := formPlacer{form: w, dd: w.Int(QDefaultDistance), kids: w.ManagedChildren()}
 	p.slots = make([]formSlot, len(p.kids))
 	for i := range p.kids {
 		p.place(i)
@@ -75,7 +75,7 @@ func formPlace(w *xt.Widget) (int, int) {
 	for i, c := range p.kids {
 		g := p.slots[i].geom
 		c.SetChildGeometry(g[0], g[1], g[2], g[3])
-		bw := c.Int("borderWidth")
+		bw := c.Int(xt.QBorderWidth)
 		maxX = max(maxX, g[0]+g[2]+2*bw+p.dd)
 		maxY = max(maxY, g[1]+g[3]+2*bw+p.dd)
 	}
@@ -132,13 +132,13 @@ func (p *formPlacer) place(i int) [4]int {
 	c := p.kids[i]
 	cw, ch := c.PreferredSize()
 	x, y := p.dd, p.dd
-	if j := p.index(constraintWidget(c, "fromHoriz")); j >= 0 {
+	if j := p.index(constraintWidget(c, QFromHoriz)); j >= 0 {
 		g := p.place(j)
-		x = g[0] + g[2] + 2*p.kids[j].Int("borderWidth") + c.Int("horizDistance")
+		x = g[0] + g[2] + 2*p.kids[j].Int(xt.QBorderWidth) + c.Int(QHorizDistance)
 	}
-	if j := p.index(constraintWidget(c, "fromVert")); j >= 0 {
+	if j := p.index(constraintWidget(c, QFromVert)); j >= 0 {
 		g := p.place(j)
-		y = g[1] + g[3] + 2*p.kids[j].Int("borderWidth") + c.Int("vertDistance")
+		y = g[1] + g[3] + 2*p.kids[j].Int(xt.QBorderWidth) + c.Int(QVertDistance)
 	}
 	p.slots[i] = formSlot{[4]int{x, y, cw, ch}, formPlaced}
 	return p.slots[i].geom
@@ -150,15 +150,15 @@ func formLayout(w *xt.Widget) {
 		return
 	}
 	// Size the form to enclose its children unless explicitly sized.
-	if !w.Explicit("width") || !w.Explicit("height") {
-		nw, nh := w.Int("width"), w.Int("height")
-		if !w.Explicit("width") {
+	if !w.Explicit(xt.QWidth) || !w.Explicit(xt.QHeight) {
+		nw, nh := w.Int(xt.QWidth), w.Int(xt.QHeight)
+		if !w.Explicit(xt.QWidth) {
 			nw = maxX
 		}
-		if !w.Explicit("height") {
+		if !w.Explicit(xt.QHeight) {
 			nh = maxY
 		}
-		if nw != w.Int("width") || nh != w.Int("height") {
+		if nw != w.Int(xt.QWidth) || nh != w.Int(xt.QHeight) {
 			w.RequestResize(nw, nh)
 		}
 	}
@@ -180,13 +180,13 @@ var BoxClass = &xt.Class{
 }
 
 func boxPlace(w *xt.Widget) (int, int) {
-	hs, vs := w.Int("hSpace"), w.Int("vSpace")
+	hs, vs := w.Int(QHSpace), w.Int(QVSpace)
 	x, y := hs, vs
 	maxX, maxY := 1, 1
-	horizontal := w.Str("orientation") == "horizontal"
+	horizontal := w.Str(QOrientation) == "horizontal"
 	for _, c := range w.ManagedChildren() {
 		cw, ch := c.PreferredSize()
-		bw := c.Int("borderWidth")
+		bw := c.Int(xt.QBorderWidth)
 		c.SetChildGeometry(x, y, cw, ch)
 		if horizontal {
 			x += cw + 2*bw + hs
@@ -207,12 +207,12 @@ func boxPlace(w *xt.Widget) (int, int) {
 
 func boxLayout(w *xt.Widget) {
 	maxX, maxY := boxPlace(w)
-	if !w.Explicit("width") || !w.Explicit("height") {
-		nw, nh := w.Int("width"), w.Int("height")
-		if !w.Explicit("width") {
+	if !w.Explicit(xt.QWidth) || !w.Explicit(xt.QHeight) {
+		nw, nh := w.Int(xt.QWidth), w.Int(xt.QHeight)
+		if !w.Explicit(xt.QWidth) {
 			nw = maxX
 		}
-		if !w.Explicit("height") {
+		if !w.Explicit(xt.QHeight) {
 			nh = maxY
 		}
 		w.RequestResize(nw, nh)
@@ -307,14 +307,14 @@ func ensurePanedGrip(w, pane *xt.Widget) *xt.Widget {
 			if pw, ok := paned.Display().Lookup(paned.Window()); ok {
 				ox, oy := pw.RootCoords(0, 0)
 				var newSize int
-				if paned.Str("orientation") != "horizontal" {
-					newSize = (py - oy) - thisPane.Int("y")
+				if paned.Str(QOrientation) != "horizontal" {
+					newSize = (py - oy) - thisPane.Int(xt.QY)
 				} else {
-					newSize = (px - ox) - thisPane.Int("x")
+					newSize = (px - ox) - thisPane.Int(xt.QX)
 				}
-				lo, hi := thisPane.Int("min"), thisPane.Int("max")
+				lo, hi := thisPane.Int(QMin), thisPane.Int(QMax)
 				newSize = clampInt(newSize, maxInt(lo, 1), hi)
-				thisPane.SetResourceValue("preferredPaneSize", newSize)
+				thisPane.SetResourceValue(QPreferredPaneSize, newSize)
 				panedPlace(paned)
 				paned.Damage(xproto.Rect{})
 			}
@@ -324,14 +324,14 @@ func ensurePanedGrip(w, pane *xt.Widget) *xt.Widget {
 }
 
 func panedPlace(w *xt.Widget) (int, int) {
-	ib := w.Int("internalBorderWidth")
-	vertical := w.Str("orientation") != "horizontal"
+	ib := w.Int(QInternalBorderWidth)
+	vertical := w.Str(QOrientation) != "horizontal"
 	pos := 0
 	maxCross := 1
 	panes := panedPanes(w)
 	for i, c := range panes {
 		cw, ch := c.PreferredSize()
-		if p := c.Int("preferredPaneSize"); p > 0 {
+		if p := c.Int(QPreferredPaneSize); p > 0 {
 			if vertical {
 				ch = p
 			} else {
@@ -339,27 +339,27 @@ func panedPlace(w *xt.Widget) (int, int) {
 			}
 		}
 		if vertical {
-			c.SetChildGeometry(0, pos, maxInt(cw, w.Int("width")), ch)
-			pos += ch + 2*c.Int("borderWidth") + ib
+			c.SetChildGeometry(0, pos, maxInt(cw, w.Int(xt.QWidth)), ch)
+			pos += ch + 2*c.Int(xt.QBorderWidth) + ib
 			if cw > maxCross {
 				maxCross = cw
 			}
 		} else {
-			c.SetChildGeometry(pos, 0, cw, maxInt(ch, w.Int("height")))
-			pos += cw + 2*c.Int("borderWidth") + ib
+			c.SetChildGeometry(pos, 0, cw, maxInt(ch, w.Int(xt.QHeight)))
+			pos += cw + 2*c.Int(xt.QBorderWidth) + ib
 			if ch > maxCross {
 				maxCross = ch
 			}
 		}
 		// A grip sits on each internal boundary (not after the last
 		// pane) when the pane asks for one.
-		if i < len(panes)-1 && c.Bool("showGrip") {
+		if i < len(panes)-1 && c.Bool(QShowGrip) {
 			if g := ensurePanedGrip(w, c); g != nil {
 				gw, gh := g.PreferredSize()
 				if vertical {
-					g.SetChildGeometry(maxInt(w.Int("width")-gw-w.Int("internalBorderWidth")-10, 0), pos-gh/2-ib, gw, gh)
+					g.SetChildGeometry(maxInt(w.Int(xt.QWidth)-gw-w.Int(QInternalBorderWidth)-10, 0), pos-gh/2-ib, gw, gh)
 				} else {
-					g.SetChildGeometry(pos-gw/2-ib, maxInt(w.Int("height")-gh-10, 0), gw, gh)
+					g.SetChildGeometry(pos-gw/2-ib, maxInt(w.Int(xt.QHeight)-gh-10, 0), gw, gh)
 				}
 			}
 		}
@@ -388,7 +388,7 @@ func panedManageGrips(w *xt.Widget) {
 		if c.Class == GripClass || g == nil || g.Parent != w {
 			continue
 		}
-		if c.IsManaged() && c != last && c.Bool("showGrip") {
+		if c.IsManaged() && c != last && c.Bool(QShowGrip) {
 			g.Manage()
 		} else {
 			g.Unmanage()
@@ -402,12 +402,12 @@ func panedLayout(w *xt.Widget) {
 	}
 	panedManageGrips(w)
 	pw, ph := panedPlace(w)
-	if !w.Explicit("width") || !w.Explicit("height") {
-		nw, nh := w.Int("width"), w.Int("height")
-		if !w.Explicit("width") {
+	if !w.Explicit(xt.QWidth) || !w.Explicit(xt.QHeight) {
+		nw, nh := w.Int(xt.QWidth), w.Int(xt.QHeight)
+		if !w.Explicit(xt.QWidth) {
 			nw = pw
 		}
-		if !w.Explicit("height") {
+		if !w.Explicit(xt.QHeight) {
 			nh = ph
 		}
 		w.RequestResize(nw, nh)
@@ -455,19 +455,19 @@ func ViewportSetLocation(w *xt.Widget, xFrac, yFrac float64) {
 		return
 	}
 	st := viewportState(w)
-	cw, ch := c.Int("width"), c.Int("height")
-	st.offX = clampInt(int(xFrac*float64(cw)), 0, maxInt(cw-w.Int("width"), 0))
-	st.offY = clampInt(int(yFrac*float64(ch)), 0, maxInt(ch-w.Int("height"), 0))
-	if !w.Bool("allowHoriz") {
+	cw, ch := c.Int(xt.QWidth), c.Int(xt.QHeight)
+	st.offX = clampInt(int(xFrac*float64(cw)), 0, maxInt(cw-w.Int(xt.QWidth), 0))
+	st.offY = clampInt(int(yFrac*float64(ch)), 0, maxInt(ch-w.Int(xt.QHeight), 0))
+	if !w.Bool(QAllowHoriz) {
 		st.offX = 0
 	}
-	if !w.Bool("allowVert") {
+	if !w.Bool(QAllowVert) {
 		st.offY = 0
 	}
 	c.SetChildGeometry(-st.offX, -st.offY, cw, ch)
 	// As Xaw's MoveChild does, keep the scrollbar's thumb on the child.
 	if sb := w.App().WidgetByName(viewportScrollName(w)); sb != nil && sb.IsManaged() && ch > 0 {
-		ScrollbarSetThumb(sb, float64(st.offY)/float64(ch), sbFloat(sb, "shown"))
+		ScrollbarSetThumb(sb, float64(st.offY)/float64(ch), sbFloat(sb, QShown))
 	}
 	w.Damage(xproto.Rect{})
 }
@@ -500,7 +500,7 @@ func viewportMainChild(w *xt.Widget) *xt.Widget {
 // forceBars) asks for one, wiring its jumpProc to ViewportSetLocation —
 // the Xaw behaviour of Viewport creating its own Scrollbar children.
 func ensureViewportBars(w *xt.Widget) {
-	if !w.Bool("allowVert") && !w.Bool("forceBars") {
+	if !w.Bool(QAllowVert) && !w.Bool(QForceBars) {
 		return
 	}
 	name := viewportScrollName(w)
@@ -538,13 +538,13 @@ func viewportLayout(w *xt.Widget) {
 	if c == nil {
 		return
 	}
-	if !w.Explicit("width") || !w.Explicit("height") {
+	if !w.Explicit(xt.QWidth) || !w.Explicit(xt.QHeight) {
 		cw, ch := c.PreferredSize()
-		nw, nh := w.Int("width"), w.Int("height")
-		if !w.Explicit("width") {
+		nw, nh := w.Int(xt.QWidth), w.Int(xt.QHeight)
+		if !w.Explicit(xt.QWidth) {
 			nw = minInt(cw, 300)
 		}
-		if !w.Explicit("height") {
+		if !w.Explicit(xt.QHeight) {
 			nh = minInt(ch, 300)
 		}
 		w.RequestResize(nw, nh)
@@ -567,15 +567,15 @@ func viewportPlace(w *xt.Widget) {
 	c.SetChildGeometry(-st.offX, -st.offY, cw, ch)
 	// Pin the scrollbar to the right edge and keep its thumb in sync.
 	if sb := w.App().WidgetByName(viewportScrollName(w)); sb != nil && sb.IsManaged() {
-		thickness := sb.Int("thickness")
-		sb.SetChildGeometry(w.Int("width")-thickness, 0, thickness, w.Int("height"))
+		thickness := sb.Int(QThickness)
+		sb.SetChildGeometry(w.Int(xt.QWidth)-thickness, 0, thickness, w.Int(xt.QHeight))
 		if ch > 0 {
-			shown := float64(w.Int("height")) / float64(ch)
+			shown := float64(w.Int(xt.QHeight)) / float64(ch)
 			if shown > 1 {
 				shown = 1
 			}
-			sb.SetResourceValue("shown", shown)
-			sb.SetResourceValue("topOfThumb", float64(st.offY)/float64(ch))
+			sb.SetResourceValue(QShown, shown)
+			sb.SetResourceValue(QTopOfThumb, float64(st.offY)/float64(ch))
 		}
 	}
 }
@@ -583,7 +583,7 @@ func viewportPlace(w *xt.Widget) {
 func viewportPreferredSize(w *xt.Widget) (int, int) {
 	c := viewportMainChild(w)
 	if c == nil {
-		return maxInt(w.Int("width"), 1), maxInt(w.Int("height"), 1)
+		return maxInt(w.Int(xt.QWidth), 1), maxInt(w.Int(xt.QHeight), 1)
 	}
 	return c.PreferredSize()
 }
@@ -605,14 +605,14 @@ var DialogClass = &xt.Class{
 		d := w.Display()
 		clip := w.Clip()
 		gc := d.NewGC()
-		gc.Foreground = w.PixelRes("background")
+		gc.Foreground = w.PixelRes(xt.QBackground)
 		d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
-		gc.Foreground = w.PixelRes("borderColor")
+		gc.Foreground = w.PixelRes(xt.QBorderColor)
 		f := gc.Font
-		if label := w.Str("label"); w.ClipIntersects(4, 2, f.TextWidth(label), f.Height()) {
+		if label := w.Str(QLabel); w.ClipIntersects(4, 2, f.TextWidth(label), f.Height()) {
 			d.DrawString(w.Window(), gc, 4, f.Ascent+2, label)
 		}
-		if v := w.Str("value"); v != "" && w.ClipIntersects(4, 2*f.Height()+2-f.Ascent, f.TextWidth(v), f.Height()) {
+		if v := w.Str(QValue); v != "" && w.ClipIntersects(4, 2*f.Height()+2-f.Ascent, f.TextWidth(v), f.Height()) {
 			d.DrawString(w.Window(), gc, 4, 2*f.Height()+2, v)
 		}
 	},
@@ -622,7 +622,7 @@ func dialogPreferredSize(w *xt.Widget) (int, int) {
 	fw, fh := formPlace(w)
 	f := w.App()
 	_ = f
-	labelW := 6*len(w.Str("label")) + 8
+	labelW := 6*len(w.Str(QLabel)) + 8
 	if labelW > fw {
 		fw = labelW
 	}
@@ -631,7 +631,7 @@ func dialogPreferredSize(w *xt.Widget) (int, int) {
 
 // DialogValue returns the dialog's value string
 // (XawDialogGetValueString).
-func DialogValue(w *xt.Widget) string { return w.Str("value") }
+func DialogValue(w *xt.Widget) string { return w.Str(QValue) }
 
 func minInt(a, b int) int {
 	if a < b {

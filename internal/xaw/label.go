@@ -28,14 +28,14 @@ var LabelClass = &xt.Class{
 	},
 	Initialize: func(w *xt.Widget) {
 		// A Label defaults its label to the widget name, as Xaw does.
-		if w.Str("label") == "" && !w.Explicit("label") {
-			w.SetResourceValue("label", w.Name)
+		if w.Str(QLabel) == "" && !w.Explicit(QLabel) {
+			w.SetResourceValue(QLabel, w.Name)
 		}
 	},
 	PreferredSize: labelPreferredSize,
 	Redisplay:     labelRedisplay,
 	SetValues: func(w *xt.Widget, changed map[string]bool) {
-		if (changed["label"] || changed["font"]) && w.Bool("resize") && !w.Explicit("width") {
+		if (changed["label"] || changed["font"]) && w.Bool(QResize) && !w.Explicit(xt.QWidth) {
 			pw, ph := labelPreferredSize(w)
 			w.RequestResize(pw, ph)
 		}
@@ -46,22 +46,22 @@ var LabelClass = &xt.Class{
 // for it often, so it must not split the label into a slice.
 func labelPreferredSize(w *xt.Widget) (int, int) {
 	if pm := labelBitmap(w); pm != nil {
-		return pm.Width + 2*w.Int("internalWidth"), pm.Height + 2*w.Int("internalHeight")
+		return pm.Width + 2*w.Int(QInternalWidth), pm.Height + 2*w.Int(QInternalHeight)
 	}
-	f := w.FontRes("font")
+	f := w.FontRes(QFont)
 	width, lines := 0, 0
 	for text, more := labelText(w), true; more; lines++ {
 		var line string
 		line, text, more = strings.Cut(text, "\n")
 		width = max(width, f.TextWidth(line))
 	}
-	return width + 2*w.Int("internalWidth"), f.Height()*lines + 2*w.Int("internalHeight")
+	return width + 2*w.Int(QInternalWidth), f.Height()*lines + 2*w.Int(QInternalHeight)
 }
 
-func labelText(w *xt.Widget) string { return w.Str("label") }
+func labelText(w *xt.Widget) string { return w.Str(QLabel) }
 
 func labelBitmap(w *xt.Widget) *xproto.Pixmap {
-	if v, ok := w.Get("bitmap"); ok {
+	if v, ok := w.Get(QBitmap); ok {
 		if pm, ok := v.(*xproto.Pixmap); ok {
 			return pm
 		}
@@ -74,27 +74,27 @@ func labelRedisplay(w *xt.Widget) {
 	win := w.Window()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(win, gc, clip.X, clip.Y, clip.W, clip.H)
 	if pm := labelBitmap(w); pm != nil {
-		if w.ClipIntersects(w.Int("internalWidth"), w.Int("internalHeight"), pm.Width, pm.Height) {
-			d.CopyPixmap(win, pm, w.Int("internalWidth"), w.Int("internalHeight"))
+		if w.ClipIntersects(w.Int(QInternalWidth), w.Int(QInternalHeight), pm.Width, pm.Height) {
+			d.CopyPixmap(win, pm, w.Int(QInternalWidth), w.Int(QInternalHeight))
 		}
 		return
 	}
-	gc.Foreground = w.PixelRes("foreground")
-	gc.Font = w.FontRes("font")
+	gc.Foreground = w.PixelRes(QForeground)
+	gc.Font = w.FontRes(QFont)
 	f := gc.Font
-	y := w.Int("internalHeight") + f.Ascent
+	y := w.Int(QInternalHeight) + f.Ascent
 	drawLine := func(line string) {
-		x := w.Int("internalWidth")
-		switch w.Str("justify") {
+		x := w.Int(QInternalWidth)
+		switch w.Str(QJustify) {
 		case "center":
-			if extra := w.Int("width") - 2*w.Int("internalWidth") - f.TextWidth(line); extra > 0 {
+			if extra := w.Int(xt.QWidth) - 2*w.Int(QInternalWidth) - f.TextWidth(line); extra > 0 {
 				x += extra / 2
 			}
 		case "right":
-			if extra := w.Int("width") - 2*w.Int("internalWidth") - f.TextWidth(line); extra > 0 {
+			if extra := w.Int(xt.QWidth) - 2*w.Int(QInternalWidth) - f.TextWidth(line); extra > 0 {
 				x += extra
 			}
 		}
@@ -185,18 +185,18 @@ func commandRedisplay(w *xt.Widget) {
 	d := w.Display()
 	gc := d.NewGC()
 	if st.set {
-		gc.Foreground = w.PixelRes("bottomShadowPixel")
+		gc.Foreground = w.PixelRes(QBottomShadowPixel)
 	} else {
-		gc.Foreground = w.PixelRes("topShadowPixel")
+		gc.Foreground = w.PixelRes(QTopShadowPixel)
 	}
 	// The shadow and highlight rings span the whole widget, so any
 	// non-empty clip intersects them; the check is the clip contract.
-	if w.ClipIntersects(0, 0, w.Int("width"), w.Int("height")) {
-		d.DrawRectangle(w.Window(), gc, 0, 0, w.Int("width")-1, w.Int("height")-1)
+	if w.ClipIntersects(0, 0, w.Int(xt.QWidth), w.Int(xt.QHeight)) {
+		d.DrawRectangle(w.Window(), gc, 0, 0, w.Int(xt.QWidth)-1, w.Int(xt.QHeight)-1)
 		if st.highlighted {
-			gc.Foreground = w.PixelRes("foreground")
-			t := w.Int("highlightThickness")
-			d.DrawRectangle(w.Window(), gc, t/2, t/2, w.Int("width")-1-t, w.Int("height")-1-t)
+			gc.Foreground = w.PixelRes(QForeground)
+			t := w.Int(QHighlightThickness)
+			d.DrawRectangle(w.Window(), gc, t/2, t/2, w.Int(xt.QWidth)-1-t, w.Int(xt.QHeight)-1-t)
 		}
 	}
 }
@@ -216,7 +216,7 @@ var ToggleClass = &xt.Class{
 	Actions: map[string]xt.ActionProc{
 		"toggle": actionToggle,
 		"notify": func(w *xt.Widget, _ *xproto.Event, _ []string) {
-			w.CallCallbacks("callback", xt.CallData{"state": boolStr(w.Bool("state"))})
+			w.CallCallbacks("callback", xt.CallData{"state": boolStr(w.Bool(QState))})
 		},
 	},
 	PreferredSize: labelPreferredSize,
@@ -224,20 +224,20 @@ var ToggleClass = &xt.Class{
 }
 
 func actionToggle(w *xt.Widget, _ *xproto.Event, _ []string) {
-	nw := !w.Bool("state")
-	w.SetResourceValue("state", nw)
+	nw := !w.Bool(QState)
+	w.SetResourceValue(QState, nw)
 	// Radio-group semantics: turning one member on turns the rest off.
 	if nw {
-		if v, ok := w.Get("radioGroup"); ok {
+		if v, ok := w.Get(QRadioGroup); ok {
 			if leader, ok := v.(*xt.Widget); ok && leader != nil {
 				for _, name := range w.App().WidgetNames() {
 					other := w.App().WidgetByName(name)
 					if other == nil || other == w || other.Class != w.Class {
 						continue
 					}
-					if g, ok := other.Get("radioGroup"); ok {
-						if gw, ok := g.(*xt.Widget); ok && gw == leader && other.Bool("state") {
-							other.SetResourceValue("state", false)
+					if g, ok := other.Get(QRadioGroup); ok {
+						if gw, ok := g.(*xt.Widget); ok && gw == leader && other.Bool(QState) {
+							other.SetResourceValue(QState, false)
 							other.Damage(xproto.Rect{})
 						}
 					}
@@ -252,10 +252,10 @@ func toggleRedisplay(w *xt.Widget) {
 	labelRedisplay(w)
 	d := w.Display()
 	gc := d.NewGC()
-	if w.Bool("state") && w.ClipIntersects(0, 0, w.Int("width"), w.Int("height")) {
-		gc.Foreground = w.PixelRes("foreground")
-		d.DrawRectangle(w.Window(), gc, 0, 0, w.Int("width")-1, w.Int("height")-1)
-		d.DrawRectangle(w.Window(), gc, 1, 1, w.Int("width")-3, w.Int("height")-3)
+	if w.Bool(QState) && w.ClipIntersects(0, 0, w.Int(xt.QWidth), w.Int(xt.QHeight)) {
+		gc.Foreground = w.PixelRes(QForeground)
+		d.DrawRectangle(w.Window(), gc, 0, 0, w.Int(xt.QWidth)-1, w.Int(xt.QHeight)-1)
+		d.DrawRectangle(w.Window(), gc, 1, 1, w.Int(xt.QWidth)-3, w.Int(xt.QHeight)-3)
 	}
 }
 
@@ -285,7 +285,7 @@ var MenuButtonClass = &xt.Class{
 }
 
 func actionPopupMenu(w *xt.Widget, ev *xproto.Event, _ []string) {
-	menu := w.App().WidgetByName(w.Str("menuName"))
+	menu := w.App().WidgetByName(w.Str(QMenuName))
 	if menu == nil || !menu.Class.Shell {
 		return
 	}

@@ -40,7 +40,7 @@ var ListClass = &xt.Class{
 	SetValues: func(w *xt.Widget, changed map[string]bool) {
 		if changed["list"] {
 			listState(w).highlight = -1
-			if !w.Explicit("width") {
+			if !w.Explicit(xt.QWidth) {
 				pw, ph := listPreferredSize(w)
 				w.RequestResize(pw, ph)
 			}
@@ -73,8 +73,8 @@ type ListReturn struct {
 }
 
 func listItems(w *xt.Widget) []string {
-	items := w.StringList("list")
-	if n := w.Int("numberStrings"); n > 0 && n < len(items) {
+	items := w.StringList(QList)
+	if n := w.Int(QNumberStrings); n > 0 && n < len(items) {
 		items = items[:n]
 	}
 	return items
@@ -82,8 +82,8 @@ func listItems(w *xt.Widget) []string {
 
 // listColumns returns the effective column count.
 func listColumns(w *xt.Widget) int {
-	cols := w.Int("defaultColumns")
-	if w.Bool("verticalList") {
+	cols := w.Int(QDefaultColumns)
+	if w.Bool(QVerticalList) {
 		cols = 1
 	}
 	if cols < 1 {
@@ -97,7 +97,7 @@ func listColumns(w *xt.Widget) int {
 // the ones last measured: a new list value, a new numberStrings or a
 // new font.
 func listCellSize(w *xt.Widget) (int, int) {
-	f := w.FontRes("font")
+	f := w.FontRes(QFont)
 	items := listItems(w)
 	st := listState(w)
 	if st.cellW == 0 || st.cellFont != f || !sameSlice(st.cellItems, items) {
@@ -126,8 +126,8 @@ func listPreferredSize(w *xt.Widget) (int, int) {
 		rows = 1
 	}
 	cw, ch := listCellSize(w)
-	width := cols*cw + (cols-1)*w.Int("columnSpacing") + 2*w.Int("internalWidth")
-	height := rows*ch + (rows-1)*w.Int("rowSpacing") + 2*w.Int("internalHeight")
+	width := cols*cw + (cols-1)*w.Int(QColumnSpacing) + 2*w.Int(QInternalWidth)
+	height := rows*ch + (rows-1)*w.Int(QRowSpacing) + 2*w.Int(QInternalHeight)
 	return width, height
 }
 
@@ -136,8 +136,8 @@ func listIndexAt(w *xt.Widget, x, y int) int {
 	items := listItems(w)
 	cols := listColumns(w)
 	cw, ch := listCellSize(w)
-	col := (x - w.Int("internalWidth")) / (cw + w.Int("columnSpacing"))
-	row := (y - w.Int("internalHeight")) / (ch + w.Int("rowSpacing"))
+	col := (x - w.Int(QInternalWidth)) / (cw + w.Int(QColumnSpacing))
+	row := (y - w.Int(QInternalHeight)) / (ch + w.Int(QRowSpacing))
 	if col < 0 || row < 0 || col >= cols {
 		return -1
 	}
@@ -155,8 +155,8 @@ func listCellRect(w *xt.Widget, i int) xproto.Rect {
 	cw, ch := listCellSize(w)
 	col := i % cols
 	row := i / cols
-	x := w.Int("internalWidth") + col*(cw+w.Int("columnSpacing"))
-	y := w.Int("internalHeight") + row*(ch+w.Int("rowSpacing"))
+	x := w.Int(QInternalWidth) + col*(cw+w.Int(QColumnSpacing))
+	y := w.Int(QInternalHeight) + row*(ch+w.Int(QRowSpacing))
 	return xproto.Rect{X: x - 1, Y: y, W: cw + 2, H: ch}
 }
 
@@ -220,9 +220,9 @@ func ListCurrent(w *xt.Widget) ListReturn {
 
 // ListChange implements XawListChange: replace the items.
 func ListChange(w *xt.Widget, items []string, resize bool) {
-	w.SetResourceValue("list", append([]string(nil), items...))
+	w.SetResourceValue(QList, append([]string(nil), items...))
 	listState(w).highlight = -1
-	if resize && !w.Explicit("width") {
+	if resize && !w.Explicit(xt.QWidth) {
 		pw, ph := listPreferredSize(w)
 		w.RequestResize(pw, ph)
 	}
@@ -234,16 +234,16 @@ func listRedisplay(w *xt.Widget) {
 	win := w.Window()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(win, gc, clip.X, clip.Y, clip.W, clip.H)
-	gc.Foreground = w.PixelRes("foreground")
-	gc.Font = w.FontRes("font")
+	gc.Foreground = w.PixelRes(QForeground)
+	gc.Font = w.FontRes(QFont)
 	items := listItems(w)
 	cols := listColumns(w)
 	cw, ch := listCellSize(w)
 	hl := listState(w).highlight
-	iw, ih := w.Int("internalWidth"), w.Int("internalHeight")
-	colStep, rowStep := cw+w.Int("columnSpacing"), ch+w.Int("rowSpacing")
+	iw, ih := w.Int(QInternalWidth), w.Int(QInternalHeight)
+	colStep, rowStep := cw+w.Int(QColumnSpacing), ch+w.Int(QRowSpacing)
 	// Visit only the rows the clip touches, as Xaw's List does: row r
 	// spans ih+r*rowStep to ih+r*rowStep+ch. The bounds may take in one
 	// row too many, which the cell check below skips.
@@ -261,7 +261,7 @@ func listRedisplay(w *xt.Widget) {
 		if i == hl {
 			d.FillRectangle(win, gc, x-1, y, cw+2, ch)
 			inv := d.NewGC()
-			inv.Foreground = w.PixelRes("background")
+			inv.Foreground = w.PixelRes(xt.QBackground)
 			inv.Font = gc.Font
 			d.DrawString(win, inv, x, y+gc.Font.Ascent, items[i])
 			continue

@@ -61,7 +61,7 @@ func menuEntries(w *xt.Widget) []*xt.Widget {
 }
 
 func menuRowHeight(w *xt.Widget) int {
-	if rh := w.Int("rowHeight"); rh > 0 {
+	if rh := w.Int(QRowHeight); rh > 0 {
 		return rh
 	}
 	return 13 + 2
@@ -69,7 +69,7 @@ func menuRowHeight(w *xt.Widget) int {
 
 func menuLayout(w *xt.Widget) {
 	rh := menuRowHeight(w)
-	y := w.Int("topMargin")
+	y := w.Int(QTopMargin)
 	maxW := 40
 	for _, e := range menuEntries(w) {
 		ew, _ := e.PreferredSize()
@@ -81,7 +81,7 @@ func menuLayout(w *xt.Widget) {
 		e.SetChildGeometry(0, y, maxW, rh)
 		y += rh
 	}
-	w.RequestResize(maxW, y+w.Int("bottomMargin"))
+	w.RequestResize(maxW, y+w.Int(QBottomMargin))
 }
 
 func menuPreferredSize(w *xt.Widget) (int, int) {
@@ -94,12 +94,12 @@ func menuPreferredSize(w *xt.Widget) (int, int) {
 			maxW = ew
 		}
 	}
-	return maxW, n*rh + w.Int("topMargin") + w.Int("bottomMargin")
+	return maxW, n*rh + w.Int(QTopMargin) + w.Int(QBottomMargin)
 }
 
 func menuEntryAt(w *xt.Widget, y int) int {
 	rh := menuRowHeight(w)
-	idx := (y - w.Int("topMargin")) / rh
+	idx := (y - w.Int(QTopMargin)) / rh
 	if idx < 0 || idx >= len(menuEntries(w)) {
 		return -1
 	}
@@ -112,7 +112,7 @@ func menuRepaintRow(w *xt.Widget, idx int) {
 	if idx < 0 || idx >= len(entries) {
 		return
 	}
-	w.Damage(xproto.Rect{X: 0, Y: entries[idx].Int("y"), W: w.Int("width"), H: menuRowHeight(w)})
+	w.Damage(xproto.Rect{X: 0, Y: entries[idx].Int(xt.QY), W: w.Int(xt.QWidth), H: menuRowHeight(w)})
 }
 
 func menuHighlight(w *xt.Widget, ev *xproto.Event, _ []string) {
@@ -182,21 +182,21 @@ var SmeBSBClass = &xt.Class{
 		{Name: "vertSpace", Class: "VertSpace", Type: xt.TDimension, Default: "25"},
 	},
 	Initialize: func(w *xt.Widget) {
-		if w.Str("label") == "" && !w.Explicit("label") {
-			w.SetResourceValue("label", w.Name)
+		if w.Str(QLabel) == "" && !w.Explicit(QLabel) {
+			w.SetResourceValue(QLabel, w.Name)
 		}
 	},
 	PreferredSize: func(w *xt.Widget) (int, int) {
-		f := w.FontRes("font")
-		return f.TextWidth(w.Str("label")) + w.Int("leftMargin") + w.Int("rightMargin"), f.Height() + 2
+		f := w.FontRes(QFont)
+		return f.TextWidth(w.Str(QLabel)) + w.Int(QLeftMargin) + w.Int(QRightMargin), f.Height() + 2
 	},
 	Redisplay: func(w *xt.Widget) {
 		d := w.Display()
 		gc := d.NewGC()
-		gc.Foreground = w.PixelRes("foreground")
-		gc.Font = w.FontRes("font")
-		if w.ClipIntersects(w.Int("leftMargin"), 1, gc.Font.TextWidth(w.Str("label")), gc.Font.Height()) {
-			d.DrawString(w.Window(), gc, w.Int("leftMargin"), gc.Font.Ascent+1, w.Str("label"))
+		gc.Foreground = w.PixelRes(QForeground)
+		gc.Font = w.FontRes(QFont)
+		if w.ClipIntersects(w.Int(QLeftMargin), 1, gc.Font.TextWidth(w.Str(QLabel)), gc.Font.Height()) {
+			d.DrawString(w.Window(), gc, w.Int(QLeftMargin), gc.Font.Ascent+1, w.Str(QLabel))
 		}
 	},
 }
@@ -213,8 +213,8 @@ var SmeLineClass = &xt.Class{
 	Redisplay: func(w *xt.Widget) {
 		d := w.Display()
 		gc := d.NewGC()
-		if w.ClipIntersects(0, 2, w.Int("width"), 1) {
-			d.DrawLine(w.Window(), gc, 0, 2, w.Int("width"), 2)
+		if w.ClipIntersects(0, 2, w.Int(xt.QWidth), 1) {
+			d.DrawLine(w.Window(), gc, 0, 2, w.Int(xt.QWidth), 2)
 		}
 	},
 }
@@ -223,15 +223,15 @@ func menuRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
 	hl := menuState(w).highlight
 	if hl >= 0 {
 		entries := menuEntries(w)
-		if hl < len(entries) && w.ClipIntersects(0, entries[hl].Int("y"), w.Int("width"), menuRowHeight(w)) {
+		if hl < len(entries) && w.ClipIntersects(0, entries[hl].Int(xt.QY), w.Int(xt.QWidth), menuRowHeight(w)) {
 			gcH := d.NewGC()
 			gcH.Foreground = xproto.Pixel{R: 200, G: 200, B: 255}
-			d.FillRectangle(w.Window(), gcH, 0, entries[hl].Int("y"), w.Int("width"), menuRowHeight(w))
+			d.FillRectangle(w.Window(), gcH, 0, entries[hl].Int(xt.QY), w.Int(xt.QWidth), menuRowHeight(w))
 		}
 	}
 }

@@ -37,10 +37,10 @@ var ScrollbarClass = &xt.Class{
 		"EndScroll":    func(w *xt.Widget, _ *xproto.Event, _ []string) {},
 	},
 	PreferredSize: func(w *xt.Widget) (int, int) {
-		if w.Str("orientation") == "horizontal" {
-			return w.Int("length"), w.Int("thickness")
+		if w.Str(QOrientation) == "horizontal" {
+			return w.Int(QLength), w.Int(QThickness)
 		}
-		return w.Int("thickness"), w.Int("length")
+		return w.Int(QThickness), w.Int(QLength)
 	},
 	Redisplay: scrollbarRedisplay,
 }
@@ -58,8 +58,8 @@ func sbState(w *xt.Widget) *scrollbarPrivate {
 	return st
 }
 
-func sbFloat(w *xt.Widget, name string) float64 {
-	if v, ok := w.Get(name); ok {
+func sbFloat(w *xt.Widget, q xt.Quark) float64 {
+	if v, ok := w.Get(q); ok {
 		if f, ok := v.(float64); ok {
 			return f
 		}
@@ -68,14 +68,14 @@ func sbFloat(w *xt.Widget, name string) float64 {
 }
 
 func sbLengthPixels(w *xt.Widget) int {
-	if w.Str("orientation") == "horizontal" {
-		return maxInt(w.Int("width"), 1)
+	if w.Str(QOrientation) == "horizontal" {
+		return maxInt(w.Int(xt.QWidth), 1)
 	}
-	return maxInt(w.Int("height"), 1)
+	return maxInt(w.Int(xt.QHeight), 1)
 }
 
 func sbEventPos(w *xt.Widget, ev *xproto.Event) int {
-	if w.Str("orientation") == "horizontal" {
+	if w.Str(QOrientation) == "horizontal" {
 		return ev.X
 	}
 	return ev.Y
@@ -96,12 +96,12 @@ func scrollbarMoveThumb(w *xt.Widget, ev *xproto.Event, _ []string) {
 		frac = 1
 	}
 	old := sbThumbRect(w)
-	w.SetResourceValue("topOfThumb", frac)
+	w.SetResourceValue(QTopOfThumb, frac)
 	w.Damage(old.Union(sbThumbRect(w)))
 }
 
 func scrollbarNotifyThumb(w *xt.Widget, _ *xproto.Event, _ []string) {
-	frac := sbFloat(w, "topOfThumb")
+	frac := sbFloat(w, QTopOfThumb)
 	w.CallCallbacks("jumpProc", xt.CallData{"f": fmt.Sprintf("%g", frac)})
 }
 
@@ -118,31 +118,31 @@ func scrollbarNotifyScroll(w *xt.Widget, ev *xproto.Event, _ []string) {
 // the old and new thumb rectangles is damaged.
 func ScrollbarSetThumb(w *xt.Widget, top, shown float64) {
 	old := sbThumbRect(w)
-	w.SetResourceValue("topOfThumb", top)
-	w.SetResourceValue("shown", shown)
+	w.SetResourceValue(QTopOfThumb, top)
+	w.SetResourceValue(QShown, shown)
 	w.Damage(old.Union(sbThumbRect(w)))
 }
 
 // sbThumbRect returns the thumb rectangle in widget coordinates.
 func sbThumbRect(w *xt.Widget) xproto.Rect {
 	length := sbLengthPixels(w)
-	top := int(sbFloat(w, "topOfThumb") * float64(length))
-	size := maxInt(int(sbFloat(w, "shown")*float64(length)), w.Int("minimumThumb"))
-	if w.Str("orientation") == "horizontal" {
-		return xproto.Rect{X: top, Y: 1, W: size, H: w.Int("height") - 2}
+	top := int(sbFloat(w, QTopOfThumb) * float64(length))
+	size := maxInt(int(sbFloat(w, QShown)*float64(length)), w.Int(QMinimumThumb))
+	if w.Str(QOrientation) == "horizontal" {
+		return xproto.Rect{X: top, Y: 1, W: size, H: w.Int(xt.QHeight) - 2}
 	}
-	return xproto.Rect{X: 1, Y: top, W: w.Int("width") - 2, H: size}
+	return xproto.Rect{X: 1, Y: top, W: w.Int(xt.QWidth) - 2, H: size}
 }
 
 func scrollbarRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
 	t := sbThumbRect(w)
 	if w.ClipIntersects(t.X, t.Y, t.W, t.H) {
-		gc.Foreground = w.PixelRes("foreground")
+		gc.Foreground = w.PixelRes(QForeground)
 		d.FillRectangle(w.Window(), gc, t.X, t.Y, t.W, t.H)
 	}
 }
@@ -211,14 +211,14 @@ func chartState(w *xt.Widget) *stripChartPrivate {
 // than per sample and the slice never reallocates.
 func StripChartAddSample(w *xt.Widget, v float64) {
 	st := chartState(w)
-	scale := float64(w.Int("minScale"))
+	scale := float64(w.Int(QMinScale))
 	for _, s := range st.samples {
 		if s > scale {
 			scale = s
 		}
 	}
-	if max := maxInt(w.Int("width"), 1); len(st.samples) >= max {
-		j := maxInt(w.Int("jumpScroll"), 1)
+	if max := maxInt(w.Int(xt.QWidth), 1); len(st.samples) >= max {
+		j := maxInt(w.Int(QJumpScroll), 1)
 		if j > len(st.samples) {
 			j = len(st.samples)
 		}
@@ -232,7 +232,7 @@ func StripChartAddSample(w *xt.Widget, v float64) {
 		w.Damage(xproto.Rect{})
 		return
 	}
-	w.Damage(xproto.Rect{X: len(st.samples) - 1, Y: 0, W: 1, H: w.Int("height")})
+	w.Damage(xproto.Rect{X: len(st.samples) - 1, Y: 0, W: 1, H: w.Int(xt.QHeight)})
 }
 
 // StripChartSamples returns the recorded samples (for tests).
@@ -244,17 +244,17 @@ func stripChartRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
-	gc.Foreground = w.PixelRes("foreground")
+	gc.Foreground = w.PixelRes(QForeground)
 	st := chartState(w)
-	scale := float64(w.Int("minScale"))
+	scale := float64(w.Int(QMinScale))
 	for _, s := range st.samples {
 		if s > scale {
 			scale = s
 		}
 	}
-	h := w.Int("height")
+	h := w.Int(xt.QHeight)
 	for i, s := range st.samples {
 		if !w.ClipIntersects(i, 0, 1, h) {
 			continue

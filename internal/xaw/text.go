@@ -60,19 +60,19 @@ var AsciiTextClass = &xt.Class{
 	SetValues: func(w *xt.Widget, changed map[string]bool) {
 		if changed["string"] {
 			// Clamp the caret into the new buffer.
-			n := len(w.Str("string"))
-			if w.Int("insertPosition") > n {
-				w.SetResourceValue("insertPosition", n)
+			n := len(w.Str(QString))
+			if w.Int(QInsertPosition) > n {
+				w.SetResourceValue(QInsertPosition, n)
 			}
 		}
 	},
 }
 
 func textEditable(w *xt.Widget) bool {
-	if strings.EqualFold(w.Str("type"), "file") {
+	if strings.EqualFold(w.Str(QType), "file") {
 		return false // file sources display read-only here
 	}
-	return strings.EqualFold(w.Str("editType"), "edit") || strings.EqualFold(w.Str("editType"), "append")
+	return strings.EqualFold(w.Str(QEditType), "edit") || strings.EqualFold(w.Str(QEditType), "append")
 }
 
 // textPrivate holds the per-instance text state: the loaded-file cache
@@ -108,11 +108,11 @@ func textState(w *xt.Widget) *textPrivate {
 // TextBuffer returns the text the widget displays: the string resource
 // itself, or — for type=file — the contents of the named file.
 func TextBuffer(w *xt.Widget) string {
-	if !strings.EqualFold(w.Str("type"), "file") {
-		return w.Str("string")
+	if !strings.EqualFold(w.Str(QType), "file") {
+		return w.Str(QString)
 	}
 	st := textState(w)
-	name := w.Str("string")
+	name := w.Str(QString)
 	if st.loadedFrom != name {
 		st.loadedFrom = name
 		st.content = ""
@@ -143,8 +143,8 @@ func textInsertChar(w *xt.Widget, ev *xproto.Event, _ []string) {
 }
 
 func insertText(w *xt.Widget, s string) {
-	buf := w.Str("string")
-	pos := clamp(w.Int("insertPosition"), 0, len(buf))
+	buf := w.Str(QString)
+	pos := clamp(w.Int(QInsertPosition), 0, len(buf))
 	newBuf := buf[:pos] + s + buf[pos:]
 	newPos := pos + len(s)
 	st := textState(w)
@@ -161,8 +161,8 @@ func insertText(w *xt.Widget, s string) {
 	} else {
 		st.caretOK = false
 	}
-	w.SetResourceValue("string", newBuf)
-	w.SetResourceValue("insertPosition", newPos)
+	w.SetResourceValue(QString, newBuf)
+	w.SetResourceValue(QInsertPosition, newPos)
 	w.Damage(xproto.Rect{})
 }
 
@@ -177,8 +177,8 @@ func textDeletePrev(w *xt.Widget, _ *xproto.Event, _ []string) {
 	if !textEditable(w) {
 		return
 	}
-	buf := w.Str("string")
-	pos := clamp(w.Int("insertPosition"), 0, len(buf))
+	buf := w.Str(QString)
+	pos := clamp(w.Int(QInsertPosition), 0, len(buf))
 	if pos == 0 {
 		return
 	}
@@ -193,47 +193,47 @@ func textDeletePrev(w *xt.Widget, _ *xproto.Event, _ []string) {
 		// rescan; let the next redisplay recompute.
 		st.caretOK = false
 	}
-	w.SetResourceValue("string", newBuf)
-	w.SetResourceValue("insertPosition", pos-1)
+	w.SetResourceValue(QString, newBuf)
+	w.SetResourceValue(QInsertPosition, pos-1)
 	w.Damage(xproto.Rect{})
 }
 
 func textBackward(w *xt.Widget, _ *xproto.Event, _ []string) {
-	if p := w.Int("insertPosition"); p > 0 {
-		w.SetResourceValue("insertPosition", p-1)
+	if p := w.Int(QInsertPosition); p > 0 {
+		w.SetResourceValue(QInsertPosition, p-1)
 	}
 }
 
 func textForward(w *xt.Widget, _ *xproto.Event, _ []string) {
-	if p := w.Int("insertPosition"); p < len(w.Str("string")) {
-		w.SetResourceValue("insertPosition", p+1)
+	if p := w.Int(QInsertPosition); p < len(w.Str(QString)) {
+		w.SetResourceValue(QInsertPosition, p+1)
 	}
 }
 
 func textBOL(w *xt.Widget, _ *xproto.Event, _ []string) {
-	buf := w.Str("string")
-	pos := clamp(w.Int("insertPosition"), 0, len(buf))
+	buf := w.Str(QString)
+	pos := clamp(w.Int(QInsertPosition), 0, len(buf))
 	for pos > 0 && buf[pos-1] != '\n' {
 		pos--
 	}
-	w.SetResourceValue("insertPosition", pos)
+	w.SetResourceValue(QInsertPosition, pos)
 }
 
 func textEOL(w *xt.Widget, _ *xproto.Event, _ []string) {
-	buf := w.Str("string")
-	pos := clamp(w.Int("insertPosition"), 0, len(buf))
+	buf := w.Str(QString)
+	pos := clamp(w.Int(QInsertPosition), 0, len(buf))
 	for pos < len(buf) && buf[pos] != '\n' {
 		pos++
 	}
-	w.SetResourceValue("insertPosition", pos)
+	w.SetResourceValue(QInsertPosition, pos)
 }
 
 func textKillEOL(w *xt.Widget, _ *xproto.Event, _ []string) {
 	if !textEditable(w) {
 		return
 	}
-	buf := w.Str("string")
-	pos := clamp(w.Int("insertPosition"), 0, len(buf))
+	buf := w.Str(QString)
+	pos := clamp(w.Int(QInsertPosition), 0, len(buf))
 	end := pos
 	for end < len(buf) && buf[end] != '\n' {
 		end++
@@ -241,13 +241,13 @@ func textKillEOL(w *xt.Widget, _ *xproto.Event, _ []string) {
 	if end == pos && end < len(buf) {
 		end++ // kill the newline itself
 	}
-	w.SetResourceValue("string", buf[:pos]+buf[end:])
+	w.SetResourceValue(QString, buf[:pos]+buf[end:])
 	w.Damage(xproto.Rect{})
 }
 
 // textPosAt maps window coordinates to a buffer offset.
 func textPosAt(w *xt.Widget, x, y int) int {
-	f := w.FontRes("font")
+	f := w.FontRes(QFont)
 	buf := TextBuffer(w)
 	row := (y - 2) / f.Height()
 	col := (x - 2 + f.Width/2) / f.Width
@@ -271,7 +271,7 @@ func textSelectStart(w *xt.Widget, ev *xproto.Event, _ []string) {
 	p := textPosAt(w, ev.X, ev.Y)
 	st.selAnchor, st.selStart, st.selEnd = p, p, p
 	st.selecting = true
-	w.SetResourceValue("insertPosition", p)
+	w.SetResourceValue(QInsertPosition, p)
 	// Clicking a text widget gives it keyboard focus.
 	w.Display().SetInputFocus(w.Window())
 }
@@ -344,7 +344,7 @@ func textInsertSelection(w *xt.Widget, ev *xproto.Event, params []string) {
 		return
 	}
 	if ev != nil {
-		w.SetResourceValue("insertPosition", textPosAt(w, ev.X, ev.Y))
+		w.SetResourceValue(QInsertPosition, textPosAt(w, ev.X, ev.Y))
 	}
 	insertText(w, v)
 }
@@ -363,7 +363,7 @@ func clamp(v, lo, hi int) int {
 // does: layout asks for it often, so it must not split the text into a
 // slice.
 func textPreferredSize(w *xt.Widget) (int, int) {
-	f := w.FontRes("font")
+	f := w.FontRes(QFont)
 	width, lines := 100, 0
 	for text, more := TextBuffer(w), true; more; lines++ {
 		var line string
@@ -378,10 +378,10 @@ func textRedisplay(w *xt.Widget) {
 	win := w.Window()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(win, gc, clip.X, clip.Y, clip.W, clip.H)
-	gc.Foreground = w.PixelRes("foreground")
-	gc.Font = w.FontRes("font")
+	gc.Foreground = w.PixelRes(QForeground)
+	gc.Font = w.FontRes(QFont)
 	y := 2 + gc.Font.Ascent
 	right := clip.X + clip.W - 2
 	for text, more := TextBuffer(w), true; more; {
@@ -393,9 +393,9 @@ func textRedisplay(w *xt.Widget) {
 		y += gc.Font.Height()
 	}
 	// Caret as a one-pixel line at the insert position.
-	if w.Bool("displayCaret") && textEditable(w) {
-		buf := w.Str("string")
-		pos := clamp(w.Int("insertPosition"), 0, len(buf))
+	if w.Bool(QDisplayCaret) && textEditable(w) {
+		buf := w.Str(QString)
+		pos := clamp(w.Int(QInsertPosition), 0, len(buf))
 		row, col := textCaret(w, buf, pos)
 		cx := 2 + gc.Font.Width*col
 		cy := 2 + row*gc.Font.Height()

@@ -67,12 +67,12 @@ func TestLabelResourceCount(t *testing.T) {
 func TestLabelDefaultsToName(t *testing.T) {
 	app, top := newApp(t)
 	w := create(t, app, "hello", LabelClass, top, nil)
-	if w.Str("label") != "hello" {
-		t.Errorf("label = %q", w.Str("label"))
+	if w.Str(QLabel) != "hello" {
+		t.Errorf("label = %q", w.Str(QLabel))
 	}
 	w2 := create(t, app, "l2", LabelClass, top, map[string]string{"label": "explicit"})
-	if w2.Str("label") != "explicit" {
-		t.Errorf("label = %q", w2.Str("label"))
+	if w2.Str(QLabel) != "explicit" {
+		t.Errorf("label = %q", w2.Str(QLabel))
 	}
 }
 
@@ -149,18 +149,18 @@ func TestLabelColorsFromPaperExample(t *testing.T) {
 	w := create(t, app, "label1", LabelClass, top, map[string]string{
 		"background": "red", "foreground": "blue",
 	})
-	if w.PixelRes("background") != (xproto.Pixel{R: 255}) {
-		t.Errorf("background = %v", w.PixelRes("background"))
+	if w.PixelRes(xt.QBackground) != (xproto.Pixel{R: 255}) {
+		t.Errorf("background = %v", w.PixelRes(xt.QBackground))
 	}
-	if w.PixelRes("foreground") != (xproto.Pixel{B: 255}) {
-		t.Errorf("foreground = %v", w.PixelRes("foreground"))
+	if w.PixelRes(QForeground) != (xproto.Pixel{B: 255}) {
+		t.Errorf("foreground = %v", w.PixelRes(QForeground))
 	}
 	// setValues label1 background tomato label "Hi Man"
 	if err := w.SetValues("background", "tomato", "label", "Hi Man"); err != nil {
 		t.Fatal(err)
 	}
-	if w.PixelRes("background") != (xproto.Pixel{R: 255, G: 99, B: 71}) {
-		t.Errorf("tomato = %v", w.PixelRes("background"))
+	if w.PixelRes(xt.QBackground) != (xproto.Pixel{R: 255, G: 99, B: 71}) {
+		t.Errorf("tomato = %v", w.PixelRes(xt.QBackground))
 	}
 	if got, _ := w.GetValue("label"); got != "Hi Man" {
 		t.Errorf("gV label = %q", got)
@@ -208,15 +208,15 @@ func TestToggleState(t *testing.T) {
 	tg := create(t, app, "tog", ToggleClass, top, nil)
 	top.Realize()
 	app.Pump()
-	if tg.Bool("state") {
+	if tg.Bool(QState) {
 		t.Fatal("initial state true")
 	}
 	press(app, tg)
-	if !tg.Bool("state") {
+	if !tg.Bool(QState) {
 		t.Error("state not set after click")
 	}
 	press(app, tg)
-	if tg.Bool("state") {
+	if tg.Bool(QState) {
 		t.Error("state not cleared after second click")
 	}
 }
@@ -230,12 +230,12 @@ func TestRadioGroup(t *testing.T) {
 	top.Realize()
 	app.Pump()
 	press(app, a)
-	if !a.Bool("state") {
+	if !a.Bool(QState) {
 		t.Fatal("a not set")
 	}
 	press(app, b)
-	if !b.Bool("state") || a.Bool("state") {
-		t.Errorf("radio semantics: a=%v b=%v", a.Bool("state"), b.Bool("state"))
+	if !b.Bool(QState) || a.Bool(QState) {
+		t.Errorf("radio semantics: a=%v b=%v", a.Bool(QState), b.Bool(QState))
 	}
 }
 
@@ -251,21 +251,21 @@ func TestFormLayoutPaperExample(t *testing.T) {
 		"fromVert": "result", "fromHoriz": "quit", "label": " ", "borderWidth": "0", "width": "150"})
 	top.Realize()
 	app.Pump()
-	if result.Int("y") <= input.Int("y") {
-		t.Errorf("result not below input: %d vs %d", result.Int("y"), input.Int("y"))
+	if result.Int(xt.QY) <= input.Int(xt.QY) {
+		t.Errorf("result not below input: %d vs %d", result.Int(xt.QY), input.Int(xt.QY))
 	}
-	if quit.Int("y") <= result.Int("y") {
+	if quit.Int(xt.QY) <= result.Int(xt.QY) {
 		t.Errorf("quit not below result")
 	}
-	if info.Int("x") <= quit.Int("x") {
-		t.Errorf("info not right of quit: %d vs %d", info.Int("x"), quit.Int("x"))
+	if info.Int(xt.QX) <= quit.Int(xt.QX) {
+		t.Errorf("info not right of quit: %d vs %d", info.Int(xt.QX), quit.Int(xt.QX))
 	}
-	if info.Int("y") != quit.Int("y") {
-		t.Errorf("info and quit rows differ: %d vs %d", info.Int("y"), quit.Int("y"))
+	if info.Int(xt.QY) != quit.Int(xt.QY) {
+		t.Errorf("info and quit rows differ: %d vs %d", info.Int(xt.QY), quit.Int(xt.QY))
 	}
 	// Explicit width honoured.
-	if input.Int("width") != 200 {
-		t.Errorf("input width = %d", input.Int("width"))
+	if input.Int(xt.QWidth) != 200 {
+		t.Errorf("input width = %d", input.Int(xt.QWidth))
 	}
 }
 
@@ -307,7 +307,7 @@ func TestFormConfiguresChildrenInOrder(t *testing.T) {
 		want = append(want, c.Name)
 	}
 	for _, dist := range []int{20, 8, 30} {
-		form.SetResourceValue("defaultDistance", dist)
+		form.SetResourceValue(QDefaultDistance, dist)
 		order = nil
 		formLayout(form)
 		if got := strings.Join(order, " "); got != strings.Join(want, " ") {
@@ -323,10 +323,10 @@ func TestBoxOrientation(t *testing.T) {
 	b := create(t, app, "b", LabelClass, box, nil)
 	top.Realize()
 	app.Pump()
-	if b.Int("x") <= a.Int("x") {
-		t.Errorf("horizontal box: b.x=%d a.x=%d", b.Int("x"), a.Int("x"))
+	if b.Int(xt.QX) <= a.Int(xt.QX) {
+		t.Errorf("horizontal box: b.x=%d a.x=%d", b.Int(xt.QX), a.Int(xt.QX))
 	}
-	if a.Int("y") != b.Int("y") {
+	if a.Int(xt.QY) != b.Int(xt.QY) {
 		t.Errorf("horizontal box rows differ")
 	}
 }
@@ -339,8 +339,8 @@ func TestPanedStacksChildren(t *testing.T) {
 	c := create(t, app, "pc", LabelClass, paned, nil)
 	top.Realize()
 	app.Pump()
-	if !(a.Int("y") < b.Int("y") && b.Int("y") < c.Int("y")) {
-		t.Errorf("paned order: %d %d %d", a.Int("y"), b.Int("y"), c.Int("y"))
+	if !(a.Int(xt.QY) < b.Int(xt.QY) && b.Int(xt.QY) < c.Int(xt.QY)) {
+		t.Errorf("paned order: %d %d %d", a.Int(xt.QY), b.Int(xt.QY), c.Int(xt.QY))
 	}
 }
 
@@ -362,18 +362,18 @@ func TestPanedGripsResize(t *testing.T) {
 	d := grip.Display()
 	win, _ := d.Lookup(grip.Window())
 	gx, gy := win.RootCoords(2, 2)
-	heightBefore := a.Int("height")
+	heightBefore := a.Int(xt.QHeight)
 	d.WarpPointer(gx, gy)
 	d.InjectButtonPress(1)
 	app.Pump()
 	d.WarpPointer(gx, gy+30)
 	d.InjectButtonRelease(1)
 	app.Pump()
-	if a.Int("height") <= heightBefore {
-		t.Errorf("pane height %d → %d, want growth", heightBefore, a.Int("height"))
+	if a.Int(xt.QHeight) <= heightBefore {
+		t.Errorf("pane height %d → %d, want growth", heightBefore, a.Int(xt.QHeight))
 	}
-	if b.Int("y") <= a.Int("height") {
-		t.Errorf("lower pane not pushed down: b.y=%d", b.Int("y"))
+	if b.Int(xt.QY) <= a.Int(xt.QHeight) {
+		t.Errorf("lower pane not pushed down: b.y=%d", b.Int(xt.QY))
 	}
 	// showGrip false suppresses the grip.
 	paned2 := create(t, app, "ng", PanedClass, top, nil)
@@ -427,8 +427,8 @@ func TestPanedGripsFollowPanes(t *testing.T) {
 	// A grip that is managed lies inside its Paned.
 	for _, name := range []string{"faGrip", "fbGrip"} {
 		g := app.WidgetByName(name)
-		if g.IsManaged() && g.Int("x")+g.Int("width") > paned.Int("width") {
-			t.Errorf("%s at x=%d width %d overhangs the %d-pixel Paned", name, g.Int("x"), g.Int("width"), paned.Int("width"))
+		if g.IsManaged() && g.Int(xt.QX)+g.Int(xt.QWidth) > paned.Int(xt.QWidth) {
+			t.Errorf("%s at x=%d width %d overhangs the %d-pixel Paned", name, g.Int(xt.QX), g.Int(xt.QWidth), paned.Int(xt.QWidth))
 		}
 	}
 }
@@ -449,7 +449,7 @@ func TestListSelectionCallback(t *testing.T) {
 	d := lst.Display()
 	win, _ := d.Lookup(lst.Window())
 	_, ch := listCellSize(lst)
-	x, y := win.RootCoords(3, lst.Int("internalHeight")+2*(ch+lst.Int("rowSpacing"))+1)
+	x, y := win.RootCoords(3, lst.Int(QInternalHeight)+2*(ch+lst.Int(QRowSpacing))+1)
 	d.WarpPointer(x, y)
 	d.InjectButtonPress(1)
 	d.InjectButtonRelease(1)
@@ -471,7 +471,7 @@ func TestListChange(t *testing.T) {
 	lst := create(t, app, "l", ListClass, top, map[string]string{"list": "a\nb"})
 	top.Realize()
 	ListChange(lst, []string{"x", "y", "z"}, true)
-	if got := lst.StringList("list"); len(got) != 3 || got[2] != "z" {
+	if got := lst.StringList(QList); len(got) != 3 || got[2] != "z" {
 		t.Errorf("list = %v", got)
 	}
 }
@@ -502,10 +502,10 @@ func TestListChangeSameSizeStopsAtList(t *testing.T) {
 	if layouts != 0 {
 		t.Errorf("same-size listChange ran %d parent layouts, want 0", layouts)
 	}
-	w, h := lst.Int("width"), lst.Int("height")
+	w, h := lst.Int(xt.QWidth), lst.Int(xt.QHeight)
 	layouts = 0
 	ListChange(lst, []string{"eeee", "ffff", "gg"}, true)
-	if lst.Int("width") == w && lst.Int("height") == h {
+	if lst.Int(xt.QWidth) == w && lst.Int(xt.QHeight) == h {
 		t.Fatalf("longer items kept the List at %dx%d", w, h)
 	}
 	if layouts != 1 {
@@ -524,16 +524,16 @@ func TestAsciiTextTyping(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.Pump()
-	if txt.Str("string") != "360" {
-		t.Errorf("buffer = %q", txt.Str("string"))
+	if txt.Str(QString) != "360" {
+		t.Errorf("buffer = %q", txt.Str(QString))
 	}
 	// BackSpace deletes.
 	if err := d.TypeString("\b"); err != nil {
 		t.Fatal(err)
 	}
 	app.Pump()
-	if txt.Str("string") != "36" {
-		t.Errorf("after backspace = %q", txt.Str("string"))
+	if txt.Str(QString) != "36" {
+		t.Errorf("after backspace = %q", txt.Str(QString))
 	}
 	// Read-only widget ignores keys.
 	ro := create(t, app, "ro", AsciiTextClass, top, nil)
@@ -544,8 +544,8 @@ func TestAsciiTextTyping(t *testing.T) {
 	app.Pump()
 	_ = d.TypeString("x")
 	app.Pump()
-	if roW.Str("string") != "fixed" {
-		t.Errorf("read-only buffer changed: %q", roW.Str("string"))
+	if roW.Str(QString) != "fixed" {
+		t.Errorf("read-only buffer changed: %q", roW.Str(QString))
 	}
 }
 
@@ -598,7 +598,7 @@ func TestTextSelectionOwnsPrimary(t *testing.T) {
 	app.Pump()
 	d := src.Display()
 	win, _ := d.Lookup(src.Window())
-	f := src.FontRes("font")
+	f := src.FontRes(QFont)
 	// Drag from character 0 to character 5 ("hello").
 	x0, y0 := win.RootCoords(2, 2+f.Height()/2)
 	d.WarpPointer(x0, y0)
@@ -622,8 +622,8 @@ func TestTextSelectionOwnsPrimary(t *testing.T) {
 	d.InjectButtonPress(2)
 	d.InjectButtonRelease(2)
 	app.Pump()
-	if dst.Str("string") != "hello" {
-		t.Errorf("paste result = %q", dst.Str("string"))
+	if dst.Str(QString) != "hello" {
+		t.Errorf("paste result = %q", dst.Str(QString))
 	}
 	// src's window owns PRIMARY: disowning it for dst's window keeps
 	// the selection, disowning it for src's window ends it.
@@ -672,12 +672,12 @@ func TestScrollbarDragWithImplicitGrab(t *testing.T) {
 func TestAsciiTextSetStringClampsCaret(t *testing.T) {
 	app, top := newApp(t)
 	txt := create(t, app, "t", AsciiTextClass, top, map[string]string{"editType": "edit", "string": "hello"})
-	txt.SetResourceValue("insertPosition", 5)
+	txt.SetResourceValue(QInsertPosition, 5)
 	if err := txt.SetValues("string", "hi"); err != nil {
 		t.Fatal(err)
 	}
-	if txt.Int("insertPosition") > 2 {
-		t.Errorf("caret not clamped: %d", txt.Int("insertPosition"))
+	if txt.Int(QInsertPosition) > 2 {
+		t.Errorf("caret not clamped: %d", txt.Int(QInsertPosition))
 	}
 	_ = top
 }
@@ -701,7 +701,7 @@ func TestMenuButtonEnterWindowOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := mustTranslations(mb).Merge(nt, xt.MergeOverride)
-	mb.SetResourceValue("translations", merged)
+	mb.SetResourceValue(xt.QTranslations, merged)
 	mb.UpdateInputMask()
 	d := mb.Display()
 	d.WarpPointer(900, 900)
@@ -716,7 +716,7 @@ func TestMenuButtonEnterWindowOverride(t *testing.T) {
 }
 
 func mustTranslations(w *xt.Widget) *xt.Translations {
-	if v, ok := w.Get("translations"); ok {
+	if v, ok := w.Get(xt.QTranslations); ok {
 		if tt, ok := v.(*xt.Translations); ok {
 			return tt
 		}
@@ -738,7 +738,7 @@ func TestSimpleMenuNotify(t *testing.T) {
 	d := menu.Display()
 	win, _ := d.Lookup(menu.Window())
 	rh := menuRowHeight(menu)
-	x, y := win.RootCoords(5, menu.Int("topMargin")+rh+2) // second row
+	x, y := win.RootCoords(5, menu.Int(QTopMargin)+rh+2) // second row
 	d.WarpPointer(x, y)
 	d.InjectButtonPress(1)
 	d.InjectButtonRelease(1)
@@ -771,7 +771,7 @@ func TestScrollbarThumb(t *testing.T) {
 		t.Errorf("thumb fraction = %q", jumped)
 	}
 	ScrollbarSetThumb(sb, 0.25, 0.5)
-	if got := sbFloat(sb, "topOfThumb"); got != 0.25 {
+	if got := sbFloat(sb, QTopOfThumb); got != 0.25 {
 		t.Errorf("topOfThumb = %v", got)
 	}
 }
@@ -782,11 +782,11 @@ func TestViewportClipsChild(t *testing.T) {
 	big := create(t, app, "big", ListClass, vp, map[string]string{"list": strings.Repeat("item\n", 50) + "last"})
 	top.Realize()
 	app.Pump()
-	if vp.Int("width") != 100 || vp.Int("height") != 50 {
-		t.Errorf("viewport size = %dx%d", vp.Int("width"), vp.Int("height"))
+	if vp.Int(xt.QWidth) != 100 || vp.Int(xt.QHeight) != 50 {
+		t.Errorf("viewport size = %dx%d", vp.Int(xt.QWidth), vp.Int(xt.QHeight))
 	}
-	if big.Int("height") <= 50 {
-		t.Errorf("child should keep preferred height, got %d", big.Int("height"))
+	if big.Int(xt.QHeight) <= 50 {
+		t.Errorf("child should keep preferred height, got %d", big.Int(xt.QHeight))
 	}
 }
 
@@ -808,11 +808,11 @@ func TestListInViewportDrawsVisibleRows(t *testing.T) {
 	// visible lists the rows whose cell the Viewport's 120 pixels show.
 	visible := func() []string {
 		_, ch := listCellSize(lst)
-		step := ch + lst.Int("rowSpacing")
+		step := ch + lst.Int(QRowSpacing)
 		var out []string
 		for i, it := range items {
-			y := lst.Int("y") + lst.Int("internalHeight") + i*step
-			if y < vp.Int("height") && y+ch > 0 {
+			y := lst.Int(xt.QY) + lst.Int(QInternalHeight) + i*step
+			if y < vp.Int(xt.QHeight) && y+ch > 0 {
 				out = append(out, it)
 			}
 		}
@@ -841,10 +841,10 @@ func listRedisplayFullScan(w *xt.Widget) {
 	win := w.Window()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(win, gc, clip.X, clip.Y, clip.W, clip.H)
-	gc.Foreground = w.PixelRes("foreground")
-	gc.Font = w.FontRes("font")
+	gc.Foreground = w.PixelRes(QForeground)
+	gc.Font = w.FontRes(QFont)
 	items := listItems(w)
 	cols := listColumns(w)
 	cw, ch := listCellSize(w)
@@ -852,15 +852,15 @@ func listRedisplayFullScan(w *xt.Widget) {
 	for i, it := range items {
 		col := i % cols
 		row := i / cols
-		x := w.Int("internalWidth") + col*(cw+w.Int("columnSpacing"))
-		y := w.Int("internalHeight") + row*(ch+w.Int("rowSpacing"))
+		x := w.Int(QInternalWidth) + col*(cw+w.Int(QColumnSpacing))
+		y := w.Int(QInternalHeight) + row*(ch+w.Int(QRowSpacing))
 		if !w.ClipIntersects(x-1, y, cw+2, ch) {
 			continue
 		}
 		if i == hl {
 			d.FillRectangle(win, gc, x-1, y, cw+2, ch)
 			inv := d.NewGC()
-			inv.Foreground = w.PixelRes("background")
+			inv.Foreground = w.PixelRes(xt.QBackground)
 			inv.Font = gc.Font
 			d.DrawString(win, inv, x, y+gc.Font.Ascent, it)
 			continue
@@ -902,7 +902,7 @@ func TestListRedisplayMatchesFullScan(t *testing.T) {
 			d, win := lst.Display(), lst.Window()
 			sub := rand.New(rand.NewSource(int64(trial)))
 			for e := 0; e < 20; e++ {
-				w, h := lst.Int("width"), lst.Int("height")
+				w, h := lst.Int(xt.QWidth), lst.Int(xt.QHeight)
 				d.InjectExposeRect(win, sub.Intn(w+10)-5, sub.Intn(h+10)-5, 1+sub.Intn(w), 1+sub.Intn(h/2+1))
 				app.Pump()
 				for _, op := range lst.Display().DrawLogFor(lst.Window()) {
@@ -936,8 +936,8 @@ func TestViewportScrolling(t *testing.T) {
 	if offY <= 0 {
 		t.Fatalf("scroll had no effect: offY=%d", offY)
 	}
-	if big.Int("y") != -offY {
-		t.Errorf("child y = %d, want %d", big.Int("y"), -offY)
+	if big.Int(xt.QY) != -offY {
+		t.Errorf("child y = %d, want %d", big.Int(xt.QY), -offY)
 	}
 	// Horizontal scrolling disabled → x offset forced to zero.
 	ViewportSetLocation(vp, 0.5, 0.5)
@@ -948,8 +948,8 @@ func TestViewportScrolling(t *testing.T) {
 	// Scrolling past the end clamps.
 	ViewportSetLocation(vp, 0, 5.0)
 	offY = st.offY
-	if offY > big.Int("height") {
-		t.Errorf("offset %d beyond child height %d", offY, big.Int("height"))
+	if offY > big.Int(xt.QHeight) {
+		t.Errorf("offset %d beyond child height %d", offY, big.Int(xt.QHeight))
 	}
 }
 
@@ -1122,12 +1122,12 @@ func TestListCellWidthFollowsChanges(t *testing.T) {
 	top.Realize()
 	check := func(what string) {
 		t.Helper()
-		f := lst.FontRes("font")
+		f := lst.FontRes(QFont)
 		widest := 1
 		for _, it := range listItems(lst) {
 			widest = max(widest, f.TextWidth(it))
 		}
-		want := widest + 2*lst.Int("internalWidth")
+		want := widest + 2*lst.Int(QInternalWidth)
 		if got, _ := listPreferredSize(lst); got != want {
 			t.Errorf("%s: preferred width %d, fresh measurement %d", what, got, want)
 		}

@@ -7,6 +7,28 @@ import (
 	"wafe/internal/xt"
 )
 
+// Handles of the Motif resources Go code reads, the quarks the
+// accessors take. Each is interned once, while the package
+// initialises.
+var (
+	QBottomShadowColor = xt.StringToQuark("bottomShadowColor")
+	QColumns           = xt.StringToQuark("columns")
+	QEditable          = xt.StringToQuark("editable")
+	QFontList          = xt.StringToQuark("fontList")
+	QForeground        = xt.StringToQuark("foreground")
+	QHistoryItems      = xt.StringToQuark("historyItems")
+	QHistoryMaxItems   = xt.StringToQuark("historyMaxItems")
+	QLabelString       = xt.StringToQuark("labelString")
+	QMarginHeight      = xt.StringToQuark("marginHeight")
+	QMarginWidth       = xt.StringToQuark("marginWidth")
+	QOrientation       = xt.StringToQuark("orientation")
+	QRows              = xt.StringToQuark("rows")
+	QShadowThickness   = xt.StringToQuark("shadowThickness")
+	QSpacing           = xt.StringToQuark("spacing")
+	QTopShadowColor    = xt.StringToQuark("topShadowColor")
+	QValue             = xt.StringToQuark("value")
+)
+
 // XmPrimitiveClass is the Motif primitive base class.
 var XmPrimitiveClass = &xt.Class{
 	Name:  "XmPrimitive",
@@ -37,8 +59,8 @@ var XmLabelClass = &xt.Class{
 		{Name: "labelType", Class: "LabelType", Type: xt.TString, Default: "string"},
 	},
 	Initialize: func(w *xt.Widget) {
-		if LabelXmString(w) == nil && !w.Explicit("labelString") {
-			w.SetResourceValue("labelString", &XmString{Segments: []Segment{{Text: w.Name}}, source: w.Name})
+		if LabelXmString(w) == nil && !w.Explicit(QLabelString) {
+			w.SetResourceValue(QLabelString, &XmString{Segments: []Segment{{Text: w.Name}}, source: w.Name})
 		}
 	},
 	PreferredSize: xmLabelPreferredSize,
@@ -47,7 +69,7 @@ var XmLabelClass = &xt.Class{
 
 // LabelXmString returns the widget's labelString value.
 func LabelXmString(w *xt.Widget) *XmString {
-	if v, ok := w.Get("labelString"); ok {
+	if v, ok := w.Get(QLabelString); ok {
 		if xs, ok := v.(*XmString); ok {
 			return xs
 		}
@@ -57,7 +79,7 @@ func LabelXmString(w *xt.Widget) *XmString {
 
 // LabelFontList returns the widget's fontList value.
 func LabelFontList(w *xt.Widget) *FontList {
-	if v, ok := w.Get("fontList"); ok {
+	if v, ok := w.Get(QFontList); ok {
 		if fl, ok := v.(*FontList); ok {
 			return fl
 		}
@@ -93,22 +115,22 @@ func xmLabelPreferredSize(w *xt.Widget) (int, int) {
 			height = f.Height()
 		}
 	}
-	return width + 2*w.Int("marginWidth") + 2*w.Int("shadowThickness"),
-		height + 2*w.Int("marginHeight") + 2*w.Int("shadowThickness")
+	return width + 2*w.Int(QMarginWidth) + 2*w.Int(QShadowThickness),
+		height + 2*w.Int(QMarginHeight) + 2*w.Int(QShadowThickness)
 }
 
 func xmLabelRedisplay(w *xt.Widget) {
 	d := w.Display()
 	clip := w.Clip()
 	gc := d.NewGC()
-	gc.Foreground = w.PixelRes("background")
+	gc.Foreground = w.PixelRes(xt.QBackground)
 	d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
-	gc.Foreground = w.PixelRes("foreground")
-	x := w.Int("marginWidth") + w.Int("shadowThickness")
+	gc.Foreground = w.PixelRes(QForeground)
+	x := w.Int(QMarginWidth) + w.Int(QShadowThickness)
 	for _, seg := range segmentsOf(w) {
 		f := fontFor(w, seg.FontTag)
 		gc.Font = f
-		if !w.ClipIntersects(x, w.Int("marginHeight"), f.TextWidth(seg.Text), f.Height()) {
+		if !w.ClipIntersects(x, w.Int(QMarginHeight), f.TextWidth(seg.Text), f.Height()) {
 			x += f.TextWidth(seg.Text)
 			continue
 		}
@@ -120,7 +142,7 @@ func xmLabelRedisplay(w *xt.Widget) {
 			}
 			text = string(r)
 		}
-		d.DrawString(w.Window(), gc, x, w.Int("marginHeight")+f.Ascent, text)
+		d.DrawString(w.Window(), gc, x, w.Int(QMarginHeight)+f.Ascent, text)
 		x += f.TextWidth(seg.Text)
 	}
 }
@@ -198,21 +220,21 @@ var XmCascadeButtonClass = &xt.Class{
 // and right.
 func xmCascadeRedisplay(w *xt.Widget) {
 	xmLabelRedisplay(w)
-	t := w.Int("shadowThickness")
+	t := w.Int(QShadowThickness)
 	if !cascadeSt(w).highlighted || t <= 0 {
 		return
 	}
-	wd, ht := w.Int("width"), w.Int("height")
+	wd, ht := w.Int(xt.QWidth), w.Int(xt.QHeight)
 	d, clip := w.Display(), w.Clip()
 	gc := d.NewGC()
 	for _, edge := range []struct {
-		color string
+		color xt.Quark
 		r     xproto.Rect
 	}{
-		{"topShadowColor", xproto.Rect{W: wd, H: t}},
-		{"topShadowColor", xproto.Rect{W: t, H: ht}},
-		{"bottomShadowColor", xproto.Rect{Y: ht - t, W: wd, H: t}},
-		{"bottomShadowColor", xproto.Rect{X: wd - t, W: t, H: ht}},
+		{QTopShadowColor, xproto.Rect{W: wd, H: t}},
+		{QTopShadowColor, xproto.Rect{W: t, H: ht}},
+		{QBottomShadowColor, xproto.Rect{Y: ht - t, W: wd, H: t}},
+		{QBottomShadowColor, xproto.Rect{X: wd - t, W: t, H: ht}},
 	} {
 		if r := edge.r.Intersect(clip); !r.Empty() {
 			gc.Foreground = w.PixelRes(edge.color)
@@ -255,10 +277,10 @@ var XmRowColumnClass = &xt.Class{
 }
 
 func rowColumnPlace(w *xt.Widget) (int, int) {
-	mw, mh, sp := w.Int("marginWidth"), w.Int("marginHeight"), w.Int("spacing")
+	mw, mh, sp := w.Int(QMarginWidth), w.Int(QMarginHeight), w.Int(QSpacing)
 	x, y := mw, mh
 	maxX, maxY := 1, 1
-	horizontal := w.Str("orientation") == "horizontal"
+	horizontal := w.Str(QOrientation) == "horizontal"
 	for _, c := range w.ManagedChildren() {
 		cw, ch := c.PreferredSize()
 		c.SetChildGeometry(x, y, cw, ch)
@@ -281,12 +303,12 @@ func rowColumnPlace(w *xt.Widget) (int, int) {
 
 func rowColumnLayout(w *xt.Widget) {
 	maxX, maxY := rowColumnPlace(w)
-	if !w.Explicit("width") || !w.Explicit("height") {
-		nw, nh := w.Int("width"), w.Int("height")
-		if !w.Explicit("width") {
+	if !w.Explicit(xt.QWidth) || !w.Explicit(xt.QHeight) {
+		nw, nh := w.Int(xt.QWidth), w.Int(xt.QHeight)
+		if !w.Explicit(xt.QWidth) {
 			nw = maxX
 		}
-		if !w.Explicit("height") {
+		if !w.Explicit(xt.QHeight) {
 			nh = maxY
 		}
 		w.RequestResize(nw, nh)
@@ -316,39 +338,39 @@ var XmTextClass = &xt.Class{
 	DefaultTranslations: xmTextTranslations,
 	Actions: map[string]xt.ActionProc{
 		"self-insert": func(w *xt.Widget, ev *xproto.Event, _ []string) {
-			if !w.Bool("editable") || ev.Rune < 0x20 {
+			if !w.Bool(QEditable) || ev.Rune < 0x20 {
 				return
 			}
 			TextInsert(w, string(ev.Rune))
 		},
 		"activate": func(w *xt.Widget, _ *xproto.Event, _ []string) {
-			w.CallCallbacks("activateCallback", xt.CallData{"value": w.Str("value")})
+			w.CallCallbacks("activateCallback", xt.CallData{"value": w.Str(QValue)})
 		},
 		"delete-previous-character": func(w *xt.Widget, _ *xproto.Event, _ []string) {
-			if !w.Bool("editable") {
+			if !w.Bool(QEditable) {
 				return
 			}
-			v := w.Str("value")
+			v := w.Str(QValue)
 			if len(v) == 0 {
 				return
 			}
-			w.SetResourceValue("value", v[:len(v)-1])
+			w.SetResourceValue(QValue, v[:len(v)-1])
 			w.CallCallbacks("valueChangedCallback", nil)
 			w.Damage(xproto.Rect{})
 		},
 	},
 	PreferredSize: func(w *xt.Widget) (int, int) {
 		f := xproto.LoadFont("fixed")
-		return w.Int("columns")*f.Width + 8, w.Int("rows")*f.Height() + 8
+		return w.Int(QColumns)*f.Width + 8, w.Int(QRows)*f.Height() + 8
 	},
 	Redisplay: func(w *xt.Widget) {
 		d := w.Display()
 		clip := w.Clip()
 		gc := d.NewGC()
-		gc.Foreground = w.PixelRes("background")
+		gc.Foreground = w.PixelRes(xt.QBackground)
 		d.FillRectangle(w.Window(), gc, clip.X, clip.Y, clip.W, clip.H)
-		gc.Foreground = w.PixelRes("foreground")
-		if v := w.Str("value"); w.ClipIntersects(4, 4, gc.Font.TextWidth(v), gc.Font.Height()) {
+		gc.Foreground = w.PixelRes(QForeground)
+		if v := w.Str(QValue); w.ClipIntersects(4, 4, gc.Font.TextWidth(v), gc.Font.Height()) {
 			d.DrawString(w.Window(), gc, 4, gc.Font.Ascent+4, v)
 		}
 	},
@@ -357,7 +379,7 @@ var XmTextClass = &xt.Class{
 // TextInsert appends text at the cursor (XmTextInsert, simplified to
 // end-insertion which is all the demos use).
 func TextInsert(w *xt.Widget, s string) {
-	w.SetResourceValue("value", w.Str("value")+s)
+	w.SetResourceValue(QValue, w.Str(QValue)+s)
 	w.CallCallbacks("valueChangedCallback", nil)
 	w.Damage(xproto.Rect{})
 }
@@ -385,16 +407,16 @@ var XmCommandClass = &xt.Class{
 // last historyMaxItems, clears the value and fires
 // commandEnteredCallback.
 func commandEnter(w *xt.Widget) {
-	v := strings.TrimSpace(w.Str("value"))
+	v := strings.TrimSpace(w.Str(QValue))
 	if v == "" {
 		return
 	}
-	hist := append(w.StringList("historyItems"), v)
-	if max := w.Int("historyMaxItems"); max > 0 && len(hist) > max {
+	hist := append(w.StringList(QHistoryItems), v)
+	if max := w.Int(QHistoryMaxItems); max > 0 && len(hist) > max {
 		hist = hist[len(hist)-max:]
 	}
-	w.SetResourceValue("historyItems", hist)
-	w.SetResourceValue("value", "")
+	w.SetResourceValue(QHistoryItems, hist)
+	w.SetResourceValue(QValue, "")
 	w.CallCallbacks("commandEnteredCallback", xt.CallData{"value": v})
 	w.Damage(xproto.Rect{})
 }
@@ -402,7 +424,7 @@ func commandEnter(w *xt.Widget) {
 // CommandAppendValue implements XmCommandAppendValue: append text to
 // the current command line.
 func CommandAppendValue(w *xt.Widget, s string) {
-	w.SetResourceValue("value", w.Str("value")+s)
+	w.SetResourceValue(QValue, w.Str(QValue)+s)
 	w.Damage(xproto.Rect{})
 }
 

@@ -162,8 +162,8 @@ func TestRowColumnLayout(t *testing.T) {
 	b, _ := app.CreateWidget("b", XmLabelClass, rc, nil, true)
 	top.Realize()
 	app.Pump()
-	if b.Int("x") <= a.Int("x") {
-		t.Errorf("horizontal rowcolumn: a.x=%d b.x=%d", a.Int("x"), b.Int("x"))
+	if b.Int(xt.QX) <= a.Int(xt.QX) {
+		t.Errorf("horizontal rowcolumn: a.x=%d b.x=%d", a.Int(xt.QX), b.Int(xt.QX))
 	}
 }
 
@@ -180,8 +180,8 @@ func TestXmTextEditing(t *testing.T) {
 	d.SetInputFocus(txt.Window())
 	_ = d.TypeString("hello")
 	app.Pump()
-	if txt.Str("value") != "hello" {
-		t.Errorf("value = %q", txt.Str("value"))
+	if txt.Str(QValue) != "hello" {
+		t.Errorf("value = %q", txt.Str(QValue))
 	}
 	_ = d.TypeString("\r")
 	app.Pump()
@@ -206,19 +206,19 @@ func TestXmCommand(t *testing.T) {
 	CommandAppendValue(cmd, "ls ")
 	_ = d.TypeString("-l")
 	app.Pump()
-	if cmd.Str("value") != "ls -l" {
-		t.Errorf("value = %q", cmd.Str("value"))
+	if cmd.Str(QValue) != "ls -l" {
+		t.Errorf("value = %q", cmd.Str(QValue))
 	}
 	_ = d.TypeString("\r")
 	app.Pump()
 	if entered != "ls -l" {
 		t.Errorf("entered = %q", entered)
 	}
-	hist := cmd.StringList("historyItems")
+	hist := cmd.StringList(QHistoryItems)
 	if len(hist) != 1 || hist[0] != "ls -l" {
 		t.Errorf("history = %v", hist)
 	}
-	if cmd.Str("value") != "" {
+	if cmd.Str(QValue) != "" {
 		t.Error("value not cleared after Return")
 	}
 }
@@ -232,7 +232,7 @@ func TestHistoryLimit(t *testing.T) {
 	d.SetInputFocus(cmd.Window())
 	_ = d.TypeString("a\rb\rc\r\rd\r")
 	app.Pump()
-	hist := cmd.StringList("historyItems")
+	hist := cmd.StringList(QHistoryItems)
 	if strings.Join(hist, " ") != "b c d" {
 		t.Errorf("history = %v, want the last three entered, without the empty one", hist)
 	}
@@ -279,14 +279,14 @@ func TestXmTextBackspaceAndLimits(t *testing.T) {
 	app.Pump()
 	_ = d.TypeString("\b")
 	app.Pump()
-	if txt.Str("value") != "a" {
-		t.Errorf("value = %q", txt.Str("value"))
+	if txt.Str(QValue) != "a" {
+		t.Errorf("value = %q", txt.Str(QValue))
 	}
 	// Backspace on empty is a no-op.
 	_ = d.TypeString("\b\b")
 	app.Pump()
-	if txt.Str("value") != "" {
-		t.Errorf("value = %q", txt.Str("value"))
+	if txt.Str(QValue) != "" {
+		t.Errorf("value = %q", txt.Str(QValue))
 	}
 	if changes < 3 {
 		t.Errorf("valueChangedCallback fired %d times", changes)
@@ -295,8 +295,8 @@ func TestXmTextBackspaceAndLimits(t *testing.T) {
 	_ = txt.SetValues("editable", "false", "value", "locked")
 	_ = d.TypeString("x")
 	app.Pump()
-	if txt.Str("value") != "locked" {
-		t.Errorf("read-only value = %q", txt.Str("value"))
+	if txt.Str(QValue) != "locked" {
+		t.Errorf("read-only value = %q", txt.Str(QValue))
 	}
 }
 
@@ -326,10 +326,10 @@ func TestVerticalRowColumn(t *testing.T) {
 	b, _ := app.CreateWidget("vb", XmLabelClass, rc, nil, true)
 	top.Realize()
 	app.Pump()
-	if b.Int("y") <= a.Int("y") {
-		t.Errorf("vertical rowcolumn: a.y=%d b.y=%d", a.Int("y"), b.Int("y"))
+	if b.Int(xt.QY) <= a.Int(xt.QY) {
+		t.Errorf("vertical rowcolumn: a.y=%d b.y=%d", a.Int(xt.QY), b.Int(xt.QY))
 	}
-	if a.Int("x") != b.Int("x") {
+	if a.Int(xt.QX) != b.Int(xt.QX) {
 		t.Error("columns misaligned")
 	}
 }

@@ -76,11 +76,11 @@ func (w *Widget) callbackSlot(name string) (int, bool) {
 // (XtCallCallbacks). Insensitive widgets still deliver callbacks when
 // called programmatically, as in Xt.
 func (w *Widget) CallCallbacks(name string, data CallData) {
-	cur, ok := w.Get(name)
+	i, ok := w.callbackSlot(name)
 	if !ok {
 		return
 	}
-	list, _ := cur.(CallbackList)
+	list, _ := w.values[i].(CallbackList)
 	for _, cb := range list {
 		if cb.Proc != nil {
 			var sp obs.SpanCtx
@@ -99,11 +99,11 @@ func (w *Widget) CallCallbacks(name string, data CallData) {
 // HasCallbacks reports whether the named list has any entries
 // (XtHasCallbacks).
 func (w *Widget) HasCallbacks(name string) bool {
-	cur, ok := w.Get(name)
+	i, ok := w.callbackSlot(name)
 	if !ok {
 		return false
 	}
-	list, _ := cur.(CallbackList)
+	list, _ := w.values[i].(CallbackList)
 	return len(list) > 0
 }
 

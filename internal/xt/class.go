@@ -121,11 +121,17 @@ func (c *Class) resCache() *classCache {
 // resourceLayout is a compiled resource list (what XtInitializeWidgetClass
 // builds, plus the parent's constraints): every resource a widget of
 // one class under one parent class carries, in the order creation
-// converts them, and a name→slot index. A widget keeps its values in
-// the slots of its layout.
+// converts them. A widget keeps its values in the slots of its layout.
+// byQuark maps the quark of a resource's name to its slot plus one (0
+// where the layout declares no such name): Go code reads through it
+// with a handle, without hashing the name. index maps the names that
+// arrive as strings at run time (SetValues, GetValue, creation args,
+// callbacks by name), which would otherwise take the process-wide
+// quark table's lock every session shares.
 type resourceLayout struct {
-	slots []layoutSlot
-	index map[string]int
+	slots   []layoutSlot
+	index   map[string]int
+	byQuark []int32
 }
 
 // layoutSlot is one resolved resource declaration of a layout.
@@ -179,7 +185,35 @@ func (c *Class) compileLayout(parent *Class) *resourceLayout {
 			add(r, pc.constraintsQ[i])
 		}
 	}
+	l.byQuark = make([]int32, slotTableLen())
+	for i := range l.slots {
+		if q := l.slots[i].nameQ; int(q) < len(l.byQuark) {
+			l.byQuark[q] = int32(i + 1)
+		}
+	}
 	return l
+}
+
+// slotTableLen returns the length of every layout's slot table: one
+// more than the largest quark interned when the first layout was
+// compiled. Every package-level handle exists by then, and widget
+// names interned later never lengthen a table.
+var slotTableLen = sync.OnceValue(func() int { return quarkCount() + 1 })
+
+// slot returns the slot of the resource whose name is q, or -1 when
+// the layout declares no such name. A quark beyond the table, made
+// after the first layout compiled and so never a handle, is looked up
+// by a scan of the slots.
+func (l *resourceLayout) slot(q Quark) int {
+	if uint(q) < uint(len(l.byQuark)) {
+		return int(l.byQuark[q]) - 1
+	}
+	for i := range l.slots {
+		if l.slots[i].nameQ == q {
+			return i
+		}
+	}
+	return -1
 }
 
 // shareableDefault reports whether converted values of the type are
@@ -252,6 +286,27 @@ func (c *Class) actionFor(name string) ActionProc {
 	}
 	return nil
 }
+
+// Handles of the Core and Shell resources Go code reads. A handle is
+// the quark of the resource's name; the accessors (Get, Int, Str, ...)
+// find it in the slot table of the widget's layout without hashing
+// the name. Each is interned once, while the package initialises.
+var (
+	QAccelerators      = StringToQuark("accelerators")
+	QAllowShellResize  = StringToQuark("allowShellResize")
+	QBackground        = StringToQuark("background")
+	QBorderColor       = StringToQuark("borderColor")
+	QBorderWidth       = StringToQuark("borderWidth")
+	QHeight            = StringToQuark("height")
+	QIconName          = StringToQuark("iconName")
+	QMappedWhenManaged = StringToQuark("mappedWhenManaged")
+	QSensitive         = StringToQuark("sensitive")
+	QTitle             = StringToQuark("title")
+	QTranslations      = StringToQuark("translations")
+	QWidth             = StringToQuark("width")
+	QX                 = StringToQuark("x")
+	QY                 = StringToQuark("y")
+)
 
 // CoreClass is the root class. Its resource list deliberately follows
 // the X11R5 ordering so getResourceList output starts, as printed in
@@ -362,8 +417,8 @@ func init() {
 	shellInit := func(w *Widget) {
 		// Shells default to border 0 and start unmanaged (popped up or
 		// realized explicitly).
-		if !w.Explicit("borderWidth") {
-			w.setResource("borderWidth", 0)
+		if !w.Explicit(QBorderWidth) {
+			w.setResource(QBorderWidth, 0)
 		}
 	}
 	for _, c := range []*Class{ShellClass, WMShellClass, TopLevelShellClass, ApplicationShellClass, TransientShellClass, OverrideShellClass} {
@@ -376,11 +431,11 @@ func init() {
 
 func shellPreferredSize(w *Widget) (int, int) {
 	if len(w.managedChildren()) == 0 {
-		return maxInt(w.Int("width"), 1), maxInt(w.Int("height"), 1)
+		return maxInt(w.Int(QWidth), 1), maxInt(w.Int(QHeight), 1)
 	}
 	c := w.managedChildren()[0]
 	cw, ch := c.preferredSize()
-	return cw + 2*c.Int("borderWidth"), ch + 2*c.Int("borderWidth")
+	return cw + 2*c.Int(QBorderWidth), ch + 2*c.Int(QBorderWidth)
 }
 
 // shellLayout sizes the shell to its (single) managed child, or the
@@ -392,10 +447,10 @@ func shellLayout(w *Widget) {
 	}
 	c := kids[0]
 	cw, ch := c.preferredSize()
-	if w.Bool("allowShellResize") || w.Int("width") == 0 || w.Int("height") == 0 {
-		w.setGeometry(w.Int("x"), w.Int("y"), cw+2*c.Int("borderWidth"), ch+2*c.Int("borderWidth"))
+	if w.Bool(QAllowShellResize) || w.Int(QWidth) == 0 || w.Int(QHeight) == 0 {
+		w.setGeometry(w.Int(QX), w.Int(QY), cw+2*c.Int(QBorderWidth), ch+2*c.Int(QBorderWidth))
 	}
-	c.setGeometry(0, 0, maxInt(w.Int("width")-2*c.Int("borderWidth"), 1), maxInt(w.Int("height")-2*c.Int("borderWidth"), 1))
+	c.setGeometry(0, 0, maxInt(w.Int(QWidth)-2*c.Int(QBorderWidth), 1), maxInt(w.Int(QHeight)-2*c.Int(QBorderWidth), 1))
 }
 
 func shellResize(w *Widget) {
@@ -404,7 +459,7 @@ func shellResize(w *Widget) {
 		return
 	}
 	c := kids[0]
-	c.setGeometry(0, 0, maxInt(w.Int("width")-2*c.Int("borderWidth"), 1), maxInt(w.Int("height")-2*c.Int("borderWidth"), 1))
+	c.setGeometry(0, 0, maxInt(w.Int(QWidth)-2*c.Int(QBorderWidth), 1), maxInt(w.Int(QHeight)-2*c.Int(QBorderWidth), 1))
 }
 
 func maxInt(a, b int) int {

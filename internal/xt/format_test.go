@@ -123,8 +123,8 @@ func TestShellTitleResources(t *testing.T) {
 	app := NewTestApp("wafe")
 	top, _ := app.CreateWidget("topLevel", ApplicationShellClass, nil,
 		map[string]string{"title": "My Application", "iconName": "myapp"}, false)
-	if top.Str("title") != "My Application" || top.Str("iconName") != "myapp" {
-		t.Errorf("title=%q icon=%q", top.Str("title"), top.Str("iconName"))
+	if top.Str(QTitle) != "My Application" || top.Str(QIconName) != "myapp" {
+		t.Errorf("title=%q icon=%q", top.Str(QTitle), top.Str(QIconName))
 	}
 	if err := top.SetValues("title", "Renamed"); err != nil {
 		t.Fatal(err)

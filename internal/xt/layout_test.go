@@ -66,7 +66,7 @@ func click(t *testing.T, w *core.Wafe, name string) {
 
 func translationsOf(t *testing.T, w *core.Wafe, name string) *xt.Translations {
 	t.Helper()
-	v, _ := w.App.WidgetByName(name).Get("translations")
+	v, _ := w.App.WidgetByName(name).Get(xt.QTranslations)
 	tt, _ := v.(*xt.Translations)
 	if tt == nil {
 		t.Fatalf("%s has no translation table", name)
@@ -146,10 +146,10 @@ func TestRegisterConverterResetsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := second.PixelRes("foreground"); got != red {
+	if got := second.PixelRes(xaw.QForeground); got != red {
 		t.Errorf("foreground after RegisterConverter = %v, want %v", got, red)
 	}
-	if got := first.PixelRes("foreground"); got != (xproto.Pixel{}) {
+	if got := first.PixelRes(xaw.QForeground); got != (xproto.Pixel{}) {
 		t.Errorf("earlier widget's foreground = %v, want it unchanged", got)
 	}
 }
@@ -157,6 +157,9 @@ func TestRegisterConverterResetsDefaults(t *testing.T) {
 // TestUndeclaredAndDestroyedStorage pins the edges of slot storage: a
 // name the layout does not declare is stored and read back but stays
 // undeclared, and a destroyed widget has no resources left.
+// qScratch names a resource no class declares.
+var qScratch = xt.StringToQuark("scratch")
+
 func TestUndeclaredAndDestroyedStorage(t *testing.T) {
 	app := xt.NewTestApp("wafe")
 	top, err := app.CreateWidget("topLevel", xt.ApplicationShellClass, nil, nil, false)
@@ -167,18 +170,18 @@ func TestUndeclaredAndDestroyedStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetResourceValue("scratch", 7)
-	if v, ok := l.Get("scratch"); !ok || v != 7 {
+	l.SetResourceValue(qScratch, 7)
+	if v, ok := l.Get(qScratch); !ok || v != 7 {
 		t.Errorf("undeclared value = %v, %v; want 7, true", v, ok)
 	}
 	if _, err := l.GetValue("scratch"); err == nil {
 		t.Errorf("gV of an undeclared name succeeded")
 	}
-	if !l.Explicit("label") || l.Explicit("font") {
-		t.Errorf("explicit flags: label %v, font %v; want true, false", l.Explicit("label"), l.Explicit("font"))
+	if !l.Explicit(xaw.QLabel) || l.Explicit(xaw.QFont) {
+		t.Errorf("explicit flags: label %v, font %v; want true, false", l.Explicit(xaw.QLabel), l.Explicit(xaw.QFont))
 	}
 	l.Destroy()
-	if _, ok := l.Get("label"); ok {
+	if _, ok := l.Get(xaw.QLabel); ok {
 		t.Errorf("a destroyed widget still has its label")
 	}
 	if err := l.SetValues("label", "late"); err == nil {

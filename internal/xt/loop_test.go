@@ -82,8 +82,8 @@ func TestPostFunnelSerializesSessionState(t *testing.T) {
 	touches := 0
 	touch := func(tag string, i int) func() {
 		return func() {
-			w.SetResourceValue("label", fmt.Sprintf("%s-%d", tag, i))
-			_ = w.Str("label") // read back on the loop, same funnel
+			w.SetResourceValue(qLabel, fmt.Sprintf("%s-%d", tag, i))
+			_ = w.Str(qLabel) // read back on the loop, same funnel
 			if touches++; touches == want {
 				app.Quit(0)
 			}

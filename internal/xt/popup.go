@@ -80,10 +80,10 @@ func (w *Widget) PositionShell(x, y int) error {
 	if !w.Class.Shell {
 		return fmt.Errorf("xt: position on non-shell widget %q", w.Name)
 	}
-	w.setExplicit("x", x)
-	w.setExplicit("y", y)
+	w.setExplicit(QX, x)
+	w.setExplicit(QY, y)
 	if w.realized {
-		w.display.ConfigureWindow(w.window, x, y, w.Int("width"), w.Int("height"))
+		w.display.ConfigureWindow(w.window, x, y, w.Int(QWidth), w.Int(QHeight))
 	}
 	return nil
 }

@@ -44,5 +44,12 @@ func StringToQuark(s string) Quark {
 	return q
 }
 
+// quarkCount returns the number of quarks interned so far.
+func quarkCount() int {
+	quarkTab.mu.RLock()
+	defer quarkTab.mu.RUnlock()
+	return len(quarkTab.m)
+}
+
 // quarkQuestion is the interned '?' wildcard component.
 var quarkQuestion = StringToQuark("?")

@@ -238,15 +238,16 @@ func registerBuiltinConverters(app *App) {
 		}
 		return strings.Split(v, "\n"), nil
 	})
-	app.RegisterConverter(TPixmap, func(_ *App, _ *Widget, v string) (any, error) {
+	pixmapConv := func(_ *App, _ *Widget, v string) (any, error) {
 		// The plain Xt converter understands only XBM data; Wafe's
 		// extended converter (registered by internal/core) adds XPM.
 		if strings.TrimSpace(v) == "" || v == "None" {
 			return (*xproto.Pixmap)(nil), nil
 		}
 		return xproto.ParseXBM(v)
-	})
-	app.RegisterConverter(TBitmap, app.convertersQ[StringToQuark(TPixmap)])
+	}
+	app.RegisterConverter(TPixmap, pixmapConv)
+	app.RegisterConverter(TBitmap, pixmapConv)
 	app.RegisterConverter(TCallback, func(_ *App, _ *Widget, v string) (any, error) {
 		// Without Wafe's callback converter a callback resource cannot
 		// be set from a string; the Wafe layer replaces this.

@@ -26,12 +26,12 @@ type Widget struct {
 	// its parent's class; values holds the converted value of each of
 	// its slots, and explicit marks the slots set by creation args,
 	// SetValues or PositionShell rather than defaulted. extra stores
-	// values of names the layout does not declare (SetResourceValue
-	// accepts any name).
+	// values of names the layout does not declare, by quark
+	// (SetResourceValue accepts any name).
 	layout   *resourceLayout
 	values   []any
 	explicit []bool
-	extra    []namedValue
+	extra    []quarkValue
 
 	// pathQN/pathQC are the interned name/class paths from the
 	// application down ("wafe", "form", "label1"), computed once at
@@ -173,7 +173,7 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 		if err != nil {
 			return nil, fmt.Errorf("xt: class %s default translations: %v", class.Name, err)
 		}
-		w.setResource("translations", parsed)
+		w.setResource(QTranslations, parsed)
 	}
 	if parent != nil {
 		parent.children = append(parent.children, w)
@@ -244,52 +244,52 @@ func (w *Widget) SetDisplay(d *xproto.Display) error {
 
 // --- typed accessors ------------------------------------------------------
 
-// namedValue is a value stored under a name the widget's layout does
+// quarkValue is a value stored under a name the widget's layout does
 // not declare.
-type namedValue struct {
-	name string
-	v    any
+type quarkValue struct {
+	q Quark
+	v any
 }
 
-// Get returns the raw typed value of a resource.
-func (w *Widget) Get(name string) (any, bool) {
-	if i, ok := w.layout.index[name]; ok {
+// Get returns the raw typed value of the resource named q.
+func (w *Widget) Get(q Quark) (any, bool) {
+	if i := w.layout.slot(q); i >= 0 {
 		return w.values[i], true
 	}
 	for _, e := range w.extra {
-		if e.name == name {
+		if e.q == q {
 			return e.v, true
 		}
 	}
 	return nil, false
 }
 
-func (w *Widget) setResource(name string, v any) {
-	if i, ok := w.layout.index[name]; ok {
+func (w *Widget) setResource(q Quark, v any) {
+	if i := w.layout.slot(q); i >= 0 {
 		w.values[i] = v
 		return
 	}
 	for i := range w.extra {
-		if w.extra[i].name == name {
+		if w.extra[i].q == q {
 			w.extra[i].v = v
 			return
 		}
 	}
-	w.extra = append(w.extra, namedValue{name, v})
+	w.extra = append(w.extra, quarkValue{q, v})
 }
 
 // setExplicit stores v as an explicitly set value, one later defaults
 // do not override.
-func (w *Widget) setExplicit(name string, v any) {
-	w.setResource(name, v)
-	if i, ok := w.layout.index[name]; ok {
+func (w *Widget) setExplicit(q Quark, v any) {
+	w.setResource(q, v)
+	if i := w.layout.slot(q); i >= 0 {
 		w.explicit[i] = true
 	}
 }
 
 // Int returns an integer resource (0 when absent).
-func (w *Widget) Int(name string) int {
-	if v, ok := w.Get(name); ok {
+func (w *Widget) Int(q Quark) int {
+	if v, ok := w.Get(q); ok {
 		if n, ok := v.(int); ok {
 			return n
 		}
@@ -298,8 +298,8 @@ func (w *Widget) Int(name string) int {
 }
 
 // Bool returns a boolean resource.
-func (w *Widget) Bool(name string) bool {
-	if v, ok := w.Get(name); ok {
+func (w *Widget) Bool(q Quark) bool {
+	if v, ok := w.Get(q); ok {
 		if b, ok := v.(bool); ok {
 			return b
 		}
@@ -308,8 +308,8 @@ func (w *Widget) Bool(name string) bool {
 }
 
 // Str returns a string resource.
-func (w *Widget) Str(name string) string {
-	if v, ok := w.Get(name); ok {
+func (w *Widget) Str(q Quark) string {
+	if v, ok := w.Get(q); ok {
 		if s, ok := v.(string); ok {
 			return s
 		}
@@ -318,8 +318,8 @@ func (w *Widget) Str(name string) string {
 }
 
 // PixelRes returns a colour resource.
-func (w *Widget) PixelRes(name string) xproto.Pixel {
-	if v, ok := w.Get(name); ok {
+func (w *Widget) PixelRes(q Quark) xproto.Pixel {
+	if v, ok := w.Get(q); ok {
 		if p, ok := v.(xproto.Pixel); ok {
 			return p
 		}
@@ -328,8 +328,8 @@ func (w *Widget) PixelRes(name string) xproto.Pixel {
 }
 
 // FontRes returns a font resource (never nil).
-func (w *Widget) FontRes(name string) *xproto.Font {
-	if v, ok := w.Get(name); ok {
+func (w *Widget) FontRes(q Quark) *xproto.Font {
+	if v, ok := w.Get(q); ok {
 		if f, ok := v.(*xproto.Font); ok && f != nil {
 			return f
 		}
@@ -338,8 +338,8 @@ func (w *Widget) FontRes(name string) *xproto.Font {
 }
 
 // StringList returns a string-list resource.
-func (w *Widget) StringList(name string) []string {
-	if v, ok := w.Get(name); ok {
+func (w *Widget) StringList(q Quark) []string {
+	if v, ok := w.Get(q); ok {
 		if l, ok := v.([]string); ok {
 			return l
 		}
@@ -348,7 +348,7 @@ func (w *Widget) StringList(name string) []string {
 }
 
 func (w *Widget) translations() *Translations {
-	if v, ok := w.Get("translations"); ok {
+	if v, ok := w.Get(QTranslations); ok {
 		if tt, ok := v.(*Translations); ok {
 			return tt
 		}
@@ -358,15 +358,15 @@ func (w *Widget) translations() *Translations {
 
 // Explicit reports whether the resource was set explicitly (creation
 // args or SetValues) rather than defaulted.
-func (w *Widget) Explicit(name string) bool {
-	i, ok := w.layout.index[name]
-	return ok && w.explicit[i]
+func (w *Widget) Explicit(q Quark) bool {
+	i := w.layout.slot(q)
+	return i >= 0 && w.explicit[i]
 }
 
 // SetResourceValue stores a typed resource value directly, bypassing
 // conversion — for widget-class implementations updating their own
 // state (Toggle's "state", Scrollbar's thumb, ...).
-func (w *Widget) SetResourceValue(name string, v any) { w.setResource(name, v) }
+func (w *Widget) SetResourceValue(q Quark, v any) { w.setResource(q, v) }
 
 // RequestResize asks the parent to give the widget a new preferred
 // size (XtMakeResizeRequest): the geometry is updated and a realized
@@ -375,11 +375,11 @@ func (w *Widget) SetResourceValue(name string, v any) { w.setResource(name, v) }
 // asking the parent, as XtMakeGeometryRequest answers XtGeometryYes.
 func (w *Widget) RequestResize(width, height int) {
 	width, height = maxInt(width, 1), maxInt(height, 1)
-	if width == w.Int("width") && height == w.Int("height") {
+	if width == w.Int(QWidth) && height == w.Int(QHeight) {
 		return
 	}
-	w.setResource("width", width)
-	w.setResource("height", height)
+	w.setResource(QWidth, width)
+	w.setResource(QHeight, height)
 	w.applyGeometry()
 	w.relayoutParent()
 }
@@ -388,7 +388,7 @@ func (w *Widget) RequestResize(width, height int) {
 // sensitive; insensitive widgets receive no input events.
 func (w *Widget) IsSensitive() bool {
 	for x := w; x != nil; x = x.Parent {
-		if !x.Bool("sensitive") {
+		if !x.Bool(QSensitive) {
 			return false
 		}
 	}
@@ -561,22 +561,22 @@ func (w *Widget) ResourceNames() []string {
 // --- geometry ---------------------------------------------------------------
 
 func (w *Widget) preferredSize() (int, int) {
-	if w.Explicit("width") && w.Explicit("height") {
-		return maxInt(w.Int("width"), 1), maxInt(w.Int("height"), 1)
+	if w.Explicit(QWidth) && w.Explicit(QHeight) {
+		return maxInt(w.Int(QWidth), 1), maxInt(w.Int(QHeight), 1)
 	}
 	for k := w.Class; k != nil; k = k.Super {
 		if k.PreferredSize != nil {
 			pw, ph := k.PreferredSize(w)
-			if w.Explicit("width") {
-				pw = w.Int("width")
+			if w.Explicit(QWidth) {
+				pw = w.Int(QWidth)
 			}
-			if w.Explicit("height") {
-				ph = w.Int("height")
+			if w.Explicit(QHeight) {
+				ph = w.Int(QHeight)
 			}
 			return maxInt(pw, 1), maxInt(ph, 1)
 		}
 	}
-	return maxInt(w.Int("width"), 1), maxInt(w.Int("height"), 1)
+	return maxInt(w.Int(QWidth), 1), maxInt(w.Int(QHeight), 1)
 }
 
 // setGeometry updates the core geometry resources and the server
@@ -585,19 +585,19 @@ func (w *Widget) preferredSize() (int, int) {
 // reconfiguring the window or invoking the class resize procedure.
 func (w *Widget) setGeometry(x, y, width, height int) {
 	width, height = maxInt(width, 1), maxInt(height, 1)
-	if w.Int("x") == x && w.Int("y") == y && w.Int("width") == width && w.Int("height") == height {
+	if w.Int(QX) == x && w.Int(QY) == y && w.Int(QWidth) == width && w.Int(QHeight) == height {
 		return
 	}
-	w.setResource("x", x)
-	w.setResource("y", y)
-	w.setResource("width", width)
-	w.setResource("height", height)
+	w.setResource(QX, x)
+	w.setResource(QY, y)
+	w.setResource(QWidth, width)
+	w.setResource(QHeight, height)
 	w.applyGeometry()
 }
 
 func (w *Widget) applyGeometry() {
 	if w.realized {
-		w.display.ConfigureWindow(w.window, w.Int("x"), w.Int("y"), w.Int("width"), w.Int("height"))
+		w.display.ConfigureWindow(w.window, w.Int(QX), w.Int(QY), w.Int(QWidth), w.Int(QHeight))
 	}
 	for k := w.Class; k != nil; k = k.Super {
 		if k.Resize != nil {
@@ -682,7 +682,7 @@ func (w *Widget) Manage() {
 		w.callChangeManaged()
 		w.realizeTree()
 	}
-	if w.realized && w.Bool("mappedWhenManaged") {
+	if w.realized && w.Bool(QMappedWhenManaged) {
 		w.display.MapWindow(w.window)
 	}
 }
@@ -727,14 +727,14 @@ func (w *Widget) realizeTree() {
 		if w.Parent != nil && !w.Class.Shell {
 			parentWin = w.Parent.window
 		}
-		win, err := w.display.CreateWindow(parentWin, w.Int("x"), w.Int("y"), w.Int("width"), w.Int("height"), w.Int("borderWidth"))
+		win, err := w.display.CreateWindow(parentWin, w.Int(QX), w.Int(QY), w.Int(QWidth), w.Int(QHeight), w.Int(QBorderWidth))
 		if err != nil {
 			panic(fmt.Sprintf("xt: realize %s: %v", w.Name, err))
 		}
 		w.window = win
 		w.realized = true
 		w.app.byWindow[windowKey{w.display, win}] = w
-		w.display.SetWindowBackground(win, w.PixelRes("background"))
+		w.display.SetWindowBackground(win, w.PixelRes(QBackground))
 		w.updateInputMask()
 		// Class Realize methods (sub-most wins).
 		for k := w.Class; k != nil; k = k.Super {
@@ -749,7 +749,7 @@ func (w *Widget) realizeTree() {
 			continue // popup children realize on Popup
 		}
 		c.realizeTree()
-		if c.managed && c.Bool("mappedWhenManaged") {
+		if c.managed && c.Bool(QMappedWhenManaged) {
 			w.display.MapWindow(c.window)
 		}
 	}
@@ -804,7 +804,7 @@ func (w *Widget) Clip() xproto.Rect {
 	if w.hasClip {
 		return w.clip
 	}
-	return xproto.Rect{W: w.Int("width"), H: w.Int("height")}
+	return xproto.Rect{W: w.Int(QWidth), H: w.Int(QHeight)}
 }
 
 // ClipIntersects reports whether the rect touches the active clip
@@ -824,7 +824,7 @@ func (w *Widget) redrawRect(r xproto.Rect) {
 	if !w.realized {
 		return
 	}
-	full := xproto.Rect{W: w.Int("width"), H: w.Int("height")}
+	full := xproto.Rect{W: w.Int(QWidth), H: w.Int(QHeight)}
 	r = r.Intersect(full)
 	if r.Empty() {
 		return
@@ -852,7 +852,7 @@ func (w *Widget) Damage(r xproto.Rect) {
 		return
 	}
 	if r.Empty() || w.app.fullRepaint {
-		r = xproto.Rect{W: w.Int("width"), H: w.Int("height")}
+		r = xproto.Rect{W: w.Int(QWidth), H: w.Int(QHeight)}
 	}
 	w.display.DamageRect(w.window, r.X, r.Y, r.W, r.H)
 }

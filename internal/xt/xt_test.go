@@ -8,6 +8,13 @@ import (
 	"wafe/internal/xproto"
 )
 
+// Handles of the test classes' own resources.
+var (
+	qFont       = StringToQuark("font")
+	qForeground = StringToQuark("foreground")
+	qLabel      = StringToQuark("label")
+)
+
 // testLabelClass is a minimal Label-like class for xt-level tests
 // (the real Athena classes live in internal/xaw).
 var testLabelClass = &Class{
@@ -19,14 +26,14 @@ var testLabelClass = &Class{
 		{Name: "font", Class: "Font", Type: TFont, Default: "fixed"},
 	},
 	PreferredSize: func(w *Widget) (int, int) {
-		f := w.FontRes("font")
-		return f.TextWidth(w.Str("label")) + 8, f.Height() + 4
+		f := w.FontRes(qFont)
+		return f.TextWidth(w.Str(qLabel)) + 8, f.Height() + 4
 	},
 	Redisplay: func(w *Widget) {
 		d := w.Display()
 		gc := d.NewGC()
-		gc.Foreground = w.PixelRes("foreground")
-		d.DrawString(w.Window(), gc, 4, 13, w.Str("label"))
+		gc.Foreground = w.PixelRes(qForeground)
+		d.DrawString(w.Window(), gc, 4, 13, w.Str(qLabel))
 	},
 }
 
@@ -54,7 +61,7 @@ var testBoxClass = &Class{
 		for _, c := range w.ManagedChildren() {
 			cw, ch := c.PreferredSize()
 			c.SetChildGeometry(0, y, cw, ch)
-			y += ch + 2*c.Int("borderWidth")
+			y += ch + 2*c.Int(QBorderWidth)
 			if cw > maxW {
 				maxW = cw
 			}
@@ -65,7 +72,7 @@ var testBoxClass = &Class{
 		maxW, y := 1, 0
 		for _, c := range w.ManagedChildren() {
 			cw, ch := c.PreferredSize()
-			y += ch + 2*c.Int("borderWidth")
+			y += ch + 2*c.Int(QBorderWidth)
 			if cw > maxW {
 				maxW = cw
 			}
@@ -90,22 +97,22 @@ func TestCreateWidgetDefaultsAndArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Str("label") != "hello" {
-		t.Errorf("label = %q", w.Str("label"))
+	if w.Str(qLabel) != "hello" {
+		t.Errorf("label = %q", w.Str(qLabel))
 	}
 	// Default applies when no arg given.
 	w2, err := app.CreateWidget("l2", testLabelClass, top, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.Str("label") != "default-label" {
-		t.Errorf("default label = %q", w2.Str("label"))
+	if w2.Str(qLabel) != "default-label" {
+		t.Errorf("default label = %q", w2.Str(qLabel))
 	}
-	if !w.Bool("sensitive") {
+	if !w.Bool(QSensitive) {
 		t.Error("sensitive default should be True")
 	}
-	if w.Int("borderWidth") != 1 {
-		t.Errorf("borderWidth default = %d", w.Int("borderWidth"))
+	if w.Int(QBorderWidth) != 1 {
+		t.Errorf("borderWidth default = %d", w.Int(QBorderWidth))
 	}
 }
 
@@ -182,13 +189,13 @@ func TestWidgetXrmIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Str("label") != "from-db" {
-		t.Errorf("db value not applied: %q", w.Str("label"))
+	if w.Str(qLabel) != "from-db" {
+		t.Errorf("db value not applied: %q", w.Str(qLabel))
 	}
 	// Creation args still beat the database.
 	w2, _ := app.CreateWidget("l2", testLabelClass, top, map[string]string{"label": "arg"}, true)
-	if w2.Str("label") != "arg" {
-		t.Errorf("arg should beat db: %q", w2.Str("label"))
+	if w2.Str(qLabel) != "arg" {
+		t.Errorf("arg should beat db: %q", w2.Str(qLabel))
 	}
 }
 
@@ -360,7 +367,7 @@ func TestEventDispatchThroughTranslations(t *testing.T) {
 	})
 	w, _ := app.CreateWidget("btn", testLabelClass, top, map[string]string{"width": "50", "height": "20"}, true)
 	tt, _ := ParseTranslations("<Btn1Down>: record(pressed)")
-	w.SetResourceValue("translations", tt)
+	w.SetResourceValue(QTranslations, tt)
 	top.Realize()
 	w.UpdateInputMask()
 	app.Pump()
@@ -386,7 +393,7 @@ func TestInsensitiveWidgetIgnoresInput(t *testing.T) {
 	app.AddAction("hit", func(w *Widget, _ *xproto.Event, _ []string) { count++ })
 	w, _ := app.CreateWidget("btn", testLabelClass, top, map[string]string{"width": "50", "height": "20"}, true)
 	tt, _ := ParseTranslations("<Btn1Down>: hit()")
-	w.SetResourceValue("translations", tt)
+	w.SetResourceValue(QTranslations, tt)
 	top.Realize()
 	w.UpdateInputMask()
 	app.Pump()
@@ -480,12 +487,12 @@ func TestRealizeCreatesWindows(t *testing.T) {
 		}
 	}
 	// Box stacked l2 below l1.
-	if l2.Int("y") <= l1.Int("y") {
-		t.Errorf("layout: l1.y=%d l2.y=%d", l1.Int("y"), l2.Int("y"))
+	if l2.Int(QY) <= l1.Int(QY) {
+		t.Errorf("layout: l1.y=%d l2.y=%d", l1.Int(QY), l2.Int(QY))
 	}
 	// Shell sized itself to the box.
-	if top.Int("width") < l2.Int("width") {
-		t.Errorf("shell width %d < child width %d", top.Int("width"), l2.Int("width"))
+	if top.Int(QWidth) < l2.Int(QWidth) {
+		t.Errorf("shell width %d < child width %d", top.Int(QWidth), l2.Int(QWidth))
 	}
 	// Windows mapped.
 	win, _ := app.Display().Lookup(l1.Window())
@@ -562,13 +569,13 @@ func TestPositionShell(t *testing.T) {
 	if err := popup.PositionShell(123, 45); err != nil {
 		t.Fatal(err)
 	}
-	if popup.Int("x") != 123 || popup.Int("y") != 45 {
-		t.Errorf("position = %d,%d", popup.Int("x"), popup.Int("y"))
+	if popup.Int(QX) != 123 || popup.Int(QY) != 45 {
+		t.Errorf("position = %d,%d", popup.Int(QX), popup.Int(QY))
 	}
 	app.Display().WarpPointer(300, 200)
 	_ = popup.PositionShellUnderPointer()
-	if popup.Int("x") != 300 || popup.Int("y") != 200 {
-		t.Errorf("positionCursor = %d,%d", popup.Int("x"), popup.Int("y"))
+	if popup.Int(QX) != 300 || popup.Int(QY) != 200 {
+		t.Errorf("positionCursor = %d,%d", popup.Int(QX), popup.Int(QY))
 	}
 	lab := app.WidgetByName("topLevel")
 	_ = lab
@@ -644,7 +651,7 @@ func TestUnboundActionRaisesError(t *testing.T) {
 	top := newShell(t, app)
 	w, _ := app.CreateWidget("l", testLabelClass, top, map[string]string{"width": "30", "height": "10"}, true)
 	tt, _ := ParseTranslations("<Btn1Down>: NoSuchAction()")
-	w.SetResourceValue("translations", tt)
+	w.SetResourceValue(QTranslations, tt)
 	top.Realize()
 	w.UpdateInputMask()
 	app.Pump()
@@ -704,16 +711,16 @@ func TestChangeManagedDeferredToRealize(t *testing.T) {
 	if err := l.SetValues("width", "90"); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 0 || l.Int("y") != 0 {
-		t.Fatalf("layout ran before realize: %v, l.y = %d", order, l.Int("y"))
+	if len(order) != 0 || l.Int(QY) != 0 {
+		t.Fatalf("layout ran before realize: %v, l.y = %d", order, l.Int(QY))
 	}
 	top.Realize()
 	if got := strings.Join(order, " "); got != "inner outer" {
 		t.Errorf("realize laid out %q, want each box once, inner first", got)
 	}
-	if l.Int("y") != inner.Int("height")+2*inner.Int("borderWidth") || outer.Int("width") != 90 {
+	if l.Int(QY) != inner.Int(QHeight)+2*inner.Int(QBorderWidth) || outer.Int(QWidth) != 90 {
 		t.Errorf("settled geometry: l.y = %d below inner %dx%d, outer width = %d, want 90",
-			l.Int("y"), inner.Int("width"), inner.Int("height"), outer.Int("width"))
+			l.Int(QY), inner.Int(QWidth), inner.Int(QHeight), outer.Int(QWidth))
 	}
 
 	order = nil
@@ -745,8 +752,8 @@ func TestRealizeChildRealizesParent(t *testing.T) {
 			t.Errorf("%s not realized", w.Name)
 		}
 	}
-	if l2.Int("y") <= l1.Int("y") {
-		t.Errorf("box not laid out: l1.y=%d l2.y=%d", l1.Int("y"), l2.Int("y"))
+	if l2.Int(QY) <= l1.Int(QY) {
+		t.Errorf("box not laid out: l1.y=%d l2.y=%d", l1.Int(QY), l2.Int(QY))
 	}
 	root, _ := app.Display().Lookup(app.Display().Root)
 	topWin, _ := app.Display().Lookup(top.Window())

@@ -61,7 +61,7 @@ func layoutDump(w *core.Wafe) string {
 			managed = "managed"
 		}
 		fmt.Fprintf(&b, "%s%s %s %dx%d+%d+%d realized %s\n", strings.Repeat("  ", depth), x.Name, x.Class.Name,
-			x.Int("width"), x.Int("height"), x.Int("x"), x.Int("y"), managed)
+			x.Int(xt.QWidth), x.Int(xt.QHeight), x.Int(xt.QX), x.Int(xt.QY), managed)
 		kids := x.Children()
 		sort.Slice(kids, func(i, j int) bool { return kids[i].Name < kids[j].Name })
 		for _, c := range kids {
